@@ -12,8 +12,7 @@
 //! [`GroupEngine::push_batch`] and [`GroupEngine::finish_into`] write
 //! released emissions into any [`EmissionSink`] through a reusable
 //! internal scratch buffer, so the steady-state release path performs no
-//! per-push `Vec<Emission>` allocation. The engine also implements
-//! [`StreamOperator`], the seam pipelines compose over.
+//! per-push `Vec<Emission>` allocation.
 //! [`push`](GroupEngine::push) / [`finish`](GroupEngine::finish) /
 //! [`run`](GroupEngine::run) remain as thin [`VecSink`]-backed
 //! compatibility wrappers.
@@ -61,7 +60,7 @@ use crate::plan::{CompiledRoster, EvaluatorTier, FilterPlan, StepActions};
 use crate::quality::FilterSpec;
 use crate::region::{Region, RegionTracker};
 use crate::schema::Schema;
-use crate::sink::{EmissionSink, StreamOperator, VecSink};
+use crate::sink::{EmissionSink, VecSink};
 use crate::snapshot::GroupSnapshot;
 use crate::time::Micros;
 use crate::tuple::{Tuple, TupleId, TuplePool};
@@ -502,7 +501,7 @@ pub struct GroupEngine {
     predictor: RuntimePredictor,
     utility: GroupUtility,
     tracker: RegionTracker,
-    /// Reusable open-cover buffer for the batch-path region drain.
+    /// Reusable open-cover buffer for the per-row region drain.
     cover_buf: Vec<TimeCover>,
     /// Intern pool owning the live tuples that may still be chosen/emitted.
     pool: TuplePool,
@@ -544,22 +543,13 @@ pub struct GroupEngine {
     metrics: EngineMetrics,
 }
 
-/// Validates that `tuple` extends a stream whose last accepted tuple had
-/// `last_ts`/`last_seq`. Shared by the inline ([`GroupEngine::push_into`])
-/// and sharded (`crate::shard`) ingest paths so their eager ordering
-/// contracts cannot drift apart.
+/// Validates that a tuple at `(ts, seq)` extends a stream whose last
+/// accepted tuple had `last_ts`/`last_seq`. Shared by the inline
+/// ([`GroupEngine::push_into`]) and sharded (`crate::shard`) ingest paths
+/// so their eager ordering contracts cannot drift apart. A [`TupleBatch`]
+/// validated its internal contiguity at construction, so only its head
+/// row needs checking against the frontier.
 pub(crate) fn validate_stream_order(
-    last_ts: Option<Micros>,
-    last_seq: Option<u64>,
-    tuple: &Tuple,
-) -> Result<(), Error> {
-    validate_stream_order_at(last_ts, last_seq, tuple.timestamp(), tuple.seq())
-}
-
-/// Position form of [`validate_stream_order`], for the columnar path: a
-/// [`TupleBatch`] validated its internal contiguity at construction, so
-/// only its head row needs checking against the engine frontier.
-pub(crate) fn validate_stream_order_at(
     last_ts: Option<Micros>,
     last_seq: Option<u64>,
     ts: Micros,
@@ -859,20 +849,12 @@ impl GroupEngine {
 
     /// Crosses the epoch boundary: drains all open state (exactly like
     /// [`finish_into`](Self::finish_into), without ending the stream),
-    /// hands the tail to the sink, archives the epoch's metrics and
-    /// applies the queued roster changes. Retained filters restart fresh,
-    /// so the continuation is byte-identical to a static rebuild with the
-    /// post-churn roster.
-    fn apply_control_ops<S: EmissionSink>(&mut self, sink: &mut S) {
-        self.apply_control_ops_to_scratch();
-        self.drain_scratch(sink);
-    }
-
-    /// [`apply_control_ops`](Self::apply_control_ops) minus the sink
-    /// handoff: the boundary tail stays staged in the scratch buffer, so
-    /// the per-step columnar path can attribute it to the step whose push
-    /// crossed the boundary.
-    fn apply_control_ops_to_scratch(&mut self) {
+    /// archives the epoch's metrics and applies the queued roster
+    /// changes. Retained filters restart fresh, so the continuation is
+    /// byte-identical to a static rebuild with the post-churn roster. The
+    /// boundary tail stays staged in the scratch buffer, ahead of
+    /// whatever the push that crossed the boundary releases.
+    fn apply_control_ops(&mut self) {
         let start = Instant::now();
         let now = self.last_ts.unwrap_or(Micros::ZERO);
         self.drain_open_state(now);
@@ -986,7 +968,8 @@ impl GroupEngine {
         if self.finished {
             return Err(Error::Finished);
         }
-        self.apply_control_ops(sink);
+        self.apply_control_ops();
+        self.drain_scratch(sink);
         Ok(GroupSnapshot {
             schema: self.schema.clone(),
             algorithm: self.algorithm,
@@ -1143,50 +1126,35 @@ impl GroupEngine {
         // Ordering is validated *before* the safe point: a rejected tuple
         // must not advance the epoch (the queued ops stay queued and apply
         // on the next accepted tuple's boundary instead).
-        validate_stream_order(self.last_ts, self.last_seq, &tuple)?;
+        validate_stream_order(self.last_ts, self.last_seq, tuple.timestamp(), tuple.seq())?;
         // Safe point: queued roster changes apply on the boundary before
-        // this tuple (draining the previous epoch's tail into the sink).
+        // this tuple (the previous epoch's tail reaches the sink first).
         if !self.control_queue.is_empty() {
-            self.apply_control_ops(sink);
+            self.apply_control_ops();
         }
+        let staged = self.stage_row(tuple);
+        self.drain_scratch(sink);
+        staged
+    }
+
+    /// Runs one (order-validated) tuple through the per-row step, leaving
+    /// what it releases staged in the scratch buffer.
+    fn stage_row(&mut self, tuple: Tuple) -> Result<(), Error> {
         let start = Instant::now();
         let now = tuple.timestamp();
-        self.last_ts = Some(now);
-        self.last_seq = Some(tuple.seq());
-        self.metrics.input_tuples += 1;
         // Intern once: the pool owns the payload, everything downstream
         // carries the id.
         let (id, tuple) = self.pool.intern(tuple);
-
-        // Per-filter timely cuts (PS+C) are checked *before* admitting the
-        // new tuple: "admitting a new tuple will likely violate the time
-        // constraint" (§3.3, Fig. 3.5).
-        if self.algorithm == Algorithm::PerCandidateSet {
-            self.per_filter_cuts(now);
-        }
+        self.begin_row(id, now);
 
         // First stage: candidate admission (vacant slots are skipped).
         // The compiled tier runs the whole roster in one fused pass and
-        // replays the recorded actions; the interpreted tier is the
-        // original one-virtual-call-per-filter loop. Both produce
-        // byte-identical actions in ascending slot order.
-        if self.compiled.is_some() {
-            let mut step = std::mem::take(&mut self.step);
-            let result = self
-                .compiled
-                .as_mut()
-                .expect("compiled tier checked above")
-                .process_tuple(&tuple, &mut step);
-            match result {
-                Ok(()) => {
-                    self.apply_step(id, now, &mut step);
-                    self.step = step;
-                }
-                Err(e) => {
-                    self.step = step;
-                    return Err(e);
-                }
-            }
+        // replays the recorded step; the interpreted tier — the reference
+        // the compiled one is tested against — makes one virtual call per
+        // filter. Both produce byte-identical state.
+        if let Some(compiled) = self.compiled.as_mut() {
+            compiled.process_tuple(&tuple, &mut self.step)?;
+            self.replay_step(id, now);
         } else {
             for i in 0..self.slots.len() {
                 let Some(slot) = self.slots[i].as_mut() else {
@@ -1200,21 +1168,8 @@ impl GroupEngine {
                 self.apply_action(i, id, now, action);
             }
         }
-
-        // Group timely cut (RG+C) is checked after the admission loop
-        // (Fig. 3.3): if the region span plus the predicted greedy run time
-        // would exceed the constraint, force-close everything now.
-        if self.algorithm == Algorithm::RegionGreedy {
-            self.maybe_cut_all(now);
-        }
-
-        // Second stage: solve/complete any regions that became ready.
-        self.drain_regions(now);
-
-        self.flush_to_scratch(now);
-        self.maybe_drop(id);
+        self.finish_row(id, now);
         self.metrics.cpu += start.elapsed();
-        self.drain_scratch(sink);
         Ok(())
     }
 
@@ -1282,49 +1237,32 @@ impl GroupEngine {
     /// # Errors
     /// Same contract as [`push_into`](Self::push_into), plus
     /// [`Error::SchemaMismatch`] when the batch width differs from the
-    /// engine schema.
+    /// engine schema. Everything released before a failing row still
+    /// reaches `sink`.
     pub fn push_batch_columnar<S: EmissionSink>(
         &mut self,
         batch: &Arc<TupleBatch>,
         sink: &mut S,
     ) -> Result<(), Error> {
-        if self.finished {
-            return Err(Error::Finished);
-        }
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.validate_batch_head(batch)?;
-        if !self.control_queue.is_empty() {
-            self.apply_control_ops(sink);
-        }
-        let ok = if self.compiled.is_some() {
-            let n = self.columnar_rows(batch, |_| {});
-            self.drain_scratch(sink);
-            n
-        } else {
-            0
-        };
-        for r in ok..batch.rows() {
-            self.push_into(batch.materialize_row(r), sink)?;
-        }
-        Ok(())
+        let result = self.push_columnar_rows(batch, |_| {});
+        self.drain_scratch(sink);
+        result
     }
 
-    /// Sharded-worker form of
-    /// [`push_batch_columnar`](Self::push_batch_columnar): pushes each
-    /// row's released emissions as its own entry of `out`, so the merge
-    /// layer keeps its per-step `(input step, route)` ordering across
-    /// routes that batch at different phases. Emissions from a safe-point
-    /// boundary crossed by this batch land in the first row's entry —
-    /// exactly where the per-tuple path would drain them.
+    /// The columnar ingest body. `per_row` observes the scratch buffer
+    /// after every row: a no-op when the whole batch drains into one
+    /// sink, a move for the sharded worker, whose merge layer needs each
+    /// row's emissions as their own step to keep its `(input step, route)`
+    /// ordering across routes. Emissions from a safe-point boundary
+    /// crossed by this batch are staged ahead of the first row's —
+    /// exactly where the per-tuple path drains them.
     ///
-    /// On error, `out` holds the steps completed before the failing row
-    /// (the failing row contributes no entry).
-    pub(crate) fn push_batch_columnar_steps(
+    /// On error, `per_row` has seen every row completed before the
+    /// failing one (which contributes no call).
+    pub(crate) fn push_columnar_rows(
         &mut self,
         batch: &Arc<TupleBatch>,
-        out: &mut Vec<Vec<Emission>>,
+        mut per_row: impl FnMut(&mut Vec<Emission>),
     ) -> Result<(), Error> {
         if self.finished {
             return Err(Error::Finished);
@@ -1334,21 +1272,35 @@ impl GroupEngine {
         }
         self.validate_batch_head(batch)?;
         if !self.control_queue.is_empty() {
-            self.apply_control_ops_to_scratch();
+            self.apply_control_ops();
         }
-        let ok = if self.compiled.is_some() {
-            self.columnar_rows(batch, |scratch| out.push(std::mem::take(scratch)))
-        } else {
-            0
-        };
+        // Compiled tier: derive key columns for the derivable prefix,
+        // bulk-intern those rows, then run the per-row step over the
+        // pre-derived columns.
+        let start = Instant::now();
+        let ok = self
+            .compiled
+            .as_mut()
+            .map_or(0, |compiled| compiled.derive_batch(batch));
+        self.pool.intern_rows(batch, ok);
+        for r in 0..ok {
+            let now = batch.timestamp(r);
+            let id = TupleId::from_seq(batch.seq(r));
+            self.begin_row(id, now);
+            self.compiled
+                .as_mut()
+                .expect("only the compiled tier derives rows")
+                .evaluate_row(r, id, now, &mut self.step);
+            self.replay_step(id, now);
+            self.finish_row(id, now);
+            per_row(&mut self.scratch);
+        }
+        self.metrics.cpu += start.elapsed();
+        // Interpreted tier, and any row whose key derivation fails: the
+        // row-form step, which reproduces the exact per-tuple error.
         for r in ok..batch.rows() {
-            let mut sink = VecSink::new();
-            let result = self.push_into(batch.materialize_row(r), &mut sink);
-            let step = sink.into_vec();
-            match result {
-                Ok(()) => out.push(step),
-                Err(e) => return Err(e),
-            }
+            self.stage_row(batch.materialize_row(r))?;
+            per_row(&mut self.scratch);
         }
         Ok(())
     }
@@ -1364,58 +1316,12 @@ impl GroupEngine {
                 actual: batch.schema().len(),
             });
         }
-        validate_stream_order_at(
+        validate_stream_order(
             self.last_ts,
             self.last_seq,
             batch.timestamp(0),
             batch.seq(0),
         )
-    }
-
-    /// The columnar core loop (compiled tier only): derive key columns
-    /// for the derivable prefix, bulk-intern those rows, then run the
-    /// fused second stage row by row over the pre-derived columns.
-    /// `per_row` observes the scratch buffer after every row — a no-op
-    /// for whole-batch sinks, a move for the per-step sharded form.
-    /// Returns the number of rows consumed.
-    fn columnar_rows(
-        &mut self,
-        batch: &Arc<TupleBatch>,
-        mut per_row: impl FnMut(&mut Vec<Emission>),
-    ) -> usize {
-        let start = Instant::now();
-        let ok = self
-            .compiled
-            .as_mut()
-            .expect("columnar rows run on the compiled tier")
-            .derive_batch(batch);
-        self.pool.intern_rows(batch, ok);
-        for r in 0..ok {
-            let now = batch.timestamp(r);
-            let id = TupleId::from_seq(batch.seq(r));
-            self.last_ts = Some(now);
-            self.last_seq = Some(batch.seq(r));
-            self.metrics.input_tuples += 1;
-            if self.algorithm == Algorithm::PerCandidateSet {
-                self.per_filter_cuts(now);
-            }
-            let mut step = std::mem::take(&mut self.step);
-            self.compiled
-                .as_mut()
-                .expect("columnar rows run on the compiled tier")
-                .evaluate_row(r, id, now, &mut step);
-            self.apply_step_columnar(id, now, &mut step);
-            self.step = step;
-            if self.algorithm == Algorithm::RegionGreedy {
-                self.maybe_cut_all(now);
-            }
-            self.drain_regions_columnar(now);
-            self.flush_to_scratch(now);
-            self.maybe_drop(id);
-            per_row(&mut self.scratch);
-        }
-        self.metrics.cpu += start.elapsed();
-        ok
     }
 
     /// Runs an entire stream through the engine into `sink`
@@ -1537,46 +1443,47 @@ impl GroupEngine {
         }
     }
 
-    /// Replays one fused-pass result through the same per-filter
-    /// bookkeeping the interpreted loop uses, in the same ascending slot
-    /// order. Untouched slots are provably no-ops
-    /// ([`FilterAction::none`] leaves every engine structure unchanged),
-    /// so only the touched bits are visited.
-    fn apply_step(&mut self, id: TupleId, now: Micros, step: &mut StepActions) {
-        let mut events = std::mem::take(&mut step.events);
-        let mut next = 0usize;
-        for fid in step.touched.iter() {
-            let i = fid.index();
-            let mut action = FilterAction {
-                admitted: step.admitted.contains(fid),
-                reference: step.references.contains(fid),
-                ..FilterAction::none()
-            };
-            if let Some((slot, ev)) = events.get_mut(next) {
-                if *slot as usize == i {
-                    action.dismissed = std::mem::take(&mut ev.dismissed);
-                    action.closed = ev.closed.take();
-                    next += 1;
-                }
-            }
-            self.apply_action(i, id, now, action);
+    /// Opens the per-row step, shared by every tier and ingest shape:
+    /// advances the stream frontier and runs the per-filter timely cuts
+    /// (PS+C), which are checked *before* admitting the new tuple —
+    /// "admitting a new tuple will likely violate the time constraint"
+    /// (§3.3, Fig. 3.5).
+    fn begin_row(&mut self, id: TupleId, now: Micros) {
+        self.last_ts = Some(now);
+        self.last_seq = Some(id.seq());
+        self.metrics.input_tuples += 1;
+        if self.algorithm == Algorithm::PerCandidateSet {
+            self.per_filter_cuts(now);
         }
-        debug_assert_eq!(next, events.len(), "event for an untouched slot");
-        events.clear();
-        step.events = events; // hand the allocation back for reuse
     }
 
-    /// Columnar form of [`apply_step`](Self::apply_step): the admission
-    /// mask's popcount lands on the new tuple as one bulk utility probe,
-    /// references follow as a block scan, and only the (rare) events walk
-    /// slot by slot. Byte-identical to the per-slot replay because a
-    /// step's closed sets and dismissals never involve the current tuple
-    /// (window seal precedes push, the delta vicinity seal excludes the
-    /// current tuple, and dismissals prune previously admitted ids), so
-    /// hoisting its admissions and references commutes with the events —
-    /// which keep their ascending slot order, preserving the
-    /// dismissal-before-decision interleaving that group utilities see.
-    fn apply_step_columnar(&mut self, id: TupleId, now: Micros, step: &mut StepActions) {
+    /// Closes the per-row step once the first stage has admitted the
+    /// tuple: the group timely cut (RG+C, checked after admission —
+    /// Fig. 3.3), the second stage over any regions that became ready,
+    /// release staging, and the drop of a tuple nothing references.
+    fn finish_row(&mut self, id: TupleId, now: Micros) {
+        if self.algorithm == Algorithm::RegionGreedy {
+            self.maybe_cut_all(now);
+        }
+        self.drain_regions(now);
+        self.flush_to_scratch(now);
+        self.maybe_drop(id);
+    }
+
+    /// Replays the fused pass recorded in `self.step` into the engine's
+    /// bookkeeping: the admission mask's popcount lands on the new tuple
+    /// as one bulk utility probe, references follow as a block scan, and
+    /// only the (rare) events walk slot by slot. Byte-identical to the
+    /// interpreted tier's per-slot [`apply_action`](Self::apply_action)
+    /// loop because a step's closed sets and dismissals never involve the
+    /// current tuple (window seal precedes push, the delta vicinity seal
+    /// excludes the current tuple, and dismissals prune previously
+    /// admitted ids), so hoisting its admissions and references commutes
+    /// with the events — which keep their ascending slot order,
+    /// preserving the dismissal-before-decision interleaving that group
+    /// utilities see.
+    fn replay_step(&mut self, id: TupleId, now: Micros) {
+        let mut step = std::mem::take(&mut self.step);
         let mut admissions = 0u32;
         for fid in step.admitted.iter() {
             self.metrics.per_filter[fid.index()].admitted += 1;
@@ -1591,20 +1498,18 @@ impl GroupEngine {
                 self.metrics.per_filter[i].chosen += 1;
             }
         }
-        let mut events = std::mem::take(&mut step.events);
-        for (slot, ev) in &mut events {
-            let i = *slot as usize;
-            for d in std::mem::take(&mut ev.dismissed) {
+        for (slot, ev) in step.events.drain(..) {
+            let i = slot as usize;
+            for d in ev.dismissed {
                 self.metrics.per_filter[i].dismissed += 1;
                 self.utility.decrement(d);
                 self.maybe_drop(d);
             }
-            if let Some(set) = ev.closed.take() {
+            if let Some(set) = ev.closed {
                 self.handle_closed_set(i, now, set);
             }
         }
-        events.clear();
-        step.events = events; // hand the allocation back for reuse
+        self.step = step; // hand the allocations back for reuse
     }
 
     fn apply_action(&mut self, i: usize, id: TupleId, now: Micros, action: FilterAction) {
@@ -1777,31 +1682,24 @@ impl GroupEngine {
         }
     }
 
+    /// Second stage: solves/completes the regions that became ready.
+    /// Most rows complete none, so the open-cover list is only built when
+    /// some region has passed its time bound. The one tier-dependent line
+    /// is where that list comes from: the compiled roster's open-slot
+    /// index (O(open slots)), or a scan of the interpreted tier's slots —
+    /// the same covers in the same ascending slot order either way.
     fn drain_regions(&mut self, now: Micros) {
-        let open_covers: Vec<TimeCover> = (0..self.slots.len())
-            .filter(|&i| self.slots[i].is_some())
-            .filter_map(|i| self.open_cover_of(i))
-            .collect();
-        for region in self.tracker.drain_ready(&open_covers, now) {
-            self.complete_region(region, now);
-        }
-    }
-
-    /// Batch-path variant of [`drain_regions`](Self::drain_regions):
-    /// sources the open covers from the compiled roster's open-slot index
-    /// (O(open slots) per row instead of a full roster scan) and reuses
-    /// one buffer across rows. The cover list is identical to the full
-    /// scan's, so region completion — and therefore every emission — is
-    /// byte-identical to the single-tuple reference path.
-    fn drain_regions_columnar(&mut self, now: Micros) {
         if !self.tracker.any_time_ready(now) {
             return;
         }
         let mut covers = std::mem::take(&mut self.cover_buf);
-        self.compiled
-            .as_ref()
-            .expect("columnar rows run on the compiled tier")
-            .open_covers_into(&mut covers);
+        match &self.compiled {
+            Some(compiled) => compiled.open_covers_into(&mut covers),
+            None => {
+                covers.clear();
+                covers.extend((0..self.slots.len()).filter_map(|i| self.open_cover_of(i)));
+            }
+        }
         for region in self.tracker.drain_ready(&covers, now) {
             self.complete_region(region, now);
         }
@@ -1963,17 +1861,5 @@ impl GroupEngine {
                 .filter(|&i| self.slots[i].is_some())
                 .map(|i| self.open_len_of(i))
                 .sum::<usize>()
-    }
-}
-
-/// The engine is the canonical [`StreamOperator`]: pipelines compose it
-/// with dissemination/metering sinks without naming `GroupEngine`.
-impl StreamOperator for GroupEngine {
-    fn process(&mut self, tuple: Tuple, sink: &mut impl EmissionSink) -> Result<(), Error> {
-        self.push_into(tuple, sink)
-    }
-
-    fn finish(&mut self, sink: &mut impl EmissionSink) -> Result<(), Error> {
-        self.finish_into(sink)
     }
 }

@@ -621,22 +621,14 @@ fn run_into_equals_run() {
 
 #[test]
 fn stream_operator_seam_drives_the_engine() {
-    // Generic over StreamOperator: pipelines never need to name GroupEngine.
-    fn drive<O: crate::sink::StreamOperator>(
-        op: &mut O,
-        tuples: Vec<Tuple>,
-        sink: &mut impl EmissionSink,
-    ) -> Result<(), Error> {
-        op.process_batch(tuples, sink)?;
-        op.finish(sink)
-    }
     let (schema, tuples) = paper_stream();
     let mut engine = GroupEngine::builder(schema)
         .filters(abc_specs())
         .build()
         .unwrap();
     let mut sink = VecSink::new();
-    drive(&mut engine, tuples, &mut sink).unwrap();
+    engine.push_batch(tuples, &mut sink).unwrap();
+    engine.finish_into(&mut sink).unwrap();
     assert_eq!(sink.len() as u64, engine.metrics().emissions);
     assert!(!sink.is_empty());
 }

@@ -30,17 +30,14 @@ use std::collections::BTreeMap;
 /// Everything one tuple did to the roster, in packed form: membership
 /// bits for the common events (admission, reference) written a block at a
 /// time, and an ordered sparse list of the rare ones (dismissals,
-/// closures). The engine replays it slot-by-slot through the same
-/// bookkeeping the trait-object path uses.
+/// closures). The engine replays the masks in bulk and the events slot
+/// by slot (`GroupEngine::replay_step`).
 #[derive(Debug, Default)]
 pub(crate) struct StepActions {
     /// Slots whose open set admitted the tuple.
     pub(crate) admitted: FilterSet,
     /// Slots for which the tuple is a reference output.
     pub(crate) references: FilterSet,
-    /// Every slot with at least one event this step (superset of the
-    /// above plus the event slots) — the engine's iteration order.
-    pub(crate) touched: FilterSet,
     /// Rare events, ascending by slot; at most one entry per slot.
     pub(crate) events: Vec<(u32, StepEvent)>,
 }
@@ -58,7 +55,6 @@ impl StepActions {
     fn clear(&mut self) {
         self.admitted.clear();
         self.references.clear();
-        self.touched.clear();
         self.events.clear();
     }
 }
@@ -66,17 +62,13 @@ impl StepActions {
 /// Folds a per-filter [`FilterAction`] into the step.
 fn record(step: &mut StepActions, slot: u32, action: FilterAction) {
     let id = FilterId::from_index(slot as usize);
-    let mut any = false;
     if action.admitted {
         step.admitted.insert(id);
-        any = true;
     }
     if action.reference {
         step.references.insert(id);
-        any = true;
     }
     if !action.dismissed.is_empty() || action.closed.is_some() {
-        any = true;
         step.events.push((
             slot,
             StepEvent {
@@ -84,9 +76,6 @@ fn record(step: &mut StepActions, slot: u32, action: FilterAction) {
                 closed: action.closed,
             },
         ));
-    }
-    if any {
-        step.touched.insert(id);
     }
 }
 
@@ -789,7 +778,6 @@ impl CompiledRoster {
                 );
             }
             step.admitted.union_with(&self.classes[ci].sampler_mask);
-            step.touched.union_with(&self.classes[ci].sampler_mask);
 
             // Delta members still in Initial: first tuple is a reference.
             for ii in 0..self.classes[ci].initial.len() {
@@ -1150,13 +1138,12 @@ mod tests {
         // dist 9 ≥ 10−2 qualifies only the tight filter (tentative).
         assert!(step.admitted.contains(FilterId::from_index(0)));
         assert!(!step.admitted.contains(FilterId::from_index(1)));
-        assert!(!step.touched.contains(FilterId::from_index(1)));
+        assert!(step.events.iter().all(|(slot, _)| *slot != 1));
     }
 
     fn assert_steps_equal(a: &StepActions, b: &StepActions, ctx: &str) {
         assert_eq!(a.admitted, b.admitted, "admitted blocks: {ctx}");
         assert_eq!(a.references, b.references, "reference blocks: {ctx}");
-        assert_eq!(a.touched, b.touched, "touched blocks: {ctx}");
         assert_eq!(a.events.len(), b.events.len(), "event count: {ctx}");
         for ((sa, ea), (sb, eb)) in a.events.iter().zip(&b.events) {
             assert_eq!(sa, sb, "event slot: {ctx}");

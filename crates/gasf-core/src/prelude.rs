@@ -27,7 +27,7 @@ pub use crate::region::{Region, RegionTracker};
 pub use crate::schema::{AttrId, Schema};
 pub use crate::shard::{ShardedEngine, ShardedEngineBuilder};
 pub use crate::shed::{PushOutcome, ShedHeadroom};
-pub use crate::sink::{EmissionSink, NullSink, StreamOperator, Tee, VecSink};
+pub use crate::sink::{EmissionSink, NullSink, VecSink};
 pub use crate::snapshot::{EngineSnapshot, GroupSnapshot};
 pub use crate::time::Micros;
 pub use crate::tuple::{series, Tuple, TupleBuilder, TupleId, TuplePool};

@@ -16,7 +16,7 @@
 //!
 //! ```text
 //!                      ┌─ shard 0 ── GroupEngine(route 0), GroupEngine(route 3) ─┐
-//!   Tuple ──broadcast──┼─ shard 1 ── GroupEngine(route 1)                        ├─ merge ─▶ EmissionSink
+//!   batch ──broadcast──┼─ shard 1 ── GroupEngine(route 1)                        ├─ merge ─▶ EmissionSink
 //!   (bounded channels) └─ shard 2 ── GroupEngine(route 2), GroupEngine(route 4) ─┘ (step, route) order
 //! ```
 //!
@@ -35,15 +35,17 @@
 //!
 //! ## Batching and delivery latency
 //!
-//! Tuples are staged in an input buffer and shipped to the shards in
-//! batches of [`batch_size`](ShardedEngineBuilder::batch_size); up to
-//! [`queue_depth`](ShardedEngineBuilder::queue_depth) batches are kept in
-//! flight per shard before the caller blocks and merges. Emissions for a
-//! step are therefore delivered to the sink up to
-//! `batch_size × (queue_depth + 1)` steps after the push that released
-//! them (and always by [`finish_into`](ShardedEngine::finish_into), which
-//! drains everything). The emission *sequence* is unaffected; only the
-//! sink-call boundaries move.
+//! Row pushes are staged in an input buffer, packed into a columnar
+//! [`TupleBatch`] of [`batch_size`](ShardedEngineBuilder::batch_size) rows
+//! and shipped to the shards as one shared `Arc` — the same message a
+//! caller-built batch takes through
+//! [`push_batch_columnar`](ShardedEngine::push_batch_columnar). Two
+//! batches are kept in flight per shard before the caller blocks and
+//! merges, so emissions for a step are delivered to the sink up to
+//! `3 × batch_size` steps after the push that released them (and always
+//! by [`finish_into`](ShardedEngine::finish_into), which drains
+//! everything). The emission *sequence* is unaffected; only the sink-call
+//! boundaries move.
 //!
 //! ## Errors
 //!
@@ -63,7 +65,7 @@ use crate::metrics::EngineMetrics;
 use crate::plan::EvaluatorTier;
 use crate::quality::FilterSpec;
 use crate::schema::Schema;
-use crate::sink::{EmissionSink, StreamOperator, VecSink};
+use crate::sink::{EmissionSink, VecSink};
 use crate::snapshot::{EngineSnapshot, GroupSnapshot};
 use crate::time::Micros;
 use crate::tuple::Tuple;
@@ -85,7 +87,7 @@ struct StepOut {
 /// Worker → caller reply for one input batch.
 #[derive(Debug)]
 struct BatchReply {
-    /// One entry per tuple of the input batch (empty after an error).
+    /// One entry per row of the input batch (empty after an error).
     steps: Vec<StepOut>,
     /// First failure, as (step offset in batch, route index, error).
     error: Option<(usize, u32, Error)>,
@@ -104,12 +106,10 @@ struct FinishReply {
 
 #[derive(Debug)]
 enum ToShard {
-    Batch(Vec<Tuple>),
-    /// A columnar tuple batch, shared across shards as one `Arc` (the
-    /// broadcast clones the pointer, never the columns). The worker runs
-    /// it through each route's batch-native path and replies with the
-    /// same per-step layout as [`ToShard::Batch`], so the caller-side
-    /// merge is oblivious to which representation was shipped.
+    /// The one data message: a columnar tuple batch, shared across shards
+    /// as one `Arc` (the broadcast clones the pointer, never the
+    /// columns). The worker runs it through each route's batch-native
+    /// path and replies with one [`StepOut`] per row.
     Columnar(Arc<TupleBatch>),
     /// A control-plane op for one route, interleaved with the data
     /// batches so it lands at the exact stream position it was issued at
@@ -147,10 +147,8 @@ struct CheckpointReply {
 /// position deterministically.
 #[derive(Debug)]
 enum ReplayEntry {
-    /// A dispatched input batch (every shard received it).
-    Batch(Vec<Tuple>),
-    /// A dispatched columnar batch (every shard received it; the log
-    /// holds the same shared `Arc` the workers got).
+    /// A dispatched batch (every shard received it; the log holds the
+    /// same shared `Arc` the workers got).
     Columnar(Arc<TupleBatch>),
     /// A control op (only the owning shard received it).
     Control(u32, ControlOp),
@@ -201,7 +199,6 @@ pub fn shard_index(key: &str, shards: usize) -> usize {
 pub struct ShardedEngineBuilder {
     parallelism: usize,
     batch_size: usize,
-    queue_depth: usize,
     track_step_costs: bool,
     replay_capacity: Option<usize>,
     max_respawns: Option<u32>,
@@ -215,6 +212,12 @@ pub const DEFAULT_REPLAY_CAPACITY: usize = 65_536;
 /// Default worker-respawn budget (see
 /// [`ShardedEngineBuilder::max_respawns`]).
 pub const DEFAULT_MAX_RESPAWNS: u32 = 4;
+
+/// Batches kept in flight per shard before a push blocks and merges:
+/// one being filtered, one queued behind it, so a worker never idles
+/// while the caller merges. This bounds the engine's buffering to
+/// `batch_size × (QUEUE_DEPTH + 1)` tuples per shard.
+const QUEUE_DEPTH: usize = 2;
 
 impl ShardedEngineBuilder {
     /// Adds a filter group as a route. The key determines shard placement
@@ -234,19 +237,12 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Tuples per batch shipped to the shards (default 128). Larger
-    /// batches amortise channel traffic; smaller ones reduce delivery
-    /// latency.
+    /// Row pushes packed into each batch shipped to the shards (default
+    /// 128). Larger batches amortise channel traffic; smaller ones reduce
+    /// delivery latency: emissions trail the push that released them by
+    /// up to three batches (two are kept in flight per shard).
     pub fn batch_size(mut self, tuples: usize) -> Self {
         self.batch_size = tuples;
-        self
-    }
-
-    /// Batches kept in flight per shard before a push blocks and merges
-    /// (default 2). This bounds the engine's buffering to
-    /// `batch_size × (queue_depth + 1)` tuples per shard.
-    pub fn queue_depth(mut self, batches: usize) -> Self {
-        self.queue_depth = batches;
         self
     }
 
@@ -254,6 +250,9 @@ impl ShardedEngineBuilder {
     /// across shards, for the caller to drain via
     /// [`ShardedEngine::take_step_costs`] (default off). Middleware uses
     /// this to feed flow-control monitors without touching the data path.
+    /// A step's cost is its batch's wall-clock cost divided by the batch's
+    /// rows, for row pushes and columnar pushes alike — monitoring data
+    /// only; the merge order never depends on it.
     pub fn track_step_costs(mut self, on: bool) -> Self {
         self.track_step_costs = on;
         self
@@ -292,7 +291,9 @@ impl ShardedEngineBuilder {
     /// worker threads.
     ///
     /// # Errors
-    /// * [`Error::InvalidConfig`] without routes or with duplicate keys,
+    /// * [`Error::InvalidConfig`] without routes, with duplicate keys, or
+    ///   with routes over different schemas (every route filters the same
+    ///   stream, so one packed batch must be valid for all of them),
     /// * any [`GroupEngineBuilder::build`] error from a route.
     pub fn build(self) -> Result<ShardedEngine, Error> {
         if self.routes.is_empty() {
@@ -300,10 +301,16 @@ impl ShardedEngineBuilder {
                 reason: "a sharded engine needs at least one route".into(),
             });
         }
-        for (i, (key, _)) in self.routes.iter().enumerate() {
+        let schema = self.routes[0].1.schema();
+        for (i, (key, builder)) in self.routes.iter().enumerate() {
             if self.routes[..i].iter().any(|(k, _)| k == key) {
                 return Err(Error::InvalidConfig {
                     reason: format!("duplicate route key `{key}`"),
+                });
+            }
+            if builder.schema() != schema {
+                return Err(Error::InvalidConfig {
+                    reason: format!("route `{key}` filters a different schema than route 0"),
                 });
             }
         }
@@ -313,7 +320,6 @@ impl ShardedEngineBuilder {
         } else {
             self.batch_size
         };
-        let queue_depth = self.queue_depth.max(1);
 
         // Caller-side roster mirrors, so control ops validate and assign
         // ids without a worker round-trip.
@@ -344,14 +350,13 @@ impl ShardedEngineBuilder {
         for (g, ctl) in last_checkpoint.iter().zip(&controls) {
             engines.push(GroupEngine::restore_with_tier(g, ctl.tier)?);
         }
-        let (shards, route_shard) = spawn_shards(parallelism, &route_keys, engines, queue_depth)?;
+        let (shards, route_shard) = spawn_shards(parallelism, &route_keys, engines)?;
         Ok(ShardedEngine {
             shards,
             n_routes: route_keys.len(),
             route_keys,
             parallelism,
             batch_size,
-            queue_depth,
             track_step_costs: self.track_step_costs,
             buf: Vec::with_capacity(batch_size),
             in_flight: VecDeque::new(),
@@ -389,7 +394,6 @@ fn spawn_shards(
     parallelism: usize,
     route_keys: &[String],
     engines: Vec<GroupEngine>,
-    queue_depth: usize,
 ) -> Result<(Vec<ShardHandle>, Vec<usize>), Error> {
     let mut assignment: Vec<Vec<(u32, GroupEngine)>> = Vec::new();
     assignment.resize_with(parallelism, Vec::new);
@@ -407,7 +411,7 @@ fn spawn_shards(
         }
         handle_of_shard[shard_no] = Some(shards.len());
         let routes: Vec<u32> = slots.iter().map(|(idx, _)| *idx).collect();
-        let (tx, rx, join) = spawn_worker(shard_no, slots, queue_depth)?;
+        let (tx, rx, join) = spawn_worker(shard_no, slots)?;
         shards.push(ShardHandle {
             tx: Some(tx),
             rx,
@@ -436,10 +440,9 @@ fn spawn_shards(
 fn spawn_worker(
     shard_no: usize,
     engines: Vec<(u32, GroupEngine)>,
-    queue_depth: usize,
 ) -> Result<(SyncSender<ToShard>, Receiver<FromShard>, JoinHandle<()>), Error> {
-    let (tx, rx) = sync_channel::<ToShard>(queue_depth + 1);
-    let (reply_tx, reply_rx) = sync_channel::<FromShard>(queue_depth + 2);
+    let (tx, rx) = sync_channel::<ToShard>(QUEUE_DEPTH + 1);
+    let (reply_tx, reply_rx) = sync_channel::<FromShard>(QUEUE_DEPTH + 2);
     let join = std::thread::Builder::new()
         .name(format!("gasf-shard-{shard_no}"))
         .spawn(move || shard_worker(engines, rx, reply_tx))
@@ -459,6 +462,14 @@ struct ShardHandle {
     routes: Vec<u32>,
     /// The stable shard number (names the worker thread across respawns).
     shard_no: usize,
+}
+
+impl ShardHandle {
+    /// Sends `msg` to the worker; `false` means the worker is gone (dead
+    /// thread or closed channel) and the caller should recover the shard.
+    fn send(&self, msg: ToShard) -> bool {
+        self.tx.as_ref().is_some_and(|tx| tx.send(msg).is_ok())
+    }
 }
 
 /// A hash-partitioned, multi-threaded host for independent filter groups,
@@ -501,7 +512,6 @@ pub struct ShardedEngine {
     shards: Vec<ShardHandle>,
     n_routes: usize,
     batch_size: usize,
-    queue_depth: usize,
     track_step_costs: bool,
     /// Input staging buffer (dispatched when `batch_size` is reached).
     buf: Vec<Tuple>,
@@ -646,19 +656,11 @@ impl ShardedEngine {
     /// shard error (a failed checkpoint poisons the engine like any other
     /// shard error).
     pub fn checkpoint<S: EmissionSink>(&mut self, sink: &mut S) -> Result<EngineSnapshot, Error> {
-        if self.finished {
-            return Err(Error::Finished);
-        }
-        self.deliver_staged(sink);
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
+        self.ensure_open(sink)?;
         // Barrier: every shard must sit exactly at the checkpoint position.
-        if !self.buf.is_empty() {
-            if let Err(e) = self.dispatch_batch() {
-                self.poisoned = Some(e.clone());
-                return Err(e);
-            }
+        if let Err(e) = self.dispatch_batch() {
+            self.poisoned = Some(e.clone());
+            return Err(e);
         }
         while !self.in_flight.is_empty() {
             if let Err(e) = self.merge_oldest(sink) {
@@ -673,11 +675,7 @@ impl ShardedEngine {
         let mut snaps: Vec<Option<GroupSnapshot>> = (0..self.n_routes).map(|_| None).collect();
         for si in 0..self.shards.len() {
             loop {
-                let sent = match self.shards[si].tx.as_ref() {
-                    Some(tx) => tx.send(ToShard::Checkpoint).is_ok(),
-                    None => false,
-                };
-                if sent {
+                if self.shards[si].send(ToShard::Checkpoint) {
                     break;
                 }
                 if let Err(e) = self.recover_shard(si) {
@@ -699,11 +697,7 @@ impl ShardedEngine {
                         // merged) and re-issue the barrier message.
                         match self.recover_shard(si) {
                             Ok(()) => {
-                                let sent = self.shards[si]
-                                    .tx
-                                    .as_ref()
-                                    .is_some_and(|tx| tx.send(ToShard::Checkpoint).is_ok());
-                                if !sent {
+                                if !self.shards[si].send(ToShard::Checkpoint) {
                                     continue; // recv fails again → recover again
                                 }
                             }
@@ -744,7 +738,6 @@ impl ShardedEngine {
             route_keys: self.route_keys.clone(),
             parallelism: self.parallelism,
             batch_size: self.batch_size,
-            queue_depth: self.queue_depth,
             track_step_costs: self.track_step_costs,
             replay_capacity: self.replay_capacity,
             max_respawns: self.max_respawns,
@@ -792,15 +785,13 @@ impl ShardedEngine {
             engines.push(GroupEngine::restore(g)?);
         }
         let parallelism = snap.parallelism.max(1);
-        let (shards, route_shard) =
-            spawn_shards(parallelism, &snap.route_keys, engines, snap.queue_depth)?;
+        let (shards, route_shard) = spawn_shards(parallelism, &snap.route_keys, engines)?;
         Ok(ShardedEngine {
             shards,
             n_routes: snap.snaps.len(),
             route_keys: snap.route_keys.clone(),
             parallelism,
             batch_size: snap.batch_size,
-            queue_depth: snap.queue_depth,
             track_step_costs: snap.track_step_costs,
             buf: Vec::with_capacity(snap.batch_size),
             in_flight: VecDeque::new(),
@@ -848,10 +839,8 @@ impl ShardedEngine {
                 reason: format!("unknown shard index {shard} (have {})", self.shards.len()),
             });
         }
-        if let Some(tx) = self.shards[shard].tx.as_ref() {
-            // An already-dead worker ignores the message either way.
-            let _ = tx.send(ToShard::Die);
-        }
+        // An already-dead worker ignores the message either way.
+        let _ = self.shards[shard].send(ToShard::Die);
         Ok(())
     }
 
@@ -924,7 +913,7 @@ impl ShardedEngine {
                 )?,
             ));
         }
-        let (tx, rx, join) = spawn_worker(self.shards[si].shard_no, engines, self.queue_depth)?;
+        let (tx, rx, join) = spawn_worker(self.shards[si].shard_no, engines)?;
         let dead = || Error::InvalidConfig {
             reason: "respawned shard worker died during replay".into(),
         };
@@ -936,21 +925,11 @@ impl ShardedEngine {
                         .map_err(|_| dead())?;
                 }
                 ReplayEntry::Control(..) => {}
-                ReplayEntry::Batch(tuples) => {
-                    tx.send(ToShard::Batch(tuples.clone()))
-                        .map_err(|_| dead())?;
-                    // Consume already-merged replies eagerly so the replay
-                    // of a long suffix never fills the bounded channels.
-                    if to_discard > 0 {
-                        match rx.recv() {
-                            Ok(FromShard::Batch(_)) => to_discard -= 1,
-                            _ => return Err(dead()),
-                        }
-                    }
-                }
                 ReplayEntry::Columnar(batch) => {
                     tx.send(ToShard::Columnar(Arc::clone(batch)))
                         .map_err(|_| dead())?;
+                    // Consume already-merged replies eagerly so the replay
+                    // of a long suffix never fills the bounded channels.
                     if to_discard > 0 {
                         match rx.recv() {
                             Ok(FromShard::Batch(_)) => to_discard -= 1,
@@ -1058,15 +1037,11 @@ impl ShardedEngine {
     /// window is merged down (into the staging buffer — the caller has no
     /// sink here) so channel capacities are never exceeded.
     fn send_control(&mut self, route: usize, op: ControlOp) -> Result<(), Error> {
-        if !self.buf.is_empty() {
-            self.dispatch_batch()?;
-        }
-        while self.in_flight.len() > self.queue_depth {
-            let mut staged = std::mem::take(&mut self.staged);
-            let merged = self.merge_oldest(&mut staged);
-            self.staged = staged;
-            merged.inspect_err(|e| self.poisoned = Some((*e).clone()))?;
-        }
+        self.dispatch_batch()?;
+        let mut staged = std::mem::take(&mut self.staged);
+        let merged = self.merge_down(&mut staged);
+        self.staged = staged;
+        merged.inspect_err(|e| self.poisoned = Some((*e).clone()))?;
         // Log before shipping: a dead worker is respawned and receives the
         // op through the replay instead of this send.
         if self.try_log_replay(1) {
@@ -1074,15 +1049,25 @@ impl ShardedEngine {
                 .push(ReplayEntry::Control(route as u32, op.clone()));
         }
         let si = self.route_shard[route];
-        let sent = match self.shards[si].tx.as_ref() {
-            Some(tx) => tx.send(ToShard::Control(route as u32, op)).is_ok(),
-            None => false,
-        };
-        if sent {
+        if self.shards[si].send(ToShard::Control(route as u32, op)) {
             Ok(())
         } else {
             self.recover_shard(si)
                 .inspect_err(|e| self.poisoned = Some((*e).clone()))
+        }
+    }
+
+    /// The shared head of every call that takes a sink while the stream
+    /// is open: refuses a finished engine, delivers what control ops
+    /// staged, then refuses a poisoned engine.
+    fn ensure_open<S: EmissionSink>(&mut self, sink: &mut S) -> Result<(), Error> {
+        if self.finished {
+            return Err(Error::Finished);
+        }
+        self.deliver_staged(sink);
+        match &self.poisoned {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
         }
     }
 
@@ -1103,27 +1088,36 @@ impl ShardedEngine {
     /// sink on a later call (see the [module docs](self) on batching).
     ///
     /// # Errors
-    /// Same as [`GroupEngine::push_into`]; shard-side errors surface on
+    /// Same as [`GroupEngine::push_into`], plus [`Error::SchemaMismatch`]
+    /// for a tuple whose width differs from the routes' schema (checked on
+    /// the caller thread, like ordering). Shard-side errors surface on
     /// the merge that observes them and poison the engine — every
     /// subsequent push returns the same error.
     pub fn push_into<S: EmissionSink>(&mut self, tuple: Tuple, sink: &mut S) -> Result<(), Error> {
-        if self.finished {
-            return Err(Error::Finished);
+        self.ensure_open(sink)?;
+        crate::engine::validate_stream_order(
+            self.last_ts,
+            self.last_seq,
+            tuple.timestamp(),
+            tuple.seq(),
+        )?;
+        // With order and width checked here, packing the staged run at
+        // dispatch cannot fail.
+        let width = self.controls[0].schema.len();
+        if tuple.values().len() != width {
+            return Err(Error::SchemaMismatch {
+                expected: width,
+                actual: tuple.values().len(),
+            });
         }
-        self.deliver_staged(sink);
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        crate::engine::validate_stream_order(self.last_ts, self.last_seq, &tuple)?;
         self.last_ts = Some(tuple.timestamp());
         self.last_seq = Some(tuple.seq());
         self.input_tuples += 1;
         self.buf.push(tuple);
         if self.buf.len() >= self.batch_size {
-            if let Err(e) = self.dispatch(sink) {
-                self.poisoned = Some(e.clone());
-                return Err(e);
-            }
+            self.dispatch_batch()
+                .and_then(|()| self.merge_down(sink))
+                .inspect_err(|e| self.poisoned = Some(e.clone()))?;
         }
         Ok(())
     }
@@ -1166,63 +1160,24 @@ impl ShardedEngine {
         batch: &Arc<TupleBatch>,
         sink: &mut S,
     ) -> Result<(), Error> {
-        if self.finished {
-            return Err(Error::Finished);
-        }
-        self.deliver_staged(sink);
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
+        self.ensure_open(sink)?;
         if batch.is_empty() {
             return Ok(());
         }
-        crate::engine::validate_stream_order_at(
+        crate::engine::validate_stream_order(
             self.last_ts,
             self.last_seq,
             batch.timestamp(0),
             batch.seq(0),
         )?;
-        if !self.buf.is_empty() {
-            if let Err(e) = self.dispatch_batch() {
-                self.poisoned = Some(e.clone());
-                return Err(e);
-            }
-        }
         let rows = batch.rows();
         self.last_ts = Some(batch.timestamp(rows - 1));
         self.last_seq = Some(batch.seq(rows - 1));
         self.input_tuples += rows as u64;
-        let stamps: Vec<Micros> = if self.track_step_costs {
-            batch.timestamps().to_vec()
-        } else {
-            Vec::new()
-        };
-        if self.try_log_replay(rows) {
-            self.replay_log
-                .push(ReplayEntry::Columnar(Arc::clone(batch)));
-        }
-        for si in 0..self.shards.len() {
-            let sent = match self.shards[si].tx.as_ref() {
-                Some(tx) => tx.send(ToShard::Columnar(Arc::clone(batch))).is_ok(),
-                None => false,
-            };
-            if !sent {
-                // Dead worker: the respawn replays the logged suffix —
-                // including this batch — so no re-send is needed.
-                if let Err(e) = self.recover_shard(si) {
-                    self.poisoned = Some(e.clone());
-                    return Err(e);
-                }
-            }
-        }
-        self.in_flight.push_back(stamps);
-        while self.in_flight.len() > self.queue_depth {
-            if let Err(e) = self.merge_oldest(sink) {
-                self.poisoned = Some(e.clone());
-                return Err(e);
-            }
-        }
-        Ok(())
+        self.dispatch_batch()
+            .and_then(|()| self.ship(batch))
+            .and_then(|()| self.merge_down(sink))
+            .inspect_err(|e| self.poisoned = Some(e.clone()))
     }
 
     /// Ends the stream on every route: drains all in-flight batches,
@@ -1239,7 +1194,7 @@ impl ShardedEngine {
         self.finished = true;
         self.deliver_staged(sink);
         let mut first_err = self.poisoned.take();
-        if first_err.is_none() && !self.buf.is_empty() {
+        if first_err.is_none() {
             first_err = self.dispatch_batch().err();
         }
         while !self.in_flight.is_empty() {
@@ -1249,11 +1204,7 @@ impl ShardedEngine {
         }
         for si in 0..self.shards.len() {
             loop {
-                let sent = match self.shards[si].tx.as_ref() {
-                    Some(tx) => tx.send(ToShard::Finish).is_ok(),
-                    None => false,
-                };
-                if sent {
+                if self.shards[si].send(ToShard::Finish) {
                     break;
                 }
                 // Dead worker at finish: respawn it (replaying the suffix)
@@ -1308,11 +1259,7 @@ impl ShardedEngine {
                         if first_err.is_none() {
                             match self.recover_shard(si) {
                                 Ok(()) => {
-                                    let sent = self.shards[si]
-                                        .tx
-                                        .as_ref()
-                                        .is_some_and(|tx| tx.send(ToShard::Finish).is_ok());
-                                    if sent {
+                                    if self.shards[si].send(ToShard::Finish) {
                                         continue;
                                     }
                                 }
@@ -1364,48 +1311,43 @@ impl ShardedEngine {
     // internals
     // ------------------------------------------------------------------
 
-    /// Ships the staged buffer and keeps `in_flight` at `queue_depth`.
-    fn dispatch<S: EmissionSink>(&mut self, sink: &mut S) -> Result<(), Error> {
-        self.dispatch_batch()?;
-        while self.in_flight.len() > self.queue_depth {
+    /// Merges the oldest batches until at most [`QUEUE_DEPTH`] stay in
+    /// flight.
+    fn merge_down<S: EmissionSink>(&mut self, sink: &mut S) -> Result<(), Error> {
+        while self.in_flight.len() > QUEUE_DEPTH {
             self.merge_oldest(sink)?;
         }
         Ok(())
     }
 
-    /// Broadcasts the staged buffer to every shard (the last shard takes
-    /// the original allocation; `Tuple` clones are `Arc` bumps). The
+    /// Packs the staged rows (if any) into one columnar batch and ships it.
+    fn dispatch_batch(&mut self) -> Result<(), Error> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        // Order, contiguity and width were validated row by row on the
+        // way into `buf`, so packing only fails on a bug in this module.
+        let batch = TupleBatch::from_tuples(&self.controls[0].schema, &self.buf)?;
+        self.buf.clear();
+        self.ship(&Arc::new(batch))
+    }
+
+    /// Broadcasts one batch to every shard (an `Arc` bump each). The
     /// batch is appended to the bounded replay log first, so a send that
     /// finds a dead worker recovers it — and the replay, which includes
     /// this batch, *is* the delivery.
-    fn dispatch_batch(&mut self) -> Result<(), Error> {
-        let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(self.batch_size));
-        if batch.is_empty() {
-            return Ok(());
-        }
+    fn ship(&mut self, batch: &Arc<TupleBatch>) -> Result<(), Error> {
         let stamps: Vec<Micros> = if self.track_step_costs {
-            batch.iter().map(|t| t.timestamp()).collect()
+            batch.timestamps().to_vec()
         } else {
             Vec::new()
         };
-        if self.try_log_replay(batch.len()) {
-            self.replay_log.push(ReplayEntry::Batch(batch.clone()));
+        if self.try_log_replay(batch.rows()) {
+            self.replay_log
+                .push(ReplayEntry::Columnar(Arc::clone(batch)));
         }
-        let last = self.shards.len() - 1;
-        let mut batch = Some(batch);
         for si in 0..self.shards.len() {
-            let payload = if si == last {
-                batch.take().expect("one shard takes the original")
-            } else {
-                batch.as_ref().expect("original kept until last").clone()
-            };
-            let sent = match self.shards[si].tx.as_ref() {
-                Some(tx) => tx.send(ToShard::Batch(payload)).is_ok(),
-                None => false,
-            };
-            if !sent {
-                // Dead worker: the respawn replays the logged suffix —
-                // including this batch — so no re-send is needed.
+            if !self.shards[si].send(ToShard::Columnar(Arc::clone(batch))) {
                 self.recover_shard(si)?;
             }
         }
@@ -1518,23 +1460,10 @@ impl Drop for ShardedEngine {
     }
 }
 
-/// The sharded engine is a [`StreamOperator`] like the engine it hosts —
-/// pipelines swap one for the other without caller changes (the seam the
-/// sink redesign was built for).
-impl StreamOperator for ShardedEngine {
-    fn process(&mut self, tuple: Tuple, sink: &mut impl EmissionSink) -> Result<(), Error> {
-        self.push_into(tuple, sink)
-    }
-
-    fn finish(&mut self, sink: &mut impl EmissionSink) -> Result<(), Error> {
-        self.finish_into(sink)
-    }
-}
-
-/// The shard thread: feed every tuple of every batch through this shard's
-/// engines (in ascending route order), replying with per-step, per-route
-/// emission batches. After an error the shard stops filtering and replies
-/// with the same error until finish.
+/// The shard thread: run every batch through this shard's engines (in
+/// ascending route order), replying with per-row, per-route emission
+/// batches. After an error the shard stops filtering and replies with the
+/// same error until finish.
 fn shard_worker(
     mut engines: Vec<(u32, GroupEngine)>,
     rx: Receiver<ToShard>,
@@ -1544,40 +1473,6 @@ fn shard_worker(
     let mut collector = crate::sink::VecSink::new();
     while let Ok(msg) = rx.recv() {
         match msg {
-            ToShard::Batch(tuples) => {
-                let mut reply = BatchReply {
-                    steps: Vec::with_capacity(tuples.len()),
-                    error: poisoned.clone(),
-                };
-                if poisoned.is_none() {
-                    'batch: for (offset, tuple) in tuples.into_iter().enumerate() {
-                        let start = Instant::now();
-                        let mut out = StepOut::default();
-                        for (route, engine) in &mut engines {
-                            match engine.push_into(tuple.clone(), &mut collector) {
-                                Ok(()) => {
-                                    let emissions = collector.drain_vec();
-                                    if !emissions.is_empty() {
-                                        out.batches.push((*route, emissions));
-                                    }
-                                }
-                                Err(e) => {
-                                    poisoned = Some((offset, *route, e));
-                                    out.cpu = start.elapsed();
-                                    reply.steps.push(out);
-                                    reply.error = poisoned.clone();
-                                    break 'batch;
-                                }
-                            }
-                        }
-                        out.cpu = start.elapsed();
-                        reply.steps.push(out);
-                    }
-                }
-                if tx.send(FromShard::Batch(reply)).is_err() {
-                    return; // caller went away
-                }
-            }
             ToShard::Columnar(batch) => {
                 let rows = batch.rows();
                 let mut reply = BatchReply {
@@ -1585,55 +1480,46 @@ fn shard_worker(
                     error: poisoned.clone(),
                 };
                 if poisoned.is_none() {
-                    // Each route consumes the whole batch column-at-a-time
-                    // and hands back per-row step outputs; those are then
-                    // reassembled into the per-step, per-route layout the
-                    // caller's merge expects.
-                    let mut per_route: Vec<(u32, Vec<Vec<crate::engine::Emission>>)> =
-                        Vec::with_capacity(engines.len());
-                    let mut err: Option<(usize, u32, Error)> = None;
+                    // Each route consumes the whole batch column-at-a-time,
+                    // dropping every row's emissions into that row's step
+                    // (ascending route order, since routes run in order).
+                    reply.steps.resize_with(rows, StepOut::default);
                     let start = Instant::now();
                     for (route, engine) in &mut engines {
-                        let mut steps: Vec<Vec<crate::engine::Emission>> = Vec::with_capacity(rows);
-                        if let Err(e) = engine.push_batch_columnar_steps(&batch, &mut steps) {
-                            // The failing row is the first one the route
-                            // produced no step entry for.
-                            let row = steps.len();
-                            if err.as_ref().is_none_or(|f| (row, *route) < (f.0, f.1)) {
-                                err = Some((row, *route, e));
+                        let mut row = 0;
+                        let pushed = engine.push_columnar_rows(&batch, |emissions| {
+                            if !emissions.is_empty() {
+                                let step = &mut reply.steps[row];
+                                step.batches.push((*route, std::mem::take(emissions)));
+                            }
+                            row += 1;
+                        });
+                        // On failure `row` is the failing row: the first
+                        // one the route completed no step for.
+                        if let Err(e) = pushed {
+                            if poisoned.as_ref().is_none_or(|f| (row, *route) < (f.0, f.1)) {
+                                poisoned = Some((row, *route, e));
                             }
                         }
-                        per_route.push((*route, steps));
                     }
                     // Whole-batch wall clock, attributed evenly across the
                     // rows (per-step costs are monitoring data; the merge
                     // order never depends on them).
                     let per_step_cpu = start.elapsed() / rows.max(1) as u32;
-                    // Reassemble, truncating at the earliest failure the
-                    // way the per-tuple loop stops: steps past the failing
-                    // row are dropped, and at the failing row only routes
-                    // *before* the failing one contribute (the ones the
-                    // per-tuple loop would have run before breaking).
-                    let cut = err.as_ref().map(|e| (e.0, e.1));
-                    let steps_n = cut.map_or(rows, |(row, _)| row + 1);
-                    for step in 0..steps_n {
-                        let mut out = StepOut {
-                            cpu: per_step_cpu,
-                            batches: Vec::new(),
-                        };
-                        for (route, steps) in &mut per_route {
-                            if cut.is_some_and(|(erow, eroute)| step == erow && *route >= eroute) {
-                                continue;
-                            }
-                            if let Some(emissions) = steps.get_mut(step) {
-                                if !emissions.is_empty() {
-                                    out.batches.push((*route, std::mem::take(emissions)));
-                                }
-                            }
+                    // Truncate at the earliest failure in (row, route)
+                    // order — where feeding the routes one tuple at a time
+                    // would stop: steps past the failing row are dropped,
+                    // and at the failing row only routes *before* the
+                    // failing one contribute.
+                    if let Some((erow, eroute, _)) = &poisoned {
+                        reply.steps.truncate(erow + 1);
+                        if let Some(step) = reply.steps.get_mut(*erow) {
+                            step.batches.retain(|(r, _)| r < eroute);
                         }
-                        reply.steps.push(out);
                     }
-                    poisoned = err;
+                    for step in &mut reply.steps {
+                        step.cpu = per_step_cpu;
+                    }
                     reply.error = poisoned.clone();
                 }
                 if tx.send(FromShard::Batch(reply)).is_err() {
@@ -1919,6 +1805,36 @@ mod tests {
                 .build(),
             Err(Error::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn builder_rejects_routes_over_different_schemas() {
+        let built = ShardedEngine::builder()
+            .route("narrow", group(&schema(), 1.0))
+            .route("wide", group(&Schema::new(["t", "u"]), 1.0))
+            .build();
+        assert!(matches!(built, Err(Error::InvalidConfig { .. })));
+    }
+
+    #[test]
+    fn push_rejects_a_wrong_width_tuple_on_the_caller_thread() {
+        let s = schema();
+        let mut e = ShardedEngine::builder()
+            .route("a", group(&s, 1.0))
+            .build()
+            .unwrap();
+        let mut sink = VecSink::new();
+        let wide = Schema::new(["t", "u"]);
+        let bad = TupleBuilder::new(&wide).at_millis(10).build().unwrap();
+        let mismatch = Error::SchemaMismatch {
+            expected: 1,
+            actual: 2,
+        };
+        assert_eq!(e.push_into(bad, &mut sink), Err(mismatch));
+        // rejected before staging: the stream position did not move and
+        // the engine is not poisoned
+        assert_eq!(e.input_tuples(), 0);
+        e.run_into(stream(&s, 10), &mut sink).unwrap();
     }
 
     #[test]

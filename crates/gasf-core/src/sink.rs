@@ -7,11 +7,8 @@
 //!
 //! * [`EmissionSink`] — anything that consumes released [`Emission`]s by
 //!   reference. Implementations decide what "consume" means: collect
-//!   ([`VecSink`]), discard ([`NullSink`]), fan out ([`Tee`]), or — in
-//!   `gasf-solar` — multicast over the overlay.
-//! * [`StreamOperator`] — anything that turns a stream of [`Tuple`]s into
-//!   emissions written to a sink. [`GroupEngine`](crate::engine::GroupEngine)
-//!   is the canonical implementation.
+//!   ([`VecSink`]), discard ([`NullSink`]), or — in `gasf-solar` — meter
+//!   and multicast over the overlay.
 //!
 //! The engine's hot path writes into the sink through a reusable internal
 //! scratch buffer, so a steady-state `push_into` performs **no**
@@ -62,8 +59,6 @@
 //! ```
 
 use crate::engine::Emission;
-use crate::error::Error;
-use crate::tuple::Tuple;
 
 /// A consumer of released [`Emission`]s.
 ///
@@ -124,42 +119,6 @@ impl<S: EmissionSink + ?Sized> EmissionSink for &mut S {
 
     fn flush(&mut self) {
         (**self).flush();
-    }
-}
-
-/// A push-based streaming operator: tuples in, emissions out through a
-/// sink.
-///
-/// This is the operator shape the whole pipeline composes over —
-/// [`GroupEngine`](crate::engine::GroupEngine) implements it, and
-/// middleware layers (metering, dissemination) wrap it.
-pub trait StreamOperator {
-    /// Processes one input tuple, writing any released emissions to `sink`.
-    ///
-    /// # Errors
-    /// Operator-specific; see the implementation.
-    fn process(&mut self, tuple: Tuple, sink: &mut impl EmissionSink) -> Result<(), Error>;
-
-    /// Ends the stream, writing the remaining emissions to `sink`.
-    ///
-    /// # Errors
-    /// Operator-specific; see the implementation.
-    fn finish(&mut self, sink: &mut impl EmissionSink) -> Result<(), Error>;
-
-    /// Processes a slice-sized batch of tuples without per-tuple dispatch
-    /// overhead. The default loops over [`process`](Self::process).
-    ///
-    /// # Errors
-    /// Stops at (and returns) the first tuple that fails.
-    fn process_batch(
-        &mut self,
-        tuples: impl IntoIterator<Item = Tuple>,
-        sink: &mut impl EmissionSink,
-    ) -> Result<(), Error> {
-        for t in tuples {
-            self.process(t, sink)?;
-        }
-        Ok(())
     }
 }
 
@@ -234,56 +193,6 @@ impl EmissionSink for NullSink {
     fn accept_batch(&mut self, _emissions: &[Emission]) {}
 }
 
-/// Fans every emission out to two sinks, `a` first.
-///
-/// Compose nested `Tee`s for wider fan-out; accounting adapters (e.g.
-/// `gasf-solar`'s metering) are typically tee'd next to the real
-/// destination.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Tee<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A, B> Tee<A, B> {
-    /// Creates a tee over two sinks.
-    pub fn new(a: A, b: B) -> Self {
-        Tee { a, b }
-    }
-
-    /// The first sink.
-    pub fn first(&self) -> &A {
-        &self.a
-    }
-
-    /// The second sink.
-    pub fn second(&self) -> &B {
-        &self.b
-    }
-
-    /// Consumes the tee, returning both sinks.
-    pub fn into_inner(self) -> (A, B) {
-        (self.a, self.b)
-    }
-}
-
-impl<A: EmissionSink, B: EmissionSink> EmissionSink for Tee<A, B> {
-    fn accept(&mut self, emission: &Emission) {
-        self.a.accept(emission);
-        self.b.accept(emission);
-    }
-
-    fn accept_batch(&mut self, emissions: &[Emission]) {
-        self.a.accept_batch(emissions);
-        self.b.accept_batch(emissions);
-    }
-
-    fn flush(&mut self) {
-        self.a.flush();
-        self.b.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,18 +239,6 @@ mod tests {
         sink.accept(&emission(0));
         sink.accept_batch(&[emission(1), emission(2)]);
         sink.flush();
-    }
-
-    #[test]
-    fn tee_duplicates_to_both() {
-        let mut tee = Tee::new(VecSink::new(), VecSink::new());
-        tee.accept(&emission(0));
-        tee.accept_batch(&[emission(1)]);
-        tee.flush();
-        assert_eq!(tee.first().len(), 2);
-        assert_eq!(tee.second().len(), 2);
-        let (a, b) = tee.into_inner();
-        assert_eq!(a.as_slice(), b.as_slice());
     }
 
     #[test]

@@ -214,7 +214,6 @@ pub struct EngineSnapshot {
     pub(crate) route_keys: Vec<String>,
     pub(crate) parallelism: usize,
     pub(crate) batch_size: usize,
-    pub(crate) queue_depth: usize,
     pub(crate) track_step_costs: bool,
     pub(crate) replay_capacity: usize,
     pub(crate) max_respawns: u32,

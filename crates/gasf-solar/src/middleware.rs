@@ -333,6 +333,105 @@ impl EngineHost {
             EngineHost::Sharded(e) => e.update_filter(0, id, spec),
         }
     }
+
+    /// Queued control ops that the next push applies — and whose boundary
+    /// drain it delivers — before anything else. Always zero on the
+    /// sharded path, where boundary emissions can trail the push by a few
+    /// batches: work that must follow the boundary waits for
+    /// [`finish`](Self::finish) there.
+    fn pending_control_ops(&self) -> usize {
+        match self {
+            EngineHost::Single(e) => e.pending_control_ops(),
+            EngineHost::Sharded(_) => 0,
+        }
+    }
+
+    /// Pushes one tuple, feeding the monitor the `(arrival, cpu)` sample
+    /// of every step that completed.
+    fn push<S: EmissionSink>(
+        &mut self,
+        tuple: Tuple,
+        sink: &mut Metered<'_, S>,
+    ) -> Result<(), gasf_core::Error> {
+        match self {
+            EngineHost::Single(e) => {
+                let arrival = tuple.timestamp();
+                let cpu_before = e.metrics().cpu;
+                e.push_into(tuple, sink)?;
+                let cpu_spent = e.metrics().cpu.saturating_sub(cpu_before);
+                sink.monitor().observe(arrival, cpu_spent);
+            }
+            EngineHost::Sharded(e) => {
+                e.push_into(tuple, sink)?;
+                observe_step_costs(e, sink.monitor());
+            }
+        }
+        Ok(())
+    }
+
+    /// Pushes one columnar batch; the monitor sees it as per-row samples
+    /// with the batch cost amortised across them.
+    fn push_columnar<S: EmissionSink>(
+        &mut self,
+        batch: &Arc<TupleBatch>,
+        sink: &mut Metered<'_, S>,
+    ) -> Result<(), gasf_core::Error> {
+        match self {
+            EngineHost::Single(e) => {
+                let cpu_before = e.metrics().cpu;
+                e.push_batch_columnar(batch, sink)?;
+                let cpu_spent = e.metrics().cpu.saturating_sub(cpu_before);
+                let per_row = cpu_spent / batch.rows().max(1) as u32;
+                for r in 0..batch.rows() {
+                    sink.monitor().observe(batch.timestamp(r), per_row);
+                }
+            }
+            EngineHost::Sharded(e) => {
+                e.push_batch_columnar(batch, sink)?;
+                observe_step_costs(e, sink.monitor());
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the stream, draining the tail into `sink`.
+    fn finish<S: EmissionSink>(
+        &mut self,
+        sink: &mut Metered<'_, S>,
+    ) -> Result<(), gasf_core::Error> {
+        match self {
+            EngineHost::Single(e) => e.finish_into(sink),
+            EngineHost::Sharded(e) => {
+                e.finish_into(sink)?;
+                observe_step_costs(e, sink.monitor());
+                Ok(())
+            }
+        }
+    }
+
+    /// Crosses the safe-point boundary, draining it into `sink`, and
+    /// returns the engine's snapshot.
+    fn checkpoint<S: EmissionSink>(
+        &mut self,
+        sink: &mut Metered<'_, S>,
+    ) -> Result<PartEngineState, gasf_core::Error> {
+        match self {
+            EngineHost::Single(e) => e.snapshot_into(sink).map(PartEngineState::Single),
+            EngineHost::Sharded(e) => {
+                let snap = e.checkpoint(sink)?;
+                observe_step_costs(e, sink.monitor());
+                Ok(PartEngineState::Sharded(snap))
+            }
+        }
+    }
+}
+
+/// Feeds the per-step cost samples a sharded engine merged since the last
+/// call into the flow monitor.
+fn observe_step_costs(engine: &mut ShardedEngine, monitor: &mut FlowMonitor) {
+    for (arrival, cpu) in engine.take_step_costs() {
+        monitor.observe(arrival, cpu);
+    }
 }
 
 /// One filter group of a source: its engine, its multicast tree and the
@@ -1006,24 +1105,12 @@ impl Middleware {
         Ok(p)
     }
 
-    /// Pushes one tuple into a source's filtering service, disseminating
-    /// any released outputs.
-    ///
-    /// Thin wrapper over [`pipeline`](Self::pipeline); prefer holding a
-    /// pipeline (or calling [`push_batch`](Self::push_batch)) when feeding
-    /// more than one tuple.
-    ///
-    /// # Errors
-    /// [`SolarError::NotDeployed`], engine errors, network errors.
-    pub fn process(&mut self, source: SourceId, tuple: Tuple) -> Result<(), SolarError> {
-        self.pipeline(source)?.push(tuple)
-    }
-
     /// Pushes a batch of tuples through a source's pipeline without
     /// re-wiring it per tuple.
     ///
     /// # Errors
-    /// Same as [`process`](Self::process); stops at the first failure.
+    /// [`SolarError::NotDeployed`], engine errors, network errors; stops
+    /// at the first failure.
     pub fn push_batch(
         &mut self,
         source: SourceId,
@@ -1032,27 +1119,10 @@ impl Middleware {
         self.pipeline(source)?.push_batch(tuples)
     }
 
-    /// Pushes columnar [`TupleBatch`]es through a source's pipeline — the
-    /// batch-native feed (see [`Pipeline::push_columnar`]).
-    ///
-    /// # Errors
-    /// Same as [`process`](Self::process); stops at the first failure.
-    pub fn push_batches<'a>(
-        &mut self,
-        source: SourceId,
-        batches: impl IntoIterator<Item = &'a Arc<TupleBatch>>,
-    ) -> Result<(), SolarError> {
-        let mut pipeline = self.pipeline(source)?;
-        for b in batches {
-            pipeline.push_columnar(b)?;
-        }
-        Ok(())
-    }
-
     /// Ends a source's stream and disseminates the tail.
     ///
     /// # Errors
-    /// Same as [`process`](Self::process).
+    /// Same as [`push_batch`](Self::push_batch).
     pub fn finish(&mut self, source: SourceId) -> Result<(), SolarError> {
         self.pipeline(source)?.finish()
     }
@@ -1541,7 +1611,8 @@ impl Middleware {
             let n_parts = self.sources[si].parts.len();
             let mut parts = Vec::with_capacity(n_parts);
             for p in 0..n_parts {
-                let engine = self.checkpoint_part(si, p)?;
+                let engine =
+                    self.with_part_sink(None, si, p, |engine, sink| engine.checkpoint(sink))?;
                 // The boundary has passed: stale tree members may leave
                 // before the membership is captured.
                 Pipeline::process_deferred_leaves(self, si, p)?;
@@ -1589,36 +1660,6 @@ impl Middleware {
             sources,
             apps,
         })
-    }
-
-    /// Crosses one part engine's safe-point boundary, disseminating the
-    /// drain, and returns its snapshot.
-    fn checkpoint_part(&mut self, si: usize, p: usize) -> Result<PartEngineState, SolarError> {
-        let src_node = self.sources[si].node;
-        let s = &mut self.sources[si];
-        let part = &mut s.parts[p];
-        let sink = MulticastSink {
-            transport: &mut self.overlay,
-            apps: &mut self.apps,
-            filter_apps: &part.filter_apps,
-            group: part.group,
-            src_node,
-            lat_hist: &mut s.lat_hist,
-            error: None,
-        };
-        let mut sink = Metered::new(sink, &mut s.flow);
-        let engine = match &mut part.engine {
-            EngineHost::Single(e) => PartEngineState::Single(e.snapshot_into(&mut sink)?),
-            EngineHost::Sharded(e) => {
-                let snap = e.checkpoint(&mut sink)?;
-                for (arrival, cpu) in e.take_step_costs() {
-                    sink.monitor().observe(arrival, cpu);
-                }
-                PartEngineState::Sharded(snap)
-            }
-        };
-        sink.inner_mut().take_error()?;
-        Ok(engine)
     }
 
     /// Rebuilds a middleware from a checkpoint on a fresh overlay — the
@@ -1847,24 +1888,15 @@ impl Middleware {
         source_idx: usize,
         part_idx: usize,
     ) -> Result<EngineMetrics, SolarError> {
-        let src_node = self.sources[source_idx].node;
+        let drained = self.with_part_sink(None, source_idx, part_idx, |engine, sink| {
+            match engine.finish(sink) {
+                // already finished = already drained; nothing was in flight
+                Ok(()) | Err(gasf_core::Error::Finished) => Ok(()),
+                Err(e) => Err(e),
+            }
+        });
         let s = &mut self.sources[source_idx];
-        let part = &mut s.parts[part_idx];
-        let sink = MulticastSink {
-            transport: &mut self.overlay,
-            apps: &mut self.apps,
-            filter_apps: &part.filter_apps,
-            group: part.group,
-            src_node,
-            lat_hist: &mut s.lat_hist,
-            error: None,
-        };
-        let mut sink = Metered::new(sink, &mut s.flow);
-        let drained = match &mut part.engine {
-            EngineHost::Single(e) => e.finish_into(&mut sink),
-            EngineHost::Sharded(e) => e.finish_into(&mut sink),
-        };
-        let net = sink.inner_mut().take_error();
+        let part = &s.parts[part_idx];
         let lifetime = part.engine.metrics();
         let recent = match &part.engine {
             EngineHost::Single(e) => e.metrics().clone(),
@@ -1876,13 +1908,46 @@ impl Middleware {
         // The tree is dead — reclaim it so churn can't grow the overlay
         // without bound.
         let _ = self.overlay.remove_group(group);
-        match drained {
-            // already finished = already drained; nothing was in flight
-            Ok(()) | Err(gasf_core::Error::Finished) => {}
-            Err(e) => return Err(e.into()),
-        }
-        net?;
+        drained?;
         Ok(recent)
+    }
+
+    /// The one place a part's engine meets its sink: split-borrows the
+    /// middleware into the part's [`EngineHost`] and a [`Metered`]
+    /// [`MulticastSink`] over `wire` (the overlay when `None`), runs
+    /// `drive`, then re-raises what it produced — engine errors first,
+    /// then the first network error the sink latched.
+    fn with_part_sink<R>(
+        &mut self,
+        wire: Option<&mut (dyn Transport + '_)>,
+        source_idx: usize,
+        part_idx: usize,
+        drive: impl FnOnce(
+            &mut EngineHost,
+            &mut Metered<'_, MulticastSink<'_>>,
+        ) -> Result<R, gasf_core::Error>,
+    ) -> Result<R, SolarError> {
+        let transport: &mut dyn Transport = match wire {
+            Some(w) => w,
+            None => &mut self.overlay,
+        };
+        let s = &mut self.sources[source_idx];
+        let part = &mut s.parts[part_idx];
+        let sink = MulticastSink {
+            transport,
+            apps: &mut self.apps,
+            filter_apps: &part.filter_apps,
+            group: part.group,
+            src_node: s.node,
+            lat_hist: &mut s.lat_hist,
+            error: None,
+        };
+        let mut sink = Metered::new(sink, &mut s.flow);
+        let out = drive(&mut part.engine, &mut sink)?;
+        match sink.inner_mut().error.take() {
+            Some(e) => Err(e),
+            None => Ok(out),
+        }
     }
 }
 
@@ -1913,16 +1978,6 @@ pub struct MulticastSink<'a> {
     /// aggregate.
     lat_hist: &'a mut LatencyHistogram,
     error: Option<SolarError>,
-}
-
-impl MulticastSink<'_> {
-    /// Re-raises (and clears) the first deferred network error.
-    fn take_error(&mut self) -> Result<(), SolarError> {
-        match self.error.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
 }
 
 impl EmissionSink for MulticastSink<'_> {
@@ -2039,7 +2094,7 @@ impl Pipeline<'_> {
         let source = self.source;
         let n_parts = self.mw.sources[source].parts.len();
         for p in 0..n_parts {
-            self.push_part(p, tuple.clone())?;
+            self.step_part(p, |engine, sink| engine.push(tuple.clone(), sink))?;
         }
         Ok(())
     }
@@ -2080,88 +2135,54 @@ impl Pipeline<'_> {
         let payload = Arc::new(late.tuple);
         let n_parts = self.mw.sources[self.source].parts.len();
         for p in 0..n_parts {
-            let wire = self.wire.as_deref_mut();
-            let mw = &mut *self.mw;
-            let src_node = mw.sources[self.source].node;
-            let s = &mut mw.sources[self.source];
-            let part = &mut s.parts[p];
             let mut recipients = FilterSet::new();
-            for (i, &a) in part.filter_apps.iter().enumerate() {
-                if mw.apps[a].active {
+            for (i, &a) in self.mw.sources[self.source].parts[p]
+                .filter_apps
+                .iter()
+                .enumerate()
+            {
+                if self.mw.apps[a].active {
                     recipients.insert(FilterId::from_index(i));
                 }
             }
             if recipients.is_empty() {
                 continue;
             }
-            let transport: &mut dyn Transport = match wire {
-                Some(w) => w,
-                None => &mut mw.overlay,
-            };
-            let sink = MulticastSink {
-                transport,
-                apps: &mut mw.apps,
-                filter_apps: &part.filter_apps,
-                group: part.group,
-                src_node,
-                lat_hist: &mut s.lat_hist,
-                error: None,
-            };
-            let mut sink = Metered::new(sink, &mut s.flow);
             let emission = Emission {
                 tuple: Arc::clone(&payload),
                 recipients,
                 emitted_at,
             };
-            sink.accept_patch(&emission);
-            sink.inner_mut().take_error()?;
+            self.mw
+                .with_part_sink(self.wire.as_deref_mut(), self.source, p, |_, sink| {
+                    sink.accept_patch(&emission);
+                    Ok(())
+                })?;
         }
         Ok(())
     }
 
-    fn push_part(&mut self, p: usize, tuple: Tuple) -> Result<(), SolarError> {
-        let wire = self.wire.as_deref_mut();
-        let mw = &mut *self.mw;
-        let src_node = mw.sources[self.source].node;
-        let s = &mut mw.sources[self.source];
-        let part = &mut s.parts[p];
-        // A pending op means this push crosses the epoch boundary (the
-        // engine applies queued ops, and delivers the boundary drain,
-        // first) — afterwards stale tree members can safely leave.
-        let at_boundary =
-            matches!(&part.engine, EngineHost::Single(e) if e.pending_control_ops() > 0);
-        let transport: &mut dyn Transport = match wire {
-            Some(w) => w,
-            None => &mut mw.overlay,
-        };
-        let sink = MulticastSink {
-            transport,
-            apps: &mut mw.apps,
-            filter_apps: &part.filter_apps,
-            group: part.group,
-            src_node,
-            lat_hist: &mut s.lat_hist,
-            error: None,
-        };
-        let mut sink = Metered::new(sink, &mut s.flow);
-        match &mut part.engine {
-            EngineHost::Single(engine) => {
-                let arrival = tuple.timestamp();
-                let cpu_before = engine.metrics().cpu;
-                engine.push_into(tuple, &mut sink)?;
-                let cpu_spent = engine.metrics().cpu.saturating_sub(cpu_before);
-                sink.monitor().observe(arrival, cpu_spent);
-            }
-            EngineHost::Sharded(engine) => {
-                engine.push_into(tuple, &mut sink)?;
-                for (arrival, cpu) in engine.take_step_costs() {
-                    sink.monitor().observe(arrival, cpu);
-                }
-            }
-        }
-        sink.inner_mut().take_error()?;
+    /// Drives part `p`'s engine one push. A pending control op means the
+    /// push crosses the epoch boundary (the engine applies queued ops,
+    /// and delivers the boundary drain, first; a columnar batch crosses
+    /// it at its head and is never split by a safe point) — afterwards
+    /// stale tree members can safely leave.
+    fn step_part(
+        &mut self,
+        p: usize,
+        push: impl FnOnce(
+            &mut EngineHost,
+            &mut Metered<'_, MulticastSink<'_>>,
+        ) -> Result<(), gasf_core::Error>,
+    ) -> Result<(), SolarError> {
+        let at_boundary = self.mw.sources[self.source].parts[p]
+            .engine
+            .pending_control_ops()
+            > 0;
+        self.mw
+            .with_part_sink(self.wire.as_deref_mut(), self.source, p, push)?;
         if at_boundary {
-            Self::process_deferred_leaves(mw, self.source, p)?;
+            Self::process_deferred_leaves(self.mw, self.source, p)?;
         }
         Ok(())
     }
@@ -2241,7 +2262,7 @@ impl Pipeline<'_> {
         let source = self.source;
         let n_parts = self.mw.sources[source].parts.len();
         for p in 0..n_parts {
-            self.push_part_columnar(p, batch)?;
+            self.step_part(p, |engine, sink| engine.push_columnar(batch, sink))?;
         }
         Ok(())
     }
@@ -2271,7 +2292,7 @@ impl Pipeline<'_> {
             result = ordered.and_then(|b| {
                 let n_parts = self.mw.sources[self.source].parts.len();
                 for p in 0..n_parts {
-                    self.push_part_columnar(p, &b)?;
+                    self.step_part(p, |engine, sink| engine.push_columnar(&b, sink))?;
                 }
                 Ok(())
             });
@@ -2286,55 +2307,6 @@ impl Pipeline<'_> {
         }
         self.mw.sources[self.source].reorder = Some(buf);
         result
-    }
-
-    fn push_part_columnar(&mut self, p: usize, batch: &Arc<TupleBatch>) -> Result<(), SolarError> {
-        let wire = self.wire.as_deref_mut();
-        let mw = &mut *self.mw;
-        let src_node = mw.sources[self.source].node;
-        let s = &mut mw.sources[self.source];
-        let part = &mut s.parts[p];
-        // A pending op means this batch crosses the epoch boundary at its
-        // head (columnar batches are never split by a safe point) —
-        // afterwards stale tree members can safely leave.
-        let at_boundary =
-            matches!(&part.engine, EngineHost::Single(e) if e.pending_control_ops() > 0);
-        let transport: &mut dyn Transport = match wire {
-            Some(w) => w,
-            None => &mut mw.overlay,
-        };
-        let sink = MulticastSink {
-            transport,
-            apps: &mut mw.apps,
-            filter_apps: &part.filter_apps,
-            group: part.group,
-            src_node,
-            lat_hist: &mut s.lat_hist,
-            error: None,
-        };
-        let mut sink = Metered::new(sink, &mut s.flow);
-        match &mut part.engine {
-            EngineHost::Single(engine) => {
-                let cpu_before = engine.metrics().cpu;
-                engine.push_batch_columnar(batch, &mut sink)?;
-                let cpu_spent = engine.metrics().cpu.saturating_sub(cpu_before);
-                let per_row = cpu_spent / batch.rows().max(1) as u32;
-                for r in 0..batch.rows() {
-                    sink.monitor().observe(batch.timestamp(r), per_row);
-                }
-            }
-            EngineHost::Sharded(engine) => {
-                engine.push_batch_columnar(batch, &mut sink)?;
-                for (arrival, cpu) in engine.take_step_costs() {
-                    sink.monitor().observe(arrival, cpu);
-                }
-            }
-        }
-        sink.inner_mut().take_error()?;
-        if at_boundary {
-            Self::process_deferred_leaves(mw, self.source, p)?;
-        }
-        Ok(())
     }
 
     /// Ends the stream on every part, disseminating the tails. An
@@ -2360,44 +2332,13 @@ impl Pipeline<'_> {
         let source = self.source;
         let n_parts = self.mw.sources[source].parts.len();
         for p in 0..n_parts {
-            self.finish_part(p)?;
+            self.mw
+                .with_part_sink(self.wire.as_deref_mut(), source, p, |engine, sink| {
+                    engine.finish(sink)
+                })?;
+            Self::process_deferred_leaves(self.mw, source, p)?;
         }
         Ok(())
-    }
-
-    fn finish_part(&mut self, p: usize) -> Result<(), SolarError> {
-        let wire = self.wire.as_deref_mut();
-        let mw = &mut *self.mw;
-        let src_node = mw.sources[self.source].node;
-        let s = &mut mw.sources[self.source];
-        let part = &mut s.parts[p];
-        let transport: &mut dyn Transport = match wire {
-            Some(w) => w,
-            None => &mut mw.overlay,
-        };
-        let sink = MulticastSink {
-            transport,
-            apps: &mut mw.apps,
-            filter_apps: &part.filter_apps,
-            group: part.group,
-            src_node,
-            lat_hist: &mut s.lat_hist,
-            error: None,
-        };
-        let mut sink = Metered::new(sink, &mut s.flow);
-        match &mut part.engine {
-            EngineHost::Single(engine) => {
-                engine.finish_into(&mut sink)?;
-            }
-            EngineHost::Sharded(engine) => {
-                engine.finish_into(&mut sink)?;
-                for (arrival, cpu) in engine.take_step_costs() {
-                    sink.monitor().observe(arrival, cpu);
-                }
-            }
-        }
-        sink.inner_mut().take_error()?;
-        Self::process_deferred_leaves(mw, self.source, p)
     }
 
     /// Metrics of the engines this pipeline feeds: lifetime metrics
@@ -2500,7 +2441,10 @@ mod tests {
             .unwrap();
         let mut b = TupleBuilder::new(&schema);
         let t = b.at_millis(10).set("t", 0.0).build().unwrap();
-        assert!(matches!(mw.process(src, t), Err(SolarError::NotDeployed)));
+        assert!(matches!(
+            mw.pipeline(src).map(|mut p| p.push(t)),
+            Err(SolarError::NotDeployed)
+        ));
     }
 
     #[test]
@@ -3251,7 +3195,7 @@ mod flow_tests {
                 .set("t", i as f64)
                 .build()
                 .unwrap();
-            mw.process(src, t).unwrap();
+            mw.pipeline(src).unwrap().push(t).unwrap();
         }
         // A real engine is far faster than 10 ms per tuple.
         assert_eq!(mw.flow_decision(src).unwrap(), FlowDecision::Ok);

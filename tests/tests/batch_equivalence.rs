@@ -192,25 +192,39 @@ fn sharded_columnar_matches_inline_at_every_parallelism() {
         for strategy in STRATEGIES {
             let (expected, _) = run_single(&trace, algorithm, strategy, EvaluatorTier::Compiled);
             for n in [1usize, 2, 4] {
-                for size in batch_sizes() {
-                    let label = format!("{algorithm:?}/{strategy:?}/n={n}/batch={size}");
-                    let mut sharded = ShardedEngine::builder()
+                let sharded = |staging: usize| {
+                    ShardedEngine::builder()
                         .parallelism(n)
-                        .batch_size(23)
+                        .batch_size(staging)
                         .route(
                             "group",
                             builder(&trace, algorithm, strategy, EvaluatorTier::Compiled)
                                 .filters(wide_specs(&trace, algorithm)),
                         )
                         .build()
-                        .unwrap();
+                        .unwrap()
+                };
+                for size in batch_sizes() {
+                    let label = format!("{algorithm:?}/{strategy:?}/n={n}/batch={size}");
+                    let mut engine = sharded(23);
                     let mut out = VecSink::new();
                     for batch in trace.batches(size) {
-                        sharded
+                        engine
                             .push_batch_columnar(&Arc::new(batch), &mut out)
                             .unwrap();
                     }
-                    sharded.finish_into(&mut out).unwrap();
+                    engine.finish_into(&mut out).unwrap();
+                    assert_eq!(out.as_slice(), &expected[..], "{label}");
+                }
+                // Row pushes are packed into the same columnar message at
+                // the staging size, so they must land on the same bytes.
+                for staging in [1usize, 7, 128] {
+                    let label =
+                        format!("{algorithm:?}/{strategy:?}/n={n}/rows staged by {staging}");
+                    let mut out = VecSink::new();
+                    sharded(staging)
+                        .run_into(trace.tuples().iter().cloned(), &mut out)
+                        .unwrap();
                     assert_eq!(out.as_slice(), &expected[..], "{label}");
                 }
             }
@@ -325,6 +339,69 @@ fn missing_values_fail_at_the_same_row_with_the_same_error() {
         fingerprint(batched.metrics()),
         "partial state"
     );
+}
+
+#[test]
+fn row_fed_sharded_run_cuts_at_the_failing_tuple() {
+    // Row pushes reach the workers packed into batches, so a value missing
+    // strictly inside a staged batch must still cut the merged stream at
+    // exactly that tuple: everything both routes released before it is
+    // delivered, nothing at or after it is, and the engine stays poisoned.
+    const BAD: usize = 24; // 4th row of the 4th 7-row batch
+    let schema = Schema::new(["t"]);
+    let mut b = TupleBuilder::new(&schema);
+    let tuples: Vec<_> = (0..60usize)
+        .map(|i| {
+            b.at_millis(10 * (i as u64 + 1));
+            if i != BAD {
+                b.set("t", (i as f64 * 0.7).sin() * 20.0);
+            }
+            b.build().unwrap()
+        })
+        .collect();
+    let routes = || {
+        [
+            GroupEngine::builder(schema.clone()).filter(FilterSpec::delta("t", 12.0, 4.0)),
+            GroupEngine::builder(schema.clone())
+                .filter(FilterSpec::delta("t", 7.0, 3.0))
+                .filter(FilterSpec::delta("t", 9.0, 2.0)),
+        ]
+    };
+    let mut expected = VecSink::new();
+    let mut inline = routes().map(|r| r.build().unwrap());
+    for t in &tuples[..BAD] {
+        for engine in &mut inline {
+            engine.push_into(t.clone(), &mut expected).unwrap();
+        }
+    }
+    assert!(!expected.is_empty(), "the prefix must emit");
+
+    for n in [1usize, 2] {
+        let [r0, r1] = routes();
+        let mut sharded = ShardedEngine::builder()
+            .parallelism(n)
+            .batch_size(7)
+            .route("a", r0)
+            .route("c", r1)
+            .build()
+            .unwrap();
+        assert_eq!(sharded.shards(), n, "the keys must spread over {n} shards");
+        let mut out = VecSink::new();
+        let mut surfaced = false;
+        for t in &tuples {
+            match sharded.push_into(t.clone(), &mut out) {
+                Ok(()) => assert!(!surfaced, "n={n}: a poisoned engine accepted input"),
+                Err(gasf_core::Error::MissingValue { .. }) => surfaced = true,
+                Err(other) => panic!("n={n}: unexpected error {other:?}"),
+            }
+        }
+        assert!(surfaced, "n={n}: the failing batch is merged mid-stream");
+        assert!(matches!(
+            sharded.finish_into(&mut out),
+            Err(gasf_core::Error::MissingValue { .. })
+        ));
+        assert_eq!(out.as_slice(), expected.as_slice(), "n={n}");
+    }
 }
 
 proptest! {

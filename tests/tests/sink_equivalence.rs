@@ -10,7 +10,7 @@
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, OutputStrategy};
 use gasf_core::quality::FilterSpec;
 use gasf_core::shard::ShardedEngine;
-use gasf_core::sink::{EmissionSink, NullSink, Tee, VecSink};
+use gasf_core::sink::{EmissionSink, VecSink};
 use gasf_sources::{NamosBuoy, Trace};
 use proptest::prelude::*;
 
@@ -247,28 +247,6 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(out.as_slice(), base_sink.as_slice());
         }
-    }
-}
-
-#[test]
-fn tee_splits_identically_to_a_single_sink() {
-    let trace = trace();
-    for algorithm in ALGORITHMS {
-        let mut single = engine(&trace, algorithm, OutputStrategy::Earliest);
-        let mut single_sink = VecSink::new();
-        single
-            .run_into(trace.tuples().iter().cloned(), &mut single_sink)
-            .unwrap();
-
-        let mut teed = engine(&trace, algorithm, OutputStrategy::Earliest);
-        let mut tee = Tee::new(VecSink::new(), Tee::new(VecSink::new(), NullSink));
-        teed.run_into(trace.tuples().iter().cloned(), &mut tee)
-            .unwrap();
-
-        let (a, rest) = tee.into_inner();
-        let (b, _) = rest.into_inner();
-        assert_eq!(a.as_slice(), single_sink.as_slice());
-        assert_eq!(b.as_slice(), single_sink.as_slice());
     }
 }
 
