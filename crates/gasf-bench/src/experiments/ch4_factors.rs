@@ -3,7 +3,7 @@
 
 use super::Params;
 use crate::report::{boxplot, f3, f4, Table};
-use crate::runner::{output_ratio, run_variant, Variant};
+use crate::runner::{output_ratio, run_variant, RunOutcome, Variant};
 use crate::specs::{random_group, DELTA_SCALE};
 use gasf_core::metrics::BoxPlot;
 use gasf_core::quality::FilterSpec;
@@ -115,27 +115,38 @@ pub fn fig4_18(params: &Params) -> Vec<Table> {
         "Fig 4.18: group size's effect on CPU cost (ms per 100-tuple batch)",
         ["group size", "group-aware", "self-interested"],
     );
-    let trace = params.namos(0);
-    let s = trace.stats("tmpr4").expect("attr").mean_abs_delta;
-    let mut rng = StdRng::seed_from_u64(418);
-    for n in (3..=20).step_by(2) {
-        let specs = random_group(
-            &trace,
-            "tmpr4",
-            n,
-            (DELTA_SCALE, 6.0 * DELTA_SCALE),
-            s,
-            rng.gen(),
-        );
-        let ga = run_variant(&trace, &specs, Variant::Rg, CUT);
-        let si = run_variant(&trace, &specs, Variant::Si, CUT);
-        let per_batch = |out: &crate::runner::RunOutcome| {
+    for (n, ga, si) in fig4_18_runs(params) {
+        let per_batch = |out: &RunOutcome| {
             out.metrics.cpu.as_secs_f64() * 1e3 / (out.metrics.input_tuples as f64 / 100.0)
         };
         t.row([n.to_string(), f3(per_batch(&ga)), f3(per_batch(&si))]);
     }
     t.note("paper: roughly linear growth; group-aware ~2x the SI cost");
     vec![t]
+}
+
+/// The runs behind [`fig4_18`]: per group size, the group-aware and the
+/// self-interested outcome over the same random group.
+fn fig4_18_runs(params: &Params) -> Vec<(usize, RunOutcome, RunOutcome)> {
+    let trace = params.namos(0);
+    let s = trace.stats("tmpr4").expect("attr").mean_abs_delta;
+    let mut rng = StdRng::seed_from_u64(418);
+    (3..=20)
+        .step_by(2)
+        .map(|n| {
+            let specs = random_group(
+                &trace,
+                "tmpr4",
+                n,
+                (DELTA_SCALE, 6.0 * DELTA_SCALE),
+                s,
+                rng.gen(),
+            );
+            let ga = run_variant(&trace, &specs, Variant::Rg, CUT);
+            let si = run_variant(&trace, &specs, Variant::Si, CUT);
+            (n, ga, si)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -173,23 +184,38 @@ mod tests {
 
     #[test]
     fn cpu_grows_with_group_size() {
-        // Wall-clock measurements wobble under parallel test load, so only
-        // assert the robust aggregate trends.
-        let t = &fig4_18(&p())[0];
-        let ga: Vec<f64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
-        let si: Vec<f64> = t.rows.iter().map(|r| r[2].parse().unwrap()).collect();
-        let half = ga.len() / 2;
-        let small: f64 = ga[..half].iter().sum();
-        let large: f64 = ga[half..].iter().sum();
+        // A wall-clock sample wobbles with the host's load and shrinks
+        // with every engine speed-up, so the trends are asserted on the
+        // work the timings measure: candidates admitted in the first
+        // stage and region sizes solved in the second.
+        let runs = fig4_18_runs(&p());
+        let work: Vec<u64> = runs
+            .iter()
+            .map(|(_, ga, _)| {
+                let admitted: u64 = ga.metrics.per_filter.iter().map(|f| f.admitted).sum();
+                admitted + ga.metrics.region_sizes.iter().sum::<usize>() as u64
+            })
+            .collect();
+        let half = work.len() / 2;
+        let small: u64 = work[..half].iter().sum();
+        let large: u64 = work[half..].iter().sum();
         assert!(
             large > small,
-            "bigger groups should cost more overall: {ga:?}"
+            "bigger groups should cost more overall: {work:?}"
         );
-        let ga_total: f64 = ga.iter().sum();
-        let si_total: f64 = si.iter().sum();
-        assert!(
-            ga_total >= si_total * 0.7,
-            "group coordination cannot be much cheaper than SI: GA {ga_total} vs SI {si_total}"
-        );
+        for (n, ga, si) in &runs {
+            // Same input, and only the group-aware run pays a second stage.
+            assert_eq!(ga.metrics.input_tuples, si.metrics.input_tuples, "n={n}");
+            assert!(ga.metrics.regions > 0, "n={n}");
+            assert_eq!(si.metrics.regions, 0, "n={n}");
+        }
+        let t = &fig4_18(&p())[0];
+        assert_eq!(t.rows.len(), runs.len());
+        for row in &t.rows {
+            for cell in &row[1..] {
+                let ms: f64 = cell.parse().unwrap();
+                assert!(ms.is_finite() && ms >= 0.0, "{row:?}");
+            }
+        }
     }
 }

@@ -129,10 +129,29 @@ mod tests {
 
     #[test]
     fn overhead_ratio_at_least_one_ish() {
-        let t = &fig5_3(&p())[0];
+        // Each ratio divides two single wall-clock samples, so a busy
+        // host (or a faster engine) can push it anywhere. What makes it
+        // "at least one-ish" is deterministic: on the same input the
+        // group-aware run does the first stage like SI *plus* a second
+        // stage — assert that, and only the table's shape on the timings.
+        let params = p();
+        let trace = params.namos(0);
+        for g in ten_groups(&trace) {
+            let ga = run_variant(&trace, &g.specs, Variant::Ps, CUT);
+            let si = run_variant(&trace, &g.specs, Variant::Si, CUT);
+            assert_eq!(
+                ga.metrics.input_tuples, si.metrics.input_tuples,
+                "{}",
+                g.name
+            );
+            assert!(ga.metrics.regions > 0, "{}", g.name);
+            assert_eq!(si.metrics.regions, 0, "{}", g.name);
+        }
+        let t = &fig5_3(&params)[0];
+        assert_eq!(t.rows.len(), 10);
         for row in &t.rows {
             let r: f64 = row[1].parse().unwrap();
-            assert!(r > 0.5 && r < 30.0, "{}: {r}", row[0]);
+            assert!(r.is_finite() && r >= 0.0, "{}: {r}", row[0]);
         }
     }
 

@@ -54,11 +54,11 @@ use crate::candidate::{CloseCause, FilterAction, FilterId, TimeCover};
 use crate::cuts::{RuntimePredictor, TimeConstraint};
 use crate::error::Error;
 use crate::filter::{build_filter, ForceCloseOutcome, GroupFilter};
-use crate::hitting_set::greedy_hitting_set_over;
+use crate::hitting_set::{collect_distinct_ids, GreedySolver};
 use crate::metrics::{EngineMetrics, FilterMetrics};
 use crate::plan::{CompiledRoster, EvaluatorTier, FilterPlan, StepActions};
 use crate::quality::FilterSpec;
-use crate::region::{Region, RegionTracker};
+use crate::region::{OpenCovers, Region, RegionTracker};
 use crate::schema::Schema;
 use crate::sink::{EmissionSink, VecSink};
 use crate::snapshot::GroupSnapshot;
@@ -351,12 +351,14 @@ impl GroupEngineBuilder {
             predictor: RuntimePredictor::with_window(self.predictor_window, self.overestimate_us),
             utility: GroupUtility::new(),
             tracker: RegionTracker::new(),
-            cover_buf: Vec::new(),
+            cover_buf: OpenCovers::default(),
+            ready_buf: Vec::new(),
+            ids_buf: Vec::new(),
+            solver: GreedySolver::default(),
             pool: TuplePool::new(),
             pending: BTreeMap::new(),
             releasable: BTreeSet::new(),
             recently_decided: HashSet::new(),
-            emitted_ids: HashSet::new(),
             batch_counter: 0,
             watermark: Micros::ZERO,
             max_emitted_id: None,
@@ -501,8 +503,14 @@ pub struct GroupEngine {
     predictor: RuntimePredictor,
     utility: GroupUtility,
     tracker: RegionTracker,
-    /// Reusable open-cover buffer for the per-row region drain.
-    cover_buf: Vec<TimeCover>,
+    /// Reusable buffers of the per-row region drain and solve: the
+    /// interpreted tier's open covers (the compiled roster keeps its
+    /// own), ready regions, a region's distinct ids, and the hitting-set
+    /// solver's working storage.
+    cover_buf: OpenCovers,
+    ready_buf: Vec<Region>,
+    ids_buf: Vec<TupleId>,
+    solver: GreedySolver,
     /// Intern pool owning the live tuples that may still be chosen/emitted.
     pool: TuplePool,
     /// Decided but not yet emitted outputs (recipient sets by id).
@@ -511,8 +519,6 @@ pub struct GroupEngine {
     releasable: BTreeSet<TupleId>,
     /// Ids chosen in still-incomplete regions (PS heuristic 1).
     recently_decided: HashSet<TupleId>,
-    /// Ids ever emitted (distinct-output accounting).
-    emitted_ids: HashSet<TupleId>,
     batch_counter: u32,
     /// Stream time up to which every region is complete (the punctuation
     /// value of §3.4).
@@ -925,7 +931,6 @@ impl GroupEngine {
         self.utility = GroupUtility::new();
         self.tracker = RegionTracker::new();
         self.recently_decided.clear();
-        self.emitted_ids.clear();
         self.batch_counter = 0;
         self.max_emitted_id = None;
         let width = self.slots.len();
@@ -1080,12 +1085,14 @@ impl GroupEngine {
             predictor: RuntimePredictor::with_window(snap.predictor_window, snap.overestimate_us),
             utility: GroupUtility::new(),
             tracker: RegionTracker::new(),
-            cover_buf: Vec::new(),
+            cover_buf: OpenCovers::default(),
+            ready_buf: Vec::new(),
+            ids_buf: Vec::new(),
+            solver: GreedySolver::default(),
             pool: TuplePool::new(),
             pending: BTreeMap::new(),
             releasable: BTreeSet::new(),
             recently_decided: HashSet::new(),
-            emitted_ids: HashSet::new(),
             batch_counter: 0,
             watermark: snap.watermark,
             max_emitted_id: None,
@@ -1500,7 +1507,7 @@ impl GroupEngine {
         }
         for (slot, ev) in step.events.drain(..) {
             let i = slot as usize;
-            for d in ev.dismissed {
+            for &d in &step.dismissed[ev.dismissed] {
                 self.metrics.per_filter[i].dismissed += 1;
                 self.utility.decrement(d);
                 self.maybe_drop(d);
@@ -1683,27 +1690,32 @@ impl GroupEngine {
     }
 
     /// Second stage: solves/completes the regions that became ready.
-    /// Most rows complete none, so the open-cover list is only built when
-    /// some region has passed its time bound. The one tier-dependent line
-    /// is where that list comes from: the compiled roster's open-slot
-    /// index (O(open slots)), or a scan of the interpreted tier's slots —
-    /// the same covers in the same ascending slot order either way.
+    /// The one tier-dependent line is where the open covers come from:
+    /// the index the compiled roster maintains as it goes, or one filled
+    /// here from a scan of the interpreted tier's slots — the same covers
+    /// by the same slots either way.
     fn drain_regions(&mut self, now: Micros) {
         if !self.tracker.any_time_ready(now) {
             return;
         }
-        let mut covers = std::mem::take(&mut self.cover_buf);
-        match &self.compiled {
-            Some(compiled) => compiled.open_covers_into(&mut covers),
+        let open = match &self.compiled {
+            Some(compiled) => compiled.open_covers(),
             None => {
-                covers.clear();
-                covers.extend((0..self.slots.len()).filter_map(|i| self.open_cover_of(i)));
+                self.cover_buf.reset(self.slots.len());
+                for (i, slot) in self.slots.iter().enumerate() {
+                    let filter = slot.as_ref().and_then(|s| s.filter.as_ref());
+                    self.cover_buf
+                        .update(i, filter.and_then(|f| f.open_cover()));
+                }
+                &self.cover_buf
             }
-        }
-        for region in self.tracker.drain_ready(&covers, now) {
+        };
+        let mut ready = std::mem::take(&mut self.ready_buf);
+        self.tracker.drain_ready_into(open, now, &mut ready);
+        for region in ready.drain(..) {
             self.complete_region(region, now);
         }
-        self.cover_buf = covers;
+        self.ready_buf = ready;
     }
 
     fn complete_region(&mut self, region: Region, _now: Micros) {
@@ -1715,27 +1727,30 @@ impl GroupEngine {
         }
         // The distinct-id universe serves both the solver and the cleanup
         // below — collected once per region.
-        let ids = region.distinct_ids();
+        let mut ids = std::mem::take(&mut self.ids_buf);
+        collect_distinct_ids(region.sets(), &mut ids);
         if self.algorithm == Algorithm::RegionGreedy {
+            let mut solver = std::mem::take(&mut self.solver);
             let t0 = Instant::now();
-            let choices = greedy_hitting_set_over(region.sets(), &ids);
+            solver.solve(region.sets(), &ids);
             let elapsed = t0.elapsed();
             self.metrics.greedy_cpu += elapsed;
             self.predictor
                 .observe(region.size(), Micros(elapsed.as_micros() as u64));
-            for choice in choices {
-                for &si in &choice.covers {
+            for (id, covers) in solver.choices() {
+                for &si in covers {
                     let fid = region.sets()[si].filter;
-                    self.enqueue(choice.id, fid);
+                    self.enqueue(id, fid);
                     self.metrics.per_filter[fid.index()].chosen += 1;
                 }
             }
+            self.solver = solver;
         }
         // Cleanup: tuples of a completed region can never appear in a
         // future candidate set (their covers would intersect the region's),
         // so their ids leave every engine structure here — this is the
         // moment the id-stability window of `crate::tuple` ends.
-        for id in ids {
+        for &id in &ids {
             self.utility.remove(id);
             self.recently_decided.remove(&id);
             if self.pending.contains_key(&id) {
@@ -1744,6 +1759,15 @@ impl GroupEngine {
                 self.pool.release(id);
             }
         }
+        self.ids_buf = ids;
+        // The region's lists go back to where they came from.
+        let mut sets = region.into_sets();
+        if let Some(compiled) = self.compiled.as_mut() {
+            for set in sets.drain(..) {
+                compiled.recycle(set);
+            }
+        }
+        self.tracker.recycle(sets);
     }
 
     fn enqueue(&mut self, id: TupleId, recipient: FilterId) {
@@ -1814,7 +1838,7 @@ impl GroupEngine {
             self.metrics.disordered_emissions += 1;
         }
         self.max_emitted_id = Some(self.max_emitted_id.map_or(id, |m| m.max(id)));
-        if self.emitted_ids.insert(id) {
+        if self.pool.mark_emitted(id) {
             self.metrics.output_tuples += 1;
         }
         self.metrics

@@ -553,6 +553,92 @@ fn pcs_strategy_reports_disorder() {
     assert_eq!(ordered.metrics().disordered_emissions, 0);
 }
 
+/// What the release path keeps per emitted id must die with the id's
+/// pool slot: over a long stream the distinct-output accounting stays
+/// exact — re-emissions to late recipients included — while the engine
+/// holds nothing that grows with the number of emissions.
+#[test]
+fn distinct_output_accounting_is_exact_and_holds_no_per_emission_state() {
+    /// Recomputes the release-side counters from the emission stream.
+    #[derive(Default)]
+    struct Recount {
+        emissions: u64,
+        distinct: std::collections::HashSet<TupleId>,
+        disordered: u64,
+        max_id: Option<TupleId>,
+    }
+    impl EmissionSink for Recount {
+        fn accept(&mut self, e: &Emission) {
+            let id = e.tuple.id();
+            self.emissions += 1;
+            self.distinct.insert(id);
+            if self.max_id.is_some_and(|m| id < m) {
+                self.disordered += 1;
+            }
+            self.max_id = self.max_id.max(Some(id));
+        }
+    }
+
+    const TUPLES: u64 = 100_000;
+    let schema = Schema::new(["t"]);
+    for algorithm in [
+        Algorithm::RegionGreedy,
+        Algorithm::PerCandidateSet,
+        Algorithm::SelfInterested,
+    ] {
+        for strategy in [
+            OutputStrategy::Earliest,
+            OutputStrategy::PerCandidateSet,
+            OutputStrategy::Batched(7),
+        ] {
+            // Two deltas plus the misaligned samplers of
+            // `pcs_strategy_reports_disorder`, so that tuples are chosen
+            // again after they were first released.
+            let mut engine = GroupEngine::builder(schema.clone())
+                .algorithm(algorithm)
+                .output_strategy(strategy)
+                .filter(FilterSpec::delta("t", 8.0, 3.0))
+                .filter(FilterSpec::delta("t", 13.0, 2.0))
+                .filter(FilterSpec::stratified_sample(
+                    "t",
+                    Micros::from_millis(50),
+                    1000.0,
+                    20.0,
+                    20.0,
+                ))
+                .filter(FilterSpec::reservoir("t", Micros::from_millis(170), 3))
+                .build()
+                .unwrap();
+            let mut sink = Recount::default();
+            let mut builder = crate::tuple::TupleBuilder::new(&schema);
+            let (mut rng, mut value, mut buffered) = (0x9E37_79B9_7F4A_7C15u64, 50.0, 0);
+            for i in 0..TUPLES {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                value += ((rng >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 10.0;
+                let tuple = builder.at_millis(10 * (i + 1)).set("t", value).build();
+                engine.push_into(tuple.unwrap(), &mut sink).unwrap();
+                buffered = buffered.max(engine.buffered_tuples());
+            }
+            let ctx = format!("{algorithm:?}/{strategy:?}");
+            // The live window (longest region chain), not the stream.
+            assert!(buffered <= 1_000, "{ctx}: {buffered} tuples buffered");
+            engine.finish_into(&mut sink).unwrap();
+            assert_eq!(engine.buffered_tuples(), 0, "{ctx}");
+            let m = engine.metrics();
+            assert_eq!(m.emissions, sink.emissions, "{ctx}");
+            assert_eq!(m.output_tuples, sink.distinct.len() as u64, "{ctx}");
+            assert_eq!(m.disordered_emissions, sink.disordered, "{ctx}");
+            if (algorithm, strategy)
+                == (Algorithm::PerCandidateSet, OutputStrategy::PerCandidateSet)
+            {
+                assert!(m.emissions > m.output_tuples, "{ctx}: no re-emission");
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------------
 // sink-based streaming path
 // ------------------------------------------------------------------

@@ -13,14 +13,17 @@
 //!
 //! The solver operates purely on interned [`TupleId`]s — no `Tuple`
 //! payloads enter the selection loop. The region's distinct ids are mapped
-//! to a dense index space once, per-tuple state lives in a flat vector
-//! (not a hash map), and per-set rank usage is tracked in packed
-//! [`BitSet`]s. Ids are stable for the lifetime of the region being
-//! solved (see [`crate::tuple`]), which is what makes the dense mapping
-//! sound.
+//! to a dense index space once and all working state lives in the flat
+//! buffers of a `GreedySolver` that the caller keeps across regions, so
+//! a steady stream of regions is solved without touching the allocator:
+//! every `(tuple, set, rank)` incidence is one entry of a single list in
+//! set order, rank usage of every ranked set shares one flag vector, and
+//! the choices and the sets they cover are written into reused buffers.
+//! Ids are stable for the lifetime of the region being solved (see
+//! [`crate::tuple`]), which is what makes the dense mapping sound.
 
-use crate::bitset::BitSet;
 use crate::candidate::ClosedSet;
+use crate::quality::Prescription;
 use crate::tuple::TupleId;
 
 /// One tuple chosen by the solver and the sets it covers.
@@ -33,15 +36,6 @@ pub struct Choice {
     pub covers: Vec<usize>,
 }
 
-/// Per-tuple solver state: timestamp for the tie-break plus the
-/// `(set, rank)` slots the tuple can fill.
-struct TupleState {
-    id: TupleId,
-    ts: u64,
-    slots: Vec<(usize, Option<usize>)>,
-    chosen: bool,
-}
-
 /// Solves the (multi-degree) hitting-set instance formed by `sets` with the
 /// greedy heuristic: repeatedly choose the tuple useful to the most
 /// still-unsatisfied sets, preferring the freshest timestamp on ties
@@ -51,117 +45,181 @@ struct TupleState {
 /// ends up covered by exactly `min(pick_degree, #ranks)` choices.
 ///
 /// Sets with `pick_degree == 1` and
-/// [`Prescription::Any`](crate::quality::Prescription::Any) reproduce the
+/// [`Prescription::Any`] reproduce the
 /// classical greedy hitting set exactly.
 pub fn greedy_hitting_set(sets: &[ClosedSet]) -> Vec<Choice> {
-    greedy_hitting_set_over(sets, &collect_distinct_ids(sets))
+    let mut universe = Vec::new();
+    collect_distinct_ids(sets, &mut universe);
+    let mut solver = GreedySolver::default();
+    solver.solve(sets, &universe);
+    solver
+        .choices()
+        .map(|(id, covers)| Choice {
+            id,
+            covers: covers.to_vec(),
+        })
+        .collect()
 }
 
-/// The sorted distinct ids referenced by `sets` — the dense universe the
-/// solver indexes over.
-pub(crate) fn collect_distinct_ids(sets: &[ClosedSet]) -> Vec<TupleId> {
-    let mut universe: Vec<TupleId> = sets
-        .iter()
-        .flat_map(|s| s.candidates.iter().map(|c| c.id))
-        .collect();
+/// Fills `universe` (cleared first) with the sorted distinct ids
+/// referenced by `sets` — the dense universe the solver indexes over.
+pub(crate) fn collect_distinct_ids(sets: &[ClosedSet], universe: &mut Vec<TupleId>) {
+    universe.clear();
+    for set in sets {
+        universe.extend(set.candidates.iter().map(|c| c.id));
+    }
     universe.sort_unstable();
     universe.dedup();
-    universe
 }
 
-/// [`greedy_hitting_set`] with the universe precomputed, so callers that
-/// already hold the region's distinct ids (the engine's region-completion
-/// path) do not pay a second collect+sort+dedup pass.
-pub(crate) fn greedy_hitting_set_over(sets: &[ClosedSet], universe: &[TupleId]) -> Vec<Choice> {
-    let dense = |id: TupleId| {
-        universe
-            .binary_search(&id)
-            .expect("universe covers every candidate id")
-    };
+/// `Incidence::rank` of a candidate in an unranked set (any of the set's
+/// candidates may fill any of its picks).
+const NO_RANK: u32 = u32::MAX;
 
-    let mut tuples: Vec<TupleState> = universe
-        .iter()
-        .map(|&id| TupleState {
-            id,
-            ts: 0,
-            slots: Vec::new(),
-            chosen: false,
-        })
-        .collect();
-    let mut needed: Vec<usize> = Vec::with_capacity(sets.len());
-    // For ranked sets: which ranks are already used, as packed bits.
-    let mut rank_used: Vec<BitSet> = Vec::with_capacity(sets.len());
+/// A tuple that can fill one pick of one set.
+#[derive(Debug, Clone, Copy)]
+struct Incidence {
+    /// Dense index of the tuple in the universe.
+    tuple: u32,
+    set: u32,
+    /// Index into [`GreedySolver::rank_used`], or [`NO_RANK`].
+    rank: u32,
+}
 
-    for (si, set) in sets.iter().enumerate() {
-        let ranks = set.eligible_ranks();
-        let ranked = ranks.len() > 1 || set.prescription != crate::quality::Prescription::Any;
-        let effective = if ranked {
-            set.pick_degree.min(ranks.len())
-        } else {
-            set.pick_degree.min(set.len())
+/// The greedy solver's working storage, reused across regions by the
+/// engine's region-completion path.
+#[derive(Debug, Default)]
+pub(crate) struct GreedySolver {
+    /// Every incidence of the instance, in set order (so one tuple's
+    /// incidences appear in ascending set order).
+    incidences: Vec<Incidence>,
+    /// Per set: picks still owed.
+    needed: Vec<u32>,
+    /// Per rank of every ranked set: already filled.
+    rank_used: Vec<bool>,
+    /// Per tuple: timestamp (the tie-break), chosen flag, and this
+    /// round's usefulness.
+    ts: Vec<u64>,
+    chosen: Vec<bool>,
+    useful: Vec<u32>,
+    /// The choices in pick order, each with the end of its run in
+    /// `covers`.
+    picks: Vec<(TupleId, usize)>,
+    covers: Vec<usize>,
+}
+
+impl GreedySolver {
+    /// Solves the instance over `universe` — the sorted distinct ids of
+    /// `sets`, which callers that need them anyway (region cleanup)
+    /// collect once. Read the result with [`choices`](Self::choices).
+    pub(crate) fn solve(&mut self, sets: &[ClosedSet], universe: &[TupleId]) {
+        let dense = |id: TupleId| {
+            universe
+                .binary_search(&id)
+                .expect("universe covers every candidate id") as u32
         };
-        needed.push(effective);
-        rank_used.push(BitSet::with_capacity(ranks.len()));
-        for c in &set.candidates {
-            tuples[dense(c.id)].ts = c.timestamp.as_micros();
-        }
-        for (ri, rank) in ranks.iter().enumerate() {
-            for &id in rank {
-                tuples[dense(id)]
-                    .slots
-                    .push((si, if ranked { Some(ri) } else { None }));
-            }
-        }
-    }
+        self.incidences.clear();
+        self.needed.clear();
+        self.rank_used.clear();
+        self.picks.clear();
+        self.covers.clear();
+        self.ts.clear();
+        self.ts.resize(universe.len(), 0);
+        self.chosen.clear();
+        self.chosen.resize(universe.len(), false);
 
-    let usefulness = |t: &TupleState, needed: &[usize], rank_used: &[BitSet]| -> u32 {
-        t.slots
-            .iter()
-            .filter(|(si, rank)| {
-                needed[*si] > 0 && rank.is_none_or(|r| !rank_used[*si].contains(r))
-            })
-            .count() as u32
-    };
-
-    let mut result = Vec::new();
-    while needed.iter().any(|&n| n > 0) {
-        // Pick the tuple with max utility; ties -> freshest timestamp,
-        // then highest id (deterministic).
-        let mut best: Option<(u32, u64, TupleId)> = None;
-        for t in tuples.iter().filter(|t| !t.chosen) {
-            let u = usefulness(t, &needed, &rank_used);
-            if u == 0 {
-                continue;
-            }
-            let key = (u, t.ts, t.id);
-            if best.is_none_or(|b| key > b) {
-                best = Some(key);
-            }
-        }
-        let Some((_, _, id)) = best else {
-            // No tuple can satisfy the remaining demand (can only happen
-            // for ranked sets with fewer usable ranks than degree, which
-            // `effective` already prevents) — defensive break.
-            debug_assert!(false, "greedy hitting set ran out of useful tuples");
-            break;
-        };
-        let t = &mut tuples[dense(id)];
-        t.chosen = true;
-        let slots = std::mem::take(&mut t.slots);
-        let mut covers = Vec::new();
-        for (si, rank) in slots {
-            if needed[si] > 0 && rank.is_none_or(|r| !rank_used[si].contains(r)) {
-                needed[si] -= 1;
-                if let Some(r) = rank {
-                    rank_used[si].insert(r);
+        for (si, set) in sets.iter().enumerate() {
+            let set_index = si as u32;
+            if set.prescription == Prescription::Any {
+                // One rank holding every candidate: no rank bookkeeping.
+                for c in &set.candidates {
+                    let tuple = dense(c.id);
+                    self.ts[tuple as usize] = c.timestamp.as_micros();
+                    self.incidences.push(Incidence {
+                        tuple,
+                        set: set_index,
+                        rank: NO_RANK,
+                    });
                 }
-                covers.push(si);
+                self.needed.push(set.pick_degree.min(set.len()) as u32);
+            } else {
+                for c in &set.candidates {
+                    self.ts[dense(c.id) as usize] = c.timestamp.as_micros();
+                }
+                let ranks = set.eligible_ranks();
+                let first_rank = self.rank_used.len();
+                self.rank_used.resize(first_rank + ranks.len(), false);
+                for (ri, rank) in ranks.iter().enumerate() {
+                    for &id in rank {
+                        self.incidences.push(Incidence {
+                            tuple: dense(id),
+                            set: set_index,
+                            rank: (first_rank + ri) as u32,
+                        });
+                    }
+                }
+                self.needed.push(set.pick_degree.min(ranks.len()) as u32);
             }
         }
-        debug_assert!(!covers.is_empty());
-        result.push(Choice { id, covers });
+
+        let mut owed: u64 = self.needed.iter().map(|&n| u64::from(n)).sum();
+        while owed > 0 {
+            // Usefulness: the incidences that could still fill a pick.
+            self.useful.clear();
+            self.useful.resize(universe.len(), 0);
+            for inc in &self.incidences {
+                if self.needed[inc.set as usize] > 0
+                    && (inc.rank == NO_RANK || !self.rank_used[inc.rank as usize])
+                {
+                    self.useful[inc.tuple as usize] += 1;
+                }
+            }
+            // Pick the tuple with max utility; ties -> freshest timestamp,
+            // then highest id (deterministic).
+            let mut best: Option<((u32, u64, TupleId), usize)> = None;
+            for (t, &id) in universe.iter().enumerate() {
+                if self.chosen[t] || self.useful[t] == 0 {
+                    continue;
+                }
+                let key = (self.useful[t], self.ts[t], id);
+                if best.is_none_or(|(b, _)| key > b) {
+                    best = Some((key, t));
+                }
+            }
+            let Some(((_, _, id), t)) = best else {
+                // No tuple can satisfy the remaining demand (can only happen
+                // for ranked sets with fewer usable ranks than degree, which
+                // the clamped degree already prevents) — defensive break.
+                debug_assert!(false, "greedy hitting set ran out of useful tuples");
+                break;
+            };
+            self.chosen[t] = true;
+            for inc in self.incidences.iter().filter(|inc| inc.tuple as usize == t) {
+                let needed = &mut self.needed[inc.set as usize];
+                if *needed > 0 && (inc.rank == NO_RANK || !self.rank_used[inc.rank as usize]) {
+                    *needed -= 1;
+                    owed -= 1;
+                    if inc.rank != NO_RANK {
+                        self.rank_used[inc.rank as usize] = true;
+                    }
+                    self.covers.push(inc.set as usize);
+                }
+            }
+            debug_assert!(self.picks.last().map_or(0, |p| p.1) < self.covers.len());
+            self.picks.push((id, self.covers.len()));
+        }
     }
-    result
+
+    /// The choices of the last [`solve`](Self::solve) in pick order, each
+    /// with the indices of the sets it counts toward (ascending).
+    pub(crate) fn choices(&self) -> impl Iterator<Item = (TupleId, &[usize])> {
+        let mut start = 0;
+        self.picks.iter().map(move |&(id, end)| {
+            let covers = &self.covers[start..end];
+            start = end;
+            (id, covers)
+        })
+    }
 }
 
 /// Exhaustive minimum hitting set for tiny instances (≤ ~20 candidate
@@ -171,7 +229,8 @@ pub(crate) fn greedy_hitting_set_over(sets: &[ClosedSet], universe: &[TupleId]) 
 /// Returns the chosen ids, or `None` if the instance has more than
 /// `max_universe` distinct tuples.
 pub fn brute_force_minimum(sets: &[ClosedSet], max_universe: usize) -> Option<Vec<TupleId>> {
-    let universe = collect_distinct_ids(sets);
+    let mut universe = Vec::new();
+    collect_distinct_ids(sets, &mut universe);
     if universe.len() > max_universe || universe.len() > 25 {
         return None;
     }

@@ -17,15 +17,15 @@
 use super::{Expr, Gate, RosterPlan};
 use crate::batch::TupleBatch;
 use crate::bitset::FilterSet;
-use crate::candidate::{CandidateTuple, CloseCause, ClosedSet, FilterAction, FilterId, TimeCover};
+use crate::candidate::{CandidateTuple, CloseCause, ClosedSet, FilterId, TimeCover};
 use crate::engine::Algorithm;
 use crate::error::Error;
 use crate::filter::ForceCloseOutcome;
 use crate::quality::{FilterSpec, PickDegree, Prescription};
+use crate::region::OpenCovers;
 use crate::schema::{AttrId, Schema};
 use crate::time::Micros;
 use crate::tuple::{Tuple, TupleId};
-use std::collections::BTreeMap;
 
 /// Everything one tuple did to the roster, in packed form: membership
 /// bits for the common events (admission, reference) written a block at a
@@ -40,13 +40,17 @@ pub(crate) struct StepActions {
     pub(crate) references: FilterSet,
     /// Rare events, ascending by slot; at most one entry per slot.
     pub(crate) events: Vec<(u32, StepEvent)>,
+    /// Every id dismissed this step, one run per event
+    /// ([`StepEvent::dismissed`]).
+    pub(crate) dismissed: Vec<TupleId>,
 }
 
 /// The non-bitmask events one filter produced for one tuple.
 #[derive(Debug, Default)]
 pub(crate) struct StepEvent {
-    /// Ids dismissed from the filter's open set.
-    pub(crate) dismissed: Vec<TupleId>,
+    /// Ids dismissed from the filter's open set, as a range of
+    /// [`StepActions::dismissed`].
+    pub(crate) dismissed: std::ops::Range<usize>,
     /// A candidate set that closed during this step.
     pub(crate) closed: Option<ClosedSet>,
 }
@@ -56,28 +60,47 @@ impl StepActions {
         self.admitted.clear();
         self.references.clear();
         self.events.clear();
+        self.dismissed.clear();
     }
 }
 
-/// Folds a per-filter [`FilterAction`] into the step.
-fn record(step: &mut StepActions, slot: u32, action: FilterAction) {
+/// What one delta member did with the current tuple (the compiled form
+/// of a `FilterAction`); its dismissals go straight into
+/// [`StepActions::dismissed`].
+#[derive(Debug, Default)]
+struct MemberStep {
+    admitted: bool,
+    reference: bool,
+    closed: Option<ClosedSet>,
+}
+
+/// Folds one member's step into the roster's; `dismissed_from` is where
+/// the member's run of [`StepActions::dismissed`] starts.
+fn record(step: &mut StepActions, slot: u32, dismissed_from: usize, member: MemberStep) {
     let id = FilterId::from_index(slot as usize);
-    if action.admitted {
+    if member.admitted {
         step.admitted.insert(id);
     }
-    if action.reference {
+    if member.reference {
         step.references.insert(id);
     }
-    if !action.dismissed.is_empty() || action.closed.is_some() {
+    let dismissed = dismissed_from..step.dismissed.len();
+    if !dismissed.is_empty() || member.closed.is_some() {
         step.events.push((
             slot,
             StepEvent {
-                dismissed: action.dismissed,
-                closed: action.closed,
+                dismissed,
+                closed: member.closed,
             },
         ));
     }
 }
+
+/// Emptied `(candidates, si_choice)` lists of closed sets the engine is
+/// done with, waiting to back the next sealed set: every seal takes one
+/// pair and every [`CompiledRoster::recycle`] returns one, so the pool
+/// never outgrows the number of sets in flight.
+type SetPool = Vec<(Vec<CandidateTuple>, Vec<TupleId>)>;
 
 fn candidate_at(id: TupleId, ts: Micros, key: f64) -> CandidateTuple {
     CandidateTuple {
@@ -265,9 +288,10 @@ impl DeltaArena {
         m
     }
 
-    fn seal(&mut self, m: usize, cause: CloseCause) -> ClosedSet {
-        let candidates = std::mem::take(&mut self.open[m]);
-        let si_choice = self.reference_id[m].take().into_iter().collect();
+    fn seal(&mut self, m: usize, cause: CloseCause, pool: &mut SetPool) -> ClosedSet {
+        let (open, mut si_choice) = pool.pop().unwrap_or_default();
+        let candidates = std::mem::replace(&mut self.open[m], open);
+        si_choice.extend(self.reference_id[m].take());
         let set = ClosedSet {
             filter: FilterId::from_index(self.slot[m] as usize),
             set_index: self.set_index[m],
@@ -288,7 +312,8 @@ impl DeltaArena {
         id: TupleId,
         ts: Micros,
         key: f64,
-        action: &mut FilterAction,
+        step: &mut MemberStep,
+        dismissed: &mut Vec<TupleId>,
     ) {
         // Keep only the contiguous run (by id, i.e. arrival order)
         // immediately preceding the reference whose keys are within slack
@@ -303,9 +328,7 @@ impl DeltaArena {
                 break;
             }
         }
-        for c in self.open[m].drain(..keep_from) {
-            action.dismissed.push(c.id);
-        }
+        dismissed.extend(self.open[m].drain(..keep_from).map(|c| c.id));
         self.open[m].push(candidate_at(id, ts, key));
         self.reference_id[m] = Some(id);
         self.reference_val[m] = key;
@@ -313,8 +336,8 @@ impl DeltaArena {
             self.base[m] = key;
         }
         self.phase[m] = Phase::Vicinity;
-        action.admitted = true;
-        action.reference = true;
+        step.admitted = true;
+        step.reference = true;
     }
 
     fn search_step(
@@ -323,22 +346,28 @@ impl DeltaArena {
         id: TupleId,
         ts: Micros,
         key: f64,
-        action: &mut FilterAction,
+        step: &mut MemberStep,
+        dismissed: &mut Vec<TupleId>,
     ) {
         let dist = (key - self.base[m]).abs();
         if dist >= self.delta[m] {
-            self.on_reference(m, id, ts, key, action);
+            self.on_reference(m, id, ts, key, step, dismissed);
         } else if dist >= self.delta[m] - self.slack[m] {
             self.open[m].push(candidate_at(id, ts, key));
             self.phase[m] = Phase::Tentative;
-            action.admitted = true;
+            step.admitted = true;
         }
     }
 
-    fn force_close(&mut self, m: usize, cause: CloseCause) -> ForceCloseOutcome {
+    fn force_close(
+        &mut self,
+        m: usize,
+        cause: CloseCause,
+        pool: &mut SetPool,
+    ) -> ForceCloseOutcome {
         match self.phase[m] {
             Phase::Vicinity => ForceCloseOutcome {
-                closed: Some(self.seal(m, cause)),
+                closed: Some(self.seal(m, cause, pool)),
                 dismissed: Vec::new(),
             },
             Phase::Tentative => {
@@ -399,12 +428,19 @@ impl WindowArena {
     /// One tuple through one window member: maybe close the previous
     /// window, then accumulate. Admission is unconditional and recorded by
     /// the caller's block-union, not here.
-    fn step(&mut self, m: usize, id: TupleId, ts: Micros, v: f64) -> Option<ClosedSet> {
+    fn step(
+        &mut self,
+        m: usize,
+        id: TupleId,
+        ts: Micros,
+        v: f64,
+        pool: &mut SetPool,
+    ) -> Option<ClosedSet> {
         let w = ts.as_micros() / self.window[m].as_micros().max(1);
         let mut closed = None;
         if self.current[m] != Some(w) {
             if self.current[m].is_some() {
-                closed = self.seal(m, CloseCause::Natural);
+                closed = self.seal(m, CloseCause::Natural, pool);
             }
             self.current[m] = Some(w);
         }
@@ -416,11 +452,13 @@ impl WindowArena {
         closed
     }
 
-    fn seal(&mut self, m: usize, cause: CloseCause) -> Option<ClosedSet> {
+    fn seal(&mut self, m: usize, cause: CloseCause, pool: &mut SetPool) -> Option<ClosedSet> {
         if self.open[m].is_empty() {
             return None;
         }
-        let candidates = std::mem::take(&mut self.open[m]);
+        // (The pooled choice list is dropped: `si_sample` builds its own.)
+        let (open, _) = pool.pop().unwrap_or_default();
+        let candidates = std::mem::replace(&mut self.open[m], open);
         let (pick_degree, prescription) = match self.gate[m] {
             WindowGate::Reservoir { k } => ((k as usize).min(candidates.len()), Prescription::Any),
             WindowGate::Stratified {
@@ -469,11 +507,8 @@ struct ClassState {
     /// Delta members in the vicinity phase (compare against their own
     /// `reference_val`).
     vicinity: Vec<u32>,
-    /// Delta members searching/tentative, grouped by comparison-base bits;
-    /// each cohort is sorted ascending by `(qualify, member)`, so
-    /// `partition_point` over one shared distance yields exactly the
-    /// members `search_step` would touch.
-    cohorts: BTreeMap<u64, Vec<u32>>,
+    /// Delta members searching/tentative, grouped by comparison base.
+    cohorts: CohortTable,
     /// Window members of this class.
     window_members: Vec<u32>,
     /// Recipient bits of `window_members` — window admission is
@@ -481,73 +516,76 @@ struct ClassState {
     sampler_mask: FilterSet,
 }
 
-/// Inserts `m` into the cohort for its current base, keeping the
-/// `(qualify, member)` sort order.
-fn insert_cohort(class: &mut ClassState, delta: &DeltaArena, m: u32) {
-    let list = class
-        .cohorts
-        .entry(delta.base[m as usize].to_bits())
-        .or_default();
-    let q = delta.qualify[m as usize];
-    let pos = list.partition_point(|&o| (delta.qualify[o as usize], o) <= (q, m));
-    list.insert(pos, m);
+/// The searching/tentative delta members of a class that share one
+/// comparison base. Every member measures the same `|key − base|`, so the
+/// per-tuple pass computes that distance once: below `min_qualify` the
+/// whole cohort provably does nothing (one compare, no pointer chase),
+/// otherwise one `partition_point` over the sorted members yields exactly
+/// those `search_step` would touch.
+#[derive(Debug)]
+struct Cohort {
+    base: f64,
+    /// `qualify` of `members[0]` — the least distance any member reacts
+    /// to.
+    min_qualify: f64,
+    /// Ascending by `(qualify, member)`; never empty.
+    members: Vec<u32>,
 }
 
-/// Removes `m` from the cohort keyed by `bits` (its base at insertion
-/// time).
-fn remove_from_cohort(class: &mut ClassState, bits: u64, m: u32) {
-    if let Some(list) = class.cohorts.get_mut(&bits) {
-        list.retain(|&o| o != m);
-        if list.is_empty() {
-            class.cohorts.remove(&bits);
-        }
-    }
-}
-
-/// Dense bitmask over engine slots whose open candidate set is currently
-/// non-empty. Maintained at every arena mutation site, so the batch
-/// ingest path can enumerate open covers in O(open slots) instead of
-/// scanning the whole roster each row. Bits are exact (set iff the slot's
-/// open set is non-empty) and iteration is ascending by slot, so the
-/// cover list it yields is identical to a full roster scan.
+/// The cohorts of one class in contiguous storage, scanned linearly per
+/// tuple and kept sorted by base bits so that finding a base's cohort
+/// (relocation, stateful rebasing) is a binary search — a roster with
+/// many distinct bases pays O(log cohorts) per relocation, never a scan.
 #[derive(Debug, Default)]
-struct OpenIndex {
-    words: Vec<u64>,
-    /// Cover of each slot's open set, valid only where the bit is set.
-    /// Written at mutation time — when the open vec is hot in cache — so
-    /// the per-row drain reads one dense array instead of chasing
-    /// `member_of` → arena → candidate vec per open slot.
-    covers: Vec<TimeCover>,
+struct CohortTable {
+    cohorts: Vec<Cohort>,
+    /// Member lists of emptied cohorts, reused by the next new cohort.
+    spare: Vec<Vec<u32>>,
 }
 
-impl OpenIndex {
-    fn with_slots(n: usize) -> OpenIndex {
-        OpenIndex {
-            words: vec![0; n.div_ceil(64)],
-            covers: vec![TimeCover::point(Micros::ZERO); n],
-        }
+impl CohortTable {
+    fn position(&self, bits: u64) -> Result<usize, usize> {
+        self.cohorts
+            .binary_search_by_key(&bits, |c| c.base.to_bits())
     }
 
-    #[inline]
-    fn update(&mut self, slot: usize, cover: Option<TimeCover>) {
-        let (w, b) = (slot / 64, slot % 64);
-        match cover {
-            Some(c) => {
-                self.words[w] |= 1 << b;
-                self.covers[slot] = c;
+    /// Inserts `m` into the cohort for its current base (created if this
+    /// is the first member on that base).
+    fn insert(&mut self, delta: &DeltaArena, m: u32) {
+        let base = delta.base[m as usize];
+        let q = delta.qualify[m as usize];
+        let at = match self.position(base.to_bits()) {
+            Ok(at) => at,
+            Err(at) => {
+                let cohort = Cohort {
+                    base,
+                    min_qualify: q,
+                    members: self.spare.pop().unwrap_or_default(),
+                };
+                self.cohorts.insert(at, cohort);
+                at
             }
-            None => self.words[w] &= !(1 << b),
-        }
+        };
+        let cohort = &mut self.cohorts[at];
+        let pos = cohort
+            .members
+            .partition_point(|&o| (delta.qualify[o as usize], o) <= (q, m));
+        cohort.members.insert(pos, m);
+        cohort.min_qualify = delta.qualify[cohort.members[0] as usize];
     }
 
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            // `successors` computes the next value eagerly, so the
-            // clear-lowest-bit step must be total at w = 0.
-            std::iter::successors(Some(word), |&w| Some(w & w.wrapping_sub(1)))
-                .take_while(|&w| w != 0)
-                .map(move |w| wi * 64 + w.trailing_zeros() as usize)
-        })
+    /// Removes `m` from the cohort on base `bits` (its base at insertion
+    /// time).
+    fn remove(&mut self, delta: &DeltaArena, bits: u64, m: u32) {
+        let Ok(at) = self.position(bits) else {
+            return;
+        };
+        let cohort = &mut self.cohorts[at];
+        cohort.members.retain(|&o| o != m);
+        match cohort.members.first() {
+            Some(&first) => cohort.min_qualify = delta.qualify[first as usize],
+            None => self.spare.push(self.cohorts.remove(at).members),
+        }
     }
 }
 
@@ -579,8 +617,13 @@ pub struct CompiledRoster {
     /// a tuple never reaches the same member twice).
     to_vicinity: Vec<u32>,
     to_cohort: Vec<u32>,
-    /// Slots whose open set is non-empty (batch-path cover enumeration).
-    open_idx: OpenIndex,
+    /// Positions of the cohorts the current tuple's distance reaches.
+    reached: Vec<usize>,
+    /// Cover of every non-empty open set by slot, written at each arena
+    /// mutation — when the open list is hot in cache — so the engine's
+    /// per-row region drain never chases `member_of` → arena → list.
+    open_idx: OpenCovers,
+    set_pool: SetPool,
 }
 
 impl CompiledRoster {
@@ -603,7 +646,7 @@ impl CompiledRoster {
                 deriver: KeyDeriver::from_expr(key),
                 initial: Vec::new(),
                 vicinity: Vec::new(),
-                cohorts: BTreeMap::new(),
+                cohorts: CohortTable::default(),
                 window_members: Vec::new(),
                 sampler_mask: FilterSet::new(),
             })
@@ -666,7 +709,9 @@ impl CompiledRoster {
             key_cols,
             to_vicinity: Vec::new(),
             to_cohort: Vec::new(),
-            open_idx: OpenIndex::with_slots(width),
+            reached: Vec::new(),
+            open_idx: OpenCovers::with_slots(width),
+            set_pool: SetPool::new(),
         })
     }
 
@@ -761,12 +806,12 @@ impl CompiledRoster {
             // admission is one block-union over the whole class.
             for wi in 0..self.classes[ci].window_members.len() {
                 let m = self.classes[ci].window_members[wi] as usize;
-                if let Some(set) = self.windows.step(m, id, ts, key) {
+                if let Some(set) = self.windows.step(m, id, ts, key, &mut self.set_pool) {
                     let slot = self.windows.slot[m];
                     step.events.push((
                         slot,
                         StepEvent {
-                            dismissed: Vec::new(),
+                            dismissed: 0..0,
                             closed: Some(set),
                         },
                     ));
@@ -782,12 +827,14 @@ impl CompiledRoster {
             // Delta members still in Initial: first tuple is a reference.
             for ii in 0..self.classes[ci].initial.len() {
                 let m = self.classes[ci].initial[ii] as usize;
-                let mut action = FilterAction::none();
-                self.delta.on_reference(m, id, ts, key, &mut action);
+                let mut member = MemberStep::default();
+                let dismissed_from = step.dismissed.len();
+                self.delta
+                    .on_reference(m, id, ts, key, &mut member, &mut step.dismissed);
                 // The reference itself stays open.
                 self.open_idx
                     .update(self.delta.slot[m] as usize, cover_of(&self.delta.open[m]));
-                record(step, self.delta.slot[m], action);
+                record(step, self.delta.slot[m], dismissed_from, member);
                 self.to_vicinity.push(m as u32);
             }
             self.classes[ci].initial.clear();
@@ -797,17 +844,20 @@ impl CompiledRoster {
             let mut vi = 0;
             while vi < self.classes[ci].vicinity.len() {
                 let m = self.classes[ci].vicinity[vi] as usize;
-                let mut action = FilterAction::none();
+                let mut member = MemberStep::default();
+                let dismissed_from = step.dismissed.len();
                 if (key - self.delta.reference_val[m]).abs() <= self.delta.slack[m] {
                     self.delta.open[m].push(candidate_at(id, ts, key));
-                    action.admitted = true;
+                    member.admitted = true;
                 } else {
-                    action.closed = Some(self.delta.seal(m, CloseCause::Natural));
-                    self.delta.search_step(m, id, ts, key, &mut action);
+                    let sealed = self.delta.seal(m, CloseCause::Natural, &mut self.set_pool);
+                    member.closed = Some(sealed);
+                    self.delta
+                        .search_step(m, id, ts, key, &mut member, &mut step.dismissed);
                 }
                 self.open_idx
                     .update(self.delta.slot[m] as usize, cover_of(&self.delta.open[m]));
-                record(step, self.delta.slot[m], action);
+                record(step, self.delta.slot[m], dismissed_from, member);
                 if self.delta.phase[m] == Phase::Vicinity {
                     vi += 1;
                 } else {
@@ -816,36 +866,54 @@ impl CompiledRoster {
                 }
             }
 
-            // Cohorts: one distance + one binary search per distinct
-            // base; the non-qualifying suffix provably produces no
-            // action, so only the qualifying prefix runs `search_step`.
-            for (&bits, members) in self.classes[ci].cohorts.iter_mut() {
-                let base = f64::from_bits(bits);
-                let dist = (key - base).abs();
+            // Cohorts: one distance per distinct base. The scan itself only
+            // reads — a cohort whose smallest threshold the distance does
+            // not reach costs one compare — and the few it does reach pay
+            // one binary search each, after which only the qualifying
+            // prefix runs `search_step` (the suffix provably produces no
+            // action).
+            let table = &mut self.classes[ci].cohorts;
+            self.reached.clear();
+            self.reached.extend(
+                (table.cohorts.iter().enumerate())
+                    .filter(|(_, c)| c.min_qualify <= (key - c.base).abs())
+                    .map(|(at, _)| at),
+            );
+            for &at in &self.reached {
+                let cohort = &mut table.cohorts[at];
+                let dist = (key - cohort.base).abs();
+                let members = &mut cohort.members;
                 let cut = members.partition_point(|&m| self.delta.qualify[m as usize] <= dist);
-                if cut == 0 {
-                    continue;
-                }
                 let mut w = 0;
-                for r in 0..members.len() {
+                for r in 0..cut {
                     let m = members[r] as usize;
-                    if r < cut {
-                        let mut action = FilterAction::none();
-                        self.delta.search_step(m, id, ts, key, &mut action);
-                        self.open_idx
-                            .update(self.delta.slot[m] as usize, cover_of(&self.delta.open[m]));
-                        record(step, self.delta.slot[m], action);
-                        if self.delta.phase[m] == Phase::Vicinity {
-                            self.to_vicinity.push(m as u32);
-                            continue; // leaves the cohort
-                        }
+                    let mut member = MemberStep::default();
+                    let dismissed_from = step.dismissed.len();
+                    self.delta
+                        .search_step(m, id, ts, key, &mut member, &mut step.dismissed);
+                    self.open_idx
+                        .update(self.delta.slot[m] as usize, cover_of(&self.delta.open[m]));
+                    record(step, self.delta.slot[m], dismissed_from, member);
+                    if self.delta.phase[m] == Phase::Vicinity {
+                        self.to_vicinity.push(m as u32); // leaves the cohort
+                    } else {
+                        members[w] = members[r];
+                        w += 1;
                     }
-                    members[w] = members[r];
-                    w += 1;
                 }
-                members.truncate(w);
+                members.copy_within(cut.., w);
+                members.truncate(w + members.len() - cut);
+                if let Some(&first) = members.first() {
+                    cohort.min_qualify = self.delta.qualify[first as usize];
+                }
             }
-            self.classes[ci].cohorts.retain(|_, v| !v.is_empty());
+            // Emptied cohorts leave the table (last first, so the earlier
+            // positions stay valid); their lists are kept for reuse.
+            for &at in self.reached.iter().rev() {
+                if table.cohorts[at].members.is_empty() {
+                    table.spare.push(table.cohorts.remove(at).members);
+                }
+            }
 
             // Staged relocations (never within the same scan, so a tuple
             // reaches each member exactly once).
@@ -853,11 +921,9 @@ impl CompiledRoster {
             self.classes[ci].vicinity.extend_from_slice(&moved);
             self.to_vicinity = moved;
             self.to_vicinity.clear();
-            for i in 0..self.to_cohort.len() {
-                let m = self.to_cohort[i];
-                insert_cohort(&mut self.classes[ci], &self.delta, m);
+            for m in self.to_cohort.drain(..) {
+                self.classes[ci].cohorts.insert(&self.delta, m);
             }
-            self.to_cohort.clear();
         }
         // Engine replay order is ascending slot (≤ 1 event per slot).
         step.events.sort_unstable_by_key(|(slot, _)| *slot);
@@ -868,7 +934,7 @@ impl CompiledRoster {
     pub(crate) fn force_close(&mut self, slot: usize, cause: CloseCause) -> ForceCloseOutcome {
         match self.member_of.get(slot).copied().flatten() {
             Some(MemberRef::Window(m)) => {
-                let closed = self.windows.seal(m as usize, cause);
+                let closed = self.windows.seal(m as usize, cause, &mut self.set_pool);
                 self.open_idx.update(slot, None);
                 ForceCloseOutcome {
                     closed,
@@ -878,19 +944,33 @@ impl CompiledRoster {
             Some(MemberRef::Delta(m)) => {
                 let mi = m as usize;
                 let was_vicinity = self.delta.phase[mi] == Phase::Vicinity;
-                let out = self.delta.force_close(mi, cause);
+                let out = self.delta.force_close(mi, cause, &mut self.set_pool);
                 self.open_idx.update(slot, cover_of(&self.delta.open[mi]));
                 if was_vicinity {
                     // Sealed out of the vicinity: the member now searches
                     // from its (unchanged) base.
                     let ci = self.delta.class[mi] as usize;
                     self.classes[ci].vicinity.retain(|&o| o != m);
-                    insert_cohort(&mut self.classes[ci], &self.delta, m);
+                    self.classes[ci].cohorts.insert(&self.delta, m);
                 }
                 out
             }
             None => ForceCloseOutcome::default(),
         }
+    }
+
+    /// Takes back a closed set the engine is done with (its region
+    /// completed), so its lists back a later sealed set instead of being
+    /// freed here and allocated again there.
+    pub(crate) fn recycle(&mut self, set: ClosedSet) {
+        let ClosedSet {
+            mut candidates,
+            mut si_choice,
+            ..
+        } = set;
+        candidates.clear();
+        si_choice.clear();
+        self.set_pool.push((candidates, si_choice));
     }
 
     /// Informs a stateful member which value the group chose for its last
@@ -906,9 +986,9 @@ impl CompiledRoster {
             if old.to_bits() != key.to_bits()
                 && matches!(self.delta.phase[mi], Phase::Searching | Phase::Tentative)
             {
-                let ci = self.delta.class[mi] as usize;
-                remove_from_cohort(&mut self.classes[ci], old.to_bits(), m);
-                insert_cohort(&mut self.classes[ci], &self.delta, m);
+                let cohorts = &mut self.classes[self.delta.class[mi] as usize].cohorts;
+                cohorts.remove(&self.delta, old.to_bits(), m);
+                cohorts.insert(&self.delta, m);
             }
         }
     }
@@ -921,15 +1001,10 @@ impl CompiledRoster {
         }
     }
 
-    /// Fills `out` (cleared first) with the cover of every slot whose
-    /// open set is non-empty, ascending by slot — the identical list a
-    /// full roster scan produces, in O(open slots). The batch ingest
-    /// path calls this once per row for its region-drain check.
-    pub(crate) fn open_covers_into(&self, out: &mut Vec<TimeCover>) {
-        out.clear();
-        for slot in self.open_idx.iter() {
-            out.push(self.open_idx.covers[slot]);
-        }
+    /// The cover of every non-empty open set, by slot — what a full
+    /// roster scan would find.
+    pub(crate) fn open_covers(&self) -> &OpenCovers {
+        &self.open_idx
     }
 
     /// Number of candidates in the open set of the filter in `slot`.
@@ -965,9 +1040,65 @@ mod tests {
     use crate::filter::{build_filter, GroupFilter};
     use crate::tuple::series;
 
+    impl CompiledRoster {
+        /// The cohort tables' structural invariants: every class's table
+        /// is strictly ascending by base bits (so one cohort per distinct
+        /// base), every cohort is non-empty, sorted by `(qualify,
+        /// member)` with `min_qualify` its head's threshold, and the
+        /// cohorts hold exactly the searching/tentative members, each
+        /// under its current base.
+        fn assert_cohort_invariants(&self) {
+            let mut in_cohorts = 0;
+            for (ci, class) in self.classes.iter().enumerate() {
+                let cohorts = &class.cohorts.cohorts;
+                assert!(
+                    cohorts
+                        .windows(2)
+                        .all(|w| w[0].base.to_bits() < w[1].base.to_bits()),
+                    "class {ci}: table not strictly ascending by base bits"
+                );
+                for cohort in cohorts {
+                    let keys: Vec<(f64, u32)> = (cohort.members.iter())
+                        .map(|&m| (self.delta.qualify[m as usize], m))
+                        .collect();
+                    assert!(!keys.is_empty(), "class {ci}: empty cohort kept");
+                    assert!(keys.windows(2).all(|w| w[0] < w[1]), "unsorted cohort");
+                    assert_eq!(cohort.min_qualify, keys[0].0);
+                    for &m in &cohort.members {
+                        let m = m as usize;
+                        assert_eq!(self.delta.class[m] as usize, ci);
+                        assert_eq!(self.delta.base[m].to_bits(), cohort.base.to_bits());
+                        assert!(matches!(
+                            self.delta.phase[m],
+                            Phase::Searching | Phase::Tentative
+                        ));
+                    }
+                    in_cohorts += cohort.members.len();
+                }
+            }
+            let searching = (self.delta.phase.iter())
+                .filter(|p| matches!(p, Phase::Searching | Phase::Tentative))
+                .count();
+            assert_eq!(in_cohorts, searching, "a searching member is in no cohort");
+        }
+
+        fn cohort_count(&self) -> usize {
+            self.classes.iter().map(|c| c.cohorts.cohorts.len()).sum()
+        }
+    }
+
     /// Drives the compiled roster and the trait objects over the same
-    /// stream and asserts identical per-slot actions at every tuple.
-    fn assert_lockstep(specs: Vec<FilterSpec>, algorithm: Algorithm, points: &[(u64, f64)]) {
+    /// stream and asserts identical per-slot actions at every tuple —
+    /// and the cohort invariants after each. A stateful member whose set
+    /// closes is told an output (a different candidate each time) on both
+    /// sides, like the engine would; closed sets go back to the roster's
+    /// pool. `after_tuple` sees the roster after every tuple.
+    fn assert_lockstep_with(
+        specs: Vec<FilterSpec>,
+        algorithm: Algorithm,
+        points: &[(u64, f64)],
+        mut after_tuple: impl FnMut(&CompiledRoster),
+    ) {
         let schema = Schema::new(["t"]);
         let tuples = series(&schema, "t", points);
         let roster: Vec<(FilterId, FilterSpec)> = specs
@@ -1018,16 +1149,47 @@ mod tests {
                     }
                     _ => StepEvent::default(),
                 };
-                assert_eq!(ev.dismissed, want.dismissed, "dismissed slot {slot}");
+                assert_eq!(
+                    step.dismissed[ev.dismissed], want.dismissed,
+                    "dismissed slot {slot}"
+                );
                 assert_eq!(ev.closed, want.closed, "closed slot {slot}");
+                assert_eq!(compiled.is_stateful(slot), oracle.is_stateful());
+                if let Some(set) = ev.closed {
+                    if oracle.is_stateful() {
+                        let pick = set.candidates[set.set_index as usize % set.len()];
+                        compiled.output_chosen(slot, pick.key);
+                        oracle.output_chosen(pick.id, pick.key);
+                    }
+                    compiled.recycle(set);
+                }
             }
             assert!(events.is_empty(), "event for a slot that saw none");
+            compiled.assert_cohort_invariants();
+            after_tuple(&compiled);
         }
         for (slot, oracle) in oracles.iter_mut().enumerate() {
             let want = oracle.force_close(CloseCause::EndOfStream);
             let got = compiled.force_close(slot, CloseCause::EndOfStream);
             assert_eq!(got, want, "force_close slot {slot}");
         }
+    }
+
+    fn assert_lockstep(specs: Vec<FilterSpec>, algorithm: Algorithm, points: &[(u64, f64)]) {
+        assert_lockstep_with(specs, algorithm, points, |_| {});
+    }
+
+    /// A seeded random walk in steps of a quarter unit (so values — and
+    /// with them comparison bases — repeat), one tuple every 10 ms.
+    fn random_walk(seed: u64, tuples: u64, max_step: f64) -> Vec<(u64, f64)> {
+        let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut value = 50.0;
+        (0..tuples)
+            .map(|i| {
+                value += ((rng.next_f64() - 0.5) * 2.0 * max_step * 4.0).round() / 4.0;
+                (10 * (i + 1), value)
+            })
+            .collect()
     }
 
     fn paper_points() -> Vec<(u64, f64)> {
@@ -1083,6 +1245,58 @@ mod tests {
             Algorithm::SelfInterested,
             &paper_points(),
         );
+    }
+
+    #[test]
+    fn identical_specs_share_one_cohort_per_base() {
+        // 512 copies of one spec move in lockstep, so at every tuple they
+        // sit together in one bucket; with 8 more specs of their own there
+        // are at most 9 distinct bases, and the table must never hold
+        // more cohorts than that — nor fewer than the bases in use.
+        let mut specs = vec![FilterSpec::delta("t", 12.0, 3.0); 512];
+        specs.extend((0..8).map(|i| FilterSpec::delta("t", 5.0 + 4.0 * i as f64, 1.0 + i as f64)));
+        let mut most = 0;
+        assert_lockstep_with(
+            specs,
+            Algorithm::RegionGreedy,
+            &random_walk(7, 400, 6.0),
+            |compiled| {
+                let bases: std::collections::BTreeSet<u64> = (0..compiled.delta.slot.len())
+                    .filter(|&m| {
+                        matches!(compiled.delta.phase[m], Phase::Searching | Phase::Tentative)
+                    })
+                    .map(|m| compiled.delta.base[m].to_bits())
+                    .collect();
+                assert_eq!(compiled.cohort_count(), bases.len());
+                assert!(bases.len() <= 9);
+                most = most.max(bases.len());
+            },
+        );
+        assert!(most > 1, "the walk never separated the specs' bases");
+    }
+
+    #[test]
+    fn stateful_rebasing_stays_in_lockstep() {
+        // Stateful members are rebased to a chosen candidate whenever a
+        // set of theirs closes: that takes them out of one cohort and into
+        // another (or a new one, or one a stateless member's reference
+        // already opened on the same value), empties cohorts and reuses
+        // their lists.
+        let mut specs = Vec::new();
+        for i in 0..6 {
+            let (delta, slack) = (4.0 + 1.5 * i as f64, 1.0 + 0.25 * i as f64);
+            specs.push(FilterSpec::stateful_delta("t", delta, slack));
+            specs.push(FilterSpec::stateful_delta("t", delta, slack));
+            specs.push(FilterSpec::delta("t", delta, slack));
+        }
+        let mut most = 0;
+        assert_lockstep_with(
+            specs,
+            Algorithm::PerCandidateSet,
+            &random_walk(11, 2_500, 3.0),
+            |compiled| most = most.max(compiled.cohort_count()),
+        );
+        assert!(most > 6, "only {most} cohorts at once");
     }
 
     #[test]
@@ -1147,7 +1361,11 @@ mod tests {
         assert_eq!(a.events.len(), b.events.len(), "event count: {ctx}");
         for ((sa, ea), (sb, eb)) in a.events.iter().zip(&b.events) {
             assert_eq!(sa, sb, "event slot: {ctx}");
-            assert_eq!(ea.dismissed, eb.dismissed, "dismissed: {ctx}");
+            assert_eq!(
+                a.dismissed[ea.dismissed.clone()],
+                b.dismissed[eb.dismissed.clone()],
+                "dismissed: {ctx}"
+            );
             assert_eq!(ea.closed, eb.closed, "closed: {ctx}");
         }
     }
@@ -1182,7 +1400,7 @@ mod tests {
     #[test]
     fn columnar_evaluation_matches_per_tuple_and_interpreted() {
         let schema = Schema::new(["t", "u"]);
-        for seed in 1..=16u64 {
+        for seed in 1..=64u64 {
             let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
             // Random roster: always one delta, plus a random mix of every
             // other taxonomy branch.

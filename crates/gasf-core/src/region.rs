@@ -22,21 +22,102 @@ use crate::candidate::{ClosedSet, TimeCover};
 use crate::time::Micros;
 use crate::tuple::TupleId;
 
+/// The time covers of the currently open candidate sets, indexed by
+/// filter slot: a dense bitmask of the slots whose open set is non-empty
+/// plus, for each of those, its cover. Whoever owns the open sets writes a
+/// slot's entry whenever that set changes, so the per-row region drain
+/// reads one dense array — O(1) for "is slot `i` still in the way?",
+/// O(open slots), ascending, for a full scan.
+#[derive(Debug, Default)]
+pub(crate) struct OpenCovers {
+    words: Vec<u64>,
+    /// Valid only where the slot's bit is set.
+    covers: Vec<TimeCover>,
+}
+
+impl OpenCovers {
+    pub(crate) fn with_slots(n: usize) -> OpenCovers {
+        let mut open = OpenCovers::default();
+        open.reset(n);
+        open
+    }
+
+    /// Empties the index and sizes it for `n` slots.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        self.covers.resize(n, TimeCover::point(Micros::ZERO));
+    }
+
+    #[inline]
+    pub(crate) fn update(&mut self, slot: usize, cover: Option<TimeCover>) {
+        let (w, b) = (slot / 64, slot % 64);
+        match cover {
+            Some(c) => {
+                self.words[w] |= 1 << b;
+                self.covers[slot] = c;
+            }
+            None => self.words[w] &= !(1 << b),
+        }
+    }
+
+    fn get(&self, slot: usize) -> Option<TimeCover> {
+        let open = self.words.get(slot / 64)? & (1 << (slot % 64)) != 0;
+        open.then(|| self.covers[slot])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, TimeCover)> + '_ {
+        self.words.iter().enumerate().flat_map(move |(wi, &word)| {
+            // `successors` computes the next value eagerly, so the
+            // clear-lowest-bit step must be total at w = 0.
+            std::iter::successors(Some(word), |&w| Some(w & w.wrapping_sub(1)))
+                .take_while(|&w| w != 0)
+                .map(move |w| wi * 64 + w.trailing_zeros() as usize)
+                .map(|slot| (slot, self.covers[slot]))
+        })
+    }
+}
+
+/// `Region::blocker` before any open set was found in the way.
+const NO_BLOCKER: usize = usize::MAX;
+
 /// A family of connected candidate sets awaiting (or ready for) a group
 /// decision.
 #[derive(Debug, Clone)]
 pub struct Region {
     sets: Vec<ClosedSet>,
     cover: TimeCover,
+    /// Slot of the open set that last kept this region from completing —
+    /// a hint, re-checked on every drain: an open set stays in the way
+    /// until it closes, so the common drain is one lookup, not a scan.
+    blocker: usize,
 }
 
 impl Region {
-    fn from_set(set: ClosedSet) -> Self {
+    /// A single-set region in `sets` (an empty list, possibly recycled).
+    fn from_set(set: ClosedSet, mut sets: Vec<ClosedSet>) -> Self {
         let cover = set.cover();
+        sets.push(set);
         Region {
-            sets: vec![set],
+            sets,
             cover,
+            blocker: NO_BLOCKER,
         }
+    }
+
+    /// Whether an open candidate set's cover still intersects the
+    /// region's (checking the remembered one first).
+    fn blocked_by(&mut self, open: &OpenCovers) -> bool {
+        let cover = self.cover;
+        if open
+            .get(self.blocker)
+            .is_some_and(|oc| oc.intersects(&cover))
+        {
+            return true;
+        }
+        let found = open.iter().find(|(_, oc)| oc.intersects(&cover));
+        self.blocker = found.map_or(NO_BLOCKER, |(slot, _)| slot);
+        found.is_some()
     }
 
     /// Candidate sets of the region, in merge order (not meaningful —
@@ -64,7 +145,9 @@ impl Region {
 
     /// The *distinct* tuple ids referenced by the region, ascending.
     pub fn distinct_ids(&self) -> Vec<TupleId> {
-        crate::hitting_set::collect_distinct_ids(&self.sets)
+        let mut ids = Vec::new();
+        crate::hitting_set::collect_distinct_ids(&self.sets, &mut ids);
+        ids
     }
 
     /// Number of *distinct* tuples in the region.
@@ -79,9 +162,11 @@ impl Region {
             .any(|s| s.cause == crate::candidate::CloseCause::Cut)
     }
 
-    fn absorb(&mut self, mut other: Region) {
+    /// Moves `other`'s sets in, handing back its emptied list.
+    fn absorb(&mut self, mut other: Region) -> Vec<ClosedSet> {
         self.cover = self.cover.union(&other.cover);
         self.sets.append(&mut other.sets);
+        other.sets
     }
 }
 
@@ -96,7 +181,12 @@ impl Region {
 /// admitted in arrival order.
 #[derive(Debug, Default)]
 pub struct RegionTracker {
+    /// Pairwise disjoint (Axiom 2), kept in time order — so the regions
+    /// a new set connects are one run, found by binary search.
     pending: Vec<Region>,
+    /// Emptied set lists (of absorbed regions, and of completed ones the
+    /// engine hands back), reused by the next single-set region.
+    spare: Vec<Vec<ClosedSet>>,
 }
 
 impl RegionTracker {
@@ -108,55 +198,79 @@ impl RegionTracker {
     /// Adds a freshly closed candidate set, merging any pending regions it
     /// connects (directly or transitively — Definition 3).
     pub fn add(&mut self, set: ClosedSet) {
-        let mut merged = Region::from_set(set);
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].cover.intersects(&merged.cover) {
-                let mut other = self.pending.swap_remove(i);
-                // Absorb the smaller side into the larger: a long-lived
-                // region accumulates thousands of sets, and moving it
-                // into each new single-set region would make the steady
-                // stream of merges quadratic in region size. Set order
-                // inside a region is not meaningful — the solver's
-                // tie-breaks are (usefulness, ts, id), never set index.
-                if other.sets.len() > merged.sets.len() {
-                    std::mem::swap(&mut other, &mut merged);
-                }
-                merged.absorb(other);
-                // restart: the enlarged cover may now reach more regions
-                i = 0;
-            } else {
-                i += 1;
-            }
+        let cover = set.cover();
+        // The run of pending regions the set intersects. (Merging them
+        // cannot reach a further region: the merged cover spans exactly
+        // the set and the run, and everything else is disjoint from both.)
+        let lo = self.pending.partition_point(|r| r.cover.max < cover.min);
+        let hi = lo + self.pending[lo..].partition_point(|r| r.cover.min <= cover.max);
+        if hi - lo == 1 {
+            // The common case: the set joins one region, in place.
+            let home = &mut self.pending[lo];
+            home.cover = home.cover.union(&cover);
+            home.sets.push(set);
+            return;
         }
-        self.pending.push(merged);
+        let mut merged = Region::from_set(set, self.spare.pop().unwrap_or_default());
+        for mut other in self.pending.drain(lo..hi) {
+            // Absorb the smaller side into the larger: a long-lived
+            // region accumulates thousands of sets, and moving it into
+            // each new single-set region would make the steady stream of
+            // merges quadratic in region size. Set order inside a region
+            // is not meaningful — the solver's tie-breaks are
+            // (usefulness, ts, id), never set index.
+            if other.sets.len() > merged.sets.len() {
+                std::mem::swap(&mut other, &mut merged);
+            }
+            self.spare.push(merged.absorb(other));
+        }
+        self.pending.insert(lo, merged);
     }
 
     /// Removes and returns the regions that are ready, given the time
     /// covers of all currently open candidate sets and the current stream
     /// time. Ready regions are returned oldest-first.
     pub fn drain_ready(&mut self, open_covers: &[TimeCover], now: Micros) -> Vec<Region> {
+        let mut open = OpenCovers::with_slots(open_covers.len());
+        for (slot, &cover) in open_covers.iter().enumerate() {
+            open.update(slot, Some(cover));
+        }
         let mut ready = Vec::new();
+        self.drain_ready_into(&open, now, &mut ready);
+        ready
+    }
+
+    /// [`drain_ready`](Self::drain_ready) over slot-indexed covers,
+    /// appending to a caller-owned buffer (oldest first). The O(1) time
+    /// bound is tested first, and a region only rescans the open covers
+    /// once the open set it remembers being blocked by has closed or
+    /// moved on.
+    pub(crate) fn drain_ready_into(
+        &mut self,
+        open: &OpenCovers,
+        now: Micros,
+        ready: &mut Vec<Region>,
+    ) {
         let mut i = 0;
         while i < self.pending.len() {
-            let region = &self.pending[i];
-            let blocked =
-                open_covers.iter().any(|oc| oc.intersects(&region.cover)) || now < region.cover.max;
-            if blocked {
+            let region = &mut self.pending[i];
+            if now < region.cover.max || region.blocked_by(open) {
                 i += 1;
             } else {
-                ready.push(self.pending.swap_remove(i));
+                ready.push(self.pending.remove(i));
             }
         }
-        ready.sort_by_key(|r| r.cover().min);
-        ready
+    }
+
+    /// Takes back the (emptied) set list of a completed region for reuse.
+    pub(crate) fn recycle(&mut self, mut sets: Vec<ClosedSet>) {
+        sets.clear();
+        self.spare.push(sets);
     }
 
     /// Drains every pending region unconditionally (end of stream).
     pub fn drain_all(&mut self) -> Vec<Region> {
-        let mut all = std::mem::take(&mut self.pending);
-        all.sort_by_key(|r| r.cover().min);
-        all
+        std::mem::take(&mut self.pending)
     }
 
     /// Whether any pending region has passed its time bound (`now >=
@@ -171,7 +285,7 @@ impl RegionTracker {
 
     /// Earliest timestamp across pending regions (used for cut accounting).
     pub fn earliest_pending(&self) -> Option<Micros> {
-        self.pending.iter().map(|r| r.cover.min).min()
+        self.pending.first().map(|r| r.cover.min)
     }
 
     /// Number of regions currently pending.

@@ -98,7 +98,9 @@ enum PoolSlot {
 ///   become `Arc<Tuple>`s at all.
 #[derive(Debug, Default)]
 pub struct TuplePool {
-    ring: SeqRing<PoolSlot>,
+    /// Each live id's payload and whether the engine has emitted it
+    /// (see [`mark_emitted`](Self::mark_emitted)).
+    ring: SeqRing<(PoolSlot, bool)>,
     materialized: u64,
 }
 
@@ -124,7 +126,8 @@ impl TuplePool {
             self.ring.end()
         );
         let arc = Arc::new(tuple);
-        self.ring.set(id.seq(), PoolSlot::Tuple(Arc::clone(&arc)));
+        self.ring
+            .set(id.seq(), (PoolSlot::Tuple(Arc::clone(&arc)), false));
         (id, arc)
     }
 
@@ -150,8 +153,8 @@ impl TuplePool {
         );
         self.ring.reserve(rows);
         for r in 0..rows {
-            self.ring
-                .set(batch.seq(r), PoolSlot::Row(Arc::clone(batch), r as u32));
+            let row = PoolSlot::Row(Arc::clone(batch), r as u32);
+            self.ring.set(batch.seq(r), (row, false));
         }
     }
 
@@ -160,7 +163,7 @@ impl TuplePool {
     /// [`resolve`](Self::resolve)d — use [`contains`](Self::contains) for
     /// liveness.
     pub fn get(&self, id: TupleId) -> Option<&Arc<Tuple>> {
-        match self.ring.get(id.seq())? {
+        match &self.ring.get(id.seq())?.0 {
             PoolSlot::Tuple(arc) => Some(arc),
             PoolSlot::Row(..) => None,
         }
@@ -169,7 +172,7 @@ impl TuplePool {
     /// The shared payload of a live id, materialising a lazy batch row in
     /// place on first resolution; `None` once released.
     pub fn resolve(&mut self, id: TupleId) -> Option<Arc<Tuple>> {
-        let slot = self.ring.get_mut(id.seq())?;
+        let (slot, _) = self.ring.get_mut(id.seq())?;
         if let PoolSlot::Row(batch, r) = slot {
             let arc = Arc::new(batch.materialize_row(*r as usize));
             *slot = PoolSlot::Tuple(arc);
@@ -178,6 +181,18 @@ impl TuplePool {
         match slot {
             PoolSlot::Tuple(arc) => Some(Arc::clone(arc)),
             PoolSlot::Row(..) => unreachable!("lazy slot materialised above"),
+        }
+    }
+
+    /// Marks a live id as emitted; `true` the first time (and for ids the
+    /// pool no longer holds, which cannot be emitted at all). This is the
+    /// engine's distinct-output accounting: an id can only be emitted
+    /// again while the pool still holds it, so the mark lives and dies
+    /// with the slot instead of in a set that grows with the stream.
+    pub(crate) fn mark_emitted(&mut self, id: TupleId) -> bool {
+        match self.ring.get_mut(id.seq()) {
+            Some((_, emitted)) => !std::mem::replace(emitted, true),
+            None => true,
         }
     }
 

@@ -11,12 +11,32 @@
 //! different subset of the group, the tree is pruned to that subset, and
 //! the message crosses every link at most once — so the more recipients
 //! share a tuple, the fewer bytes per recipient.
+//!
+//! ## Route resolution
+//!
+//! A send does no graph search and builds no container but the returned
+//! [`Delivery::latencies`]. What it walks is laid out ahead of it:
+//!
+//! * the underlay never changes after [`Overlay::with_config`], so every
+//!   overlay hop `(from, to)` is resolved to its underlay links **once**,
+//!   on first use, and kept for the overlay's lifetime (`Underlay`);
+//!   per-link byte counters are indexed by a dense link id;
+//! * a group's tree is a node-indexed `child → parent` array, rewritten
+//!   only by `create_group` / `join_group` / `leave_group` / `fail_node`
+//!   (repair, re-graft) / `remove_group` — a send reads whatever tree
+//!   those left behind, so there is no derived per-group route state to
+//!   invalidate;
+//! * the `src → root` leg steps the live ring directly (it depends on the
+//!   failed set, which `fail_node` / `recover_node` change), so nothing
+//!   about it is cached either;
+//! * which tree nodes one send has reached is epoch-stamped per-node
+//!   scratch, reused by the next send.
 
-use crate::topology::{NodeId, Topology};
+use crate::topology::{LinkSpec, NodeId, Topology};
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::Emission;
 use gasf_core::time::Micros;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 /// Identifier of a multicast group.
@@ -148,15 +168,181 @@ impl Delivery {
     }
 }
 
+/// `parent` entry of a node that has no uplink in a group's tree.
+const NO_PARENT: u32 = u32::MAX;
+
 #[derive(Debug)]
 struct Group {
     root: NodeId,
     members: Vec<NodeId>,
-    /// Tree edges: child → parent (root has no entry).
-    parent: HashMap<NodeId, NodeId>,
+    /// Tree edges, indexed by child node: `parent[child]`, [`NO_PARENT`]
+    /// for the root and for nodes off the tree.
+    parent: Vec<u32>,
     /// Tree edges (as `(parent, child)` id pairs) created by self-repair
     /// after a node failure — what [`Delivery::repair_bytes`] accounts.
     repaired: HashSet<(u32, u32)>,
+}
+
+impl Group {
+    fn new(root: NodeId, nodes: usize) -> Group {
+        Group {
+            root,
+            members: Vec::new(),
+            parent: vec![NO_PARENT; nodes],
+            repaired: HashSet::new(),
+        }
+    }
+
+    fn parent_of(&self, child: NodeId) -> Option<NodeId> {
+        match self.parent[child.index()] {
+            NO_PARENT => None,
+            p => Some(NodeId(p)),
+        }
+    }
+
+    /// Whether `node` already stands on the tree (the root, or a node
+    /// with an uplink) — where a join route stops.
+    fn on_tree(&self, node: NodeId) -> bool {
+        node == self.root || self.parent[node.index()] != NO_PARENT
+    }
+
+    /// The Scribe join: walks `route` (joiner first, root last) and makes
+    /// each hop's next node the parent, stopping at the first node that
+    /// is already on the tree. Returns how many edges — the leading
+    /// `(child, parent)` pairs of `route` — it created.
+    fn graft(&mut self, route: &[NodeId]) -> usize {
+        let new = route.iter().take_while(|&&n| !self.on_tree(n)).count();
+        for pair in route.windows(2).take(new) {
+            self.parent[pair[0].index()] = pair[1].0;
+        }
+        new
+    }
+}
+
+/// One underlay link of a resolved overlay hop.
+#[derive(Debug, Clone, Copy)]
+struct HopLink {
+    /// Dense id of the undirected link (index into the byte counters).
+    link: u32,
+    spec: LinkSpec,
+}
+
+/// `hop_of` entry of a hop nobody has sent over yet (resolved hops are
+/// stored as their `hops` index plus one).
+const UNRESOLVED: u32 = 0;
+
+/// The underlay as the send path sees it: the immutable [`Topology`] plus
+/// every overlay hop `(from, to)` sent over so far, resolved to its
+/// minimum-hop underlay path once and kept (the topology cannot change
+/// under an overlay), and per-link byte counters indexed densely.
+#[derive(Debug)]
+struct Underlay {
+    topology: Topology,
+    /// `hop_of[from][to]`: [`UNRESOLVED`] or a `hops` index plus one; a
+    /// row is allocated when its node first sends.
+    hop_of: Vec<Vec<u32>>,
+    /// Resolved hops as ranges into `hop_links`; `None` for a pair the
+    /// underlay does not connect.
+    hops: Vec<Option<(u32, u32)>>,
+    hop_links: Vec<HopLink>,
+    /// Undirected link `(a, b)`, `a <= b` → dense link id, assigned when
+    /// a resolved hop first crosses the link (cold path only).
+    link_ids: HashMap<(u32, u32), u32>,
+    link_ends: Vec<(u32, u32)>,
+    /// Bytes per link id since construction or the last reset; `None`
+    /// until the link carries a message.
+    link_bytes: Vec<Option<u64>>,
+}
+
+impl Underlay {
+    fn new(topology: Topology) -> Underlay {
+        Underlay {
+            hop_of: vec![Vec::new(); topology.len()],
+            topology,
+            hops: Vec::new(),
+            hop_links: Vec::new(),
+            link_ids: HashMap::new(),
+            link_ends: Vec::new(),
+            link_bytes: Vec::new(),
+        }
+    }
+
+    /// The underlay links of overlay hop `from → to`, resolved on first
+    /// use.
+    fn hop(&mut self, from: NodeId, to: NodeId) -> Result<(u32, u32), NetError> {
+        let nodes = self.topology.len();
+        let row = self
+            .hop_of
+            .get_mut(from.index())
+            .ok_or(NetError::UnknownNode(from))?;
+        if to.index() >= nodes {
+            return Err(NetError::Disconnected(from, to));
+        }
+        if row.is_empty() {
+            row.resize(nodes, UNRESOLVED);
+        }
+        if row[to.index()] == UNRESOLVED {
+            let resolved = self.resolve(from, to);
+            self.hops.push(resolved);
+            self.hop_of[from.index()][to.index()] = self.hops.len() as u32;
+        }
+        let hop = self.hop_of[from.index()][to.index()] - 1;
+        self.hops[hop as usize].ok_or(NetError::Disconnected(from, to))
+    }
+
+    /// The one graph search a hop ever costs.
+    fn resolve(&mut self, from: NodeId, to: NodeId) -> Option<(u32, u32)> {
+        let path = self.topology.path(from, to)?;
+        let start = self.hop_links.len() as u32;
+        for pair in path.windows(2) {
+            let spec = self
+                .topology
+                .link(pair[0], pair[1])
+                .expect("BFS path follows links");
+            let ends = (pair[0].0.min(pair[1].0), pair[0].0.max(pair[1].0));
+            let next_id = self.link_ends.len() as u32;
+            let link = *self.link_ids.entry(ends).or_insert(next_id);
+            if link == next_id {
+                self.link_ends.push(ends);
+                self.link_bytes.push(None);
+            }
+            self.hop_links.push(HopLink { link, spec });
+        }
+        Some((start, self.hop_links.len() as u32))
+    }
+
+    /// One overlay hop: software delay + store-and-forward along the
+    /// underlay shortest path, accounting bytes per link.
+    fn transmit(
+        &mut self,
+        software_delay: Micros,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+    ) -> Result<(Micros, u64), NetError> {
+        let (start, end) = self.hop(from, to)?;
+        let mut latency = software_delay;
+        for hl in &self.hop_links[start as usize..end as usize] {
+            latency += hl.spec.transfer_time(bytes);
+            let counter = &mut self.link_bytes[hl.link as usize];
+            *counter = Some(counter.unwrap_or(0) + bytes as u64);
+        }
+        Ok((latency, bytes as u64 * u64::from(end - start)))
+    }
+}
+
+/// The next overlay node on the route from `at` to `to`: the clockwise
+/// ring successor (Chord-style; ring order is node-id order), skipping
+/// failed nodes — a live overlay routes around dead neighbours.
+fn next_live(failed: &BTreeSet<NodeId>, nodes: usize, at: NodeId, to: NodeId) -> NodeId {
+    let mut i = at.index();
+    loop {
+        i = (i + 1) % nodes;
+        let n = NodeId(i as u32);
+        if n == to || !failed.contains(&n) {
+            return n;
+        }
+    }
 }
 
 /// A multicast group split into several independent rendezvous trees, one
@@ -211,16 +397,20 @@ pub struct RepairReport {
 /// A DHT-ring overlay with Scribe-like multicast over a [`Topology`].
 #[derive(Debug)]
 pub struct Overlay {
-    topology: Topology,
+    net: Underlay,
     config: OverlayConfig,
-    /// Ring order: node ids sorted by hashed position.
-    ring: Vec<NodeId>,
     groups: HashMap<GroupId, Group>,
-    link_bytes: HashMap<(u32, u32), u64>,
     messages: u64,
     /// Reusable recipient-node buffer for the borrow-based
     /// [`multicast_emission`](Overlay::multicast_emission) path.
     scratch_nodes: Vec<NodeId>,
+    /// Per-node send scratch: the send that last reached the node (see
+    /// `sends`) and the message's arrival time there.
+    reached: Vec<(u64, Micros)>,
+    /// Tree sends so far — the stamp of the current one in `reached`.
+    sends: u64,
+    /// Reusable buffer for the chain one recipient climbs.
+    chain: Vec<NodeId>,
     /// Nodes whose overlay process is currently failed (fail-stop; the
     /// underlay keeps forwarding — see [`Overlay::fail_node`]).
     failed: BTreeSet<NodeId>,
@@ -259,15 +449,15 @@ impl Overlay {
     /// aligning the DHT ring with the deployment order (nodes are
     /// typically numbered along the mesh).
     pub fn with_config(topology: Topology, config: OverlayConfig) -> Self {
-        let ring: Vec<NodeId> = topology.nodes().collect();
         Overlay {
-            topology,
+            reached: vec![(0, Micros::ZERO); topology.len()],
+            net: Underlay::new(topology),
             config,
-            ring,
             groups: HashMap::new(),
-            link_bytes: HashMap::new(),
             messages: 0,
             scratch_nodes: Vec::new(),
+            sends: 0,
+            chain: Vec::new(),
             failed: BTreeSet::new(),
             repairs: 0,
             repair_bytes: 0,
@@ -276,7 +466,7 @@ impl Overlay {
 
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.net.topology
     }
 
     /// The configuration in effect.
@@ -288,42 +478,25 @@ impl Overlay {
     /// — when that node has failed — its first live clockwise successor
     /// (Pastry's key-ownership handover on node departure).
     fn owner(&self, key: u64) -> NodeId {
-        let slot = (key % self.ring.len() as u64) as usize;
-        for step in 0..self.ring.len() {
-            let n = self.ring[(slot + step) % self.ring.len()];
-            if !self.failed.contains(&n) {
-                return n;
-            }
-        }
-        // Every node failed: degenerate, but keep the mapping total.
-        self.ring[slot]
+        let nodes = self.net.topology.len();
+        let slot = (key % nodes as u64) as usize;
+        (0..nodes)
+            .map(|step| NodeId(((slot + step) % nodes) as u32))
+            .find(|n| !self.failed.contains(n))
+            // Every node failed: degenerate, but keep the mapping total.
+            .unwrap_or(NodeId(slot as u32))
     }
 
-    /// Overlay route from `from` to `to`: clockwise successor walk on the
-    /// ring (Chord-style), skipping failed nodes — a live overlay routes
-    /// around dead neighbours. Includes both endpoints.
+    /// Overlay route from `from` to `to` over the live ring (see
+    /// [`next_live`]). Includes both endpoints.
     fn overlay_route(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
         let mut route = vec![from];
-        if from == to {
-            return route;
+        let mut at = from;
+        while at != to {
+            at = next_live(&self.failed, self.net.topology.len(), at, to);
+            route.push(at);
         }
-        let start = self
-            .ring
-            .iter()
-            .position(|&n| n == from)
-            .expect("node on ring");
-        let mut i = start;
-        loop {
-            i = (i + 1) % self.ring.len();
-            let n = self.ring[i];
-            if n == to {
-                route.push(n);
-                return route;
-            }
-            if !self.failed.contains(&n) {
-                route.push(n);
-            }
-        }
+        route
     }
 
     /// Creates a multicast group rooted at the owner of `hash(name)`,
@@ -337,7 +510,7 @@ impl Overlay {
             return Err(NetError::EmptyGroup);
         }
         for &m in members {
-            if m.index() >= self.topology.len() {
+            if m.index() >= self.net.topology.len() {
                 return Err(NetError::UnknownNode(m));
             }
             if self.failed.contains(&m) {
@@ -345,28 +518,12 @@ impl Overlay {
             }
         }
         let id = GroupId(hash_str(name));
-        let root = self.owner(id.0);
-        let mut parent = HashMap::new();
+        let mut g = Group::new(self.owner(id.0), self.net.topology.len());
+        g.members = members.to_vec();
         for &m in members {
-            // join: walk toward the root; each hop's next node becomes the
-            // parent, stopping early when we meet the existing tree.
-            let route = self.overlay_route(m, root);
-            for pair in route.windows(2) {
-                if parent.contains_key(&pair[0]) || pair[0] == root {
-                    break;
-                }
-                parent.insert(pair[0], pair[1]);
-            }
+            g.graft(&self.overlay_route(m, g.root));
         }
-        self.groups.insert(
-            id,
-            Group {
-                root,
-                members: members.to_vec(),
-                parent,
-                repaired: HashSet::new(),
-            },
-        );
+        self.groups.insert(id, g);
         Ok(id)
     }
 
@@ -415,31 +572,21 @@ impl Overlay {
     /// # Errors
     /// [`NetError::UnknownGroup`] / [`NetError::UnknownNode`].
     pub fn join_group(&mut self, group: GroupId, node: NodeId) -> Result<(), NetError> {
-        if node.index() >= self.topology.len() {
+        if node.index() >= self.net.topology.len() {
             return Err(NetError::UnknownNode(node));
         }
         if self.failed.contains(&node) {
             return Err(NetError::NodeFailed(node));
         }
         let root = self.group_root(group)?;
-        if self
-            .groups
-            .get(&group)
-            .is_some_and(|g| g.members.contains(&node))
-        {
-            return Ok(());
-        }
         let route = self.overlay_route(node, root);
         let g = self
             .groups
             .get_mut(&group)
             .expect("group_root proved the group exists");
-        g.members.push(node);
-        for pair in route.windows(2) {
-            if g.parent.contains_key(&pair[0]) || pair[0] == root {
-                break;
-            }
-            g.parent.insert(pair[0], pair[1]);
+        if !g.members.contains(&node) {
+            g.members.push(node);
+            g.graft(&route);
         }
         Ok(())
     }
@@ -464,17 +611,20 @@ impl Overlay {
         };
         g.members.remove(pos);
         // Prune: keep exactly the chains the remaining members stand on.
-        let mut needed: HashSet<NodeId> = HashSet::new();
+        let mut needed = vec![false; g.parent.len()];
         for &m in &g.members {
             let mut cur = m;
-            while cur != g.root && needed.insert(cur) {
-                cur = *g
-                    .parent
-                    .get(&cur)
+            while cur != g.root && !std::mem::replace(&mut needed[cur.index()], true) {
+                cur = g
+                    .parent_of(cur)
                     .expect("tree connects every member to the root");
             }
         }
-        g.parent.retain(|child, _| needed.contains(child));
+        for (uplink, needed) in g.parent.iter_mut().zip(needed) {
+            if !needed {
+                *uplink = NO_PARENT;
+            }
+        }
         Ok(())
     }
 
@@ -577,7 +727,7 @@ impl Overlay {
     /// [`NetError::UnknownNode`] outside the topology,
     /// [`NetError::NodeFailed`] when the node is already failed.
     pub fn fail_node(&mut self, node: NodeId) -> Result<RepairReport, NetError> {
-        if node.index() >= self.topology.len() {
+        if node.index() >= self.net.topology.len() {
             return Err(NetError::UnknownNode(node));
         }
         if !self.failed.insert(node) {
@@ -606,7 +756,7 @@ impl Overlay {
     /// # Errors
     /// [`NetError::UnknownNode`] outside the topology.
     pub fn recover_node(&mut self, node: NodeId) -> Result<bool, NetError> {
-        if node.index() >= self.topology.len() {
+        if node.index() >= self.net.topology.len() {
             return Err(NetError::UnknownNode(node));
         }
         Ok(self.failed.remove(&node))
@@ -645,31 +795,23 @@ impl Overlay {
         // every child's edge into it — those children are the orphaned
         // chain heads the re-graft walk below picks up. (Removing only
         // the uplink would leave the corpse forwarding for its subtree.)
-        g.parent.remove(&failed);
-        g.parent.retain(|_, parent| *parent != failed);
+        g.parent[failed.index()] = NO_PARENT;
+        for uplink in &mut g.parent {
+            if *uplink == failed.0 {
+                *uplink = NO_PARENT;
+            }
+        }
         g.repaired.retain(|&(p, c)| p != failed.0 && c != failed.0);
         if g.root == failed {
             // Rendezvous-root failover: ownership moves to the next live
             // ring successor and the tree is rebuilt from scratch.
             report.reroots += 1;
-            let slot = self
-                .ring
-                .iter()
-                .position(|&n| n == failed)
-                .expect("root is on the ring");
-            let mut new_root = g.root;
-            for step in 1..=self.ring.len() {
-                let n = self.ring[(slot + step) % self.ring.len()];
-                if !self.failed.contains(&n) {
-                    new_root = n;
-                    break;
-                }
-            }
-            g.root = new_root;
-            g.parent.clear();
+            // (`failed` itself again only when every node is down.)
+            g.root = next_live(&self.failed, g.parent.len(), failed, failed);
+            g.parent.fill(NO_PARENT);
             g.repaired.clear();
-            if new_root == failed {
-                return; // every node is down; nothing to rebuild
+            if g.root == failed {
+                return; // nothing to rebuild
             }
             for m in g.members.clone() {
                 self.regraft(g, m, report);
@@ -685,8 +827,8 @@ impl Overlay {
                 if cur == g.root {
                     break;
                 }
-                match g.parent.get(&cur) {
-                    Some(&p) => cur = p,
+                match g.parent_of(cur) {
+                    Some(p) => cur = p,
                     None => {
                         orphans.insert(cur);
                         break;
@@ -704,14 +846,11 @@ impl Overlay {
     /// the control message hop by hop and marking the new edges repaired.
     fn regraft(&mut self, g: &mut Group, from: NodeId, report: &mut RepairReport) {
         let route = self.overlay_route(from, g.root);
-        let header = self.config.header_bytes;
-        for pair in route.windows(2) {
-            if g.parent.contains_key(&pair[0]) || pair[0] == g.root {
-                break;
-            }
-            g.parent.insert(pair[0], pair[1]);
-            g.repaired.insert((pair[1].0, pair[0].0));
-            if let Ok((_, bytes)) = self.transmit(pair[0], pair[1], header) {
+        let new = g.graft(&route);
+        for pair in route.windows(2).take(new) {
+            let (child, parent) = (pair[0], pair[1]);
+            g.repaired.insert((parent.0, child.0));
+            if let Ok((_, bytes)) = self.transmit(child, parent, self.config.header_bytes) {
                 report.control_hops += 1;
                 report.control_bytes += bytes;
             }
@@ -741,86 +880,62 @@ impl Overlay {
             .groups
             .get(&group)
             .ok_or(NetError::UnknownGroup(group))?;
-        for r in recipients {
-            if !g.members.contains(r) {
-                return Err(NetError::NotAMember(*r));
-            }
-        }
-        let root = g.root;
-        // Paths from each recipient up to the root (child -> parent chain).
-        let mut needed_edges: HashSet<(NodeId, NodeId)> = HashSet::new(); // parent -> child
-        let mut repaired_edges: HashSet<(NodeId, NodeId)> = HashSet::new();
-        let mut up_paths: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for &r in recipients {
-            let mut path = vec![r];
-            let mut cur = r;
-            while cur != root {
-                let p = *g
-                    .parent
-                    .get(&cur)
-                    .expect("tree connects every member to the root");
-                needed_edges.insert((p, cur));
-                if g.repaired.contains(&(p.0, cur.0)) {
-                    repaired_edges.insert((p, cur));
-                }
-                path.push(p);
-                cur = p;
-            }
-            path.reverse(); // root .. recipient
-            up_paths.insert(r, path);
+        if let Some(&r) = recipients.iter().find(|r| !g.members.contains(r)) {
+            return Err(NetError::NotAMember(r));
         }
         let msg_bytes = payload_bytes + self.config.header_bytes;
+        let delay = self.config.software_delay;
+        let mut delivery = Delivery {
+            latencies: BTreeMap::new(),
+            bytes_on_wire: 0,
+            overlay_hops: 0,
+            repair_bytes: 0,
+        };
 
-        // Leg 1: src to root along the overlay (skipped when src == root).
-        let mut bytes_on_wire = 0u64;
-        let mut overlay_hops = 0usize;
-        let mut root_arrival = Micros::ZERO;
-        let src_route = self.overlay_route(src, root);
-        for pair in src_route.windows(2) {
-            let (lat, bytes) = self.transmit(pair[0], pair[1], msg_bytes)?;
-            root_arrival += lat;
-            bytes_on_wire += bytes;
-            overlay_hops += 1;
+        // Leg 1: src to root along the live ring (skipped when src == root).
+        let mut at = src;
+        let mut clock = Micros::ZERO;
+        while at != g.root {
+            let next = next_live(&self.failed, g.parent.len(), at, g.root);
+            let (lat, bytes) = self.net.transmit(delay, at, next, msg_bytes)?;
+            clock += lat;
+            delivery.bytes_on_wire += bytes;
+            delivery.overlay_hops += 1;
+            at = next;
         }
 
-        // Leg 2: down the pruned tree. Compute arrival per tree node by
-        // BFS from the root over the needed edges.
-        let mut arrival: HashMap<NodeId, Micros> = HashMap::new();
-        arrival.insert(root, root_arrival);
-        let mut queue = VecDeque::from([root]);
-        let mut edges_by_parent: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for &(p, c) in &needed_edges {
-            edges_by_parent.entry(p).or_default().push(c);
-        }
-        for v in edges_by_parent.values_mut() {
-            v.sort_unstable(); // deterministic order
-        }
-        let mut repair_bytes = 0u64;
-        while let Some(u) = queue.pop_front() {
-            let base = arrival[&u];
-            if let Some(children) = edges_by_parent.get(&u).cloned() {
-                for c in children {
-                    let (lat, bytes) = self.transmit(u, c, msg_bytes)?;
-                    bytes_on_wire += bytes;
-                    overlay_hops += 1;
-                    if repaired_edges.contains(&(u, c)) {
-                        repair_bytes += bytes;
-                    }
-                    arrival.insert(c, base + lat);
-                    queue.push_back(c);
-                }
+        // Leg 2: down the tree pruned to the recipients. Each recipient
+        // climbs to the first node this send already reached, then its
+        // chain is transmitted top-down — so every needed edge carries
+        // the message exactly once, whatever the recipient order.
+        self.sends += 1;
+        self.reached[g.root.index()] = (self.sends, clock);
+        for &r in recipients {
+            self.chain.clear();
+            let mut cur = r;
+            while self.reached[cur.index()].0 != self.sends {
+                self.chain.push(cur);
+                cur = g
+                    .parent_of(cur)
+                    .expect("tree connects every member to the root");
             }
+            let mut clock = self.reached[cur.index()].1;
+            while let Some(child) = self.chain.pop() {
+                let (lat, bytes) = self.net.transmit(delay, cur, child, msg_bytes)?;
+                delivery.bytes_on_wire += bytes;
+                delivery.overlay_hops += 1;
+                if !g.repaired.is_empty() && g.repaired.contains(&(cur.0, child.0)) {
+                    delivery.repair_bytes += bytes;
+                }
+                clock += lat;
+                self.reached[child.index()] = (self.sends, clock);
+                cur = child;
+            }
+            // (Not `collect`: that would stage the pairs in a `Vec` first.)
+            delivery.latencies.insert(r, clock);
         }
-
-        let latencies: BTreeMap<NodeId, Micros> =
-            recipients.iter().map(|&r| (r, arrival[&r])).collect();
         self.messages += 1;
-        Ok(Delivery {
-            latencies,
-            bytes_on_wire,
-            overlay_hops,
-            repair_bytes,
-        })
+        Ok(delivery)
     }
 
     /// Sends one [`Emission`] to the nodes its recipient filters map to —
@@ -930,50 +1045,32 @@ impl Overlay {
         })
     }
 
-    /// One overlay hop: software delay + store-and-forward along the
-    /// underlay shortest path, accounting bytes per link.
     fn transmit(
         &mut self,
         from: NodeId,
         to: NodeId,
         bytes: usize,
     ) -> Result<(Micros, u64), NetError> {
-        if from.index() >= self.topology.len() {
-            return Err(NetError::UnknownNode(from));
-        }
-        let path = self
-            .topology
-            .path(from, to)
-            .ok_or(NetError::Disconnected(from, to))?;
-        let mut latency = self.config.software_delay;
-        let mut total = 0u64;
-        for pair in path.windows(2) {
-            let link = self
-                .topology
-                .link(pair[0], pair[1])
-                .expect("BFS path follows links");
-            latency += link.transfer_time(bytes);
-            let key = if pair[0] <= pair[1] {
-                (pair[0].0, pair[1].0)
-            } else {
-                (pair[1].0, pair[0].0)
-            };
-            *self.link_bytes.entry(key).or_insert(0) += bytes as u64;
-            total += bytes as u64;
-        }
-        Ok((latency, total))
+        self.net
+            .transmit(self.config.software_delay, from, to, bytes)
     }
 
     /// Total bytes transmitted across all links since construction (or the
     /// last [`reset_stats`](Self::reset_stats)).
     pub fn total_bytes(&self) -> u64 {
-        self.link_bytes.values().sum()
+        self.net.link_bytes.iter().flatten().sum()
     }
 
     /// The most heavily loaded link's byte count — the bottleneck metric
     /// for low-bandwidth meshes.
     pub fn max_link_bytes(&self) -> u64 {
-        self.link_bytes.values().copied().max().unwrap_or(0)
+        self.net
+            .link_bytes
+            .iter()
+            .flatten()
+            .copied()
+            .max()
+            .unwrap_or(0)
     }
 
     /// Messages sent so far.
@@ -987,9 +1084,11 @@ impl Overlay {
     /// [`reset_stats`](Self::reset_stats)).
     pub fn link_loads(&self) -> Vec<(NodeId, NodeId, u64)> {
         let mut loads: Vec<(NodeId, NodeId, u64)> = self
-            .link_bytes
+            .net
+            .link_ends
             .iter()
-            .map(|(&(a, b), &bytes)| (NodeId(a), NodeId(b), bytes))
+            .zip(&self.net.link_bytes)
+            .filter_map(|(&(a, b), &bytes)| Some((NodeId(a), NodeId(b), bytes?)))
             .collect();
         loads.sort_unstable();
         loads
@@ -997,7 +1096,7 @@ impl Overlay {
 
     /// Clears the traffic counters (not the groups).
     pub fn reset_stats(&mut self) {
-        self.link_bytes.clear();
+        self.net.link_bytes.fill(None);
         self.messages = 0;
     }
 }
@@ -1292,10 +1391,9 @@ mod tests {
         /// group's tree (neither root nor a pure leaf), if any.
         fn interior_node(o: &Overlay, g: GroupId) -> Option<NodeId> {
             let group = o.groups.get(&g).unwrap();
-            group
-                .parent
-                .values()
-                .copied()
+            o.topology()
+                .nodes()
+                .filter_map(|c| group.parent_of(c))
                 .filter(|&p| p != group.root)
                 .min()
         }
@@ -1348,24 +1446,22 @@ mod tests {
             let failed = interior_node(&o, g).unwrap();
             let orphans: Vec<NodeId> = {
                 let group = o.groups.get(&g).unwrap();
-                group
-                    .parent
-                    .iter()
-                    .filter(|&(_, p)| *p == failed)
-                    .map(|(&c, _)| c)
+                o.topology()
+                    .nodes()
+                    .filter(|&c| group.parent_of(c) == Some(failed))
                     .collect()
             };
             assert!(!orphans.is_empty(), "interior node has children");
             o.fail_node(failed).unwrap();
             let group = o.groups.get(&g).unwrap();
-            assert!(!group.parent.contains_key(&failed), "uplink removed");
+            assert!(group.parent_of(failed).is_none(), "uplink removed");
             assert!(
-                group.parent.values().all(|&p| p != failed),
+                group.parent.iter().all(|&p| p != failed.0),
                 "no child may still route through the corpse"
             );
             for orphan in orphans {
                 assert!(
-                    group.parent.contains_key(&orphan),
+                    group.parent_of(orphan).is_some(),
                     "{orphan} must have re-grafted"
                 );
             }
