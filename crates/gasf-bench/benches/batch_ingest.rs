@@ -2,12 +2,14 @@
 //!
 //! `batch_ingest/<feed>/<n>shards` replays the shared 2 000-tuple NAMOS
 //! trace through one group of 256 overlapping delta filters (the
-//! `wide_roster` roster, compiled tier) — `single` pushes one `Tuple` at
-//! a time, `batch64`/`batch1024` feed pre-chunked [`TupleBatch`]es
-//! through `push_batch_columnar`. One iteration is a full trace replay
-//! into a [`NullSink`], so the columnar win (amortised per-batch
-//! validation/derivation, lazy payload interning, one `Arc` per shard
-//! broadcast instead of per-tuple staging) appears as a lower mean.
+//! `wide_roster` roster, compiled tier) — `single` pushes one row at a
+//! time (a `Tuple` through `push_into` inline; a one-row batch through
+//! the sharded engine, whose only entry is columnar — so at 4 shards it
+//! prices a thread hand-off per row), `batch64`/`batch1024` feed
+//! pre-chunked [`TupleBatch`]es through `push_batch_columnar`. One
+//! iteration is a full trace replay into a [`NullSink`], so the columnar
+//! win (amortised per-batch validation/derivation, lazy payload
+//! interning, one `Arc` per shard broadcast) appears as a lower mean.
 //! Batches are chunked once outside the timed loop: the generators emit
 //! batches natively, so ingestion — not conversion — is what is priced.
 
@@ -68,14 +70,6 @@ fn sharded(trace: &Trace, specs: &[FilterSpec], shards: usize) -> ShardedEngine 
         .expect("sharded roster builds")
 }
 
-fn run_single_sharded(trace: &Trace, specs: &[FilterSpec], shards: usize) -> u64 {
-    let mut engine = sharded(trace, specs, shards);
-    engine
-        .run_into(trace.tuples().iter().cloned(), &mut NullSink)
-        .expect("bench stream is well-formed");
-    engine.metrics().emissions
-}
-
 fn run_batched_sharded(
     trace: &Trace,
     specs: &[FilterSpec],
@@ -105,6 +99,8 @@ fn bench(c: &mut Criterion) {
         })
         .collect();
 
+    let rows: Vec<Arc<TupleBatch>> = trace.batches(1).into_iter().map(Arc::new).collect();
+
     let mut g = c.benchmark_group("batch_ingest");
     for shards in [1usize, 4] {
         let suffix = format!("{shards}shards");
@@ -116,7 +112,7 @@ fn bench(c: &mut Criterion) {
                     black_box(if shards == 1 {
                         run_single(&trace, &specs)
                     } else {
-                        run_single_sharded(&trace, &specs, shards)
+                        run_batched_sharded(&trace, &specs, &rows, shards)
                     })
                 })
             },

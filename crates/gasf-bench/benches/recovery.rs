@@ -2,8 +2,9 @@
 //! throughput, at 1 and 4 worker shards.
 //!
 //! `recovery/checkpoint/<n>shards` replays the shared NAMOS trace
-//! through a `ShardedEngine` while taking a safe-point checkpoint every
-//! 500 tuples — one iteration is the full run (build + stream + 4
+//! through a `ShardedEngine` in 128-row batches while taking a
+//! safe-point checkpoint every 500 tuples — one iteration is the full
+//! run (build + stream + 4
 //! barriers + finish), so the mean against `scaling/...`'s
 //! checkpoint-free shape is the end-to-end price of durability.
 //! `recovery/replay/<n>shards` checkpoints once at mid-stream, kills
@@ -18,15 +19,26 @@ mod common;
 use criterion::{criterion_main, BenchmarkId, Criterion};
 use gasf_core::prelude::*;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn engine(trace: &gasf_sources::Trace, s: f64, shards: usize) -> ShardedEngine {
-    GroupEngine::builder(trace.schema().clone())
+    let group = GroupEngine::builder(trace.schema().clone())
         .filter(FilterSpec::delta("tmpr4", s * 2.0, s))
         .filter(FilterSpec::delta("tmpr4", s * 3.0, s * 1.4))
-        .filter(FilterSpec::delta("tmpr4", s * 2.5, s * 1.2))
+        .filter(FilterSpec::delta("tmpr4", s * 2.5, s * 1.2));
+    ShardedEngine::builder()
         .parallelism(shards)
-        .build_sharded()
+        .route("group0", group)
+        .build()
         .unwrap()
+}
+
+/// Feeds `tuples` in 128-row batches.
+fn feed(e: &mut ShardedEngine, schema: &Schema, tuples: &[Tuple], out: &mut VecSink) {
+    for rows in tuples.chunks(128) {
+        let batch = TupleBatch::from_tuples(schema, rows).unwrap();
+        e.push_batch_columnar(&Arc::new(batch), out).unwrap();
+    }
 }
 
 /// Full run with a checkpoint barrier every `every` tuples.
@@ -35,7 +47,7 @@ fn checkpointed_run(trace: &gasf_sources::Trace, s: f64, shards: usize, every: u
     let mut out = VecSink::new();
     let mut checkpoints = 0u64;
     for chunk in trace.tuples().chunks(every) {
-        e.push_batch(chunk.to_vec(), &mut out).unwrap();
+        feed(&mut e, trace.schema(), chunk, &mut out);
         e.checkpoint(&mut out).unwrap();
         checkpoints += 1;
     }
@@ -50,14 +62,13 @@ fn failover_run(trace: &gasf_sources::Trace, s: f64, shards: usize) -> u64 {
     let (half, three_q) = (tuples.len() / 2, tuples.len() * 3 / 4);
     let mut e = engine(trace, s, shards);
     let mut out = VecSink::new();
-    e.push_batch(tuples[..half].to_vec(), &mut out).unwrap();
+    feed(&mut e, trace.schema(), &tuples[..half], &mut out);
     e.checkpoint(&mut out).unwrap();
-    e.push_batch(tuples[half..three_q].to_vec(), &mut out)
-        .unwrap();
+    feed(&mut e, trace.schema(), &tuples[half..three_q], &mut out);
     for shard in 0..e.shards() {
         e.kill_shard(shard).unwrap();
     }
-    e.push_batch(tuples[three_q..].to_vec(), &mut out).unwrap();
+    feed(&mut e, trace.schema(), &tuples[three_q..], &mut out);
     e.finish_into(&mut out).unwrap();
     assert!(e.respawns() >= 1, "the crash must actually be recovered");
     out.len() as u64

@@ -190,7 +190,7 @@ pub fn per_batch_output_ratios(ga: &RunOutcome, si: &RunOutcome, batch: u64) -> 
 /// # Panics
 /// Panics on construction failure — experiment configurations are static
 /// and a failure is a harness bug.
-pub fn build_sharded_engine(
+pub fn sharded_engine(
     trace: &Trace,
     groups: &[Group],
     algorithm: Algorithm,

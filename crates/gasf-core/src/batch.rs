@@ -57,31 +57,50 @@ impl TupleBatch {
     ///   contiguous,
     /// * [`Error::OutOfOrder`] if timestamps decrease.
     pub fn from_tuples(schema: &Schema, tuples: &[Tuple]) -> Result<TupleBatch, Error> {
+        match TupleBatch::pack_prefix(schema, tuples) {
+            (batch, None) => Ok(batch),
+            (_, Some(rejected)) => Err(rejected),
+        }
+    }
+
+    /// Packs the longest prefix of `tuples` that forms a valid batch,
+    /// returning it with the error [`from_tuples`](Self::from_tuples)
+    /// gives for the first row past it (`None` when every row packed).
+    ///
+    /// This is how a caller holding rows keeps the per-row error cut: it
+    /// feeds the prefix, and the rejected row — now at the head of its
+    /// own run — meets the engine's stream-order check exactly as a
+    /// single-row push would.
+    pub fn pack_prefix(schema: &Schema, tuples: &[Tuple]) -> (TupleBatch, Option<Error>) {
         let rows = tuples.len();
         let mut timestamps = Vec::with_capacity(rows);
         let mut columns: Vec<Vec<f64>> = (0..schema.len())
             .map(|_| Vec::with_capacity(rows))
             .collect();
         let first_seq = tuples.first().map_or(0, Tuple::seq);
+        let mut rejected = None;
         for (r, t) in tuples.iter().enumerate() {
             if t.values().len() != schema.len() {
-                return Err(Error::SchemaMismatch {
+                rejected = Some(Error::SchemaMismatch {
                     expected: schema.len(),
                     actual: t.values().len(),
                 });
+                break;
             }
             if t.seq() != first_seq + r as u64 {
-                return Err(Error::NonContiguousSeq {
+                rejected = Some(Error::NonContiguousSeq {
                     expected: first_seq + r as u64,
                     got: t.seq(),
                 });
+                break;
             }
             if let Some(&last) = timestamps.last() {
                 if t.timestamp() < last {
-                    return Err(Error::OutOfOrder {
+                    rejected = Some(Error::OutOfOrder {
                         last_us: last.as_micros(),
                         got_us: t.timestamp().as_micros(),
                     });
+                    break;
                 }
             }
             timestamps.push(t.timestamp());
@@ -89,12 +108,13 @@ impl TupleBatch {
                 col.push(v);
             }
         }
-        Ok(TupleBatch {
+        let batch = TupleBatch {
             schema: schema.clone(),
             first_seq,
             timestamps,
             columns,
-        })
+        };
+        (batch, rejected)
     }
 
     /// Builds a batch directly from column arenas (the zero-copy
@@ -322,6 +342,29 @@ mod tests {
             TupleBatch::from_tuples(&s, &run),
             Err(Error::OutOfOrder { .. })
         ));
+    }
+
+    #[test]
+    fn pack_prefix_stops_at_the_first_rejected_row() {
+        let (s, mut tuples) = fixture(5);
+        let (all, rejected) = TupleBatch::pack_prefix(&s, &tuples);
+        assert_eq!((all.rows(), rejected), (5, None));
+        tuples[3] = tuples[3].with_seq(9);
+        let (prefix, rejected) = TupleBatch::pack_prefix(&s, &tuples);
+        assert_eq!(prefix, TupleBatch::from_tuples(&s, &tuples[..3]).unwrap());
+        assert_eq!(rejected, TupleBatch::from_tuples(&s, &tuples).err());
+        assert!(matches!(
+            rejected,
+            Some(Error::NonContiguousSeq {
+                expected: 3,
+                got: 9
+            })
+        ));
+        // a rejected head row leaves an empty prefix
+        let narrow = Tuple::from_wire(0, Micros(1), vec![1.0]);
+        let (prefix, rejected) = TupleBatch::pack_prefix(&s, &[narrow]);
+        assert!(prefix.is_empty());
+        assert!(matches!(rejected, Some(Error::SchemaMismatch { .. })));
     }
 
     #[test]

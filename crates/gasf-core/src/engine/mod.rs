@@ -131,7 +131,6 @@ pub struct GroupEngineBuilder {
     constraint: Option<TimeConstraint>,
     predictor_window: usize,
     overestimate_us: f64,
-    parallelism: usize,
     tier: EvaluatorTier,
 }
 
@@ -192,23 +191,6 @@ impl GroupEngineBuilder {
         self
     }
 
-    /// Sets the worker-shard count used by the sharded execution path
-    /// (default 1). [`build`](Self::build) ignores it — a `GroupEngine` is
-    /// always single-threaded — but [`build_sharded`](Self::build_sharded)
-    /// and hosts that accept a builder (e.g. `gasf-solar`'s middleware)
-    /// honour it when instantiating a
-    /// [`ShardedEngine`](crate::shard::ShardedEngine).
-    pub fn parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n;
-        self
-    }
-
-    /// The configured worker-shard count (see
-    /// [`parallelism`](Self::parallelism)).
-    pub fn configured_parallelism(&self) -> usize {
-        self.parallelism.max(1)
-    }
-
     /// Selects the first-stage evaluator tier (default
     /// [`EvaluatorTier::Compiled`]). Both tiers produce byte-identical
     /// output; the interpreted trait-object path is the oracle the
@@ -221,22 +203,6 @@ impl GroupEngineBuilder {
     /// The configured evaluator tier (see [`evaluator`](Self::evaluator)).
     pub fn configured_evaluator(&self) -> EvaluatorTier {
         self.tier
-    }
-
-    /// Builds this single group behind the sharded execution path: the
-    /// engine runs on a worker thread (fed by a bounded channel) and the
-    /// caller thread only validates ordering and merges emissions, so
-    /// filtering overlaps with whatever the sink does downstream. Output
-    /// is byte-identical to [`build`](Self::build) + the inline path.
-    ///
-    /// # Errors
-    /// Same as [`build`](Self::build).
-    pub fn build_sharded(self) -> Result<crate::shard::ShardedEngine, Error> {
-        let parallelism = self.configured_parallelism();
-        crate::shard::ShardedEngine::builder()
-            .parallelism(parallelism)
-            .route("group0", self)
-            .build()
     }
 
     /// The stream schema this builder targets.
@@ -604,7 +570,6 @@ impl GroupEngine {
             constraint: None,
             predictor_window: RuntimePredictor::DEFAULT_WINDOW,
             overestimate_us: 0.0,
-            parallelism: 1,
             tier: EvaluatorTier::default(),
         }
     }

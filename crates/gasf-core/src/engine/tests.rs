@@ -1040,7 +1040,6 @@ mod control_plane {
         for n in [1usize, 2, 4] {
             let mut sharded = crate::shard::ShardedEngine::builder()
                 .parallelism(n)
-                .batch_size(17)
                 .route(
                     "group",
                     GroupEngine::builder(schema.clone()).filters(abc_specs()),
@@ -1048,11 +1047,21 @@ mod control_plane {
                 .build()
                 .unwrap();
             let mut out = VecSink::new();
-            sharded.push_batch(tuples[..40].to_vec(), &mut out).unwrap();
+            // 17-row batches: the control ops land inside what would be
+            // the third one.
+            let mut feed = |sharded: &mut crate::shard::ShardedEngine, rows: &[Tuple]| {
+                for chunk in rows.chunks(17) {
+                    let batch = TupleBatch::from_tuples(&schema, chunk).unwrap();
+                    sharded
+                        .push_batch_columnar(&Arc::new(batch), &mut out)
+                        .unwrap();
+                }
+            };
+            feed(&mut sharded, &tuples[..40]);
             let id = sharded.add_filter(0, added.clone()).unwrap();
             assert_eq!(id, inline_id, "mirrored id assignment");
             sharded.remove_filter(0, FilterId::from_index(0)).unwrap();
-            sharded.push_batch(tuples[40..].to_vec(), &mut out).unwrap();
+            feed(&mut sharded, &tuples[40..]);
             sharded.finish_into(&mut out).unwrap();
             assert_eq!(out.as_slice(), expected.as_slice(), "n={n}");
             assert_eq!(

@@ -35,23 +35,28 @@
 //!
 //! ## Batching and delivery latency
 //!
-//! Row pushes are staged in an input buffer, packed into a columnar
-//! [`TupleBatch`] of [`batch_size`](ShardedEngineBuilder::batch_size) rows
-//! and shipped to the shards as one shared `Arc` — the same message a
-//! caller-built batch takes through
-//! [`push_batch_columnar`](ShardedEngine::push_batch_columnar). Two
-//! batches are kept in flight per shard before the caller blocks and
-//! merges, so emissions for a step are delivered to the sink up to
-//! `3 × batch_size` steps after the push that released them (and always
-//! by [`finish_into`](ShardedEngine::finish_into), which drains
-//! everything). The emission *sequence* is unaffected; only the sink-call
-//! boundaries move.
+//! [`push_batch_columnar`](ShardedEngine::push_batch_columnar) — the one
+//! data entry — ships the caller's [`TupleBatch`] to the shards as one
+//! shared `Arc`: one hand-off per shard per call, and nothing staged on
+//! the way in. A caller that wants the hand-off amortised pushes the rows
+//! it holds as one batch; one-row batches pay a hand-off per row. The
+//! library hides no input buffer, because no timer would bound its flush:
+//! a slow source would wait on rows that have not arrived yet, and its
+//! worker would see no tuple to fire a timely cut on.
+//!
+//! Two batches are kept in flight per shard before the caller blocks and
+//! merges, so a step's emissions reach the sink at most three batches *of
+//! the caller's own size* after the push that released them (and always by
+//! [`finish_into`](ShardedEngine::finish_into)). The emission *sequence*
+//! is unaffected; only the sink-call boundaries move.
 //!
 //! ## Errors
 //!
 //! Stream-order violations ([`Error::OutOfOrder`] /
-//! [`Error::NonContiguousSeq`]) and [`Error::Finished`] are validated
-//! eagerly on the caller thread, exactly like [`GroupEngine`]. Errors
+//! [`Error::NonContiguousSeq`]), a batch of the wrong width
+//! ([`Error::SchemaMismatch`]) and [`Error::Finished`] are rejected
+//! eagerly on the caller thread, exactly like [`GroupEngine`], and leave
+//! the engine usable. Errors
 //! raised inside a shard (e.g. [`Error::MissingValue`]) surface on the
 //! next merge — emissions already released by other steps are still
 //! delivered, then the first error in `(step, route)` order is returned
@@ -68,7 +73,6 @@ use crate::schema::Schema;
 use crate::sink::{EmissionSink, VecSink};
 use crate::snapshot::{EngineSnapshot, GroupSnapshot};
 use crate::time::Micros;
-use crate::tuple::Tuple;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -104,7 +108,7 @@ struct FinishReply {
     error: Option<(u32, Error)>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum ToShard {
     /// The one data message: a columnar tuple batch, shared across shards
     /// as one `Arc` (the broadcast clones the pointer, never the
@@ -112,10 +116,9 @@ enum ToShard {
     /// path and replies with one [`StepOut`] per row.
     Columnar(Arc<TupleBatch>),
     /// A control-plane op for one route, interleaved with the data
-    /// batches so it lands at the exact stream position it was issued at
-    /// (the caller flushes its partial batch first). The worker queues it
-    /// on the route's engine, which applies it at its next safe point —
-    /// identical to the inline path.
+    /// batches so it lands at the exact stream position it was issued
+    /// at. The worker queues it on the route's engine, which applies it
+    /// at its next safe point — identical to the inline path.
     Control(u32, ControlOp),
     /// Checkpoint barrier: the caller has merged everything in flight, so
     /// every hosted engine sits exactly at the barrier position. The
@@ -139,19 +142,6 @@ struct CheckpointReply {
     snaps: Vec<(u32, GroupSnapshot)>,
     /// First failure while draining, as (route index, error).
     error: Option<(u32, Error)>,
-}
-
-/// One entry of the bounded post-checkpoint replay log: everything the
-/// caller shipped to the workers since the last checkpoint, in channel
-/// order, so a respawned shard can be brought back to the live stream
-/// position deterministically.
-#[derive(Debug)]
-enum ReplayEntry {
-    /// A dispatched batch (every shard received it; the log holds the
-    /// same shared `Arc` the workers got).
-    Columnar(Arc<TupleBatch>),
-    /// A control op (only the owning shard received it).
-    Control(u32, ControlOp),
 }
 
 /// Caller-side mirror of one route's roster, used to validate control ops
@@ -198,7 +188,6 @@ pub fn shard_index(key: &str, shards: usize) -> usize {
 #[derive(Debug, Default)]
 pub struct ShardedEngineBuilder {
     parallelism: usize,
-    batch_size: usize,
     track_step_costs: bool,
     replay_capacity: Option<usize>,
     max_respawns: Option<u32>,
@@ -216,7 +205,7 @@ pub const DEFAULT_MAX_RESPAWNS: u32 = 4;
 /// Batches kept in flight per shard before a push blocks and merges:
 /// one being filtered, one queued behind it, so a worker never idles
 /// while the caller merges. This bounds the engine's buffering to
-/// `batch_size × (QUEUE_DEPTH + 1)` tuples per shard.
+/// `QUEUE_DEPTH + 1` of the caller's batches per shard.
 const QUEUE_DEPTH: usize = 2;
 
 impl ShardedEngineBuilder {
@@ -237,22 +226,12 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Row pushes packed into each batch shipped to the shards (default
-    /// 128). Larger batches amortise channel traffic; smaller ones reduce
-    /// delivery latency: emissions trail the push that released them by
-    /// up to three batches (two are kept in flight per shard).
-    pub fn batch_size(mut self, tuples: usize) -> Self {
-        self.batch_size = tuples;
-        self
-    }
-
     /// Record per-step `(arrival timestamp, CPU cost)` samples, summed
     /// across shards, for the caller to drain via
     /// [`ShardedEngine::take_step_costs`] (default off). Middleware uses
     /// this to feed flow-control monitors without touching the data path.
     /// A step's cost is its batch's wall-clock cost divided by the batch's
-    /// rows, for row pushes and columnar pushes alike — monitoring data
-    /// only; the merge order never depends on it.
+    /// rows — monitoring data only; the merge order never depends on it.
     pub fn track_step_costs(mut self, on: bool) -> Self {
         self.track_step_costs = on;
         self
@@ -315,11 +294,6 @@ impl ShardedEngineBuilder {
             }
         }
         let parallelism = self.parallelism.max(1);
-        let batch_size = if self.batch_size == 0 {
-            128
-        } else {
-            self.batch_size
-        };
 
         // Caller-side roster mirrors, so control ops validate and assign
         // ids without a worker round-trip.
@@ -356,9 +330,7 @@ impl ShardedEngineBuilder {
             n_routes: route_keys.len(),
             route_keys,
             parallelism,
-            batch_size,
             track_step_costs: self.track_step_costs,
-            buf: Vec::with_capacity(batch_size),
             in_flight: VecDeque::new(),
             input_tuples: 0,
             last_ts: None,
@@ -476,9 +448,8 @@ impl ShardHandle {
 /// with deterministic in-order emission merging.
 ///
 /// See the [module documentation](self) for the execution model. Built via
-/// [`ShardedEngine::builder`] (several routes) or
-/// [`GroupEngineBuilder::build_sharded`] (one group moved onto a worker
-/// thread).
+/// [`ShardedEngine::builder`]; a single route moves one group onto a
+/// worker thread.
 ///
 /// ```rust
 /// use gasf_core::prelude::*;
@@ -497,11 +468,15 @@ impl ShardHandle {
 ///     .build()?;
 ///
 /// let mut b = TupleBuilder::new(&schema);
-/// let tuples = (0..200).map(|i| {
-///     b.at_millis(10 * (i + 1)).set("t", (i as f64 * 0.7).sin() * 6.0).build().unwrap()
-/// });
+/// let tuples: Vec<Tuple> = (0..200)
+///     .map(|i| b.at_millis(10 * (i + 1)).set("t", (i as f64 * 0.7).sin() * 6.0).build().unwrap())
+///     .collect();
 /// let mut out = VecSink::new();
-/// engine.run_into(tuples, &mut out)?;
+/// for rows in tuples.chunks(64) {
+///     let batch = std::sync::Arc::new(TupleBatch::from_tuples(&schema, rows)?);
+///     engine.push_batch_columnar(&batch, &mut out)?;
+/// }
+/// engine.finish_into(&mut out)?;
 /// assert!(!out.is_empty());
 /// assert_eq!(engine.metrics().input_tuples, 2 * 200); // both routes saw the stream
 /// # Ok(())
@@ -511,10 +486,7 @@ impl ShardHandle {
 pub struct ShardedEngine {
     shards: Vec<ShardHandle>,
     n_routes: usize,
-    batch_size: usize,
     track_step_costs: bool,
-    /// Input staging buffer (dispatched when `batch_size` is reached).
-    buf: Vec<Tuple>,
     /// Arrival timestamps of each dispatched-but-unmerged batch.
     in_flight: VecDeque<Vec<Micros>>,
     input_tuples: u64,
@@ -550,9 +522,12 @@ pub struct ShardedEngine {
     /// (never-fed initial snapshots until the first checkpoint) — what a
     /// crashed worker is rebuilt from.
     last_checkpoint: Vec<GroupSnapshot>,
-    /// Everything shipped to the workers since the last checkpoint, in
-    /// channel order (see [`ReplayEntry`]).
-    replay_log: Vec<ReplayEntry>,
+    /// The bounded post-checkpoint replay log: every data batch (each
+    /// shard received it; the log holds the same shared `Arc`) and control
+    /// op (only the owning shard did) shipped since the last checkpoint,
+    /// in channel order, so a respawned shard can be brought back to the
+    /// live stream position deterministically.
+    replay_log: Vec<ToShard>,
     /// Cost of the replay log in tuple-equivalents (one per tuple, one
     /// per control op), so churn-heavy streams stay bounded too.
     replay_cost: usize,
@@ -630,8 +605,8 @@ impl ShardedEngine {
     // fault tolerance: checkpoint barriers, worker respawn, restore
     // ------------------------------------------------------------------
 
-    /// Takes a checkpoint: a barrier that flushes the partially staged
-    /// batch, merges every in-flight batch into `sink`, then crosses each
+    /// Takes a checkpoint: a barrier that merges every in-flight batch
+    /// into `sink`, then crosses each
     /// route engine's safe-point boundary (the boundary drains land in
     /// `sink`, in route order) and collects the per-route
     /// [`GroupSnapshot`]s into one [`EngineSnapshot`].
@@ -658,10 +633,6 @@ impl ShardedEngine {
     pub fn checkpoint<S: EmissionSink>(&mut self, sink: &mut S) -> Result<EngineSnapshot, Error> {
         self.ensure_open(sink)?;
         // Barrier: every shard must sit exactly at the checkpoint position.
-        if let Err(e) = self.dispatch_batch() {
-            self.poisoned = Some(e.clone());
-            return Err(e);
-        }
         while !self.in_flight.is_empty() {
             if let Err(e) = self.merge_oldest(sink) {
                 self.poisoned = Some(e.clone());
@@ -737,7 +708,6 @@ impl ShardedEngine {
             snaps,
             route_keys: self.route_keys.clone(),
             parallelism: self.parallelism,
-            batch_size: self.batch_size,
             track_step_costs: self.track_step_costs,
             replay_capacity: self.replay_capacity,
             max_respawns: self.max_respawns,
@@ -791,9 +761,7 @@ impl ShardedEngine {
             n_routes: snap.snaps.len(),
             route_keys: snap.route_keys.clone(),
             parallelism,
-            batch_size: snap.batch_size,
             track_step_costs: snap.track_step_costs,
-            buf: Vec::with_capacity(snap.batch_size),
             in_flight: VecDeque::new(),
             input_tuples: snap.input_tuples,
             last_ts: snap.last_ts,
@@ -918,24 +886,17 @@ impl ShardedEngine {
             reason: "respawned shard worker died during replay".into(),
         };
         let mut to_discard = self.merged_since_ckpt;
-        for entry in &self.replay_log {
-            match entry {
-                ReplayEntry::Control(route, op) if routes.contains(route) => {
-                    tx.send(ToShard::Control(*route, op.clone()))
-                        .map_err(|_| dead())?;
-                }
-                ReplayEntry::Control(..) => {}
-                ReplayEntry::Columnar(batch) => {
-                    tx.send(ToShard::Columnar(Arc::clone(batch)))
-                        .map_err(|_| dead())?;
-                    // Consume already-merged replies eagerly so the replay
-                    // of a long suffix never fills the bounded channels.
-                    if to_discard > 0 {
-                        match rx.recv() {
-                            Ok(FromShard::Batch(_)) => to_discard -= 1,
-                            _ => return Err(dead()),
-                        }
-                    }
+        for msg in &self.replay_log {
+            if matches!(msg, ToShard::Control(route, _) if !routes.contains(route)) {
+                continue; // another shard's op
+            }
+            tx.send(msg.clone()).map_err(|_| dead())?;
+            // Consume already-merged replies eagerly so the replay of a
+            // long suffix never fills the bounded channels.
+            if matches!(msg, ToShard::Columnar(_)) && to_discard > 0 {
+                match rx.recv() {
+                    Ok(FromShard::Batch(_)) => to_discard -= 1,
+                    _ => return Err(dead()),
                 }
             }
         }
@@ -1032,24 +993,23 @@ impl ShardedEngine {
     }
 
     /// Ships a control op to the route's shard at the current stream
-    /// position: the partially staged batch is flushed first so the op
-    /// lands between the tuples it was issued between, and the in-flight
-    /// window is merged down (into the staging buffer — the caller has no
-    /// sink here) so channel capacities are never exceeded.
+    /// position — between the batches it was issued between. The
+    /// in-flight window is merged down first (into the staging buffer —
+    /// the caller has no sink here) so channel capacities are never
+    /// exceeded.
     fn send_control(&mut self, route: usize, op: ControlOp) -> Result<(), Error> {
-        self.dispatch_batch()?;
         let mut staged = std::mem::take(&mut self.staged);
         let merged = self.merge_down(&mut staged);
         self.staged = staged;
         merged.inspect_err(|e| self.poisoned = Some((*e).clone()))?;
         // Log before shipping: a dead worker is respawned and receives the
         // op through the replay instead of this send.
+        let msg = ToShard::Control(route as u32, op);
         if self.try_log_replay(1) {
-            self.replay_log
-                .push(ReplayEntry::Control(route as u32, op.clone()));
+            self.replay_log.push(msg.clone());
         }
         let si = self.route_shard[route];
-        if self.shards[si].send(ToShard::Control(route as u32, op)) {
+        if self.shards[si].send(msg) {
             Ok(())
         } else {
             self.recover_shard(si)
@@ -1080,81 +1040,26 @@ impl ShardedEngine {
         }
     }
 
-    /// Feeds the next stream tuple, writing any *merged* emissions that
-    /// became available into `sink`.
-    ///
-    /// Ordering is validated eagerly, but the tuple itself is staged and
-    /// shipped in batches — emissions released by this step may reach the
-    /// sink on a later call (see the [module docs](self) on batching).
-    ///
-    /// # Errors
-    /// Same as [`GroupEngine::push_into`], plus [`Error::SchemaMismatch`]
-    /// for a tuple whose width differs from the routes' schema (checked on
-    /// the caller thread, like ordering). Shard-side errors surface on
-    /// the merge that observes them and poison the engine — every
-    /// subsequent push returns the same error.
-    pub fn push_into<S: EmissionSink>(&mut self, tuple: Tuple, sink: &mut S) -> Result<(), Error> {
-        self.ensure_open(sink)?;
-        crate::engine::validate_stream_order(
-            self.last_ts,
-            self.last_seq,
-            tuple.timestamp(),
-            tuple.seq(),
-        )?;
-        // With order and width checked here, packing the staged run at
-        // dispatch cannot fail.
-        let width = self.controls[0].schema.len();
-        if tuple.values().len() != width {
-            return Err(Error::SchemaMismatch {
-                expected: width,
-                actual: tuple.values().len(),
-            });
-        }
-        self.last_ts = Some(tuple.timestamp());
-        self.last_seq = Some(tuple.seq());
-        self.input_tuples += 1;
-        self.buf.push(tuple);
-        if self.buf.len() >= self.batch_size {
-            self.dispatch_batch()
-                .and_then(|()| self.merge_down(sink))
-                .inspect_err(|e| self.poisoned = Some(e.clone()))?;
-        }
-        Ok(())
-    }
-
-    /// Feeds a batch of tuples (the slice-friendly entry point).
-    ///
-    /// # Errors
-    /// Stops at (and returns) the first tuple that fails, like
-    /// [`push_into`](Self::push_into).
-    pub fn push_batch<S: EmissionSink>(
-        &mut self,
-        tuples: impl IntoIterator<Item = Tuple>,
-        sink: &mut S,
-    ) -> Result<(), Error> {
-        for t in tuples {
-            self.push_into(t, sink)?;
-        }
-        Ok(())
-    }
-
     /// Feeds a columnar [`TupleBatch`], broadcast to every shard as one
     /// shared `Arc` and consumed by each route through
     /// [`GroupEngine::push_batch_columnar`]'s batch-native path. The
     /// workers reply with per-*row* step outputs, so the caller-side
     /// `(input step, route)` merge — and therefore the emission byte
-    /// sequence — is identical to pushing the same rows one at a time.
+    /// sequence — is identical for every way of slicing the stream into
+    /// batches, one-row batches included.
     ///
-    /// Any partially staged single-tuple buffer is flushed first: the
-    /// staged tuples precede this batch in the stream. A columnar batch
-    /// is one dispatch unit — it is never split by the staging buffer,
-    /// and checkpoints/control ops land only at its boundaries.
+    /// This is the engine's only data entry, and a batch is one dispatch
+    /// unit: checkpoints and control ops land only at its boundaries, and
+    /// merged emissions for a step may reach the sink on a later call
+    /// (see the [module docs](self) on delivery latency).
     ///
     /// # Errors
-    /// Same contract as [`push_into`](Self::push_into): ordering of the
-    /// batch head is validated eagerly on the caller thread, shard-side
+    /// Same contract as [`GroupEngine::push_batch_columnar`]: the batch's
+    /// width ([`Error::SchemaMismatch`]) and the stream order of its head
+    /// row are validated eagerly on the caller thread and reject the
+    /// batch before anything moves — the engine stays usable. Shard-side
     /// errors surface on the merge that observes them and poison the
-    /// engine.
+    /// engine: every subsequent push returns the same error.
     pub fn push_batch_columnar<S: EmissionSink>(
         &mut self,
         batch: &Arc<TupleBatch>,
@@ -1163,6 +1068,15 @@ impl ShardedEngine {
         self.ensure_open(sink)?;
         if batch.is_empty() {
             return Ok(());
+        }
+        // Every route filters the same schema (checked at build), so one
+        // width check here is the check each worker would make.
+        let width = self.controls[0].schema.len();
+        if batch.schema().len() != width {
+            return Err(Error::SchemaMismatch {
+                expected: width,
+                actual: batch.schema().len(),
+            });
         }
         crate::engine::validate_stream_order(
             self.last_ts,
@@ -1174,8 +1088,7 @@ impl ShardedEngine {
         self.last_ts = Some(batch.timestamp(rows - 1));
         self.last_seq = Some(batch.seq(rows - 1));
         self.input_tuples += rows as u64;
-        self.dispatch_batch()
-            .and_then(|()| self.ship(batch))
+        self.ship(batch)
             .and_then(|()| self.merge_down(sink))
             .inspect_err(|e| self.poisoned = Some(e.clone()))
     }
@@ -1194,9 +1107,6 @@ impl ShardedEngine {
         self.finished = true;
         self.deliver_staged(sink);
         let mut first_err = self.poisoned.take();
-        if first_err.is_none() {
-            first_err = self.dispatch_batch().err();
-        }
         while !self.in_flight.is_empty() {
             if let Err(e) = self.merge_oldest(sink) {
                 first_err.get_or_insert(e);
@@ -1292,21 +1202,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Runs an entire stream through every route into `sink`
-    /// ([`push_batch`](Self::push_batch) then
-    /// [`finish_into`](Self::finish_into)).
-    ///
-    /// # Errors
-    /// Propagates any push/finish error.
-    pub fn run_into<S: EmissionSink>(
-        &mut self,
-        stream: impl IntoIterator<Item = Tuple>,
-        sink: &mut S,
-    ) -> Result<(), Error> {
-        self.push_batch(stream, sink)?;
-        self.finish_into(sink)
-    }
-
     // ------------------------------------------------------------------
     // internals
     // ------------------------------------------------------------------
@@ -1320,18 +1215,6 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Packs the staged rows (if any) into one columnar batch and ships it.
-    fn dispatch_batch(&mut self) -> Result<(), Error> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        // Order, contiguity and width were validated row by row on the
-        // way into `buf`, so packing only fails on a bug in this module.
-        let batch = TupleBatch::from_tuples(&self.controls[0].schema, &self.buf)?;
-        self.buf.clear();
-        self.ship(&Arc::new(batch))
-    }
-
     /// Broadcasts one batch to every shard (an `Arc` bump each). The
     /// batch is appended to the bounded replay log first, so a send that
     /// finds a dead worker recovers it — and the replay, which includes
@@ -1342,12 +1225,12 @@ impl ShardedEngine {
         } else {
             Vec::new()
         };
+        let msg = ToShard::Columnar(Arc::clone(batch));
         if self.try_log_replay(batch.rows()) {
-            self.replay_log
-                .push(ReplayEntry::Columnar(Arc::clone(batch)));
+            self.replay_log.push(msg.clone());
         }
         for si in 0..self.shards.len() {
-            if !self.shards[si].send(ToShard::Columnar(Arc::clone(batch))) {
+            if !self.shards[si].send(msg.clone()) {
                 self.recover_shard(si)?;
             }
         }
@@ -1614,7 +1497,7 @@ mod tests {
     use crate::quality::FilterSpec;
     use crate::schema::Schema;
     use crate::sink::VecSink;
-    use crate::tuple::TupleBuilder;
+    use crate::tuple::{Tuple, TupleBuilder};
 
     fn schema() -> Schema {
         Schema::new(["t"])
@@ -1639,6 +1522,32 @@ mod tests {
             .collect()
     }
 
+    /// Feeds `tuples` in batches of `chunk` rows — the chunk size is how a
+    /// test slices its trace, and no output may depend on it.
+    fn feed<S: EmissionSink>(
+        e: &mut ShardedEngine,
+        tuples: &[Tuple],
+        chunk: usize,
+        sink: &mut S,
+    ) -> Result<(), Error> {
+        for rows in tuples.chunks(chunk) {
+            let batch = TupleBatch::from_tuples(&e.controls[0].schema, rows)?;
+            e.push_batch_columnar(&Arc::new(batch), sink)?;
+        }
+        Ok(())
+    }
+
+    /// [`feed`] then finish.
+    fn run<S: EmissionSink>(
+        e: &mut ShardedEngine,
+        tuples: &[Tuple],
+        chunk: usize,
+        sink: &mut S,
+    ) -> Result<(), Error> {
+        feed(e, tuples, chunk, sink)?;
+        e.finish_into(sink)
+    }
+
     #[test]
     fn single_route_matches_group_engine() {
         let s = schema();
@@ -1649,12 +1558,12 @@ mod tests {
         for n in [1usize, 2, 4] {
             let mut sharded = ShardedEngine::builder()
                 .parallelism(n)
-                .batch_size(17) // deliberately odd to cross batch edges
                 .route("only", group(&s, 1.0))
                 .build()
                 .unwrap();
             let mut out = VecSink::new();
-            sharded.run_into(stream(&s, 500), &mut out).unwrap();
+            // deliberately odd, so the trace length is no multiple of it
+            run(&mut sharded, &stream(&s, 500), 17, &mut out).unwrap();
             assert_eq!(out.as_slice(), expected.as_slice(), "n={n}");
             assert_eq!(
                 sharded.metrics().output_tuples,
@@ -1666,10 +1575,9 @@ mod tests {
     #[test]
     fn merge_order_is_invariant_to_parallelism() {
         let s = schema();
-        let run = |parallelism: usize, batch: usize| {
+        let run_with = |parallelism: usize, chunk: usize| {
             let mut e = ShardedEngine::builder()
                 .parallelism(parallelism)
-                .batch_size(batch)
                 .route("a", group(&s, 1.0))
                 .route("b", group(&s, 0.5))
                 .route("c", group(&s, 2.0))
@@ -1677,13 +1585,13 @@ mod tests {
                 .build()
                 .unwrap();
             let mut out = VecSink::new();
-            e.run_into(stream(&s, 400), &mut out).unwrap();
+            run(&mut e, &stream(&s, 400), chunk, &mut out).unwrap();
             (out.into_vec(), e.metrics())
         };
-        let (base_out, base_metrics) = run(1, 128);
-        for (n, batch) in [(2usize, 128usize), (4, 31), (8, 1), (3, 400)] {
-            let (out, metrics) = run(n, batch);
-            assert_eq!(out, base_out, "n={n} batch={batch}");
+        let (base_out, base_metrics) = run_with(1, 128);
+        for (n, chunk) in [(2usize, 128usize), (4, 31), (8, 1), (3, 400)] {
+            let (out, metrics) = run_with(n, chunk);
+            assert_eq!(out, base_out, "n={n} chunk={chunk}");
             assert_eq!(metrics.output_tuples, base_metrics.output_tuples);
             assert_eq!(metrics.emissions, base_metrics.emissions);
             assert_eq!(metrics.input_tuples, base_metrics.input_tuples);
@@ -1701,8 +1609,7 @@ mod tests {
             .unwrap();
         assert_eq!(e.routes(), 2);
         assert!(e.shards() <= 2);
-        e.run_into(stream(&s, 200), &mut crate::sink::NullSink)
-            .unwrap();
+        run(&mut e, &stream(&s, 200), 64, &mut crate::sink::NullSink).unwrap();
         assert_eq!(e.route_metrics().len(), 2);
         for m in e.route_metrics() {
             assert_eq!(m.input_tuples, 200);
@@ -1720,11 +1627,11 @@ mod tests {
             .unwrap();
         let mut sink = VecSink::new();
         let tuples = stream(&s, 3);
-        e.push_into(tuples[1].clone(), &mut sink).unwrap();
+        feed(&mut e, &tuples[1..2], 1, &mut sink).unwrap();
         // decreasing timestamp → out of order, detected before any batch
         // ships (an equal timestamp would be legal)
         assert!(matches!(
-            e.push_into(tuples[0].with_seq(2), &mut sink),
+            feed(&mut e, &[tuples[0].with_seq(2)], 1, &mut sink),
             Err(Error::OutOfOrder { .. })
         ));
         // seq gap → non-contiguous
@@ -1734,13 +1641,13 @@ mod tests {
         let _ = b.at_millis(3).set("t", 0.0).build().unwrap();
         let skipped = b.at_millis(500).set("t", 0.0).build().unwrap();
         assert!(matches!(
-            e.push_into(skipped, &mut sink),
+            feed(&mut e, &[skipped], 1, &mut sink),
             Err(Error::NonContiguousSeq { .. })
         ));
         e.finish_into(&mut sink).unwrap();
         assert!(matches!(e.finish_into(&mut sink), Err(Error::Finished)));
         assert!(matches!(
-            e.push_into(tuples[2].clone(), &mut sink),
+            feed(&mut e, &tuples[2..], 1, &mut sink),
             Err(Error::Finished)
         ));
     }
@@ -1749,7 +1656,6 @@ mod tests {
     fn shard_side_errors_surface() {
         let s = Schema::new(["t", "u"]);
         let mut e = ShardedEngine::builder()
-            .batch_size(4)
             .route(
                 "needs-u",
                 GroupEngine::builder(s.clone()).filter(FilterSpec::delta("u", 2.0, 0.9)),
@@ -1757,12 +1663,14 @@ mod tests {
             .build()
             .unwrap();
         let mut b = TupleBuilder::new(&s);
+        // `u` is never set, so every shard-side push fails.
+        let tuples: Vec<Tuple> = (0..20u64)
+            .map(|i| b.at_millis(10 * (i + 1)).set("t", 0.0).build().unwrap())
+            .collect();
         let mut sink = VecSink::new();
         let mut saw_error = false;
-        for i in 0..20u64 {
-            // `u` is never set, so every shard-side push fails.
-            let t = b.at_millis(10 * (i + 1)).set("t", 0.0).build().unwrap();
-            match e.push_into(t, &mut sink) {
+        for rows in tuples.chunks(4) {
+            match feed(&mut e, rows, 4, &mut sink) {
                 Ok(()) => {}
                 Err(Error::MissingValue { .. }) => {
                     saw_error = true;
@@ -1776,19 +1684,14 @@ mod tests {
             // same error, and finish still drains/joins cleanly
             let t = b.at_millis(10_000).set("t", 0.0).build().unwrap();
             assert!(matches!(
-                e.push_into(t, &mut sink),
-                Err(Error::MissingValue { .. })
-            ));
-            assert!(matches!(
-                e.finish_into(&mut sink),
-                Err(Error::MissingValue { .. })
-            ));
-        } else {
-            assert!(matches!(
-                e.finish_into(&mut sink),
+                feed(&mut e, &[t], 1, &mut sink),
                 Err(Error::MissingValue { .. })
             ));
         }
+        assert!(matches!(
+            e.finish_into(&mut sink),
+            Err(Error::MissingValue { .. })
+        ));
     }
 
     #[test]
@@ -1817,24 +1720,42 @@ mod tests {
     }
 
     #[test]
-    fn push_rejects_a_wrong_width_tuple_on_the_caller_thread() {
+    fn push_rejects_a_wrong_width_batch_on_the_caller_thread() {
         let s = schema();
-        let mut e = ShardedEngine::builder()
-            .route("a", group(&s, 1.0))
-            .build()
-            .unwrap();
-        let mut sink = VecSink::new();
+        let tuples = stream(&s, 60);
         let wide = Schema::new(["t", "u"]);
-        let bad = TupleBuilder::new(&wide).at_millis(10).build().unwrap();
+        let bad_row = TupleBuilder::new(&wide).at_millis(10).build().unwrap();
+        let bad = Arc::new(TupleBatch::from_tuples(&wide, &[bad_row]).unwrap());
         let mismatch = Error::SchemaMismatch {
             expected: 1,
             actual: 2,
         };
-        assert_eq!(e.push_into(bad, &mut sink), Err(mismatch));
-        // rejected before staging: the stream position did not move and
-        // the engine is not poisoned
-        assert_eq!(e.input_tuples(), 0);
-        e.run_into(stream(&s, 10), &mut sink).unwrap();
+        for parallelism in [1usize, 2] {
+            let build = || {
+                ShardedEngine::builder()
+                    .parallelism(parallelism)
+                    .route("a", group(&s, 1.0))
+                    .route("b", group(&s, 0.5))
+                    .build()
+                    .unwrap()
+            };
+            let mut expected = VecSink::new();
+            run(&mut build(), &tuples, 10, &mut expected).unwrap();
+
+            let mut e = build();
+            let mut out = VecSink::new();
+            feed(&mut e, &tuples[..30], 10, &mut out).unwrap();
+            assert_eq!(
+                e.push_batch_columnar(&bad, &mut out),
+                Err(mismatch.clone()),
+                "x{parallelism}"
+            );
+            // rejected before anything moved: the stream position stands
+            // and the engine is not poisoned
+            assert_eq!(e.input_tuples(), 30);
+            run(&mut e, &tuples[30..], 10, &mut out).unwrap();
+            assert_eq!(out.as_slice(), expected.as_slice(), "x{parallelism}");
+        }
     }
 
     #[test]
@@ -1842,12 +1763,10 @@ mod tests {
         let s = schema();
         let mut e = ShardedEngine::builder()
             .track_step_costs(true)
-            .batch_size(8)
             .route("a", group(&s, 1.0))
             .build()
             .unwrap();
-        e.run_into(stream(&s, 64), &mut crate::sink::NullSink)
-            .unwrap();
+        run(&mut e, &stream(&s, 64), 8, &mut crate::sink::NullSink).unwrap();
         let samples = e.take_step_costs();
         assert_eq!(samples.len(), 64);
         // arrival stamps are the tuples' own timestamps, in order
@@ -1874,23 +1793,19 @@ mod tests {
         #[test]
         fn kill_without_checkpoint_replays_from_the_start() {
             let s = schema();
+            let tuples = stream(&s, 400);
             let mut reference = group(&s, 1.0).build().unwrap();
             let mut expected = VecSink::new();
-            reference.run_into(stream(&s, 400), &mut expected).unwrap();
+            reference.run_into(tuples.clone(), &mut expected).unwrap();
 
             let mut e = ShardedEngine::builder()
-                .batch_size(13)
                 .route("only", group(&s, 1.0))
                 .build()
                 .unwrap();
             let mut out = VecSink::new();
-            for (i, t) in stream(&s, 400).into_iter().enumerate() {
-                if i == 150 {
-                    e.kill_shard(0).unwrap();
-                }
-                e.push_into(t, &mut out).unwrap();
-            }
-            e.finish_into(&mut out).unwrap();
+            feed(&mut e, &tuples[..150], 13, &mut out).unwrap();
+            e.kill_shard(0).unwrap();
+            run(&mut e, &tuples[150..], 13, &mut out).unwrap();
             assert_eq!(out.as_slice(), expected.as_slice());
             assert_eq!(e.respawns(), 1);
         }
@@ -1898,35 +1813,32 @@ mod tests {
         #[test]
         fn checkpoint_then_kill_replays_only_the_suffix() {
             let s = schema();
+            let tuples = stream(&s, 500);
             // The fault-free reference takes the same checkpoint (the
             // boundary drain is part of the contract).
-            let run = |kill: bool| {
+            let run_with = |kill: bool| {
                 let mut e = ShardedEngine::builder()
                     .parallelism(2)
-                    .batch_size(17)
                     .route("a", group(&s, 1.0))
                     .route("b", group(&s, 0.5))
                     .build()
                     .unwrap();
                 let mut out = VecSink::new();
-                for (i, t) in stream(&s, 500).into_iter().enumerate() {
-                    if i == 200 {
-                        let snap = e.checkpoint(&mut out).unwrap();
-                        assert_eq!(snap.routes(), 2);
-                        assert_eq!(snap.input_tuples(), 200);
+                feed(&mut e, &tuples[..200], 17, &mut out).unwrap();
+                let snap = e.checkpoint(&mut out).unwrap();
+                assert_eq!(snap.routes(), 2);
+                assert_eq!(snap.input_tuples(), 200);
+                feed(&mut e, &tuples[200..350], 17, &mut out).unwrap();
+                if kill {
+                    for shard in 0..e.shards() {
+                        e.kill_shard(shard).unwrap();
                     }
-                    if kill && i == 350 {
-                        for shard in 0..e.shards() {
-                            e.kill_shard(shard).unwrap();
-                        }
-                    }
-                    e.push_into(t, &mut out).unwrap();
                 }
-                e.finish_into(&mut out).unwrap();
+                run(&mut e, &tuples[350..], 17, &mut out).unwrap();
                 (out.into_vec(), e.respawns(), e.metrics())
             };
-            let (expected, zero, m1) = run(false);
-            let (killed, respawns, m2) = run(true);
+            let (expected, zero, m1) = run_with(false);
+            let (killed, respawns, m2) = run_with(true);
             assert_eq!(zero, 0);
             assert!(respawns >= 1, "every spawned shard was killed");
             assert_eq!(killed, expected, "respawned output must be byte-identical");
@@ -1937,25 +1849,16 @@ mod tests {
         #[test]
         fn restore_resumes_at_the_checkpoint_position() {
             let s = schema();
-            let run_reference = || {
-                let mut e = ShardedEngine::builder()
-                    .batch_size(19)
-                    .route("only", group(&s, 1.0))
-                    .build()
-                    .unwrap();
-                let mut pre = VecSink::new();
-                for t in stream(&s, 500).drain(..250) {
-                    e.push_into(t, &mut pre).unwrap();
-                }
-                let snap = e.checkpoint(&mut pre).unwrap();
-                let mut post = VecSink::new();
-                for t in stream(&s, 500).drain(..).skip(250) {
-                    e.push_into(t, &mut post).unwrap();
-                }
-                e.finish_into(&mut post).unwrap();
-                (pre.into_vec(), snap, post.into_vec())
-            };
-            let (_, snap, expected_post) = run_reference();
+            let tuples = stream(&s, 500);
+            let mut e = ShardedEngine::builder()
+                .route("only", group(&s, 1.0))
+                .build()
+                .unwrap();
+            let mut pre = VecSink::new();
+            feed(&mut e, &tuples[..250], 19, &mut pre).unwrap();
+            let snap = e.checkpoint(&mut pre).unwrap();
+            let mut expected_post = VecSink::new();
+            run(&mut e, &tuples[250..], 19, &mut expected_post).unwrap();
 
             // "Crash": drop everything, rebuild from the snapshot, replay
             // the suffix from the caller's log.
@@ -1963,21 +1866,16 @@ mod tests {
             assert_eq!(restored.input_tuples(), 250);
             let mut replayed = VecSink::new();
             // the restored engine rejects anything but the exact suffix
-            let tuples = stream(&s, 500);
-            assert!(restored
-                .push_into(tuples[100].clone(), &mut replayed)
-                .is_err());
-            for t in &tuples[250..] {
-                restored.push_into(t.clone(), &mut replayed).unwrap();
-            }
-            restored.finish_into(&mut replayed).unwrap();
-            assert_eq!(replayed.as_slice(), &expected_post[..]);
+            assert!(feed(&mut restored, &tuples[100..101], 1, &mut replayed).is_err());
+            run(&mut restored, &tuples[250..], 19, &mut replayed).unwrap();
+            assert_eq!(replayed.as_slice(), expected_post.as_slice());
             assert_eq!(restored.metrics().input_tuples, 500, "lifetime continues");
         }
 
         #[test]
         fn respawn_budget_and_replay_bound_are_enforced() {
             let s = schema();
+            let tuples = stream(&s, 300);
             // Budget 0: the first death is fatal.
             let mut e = ShardedEngine::builder()
                 .max_respawns(0)
@@ -1986,56 +1884,32 @@ mod tests {
                 .unwrap();
             e.kill_shard(0).unwrap();
             let mut out = VecSink::new();
-            let mut failed = false;
-            for t in stream(&s, 300) {
-                if let Err(err) = e.push_into(t, &mut out) {
-                    assert!(err.to_string().contains("respawn budget"), "{err}");
-                    failed = true;
-                    break;
-                }
-            }
-            assert!(failed || e.finish_into(&mut out).is_err());
+            let err = run(&mut e, &tuples, 16, &mut out).unwrap_err();
+            assert!(err.to_string().contains("respawn budget"), "{err}");
 
             // Replay bound: once the log overflows, respawn is refused.
             let mut e = ShardedEngine::builder()
                 .replay_capacity(64)
-                .batch_size(16)
                 .route("only", group(&s, 1.0))
                 .build()
                 .unwrap();
             let mut out = VecSink::new();
-            let tuples = stream(&s, 300);
-            for t in &tuples[..200] {
-                e.push_into(t.clone(), &mut out).unwrap();
-            }
+            feed(&mut e, &tuples[..200], 16, &mut out).unwrap();
             e.kill_shard(0).unwrap();
-            let mut overflowed = false;
-            for t in &tuples[200..] {
-                if let Err(err) = e.push_into(t.clone(), &mut out) {
-                    assert!(err.to_string().contains("replay log overflowed"), "{err}");
-                    overflowed = true;
-                    break;
-                }
-            }
-            assert!(overflowed || e.finish_into(&mut out).is_err());
+            let err = run(&mut e, &tuples[200..], 16, &mut out).unwrap_err();
+            assert!(err.to_string().contains("replay log overflowed"), "{err}");
 
             // …and a checkpoint resets the bound, making respawn live again.
             let mut e = ShardedEngine::builder()
                 .replay_capacity(64)
-                .batch_size(16)
                 .route("only", group(&s, 1.0))
                 .build()
                 .unwrap();
             let mut out = VecSink::new();
-            for t in &tuples[..200] {
-                e.push_into(t.clone(), &mut out).unwrap();
-            }
+            feed(&mut e, &tuples[..200], 16, &mut out).unwrap();
             e.checkpoint(&mut out).unwrap();
             e.kill_shard(0).unwrap();
-            for t in &tuples[200..] {
-                e.push_into(t.clone(), &mut out).unwrap();
-            }
-            e.finish_into(&mut out).unwrap();
+            run(&mut e, &tuples[200..], 16, &mut out).unwrap();
             assert_eq!(e.respawns(), 1);
         }
 
@@ -2069,27 +1943,23 @@ mod tests {
         #[test]
         fn restore_keeps_the_fault_tolerance_envelope() {
             let s = schema();
+            let tuples = stream(&s, 400);
             let mut e = ShardedEngine::builder()
                 .replay_capacity(10_000)
                 .max_respawns(9)
-                .batch_size(16) // deaths are detected at dispatch, so keep it tight
                 .route("only", group(&s, 1.0))
                 .build()
                 .unwrap();
             let mut out = VecSink::new();
-            for t in stream(&s, 100) {
-                e.push_into(t, &mut out).unwrap();
-            }
+            feed(&mut e, &tuples[..100], 16, &mut out).unwrap();
             let snap = e.checkpoint(&mut out).unwrap();
             let mut restored = ShardedEngine::restore(&snap).unwrap();
             // the restored process honours the configured knobs: a death
             // well past the default 4-respawn budget is still recovered
-            let tuples = stream(&s, 400);
-            for (i, t) in tuples.iter().enumerate().skip(100) {
-                if i % 50 == 0 {
-                    restored.kill_shard(0).unwrap();
-                }
-                restored.push_into(t.clone(), &mut out).unwrap();
+            // (deaths are detected at a push, so the batches stay small)
+            for rows in tuples[100..].chunks(50) {
+                restored.kill_shard(0).unwrap();
+                feed(&mut restored, rows, 10, &mut out).unwrap();
             }
             restored.finish_into(&mut out).unwrap();
             assert!(restored.respawns() > 4, "got {}", restored.respawns());
@@ -2111,37 +1981,18 @@ mod tests {
         fn checkpoint_applies_queued_control_ops_at_the_barrier() {
             let s = schema();
             let mut e = ShardedEngine::builder()
-                .batch_size(11)
                 .route("only", group(&s, 1.0))
                 .build()
                 .unwrap();
             let mut out = VecSink::new();
             let tuples = stream(&s, 200);
-            for t in &tuples[..90] {
-                e.push_into(t.clone(), &mut out).unwrap();
-            }
+            feed(&mut e, &tuples[..90], 11, &mut out).unwrap();
             let added = e.add_filter(0, FilterSpec::delta("t", 1.0, 0.4)).unwrap();
             let snap = e.checkpoint(&mut out).unwrap();
             let roster = snap.route_snapshots()[0].roster();
             assert!(roster.iter().any(|(id, _)| *id == added));
             assert_eq!(snap.route_snapshots()[0].epoch(), 1);
-            for t in &tuples[90..] {
-                e.push_into(t.clone(), &mut out).unwrap();
-            }
-            e.finish_into(&mut out).unwrap();
+            run(&mut e, &tuples[90..], 11, &mut out).unwrap();
         }
-    }
-
-    #[test]
-    fn build_sharded_from_group_builder() {
-        let s = schema();
-        let mut reference = group(&s, 1.0).build().unwrap();
-        let mut expected = VecSink::new();
-        reference.run_into(stream(&s, 300), &mut expected).unwrap();
-
-        let mut sharded = group(&s, 1.0).parallelism(2).build_sharded().unwrap();
-        let mut out = VecSink::new();
-        sharded.run_into(stream(&s, 300), &mut out).unwrap();
-        assert_eq!(out.as_slice(), expected.as_slice());
     }
 }

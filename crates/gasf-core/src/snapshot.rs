@@ -213,7 +213,6 @@ pub struct EngineSnapshot {
     /// Route keys, in route-index order (drive shard placement).
     pub(crate) route_keys: Vec<String>,
     pub(crate) parallelism: usize,
-    pub(crate) batch_size: usize,
     pub(crate) track_step_costs: bool,
     pub(crate) replay_capacity: usize,
     pub(crate) max_respawns: u32,

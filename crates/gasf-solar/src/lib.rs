@@ -13,12 +13,14 @@
 //! * [`Middleware`] — pub/sub registry + the group-aware filtering service
 //!   (one or more [`GroupEngine`](gasf_core::engine::GroupEngine)s per
 //!   source) + multicast dissemination with end-to-end accounting; its
-//!   data path is the sink-based [`Pipeline`] (engine → [`Metered`] flow
-//!   accounting → [`MulticastSink`]). With
-//!   [`MiddlewareConfig::parallelism`] above one the engine side runs
-//!   behind [`ShardedEngine`](gasf_core::shard::ShardedEngine) —
-//!   filtering on worker threads, byte-identical output, [`FlowMonitor`]
-//!   samples aggregated across the shards,
+//!   data path is the sink-based [`Pipeline`] (event-time front end →
+//!   engine → [`Metered`] flow accounting → [`MulticastSink`]), and a
+//!   **run of rows** is the only thing that crosses it: a single tuple is
+//!   a run of one, and every run reaches every engine as one columnar
+//!   batch. With [`MiddlewareConfig::parallelism`] above one each filter
+//!   group runs on a worker thread of its own behind a single-route
+//!   [`ShardedEngine`](gasf_core::shard::ShardedEngine) — byte-identical
+//!   output, one thread hand-off per run, so hand over what you have,
 //! * a **live subscription control plane** — [`Middleware::subscribe`] /
 //!   [`Middleware::unsubscribe`] / [`Middleware::resubscribe`] work after
 //!   deployment and return stable [`SubscriptionHandle`]s, and
@@ -41,7 +43,9 @@
 //! * **bounded ingress + quality-aware shedding** — §4.8 made mechanical:
 //!   a per-source [`CreditGate`] bounds the input buffer (the `try_push`
 //!   family returns [`PushOutcome`](gasf_core::shed::PushOutcome) instead
-//!   of buffering without limit), a [`Shedder`] climbs each
+//!   of buffering without limit — one admission behind all of it, which
+//!   takes credits only once the source is known to have a live part), a
+//!   [`Shedder`] climbs each
 //!   subscription's declared degradation ladder under sustained pressure
 //!   (and fully restores it when pressure clears), and
 //!   [`Middleware::ingest`] drives a

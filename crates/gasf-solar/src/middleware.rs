@@ -71,6 +71,7 @@ use gasf_core::time::Micros;
 use gasf_core::tuple::Tuple;
 use gasf_net::{GroupId, NodeId, Overlay, RepairReport, Transport};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -181,12 +182,14 @@ pub struct MiddlewareConfig {
     pub strategy: OutputStrategy,
     /// Optional group time constraint (timely cuts).
     pub constraint: Option<TimeConstraint>,
-    /// Worker shards per source engine (default 1 = inline). With more
-    /// than one, each filter group runs behind a
-    /// [`ShardedEngine`], moving filtering off the caller thread so it
+    /// Where a part's engine runs: `1` (the default) is inline on the
+    /// caller thread; **any** value above one gives every part one worker
+    /// thread of its own. Each part hosts a single-route
+    /// [`ShardedEngine`], and shards that own no route are never spawned,
+    /// so 2 and 64 configure the same deployment — the setting is
+    /// two-valued. The worker moves filtering off the caller thread so it
     /// overlaps with multicast dissemination; output (and therefore all
-    /// delivery accounting) is byte-identical to the inline path, and
-    /// [`FlowMonitor`] samples are aggregated across the shards. (The
+    /// delivery accounting) is byte-identical to the inline path. (The
     /// byte-identical guarantee holds whenever the engine itself is
     /// input-deterministic; with a `constraint` set, timely-cut timing
     /// depends on measured wall clock on *both* paths, so no two runs —
@@ -201,11 +204,11 @@ pub struct MiddlewareConfig {
     /// arrival-order contract: the stream must already be ordered.
     pub event_time: Option<EventTimeConfig>,
     /// Bounded ingress. `Some(capacity)` puts a [`CreditGate`] of that
-    /// capacity in front of every source: the `try_push` family admits
-    /// rows only while credits remain and returns
-    /// [`PushOutcome::Throttled`] otherwise, leaving the input with the
-    /// caller. `None` (the default) is the legacy unbounded contract —
-    /// `try_push` always accepts.
+    /// capacity in front of every source: the `try_push` family and
+    /// [`ingest`](Middleware::ingest) admit rows only while credits
+    /// remain and return [`PushOutcome::Throttled`] otherwise, leaving
+    /// the input with the caller. `None` (the default) is the unbounded
+    /// contract — every offered row is admitted.
     pub ingress_capacity: Option<u64>,
     /// Quality-aware load shedding. `Some(cfg)` attaches a per-source
     /// [`Shedder`]: sustained `Throttled` streaks climb the degradation
@@ -293,9 +296,25 @@ pub struct IngestReport {
     pub throttled: u64,
 }
 
-/// A filter group's engine: inline, or behind the sharded path. Every
-/// part hosts exactly one group (route 0 on the sharded path), so the
-/// control plane addresses both uniformly.
+/// Most rows the middleware packs into one dispatch unit — far below the
+/// sharded engines' 65 536-row replay log.
+const MAX_RUN_ROWS: usize = 1024;
+
+/// What an admission is offered: a run of rows, in the shape its caller
+/// holds them — arrival-order tuples (`try_push`, [`Chunk::Rows`]) or a
+/// stream-ordered batch (`try_push_columnar`, [`Chunk::Batch`]). Either
+/// crosses the middleware as one columnar run; the shape only decides
+/// what the shedder is told.
+#[derive(Debug, Clone, Copy)]
+enum Run<'a> {
+    Rows(&'a [Tuple]),
+    Batch(&'a Arc<TupleBatch>),
+}
+
+/// A filter group's engine: inline, or on a worker thread of its own.
+/// Every part hosts exactly one group (route 0 on the sharded path), so
+/// the control plane addresses both uniformly — and both take data
+/// through one entry, [`push_columnar`](Self::push_columnar).
 #[derive(Debug)]
 enum EngineHost {
     Single(Box<GroupEngine>),
@@ -344,29 +363,6 @@ impl EngineHost {
             EngineHost::Single(e) => e.pending_control_ops(),
             EngineHost::Sharded(_) => 0,
         }
-    }
-
-    /// Pushes one tuple, feeding the monitor the `(arrival, cpu)` sample
-    /// of every step that completed.
-    fn push<S: EmissionSink>(
-        &mut self,
-        tuple: Tuple,
-        sink: &mut Metered<'_, S>,
-    ) -> Result<(), gasf_core::Error> {
-        match self {
-            EngineHost::Single(e) => {
-                let arrival = tuple.timestamp();
-                let cpu_before = e.metrics().cpu;
-                e.push_into(tuple, sink)?;
-                let cpu_spent = e.metrics().cpu.saturating_sub(cpu_before);
-                sink.monitor().observe(arrival, cpu_spent);
-            }
-            EngineHost::Sharded(e) => {
-                e.push_into(tuple, sink)?;
-                observe_step_costs(e, sink.monitor());
-            }
-        }
-        Ok(())
     }
 
     /// Pushes one columnar batch; the monitor sees it as per-row samples
@@ -1168,7 +1164,8 @@ impl Middleware {
 
     /// Pushes one tuple through the source's bounded ingress.
     ///
-    /// Without [`MiddlewareConfig::ingress_capacity`] this is exactly
+    /// A run of one row through the source's one admission. Without
+    /// [`MiddlewareConfig::ingress_capacity`] this is exactly
     /// [`pipeline`](Self::pipeline)`.push` and always returns
     /// [`PushOutcome::Accepted`]. With a credit gate the tuple is
     /// admitted only if a credit is available; otherwise the push
@@ -1184,24 +1181,12 @@ impl Middleware {
     /// control path), sustained acceptance restores it rung by rung.
     ///
     /// # Errors
-    /// [`SolarError::NotDeployed`] / [`SolarError::UnknownId`], plus any
-    /// pipeline error while the admitted tuple is processed.
+    /// [`SolarError::NotDeployed`] / [`SolarError::UnknownId`] /
+    /// [`SolarError::NoSubscribers`] — all raised before a credit moves —
+    /// plus any pipeline error while the admitted tuple is processed.
     pub fn try_push(&mut self, source: SourceId, tuple: &Tuple) -> Result<PushOutcome, SolarError> {
-        if !self.deployed {
-            return Err(SolarError::NotDeployed);
-        }
-        if source.0 >= self.sources.len() {
-            return Err(SolarError::UnknownId(source.to_string()));
-        }
-        if let Some(gate) = self.sources[source.0].gate.as_mut() {
-            if gate.take(1) == 0 {
-                self.note_throttled(source)?;
-                return Ok(PushOutcome::Throttled);
-            }
-        }
-        self.pipeline(source)?.push(tuple.clone())?;
-        self.note_accepted(source)?;
-        Ok(PushOutcome::Accepted)
+        let run = Run::Rows(std::slice::from_ref(tuple));
+        self.admit(source, run, 0).map(|(_, outcome)| outcome)
     }
 
     /// Pushes the suffix of a columnar batch (rows `start_row..`)
@@ -1217,8 +1202,9 @@ impl Middleware {
     /// row stream an unbounded push would have produced.
     ///
     /// # Errors
-    /// [`SolarError::NotDeployed`] / [`SolarError::UnknownId`], plus
-    /// pipeline errors for the admitted slice.
+    /// [`SolarError::NotDeployed`] / [`SolarError::UnknownId`] /
+    /// [`SolarError::NoSubscribers`] — all raised before a credit moves —
+    /// plus pipeline errors for the admitted slice.
     ///
     /// # Panics
     /// Panics if `start_row > batch.rows()`.
@@ -1228,39 +1214,81 @@ impl Middleware {
         batch: &Arc<TupleBatch>,
         start_row: usize,
     ) -> Result<(usize, PushOutcome), SolarError> {
-        if !self.deployed {
-            return Err(SolarError::NotDeployed);
-        }
-        if source.0 >= self.sources.len() {
-            return Err(SolarError::UnknownId(source.to_string()));
-        }
-        let rows = batch.rows();
-        assert!(start_row <= rows, "start_row out of range");
-        let want = rows - start_row;
-        if want == 0 {
-            return Ok((0, PushOutcome::Accepted));
-        }
-        let admitted = match self.sources[source.0].gate.as_mut() {
-            Some(gate) => gate.take(want as u64) as usize,
-            None => want,
+        assert!(start_row <= batch.rows(), "start_row out of range");
+        self.admit(source, Run::Batch(batch), start_row)
+    }
+
+    /// The one admission: offers rows `start..` of `run` to the source's
+    /// bounded ingress and returns how many went through. Resolve the
+    /// pipeline, take credits, feed the admitted rows through the
+    /// event-time front end into every part's columnar entry, book the
+    /// outcome — in that order, so a source with no live part fails
+    /// before its credit window moves.
+    ///
+    /// `Accepted` means everything *offered* was admitted. Under a
+    /// degraded ladder a row-shaped offer stops at the row that completes
+    /// the calm streak, so the `Restore` — an `update_filter` that must
+    /// land at an exact stream position — lands where pushing the rows
+    /// one at a time puts it; callers loop while rows remain.
+    fn admit(
+        &mut self,
+        source: SourceId,
+        run: Run<'_>,
+        start: usize,
+    ) -> Result<(usize, PushOutcome), SolarError> {
+        let mut pipeline = self.pipeline(source)?;
+        let s = &mut pipeline.mw.sources[source.0];
+        let offered = match run {
+            Run::Rows(rows) => {
+                let calm = s
+                    .shedder
+                    .as_ref()
+                    .map_or(u32::MAX, Shedder::calm_until_restore);
+                (rows.len() - start).min(calm as usize)
+            }
+            Run::Batch(batch) => batch.rows() - start,
         };
-        if admitted == 0 {
-            self.note_throttled(source)?;
-            return Ok((0, PushOutcome::Throttled));
-        }
-        let slice = if start_row == 0 && admitted == rows {
-            Arc::clone(batch)
-        } else {
-            Arc::new(batch.slice(start_row, admitted))
+        let admitted = match s.gate.as_mut() {
+            Some(gate) => gate.take(offered as u64) as usize,
+            None => offered,
         };
-        self.pipeline(source)?.push_columnar(&slice)?;
-        if admitted == want {
-            self.note_accepted(source)?;
-            Ok((admitted, PushOutcome::Accepted))
-        } else {
-            self.note_throttled(source)?;
-            Ok((admitted, PushOutcome::Throttled))
+        match run {
+            _ if admitted == 0 => {}
+            Run::Rows(rows) => pipeline.push_rows(Cow::Borrowed(&rows[start..start + admitted]))?,
+            Run::Batch(batch) if admitted == batch.rows() => pipeline.push_columnar(batch)?,
+            Run::Batch(batch) => pipeline.push_columnar(&Arc::new(batch.slice(start, admitted)))?,
         }
+        // What the shedder is told depends on the input's shape — an
+        // inconsistency this body inherits rather than settles: rows book
+        // one unit of calm per admitted row, then the throttle that
+        // stopped them; a batch books one unit only when admitted whole,
+        // and only the throttle when admitted in part. (An empty offer
+        // books nothing.)
+        let throttled = admitted < offered;
+        let calm = match run {
+            Run::Rows(_) => admitted as u32,
+            Run::Batch(_) => u32::from(admitted > 0 && !throttled),
+        };
+        let s = &mut self.sources[source.0];
+        if throttled {
+            s.flow.observe_throttle();
+        }
+        if let Some(shedder) = s.shedder.as_mut() {
+            let restore = shedder.on_accepted(calm);
+            let degrade = if throttled {
+                shedder.on_throttled()
+            } else {
+                ShedAction::None
+            };
+            self.apply_shed_action(source, restore)?;
+            self.apply_shed_action(source, degrade)?;
+        }
+        let outcome = if throttled {
+            PushOutcome::Throttled
+        } else {
+            PushOutcome::Accepted
+        };
+        Ok((admitted, outcome))
     }
 
     /// Grants ingress credits back to a source's gate (saturating at
@@ -1336,74 +1364,56 @@ impl Middleware {
     /// persists is the blocked row dropped — counted in both the
     /// returned [`IngestReport`] and the [`FlowMonitor`].
     ///
-    /// Ordered ([`Chunk::Batch`]) input takes the columnar path with
-    /// row-exact resumption after partial admissions; disordered
-    /// ([`Chunk::Rows`]) input is routed tuple-by-tuple through the
-    /// event-time front end.
+    /// Every chunk — an ordered [`Chunk::Batch`] or row-form, possibly
+    /// disordered [`Chunk::Rows`] — is offered as the rest of the chunk,
+    /// with row-exact resumption after a partial admission: what the gate
+    /// admits crosses the middleware as one run, never row by row.
     ///
     /// # Errors
     /// Connector failures (as [`SolarError::Core`]) and any pipeline
-    /// error; [`SolarError::NotDeployed`] / [`SolarError::UnknownId`]
-    /// up front.
+    /// error; [`SolarError::NotDeployed`] / [`SolarError::UnknownId`] /
+    /// [`SolarError::NoSubscribers`] up front, before the connector is
+    /// asked for anything.
     pub fn ingest(
         &mut self,
         source: SourceId,
         connector: &mut dyn SourceConnector,
         options: IngestOptions,
     ) -> Result<IngestReport, SolarError> {
-        if !self.deployed {
-            return Err(SolarError::NotDeployed);
-        }
-        if source.0 >= self.sources.len() {
-            return Err(SolarError::UnknownId(source.to_string()));
-        }
+        self.pipeline(source)?;
         let mut report = IngestReport::default();
         let max_rows = options.max_rows.max(1);
         while let Some(chunk) = connector.next_chunk(max_rows).map_err(SolarError::from)? {
+            let total = chunk.rows();
             report.chunks += 1;
-            report.rows += chunk.rows() as u64;
-            match chunk {
-                Chunk::Batch(batch) => {
-                    let batch = Arc::new(batch);
-                    let mut row = 0;
-                    while row < batch.rows() {
-                        let (n, outcome) = self.try_push_columnar(source, &batch, row)?;
-                        row += n;
-                        report.accepted += n as u64;
-                        if outcome == PushOutcome::Throttled && row < batch.rows() {
-                            report.throttled += 1;
-                            if self.ladder_exhausted(source) {
-                                // §4.8's last resort: quality is already
-                                // at every subscription's floor, so shed
-                                // the blocked row — counted, never silent.
-                                self.sources[source.0].flow.observe_shed_drop();
-                                report.dropped += 1;
-                                row += 1;
-                            } else {
-                                self.replenish(source, options.grant);
-                            }
-                        }
-                    }
+            report.rows += total as u64;
+            let (batch, rows);
+            let run = match chunk {
+                Chunk::Batch(b) => {
+                    batch = Arc::new(b);
+                    Run::Batch(&batch)
                 }
-                Chunk::Rows(tuples) => {
-                    for tuple in tuples {
-                        loop {
-                            match self.try_push(source, &tuple)? {
-                                PushOutcome::Accepted => {
-                                    report.accepted += 1;
-                                    break;
-                                }
-                                PushOutcome::Throttled => {
-                                    report.throttled += 1;
-                                    if self.ladder_exhausted(source) {
-                                        self.sources[source.0].flow.observe_shed_drop();
-                                        report.dropped += 1;
-                                        break;
-                                    }
-                                    self.replenish(source, options.grant);
-                                }
-                            }
-                        }
+                Chunk::Rows(r) => {
+                    rows = r;
+                    Run::Rows(&rows)
+                }
+            };
+            let mut row = 0;
+            while row < total {
+                let (n, outcome) = self.admit(source, run, row)?;
+                row += n;
+                report.accepted += n as u64;
+                if outcome == PushOutcome::Throttled {
+                    report.throttled += 1;
+                    if self.ladder_exhausted(source) {
+                        // §4.8's last resort: quality is already at every
+                        // subscription's floor, so shed the blocked row —
+                        // counted, never silent.
+                        self.sources[source.0].flow.observe_shed_drop();
+                        report.dropped += 1;
+                        row += 1;
+                    } else {
+                        self.replenish(source, options.grant);
                     }
                 }
             }
@@ -1412,27 +1422,6 @@ impl Middleware {
             self.finish(source)?;
         }
         Ok(report)
-    }
-
-    /// Observes a throttled admission: counts it and lets the shedder
-    /// react (possibly climbing the ladder).
-    fn note_throttled(&mut self, source: SourceId) -> Result<(), SolarError> {
-        self.sources[source.0].flow.observe_throttle();
-        if let Some(shedder) = self.sources[source.0].shedder.as_mut() {
-            let action = shedder.on_throttled();
-            self.apply_shed_action(source, action)?;
-        }
-        Ok(())
-    }
-
-    /// Observes a fully-accepted admission (possibly descending the
-    /// ladder).
-    fn note_accepted(&mut self, source: SourceId) -> Result<(), SolarError> {
-        if let Some(shedder) = self.sources[source.0].shedder.as_mut() {
-            let action = shedder.on_accepted();
-            self.apply_shed_action(source, action)?;
-        }
-        Ok(())
     }
 
     /// Retunes every headroom-declaring live subscription of the source
@@ -2040,9 +2029,13 @@ impl EmissionSink for MulticastSink<'_> {
 /// With [`MiddlewareConfig::parallelism`] above one, each engine is a
 /// [`ShardedEngine`]: filtering runs on worker threads and this pipeline's
 /// caller thread only merges emissions and disseminates them — note that
-/// on that path emissions released by a push may be multicast on a later
-/// push (they are staged in shard batches), with
-/// [`finish`](Pipeline::finish) always draining everything.
+/// on that path emissions released by a push may be multicast up to
+/// three pushes later (two runs stay in flight per worker), with
+/// [`finish`](Pipeline::finish) always draining everything. Every push
+/// is one hand-off to each part's worker, so hand over what you have:
+/// [`push_columnar`](Pipeline::push_columnar) or
+/// [`push_batch`](Pipeline::push_batch) rather than a loop of
+/// [`push`](Pipeline::push).
 #[derive(Debug)]
 pub struct Pipeline<'m> {
     mw: &'m mut Middleware,
@@ -2053,8 +2046,10 @@ pub struct Pipeline<'m> {
 }
 
 impl Pipeline<'_> {
-    /// Pushes one tuple through every part of the source; released
-    /// emissions are multicast as they stream out of the release paths.
+    /// Pushes one tuple through every part of the source — a run of one
+    /// row through the same front end and columnar engine entry a batch
+    /// takes; released emissions are multicast as they stream out of the
+    /// release paths.
     ///
     /// With an event-time front end
     /// ([`MiddlewareConfig::event_time`]) the tuple first enters the
@@ -2069,61 +2064,101 @@ impl Pipeline<'_> {
     /// Engine errors first (ordering violations, finished streams), then
     /// any network error raised while disseminating this step's emissions.
     pub fn push(&mut self, tuple: Tuple) -> Result<(), SolarError> {
-        let Some(mut buf) = self.mw.sources[self.source].reorder.take() else {
-            return self.push_ordered(tuple);
-        };
+        self.push_rows(Cow::Owned(vec![tuple]))
+    }
+
+    /// Feeds a run of row-form arrivals: through the event-time front end
+    /// when the source has one, straight to the parts otherwise.
+    fn push_rows(&mut self, rows: Cow<'_, [Tuple]>) -> Result<(), SolarError> {
+        if self.mw.sources[self.source].reorder.is_some() {
+            self.reorder_run(rows.into_owned())
+        } else {
+            self.feed_rows(&rows)
+        }
+    }
+
+    /// The event-time front end: drives the source's [`ReorderBuffer`]
+    /// with a run of arrivals and feeds what the watermark releases to
+    /// the parts as one ordered run. A late arrival is settled where it
+    /// arrives: a drop is counted; a patch — stamped at the watermark
+    /// frontier, so its latency is exactly how late the tuple was — goes
+    /// out after what earlier arrivals released, as it would arriving
+    /// alone.
+    fn reorder_run(&mut self, arrivals: Vec<Tuple>) -> Result<(), SolarError> {
+        let mut buf = self.mw.sources[self.source]
+            .reorder
+            .take()
+            .expect("callers check for a front end");
         let mut released = Vec::new();
-        let outcome = buf.push_into(tuple, &mut released);
-        let mut result = Ok(());
-        for t in released {
-            result = self.push_ordered(t);
-            if result.is_err() {
-                break;
+        let feed = || {
+            for arrival in arrivals {
+                match buf.push_into(arrival, &mut released) {
+                    None => {}
+                    Some(LateOutcome::Dropped) => {
+                        self.mw.sources[self.source].flow.observe_late_drop();
+                    }
+                    Some(LateOutcome::Patch(late)) => {
+                        self.feed_rows(&released)?;
+                        released.clear();
+                        let emitted_at = buf
+                            .watermark()
+                            .max_seen()
+                            .unwrap_or_else(|| late.tuple.timestamp());
+                        self.patch_all_parts(late, emitted_at)?;
+                    }
+                }
             }
-        }
-        if result.is_ok() {
-            result = self.settle_late(&buf, outcome);
-        }
+            self.feed_rows(&released)
+        };
+        let result = feed();
         self.mw.sources[self.source].reorder = Some(buf);
         result
     }
 
-    /// The ordered fast path: fans one (already stream-ordered) tuple out
-    /// to every part of the source.
-    fn push_ordered(&mut self, tuple: Tuple) -> Result<(), SolarError> {
-        let source = self.source;
-        let n_parts = self.mw.sources[source].parts.len();
-        for p in 0..n_parts {
-            self.step_part(p, |engine, sink| engine.push(tuple.clone(), sink))?;
+    /// Packs an ordered run of rows — at most [`MAX_RUN_ROWS`] per
+    /// dispatch unit — and feeds it to every part. Packing validates a
+    /// whole run before any row is processed; the per-row cut is kept by
+    /// feeding the longest prefix that packs and going round again, so a
+    /// row that does not extend the stream heads its own run and the
+    /// engine rejects it as it would a single-row push — after the rows
+    /// before it were processed.
+    fn feed_rows(&mut self, mut rows: &[Tuple]) -> Result<(), SolarError> {
+        while !rows.is_empty() {
+            let unit = &rows[..rows.len().min(MAX_RUN_ROWS)];
+            let (batch, rejected) =
+                TupleBatch::pack_prefix(&self.mw.sources[self.source].schema, unit);
+            if batch.is_empty() {
+                // only a row of the wrong width leaves nothing to feed
+                return Err(rejected.expect("an empty prefix names its row").into());
+            }
+            rows = &rows[batch.rows()..];
+            self.feed_parts(&Arc::new(batch))?;
         }
         Ok(())
     }
 
-    /// Applies a late-tuple outcome from the reorder buffer: count the
-    /// drop, or multicast a patch emission to every part.
-    fn settle_late(
-        &mut self,
-        buf: &ReorderBuffer,
-        outcome: Option<LateOutcome>,
-    ) -> Result<(), SolarError> {
-        match outcome {
-            None => Ok(()),
-            Some(LateOutcome::Dropped) => {
-                self.mw.sources[self.source].flow.observe_late_drop();
-                Ok(())
-            }
-            Some(LateOutcome::Patch(late)) => {
-                // A patch is stamped at the watermark frontier, not at the
-                // tuple's (long-passed) event time — deterministic under
-                // equal watermark schedules, and its measured latency is
-                // exactly how late the tuple was.
-                let emitted_at = buf
-                    .watermark()
-                    .max_seen()
-                    .unwrap_or_else(|| late.tuple.timestamp());
-                self.patch_all_parts(late, emitted_at)
+    /// Fans one stream-ordered columnar run out to every part of the
+    /// source; every part shares the same `Arc`. A pending control op
+    /// means the push crosses the part's epoch boundary (the engine
+    /// applies queued ops, and delivers the boundary drain, at the run's
+    /// head — a run is never split by a safe point) — afterwards stale
+    /// tree members can safely leave.
+    fn feed_parts(&mut self, batch: &Arc<TupleBatch>) -> Result<(), SolarError> {
+        let source = self.source;
+        for p in 0..self.mw.sources[source].parts.len() {
+            let at_boundary = self.mw.sources[source].parts[p]
+                .engine
+                .pending_control_ops()
+                > 0;
+            self.mw
+                .with_part_sink(self.wire.as_deref_mut(), source, p, |engine, sink| {
+                    engine.push_columnar(batch, sink)
+                })?;
+            if at_boundary {
+                Self::process_deferred_leaves(self.mw, source, p)?;
             }
         }
+        Ok(())
     }
 
     /// Disseminates one patch emission through every part's multicast
@@ -2162,31 +2197,6 @@ impl Pipeline<'_> {
         Ok(())
     }
 
-    /// Drives part `p`'s engine one push. A pending control op means the
-    /// push crosses the epoch boundary (the engine applies queued ops,
-    /// and delivers the boundary drain, first; a columnar batch crosses
-    /// it at its head and is never split by a safe point) — afterwards
-    /// stale tree members can safely leave.
-    fn step_part(
-        &mut self,
-        p: usize,
-        push: impl FnOnce(
-            &mut EngineHost,
-            &mut Metered<'_, MulticastSink<'_>>,
-        ) -> Result<(), gasf_core::Error>,
-    ) -> Result<(), SolarError> {
-        let at_boundary = self.mw.sources[self.source].parts[p]
-            .engine
-            .pending_control_ops()
-            > 0;
-        self.mw
-            .with_part_sink(self.wire.as_deref_mut(), self.source, p, push)?;
-        if at_boundary {
-            Self::process_deferred_leaves(self.mw, self.source, p)?;
-        }
-        Ok(())
-    }
-
     /// Executes a part's deferred overlay leaves: nodes with no remaining
     /// active subscription in the part are pruned from its tree. Until
     /// this runs a stale member costs nothing — the tuple-level multicast
@@ -2221,7 +2231,9 @@ impl Pipeline<'_> {
         Ok(())
     }
 
-    /// Pushes a batch of tuples, stopping at the first failure.
+    /// Pushes a stream of tuples, stopping at the first failure. The
+    /// iterator is drawn 1 024 rows at a time and each draw
+    /// crosses the middleware as one run.
     ///
     /// # Errors
     /// Same as [`push`](Self::push).
@@ -2229,10 +2241,14 @@ impl Pipeline<'_> {
         &mut self,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<(), SolarError> {
-        for t in tuples {
-            self.push(t)?;
+        let mut tuples = tuples.into_iter();
+        loop {
+            let run: Vec<Tuple> = tuples.by_ref().take(MAX_RUN_ROWS).collect();
+            if run.is_empty() {
+                return Ok(());
+            }
+            self.push_rows(Cow::Owned(run))?;
         }
-        Ok(())
     }
 
     /// Pushes one columnar [`TupleBatch`] through every part of the
@@ -2257,77 +2273,24 @@ impl Pipeline<'_> {
             return Ok(());
         }
         if self.mw.sources[self.source].reorder.is_some() {
-            return self.push_columnar_buffered(batch);
+            self.reorder_run(batch.materialize())
+        } else {
+            self.feed_parts(batch)
         }
-        let source = self.source;
-        let n_parts = self.mw.sources[source].parts.len();
-        for p in 0..n_parts {
-            self.step_part(p, |engine, sink| engine.push_columnar(batch, sink))?;
-        }
-        Ok(())
-    }
-
-    /// The event-time columnar path: rows → reorder buffer → one
-    /// re-packed ordered batch per released run.
-    fn push_columnar_buffered(&mut self, batch: &Arc<TupleBatch>) -> Result<(), SolarError> {
-        let mut buf = self.mw.sources[self.source]
-            .reorder
-            .take()
-            .expect("checked");
-        let mut released = Vec::new();
-        let mut outcomes = Vec::new();
-        for row in batch.materialize() {
-            if let Some(o) = buf.push_into(row, &mut released) {
-                outcomes.push(o);
-            }
-        }
-        let mut result = Ok(());
-        if !released.is_empty() {
-            // The released run is ordered with dense seqs by the buffer's
-            // contract, so re-packing cannot fail.
-            let schema = self.mw.sources[self.source].schema.clone();
-            let ordered = TupleBatch::from_tuples(&schema, &released)
-                .map(Arc::new)
-                .map_err(SolarError::from);
-            result = ordered.and_then(|b| {
-                let n_parts = self.mw.sources[self.source].parts.len();
-                for p in 0..n_parts {
-                    self.step_part(p, |engine, sink| engine.push_columnar(&b, sink))?;
-                }
-                Ok(())
-            });
-        }
-        if result.is_ok() {
-            for o in outcomes {
-                result = self.settle_late(&buf, Some(o));
-                if result.is_err() {
-                    break;
-                }
-            }
-        }
-        self.mw.sources[self.source].reorder = Some(buf);
-        result
     }
 
     /// Ends the stream on every part, disseminating the tails. An
     /// event-time front end is flushed first: everything still buffered
-    /// is released in event order (end-of-stream is the final watermark).
+    /// is released in event order, as one run (end-of-stream is the final
+    /// watermark).
     ///
     /// # Errors
     /// Same as [`push`](Self::push).
     pub fn finish(mut self) -> Result<(), SolarError> {
-        if let Some(mut buf) = self.mw.sources[self.source].reorder.take() {
+        if let Some(buf) = self.mw.sources[self.source].reorder.as_mut() {
             let mut released = Vec::new();
             buf.flush_into(&mut released);
-            let mut result = Ok(());
-            for t in released {
-                result = self.push_ordered(t);
-                if result.is_err() {
-                    break;
-                }
-            }
-            self.mw.sources[self.source].reorder = Some(buf);
-            result?;
+            self.feed_rows(&released)?;
         }
         let source = self.source;
         let n_parts = self.mw.sources[source].parts.len();
@@ -2787,6 +2750,45 @@ mod tests {
     }
 
     #[test]
+    fn a_source_with_no_live_part_keeps_its_credits() {
+        // Both ways a deployed source ends up without a part: its last
+        // subscriber left, or it deployed empty.
+        let config = MiddlewareConfig {
+            ingress_capacity: Some(2),
+            shedding: Some(ShedConfig::default()),
+            ..Default::default()
+        };
+        let (mut left, src, schema) = setup(config);
+        for handle in left.subscriptions(src).unwrap() {
+            left.unsubscribe(handle).unwrap();
+        }
+        let mut empty = Middleware::with_config(Overlay::new(Topology::ring(3).build()), config);
+        let empty_src = empty
+            .register_source("s", NodeId(0), schema.clone())
+            .unwrap();
+        empty.deploy().unwrap();
+
+        let tuples = stream(&schema, 4);
+        let batch = Arc::new(TupleBatch::from_tuples(&schema, &tuples).unwrap());
+        for (mw, src) in [(&mut left, src), (&mut empty, empty_src)] {
+            // capacity + 2 pushes: a leak would turn the third into a
+            // `Throttled` that feeds the shedder
+            for t in &tuples {
+                assert!(matches!(
+                    mw.try_push(src, t),
+                    Err(SolarError::NoSubscribers(_))
+                ));
+            }
+            assert!(matches!(
+                mw.try_push_columnar(src, &batch, 0),
+                Err(SolarError::NoSubscribers(_))
+            ));
+            assert_eq!(mw.credit_window(src).unwrap(), Some((2, 2)));
+            assert_eq!(mw.flow_monitor(src).unwrap().throttled(), 0);
+        }
+    }
+
+    #[test]
     fn flow_monitor_sees_emissions_via_metered_sink() {
         let (mut mw, src, schema) = setup(MiddlewareConfig::default());
         let report = mw.run_trace(src, stream(&schema, 200)).unwrap();
@@ -2804,21 +2806,19 @@ mod tests {
             let (mut mw, src, schema) = setup(MiddlewareConfig::default());
             mw.run_trace(src, stream(&schema, 400)).unwrap()
         };
-        for parallelism in [2usize, 4] {
-            let sharded = {
-                let (mut mw, src, schema) = setup(MiddlewareConfig {
-                    parallelism,
-                    ..Default::default()
-                });
-                mw.run_trace(src, stream(&schema, 400)).unwrap()
-            };
-            assert_eq!(sharded.per_app, inline.per_app, "n={parallelism}");
-            assert_eq!(sharded.network_bytes, inline.network_bytes);
-            assert_eq!(sharded.messages, inline.messages);
-            assert_eq!(sharded.engine.output_tuples, inline.engine.output_tuples);
-            assert_eq!(sharded.engine.emissions, inline.engine.emissions);
-            assert_eq!(sharded.engine.latencies_us, inline.engine.latencies_us);
-        }
+        let sharded = {
+            let (mut mw, src, schema) = setup(MiddlewareConfig {
+                parallelism: 2,
+                ..Default::default()
+            });
+            mw.run_trace(src, stream(&schema, 400)).unwrap()
+        };
+        assert_eq!(sharded.per_app, inline.per_app);
+        assert_eq!(sharded.network_bytes, inline.network_bytes);
+        assert_eq!(sharded.messages, inline.messages);
+        assert_eq!(sharded.engine.output_tuples, inline.engine.output_tuples);
+        assert_eq!(sharded.engine.emissions, inline.engine.emissions);
+        assert_eq!(sharded.engine.latencies_us, inline.engine.latencies_us);
     }
 
     #[test]
@@ -2846,12 +2846,10 @@ mod tests {
             mw.report(src).unwrap()
         };
         let inline = run(1);
-        for parallelism in [2usize, 4] {
-            let sharded = run(parallelism);
-            assert_eq!(sharded.per_app, inline.per_app, "n={parallelism}");
-            assert_eq!(sharded.engine.emissions, inline.engine.emissions);
-            assert_eq!(sharded.engine.output_tuples, inline.engine.output_tuples);
-        }
+        let sharded = run(2);
+        assert_eq!(sharded.per_app, inline.per_app);
+        assert_eq!(sharded.engine.emissions, inline.engine.emissions);
+        assert_eq!(sharded.engine.output_tuples, inline.engine.output_tuples);
     }
 
     #[test]

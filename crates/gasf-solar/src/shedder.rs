@@ -17,9 +17,11 @@
 //!   lowering `k` — through the ordinary epoch-based `update_filter`
 //!   control path, so degradation lands at a safe point and is counted
 //!   per subscription.
-//! * `recover` consecutive accepted pushes ⇒ descend one rung
+//! * `recover` units of uninterrupted calm ⇒ descend one rung
 //!   ([`ShedAction::Restore`]); at rung 0 every subscription is back at
-//!   its exact original spec — degradation is fully reversible.
+//!   its exact original spec — degradation is fully reversible. What a
+//!   unit of calm *is* (an admitted row, or a fully admitted batch) is
+//!   the admission's call — see [`Shedder::on_accepted`].
 //! * Only when the ladder is exhausted (top rung reached) does
 //!   [`Shedder::should_drop`] permit the ingest driver to drop tuples,
 //!   and every such drop is counted. Quality bends before data breaks.
@@ -35,7 +37,8 @@ use serde::{Deserialize, Serialize};
 pub struct ShedConfig {
     /// Consecutive throttled pushes that trigger one degradation rung.
     pub trigger: u32,
-    /// Consecutive accepted pushes that restore one rung.
+    /// Consecutive units of calm ([`Shedder::on_accepted`]) that restore
+    /// one rung.
     pub recover: u32,
     /// Ladder cap across the source (individual subscriptions still
     /// clamp to their own declared `rungs`).
@@ -116,20 +119,36 @@ impl Shedder {
         ShedAction::None
     }
 
-    /// Observes an accepted push. Returns [`ShedAction::Restore`] when
-    /// the calm streak warrants descending a rung.
-    pub fn on_accepted(&mut self) -> ShedAction {
+    /// Observes `calm` units of uninterrupted acceptance (the middleware
+    /// books one per admitted row of row-shaped input, one per fully
+    /// admitted batch). Returns [`ShedAction::Restore`] when the calm
+    /// streak warrants descending a rung — one rung per call, however
+    /// large `calm` is, so a caller that needs the restore to land on an
+    /// exact row reports no more than `recover − streak` units at a time.
+    pub fn on_accepted(&mut self, calm: u32) -> ShedAction {
+        if calm == 0 {
+            return ShedAction::None; // nothing was accepted
+        }
         self.throttled_streak = 0;
         if self.rung == 0 {
             return ShedAction::None;
         }
-        self.accepted_streak += 1;
+        self.accepted_streak += calm;
         if self.accepted_streak >= self.config.recover {
             self.accepted_streak = 0;
             self.rung -= 1;
             return ShedAction::Restore(self.rung);
         }
         ShedAction::None
+    }
+
+    /// Units of calm left before the next [`ShedAction::Restore`]
+    /// (unbounded at rung 0, where calm restores nothing).
+    pub(crate) fn calm_until_restore(&self) -> u32 {
+        match self.rung {
+            0 => u32::MAX,
+            _ => (self.config.recover.saturating_sub(self.accepted_streak)).max(1),
+        }
     }
 
     /// Whether the ladder is exhausted: the source sits at the top rung
@@ -157,7 +176,7 @@ mod tests {
         let mut s = Shedder::new(cfg());
         assert_eq!(s.on_throttled(), ShedAction::None);
         // an accepted push resets the streak
-        assert_eq!(s.on_accepted(), ShedAction::None);
+        assert_eq!(s.on_accepted(1), ShedAction::None);
         assert_eq!(s.on_throttled(), ShedAction::None);
         assert_eq!(s.on_throttled(), ShedAction::Degrade(1));
         assert_eq!(s.rung(), 1);
@@ -178,7 +197,7 @@ mod tests {
         assert_eq!(s.rung(), 2);
         let mut actions = vec![];
         for _ in 0..6 {
-            actions.push(s.on_accepted());
+            actions.push(s.on_accepted(1));
         }
         assert_eq!(
             actions,
@@ -192,7 +211,25 @@ mod tests {
             ]
         );
         assert_eq!(s.rung(), 0);
-        assert_eq!(s.on_accepted(), ShedAction::None, "idempotent at rung 0");
+        assert_eq!(s.on_accepted(1), ShedAction::None, "idempotent at rung 0");
+    }
+
+    #[test]
+    fn calm_is_counted_in_the_callers_units() {
+        let mut s = Shedder::new(cfg());
+        assert_eq!(s.calm_until_restore(), u32::MAX, "rung 0 restores nothing");
+        for _ in 0..4 {
+            s.on_throttled();
+        }
+        assert_eq!(s.calm_until_restore(), 3);
+        assert_eq!(s.on_accepted(2), ShedAction::None);
+        assert_eq!(s.calm_until_restore(), 1);
+        // a run capped at the remaining calm restores on its last row
+        assert_eq!(s.on_accepted(1), ShedAction::Restore(1));
+        assert_eq!(s.calm_until_restore(), 3);
+        // an uncapped run still moves one rung only
+        assert_eq!(s.on_accepted(10), ShedAction::Restore(0));
+        assert_eq!(s.calm_until_restore(), u32::MAX);
     }
 
     #[test]
@@ -207,7 +244,7 @@ mod tests {
         s.on_throttled();
         s.on_throttled();
         assert!(s.should_drop(), "top rung and still throttled");
-        s.on_accepted();
+        s.on_accepted(1);
         assert!(!s.should_drop(), "calm clears the drop state");
     }
 }

@@ -131,17 +131,17 @@ impl Trace {
     }
 
     /// Chunks the trace into columnar [`TupleBatch`]es of (at most)
-    /// `batch_size` rows each — the native feed for the engines' batch
-    /// hot path ([`GroupEngine::push_batch_columnar`]). The last batch
-    /// carries the remainder; `batch_size` is clamped to at least 1.
+    /// `rows` rows each — the native feed for the engines' batch hot
+    /// path ([`GroupEngine::push_batch_columnar`]). The last batch
+    /// carries the remainder; `rows` is clamped to at least 1.
     ///
     /// A trace is stream-ordered by construction, so the conversion
     /// cannot fail.
     ///
     /// [`GroupEngine::push_batch_columnar`]:
     ///     gasf_core::engine::GroupEngine::push_batch_columnar
-    pub fn batches(&self, batch_size: usize) -> Vec<TupleBatch> {
-        let size = batch_size.max(1);
+    pub fn batches(&self, rows: usize) -> Vec<TupleBatch> {
+        let size = rows.max(1);
         self.tuples
             .chunks(size)
             .map(|chunk| {

@@ -45,6 +45,7 @@ use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn solar_err(e: impl std::fmt::Display) -> WireError {
@@ -618,10 +619,14 @@ pub fn run_source(
     Ok(outcome)
 }
 
-/// Pushes the whole trace through a pipeline and finishes it.
+/// Pushes the whole trace through a pipeline, 1 024 rows a batch (with a
+/// layout that sets `parallelism`, every push is a hand-off to the part's
+/// worker thread), and finishes it.
 fn drive(mut pipeline: gasf_solar::Pipeline<'_>, trace: &Trace) -> Result<(), WireError> {
-    for t in trace.tuples() {
-        pipeline.push(t.clone()).map_err(solar_err)?;
+    for batch in trace.batches(1024) {
+        pipeline
+            .push_columnar(&Arc::new(batch))
+            .map_err(solar_err)?;
     }
     pipeline.finish().map_err(solar_err)
 }

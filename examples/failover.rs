@@ -14,8 +14,8 @@
 //! subscriber keeps receiving) and a middleware **crash + recover** that
 //! continues per-app delivery reports under the same stable handles.
 //!
-//! **Knobs exercised:** `ShardedEngine::{checkpoint, kill_shard,
-//! restore, respawns}`, `GroupEngine::{snapshot_into, restore}`,
+//! **Knobs exercised:** `ShardedEngine::{push_batch_columnar, checkpoint,
+//! kill_shard, restore, respawns}`, `GroupEngine::{snapshot_into, restore}`,
 //! `Overlay::{fail_node, recover_node}` + `Delivery::repair_bytes`,
 //! `Middleware::{checkpoint, recover, fail_node}`.
 //!
@@ -27,11 +27,20 @@ use gasf_core::prelude::*;
 use gasf_net::{NodeId, Overlay, Topology};
 use gasf_solar::{Middleware, MiddlewareConfig};
 use gasf_sources::NamosBuoy;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = NamosBuoy::new().tuples(3_000).seed(13).generate();
     let s = trace.stats("tmpr4").expect("buoy attr").mean_abs_delta;
     let tuples = trace.tuples();
+    // The sharded engine takes the stream in batches: 64 rows per push.
+    let feed = |engine: &mut ShardedEngine, rows: &[Tuple], out: &mut VecSink| {
+        for chunk in rows.chunks(64) {
+            let batch = TupleBatch::from_tuples(trace.schema(), chunk)?;
+            engine.push_batch_columnar(&Arc::new(batch), out)?;
+        }
+        Ok::<(), gasf_core::Error>(())
+    };
     let group = || {
         GroupEngine::builder(trace.schema().clone())
             .filter(FilterSpec::delta("tmpr4", s * 2.0, s))
@@ -46,21 +55,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = |kill: bool| -> Result<(Vec<Emission>, u32), gasf_core::Error> {
         let mut engine = ShardedEngine::builder()
             .parallelism(2)
-            .batch_size(64)
             .route("buoy", group())
             .build()?;
         let mut out = VecSink::new();
-        for (i, t) in tuples.iter().enumerate() {
-            if i == 1_000 {
-                engine.checkpoint(&mut out)?;
+        feed(&mut engine, &tuples[..1_000], &mut out)?;
+        engine.checkpoint(&mut out)?;
+        feed(&mut engine, &tuples[1_000..2_000], &mut out)?;
+        if kill {
+            for shard in 0..engine.shards() {
+                engine.kill_shard(shard)?;
             }
-            if kill && i == 2_000 {
-                for shard in 0..engine.shards() {
-                    engine.kill_shard(shard)?;
-                }
-            }
-            engine.push_into(t.clone(), &mut out)?;
         }
+        feed(&mut engine, &tuples[2_000..], &mut out)?;
         engine.finish_into(&mut out)?;
         Ok((out.into_vec(), engine.respawns()))
     };
@@ -82,22 +88,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .route("buoy", group())
         .build()?;
     let mut pre = VecSink::new();
-    for t in &tuples[..1_500] {
-        engine.push_into(t.clone(), &mut pre)?;
-    }
+    feed(&mut engine, &tuples[..1_500], &mut pre)?;
     let snapshot = engine.checkpoint(&mut pre)?;
     let mut post = VecSink::new();
-    for t in &tuples[1_500..] {
-        engine.push_into(t.clone(), &mut post)?;
-    }
+    feed(&mut engine, &tuples[1_500..], &mut post)?;
     engine.finish_into(&mut post)?;
     drop(engine); // "the process dies" — only the snapshot survives
 
     let mut restored = ShardedEngine::restore(&snapshot)?;
     let mut replayed = VecSink::new();
-    for t in &tuples[1_500..] {
-        restored.push_into(t.clone(), &mut replayed)?;
-    }
+    feed(&mut restored, &tuples[1_500..], &mut replayed)?;
     restored.finish_into(&mut replayed)?;
     assert_eq!(replayed.as_slice(), post.as_slice());
     println!(

@@ -4,15 +4,17 @@
 //! production scale: ten independent filter groups share one NAMOS buoy
 //! stream, each group hosted by its own `GroupEngine` route inside a
 //! [`ShardedEngine`] that hash-partitions the routes across worker
-//! threads. The demo verifies the headline guarantee — merged output is
-//! **byte-identical at every parallelism** — times the sweep, and sends
+//! threads, fed the stream in 256-row batches (the engine's one data
+//! entry: a push is a hand-off per shard, so hand over a batch). The demo
+//! verifies the headline guarantee — merged output is **byte-identical at
+//! every parallelism** — times the sweep, and sends
 //! the merged emissions down a shard-aware multicast group
 //! (`gasf_net::ShardedGroup`: one Scribe tree per producer shard, so
 //! parallel shards don't serialise through a single rendezvous root).
 //!
-//! Knobs exercised: `ShardedEngineBuilder::{parallelism, route,
-//! batch_size}`, `Overlay::{create_sharded_group,
-//! multicast_emission_sharded}`.
+//! Knobs exercised: `ShardedEngineBuilder::{parallelism, route}`,
+//! `ShardedEngine::push_batch_columnar`,
+//! `Overlay::{create_sharded_group, multicast_emission_sharded}`.
 //!
 //! ```text
 //! cargo run --release --example parallel_pipeline
@@ -21,6 +23,7 @@
 use gasf_core::prelude::*;
 use gasf_net::{NodeId, Overlay, Topology};
 use gasf_sources::NamosBuoy;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Ten DC1 groups over the buoy channels, three filters each.
@@ -61,6 +64,7 @@ fn build(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = NamosBuoy::new().tuples(4_000).seed(7).generate();
     let groups = groups(&trace);
+    let batches: Vec<Arc<TupleBatch>> = trace.batches(256).into_iter().map(Arc::new).collect();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "ten groups x {} tuples, {} hardware thread(s)\n",
@@ -75,7 +79,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut engine = build(&trace, &groups, parallelism)?;
         let mut out = VecSink::new();
         let t0 = Instant::now();
-        engine.run_into(trace.tuples().iter().cloned(), &mut out)?;
+        for batch in &batches {
+            engine.push_batch_columnar(batch, &mut out)?;
+        }
+        engine.finish_into(&mut out)?;
         let wall = t0.elapsed().as_secs_f64() * 1e3;
         if parallelism == 1 {
             baseline_ms = wall;

@@ -192,10 +192,9 @@ fn sharded_columnar_matches_inline_at_every_parallelism() {
         for strategy in STRATEGIES {
             let (expected, _) = run_single(&trace, algorithm, strategy, EvaluatorTier::Compiled);
             for n in [1usize, 2, 4] {
-                let sharded = |staging: usize| {
+                let sharded = || {
                     ShardedEngine::builder()
                         .parallelism(n)
-                        .batch_size(staging)
                         .route(
                             "group",
                             builder(&trace, algorithm, strategy, EvaluatorTier::Compiled)
@@ -206,7 +205,7 @@ fn sharded_columnar_matches_inline_at_every_parallelism() {
                 };
                 for size in batch_sizes() {
                     let label = format!("{algorithm:?}/{strategy:?}/n={n}/batch={size}");
-                    let mut engine = sharded(23);
+                    let mut engine = sharded();
                     let mut out = VecSink::new();
                     for batch in trace.batches(size) {
                         engine
@@ -214,17 +213,6 @@ fn sharded_columnar_matches_inline_at_every_parallelism() {
                             .unwrap();
                     }
                     engine.finish_into(&mut out).unwrap();
-                    assert_eq!(out.as_slice(), &expected[..], "{label}");
-                }
-                // Row pushes are packed into the same columnar message at
-                // the staging size, so they must land on the same bytes.
-                for staging in [1usize, 7, 128] {
-                    let label =
-                        format!("{algorithm:?}/{strategy:?}/n={n}/rows staged by {staging}");
-                    let mut out = VecSink::new();
-                    sharded(staging)
-                        .run_into(trace.tuples().iter().cloned(), &mut out)
-                        .unwrap();
                     assert_eq!(out.as_slice(), &expected[..], "{label}");
                 }
             }
@@ -342,11 +330,11 @@ fn missing_values_fail_at_the_same_row_with_the_same_error() {
 }
 
 #[test]
-fn row_fed_sharded_run_cuts_at_the_failing_tuple() {
-    // Row pushes reach the workers packed into batches, so a value missing
-    // strictly inside a staged batch must still cut the merged stream at
-    // exactly that tuple: everything both routes released before it is
-    // delivered, nothing at or after it is, and the engine stays poisoned.
+fn sharded_run_cuts_at_the_failing_row() {
+    // A value missing strictly inside a batch must still cut the merged
+    // stream at exactly that row: everything both routes released before
+    // it is delivered, nothing at or after it is, and the engine stays
+    // poisoned.
     const BAD: usize = 24; // 4th row of the 4th 7-row batch
     let schema = Schema::new(["t"]);
     let mut b = TupleBuilder::new(&schema);
@@ -380,7 +368,6 @@ fn row_fed_sharded_run_cuts_at_the_failing_tuple() {
         let [r0, r1] = routes();
         let mut sharded = ShardedEngine::builder()
             .parallelism(n)
-            .batch_size(7)
             .route("a", r0)
             .route("c", r1)
             .build()
@@ -388,8 +375,9 @@ fn row_fed_sharded_run_cuts_at_the_failing_tuple() {
         assert_eq!(sharded.shards(), n, "the keys must spread over {n} shards");
         let mut out = VecSink::new();
         let mut surfaced = false;
-        for t in &tuples {
-            match sharded.push_into(t.clone(), &mut out) {
+        for rows in tuples.chunks(7) {
+            let batch = Arc::new(TupleBatch::from_tuples(&schema, rows).unwrap());
+            match sharded.push_batch_columnar(&batch, &mut out) {
                 Ok(()) => assert!(!surfaced, "n={n}: a poisoned engine accepted input"),
                 Err(gasf_core::Error::MissingValue { .. }) => surfaced = true,
                 Err(other) => panic!("n={n}: unexpected error {other:?}"),

@@ -12,6 +12,7 @@
 //! per-segment static engines, and a removed filter's stats must survive
 //! in the epoch archive.
 
+use gasf_core::batch::TupleBatch;
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, GroupEngineBuilder, OutputStrategy};
 use gasf_core::metrics::EngineMetrics;
@@ -20,6 +21,7 @@ use gasf_core::shard::ShardedEngine;
 use gasf_core::sink::VecSink;
 use gasf_sources::{NamosBuoy, Trace};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::RegionGreedy,
@@ -239,6 +241,51 @@ fn dynamic_churn_equals_static_rebuilds_for_every_combination() {
     }
 }
 
+/// Runs the schedule through a one-route sharded engine, slicing the
+/// trace into batches of `chunk` rows — and at every event, since a
+/// control op lands between batches.
+fn run_sharded(
+    trace: &Trace,
+    algorithm: Algorithm,
+    strategy: OutputStrategy,
+    events: &[ChurnEvent],
+    parallelism: usize,
+    chunk: usize,
+) -> Vec<Emission> {
+    let mut sharded = ShardedEngine::builder()
+        .parallelism(parallelism)
+        .route(
+            "group",
+            builder(trace, algorithm, strategy).filters(base_specs(trace)),
+        )
+        .build()
+        .unwrap();
+    let mut out = VecSink::new();
+    let mut cuts: Vec<usize> = events.iter().map(|e| e.at).collect();
+    cuts.extend([0, trace.tuples().len()]);
+    cuts.sort_unstable();
+    cuts.dedup();
+    for segment in cuts.windows(2) {
+        for ev in events.iter().filter(|e| e.at == segment[0]) {
+            match &ev.op {
+                ChurnOp::Add(spec) => {
+                    sharded.add_filter(0, spec.clone()).unwrap();
+                }
+                ChurnOp::Remove(id) => sharded.remove_filter(0, *id).unwrap(),
+                ChurnOp::Update(id, spec) => sharded.update_filter(0, *id, spec.clone()).unwrap(),
+            }
+        }
+        for rows in trace.tuples()[segment[0]..segment[1]].chunks(chunk) {
+            let batch = TupleBatch::from_tuples(trace.schema(), rows).unwrap();
+            sharded
+                .push_batch_columnar(&Arc::new(batch), &mut out)
+                .unwrap();
+        }
+    }
+    sharded.finish_into(&mut out).unwrap();
+    out.into_vec()
+}
+
 #[test]
 fn sharded_churn_matches_inline_for_every_combination() {
     // The same schedule driven through the sharded control path (control
@@ -251,32 +298,10 @@ fn sharded_churn_matches_inline_for_every_combination() {
             let label = format!("{algorithm:?}/{strategy:?}");
             let (expected, _) = run_dynamic(&trace, algorithm, strategy, &events);
             for n in [1usize, 2, 4] {
-                let mut sharded = ShardedEngine::builder()
-                    .parallelism(n)
-                    .batch_size(23) // off the boundary indices, so control ops split batches
-                    .route(
-                        "group",
-                        builder(&trace, algorithm, strategy).filters(base_specs(&trace)),
-                    )
-                    .build()
-                    .unwrap();
-                let mut out = VecSink::new();
-                for (i, t) in trace.tuples().iter().enumerate() {
-                    for ev in events.iter().filter(|e| e.at == i) {
-                        match &ev.op {
-                            ChurnOp::Add(spec) => {
-                                sharded.add_filter(0, spec.clone()).unwrap();
-                            }
-                            ChurnOp::Remove(id) => sharded.remove_filter(0, *id).unwrap(),
-                            ChurnOp::Update(id, spec) => {
-                                sharded.update_filter(0, *id, spec.clone()).unwrap()
-                            }
-                        }
-                    }
-                    sharded.push_into(t.clone(), &mut out).unwrap();
-                }
-                sharded.finish_into(&mut out).unwrap();
-                assert_eq!(out.as_slice(), &expected[..], "{label}: n={n}");
+                // 23 rows: off the boundary indices, so control ops split
+                // what a steady chunking would have kept together
+                let out = run_sharded(&trace, algorithm, strategy, &events, n, 23);
+                assert_eq!(out, expected, "{label}: n={n}");
             }
         }
     }
@@ -331,31 +356,7 @@ proptest! {
         let (statics, _) = run_static_segments(&trace, algorithm, strategy, &events);
         prop_assert_eq!(&dynamic, &statics);
 
-        let mut sharded = ShardedEngine::builder()
-            .parallelism(2)
-            .batch_size(batch)
-            .route(
-                "group",
-                builder(&trace, algorithm, strategy).filters(base_specs(&trace)),
-            )
-            .build()
-            .unwrap();
-        let mut out = VecSink::new();
-        for (i, t) in trace.tuples().iter().enumerate() {
-            for ev in events.iter().filter(|e| e.at == i) {
-                match &ev.op {
-                    ChurnOp::Add(spec) => {
-                        sharded.add_filter(0, spec.clone()).unwrap();
-                    }
-                    ChurnOp::Remove(id) => sharded.remove_filter(0, *id).unwrap(),
-                    ChurnOp::Update(id, spec) => {
-                        sharded.update_filter(0, *id, spec.clone()).unwrap()
-                    }
-                }
-            }
-            sharded.push_into(t.clone(), &mut out).unwrap();
-        }
-        sharded.finish_into(&mut out).unwrap();
-        prop_assert_eq!(out.as_slice(), &dynamic[..]);
+        let out = run_sharded(&trace, algorithm, strategy, &events, 2, batch);
+        prop_assert_eq!(out, dynamic);
     }
 }

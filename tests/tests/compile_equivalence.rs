@@ -16,6 +16,7 @@ use gasf_core::sink::VecSink;
 use gasf_core::time::Micros;
 use gasf_sources::{NamosBuoy, Trace};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::RegionGreedy,
@@ -127,7 +128,6 @@ fn sharded_compiled_matches_interpreted_at_every_parallelism() {
             for n in [1usize, 2, 4] {
                 let mut sharded = ShardedEngine::builder()
                     .parallelism(n)
-                    .batch_size(23)
                     .route(
                         "group",
                         builder(&trace, algorithm, strategy, EvaluatorTier::Compiled)
@@ -136,8 +136,10 @@ fn sharded_compiled_matches_interpreted_at_every_parallelism() {
                     .build()
                     .unwrap();
                 let mut out = VecSink::new();
-                for t in trace.tuples() {
-                    sharded.push_into(t.clone(), &mut out).unwrap();
+                for batch in trace.batches(23) {
+                    sharded
+                        .push_batch_columnar(&Arc::new(batch), &mut out)
+                        .unwrap();
                 }
                 sharded.finish_into(&mut out).unwrap();
                 assert_eq!(out.as_slice(), &expected[..], "{label}: n={n}");

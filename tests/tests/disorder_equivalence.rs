@@ -13,6 +13,13 @@
 //! the windowed aggregation filters against a scalar oracle under random
 //! watermark schedules.
 //!
+//! Two pins hold the middleware's one data path in place: the *shape* a
+//! stream arrives in (one `try_push` per row, one `Pipeline::push` per
+//! row, ragged row chunks or columnar chunks through `ingest`) never
+//! shows in the run, and a run with a bad row cuts exactly where feeding
+//! its rows one at a time cuts — with and without the front end, inline
+//! and on a worker thread.
+//!
 //! The `GASF_TEST_DISORDER` environment knob (milliseconds) narrows the
 //! bound sweep to one bound (CI shards the matrix with it); unset, the
 //! suite covers 0, 16 and 1024 ms.
@@ -25,9 +32,13 @@ use gasf_core::quality::FilterSpec;
 use gasf_core::schema::Schema;
 use gasf_core::time::Micros;
 use gasf_core::tuple::{Tuple, TupleBuilder};
+use gasf_core::Error;
 use gasf_net::{NodeId, Overlay, Topology};
-use gasf_solar::{AppReport, Middleware, MiddlewareConfig, RunReport, SourceId};
-use gasf_sources::{Disorder, NamosBuoy, Trace};
+use gasf_solar::{
+    AppReport, EventTimeStats, GrantPolicy, IngestOptions, Middleware, MiddlewareConfig, RunReport,
+    SolarError, SourceId,
+};
+use gasf_sources::{ArrivalReplay, Disorder, NamosBuoy, Trace, TraceReplay};
 use proptest::prelude::*;
 
 const ALGORITHMS: [Algorithm; 3] = [
@@ -313,6 +324,219 @@ fn late_policies_hold_at_every_parallelism() {
             drop_delivered + late_count * 3,
             "n={parallelism}: every active subscription receives every patch"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// one data path: input shape and the error cut
+// ---------------------------------------------------------------------
+
+/// How a test hands a stream of arrivals to the middleware.
+#[derive(Debug, Clone, Copy)]
+enum Feed {
+    /// One `try_push` per row.
+    TryPush,
+    /// One `Pipeline::push` per row.
+    PipelinePush,
+    /// `ingest` over ragged row chunks.
+    RowChunks,
+    /// `ingest` over ragged columnar chunks (ordered arrivals only).
+    BatchChunks,
+}
+
+/// Feeds `arrivals` without finishing, stopping at the first error.
+fn feed(
+    mw: &mut Middleware,
+    src: SourceId,
+    trace: &Trace,
+    arrivals: &[Tuple],
+    how: Feed,
+) -> Result<(), SolarError> {
+    let options = IngestOptions {
+        max_rows: 64,
+        grant: GrantPolicy::Refill,
+        finish: false,
+    };
+    match how {
+        Feed::TryPush => {
+            for t in arrivals {
+                assert!(mw.try_push(src, t)?.is_accepted(), "no gate, no throttle");
+            }
+        }
+        Feed::PipelinePush => {
+            let mut pipeline = mw.pipeline(src)?;
+            for t in arrivals {
+                pipeline.push(t.clone())?;
+            }
+        }
+        Feed::RowChunks => {
+            let mut replay = ArrivalReplay::new(trace.schema().clone(), arrivals.to_vec())
+                .chunk_sizes([5, 1, 9, 33]);
+            mw.ingest(src, &mut replay, options)?;
+        }
+        Feed::BatchChunks => {
+            let mut replay = TraceReplay::new(trace.clone()).chunk_sizes([13, 1, 7]);
+            mw.ingest(src, &mut replay, options)?;
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn input_shape_never_shows_in_the_run() {
+    let trace = trace(300, 29);
+    let bound = Micros::from_millis(16);
+    // Stragglers arrive past the bound, so the late path (a patch per
+    // straggler) is part of what every shape must reproduce.
+    let disordered = Disorder::bounded(bound)
+        .seed(7)
+        .stragglers(40, Micros::from_millis(300))
+        .apply(&trace);
+    let front_end = EventTimeConfig::bounded(bound).late(LatePolicy::EmitPatch);
+    for algorithm in ALGORITHMS {
+        for strategy in STRATEGIES {
+            for parallelism in [1usize, 2] {
+                for event_time in [None, Some(front_end)] {
+                    let mut cfg = config(parallelism, algorithm, strategy);
+                    cfg.event_time = event_time;
+                    let (arrivals, feeds): (&[Tuple], &[Feed]) = match event_time {
+                        None => (
+                            trace.tuples(),
+                            &[
+                                Feed::TryPush,
+                                Feed::PipelinePush,
+                                Feed::RowChunks,
+                                Feed::BatchChunks,
+                            ],
+                        ),
+                        Some(_) => (
+                            &disordered,
+                            &[Feed::TryPush, Feed::PipelinePush, Feed::RowChunks],
+                        ),
+                    };
+                    let run = |how: Feed| {
+                        let (mut mw, src) = setup(cfg, &trace);
+                        feed(&mut mw, src, &trace, arrivals, how).unwrap();
+                        mw.finish(src).unwrap();
+                        let stats = mw.event_time_stats(src).unwrap();
+                        (fingerprint(&mw.report(src).unwrap()), stats)
+                    };
+                    let want = run(feeds[0]);
+                    if event_time.is_some() {
+                        assert!(want.1.patches > 0, "the stragglers must arrive late");
+                    } else {
+                        assert_eq!(want.1, EventTimeStats::default());
+                    }
+                    for &how in &feeds[1..] {
+                        assert_eq!(
+                            run(how),
+                            want,
+                            "{algorithm:?}/{strategy:?}/n={parallelism}/{event_time:?}: {how:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// What a subscriber-side observer can tell about a run: tuples per
+/// subscription, bytes and messages on the overlay.
+fn delivered(mw: &Middleware, src: SourceId) -> (Vec<u64>, u64, u64) {
+    let report = mw.report(src).unwrap();
+    (
+        report.per_app.iter().map(|a| a.tuples).collect(),
+        report.network_bytes,
+        report.messages,
+    )
+}
+
+#[test]
+fn a_run_cuts_at_its_bad_row_like_single_row_pushes() {
+    const BAD: usize = 137;
+    let trace = trace(300, 31);
+    let tmpr4 = trace.schema().attr("tmpr4").unwrap().index();
+    let good = &trace.tuples()[BAD];
+    let remade = |ts: Micros, values: Vec<f64>| Tuple::from_wire(good.seq(), ts, values);
+    let mut missing = good.values().to_vec();
+    missing[tmpr4] = f64::NAN;
+    let mut wide = good.values().to_vec();
+    wide.push(0.0);
+    // (the bad row, the error it must surface as, whether the reorder
+    // front end lets it through as an error at all — it re-sequences, so
+    // order and sequence violations become lateness there)
+    type IsKind = fn(&Error) -> bool;
+    let cases: [(Tuple, &str, IsKind, bool); 4] = [
+        (
+            remade(trace.tuples()[BAD - 2].timestamp(), good.values().to_vec()),
+            "out of order",
+            |e| matches!(e, Error::OutOfOrder { .. }),
+            false,
+        ),
+        (
+            good.with_seq(good.seq() + 5),
+            "sequence gap",
+            |e| matches!(e, Error::NonContiguousSeq { .. }),
+            false,
+        ),
+        (
+            remade(good.timestamp(), wide),
+            "wrong width",
+            |e| matches!(e, Error::SchemaMismatch { .. }),
+            true,
+        ),
+        (
+            remade(good.timestamp(), missing),
+            "missing value",
+            |e| matches!(e, Error::MissingValue { .. }),
+            true,
+        ),
+    ];
+    for (bad, kind, is_kind, survives_reorder) in &cases {
+        let mut arrivals = trace.tuples().to_vec();
+        arrivals[BAD] = bad.clone();
+        for event_time in [
+            None,
+            Some(EventTimeConfig::bounded(Micros::from_millis(16))),
+        ] {
+            if event_time.is_some() && !survives_reorder {
+                continue;
+            }
+            for parallelism in [1usize, 2] {
+                let label = format!("{kind}/n={parallelism}/{event_time:?}");
+                let mut cfg = config(
+                    parallelism,
+                    Algorithm::RegionGreedy,
+                    OutputStrategy::Earliest,
+                );
+                cfg.event_time = event_time;
+                // A checkpoint is the drain: on a worker thread, emissions
+                // decided before the cut may still be in flight when the
+                // error returns, and a worker-side failure surfaces on a
+                // later merge — at the latest this one, which delivers
+                // what was decided before the cut and nothing after it.
+                let run = |how: Feed| {
+                    let (mut mw, src) = setup(cfg, &trace);
+                    let fed = feed(&mut mw, src, &trace, &arrivals, how);
+                    let drained = mw.checkpoint().map(drop);
+                    match fed.and(drained) {
+                        Err(SolarError::Core(error)) => (error, delivered(&mw, src)),
+                        other => panic!("{label}: expected an engine error, got {other:?}"),
+                    }
+                };
+                let want = run(Feed::PipelinePush);
+                assert!(is_kind(&want.0), "{label}: {:?}", want.0);
+                if parallelism == 1 && event_time.is_none() && *kind != "missing value" {
+                    // rejected before it touched an engine: rows 0..BAD went in
+                    let (mut mw, src) = setup(cfg, &trace);
+                    feed(&mut mw, src, &trace, &arrivals, Feed::RowChunks).unwrap_err();
+                    assert_eq!(mw.report(src).unwrap().engine.input_tuples, BAD as u64);
+                }
+                assert!(want.1 .2 > 0, "{label}: the prefix must deliver");
+                assert_eq!(run(Feed::TryPush), want, "{label}: try_push");
+                assert_eq!(run(Feed::RowChunks), want, "{label}: row chunks");
+            }
+        }
     }
 }
 

@@ -13,6 +13,7 @@
 //! the fault model is pinned too: a run with a failed interior tree node
 //! still delivers to every live member (Scribe re-graft).
 
+use gasf_core::batch::TupleBatch;
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, GroupEngineBuilder, OutputStrategy};
 use gasf_core::metrics::EngineMetrics;
@@ -20,10 +21,12 @@ use gasf_core::quality::FilterSpec;
 use gasf_core::shard::ShardedEngine;
 use gasf_core::sink::VecSink;
 use gasf_core::snapshot::GroupSnapshot;
+use gasf_core::tuple::Tuple;
 use gasf_net::{NodeId, Overlay, Topology};
 use gasf_solar::{Middleware, MiddlewareConfig, RunReport};
 use gasf_sources::{NamosBuoy, Trace};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::RegionGreedy,
@@ -147,6 +150,21 @@ fn inline_crash_restore_replay_equals_fault_free_for_every_combination() {
     }
 }
 
+/// Feeds `rows` to a sharded engine in batches of `chunk` rows — how
+/// these tests slice the trace; no output may depend on it.
+fn feed(
+    engine: &mut ShardedEngine,
+    trace: &Trace,
+    rows: &[Tuple],
+    chunk: usize,
+    out: &mut VecSink,
+) {
+    for rows in rows.chunks(chunk) {
+        let batch = TupleBatch::from_tuples(trace.schema(), rows).unwrap();
+        engine.push_batch_columnar(&Arc::new(batch), out).unwrap();
+    }
+}
+
 /// One sharded run with a checkpoint at `ckpt`; optionally kills every
 /// worker shard at step `kill_at`. Returns the emission bytes, respawn
 /// count and final metrics.
@@ -161,7 +179,6 @@ fn sharded_run(
 ) -> (Vec<Emission>, u32, EngineMetrics) {
     let mut engine = ShardedEngine::builder()
         .parallelism(parallelism)
-        .batch_size(batch)
         .route(
             "group",
             builder(trace, algorithm, strategy).filters(base_specs(trace)),
@@ -169,16 +186,28 @@ fn sharded_run(
         .build()
         .unwrap();
     let mut out = VecSink::new();
-    for (i, t) in trace.tuples().iter().enumerate() {
-        if i == ckpt {
+    let tuples = trace.tuples();
+    // The checkpoint and the kill land between batches, so they cut the
+    // trace wherever they fall.
+    let mut cuts = vec![0, ckpt, kill_at.unwrap_or(ckpt), tuples.len()];
+    cuts.sort_unstable();
+    cuts.dedup();
+    for segment in cuts.windows(2) {
+        if segment[0] == ckpt {
             engine.checkpoint(&mut out).unwrap();
         }
-        if kill_at == Some(i) {
+        if kill_at == Some(segment[0]) {
             for shard in 0..engine.shards() {
                 engine.kill_shard(shard).unwrap();
             }
         }
-        engine.push_into(t.clone(), &mut out).unwrap();
+        feed(
+            &mut engine,
+            trace,
+            &tuples[segment[0]..segment[1]],
+            batch,
+            &mut out,
+        );
     }
     engine.finish_into(&mut out).unwrap();
     let metrics = engine.metrics();
@@ -216,7 +245,6 @@ fn sharded_restore_replays_the_suffix_byte_identically() {
                 // fault-free reference with the same checkpoint schedule
                 let mut engine = ShardedEngine::builder()
                     .parallelism(n)
-                    .batch_size(17)
                     .route(
                         "group",
                         builder(&trace, algorithm, strategy).filters(base_specs(&trace)),
@@ -224,15 +252,11 @@ fn sharded_restore_replays_the_suffix_byte_identically() {
                     .build()
                     .unwrap();
                 let mut pre = VecSink::new();
-                for t in &trace.tuples()[..CKPT] {
-                    engine.push_into(t.clone(), &mut pre).unwrap();
-                }
+                feed(&mut engine, &trace, &trace.tuples()[..CKPT], 17, &mut pre);
                 let snap = engine.checkpoint(&mut pre).unwrap();
                 assert_eq!(snap.input_tuples(), CKPT as u64);
                 let mut post = VecSink::new();
-                for t in &trace.tuples()[CKPT..] {
-                    engine.push_into(t.clone(), &mut post).unwrap();
-                }
+                feed(&mut engine, &trace, &trace.tuples()[CKPT..], 17, &mut post);
                 engine.finish_into(&mut post).unwrap();
                 let expected = post.into_vec();
 
@@ -240,9 +264,13 @@ fn sharded_restore_replays_the_suffix_byte_identically() {
                 // replay the suffix from the (caller-side) log
                 let mut restored = ShardedEngine::restore(&snap).unwrap();
                 let mut replayed = VecSink::new();
-                for t in &trace.tuples()[CKPT..] {
-                    restored.push_into(t.clone(), &mut replayed).unwrap();
-                }
+                feed(
+                    &mut restored,
+                    &trace,
+                    &trace.tuples()[CKPT..],
+                    17,
+                    &mut replayed,
+                );
                 restored.finish_into(&mut replayed).unwrap();
                 assert_eq!(replayed.into_vec(), expected, "{label} n={n}");
                 assert_eq!(

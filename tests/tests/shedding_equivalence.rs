@@ -24,14 +24,16 @@
 use std::sync::Arc;
 
 use gasf_core::batch::TupleBatch;
+use gasf_core::connector::{Chunk, SourceConnector};
 use gasf_core::engine::{Algorithm, OutputStrategy};
 use gasf_core::quality::{FilterKind, FilterSpec};
+use gasf_core::schema::Schema;
 use gasf_core::shed::{PushOutcome, ShedHeadroom};
 use gasf_core::time::Micros;
 use gasf_core::tuple::Tuple;
 use gasf_net::{NodeId, Overlay, Topology};
 use gasf_solar::{GrantPolicy, IngestOptions, Middleware, MiddlewareConfig, ShedConfig, SourceId};
-use gasf_sources::{NamosBuoy, Trace, TraceReplay};
+use gasf_sources::{ArrivalReplay, NamosBuoy, Trace, TraceReplay};
 
 const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::RegionGreedy,
@@ -516,4 +518,279 @@ fn ingest_report_reconciles_with_flow_monitor() {
     );
     let run = mw.report(src).unwrap();
     assert_eq!(run.engine.input_tuples, report.accepted);
+}
+
+// ---------------------------------------------------------------------
+// The golden ladder schedule: where the ladder moves, to the row, for
+// each input shape. Captured from the implementation that booked calm
+// once per `try_push` call; any change to what the shedder is told, or
+// to where a restore's `update_filter` lands, moves these numbers.
+// ---------------------------------------------------------------------
+
+const LADDER_CAPACITY: u64 = 16;
+const LADDER_SHED: ShedConfig = ShedConfig {
+    trigger: 4,
+    recover: 4,
+    max_rung: 4,
+};
+
+/// What one pressured run did: where the ladder moved, what the monitor
+/// counted, what the subscribers got.
+#[derive(Debug, PartialEq)]
+struct LadderRun {
+    /// `(input rows consumed, rung)` at every observed ladder move.
+    transitions: Vec<(usize, u8)>,
+    /// `throttled`, `degrade_ops`, `restore_ops`, `shed_dropped`.
+    counters: [u64; 4],
+    /// Input tuples, output tuples, emissions, recipient labels,
+    /// network bytes, messages.
+    report: [u64; 6],
+    /// Order-sensitive fold of the per-emission latencies.
+    latency_fold: u64,
+    /// Tuples delivered per subscription.
+    per_app: Vec<u64>,
+}
+
+fn ladder_rig(trace: &Trace, parallelism: usize) -> (Middleware, SourceId) {
+    build(
+        trace,
+        &roster(trace),
+        Algorithm::RegionGreedy,
+        OutputStrategy::Earliest,
+        parallelism,
+        Some(LADDER_CAPACITY),
+        Some(LADDER_SHED),
+    )
+}
+
+fn note_rung(mw: &Middleware, src: SourceId, rows: usize, transitions: &mut Vec<(usize, u8)>) {
+    let rung = mw.shed_rung(src).unwrap();
+    if transitions.last().map_or(0, |&(_, r)| r) != rung {
+        transitions.push((rows, rung));
+    }
+}
+
+fn ladder_run(mw: &Middleware, src: SourceId, transitions: Vec<(usize, u8)>) -> LadderRun {
+    let flow = mw.flow_monitor(src).unwrap();
+    let fp = fingerprint(mw, src);
+    LadderRun {
+        transitions,
+        counters: [
+            flow.throttled(),
+            flow.degrade_ops(),
+            flow.restore_ops(),
+            flow.shed_dropped(),
+        ],
+        report: [
+            fp.input_tuples,
+            fp.output_tuples,
+            fp.emissions,
+            fp.recipient_labels,
+            fp.network_bytes,
+            fp.messages,
+        ],
+        latency_fold: fp
+            .latencies_us
+            .iter()
+            .fold(0u64, |h, &l| h.wrapping_mul(0x0100_0000_01b3) ^ l),
+        per_app: fp.per_app.iter().map(|a| a.2).collect(),
+    }
+}
+
+/// Hands `ingest` one chunk of the inner connector per call, so the test
+/// can read the rung between chunks.
+struct OneChunk<'a> {
+    inner: &'a mut dyn SourceConnector,
+    spent: bool,
+}
+
+impl SourceConnector for OneChunk<'_> {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn next_chunk(&mut self, max_rows: usize) -> Result<Option<Chunk>, gasf_core::Error> {
+        if std::mem::replace(&mut self.spent, true) {
+            return Ok(None);
+        }
+        self.inner.next_chunk(max_rows)
+    }
+}
+
+/// Drives `connector` to EOF through `ingest`, one chunk per call,
+/// recording the rung after each chunk; `rows` carries the input
+/// position in and out.
+fn ingest_chunkwise(
+    mw: &mut Middleware,
+    src: SourceId,
+    connector: &mut dyn SourceConnector,
+    max_rows: usize,
+    rows: &mut usize,
+    transitions: &mut Vec<(usize, u8)>,
+) {
+    loop {
+        let mut one = OneChunk {
+            inner: connector,
+            spent: false,
+        };
+        let report = mw
+            .ingest(
+                src,
+                &mut one,
+                IngestOptions {
+                    max_rows,
+                    grant: GrantPolicy::Refill,
+                    finish: false,
+                },
+            )
+            .unwrap();
+        if report.chunks == 0 {
+            break;
+        }
+        assert_eq!(report.accepted + report.dropped, report.rows);
+        *rows += report.rows as usize;
+        note_rung(mw, src, *rows, transitions);
+    }
+    mw.finish(src).unwrap();
+}
+
+/// Feed (i): one `try_push` per row. The middle third is starved — a
+/// throttled row is retried four times before a single credit arrives,
+/// so every row costs a full trigger streak; the calm thirds refill the
+/// window on the first throttle.
+fn ladder_by_try_push(parallelism: usize) -> LadderRun {
+    let trace = trace(360);
+    let (mut mw, src) = ladder_rig(&trace, parallelism);
+    let n = trace.tuples().len();
+    let mut transitions = Vec::new();
+    for (i, t) in trace.tuples().iter().enumerate() {
+        let starved = (n / 3..2 * n / 3).contains(&i);
+        let mut stalls = 0u32;
+        loop {
+            let outcome = mw.try_push(src, t).unwrap();
+            note_rung(
+                &mw,
+                src,
+                i + usize::from(outcome.is_accepted()),
+                &mut transitions,
+            );
+            if outcome.is_accepted() {
+                break;
+            }
+            stalls += 1;
+            if !starved {
+                mw.grant_credits(src, LADDER_CAPACITY).unwrap();
+            } else if stalls.is_multiple_of(5) {
+                mw.grant_credits(src, 1).unwrap();
+            }
+        }
+    }
+    mw.finish(src).unwrap();
+    ladder_run(&mw, src, transitions)
+}
+
+/// Feed (ii): the first half climbs the ladder through trickle-fed
+/// 8-row batches; the second half arrives as row chunks of 5, 1 and 9
+/// through `ingest`, where every fourth calm row restores a rung — in
+/// the middle of a chunk, twice inside a 9-row one.
+fn ladder_by_row_chunks(parallelism: usize) -> LadderRun {
+    let trace = trace(360);
+    let (mut mw, src) = ladder_rig(&trace, parallelism);
+    let half = trace.tuples().len() / 2;
+    let mut transitions = Vec::new();
+    let mut rows = 0usize;
+    let head = TupleBatch::from_tuples(trace.schema(), &trace.tuples()[..half]).unwrap();
+    for start in (0..half).step_by(8) {
+        let batch = Arc::new(head.slice(start, 8.min(half - start)));
+        let mut row = 0;
+        while row < batch.rows() {
+            let (n, outcome) = mw.try_push_columnar(src, &batch, row).unwrap();
+            row += n;
+            note_rung(&mw, src, rows + row, &mut transitions);
+            if outcome == PushOutcome::Throttled {
+                mw.grant_credits(src, 1).unwrap();
+            }
+        }
+        rows += batch.rows();
+    }
+    let mut tail = ArrivalReplay::new(trace.schema().clone(), trace.tuples()[half..].to_vec())
+        .chunk_sizes([5, 1, 9]);
+    ingest_chunkwise(&mut mw, src, &mut tail, 16, &mut rows, &mut transitions);
+    ladder_run(&mw, src, transitions)
+}
+
+/// Feed (iii): columnar chunks through `ingest`. A 160-row chunk
+/// trickles through the 16-credit window in ten admissions (nine
+/// partial, so two rungs up); sixteen 4-row chunks walk the ladder back
+/// down; a third wide chunk at the top rung exhausts the ladder and its
+/// tail is dropped.
+fn ladder_by_batch_chunks(parallelism: usize) -> LadderRun {
+    let trace = trace(864);
+    let (mut mw, src) = ladder_rig(&trace, parallelism);
+    let mut pattern = vec![160, 160];
+    pattern.extend([4; 16]);
+    pattern.extend([160; 3]);
+    let mut replay = TraceReplay::new(trace.clone()).chunk_sizes(pattern);
+    let mut transitions = Vec::new();
+    let mut rows = 0usize;
+    ingest_chunkwise(&mut mw, src, &mut replay, 256, &mut rows, &mut transitions);
+    assert_eq!(rows, 864);
+    ladder_run(&mw, src, transitions)
+}
+
+#[test]
+fn golden_ladder_schedule_holds_for_every_input_shape() {
+    let by_try_push = LadderRun {
+        transitions: vec![
+            (128, 1),
+            (129, 2),
+            (130, 3),
+            (131, 4),
+            (244, 3),
+            (248, 2),
+            (252, 1),
+            (256, 0),
+        ],
+        counters: [575, 7, 7, 0],
+        report: [360, 209, 209, 593, 306_000, 209],
+        latency_fold: 2_208_891_559_619_878_656,
+        per_app: vec![76, 55, 65, 83, 181, 133],
+    };
+    // Rows 185 → 195 are one 9-row chunk: two rungs down inside it.
+    let by_row_chunks = LadderRun {
+        transitions: vec![
+            (19, 1),
+            (23, 2),
+            (27, 3),
+            (31, 4),
+            (185, 3),
+            (195, 1),
+            (200, 0),
+        ],
+        counters: [176, 7, 7, 0],
+        report: [360, 201, 201, 574, 295_800, 201],
+        latency_fold: 11_476_696_815_957_072_256,
+        per_app: vec![77, 54, 65, 81, 166, 131],
+    };
+    let by_batch_chunks = LadderRun {
+        transitions: vec![
+            (160, 2),
+            (320, 4),
+            (336, 3),
+            (352, 2),
+            (368, 1),
+            (384, 0),
+            (544, 2),
+            (704, 4),
+        ],
+        counters: [158, 14, 7, 112],
+        report: [752, 376, 376, 1138, 568_208, 376],
+        latency_fold: 11_407_592_952_880_738_592,
+        per_app: vec![172, 117, 140, 161, 281, 267],
+    };
+    for parallelism in [1usize, 2] {
+        assert_eq!(ladder_by_try_push(parallelism), by_try_push);
+        assert_eq!(ladder_by_row_chunks(parallelism), by_row_chunks);
+        assert_eq!(ladder_by_batch_chunks(parallelism), by_batch_chunks);
+    }
 }

@@ -13,6 +13,7 @@ use gasf_core::shard::ShardedEngine;
 use gasf_core::sink::{EmissionSink, VecSink};
 use gasf_sources::{NamosBuoy, Trace};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::RegionGreedy,
@@ -25,6 +26,19 @@ const STRATEGIES: [OutputStrategy; 3] = [
     OutputStrategy::PerCandidateSet,
     OutputStrategy::Batched(7),
 ];
+
+/// Runs the whole trace through a sharded engine in batches of `chunk`
+/// rows — how these tests slice the trace; no output may depend on it.
+fn run_sharded(sharded: &mut ShardedEngine, trace: &Trace, chunk: usize) -> VecSink {
+    let mut out = VecSink::new();
+    for batch in trace.batches(chunk) {
+        sharded
+            .push_batch_columnar(&Arc::new(batch), &mut out)
+            .unwrap();
+    }
+    sharded.finish_into(&mut out).unwrap();
+    out
+}
 
 fn trace() -> Trace {
     NamosBuoy::new().tuples(600).seed(42).generate()
@@ -132,7 +146,6 @@ fn sharded_engine_equals_group_engine_for_every_combination() {
             for n in [1usize, 2, 4] {
                 let mut sharded = ShardedEngine::builder()
                     .parallelism(n)
-                    .batch_size(23) // off the trace length, so batches straddle
                     .route(
                         "group",
                         GroupEngine::builder(trace.schema().clone())
@@ -142,10 +155,8 @@ fn sharded_engine_equals_group_engine_for_every_combination() {
                     )
                     .build()
                     .unwrap();
-                let mut out = VecSink::new();
-                sharded
-                    .run_into(trace.tuples().iter().cloned(), &mut out)
-                    .unwrap();
+                // 23 rows: off the trace length, so the last batch is ragged
+                let out = run_sharded(&mut sharded, &trace, 23);
                 assert_eq!(out.as_slice(), expected.as_slice(), "{label}: n={n}");
                 let merged = sharded.metrics();
                 let m = reference.metrics();
@@ -202,14 +213,10 @@ proptest! {
         for n in [1usize, 2, 4] {
             let mut sharded = ShardedEngine::builder()
                 .parallelism(n)
-                .batch_size(batch)
                 .route("group", group())
                 .build()
                 .unwrap();
-            let mut out = VecSink::new();
-            sharded
-                .run_into(trace.tuples().iter().cloned(), &mut out)
-                .unwrap();
+            let out = run_sharded(&mut sharded, &trace, batch);
             prop_assert_eq!(out.as_slice(), expected.as_slice());
         }
     }
@@ -224,8 +231,8 @@ proptest! {
     ) {
         let trace = NamosBuoy::new().tuples(250).seed(seed).generate();
         let s = trace.stats("tmpr4").unwrap().mean_abs_delta;
-        let build = |n: usize, batch: usize| {
-            let mut builder = ShardedEngine::builder().parallelism(n).batch_size(batch);
+        let build = |n: usize| {
+            let mut builder = ShardedEngine::builder().parallelism(n);
             for r in 0..routes {
                 let delta = s * (1.5 + r as f64 * 0.7);
                 builder = builder.route(
@@ -236,15 +243,9 @@ proptest! {
             }
             builder.build().unwrap()
         };
-        let mut base_sink = VecSink::new();
-        build(1, 64)
-            .run_into(trace.tuples().iter().cloned(), &mut base_sink)
-            .unwrap();
+        let base_sink = run_sharded(&mut build(1), &trace, 64);
         for n in [2usize, 4] {
-            let mut out = VecSink::new();
-            build(n, batch)
-                .run_into(trace.tuples().iter().cloned(), &mut out)
-                .unwrap();
+            let out = run_sharded(&mut build(n), &trace, batch);
             prop_assert_eq!(out.as_slice(), base_sink.as_slice());
         }
     }
