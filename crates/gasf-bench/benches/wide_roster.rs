@@ -7,6 +7,11 @@
 //! key class whose cohort cascade decides most members with a single
 //! `|Δ|` plus a binary search; the interpreted path pays one virtual call
 //! and one distance per filter regardless.
+//!
+//! `twin_roster/*/4x64` holds the 64-filter roster four times over: the
+//! compiled tier folds the copies into the 64 members (identical
+//! subscriptions cost one filter), the interpreted tier runs all 256 —
+//! so the pair shows what folding is worth on every run.
 
 mod common;
 
@@ -59,6 +64,19 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| black_box(run(&trace, &specs, tier)))
             });
         }
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("twin_roster");
+    let distinct = roster(&trace, 64);
+    let specs: Vec<FilterSpec> = (0..256).map(|i| distinct[i % 64].clone()).collect();
+    for (label, tier) in [
+        ("compiled", EvaluatorTier::Compiled),
+        ("interpreted", EvaluatorTier::Interpreted),
+    ] {
+        g.bench_with_input(BenchmarkId::new(label, "4x64"), &tier, |b, &tier| {
+            b.iter(|| black_box(run(&trace, &specs, tier)))
+        });
     }
     g.finish();
 }

@@ -56,7 +56,7 @@ use crate::error::Error;
 use crate::filter::{build_filter, ForceCloseOutcome, GroupFilter};
 use crate::hitting_set::{collect_distinct_ids, GreedySolver};
 use crate::metrics::{EngineMetrics, FilterMetrics};
-use crate::plan::{CompiledRoster, EvaluatorTier, FilterPlan, StepActions};
+use crate::plan::{CompiledRoster, EvaluatorTier, FilterPlan, StepActions, TwinTable};
 use crate::quality::FilterSpec;
 use crate::region::{OpenCovers, Region, RegionTracker};
 use crate::schema::Schema;
@@ -306,6 +306,7 @@ impl GroupEngineBuilder {
             schema: self.schema,
             slots,
             tier: self.tier,
+            twins: twin_table(compiled.as_ref(), width),
             compiled,
             step: StepActions::default(),
             algorithm: self.algorithm,
@@ -320,6 +321,7 @@ impl GroupEngineBuilder {
             cover_buf: OpenCovers::default(),
             ready_buf: Vec::new(),
             ids_buf: Vec::new(),
+            weights_buf: Vec::new(),
             solver: GreedySolver::default(),
             pool: TuplePool::new(),
             pending: BTreeMap::new(),
@@ -404,6 +406,13 @@ fn compile_slots(
     )
 }
 
+/// Which slots each first-stage member of a `width`-slot roster stands
+/// for: the compiled roster's twin classes, or — on the interpreted tier,
+/// which runs every filter itself — each slot alone.
+fn twin_table(compiled: Option<&CompiledRoster>, width: usize) -> TwinTable {
+    compiled.map_or_else(|| TwinTable::solo(width), CompiledRoster::twin_table)
+}
+
 /// The group time constraint in effect for a roster: the explicit one, or
 /// the minimum of the occupied filters' latency tolerances.
 fn effective_constraint(
@@ -458,6 +467,12 @@ pub struct GroupEngine {
     compiled: Option<CompiledRoster>,
     /// Reusable per-tuple action buffer for the compiled path.
     step: StepActions,
+    /// Which filters each first-stage member stands for: the compiled
+    /// roster evaluates one leader per class of identical filters, and
+    /// every place below that books a filter, moves a utility, sizes a
+    /// region or labels an output does it for the leader's whole class.
+    /// Rebuilt with the roster at every epoch boundary.
+    twins: TwinTable,
     algorithm: Algorithm,
     strategy: OutputStrategy,
     /// The constraint the caller set explicitly (kept so the effective
@@ -471,11 +486,12 @@ pub struct GroupEngine {
     tracker: RegionTracker,
     /// Reusable buffers of the per-row region drain and solve: the
     /// interpreted tier's open covers (the compiled roster keeps its
-    /// own), ready regions, a region's distinct ids, and the hitting-set
-    /// solver's working storage.
+    /// own), ready regions, a region's distinct ids and its sets'
+    /// weights, and the hitting-set solver's working storage.
     cover_buf: OpenCovers,
     ready_buf: Vec<Region>,
     ids_buf: Vec<TupleId>,
+    weights_buf: Vec<u32>,
     solver: GreedySolver,
     /// Intern pool owning the live tuples that may still be chosen/emitted.
     pool: TuplePool,
@@ -887,6 +903,7 @@ impl GroupEngine {
             ),
             EvaluatorTier::Interpreted => None,
         };
+        self.twins = twin_table(self.compiled.as_ref(), self.slots.len());
         self.constraint = effective_constraint(self.explicit_constraint, &self.slots);
         // Per-epoch state restarts exactly like a freshly built engine
         // (the determinism contract depends on it). The pool is already
@@ -1039,6 +1056,7 @@ impl GroupEngine {
             schema: snap.schema.clone(),
             slots,
             tier,
+            twins: twin_table(compiled.as_ref(), width),
             compiled,
             step: StepActions::default(),
             algorithm: snap.algorithm,
@@ -1053,6 +1071,7 @@ impl GroupEngine {
             cover_buf: OpenCovers::default(),
             ready_buf: Vec::new(),
             ids_buf: Vec::new(),
+            weights_buf: Vec::new(),
             solver: GreedySolver::default(),
             pool: TuplePool::new(),
             pending: BTreeMap::new(),
@@ -1405,11 +1424,7 @@ impl GroupEngine {
     }
 
     fn handle_force_outcome(&mut self, i: usize, now: Micros, outcome: ForceCloseOutcome) {
-        for id in outcome.dismissed {
-            self.metrics.per_filter[i].dismissed += 1;
-            self.utility.decrement(id);
-            self.maybe_drop(id);
-        }
+        self.handle_dismissed(i, &outcome.dismissed);
         if let Some(set) = outcome.closed {
             self.handle_closed_set(i, now, set);
         }
@@ -1443,9 +1458,10 @@ impl GroupEngine {
     }
 
     /// Replays the fused pass recorded in `self.step` into the engine's
-    /// bookkeeping: the admission mask's popcount lands on the new tuple
-    /// as one bulk utility probe, references follow as a block scan, and
-    /// only the (rare) events walk slot by slot. Byte-identical to the
+    /// bookkeeping: the admission mask's weight (one bit per twin class)
+    /// lands on the new tuple as one bulk utility probe, references
+    /// follow as a block scan, and only the (rare) events walk slot by
+    /// slot, each booked for the leader's whole class. Byte-identical to the
     /// interpreted tier's per-slot [`apply_action`](Self::apply_action)
     /// loop because a step's closed sets and dismissals never involve the
     /// current tuple (window seal precedes push, the delta vicinity seal
@@ -1457,26 +1473,30 @@ impl GroupEngine {
     fn replay_step(&mut self, id: TupleId, now: Micros) {
         let mut step = std::mem::take(&mut self.step);
         let mut admissions = 0u32;
-        for fid in step.admitted.iter() {
-            self.metrics.per_filter[fid.index()].admitted += 1;
-            admissions += 1;
+        for leader in step.admitted.iter() {
+            let class = self.twins.class(leader.index());
+            for &f in class {
+                self.metrics.per_filter[f as usize].admitted += 1;
+            }
+            admissions += class.len() as u32;
         }
         self.utility.increment_by(id, admissions);
-        for fid in step.references.iter() {
-            let i = fid.index();
-            self.metrics.per_filter[i].references += 1;
-            if self.algorithm == Algorithm::SelfInterested && self.si_emits_at_reference(i) {
-                self.enqueue(id, fid);
-                self.metrics.per_filter[i].chosen += 1;
+        for leader in step.references.iter() {
+            let i = leader.index();
+            let emits =
+                self.algorithm == Algorithm::SelfInterested && self.si_emits_at_reference(i);
+            for &f in self.twins.class(i) {
+                let booked = &mut self.metrics.per_filter[f as usize];
+                booked.references += 1;
+                booked.chosen += u64::from(emits);
+            }
+            if emits {
+                self.enqueue(id, leader);
             }
         }
         for (slot, ev) in step.events.drain(..) {
             let i = slot as usize;
-            for &d in &step.dismissed[ev.dismissed] {
-                self.metrics.per_filter[i].dismissed += 1;
-                self.utility.decrement(d);
-                self.maybe_drop(d);
-            }
+            self.handle_dismissed(i, &step.dismissed[ev.dismissed]);
             if let Some(set) = ev.closed {
                 self.handle_closed_set(i, now, set);
             }
@@ -1506,21 +1526,42 @@ impl GroupEngine {
         }
     }
 
+    /// Books the ids the member in slot `i` dismissed from its open set,
+    /// for every filter of its class.
+    fn handle_dismissed(&mut self, i: usize, dismissed: &[TupleId]) {
+        for &f in self.twins.class(i) {
+            self.metrics.per_filter[f as usize].dismissed += dismissed.len() as u64;
+        }
+        let weight = self.twins.weight(i);
+        for &id in dismissed {
+            self.utility.decrement_by(id, weight);
+            self.maybe_drop(id);
+        }
+    }
+
+    /// Takes a set the member in slot `i` closed — the set of every
+    /// filter of its class — into the second stage.
     fn handle_closed_set(&mut self, i: usize, now: Micros, set: crate::candidate::ClosedSet) {
-        self.metrics.per_filter[i].sets_closed += 1;
-        if set.cause == CloseCause::Cut {
-            self.metrics.per_filter[i].sets_cut += 1;
+        let weight = self.twins.weight(i);
+        // What a self-interested filter that did not already emit at its
+        // reference (a sampler) outputs for this set.
+        let si_choice: &[TupleId] = match self.algorithm {
+            Algorithm::SelfInterested if !self.si_emits_at_reference(i) => &set.si_choice,
+            _ => &[],
+        };
+        for &f in self.twins.class(i) {
+            let booked = &mut self.metrics.per_filter[f as usize];
+            booked.sets_closed += 1;
+            booked.sets_cut += u64::from(set.cause == CloseCause::Cut);
+            booked.chosen += si_choice.len() as u64;
         }
         match self.algorithm {
             Algorithm::SelfInterested => {
-                if !self.si_emits_at_reference(i) {
-                    for &id in &set.si_choice {
-                        self.enqueue(id, FilterId::from_index(i));
-                        self.metrics.per_filter[i].chosen += 1;
-                    }
+                for &id in si_choice {
+                    self.enqueue(id, set.filter);
                 }
                 for c in &set.candidates {
-                    self.utility.decrement(c.id);
+                    self.utility.decrement_by(c.id, weight);
                 }
                 for c in &set.candidates {
                     self.maybe_drop(c.id);
@@ -1551,7 +1592,7 @@ impl GroupEngine {
                 self.tracker.add(set);
             }
             Algorithm::RegionGreedy => {
-                self.tracker.add(set);
+                self.tracker.add_weighted(set, weight as usize);
             }
         }
     }
@@ -1696,20 +1737,26 @@ impl GroupEngine {
         collect_distinct_ids(region.sets(), &mut ids);
         if self.algorithm == Algorithm::RegionGreedy {
             let mut solver = std::mem::take(&mut self.solver);
+            let mut weights = std::mem::take(&mut self.weights_buf);
+            weights.clear();
+            weights.extend((region.sets().iter()).map(|s| self.twins.weight(s.filter.index())));
             let t0 = Instant::now();
-            solver.solve(region.sets(), &ids);
+            solver.solve(region.sets(), &weights, &ids);
             let elapsed = t0.elapsed();
             self.metrics.greedy_cpu += elapsed;
             self.predictor
                 .observe(region.size(), Micros(elapsed.as_micros() as u64));
             for (id, covers) in solver.choices() {
+                let recipients = self.pending.entry(id).or_default();
                 for &si in covers {
-                    let fid = region.sets()[si].filter;
-                    self.enqueue(id, fid);
-                    self.metrics.per_filter[fid.index()].chosen += 1;
+                    for &f in self.twins.class(region.sets()[si].filter.index()) {
+                        recipients.insert(FilterId(f));
+                        self.metrics.per_filter[f as usize].chosen += 1;
+                    }
                 }
             }
             self.solver = solver;
+            self.weights_buf = weights;
         }
         // Cleanup: tuples of a completed region can never appear in a
         // future candidate set (their covers would intersect the region's),
@@ -1735,8 +1782,13 @@ impl GroupEngine {
         self.tracker.recycle(sets);
     }
 
-    fn enqueue(&mut self, id: TupleId, recipient: FilterId) {
-        self.pending.entry(id).or_default().insert(recipient);
+    /// Labels the pending output `id` for every filter of the class
+    /// `leader` leads.
+    fn enqueue(&mut self, id: TupleId, leader: FilterId) {
+        let recipients = self.pending.entry(id).or_default();
+        for &f in self.twins.class(leader.index()) {
+            recipients.insert(FilterId(f));
+        }
     }
 
     /// Drops a tuple from the pool once nothing can reference it again.
@@ -1848,7 +1900,7 @@ impl GroupEngine {
         self.tracker.pending_candidates()
             + (0..self.slots.len())
                 .filter(|&i| self.slots[i].is_some())
-                .map(|i| self.open_len_of(i))
+                .map(|i| self.open_len_of(i) * self.twins.weight(i) as usize)
                 .sum::<usize>()
     }
 }

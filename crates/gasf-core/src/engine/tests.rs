@@ -484,6 +484,50 @@ fn aggressive_cuts_degrade_towards_si_but_never_worse() {
 }
 
 #[test]
+fn cut_inputs_count_every_twin_of_a_folded_member() {
+    // What the group cut reads — the oldest pending candidate and the
+    // candidate count the run-time predictor is asked about — must not
+    // change when identical filters are folded into one member: the
+    // compiled engine (A, B and C each three times: three members) and
+    // the interpreted one (nine filters) agree after every tuple, over
+    // open sets and pending regions alike.
+    let (schema, tuples) = paper_stream();
+    let mut engines: Vec<GroupEngine> = [EvaluatorTier::Compiled, EvaluatorTier::Interpreted]
+        .into_iter()
+        .map(|tier| {
+            GroupEngine::builder(schema.clone())
+                .evaluator(tier)
+                .time_constraint(TimeConstraint::max_delay(Micros::from_millis(45)))
+                .filters((0..9).map(|i| abc_specs()[i % 3].clone()))
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let folded = engines[0].compiled.as_ref().unwrap();
+    assert_eq!((folded.distinct_members(), folded.member_count()), (3, 9));
+    let mut seen = 0;
+    for t in tuples {
+        let views: Vec<_> = (engines.iter_mut())
+            .map(|e| {
+                let released = e.push(t.clone()).unwrap();
+                (
+                    e.pending_candidates(),
+                    e.oldest_pending_candidate(),
+                    released,
+                )
+            })
+            .collect();
+        assert_eq!(views[0], views[1], "after tuple {}", t.seq());
+        seen = seen.max(views[0].0);
+    }
+    assert!(seen >= 9, "never more than {seen} candidates pending");
+    assert!(
+        engines[0].metrics().regions_cut > 0,
+        "the deadline never cut"
+    );
+}
+
+#[test]
 fn mean_region_size_matches_paper_scale() {
     let (engine, _) = run(Algorithm::RegionGreedy, OutputStrategy::Earliest, None);
     // Region 1 has 3 candidates; region 2's five sets hold 3+2+4+2+2 = 13

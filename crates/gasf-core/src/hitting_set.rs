@@ -48,10 +48,23 @@ pub struct Choice {
 /// [`Prescription::Any`] reproduce the
 /// classical greedy hitting set exactly.
 pub fn greedy_hitting_set(sets: &[ClosedSet]) -> Vec<Choice> {
+    weighted_greedy_hitting_set(sets, &vec![1; sets.len()])
+}
+
+/// [`greedy_hitting_set`] over an instance in which `sets[i]` stands for
+/// `weights[i]` identical copies of itself. Copies of one set are owed,
+/// hit and satisfied together, so the picks — and, once each cover is
+/// read as all of its copies, the covers — are exactly those of the
+/// expanded instance, at the cost of the distinct sets alone. This is
+/// how the engine solves a region of folded twin classes.
+///
+/// # Panics
+/// Panics if `weights` and `sets` differ in length.
+pub fn weighted_greedy_hitting_set(sets: &[ClosedSet], weights: &[u32]) -> Vec<Choice> {
     let mut universe = Vec::new();
     collect_distinct_ids(sets, &mut universe);
     let mut solver = GreedySolver::default();
-    solver.solve(sets, &universe);
+    solver.solve(sets, weights, &universe);
     solver
         .choices()
         .map(|(id, covers)| Choice {
@@ -93,7 +106,7 @@ pub(crate) struct GreedySolver {
     /// Every incidence of the instance, in set order (so one tuple's
     /// incidences appear in ascending set order).
     incidences: Vec<Incidence>,
-    /// Per set: picks still owed.
+    /// Per set: picks still owed (to each of the copies it stands for).
     needed: Vec<u32>,
     /// Per rank of every ranked set: already filled.
     rank_used: Vec<bool>,
@@ -109,10 +122,12 @@ pub(crate) struct GreedySolver {
 }
 
 impl GreedySolver {
-    /// Solves the instance over `universe` — the sorted distinct ids of
-    /// `sets`, which callers that need them anyway (region cleanup)
-    /// collect once. Read the result with [`choices`](Self::choices).
-    pub(crate) fn solve(&mut self, sets: &[ClosedSet], universe: &[TupleId]) {
+    /// Solves the instance in which `sets[i]` counts `weights[i]` times,
+    /// over `universe` — the sorted distinct ids of `sets`, which callers
+    /// that need them anyway (region cleanup) collect once. Read the
+    /// result with [`choices`](Self::choices).
+    pub(crate) fn solve(&mut self, sets: &[ClosedSet], weights: &[u32], universe: &[TupleId]) {
+        assert_eq!(sets.len(), weights.len(), "one weight per set");
         let dense = |id: TupleId| {
             universe
                 .binary_search(&id)
@@ -162,16 +177,19 @@ impl GreedySolver {
             }
         }
 
-        let mut owed: u64 = self.needed.iter().map(|&n| u64::from(n)).sum();
+        let mut owed: u64 = (self.needed.iter().zip(weights))
+            .map(|(&n, &w)| u64::from(n) * u64::from(w))
+            .sum();
         while owed > 0 {
-            // Usefulness: the incidences that could still fill a pick.
+            // Usefulness: the incidences that could still fill a pick,
+            // each once per copy of its set.
             self.useful.clear();
             self.useful.resize(universe.len(), 0);
             for inc in &self.incidences {
                 if self.needed[inc.set as usize] > 0
                     && (inc.rank == NO_RANK || !self.rank_used[inc.rank as usize])
                 {
-                    self.useful[inc.tuple as usize] += 1;
+                    self.useful[inc.tuple as usize] += weights[inc.set as usize];
                 }
             }
             // Pick the tuple with max utility; ties -> freshest timestamp,
@@ -198,7 +216,7 @@ impl GreedySolver {
                 let needed = &mut self.needed[inc.set as usize];
                 if *needed > 0 && (inc.rank == NO_RANK || !self.rank_used[inc.rank as usize]) {
                     *needed -= 1;
-                    owed -= 1;
+                    owed -= u64::from(weights[inc.set as usize]);
                     if inc.rank != NO_RANK {
                         self.rank_used[inc.rank as usize] = true;
                     }

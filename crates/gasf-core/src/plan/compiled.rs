@@ -13,6 +13,28 @@
 //! Every state transition here mirrors the trait-object implementations in
 //! `crate::filter` **verbatim** (same float comparisons, same event
 //! order); the equivalence suite pins the two byte-identical.
+//!
+//! ## Twin folding
+//!
+//! Filters the plan found equal as a whole — same key class, bit-equal
+//! gate ([`RosterPlan::twin_of`]) — are compiled as **one** member, in
+//! the slot of their *leader* (the lowest slot among them). Every arena,
+//! cohort, open cover and [`StepActions`] bit here belongs to a leader; a
+//! follower's slot holds nothing and ignores `force_close`. The engine
+//! expands a leader's actions to the whole class through the
+//! [`TwinTable`] at the few places a filter's identity leaves the first
+//! stage (per-filter counters, group utility, region size, solver
+//! weight, recipient labels). A filter without a twin is a class of one,
+//! so there is no unfolded mode.
+//!
+//! Under `Algorithm::PerCandidateSet` the plan folds nothing — every
+//! filter is its own leader — because there twins do *not* stay in
+//! lockstep past the first stage: a set is decided the moment it closes,
+//! from the utilities and recent decisions as they stand at that slot,
+//! and the sets decided between two twins' slots have already changed
+//! both; a stateful twin's base then follows its own decision
+//! (`output_chosen`), and the timely cut runs per filter on its own
+//! tolerance.
 
 use super::{Expr, Gate, RosterPlan};
 use crate::batch::TupleBatch;
@@ -43,6 +65,43 @@ pub(crate) struct StepActions {
     /// Every id dismissed this step, one run per event
     /// ([`StepEvent::dismissed`]).
     pub(crate) dismissed: Vec<TupleId>,
+}
+
+/// Which slots stand behind each compiled member: the engine's key for
+/// expanding a leader's first-stage actions to every filter of its twin
+/// class. The interpreted tier runs every filter itself and uses the
+/// table of singletons ([`solo`](Self::solo)).
+#[derive(Debug, Default)]
+pub(crate) struct TwinTable {
+    /// Slots grouped by twin class, ascending within a class (so each
+    /// group starts with its leader).
+    members: Vec<u32>,
+    /// Per slot: its class as a range of `members` — empty for a
+    /// follower and for a vacancy.
+    span: Vec<std::ops::Range<u32>>,
+}
+
+impl TwinTable {
+    /// Every slot of `0..width` a class of its own.
+    pub(crate) fn solo(width: usize) -> TwinTable {
+        TwinTable {
+            members: (0..width as u32).collect(),
+            span: (0..width as u32).map(|i| i..i + 1).collect(),
+        }
+    }
+
+    /// The slots of the class led by `slot`, ascending, `slot` first.
+    #[inline]
+    pub(crate) fn class(&self, slot: usize) -> &[u32] {
+        let span = &self.span[slot];
+        &self.members[span.start as usize..span.end as usize]
+    }
+
+    /// How many filters the member compiled in `slot` stands for.
+    #[inline]
+    pub(crate) fn weight(&self, slot: usize) -> u32 {
+        self.span[slot].len() as u32
+    }
 }
 
 /// The non-bitmask events one filter produced for one tuple.
@@ -656,6 +715,10 @@ impl CompiledRoster {
         let width = plan.filters.last().map_or(0, |fp| fp.id.index() + 1);
         let mut member_of: Vec<Option<MemberRef>> = vec![None; width];
         for (i, fp) in plan.filters.iter().enumerate() {
+            if plan.twin_of[i] != i {
+                // A follower: its leader's member is its state.
+                continue;
+            }
             let ci = plan.class_of[i];
             let slot = fp.id.index() as u32;
             match fp.gate {
@@ -725,9 +788,41 @@ impl CompiledRoster {
         self.classes.len()
     }
 
-    /// Number of compiled filter members.
+    /// Number of filters compiled (folded or not).
     pub fn member_count(&self) -> usize {
+        self.plan.filters.len()
+    }
+
+    /// Number of members that hold state and are evaluated per tuple:
+    /// one per twin class ([`RosterPlan::twin_of`]).
+    pub fn distinct_members(&self) -> usize {
         self.delta.slot.len() + self.windows.slot.len()
+    }
+
+    /// The slots behind each member, for the engine to expand a step by.
+    pub(crate) fn twin_table(&self) -> TwinTable {
+        let filters = &self.plan.filters;
+        let slot_of = |i: usize| filters[i].id.index();
+        // Count each class at its leader's slot, turn the counts into
+        // (still empty) ranges laid end to end, then drop the filters in,
+        // ascending by slot.
+        let mut span = vec![0..0; self.member_of.len()];
+        for &leader in &self.plan.twin_of {
+            span[slot_of(leader)].end += 1;
+        }
+        let mut next = 0;
+        for class in &mut span {
+            let size = class.end;
+            *class = next..next;
+            next += size;
+        }
+        let mut members = vec![0; filters.len()];
+        for (i, &leader) in self.plan.twin_of.iter().enumerate() {
+            let class = &mut span[slot_of(leader)];
+            members[class.end as usize] = slot_of(i) as u32;
+            class.end += 1;
+        }
+        TwinTable { members, span }
     }
 
     /// Runs one tuple through every member in a single pass, filling
@@ -929,8 +1024,9 @@ impl CompiledRoster {
         step.events.sort_unstable_by_key(|(slot, _)| *slot);
     }
 
-    /// Force-closes the open set of the filter in `slot` (timely cut /
-    /// epoch boundary / end of stream). No-op for vacancies.
+    /// Force-closes the open set of the member in `slot` (timely cut /
+    /// epoch boundary / end of stream) — once for its whole twin class.
+    /// No-op for vacancies and followers.
     pub(crate) fn force_close(&mut self, slot: usize, cause: CloseCause) -> ForceCloseOutcome {
         match self.member_of.get(slot).copied().flatten() {
             Some(MemberRef::Window(m)) => {
@@ -1087,12 +1183,14 @@ mod tests {
         }
     }
 
-    /// Drives the compiled roster and the trait objects over the same
-    /// stream and asserts identical per-slot actions at every tuple —
-    /// and the cohort invariants after each. A stateful member whose set
-    /// closes is told an output (a different candidate each time) on both
-    /// sides, like the engine would; closed sets go back to the roster's
-    /// pool. `after_tuple` sees the roster after every tuple.
+    /// Drives the compiled roster and one trait object per slot over the
+    /// same stream and asserts, at every tuple, that each slot's oracle did
+    /// what the member standing for it — its twin class's leader — did
+    /// (closed sets equal but for the owning filter, which is the
+    /// leader's); and the cohort invariants after each. A stateful member
+    /// whose set closes is told an output (a different candidate each
+    /// time) on both sides, like the engine would; closed sets go back to
+    /// the roster's pool. `after_tuple` sees the roster after every tuple.
     fn assert_lockstep_with(
         specs: Vec<FilterSpec>,
         algorithm: Algorithm,
@@ -1109,6 +1207,15 @@ mod tests {
         let mut compiled =
             CompiledRoster::compile(roster.iter().map(|(id, s)| (*id, s)), &schema, algorithm)
                 .unwrap();
+        // Slots are dense here, so plan indices are slots.
+        let leader_of = compiled.plan().twin_of.clone();
+        let owned_by = |set: &Option<ClosedSet>, slot: usize| {
+            let mut set = set.clone();
+            if let Some(set) = &mut set {
+                set.filter = FilterId::from_index(slot);
+            }
+            set
+        };
         let mut oracles: Vec<Box<dyn GroupFilter>> = roster
             .iter()
             .map(|(id, s)| {
@@ -1127,51 +1234,67 @@ mod tests {
         let mut step = StepActions::default();
         for t in &tuples {
             compiled.process_tuple(t, &mut step).unwrap();
-            let mut events = std::mem::take(&mut step.events);
-            events.reverse(); // pop from the front via pop()
+            let events: std::collections::BTreeMap<usize, StepEvent> =
+                (step.events.drain(..).map(|(slot, ev)| (slot as usize, ev))).collect();
+            assert!(
+                events.keys().all(|&slot| leader_of[slot] == slot),
+                "event for a follower"
+            );
             for (slot, oracle) in oracles.iter_mut().enumerate() {
                 let want = oracle.process(t).unwrap();
-                let id = FilterId::from_index(slot);
+                let leader = FilterId::from_index(leader_of[slot]);
                 assert_eq!(
-                    step.admitted.contains(id),
+                    step.admitted.contains(leader),
                     want.admitted,
                     "admit slot {slot}"
                 );
                 assert_eq!(
-                    step.references.contains(id),
+                    step.references.contains(leader),
                     want.reference,
                     "reference slot {slot}"
                 );
-                let ev = match events.last() {
-                    Some((s, _)) if *s as usize == slot => {
-                        let (_, ev) = events.pop().expect("peeked");
-                        ev
-                    }
-                    _ => StepEvent::default(),
-                };
+                let none = StepEvent::default();
+                let ev = events.get(&leader.index()).unwrap_or(&none);
                 assert_eq!(
-                    step.dismissed[ev.dismissed], want.dismissed,
+                    step.dismissed[ev.dismissed.clone()],
+                    want.dismissed,
                     "dismissed slot {slot}"
                 );
-                assert_eq!(ev.closed, want.closed, "closed slot {slot}");
-                assert_eq!(compiled.is_stateful(slot), oracle.is_stateful());
-                if let Some(set) = ev.closed {
-                    if oracle.is_stateful() {
+                assert_eq!(
+                    owned_by(&ev.closed, slot),
+                    want.closed,
+                    "closed slot {slot}"
+                );
+                assert_eq!(compiled.is_stateful(leader.index()), oracle.is_stateful());
+                if oracle.is_stateful() {
+                    // (Stateful members are never folded.)
+                    if let Some(set) = &ev.closed {
                         let pick = set.candidates[set.set_index as usize % set.len()];
                         compiled.output_chosen(slot, pick.key);
                         oracle.output_chosen(pick.id, pick.key);
                     }
-                    compiled.recycle(set);
                 }
             }
-            assert!(events.is_empty(), "event for a slot that saw none");
+            for set in events.into_values().filter_map(|ev| ev.closed) {
+                compiled.recycle(set);
+            }
             compiled.assert_cohort_invariants();
             after_tuple(&compiled);
         }
+        let mut closed_by = std::collections::BTreeMap::new();
         for (slot, oracle) in oracles.iter_mut().enumerate() {
             let want = oracle.force_close(CloseCause::EndOfStream);
             let got = compiled.force_close(slot, CloseCause::EndOfStream);
-            assert_eq!(got, want, "force_close slot {slot}");
+            if leader_of[slot] != slot {
+                assert_eq!(got, ForceCloseOutcome::default(), "follower {slot} closed");
+            }
+            let led = closed_by.entry(leader_of[slot]).or_insert(got);
+            assert_eq!(led.dismissed, want.dismissed, "force_close slot {slot}");
+            assert_eq!(
+                owned_by(&led.closed, slot),
+                want.closed,
+                "force_close slot {slot}"
+            );
         }
     }
 
@@ -1247,14 +1370,35 @@ mod tests {
         );
     }
 
+    fn compile_dense(specs: &[FilterSpec], algorithm: Algorithm) -> CompiledRoster {
+        CompiledRoster::compile(
+            (specs.iter().enumerate()).map(|(i, s)| (FilterId::from_index(i), s)),
+            &Schema::new(["t"]),
+            algorithm,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn identical_specs_share_one_cohort_per_base() {
-        // 512 copies of one spec move in lockstep, so at every tuple they
-        // sit together in one bucket; with 8 more specs of their own there
-        // are at most 9 distinct bases, and the table must never hold
-        // more cohorts than that — nor fewer than the bases in use.
-        let mut specs = vec![FilterSpec::delta("t", 12.0, 3.0); 512];
-        specs.extend((0..8).map(|i| FilterSpec::delta("t", 5.0 + 4.0 * i as f64, 1.0 + i as f64)));
+        // 8 specs × 64 copies at interleaved slots, then 8 specs of their
+        // own: 520 filters compile to 16 members, and every one of the
+        // 520 interpreted filters does, tuple by tuple, what the member
+        // standing for it does. With 16 members there are at most 16
+        // distinct bases, and the table holds exactly one cohort per
+        // base in use.
+        let shared = |i: usize| FilterSpec::delta("t", 6.0 + 1.5 * (i % 8) as f64, 2.0);
+        let mut specs: Vec<FilterSpec> = (0..512).map(shared).collect();
+        specs.extend((0..8).map(|i| FilterSpec::delta("t", 5.25 + 4.0 * i as f64, 1.0 + i as f64)));
+        let compiled = compile_dense(&specs, Algorithm::RegionGreedy);
+        assert_eq!(compiled.member_count(), 520);
+        assert_eq!(compiled.distinct_members(), 16);
+        let twins = compiled.twin_table();
+        assert_eq!(twins.weight(3), 64);
+        assert_eq!(twins.class(3)[..3], [3, 11, 19]);
+        assert_eq!(twins.weight(11), 0, "a follower leads nothing");
+        assert_eq!(twins.class(515), [515]);
+
         let mut most = 0;
         assert_lockstep_with(
             specs,
@@ -1268,11 +1412,122 @@ mod tests {
                     .map(|m| compiled.delta.base[m].to_bits())
                     .collect();
                 assert_eq!(compiled.cohort_count(), bases.len());
-                assert!(bases.len() <= 9);
+                assert!(bases.len() <= 16);
                 most = most.max(bases.len());
             },
         );
         assert!(most > 1, "the walk never separated the specs' bases");
+    }
+
+    #[test]
+    fn twin_key_is_bit_equality_of_class_and_gate() {
+        // `0.0` and `-0.0` slack drive the same automaton but are not the
+        // same bits, so they are not folded — and still run in lockstep.
+        // Window gates fold on every parameter; a different attribute is
+        // a different class. Tolerance and label are not part of the key.
+        let window = Micros::from_millis(30);
+        let specs = vec![
+            FilterSpec::delta("t", 10.0, 0.0),
+            FilterSpec::delta("t", 10.0, -0.0),
+            FilterSpec::delta("t", 10.0, 0.0).with_latency_tolerance(Micros::from_millis(500)),
+            FilterSpec::reservoir("t", window, 2),
+            FilterSpec::reservoir("t", window, 3),
+            FilterSpec::reservoir("t", window, 2).with_label("again"),
+            FilterSpec::stratified_sample("t", window, 20.0, 60.0, 25.0),
+            FilterSpec::stratified_sample("t", window, 20.0, 60.0, 25.0),
+            FilterSpec::multi_attr_delta(["t"], 10.0, 0.0),
+        ];
+        let plan = compile_dense(&specs, Algorithm::RegionGreedy)
+            .plan()
+            .clone();
+        assert_eq!(plan.twin_of, [0, 1, 0, 3, 4, 3, 6, 6, 0]);
+        assert_lockstep(specs.clone(), Algorithm::RegionGreedy, &paper_points());
+        // Under SI a stateful delta lowers stateless and joins the fold.
+        let si = vec![
+            FilterSpec::stateful_delta("t", 50.0, 10.0),
+            FilterSpec::delta("t", 50.0, 10.0),
+        ];
+        let plan = compile_dense(&si, Algorithm::SelfInterested).plan().clone();
+        assert_eq!(plan.twin_of, [0, 0]);
+        // A NaN never reaches a key: validation rejects the spec first.
+        let nan = FilterSpec::delta("t", f64::NAN, 1.0);
+        let err = CompiledRoster::compile(
+            [(FilterId::from_index(0), &nan)],
+            &Schema::new(["t"]),
+            Algorithm::RegionGreedy,
+        );
+        assert!(matches!(err, Err(Error::InvalidSpec { .. })), "{err:?}");
+    }
+
+    #[test]
+    fn per_candidate_set_rosters_compile_unfolded() {
+        let mut specs = vec![FilterSpec::delta("t", 12.0, 3.0); 4];
+        specs.push(FilterSpec::reservoir("t", Micros::from_millis(30), 2));
+        specs.push(FilterSpec::reservoir("t", Micros::from_millis(30), 2));
+        let compiled = compile_dense(&specs, Algorithm::PerCandidateSet);
+        assert_eq!(compiled.plan().twin_of, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(compiled.distinct_members(), compiled.member_count());
+        let twins = compiled.twin_table();
+        assert!((0..6).all(|slot| twins.class(slot) == [slot as u32]));
+        assert_lockstep(specs, Algorithm::PerCandidateSet, &paper_points());
+    }
+
+    #[test]
+    fn twins_fold_across_vacancies() {
+        // Slots 1, 3 and 4 are holes; 0 and 5 hold the same spec.
+        let (a, b) = (
+            FilterSpec::delta("t", 10.0, 2.0),
+            FilterSpec::delta("t", 40.0, 5.0),
+        );
+        let roster = [(0, &a), (2, &b), (5, &a)];
+        let mut compiled = CompiledRoster::compile(
+            roster.map(|(i, s)| (FilterId::from_index(i), s)),
+            &Schema::new(["t"]),
+            Algorithm::RegionGreedy,
+        )
+        .unwrap();
+        assert_eq!(compiled.member_count(), 3);
+        assert_eq!(compiled.distinct_members(), 2);
+        let twins = compiled.twin_table();
+        assert_eq!(twins.class(0), [0, 5]);
+        assert_eq!(twins.class(2), [2]);
+        for hole_or_follower in [1, 3, 4, 5] {
+            assert_eq!(twins.weight(hole_or_follower), 0);
+        }
+        let tuples = series(&Schema::new(["t"]), "t", &[(10, 0.0), (20, 1.0)]);
+        let mut step = StepActions::default();
+        for t in &tuples {
+            compiled.process_tuple(t, &mut step).unwrap();
+            let admitted: Vec<usize> = step.admitted.iter().map(FilterId::index).collect();
+            assert_eq!(admitted, [0, 2], "leaders only");
+        }
+        assert_eq!(compiled.open_len(0), 2);
+        assert_eq!(compiled.open_len(5), 0, "a follower holds nothing");
+        assert!(compiled.open_cover(5).is_none());
+    }
+
+    #[test]
+    fn force_close_closes_a_class_once_at_its_leader() {
+        let specs = vec![FilterSpec::delta("t", 10.0, 2.0); 3];
+        let mut compiled = compile_dense(&specs, Algorithm::RegionGreedy);
+        assert_eq!(compiled.distinct_members(), 1);
+        let tuples = series(&Schema::new(["t"]), "t", &[(10, 0.0), (20, 1.0)]);
+        let mut step = StepActions::default();
+        for t in &tuples {
+            compiled.process_tuple(t, &mut step).unwrap();
+        }
+        for follower in [1, 2] {
+            let out = compiled.force_close(follower, CloseCause::Cut);
+            assert_eq!(out, ForceCloseOutcome::default(), "follower {follower}");
+        }
+        let out = compiled.force_close(0, CloseCause::Cut);
+        let set = out.closed.expect("the class's open set");
+        assert_eq!((set.filter, set.len()), (FilterId::from_index(0), 2));
+        assert_eq!(
+            compiled.force_close(0, CloseCause::Cut),
+            ForceCloseOutcome::default(),
+            "nothing left to close"
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::quality::{Dependency, FilterKind, FilterSpec, Prescription};
 use crate::schema::{AttrId, Schema};
 use crate::time::Micros;
 use crate::tuple::Tuple;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A typed expression over one stream tuple plus a filter's comparison
@@ -239,6 +240,38 @@ pub enum Gate {
     },
 }
 
+impl Gate {
+    /// The gate's parameters as raw bits — the half of a *twin key* the
+    /// key class does not cover ([`RosterPlan::twin_of`]). Floats compare
+    /// by bit pattern, so `0.0` and `-0.0` are different gates (they do
+    /// drive the same automaton, but "same bits" needs no argument);
+    /// validated specs hold no NaN.
+    fn bits(&self) -> [u64; 6] {
+        match *self {
+            Gate::Delta {
+                delta,
+                slack,
+                stateful,
+            } => [0, delta.to_bits(), slack.to_bits(), stateful.into(), 0, 0],
+            Gate::Reservoir { window, k } => [1, window.as_micros(), k.into(), 0, 0, 0],
+            Gate::Stratified {
+                window,
+                threshold,
+                high_pct,
+                low_pct,
+                prescription,
+            } => [
+                2,
+                window.as_micros(),
+                threshold.to_bits(),
+                high_pct.to_bits(),
+                low_pct.to_bits(),
+                prescription as u64,
+            ],
+        }
+    }
+}
+
 /// One filter of the roster, lowered: its key derivation, its admission
 /// predicate (both normalized IR) and the executable gate parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -361,7 +394,8 @@ impl FilterPlan {
 /// The logical plan of a whole roster: every occupied slot lowered, with
 /// structurally equal key derivations shared into **classes** (the
 /// common-subexpression units — one class evaluates once per tuple, no
-/// matter how many filters consume it).
+/// matter how many filters consume it) and whole filters that are equal
+/// folded onto a **leader** ([`twin_of`](Self::twin_of)).
 #[derive(Debug, Clone)]
 pub struct RosterPlan {
     /// Lowered filters, ascending by slot id.
@@ -371,6 +405,26 @@ pub struct RosterPlan {
     /// `class_of[i]` is the index into [`classes`](Self::classes) of
     /// `filters[i]`'s key.
     pub class_of: Vec<usize>,
+    /// `twin_of[i]` is the index into [`filters`](Self::filters) of
+    /// `filters[i]`'s **leader**: the lowest-slot filter with the same
+    /// key class and a bit-equal [`Gate`] — `i` itself for a filter that
+    /// has none below it.
+    ///
+    /// Under [`Algorithm::RegionGreedy`] and [`Algorithm::SelfInterested`]
+    /// a filter's first-stage state is a function of `(class, gate)` and
+    /// the stream alone (stateful bases are rejected resp. lowered
+    /// stateless, cuts and epoch boundaries close every filter together),
+    /// so such *twins* admit, dismiss, reference and close in lockstep
+    /// and the evaluator runs the leader only. `latency_tolerance`,
+    /// `label` and `shed` are not part of the key: those algorithms read
+    /// only the group minimum of the tolerances.
+    ///
+    /// Under [`Algorithm::PerCandidateSet`] every filter is its own
+    /// leader: a set's decision reads the utilities and recent decisions
+    /// that sets decided between two twins' slots have changed, a
+    /// stateful base follows that decision, and the timely cut runs per
+    /// filter on its own tolerance.
+    pub twin_of: Vec<usize>,
 }
 
 impl RosterPlan {
@@ -388,7 +442,12 @@ impl RosterPlan {
             filters: Vec::new(),
             classes: Vec::new(),
             class_of: Vec::new(),
+            twin_of: Vec::new(),
         };
+        let fold = algorithm != Algorithm::PerCandidateSet;
+        // Twin classes found so far, by key; it holds the distinct
+        // filters only, however many copies the roster has.
+        let mut leaders: BTreeMap<(usize, [u64; 6]), usize> = BTreeMap::new();
         for (id, spec) in roster {
             let fp = FilterPlan::lower(spec, id, schema, algorithm)?;
             let ci = match plan.classes.iter().position(|c| *c == fp.key) {
@@ -398,7 +457,14 @@ impl RosterPlan {
                     plan.classes.len() - 1
                 }
             };
+            let i = plan.filters.len();
+            let leader = if fold {
+                *leaders.entry((ci, fp.gate.bits())).or_insert(i)
+            } else {
+                i
+            };
             plan.class_of.push(ci);
+            plan.twin_of.push(leader);
             plan.filters.push(fp);
         }
         Ok(plan)

@@ -27,7 +27,10 @@
 //!    `|Δ|` computation plus one binary search admits/skips whole runs of
 //!    filters at once, and sampler admissions fill the recipient
 //!    [`FilterSet`](crate::bitset::FilterSet) by `u64`-block union rather
-//!    than bit by bit.
+//!    than bit by bit. Filters that are equal as a whole — same key
+//!    class, bit-equal gate ([`RosterPlan::twin_of`]) — are one member:
+//!    identical subscriptions cost one filter, and the engine multiplies
+//!    the outcome back out (docs/ARCHITECTURE.md, "Twin folding").
 //!
 //! Compilation is a **pure function of the roster** (specs + slot ids +
 //! algorithm): it holds no durable state of its own, so snapshots stay
@@ -43,7 +46,7 @@ mod compiled;
 mod expr;
 
 pub use compiled::CompiledRoster;
-pub(crate) use compiled::StepActions;
+pub(crate) use compiled::{StepActions, TwinTable};
 pub use expr::{Expr, FilterPlan, Gate, RosterPlan};
 
 /// Which first-stage evaluator a [`GroupEngine`](crate::engine::GroupEngine)

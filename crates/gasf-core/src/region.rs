@@ -87,6 +87,9 @@ const NO_BLOCKER: usize = usize::MAX;
 pub struct Region {
     sets: Vec<ClosedSet>,
     cover: TimeCover,
+    /// Candidates across the member sets, each set counted once per
+    /// filter it stands for ([`RegionTracker::add_weighted`]).
+    size: usize,
     /// Slot of the open set that last kept this region from completing —
     /// a hint, re-checked on every drain: an open set stays in the way
     /// until it closes, so the common drain is one lookup, not a scan.
@@ -95,12 +98,14 @@ pub struct Region {
 
 impl Region {
     /// A single-set region in `sets` (an empty list, possibly recycled).
-    fn from_set(set: ClosedSet, mut sets: Vec<ClosedSet>) -> Self {
+    fn from_set(set: ClosedSet, weight: usize, mut sets: Vec<ClosedSet>) -> Self {
         let cover = set.cover();
+        let size = set.len() * weight;
         sets.push(set);
         Region {
             sets,
             cover,
+            size,
             blocker: NO_BLOCKER,
         }
     }
@@ -138,9 +143,11 @@ impl Region {
     }
 
     /// Total number of candidate tuples across the member sets (with
-    /// multiplicity) — the paper's "region size" for run-time prediction.
+    /// multiplicity, a set that stands for several identical filters
+    /// counting once for each) — the paper's "region size" for run-time
+    /// prediction.
     pub fn size(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.size
     }
 
     /// The *distinct* tuple ids referenced by the region, ascending.
@@ -165,6 +172,7 @@ impl Region {
     /// Moves `other`'s sets in, handing back its emptied list.
     fn absorb(&mut self, mut other: Region) -> Vec<ClosedSet> {
         self.cover = self.cover.union(&other.cover);
+        self.size += other.size;
         self.sets.append(&mut other.sets);
         other.sets
     }
@@ -198,6 +206,13 @@ impl RegionTracker {
     /// Adds a freshly closed candidate set, merging any pending regions it
     /// connects (directly or transitively — Definition 3).
     pub fn add(&mut self, set: ClosedSet) {
+        self.add_weighted(set, 1);
+    }
+
+    /// [`add`](Self::add) for a set that stands for `weight` identical
+    /// filters' sets (a folded twin class): one entry, counted `weight`
+    /// times in the region's [`size`](Region::size).
+    pub(crate) fn add_weighted(&mut self, set: ClosedSet, weight: usize) {
         let cover = set.cover();
         // The run of pending regions the set intersects. (Merging them
         // cannot reach a further region: the merged cover spans exactly
@@ -208,10 +223,11 @@ impl RegionTracker {
             // The common case: the set joins one region, in place.
             let home = &mut self.pending[lo];
             home.cover = home.cover.union(&cover);
+            home.size += set.len() * weight;
             home.sets.push(set);
             return;
         }
-        let mut merged = Region::from_set(set, self.spare.pop().unwrap_or_default());
+        let mut merged = Region::from_set(set, weight, self.spare.pop().unwrap_or_default());
         for mut other in self.pending.drain(lo..hi) {
             // Absorb the smaller side into the larger: a long-lived
             // region accumulates thousands of sets, and moving it into

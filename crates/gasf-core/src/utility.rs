@@ -61,8 +61,16 @@ impl GroupUtility {
     /// Decrementing an absent entry is a no-op: dismissal events may arrive
     /// for tuples whose sets were already cleaned up at region boundaries.
     pub fn decrement(&mut self, id: TupleId) {
+        self.decrement_by(id, 1);
+    }
+
+    /// Decrements the utility of `id` by `n` in one ring probe — `n`
+    /// filters that admitted it together let go of it together (a folded
+    /// twin class). Absent entries are a no-op, as for
+    /// [`decrement`](Self::decrement).
+    pub fn decrement_by(&mut self, id: TupleId, n: u32) {
         if let Some(c) = self.counts.get_mut(id.seq()) {
-            *c -= 1;
+            *c -= n;
             if *c == 0 {
                 self.counts.take(id.seq());
             }

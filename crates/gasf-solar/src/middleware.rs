@@ -698,6 +698,9 @@ pub struct Middleware {
     sources: Vec<SourceEntry>,
     apps: Vec<AppEntry>,
     deployed: bool,
+    /// [`MulticastSink`]'s node-indexed latency scratch, kept here so
+    /// every push's sink reuses one allocation.
+    node_latency: Vec<Micros>,
 }
 
 impl Middleware {
@@ -714,6 +717,7 @@ impl Middleware {
             sources: Vec::new(),
             apps: Vec::new(),
             deployed: false,
+            node_latency: Vec::new(),
         }
     }
 
@@ -1675,6 +1679,7 @@ impl Middleware {
             sources: Vec::with_capacity(snap.sources.len()),
             apps: Vec::with_capacity(snap.apps.len()),
             deployed: snap.deployed,
+            node_latency: Vec::new(),
         };
         for a in &snap.apps {
             if a.node.index() >= mw.overlay.topology().len() {
@@ -1929,6 +1934,7 @@ impl Middleware {
             group: part.group,
             src_node: s.node,
             lat_hist: &mut s.lat_hist,
+            node_latency: &mut self.node_latency,
             error: None,
         };
         let mut sink = Metered::new(sink, &mut s.flow);
@@ -1966,6 +1972,9 @@ pub struct MulticastSink<'a> {
     /// (emission, recipient) delivery, same quantity the per-app means
     /// aggregate.
     lat_hist: &'a mut LatencyHistogram,
+    /// Network latency by recipient node for the emission being
+    /// accounted; all zero between emissions.
+    node_latency: &'a mut Vec<Micros>,
     error: Option<SolarError>,
 }
 
@@ -1991,17 +2000,26 @@ impl EmissionSink for MulticastSink<'_> {
                     return;
                 }
             };
+        // Many labels share few nodes: each recipient node's latency is
+        // looked up once, and the labels index the scratch (a node the
+        // delivery does not list reads zero).
+        let net = &mut *self.node_latency;
+        for (node, &latency) in &delivery.latencies {
+            if net.len() <= node.index() {
+                net.resize(node.index() + 1, Micros::ZERO);
+            }
+            net[node.index()] = latency;
+        }
         for f in emission.recipients.iter() {
             let entry = &mut self.apps[self.filter_apps[f.index()]];
-            let net = delivery
-                .latencies
-                .get(&entry.node)
-                .copied()
-                .unwrap_or(Micros::ZERO);
+            let net = net.get(entry.node.index()).copied().unwrap_or_default();
             let e2e = emission.latency() + net;
             entry.tuples += 1;
             entry.e2e_latency_sum_us += e2e.as_micros();
             self.lat_hist.record(e2e);
+        }
+        for node in delivery.latencies.keys() {
+            net[node.index()] = Micros::ZERO;
         }
     }
 

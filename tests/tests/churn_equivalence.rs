@@ -164,15 +164,15 @@ fn run_static_segments(
     (sink.into_vec(), engines)
 }
 
-/// Deterministic subset of the metrics (everything but wall-clock CPU).
-fn fingerprint(m: &EngineMetrics) -> (u64, u64, u64, u64, u64, Vec<u64>) {
+/// Deterministic subset of the metrics (everything but wall-clock CPU),
+/// down to each filter's counters and every region's size.
+fn fingerprint(m: &EngineMetrics) -> impl PartialEq + std::fmt::Debug {
     (
-        m.input_tuples,
-        m.output_tuples,
-        m.emissions,
-        m.recipient_labels,
-        m.disordered_emissions,
+        (m.input_tuples, m.output_tuples, m.emissions),
+        (m.recipient_labels, m.disordered_emissions),
+        (m.regions, m.regions_cut, m.region_sizes.clone()),
         m.latencies_us.clone(),
+        m.per_filter.clone(),
     )
 }
 
@@ -237,6 +237,67 @@ fn dynamic_churn_equals_static_rebuilds_for_every_combination() {
                 "{label}: removed filter's history must survive"
             );
             assert_eq!(lifetime.input_tuples, 600, "{label}");
+        }
+    }
+}
+
+/// A schedule that takes twin classes (identical specs, which the
+/// compiled roster folds into one member led by the lowest slot) through
+/// everything the control plane can do to one: two classes form when
+/// existing specs join again, a follower is retuned away, then the
+/// leader is (the next slot takes over), a leader is removed, and a new
+/// filter joins the class the retuned leader started.
+fn twin_events(trace: &Trace) -> Vec<ChurnEvent> {
+    let base = base_specs(trace);
+    let s = trace.stats("tmpr4").unwrap().mean_abs_delta;
+    let retuned = FilterSpec::delta("tmpr4", s * 3.6, s * 1.7);
+    let id = FilterId::from_index;
+    let event = |at, op| ChurnEvent { at, op };
+    vec![
+        // {0, 3, 4} and {1, 5}
+        event(100, ChurnOp::Add(base[0].clone())),
+        event(100, ChurnOp::Add(base[0].clone())),
+        event(100, ChurnOp::Add(base[1].clone())),
+        // follower 4 leaves: {0, 3}
+        event(200, ChurnOp::Update(id(4), retuned.clone())),
+        // leader 0 leaves and joins 4: {3}, {0, 4}
+        event(300, ChurnOp::Update(id(0), retuned.clone())),
+        // leader 1 is removed: {5}
+        event(400, ChurnOp::Remove(id(1))),
+        // 6 joins: {0, 4, 6}
+        event(500, ChurnOp::Add(retuned)),
+    ]
+}
+
+#[test]
+fn twin_classes_split_join_and_lose_their_leader_like_static_rebuilds() {
+    let trace = trace(600, 42);
+    let events = twin_events(&trace);
+    for algorithm in ALGORITHMS {
+        for strategy in STRATEGIES {
+            let label = format!("{algorithm:?}/{strategy:?}");
+            let (dynamic, engine) = run_dynamic(&trace, algorithm, strategy, &events);
+            let (statics, segment_engines) =
+                run_static_segments(&trace, algorithm, strategy, &events);
+            assert_eq!(dynamic, statics, "{label}: emission stream");
+            assert_eq!(engine.epoch(), 5, "{label}");
+            assert_eq!(segment_engines.len(), 6, "{label}");
+            for (k, seg) in segment_engines.iter().enumerate() {
+                let epoch = engine.epoch_metrics().get(k).unwrap_or(engine.metrics());
+                assert_eq!(
+                    fingerprint(epoch),
+                    fingerprint(seg.metrics()),
+                    "{label}: epoch {k}"
+                );
+            }
+            // While {0, 3, 4} stood together its members fared alike.
+            let together = &engine.epoch_metrics()[1].per_filter;
+            assert!(together[0].sets_closed > 0, "{label}");
+            for twin in [3, 4] {
+                assert_eq!(together[twin], together[0], "{label}: twin {twin}");
+            }
+            let sharded = run_sharded(&trace, algorithm, strategy, &events, 2, 23);
+            assert_eq!(sharded, dynamic, "{label}: sharded");
         }
     }
 }

@@ -58,6 +58,29 @@ fn wide_specs(trace: &Trace, algorithm: Algorithm) -> Vec<FilterSpec> {
     specs
 }
 
+/// [`wide_specs`] three times over at interleaved slots, with a filter
+/// of its own after each round: every gate kind has twins (which the
+/// compiled tier folds into one member under the region-greedy and
+/// self-interested algorithms, and the interpreted tier never does),
+/// with singletons in the slots between them.
+fn twin_specs(trace: &Trace, algorithm: Algorithm) -> Vec<FilterSpec> {
+    let s = trace.stats("tmpr4").unwrap().mean_abs_delta;
+    let mut specs = Vec::new();
+    for round in 0..3 {
+        specs.extend(wide_specs(trace, algorithm));
+        specs.push(FilterSpec::delta(
+            "tmpr4",
+            s * (3.3 + round as f64),
+            s * 0.8,
+        ));
+    }
+    specs
+}
+
+type Roster = fn(&Trace, Algorithm) -> Vec<FilterSpec>;
+
+const ROSTERS: [(&str, Roster); 2] = [("wide", wide_specs), ("twins", twin_specs)];
+
 fn builder(
     trace: &Trace,
     algorithm: Algorithm,
@@ -70,25 +93,28 @@ fn builder(
         .evaluator(tier)
 }
 
-/// Deterministic subset of the metrics (everything but wall-clock CPU).
-fn fingerprint(m: &EngineMetrics) -> (u64, u64, u64, u64, Vec<u64>) {
+/// Deterministic subset of the metrics (everything but wall-clock CPU),
+/// down to each filter's six counters and every region's size — what a
+/// member standing for several filters must still account one by one.
+fn fingerprint(m: &EngineMetrics) -> impl PartialEq + std::fmt::Debug {
     (
-        m.input_tuples,
-        m.output_tuples,
-        m.emissions,
-        m.recipient_labels,
+        (m.input_tuples, m.output_tuples, m.emissions),
+        (m.recipient_labels, m.disordered_emissions),
+        (m.regions, m.regions_cut, m.region_sizes.clone()),
         m.latencies_us.clone(),
+        m.per_filter.clone(),
     )
 }
 
 fn run_tier(
     trace: &Trace,
+    roster: Roster,
     algorithm: Algorithm,
     strategy: OutputStrategy,
     tier: EvaluatorTier,
 ) -> (Vec<Emission>, GroupEngine) {
     let mut engine = builder(trace, algorithm, strategy, tier)
-        .filters(wide_specs(trace, algorithm))
+        .filters(roster(trace, algorithm))
         .build()
         .unwrap();
     assert_eq!(engine.evaluator_tier(), tier);
@@ -102,18 +128,21 @@ fn run_tier(
 #[test]
 fn compiled_equals_interpreted_for_every_combination() {
     let trace = trace(700, 11);
-    for algorithm in ALGORITHMS {
-        for strategy in STRATEGIES {
-            let label = format!("{algorithm:?}/{strategy:?}");
-            let (compiled, ce) = run_tier(&trace, algorithm, strategy, EvaluatorTier::Compiled);
-            let (interp, ie) = run_tier(&trace, algorithm, strategy, EvaluatorTier::Interpreted);
-            assert!(!compiled.is_empty(), "{label}: trace must emit");
-            assert_eq!(compiled, interp, "{label}: emission stream");
-            assert_eq!(
-                fingerprint(ce.metrics()),
-                fingerprint(ie.metrics()),
-                "{label}: metrics"
-            );
+    for (name, roster) in ROSTERS {
+        for algorithm in ALGORITHMS {
+            for strategy in STRATEGIES {
+                let label = format!("{name}/{algorithm:?}/{strategy:?}");
+                let run = |tier| run_tier(&trace, roster, algorithm, strategy, tier);
+                let (compiled, ce) = run(EvaluatorTier::Compiled);
+                let (interp, ie) = run(EvaluatorTier::Interpreted);
+                assert!(!compiled.is_empty(), "{label}: trace must emit");
+                assert_eq!(compiled, interp, "{label}: emission stream");
+                assert_eq!(
+                    fingerprint(ce.metrics()),
+                    fingerprint(ie.metrics()),
+                    "{label}: metrics"
+                );
+            }
         }
     }
 }
@@ -121,28 +150,36 @@ fn compiled_equals_interpreted_for_every_combination() {
 #[test]
 fn sharded_compiled_matches_interpreted_at_every_parallelism() {
     let trace = trace(700, 11);
-    for algorithm in ALGORITHMS {
-        for strategy in STRATEGIES {
-            let label = format!("{algorithm:?}/{strategy:?}");
-            let (expected, _) = run_tier(&trace, algorithm, strategy, EvaluatorTier::Interpreted);
-            for n in [1usize, 2, 4] {
-                let mut sharded = ShardedEngine::builder()
-                    .parallelism(n)
-                    .route(
-                        "group",
-                        builder(&trace, algorithm, strategy, EvaluatorTier::Compiled)
-                            .filters(wide_specs(&trace, algorithm)),
-                    )
-                    .build()
-                    .unwrap();
-                let mut out = VecSink::new();
-                for batch in trace.batches(23) {
-                    sharded
-                        .push_batch_columnar(&Arc::new(batch), &mut out)
+    for (name, roster) in ROSTERS {
+        for algorithm in ALGORITHMS {
+            for strategy in STRATEGIES {
+                let label = format!("{name}/{algorithm:?}/{strategy:?}");
+                let (expected, _) = run_tier(
+                    &trace,
+                    roster,
+                    algorithm,
+                    strategy,
+                    EvaluatorTier::Interpreted,
+                );
+                for n in [1usize, 2, 4] {
+                    let mut sharded = ShardedEngine::builder()
+                        .parallelism(n)
+                        .route(
+                            "group",
+                            builder(&trace, algorithm, strategy, EvaluatorTier::Compiled)
+                                .filters(roster(&trace, algorithm)),
+                        )
+                        .build()
                         .unwrap();
+                    let mut out = VecSink::new();
+                    for batch in trace.batches(23) {
+                        sharded
+                            .push_batch_columnar(&Arc::new(batch), &mut out)
+                            .unwrap();
+                    }
+                    sharded.finish_into(&mut out).unwrap();
+                    assert_eq!(out.as_slice(), &expected[..], "{label}: n={n}");
                 }
-                sharded.finish_into(&mut out).unwrap();
-                assert_eq!(out.as_slice(), &expected[..], "{label}: n={n}");
             }
         }
     }
@@ -155,48 +192,58 @@ fn snapshot_restores_onto_either_tier_identically() {
     // unbroken single-engine run. Snapshots are pure roster state, so the
     // tier is a property of the replica, not the checkpoint.
     let trace = trace(500, 7);
-    for algorithm in ALGORITHMS {
-        for source_tier in TIERS {
-            let label = format!("{algorithm:?}/from-{source_tier:?}");
-            let strategy = OutputStrategy::Earliest;
-            let (unbroken, _) = run_tier(&trace, algorithm, strategy, source_tier);
+    for (name, roster) in ROSTERS {
+        for algorithm in ALGORITHMS {
+            for source_tier in TIERS {
+                let label = format!("{name}/{algorithm:?}/from-{source_tier:?}");
+                let strategy = OutputStrategy::Earliest;
+                let (unbroken, _) = run_tier(&trace, roster, algorithm, strategy, source_tier);
 
-            let mut engine = builder(&trace, algorithm, strategy, source_tier)
-                .filters(wide_specs(&trace, algorithm))
-                .build()
-                .unwrap();
-            let mut prefix = VecSink::new();
-            for t in &trace.tuples()[..250] {
-                engine.push_into(t.clone(), &mut prefix).unwrap();
-            }
-            let snap = engine.snapshot_into(&mut prefix).unwrap();
-
-            let mut suffixes = Vec::new();
-            for restore_tier in TIERS {
-                let mut replica = GroupEngine::restore_with_tier(&snap, restore_tier).unwrap();
-                assert_eq!(replica.evaluator_tier(), restore_tier, "{label}");
-                let mut out = VecSink::new();
-                for t in &trace.tuples()[250..] {
-                    replica.push_into(t.clone(), &mut out).unwrap();
+                let mut engine = builder(&trace, algorithm, strategy, source_tier)
+                    .filters(roster(&trace, algorithm))
+                    .build()
+                    .unwrap();
+                let mut prefix = VecSink::new();
+                for t in &trace.tuples()[..250] {
+                    engine.push_into(t.clone(), &mut prefix).unwrap();
                 }
-                replica.finish_into(&mut out).unwrap();
-                suffixes.push(out.into_vec());
-            }
-            assert_eq!(suffixes[0], suffixes[1], "{label}: restored tiers diverge");
+                let snap = engine.snapshot_into(&mut prefix).unwrap();
 
-            // The checkpointed composite equals the prefix of the
-            // unbroken run up to the boundary drain, and the restored
-            // suffix finishes the stream with the same tuples chosen.
-            let total = prefix.as_slice().len() + suffixes[0].len();
-            assert!(total > 0, "{label}: composite run must emit");
-            let composite_inputs: Vec<u64> = prefix
-                .as_slice()
-                .iter()
-                .chain(&suffixes[0])
-                .map(|e| e.tuple.seq())
-                .collect();
-            let _ = &unbroken; // boundary cuts may legally reshape sets
-            assert!(!composite_inputs.is_empty(), "{label}");
+                let mut suffixes = Vec::new();
+                for restore_tier in TIERS {
+                    let mut replica = GroupEngine::restore_with_tier(&snap, restore_tier).unwrap();
+                    assert_eq!(replica.evaluator_tier(), restore_tier, "{label}");
+                    let mut out = VecSink::new();
+                    for t in &trace.tuples()[250..] {
+                        replica.push_into(t.clone(), &mut out).unwrap();
+                    }
+                    replica.finish_into(&mut out).unwrap();
+                    suffixes.push((out.into_vec(), replica));
+                }
+                let [(suffix, compiled), (other, interpreted)] = &suffixes[..] else {
+                    unreachable!("one suffix per tier");
+                };
+                assert_eq!(suffix, other, "{label}: restored tiers diverge");
+                assert_eq!(
+                    fingerprint(compiled.metrics()),
+                    fingerprint(interpreted.metrics()),
+                    "{label}: restored tiers' metrics"
+                );
+
+                // The checkpointed composite equals the prefix of the
+                // unbroken run up to the boundary drain, and the restored
+                // suffix finishes the stream with the same tuples chosen.
+                let total = prefix.as_slice().len() + suffix.len();
+                assert!(total > 0, "{label}: composite run must emit");
+                let composite_inputs: Vec<u64> = prefix
+                    .as_slice()
+                    .iter()
+                    .chain(suffix)
+                    .map(|e| e.tuple.seq())
+                    .collect();
+                let _ = &unbroken; // boundary cuts may legally reshape sets
+                assert!(!composite_inputs.is_empty(), "{label}");
+            }
         }
     }
 }

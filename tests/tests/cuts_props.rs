@@ -5,9 +5,19 @@
 //! rounds a fast region to 0 µs). In every case the predictor must stay
 //! defined, finite, and non-negative — a NaN or negative prediction here
 //! silently disables the cut heuristic in the sharded engine.
+//!
+//! Plus the group timely cut itself (RG+C) over a roster of identical
+//! filters, which the compiled tier folds into one member per distinct
+//! spec: `cut_all` must close, book and solve for every filter the
+//! member stands for, exactly as the unfolded interpreted tier does.
 
-use gasf_core::cuts::RuntimePredictor;
+use gasf_core::cuts::{RuntimePredictor, TimeConstraint};
+use gasf_core::engine::{Algorithm, GroupEngine};
+use gasf_core::plan::EvaluatorTier;
+use gasf_core::quality::FilterSpec;
+use gasf_core::schema::Schema;
 use gasf_core::time::Micros;
+use gasf_core::tuple::TupleBuilder;
 use proptest::prelude::*;
 
 proptest! {
@@ -81,5 +91,60 @@ proptest! {
         let p = RuntimePredictor::with_window(8, overestimate);
         prop_assert_eq!(p.fit(), None);
         prop_assert!((p.predict_us(query) - overestimate).abs() < 1e-9);
+    }
+
+    /// RG+C over a twin roster: 2–4 copies of each spec at interleaved
+    /// slots under a group deadline tight enough to cut. Both tiers must
+    /// release the same emissions, cut the same regions and book every
+    /// copy's counters alike. (The deadline sits 5 ms off the 10 ms
+    /// tuple spacing, so the microseconds the run-time predictor adds
+    /// cannot decide a cut.)
+    #[test]
+    fn group_cuts_treat_every_twin_alike(
+        steps in proptest::collection::vec(-12i32..12, 40..160),
+        params in proptest::collection::vec((8.0f64..40.0, 0.1f64..0.5), 1..4),
+        copies in 2usize..5,
+        deadline in 2u64..8,
+    ) {
+        let schema = Schema::new(["v"]);
+        let mut b = TupleBuilder::new(&schema);
+        let mut v = 0.0;
+        let tuples: Vec<_> = (steps.iter().enumerate())
+            .map(|(i, s)| {
+                v += f64::from(*s);
+                b.at_millis(10 * (i as u64 + 1)).set("v", v).build().unwrap()
+            })
+            .collect();
+        let distinct = params.len();
+        let specs: Vec<FilterSpec> = (0..copies * distinct)
+            .map(|i| {
+                let (delta, frac) = params[i % distinct];
+                FilterSpec::delta("v", delta, delta * frac)
+            })
+            .collect();
+        let run = |tier| {
+            let mut engine = GroupEngine::builder(schema.clone())
+                .algorithm(Algorithm::RegionGreedy)
+                .time_constraint(TimeConstraint::max_delay(Micros::from_millis(10 * deadline + 5)))
+                .evaluator(tier)
+                .filters(specs.clone())
+                .build()
+                .unwrap();
+            let emissions = engine.run(tuples.clone()).unwrap();
+            (emissions, engine.into_metrics())
+        };
+        let (folded, fm) = run(EvaluatorTier::Compiled);
+        let (unfolded, um) = run(EvaluatorTier::Interpreted);
+        prop_assert_eq!(&folded, &unfolded);
+        prop_assert_eq!((fm.regions, fm.regions_cut), (um.regions, um.regions_cut));
+        prop_assert_eq!(&fm.region_sizes, &um.region_sizes);
+        prop_assert_eq!(&fm.per_filter, &um.per_filter);
+        // Copies of a spec receive the same tuples.
+        for e in &folded {
+            for f in e.recipients.iter() {
+                let twin = gasf_core::candidate::FilterId::from_index((f.index() + distinct) % specs.len());
+                prop_assert!(e.recipients.contains(twin), "{f} without its twin {twin}");
+            }
+        }
     }
 }

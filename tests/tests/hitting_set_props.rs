@@ -1,7 +1,9 @@
 //! Property tests for the greedy hitting-set solvers.
 
 use gasf_core::candidate::{CandidateTuple, CloseCause, ClosedSet, FilterId};
-use gasf_core::hitting_set::{brute_force_minimum, greedy_hitting_set};
+use gasf_core::hitting_set::{
+    brute_force_minimum, greedy_hitting_set, weighted_greedy_hitting_set,
+};
 use gasf_core::quality::Prescription;
 use gasf_core::time::Micros;
 use gasf_core::tuple::TupleId;
@@ -105,5 +107,50 @@ proptest! {
             prop_assert!(used.insert(rank.unwrap()), "rank reused");
         }
         prop_assert_eq!(choices.len(), degree.min(ranks.len()));
+    }
+
+    /// Solving distinct sets with weights is solving the instance that
+    /// holds each set `weight` times: the same picks in the same order,
+    /// and — reading a cover of a distinct set as a cover of all its
+    /// copies — the same `(id, covers)`. Multi-degree sets under all
+    /// three prescriptions, the copies scattered through the expanded
+    /// instance rather than adjacent.
+    #[test]
+    fn weighted_greedy_equals_greedy_on_the_expanded_instance(
+        shapes in proptest::collection::vec(
+            ((proptest::collection::btree_set(0u64..14, 1..7), 1usize..4), (0usize..3, 1u32..5)),
+            1..7,
+        ),
+    ) {
+        let prescriptions = [Prescription::Any, Prescription::Top, Prescription::Bottom];
+        let (sets, weights): (Vec<ClosedSet>, Vec<u32>) = (shapes.into_iter().enumerate())
+            .map(|(i, ((seqs, degree), (p, weight)))| {
+                (mk_set(i, seqs.into_iter().collect(), degree, prescriptions[p]), weight)
+            })
+            .unzip();
+        // Round `r` of the expansion holds a copy of every set that has
+        // more than `r` copies.
+        let expanded_from: Vec<usize> = (0..4)
+            .flat_map(|round| (0..sets.len()).map(move |si| (round, si)))
+            .filter(|&(round, si)| round < weights[si])
+            .map(|(_, si)| si)
+            .collect();
+        let expanded: Vec<ClosedSet> = expanded_from.iter().map(|&si| sets[si].clone()).collect();
+
+        let weighted = weighted_greedy_hitting_set(&sets, &weights);
+        let reference = greedy_hitting_set(&expanded);
+        let unfolded: Vec<(TupleId, Vec<usize>)> = (weighted.iter())
+            .map(|c| {
+                let copies = (0..expanded.len()).filter(|&e| c.covers.contains(&expanded_from[e]));
+                (c.id, copies.collect())
+            })
+            .collect();
+        let reference: Vec<(TupleId, Vec<usize>)> =
+            reference.into_iter().map(|c| (c.id, c.covers)).collect();
+        prop_assert_eq!(unfolded, reference);
+        prop_assert_eq!(
+            greedy_hitting_set(&sets),
+            weighted_greedy_hitting_set(&sets, &vec![1; sets.len()])
+        );
     }
 }
