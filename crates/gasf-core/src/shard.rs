@@ -50,6 +50,26 @@
 //! [`finish_into`](ShardedEngine::finish_into)). The emission *sequence*
 //! is unaffected; only the sink-call boundaries move.
 //!
+//! ## Checkpoint barriers and worker respawn
+//!
+//! [`checkpoint`](ShardedEngine::checkpoint) and
+//! [`finish_into`](ShardedEngine::finish_into) are one barrier: merge
+//! everything in flight, send every shard one barrier message, collect
+//! every shard's reply, deliver the tails in route order. Between
+//! checkpoints the engine logs every batch and control op it ships, up to
+//! [`REPLAY_CAPACITY`] tuple-equivalents. A worker found dead — a panic,
+//! or [`kill_shard`](ShardedEngine::kill_shard) — is rebuilt from the last
+//! checkpoint, the log is replayed into it and the replies the caller
+//! already merged are discarded, at most [`MAX_RESPAWNS`] times per engine.
+//! Whatever the caller was waiting on when it found the death reaches the
+//! new worker one of two ways:
+//!
+//! | outstanding request | after a respawn |
+//! |---|---|
+//! | data batch (`push_batch_columnar`) | carried by the replay: logged before it is sent |
+//! | control op (`add_filter`, `remove_filter`, `update_filter`) | carried by the replay: logged before it is sent |
+//! | barrier (`checkpoint`, `finish_into`) | re-issued: never logged |
+//!
 //! ## Errors
 //!
 //! Stream-order violations ([`Error::OutOfOrder`] /
@@ -64,7 +84,7 @@
 
 use crate::batch::TupleBatch;
 use crate::candidate::FilterId;
-use crate::engine::{ControlOp, GroupEngine, GroupEngineBuilder};
+use crate::engine::{ControlOp, Emission, GroupEngine, GroupEngineBuilder};
 use crate::error::Error;
 use crate::metrics::EngineMetrics;
 use crate::plan::EvaluatorTier;
@@ -79,32 +99,49 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One step's worth of emissions from one shard, tagged per route.
-#[derive(Debug, Default)]
-struct StepOut {
-    /// Wall-clock cost of this step on the shard (all of its routes).
-    cpu: Duration,
-    /// Non-empty emission batches, in ascending route order.
-    batches: Vec<(u32, Vec<crate::engine::Emission>)>,
-}
+/// Non-empty emission batches tagged with their route, in ascending route
+/// order.
+type RouteBatches = Vec<(u32, Vec<Emission>)>;
 
 /// Worker → caller reply for one input batch.
 #[derive(Debug)]
 struct BatchReply {
     /// One entry per row of the input batch (empty after an error).
-    steps: Vec<StepOut>,
+    steps: Vec<RouteBatches>,
+    /// What each of `steps` cost on the shard (all of its routes): the
+    /// batch's wall clock divided evenly across its rows.
+    cpu: Duration,
     /// First failure, as (step offset in batch, route index, error).
     error: Option<(usize, u32, Error)>,
 }
 
-/// Worker → caller reply for the finish request.
+/// The two barriers (see [`ToShard::Barrier`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Barrier {
+    /// Cross every route's safe-point boundary and snapshot it.
+    Checkpoint,
+    /// End every route's stream; the worker exits after replying.
+    Finish,
+}
+
+/// What one route hands back at a barrier.
 #[derive(Debug)]
-struct FinishReply {
-    /// Tail emissions per route, in ascending route order.
-    tail: Vec<(u32, Vec<crate::engine::Emission>)>,
-    /// Final metrics per route, in ascending route order.
-    metrics: Vec<(u32, EngineMetrics)>,
-    /// First failure during finish, as (route index, error).
+enum Crossed {
+    /// At a checkpoint: the route's safe-point snapshot.
+    Snapshot(GroupSnapshot),
+    /// At the end of the stream: the route's lifetime metrics, so filters
+    /// removed by control ops keep their per-epoch stats in the aggregate.
+    Metrics(EngineMetrics),
+}
+
+/// Worker → caller reply for a barrier.
+#[derive(Debug)]
+struct BarrierReply {
+    /// Boundary drains (checkpoint) or force-closed tails (finish).
+    tail: RouteBatches,
+    /// What each route handed back, in ascending route order.
+    crossed: Vec<(u32, Crossed)>,
+    /// First failure, as (route index, error).
     error: Option<(u32, Error)>,
 }
 
@@ -113,35 +150,28 @@ enum ToShard {
     /// The one data message: a columnar tuple batch, shared across shards
     /// as one `Arc` (the broadcast clones the pointer, never the
     /// columns). The worker runs it through each route's batch-native
-    /// path and replies with one [`StepOut`] per row.
+    /// path and replies with one step per row.
     Columnar(Arc<TupleBatch>),
     /// A control-plane op for one route, interleaved with the data
     /// batches so it lands at the exact stream position it was issued
     /// at. The worker queues it on the route's engine, which applies it
     /// at its next safe point — identical to the inline path.
     Control(u32, ControlOp),
-    /// Checkpoint barrier: the caller has merged everything in flight, so
-    /// every hosted engine sits exactly at the barrier position. The
-    /// worker crosses each engine's safe-point boundary
-    /// (`GroupEngine::snapshot_into`) and replies with the per-route
-    /// boundary tails and [`GroupSnapshot`]s.
-    Checkpoint,
+    /// The caller has merged everything in flight, so every hosted engine
+    /// sits exactly at the barrier position. The worker crosses each
+    /// engine's boundary (`GroupEngine::snapshot_into` or
+    /// `GroupEngine::finish_into`) and replies with one [`BarrierReply`].
+    Barrier(Barrier),
     /// Fault injection: the worker exits immediately without replying —
     /// indistinguishable, from the caller's side, from a panicked worker
     /// thread (both disconnect the channels).
     Die,
-    Finish,
 }
 
-/// Worker → caller reply for the checkpoint barrier.
 #[derive(Debug)]
-struct CheckpointReply {
-    /// Boundary-drain emissions per route, in ascending route order.
-    tail: Vec<(u32, Vec<crate::engine::Emission>)>,
-    /// Safe-point snapshots per route, in ascending route order.
-    snaps: Vec<(u32, GroupSnapshot)>,
-    /// First failure while draining, as (route index, error).
-    error: Option<(u32, Error)>,
+enum FromShard {
+    Batch(BatchReply),
+    Barrier(BarrierReply),
 }
 
 /// Caller-side mirror of one route's roster, used to validate control ops
@@ -158,13 +188,6 @@ struct RouteControl {
     live: BTreeSet<u32>,
     /// The next never-used filter id on this route.
     next_id: u32,
-}
-
-#[derive(Debug)]
-enum FromShard {
-    Batch(BatchReply),
-    Checkpointed(CheckpointReply),
-    Finished(FinishReply),
 }
 
 /// The deterministic route-key hash (FNV-1a finished with splitmix64).
@@ -189,18 +212,24 @@ pub fn shard_index(key: &str, shards: usize) -> usize {
 pub struct ShardedEngineBuilder {
     parallelism: usize,
     track_step_costs: bool,
-    replay_capacity: Option<usize>,
-    max_respawns: Option<u32>,
     routes: Vec<(String, GroupEngineBuilder)>,
 }
 
-/// Default bound of the post-checkpoint replay log, in tuples (see
-/// [`ShardedEngineBuilder::replay_capacity`]).
-pub const DEFAULT_REPLAY_CAPACITY: usize = 65_536;
+/// Bound of the post-checkpoint replay log, in tuple-equivalents (one per
+/// tuple, one per control op). The engine logs every batch and control op
+/// it ships since the last [`checkpoint`](ShardedEngine::checkpoint) so a
+/// crashed worker can be respawned and replayed; once the log would
+/// exceed this bound it is dropped — memory stays bounded, but a death is
+/// an error until the next checkpoint resets the log. Checkpoint at least
+/// every `REPLAY_CAPACITY` tuples to keep the recovery guarantee live.
+pub const REPLAY_CAPACITY: usize = 65_536;
 
-/// Default worker-respawn budget (see
-/// [`ShardedEngineBuilder::max_respawns`]).
-pub const DEFAULT_MAX_RESPAWNS: u32 = 4;
+/// How many times crashed shard workers may be rebuilt from the last
+/// checkpoint over an engine's lifetime (a restored engine starts afresh)
+/// before a death is reported as an error instead. The budget guards
+/// against crash loops: a worker that dies deterministically on replay
+/// would otherwise respawn forever.
+pub const MAX_RESPAWNS: u32 = 4;
 
 /// Batches kept in flight per shard before a push blocks and merges:
 /// one being filtered, one queued behind it, so a worker never idles
@@ -237,35 +266,6 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Bound of the post-checkpoint replay log, in tuple-equivalents
-    /// (one per tuple, one per control op; default
-    /// [`DEFAULT_REPLAY_CAPACITY`]). The engine logs every dispatched
-    /// batch and control op since the last [`checkpoint`]
-    /// (ShardedEngine::checkpoint) so a crashed worker can be respawned
-    /// and replayed; once the log would exceed this bound it is dropped —
-    /// memory stays bounded, but worker respawn is impossible until the
-    /// next checkpoint resets the log. Checkpoint at least every
-    /// `replay_capacity` tuples to keep the recovery guarantee live.
-    /// `0` is honoured literally: nothing is ever logged and worker
-    /// respawn is effectively disabled (a death always surfaces as an
-    /// error).
-    ///
-    /// [`checkpoint`]: ShardedEngine::checkpoint
-    pub fn replay_capacity(mut self, tuples: usize) -> Self {
-        self.replay_capacity = Some(tuples);
-        self
-    }
-
-    /// Worker-respawn budget (default [`DEFAULT_MAX_RESPAWNS`]): how many
-    /// times crashed shard workers may be rebuilt from the last checkpoint
-    /// over the engine's lifetime before a death is reported as an error
-    /// instead. The budget guards against crash loops (a worker that dies
-    /// deterministically on replay would otherwise respawn forever).
-    pub fn max_respawns(mut self, n: u32) -> Self {
-        self.max_respawns = Some(n);
-        self
-    }
-
     /// Builds the engines, partitions them across shards and spawns the
     /// worker threads.
     ///
@@ -293,75 +293,36 @@ impl ShardedEngineBuilder {
                 });
             }
         }
-        let parallelism = self.parallelism.max(1);
-
-        // Caller-side roster mirrors, so control ops validate and assign
-        // ids without a worker round-trip.
-        let mut controls = Vec::with_capacity(self.routes.len());
-        for (_, builder) in &self.routes {
-            let roster = builder.resolve_roster()?;
-            controls.push(RouteControl {
-                schema: builder.schema().clone(),
-                algorithm: builder.configured_algorithm(),
-                tier: builder.configured_evaluator(),
-                live: roster.iter().map(|(id, _)| id.index() as u32).collect(),
-                next_id: roster.last().map_or(0, |(id, _)| id.index() as u32 + 1),
-            });
-        }
-
         // The recovery baseline: a worker that dies before the first
         // checkpoint is rebuilt from the routes' never-fed snapshots —
-        // and the initial engines themselves are built by restoring those
-        // snapshots, so "fresh build" and "recovery rebuild" are one code
-        // path that cannot drift apart.
-        let mut last_checkpoint = Vec::with_capacity(self.routes.len());
+        // and a fresh engine is itself a restore of those snapshots, so
+        // "fresh build" and "recovery rebuild" are one code path that
+        // cannot drift apart.
+        let mut snaps = Vec::with_capacity(self.routes.len());
+        let mut tiers = Vec::with_capacity(self.routes.len());
         let mut route_keys = Vec::with_capacity(self.routes.len());
-        for (key, builder) in &self.routes {
-            last_checkpoint.push(builder.initial_snapshot()?);
-            route_keys.push(key.clone());
+        for (key, builder) in self.routes {
+            snaps.push(builder.initial_snapshot()?);
+            tiers.push(builder.configured_evaluator());
+            route_keys.push(key);
         }
-        let mut engines = Vec::with_capacity(last_checkpoint.len());
-        for (g, ctl) in last_checkpoint.iter().zip(&controls) {
-            engines.push(GroupEngine::restore_with_tier(g, ctl.tier)?);
-        }
-        let (shards, route_shard) = spawn_shards(parallelism, &route_keys, engines)?;
-        Ok(ShardedEngine {
-            shards,
-            n_routes: route_keys.len(),
+        let snap = EngineSnapshot {
+            snaps,
             route_keys,
-            parallelism,
+            parallelism: self.parallelism,
             track_step_costs: self.track_step_costs,
-            in_flight: VecDeque::new(),
-            input_tuples: 0,
             last_ts: None,
             last_seq: None,
-            finished: false,
-            poisoned: None,
-            controls,
-            route_shard,
-            staged: VecSink::new(),
-            route_metrics: Vec::new(),
-            step_costs: Vec::new(),
-            merge_scratch: Vec::new(),
-            last_checkpoint,
-            replay_log: Vec::new(),
-            replay_cost: 0,
-            replay_capacity: self.replay_capacity.unwrap_or(DEFAULT_REPLAY_CAPACITY),
-            replay_overflowed: false,
-            merged_since_ckpt: 0,
-            max_respawns: self.max_respawns.unwrap_or(DEFAULT_MAX_RESPAWNS),
-            respawns_left: self.max_respawns.unwrap_or(DEFAULT_MAX_RESPAWNS),
-            respawns_used: 0,
-        })
+            input_tuples: 0,
+        };
+        ShardedEngine::start(snap, tiers)
     }
 }
 
 /// Partitions the routes across `parallelism` shards by key hash and
 /// spawns one worker thread per non-empty shard. Returns the shard
-/// handles plus the route-index → handle-index map. Shared by
-/// [`ShardedEngineBuilder::build`], [`ShardedEngine::restore`] and the
-/// internal worker-respawn path (which spawns a single shard through
-/// [`spawn_worker`]).
+/// handles plus the route-index → handle-index map. The worker-respawn
+/// path spawns a single shard through [`spawn_worker`].
 fn spawn_shards(
     parallelism: usize,
     route_keys: &[String],
@@ -436,14 +397,6 @@ struct ShardHandle {
     shard_no: usize,
 }
 
-impl ShardHandle {
-    /// Sends `msg` to the worker; `false` means the worker is gone (dead
-    /// thread or closed channel) and the caller should recover the shard.
-    fn send(&self, msg: ToShard) -> bool {
-        self.tx.as_ref().is_some_and(|tx| tx.send(msg).is_ok())
-    }
-}
-
 /// A hash-partitioned, multi-threaded host for independent filter groups,
 /// with deterministic in-order emission merging.
 ///
@@ -487,7 +440,8 @@ pub struct ShardedEngine {
     shards: Vec<ShardHandle>,
     n_routes: usize,
     track_step_costs: bool,
-    /// Arrival timestamps of each dispatched-but-unmerged batch.
+    /// Arrival timestamps of each dispatched-but-unmerged batch. Every
+    /// live worker owes exactly one reply per entry.
     in_flight: VecDeque<Vec<Micros>>,
     input_tuples: u64,
     last_ts: Option<Micros>,
@@ -511,7 +465,7 @@ pub struct ShardedEngine {
     /// Undrained `(arrival, cpu)` samples when tracking is on.
     step_costs: Vec<(Micros, Duration)>,
     /// Reused per-step merge buffer.
-    merge_scratch: Vec<(u32, Vec<crate::engine::Emission>)>,
+    merge_scratch: RouteBatches,
     /// Route keys in route-index order (drive shard placement; kept for
     /// checkpoints and respawns).
     route_keys: Vec<String>,
@@ -531,20 +485,14 @@ pub struct ShardedEngine {
     /// Cost of the replay log in tuple-equivalents (one per tuple, one
     /// per control op), so churn-heavy streams stay bounded too.
     replay_cost: usize,
-    /// Bound on `replay_cost`; exceeding it drops the log (memory stays
-    /// bounded, respawn is refused until the next checkpoint).
-    replay_capacity: usize,
+    /// The log exceeded [`REPLAY_CAPACITY`] and was dropped: respawn is
+    /// refused until the next checkpoint.
     replay_overflowed: bool,
     /// Batches merged (delivered to a sink) since the last checkpoint —
     /// how many replayed replies a respawned worker must discard.
     merged_since_ckpt: usize,
-    /// The configured respawn budget (carried into checkpoints so a
-    /// restored process keeps its fault-tolerance envelope).
-    max_respawns: u32,
-    /// Remaining worker-respawn budget.
-    respawns_left: u32,
-    /// Worker respawns performed so far.
-    respawns_used: u32,
+    /// Worker respawns performed so far (at most [`MAX_RESPAWNS`]).
+    respawns: u32,
 }
 
 impl ShardedEngine {
@@ -632,72 +580,17 @@ impl ShardedEngine {
     /// shard error).
     pub fn checkpoint<S: EmissionSink>(&mut self, sink: &mut S) -> Result<EngineSnapshot, Error> {
         self.ensure_open(sink)?;
-        // Barrier: every shard must sit exactly at the checkpoint position.
-        while !self.in_flight.is_empty() {
-            if let Err(e) = self.merge_oldest(sink) {
-                self.poisoned = Some(e.clone());
-                return Err(e);
-            }
+        let (crossed, err) = self.barrier(Barrier::Checkpoint, sink);
+        if let Some(e) = err {
+            self.poisoned = Some(e.clone());
+            return Err(e);
         }
-        // Send the barrier message to every shard first (like finish),
-        // so the per-shard snapshot drains run concurrently, then collect
-        // — respawning any worker found dead at the barrier.
-        let mut tails: Vec<(u32, Vec<crate::engine::Emission>)> = Vec::new();
-        let mut snaps: Vec<Option<GroupSnapshot>> = (0..self.n_routes).map(|_| None).collect();
-        for si in 0..self.shards.len() {
-            loop {
-                if self.shards[si].send(ToShard::Checkpoint) {
-                    break;
-                }
-                if let Err(e) = self.recover_shard(si) {
-                    self.poisoned = Some(e.clone());
-                    return Err(e);
-                }
-            }
-        }
-        for si in 0..self.shards.len() {
-            let reply = loop {
-                match self.shards[si].rx.recv() {
-                    Ok(FromShard::Checkpointed(reply)) => break reply,
-                    // Stale replies cannot exist at the barrier (everything
-                    // in flight was merged above); skip defensively.
-                    Ok(_) => continue,
-                    Err(_) => {
-                        // Worker died between barrier and snapshot: respawn
-                        // (the replay discards everything — it is all
-                        // merged) and re-issue the barrier message.
-                        match self.recover_shard(si) {
-                            Ok(()) => {
-                                if !self.shards[si].send(ToShard::Checkpoint) {
-                                    continue; // recv fails again → recover again
-                                }
-                            }
-                            Err(e) => {
-                                self.poisoned = Some(e.clone());
-                                return Err(e);
-                            }
-                        }
-                    }
-                }
-            };
-            if let Some((_, e)) = reply.error {
-                self.poisoned = Some(e.clone());
-                return Err(e);
-            }
-            tails.extend(reply.tail);
-            for (route, s) in reply.snaps {
-                snaps[route as usize] = Some(s);
-            }
-        }
-        tails.sort_unstable_by_key(|&(route, _)| route);
-        for (_, batch) in &tails {
-            if !batch.is_empty() {
-                sink.accept_batch(batch);
-            }
-        }
-        let snaps: Vec<GroupSnapshot> = snaps
+        let snaps: Vec<GroupSnapshot> = crossed
             .into_iter()
-            .map(|s| s.expect("every live shard snapshots every route it owns"))
+            .filter_map(|c| match c {
+                Crossed::Snapshot(s) => Some(s),
+                Crossed::Metrics(_) => None,
+            })
             .collect();
         self.last_checkpoint = snaps.clone();
         self.replay_log.clear();
@@ -709,8 +602,6 @@ impl ShardedEngine {
             route_keys: self.route_keys.clone(),
             parallelism: self.parallelism,
             track_step_costs: self.track_step_costs,
-            replay_capacity: self.replay_capacity,
-            max_respawns: self.max_respawns,
             last_ts: self.last_ts,
             last_seq: self.last_seq,
             input_tuples: self.input_tuples,
@@ -726,10 +617,8 @@ impl ShardedEngine {
     /// reproduces the fault-free run byte for byte
     /// (`tests/tests/recovery_equivalence.rs`).
     ///
-    /// The restored engine starts with a fresh replay log and a full
-    /// respawn budget, sized by the configuration the snapshot carries
-    /// (`replay_capacity`, `max_respawns`) — a recovered process keeps
-    /// the fault-tolerance envelope of the one that crashed.
+    /// The restored engine starts with a fresh replay log and a fresh
+    /// budget of [`MAX_RESPAWNS`].
     ///
     /// # Errors
     /// [`Error::InvalidConfig`] for a snapshot without routes, or any
@@ -740,26 +629,34 @@ impl ShardedEngine {
                 reason: "engine snapshot holds no routes".into(),
             });
         }
+        // Snapshots carry no tier (compilation is a pure function of the
+        // roster); restored processes run the default.
+        let tiers = vec![EvaluatorTier::default(); snap.snaps.len()];
+        ShardedEngine::start(snap.clone(), tiers)
+    }
+
+    /// Restores every route of `snap` onto its tier and spawns the
+    /// workers — what [`ShardedEngineBuilder::build`] and
+    /// [`restore`](Self::restore) both are.
+    fn start(snap: EngineSnapshot, tiers: Vec<EvaluatorTier>) -> Result<ShardedEngine, Error> {
         let mut controls = Vec::with_capacity(snap.snaps.len());
         let mut engines = Vec::with_capacity(snap.snaps.len());
-        for g in &snap.snaps {
+        for (g, tier) in snap.snaps.iter().zip(tiers) {
             controls.push(RouteControl {
                 schema: g.schema().clone(),
                 algorithm: g.algorithm(),
-                // Snapshots carry no tier (compilation is a pure function
-                // of the roster); restored processes run the default.
-                tier: EvaluatorTier::default(),
+                tier,
                 live: g.roster_iter().map(|(id, _)| id.index() as u32).collect(),
                 next_id: g.next_filter_id,
             });
-            engines.push(GroupEngine::restore(g)?);
+            engines.push(GroupEngine::restore_with_tier(g, tier)?);
         }
         let parallelism = snap.parallelism.max(1);
         let (shards, route_shard) = spawn_shards(parallelism, &snap.route_keys, engines)?;
         Ok(ShardedEngine {
             shards,
             n_routes: snap.snaps.len(),
-            route_keys: snap.route_keys.clone(),
+            route_keys: snap.route_keys,
             parallelism,
             track_step_costs: snap.track_step_costs,
             in_flight: VecDeque::new(),
@@ -774,15 +671,12 @@ impl ShardedEngine {
             route_metrics: Vec::new(),
             step_costs: Vec::new(),
             merge_scratch: Vec::new(),
-            last_checkpoint: snap.snaps.clone(),
+            last_checkpoint: snap.snaps,
             replay_log: Vec::new(),
             replay_cost: 0,
-            replay_capacity: snap.replay_capacity,
             replay_overflowed: false,
             merged_since_ckpt: 0,
-            max_respawns: snap.max_respawns,
-            respawns_left: snap.max_respawns,
-            respawns_used: 0,
+            respawns: 0,
         })
     }
 
@@ -808,13 +702,15 @@ impl ShardedEngine {
             });
         }
         // An already-dead worker ignores the message either way.
-        let _ = self.shards[shard].send(ToShard::Die);
+        if let Some(tx) = &self.shards[shard].tx {
+            let _ = tx.send(ToShard::Die);
+        }
         Ok(())
     }
 
     /// Worker respawns performed so far (0 in a fault-free run).
     pub fn respawns(&self) -> u32 {
-        self.respawns_used
+        self.respawns
     }
 
     /// Reserves `cost` tuple-equivalents in the bounded replay log,
@@ -825,7 +721,7 @@ impl ShardedEngine {
         if self.replay_overflowed {
             return false;
         }
-        if self.replay_cost.saturating_add(cost) > self.replay_capacity {
+        if self.replay_cost.saturating_add(cost) > REPLAY_CAPACITY {
             self.replay_log.clear();
             self.replay_log.shrink_to_fit();
             self.replay_cost = 0;
@@ -836,34 +732,68 @@ impl ShardedEngine {
         true
     }
 
+    /// Sends `msg` to shard `si`. One of the two places a dead worker is
+    /// found (the other is [`recv`](Self::recv)): it is respawned, and a
+    /// data batch or control op — logged before it is sent — reaches it
+    /// through the replay, while a barrier, which is never logged, is sent
+    /// again.
+    fn send(&mut self, si: usize, mut msg: ToShard) -> Result<(), Error> {
+        loop {
+            if let Some(tx) = &self.shards[si].tx {
+                match tx.send(msg) {
+                    Ok(()) => return Ok(()),
+                    Err(unsent) => msg = unsent.0,
+                }
+            }
+            self.recover_shard(si)?;
+            if !matches!(msg, ToShard::Barrier(_)) {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Receives shard `si`'s next reply, respawning a dead worker. The
+    /// replay re-feeds every logged batch and discards the replies already
+    /// merged, so an awaited batch reply arrives on the fresh channel; an
+    /// awaited barrier reply needs its barrier (`awaited`) sent again.
+    fn recv(&mut self, si: usize, awaited: Option<Barrier>) -> Result<FromShard, Error> {
+        loop {
+            if let Ok(reply) = self.shards[si].rx.recv() {
+                return Ok(reply);
+            }
+            self.recover_shard(si)?;
+            if let Some(kind) = awaited {
+                self.send(si, ToShard::Barrier(kind))?;
+            }
+        }
+    }
+
     /// Rebuilds a dead shard worker from the last checkpoint and replays
     /// the post-checkpoint suffix into it. Replies for batches the caller
     /// already merged are discarded as they stream back (their emissions
     /// were delivered before the crash, byte-identically — the engines
     /// are deterministic); replies for the still-unmerged window stay
-    /// queued for the live merge path, so callers simply re-recv after a
-    /// successful recovery.
+    /// queued for the live merge path. Only [`send`](Self::send) and
+    /// [`recv`](Self::recv) call this.
     fn recover_shard(&mut self, si: usize) -> Result<(), Error> {
+        let shard_no = self.shards[si].shard_no;
         if self.replay_overflowed {
             return Err(Error::InvalidConfig {
                 reason: format!(
-                    "shard worker {} died after the replay log overflowed its \
-                     {}-tuple bound; checkpoint more often or raise replay_capacity",
-                    self.shards[si].shard_no, self.replay_capacity
+                    "shard worker {shard_no} died after the replay log overflowed its \
+                     {REPLAY_CAPACITY}-tuple bound; checkpoint more often"
                 ),
             });
         }
-        if self.respawns_left == 0 {
+        if self.respawns == MAX_RESPAWNS {
             return Err(Error::InvalidConfig {
                 reason: format!(
-                    "shard worker {} died and the respawn budget is exhausted \
-                     ({} respawns used)",
-                    self.shards[si].shard_no, self.respawns_used
+                    "shard worker {shard_no} died and the respawn budget is exhausted \
+                     ({MAX_RESPAWNS} respawns used)"
                 ),
             });
         }
-        self.respawns_left -= 1;
-        self.respawns_used += 1;
+        self.respawns += 1;
         // Reap the dead worker.
         self.shards[si].tx = None;
         if let Some(join) = self.shards[si].join.take() {
@@ -881,7 +811,7 @@ impl ShardedEngine {
                 )?,
             ));
         }
-        let (tx, rx, join) = spawn_worker(self.shards[si].shard_no, engines)?;
+        let (tx, rx, join) = spawn_worker(shard_no, engines)?;
         let dead = || Error::InvalidConfig {
             reason: "respawned shard worker died during replay".into(),
         };
@@ -1002,19 +932,12 @@ impl ShardedEngine {
         let merged = self.merge_down(&mut staged);
         self.staged = staged;
         merged.inspect_err(|e| self.poisoned = Some((*e).clone()))?;
-        // Log before shipping: a dead worker is respawned and receives the
-        // op through the replay instead of this send.
         let msg = ToShard::Control(route as u32, op);
         if self.try_log_replay(1) {
             self.replay_log.push(msg.clone());
         }
-        let si = self.route_shard[route];
-        if self.shards[si].send(msg) {
-            Ok(())
-        } else {
-            self.recover_shard(si)
-                .inspect_err(|e| self.poisoned = Some((*e).clone()))
-        }
+        self.send(self.route_shard[route], msg)
+            .inspect_err(|e| self.poisoned = Some((*e).clone()))
     }
 
     /// The shared head of every call that takes a sink while the stream
@@ -1106,97 +1029,18 @@ impl ShardedEngine {
         }
         self.finished = true;
         self.deliver_staged(sink);
-        let mut first_err = self.poisoned.take();
-        while !self.in_flight.is_empty() {
-            if let Err(e) = self.merge_oldest(sink) {
-                first_err.get_or_insert(e);
-            }
-        }
-        for si in 0..self.shards.len() {
-            loop {
-                if self.shards[si].send(ToShard::Finish) {
-                    break;
-                }
-                // Dead worker at finish: respawn it (replaying the suffix)
-                // so the stream still ends with a complete, fault-free
-                // tail — unless an error is already being reported, in
-                // which case respawns are not worth burning.
-                if first_err.is_some() {
-                    break;
-                }
-                match self.recover_shard(si) {
-                    Ok(()) => continue,
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                        break;
-                    }
-                }
-            }
-        }
-        // Collect every shard's tail, then merge across shards by route.
-        // On the degraded path (a worker died or errored mid-stream) a
-        // shard's channel may still hold batch replies that were never
-        // merged; drain past them — their emissions are dropped, which is
-        // fine because an error is already being reported.
-        let mut tails: Vec<(u32, Vec<crate::engine::Emission>)> = Vec::new();
-        let mut metrics: Vec<(u32, EngineMetrics)> = Vec::new();
-        for si in 0..self.shards.len() {
-            loop {
-                match self.shards[si].rx.recv() {
-                    Ok(FromShard::Finished(reply)) => {
-                        tails.extend(reply.tail);
-                        metrics.extend(reply.metrics);
-                        if let Some((_, e)) = reply.error {
-                            first_err.get_or_insert(e);
-                        }
-                        break;
-                    }
-                    Ok(FromShard::Batch(stale)) => {
-                        debug_assert!(
-                            first_err.is_some(),
-                            "stale batch replies only exist on the error path"
-                        );
-                        if let Some((_, _, e)) = stale.error {
-                            first_err.get_or_insert(e);
-                        }
-                    }
-                    Ok(FromShard::Checkpointed(_)) => {
-                        // only reachable on a degraded path; nothing to keep
-                    }
-                    Err(_) => {
-                        // Worker died between the Finish send and its reply:
-                        // respawn, replay and re-issue Finish.
-                        if first_err.is_none() {
-                            match self.recover_shard(si) {
-                                Ok(()) => {
-                                    if self.shards[si].send(ToShard::Finish) {
-                                        continue;
-                                    }
-                                }
-                                Err(e) => {
-                                    first_err.get_or_insert(e);
-                                }
-                            }
-                        }
-                        first_err.get_or_insert(Error::InvalidConfig {
-                            reason: "shard worker terminated early".into(),
-                        });
-                        break;
-                    }
-                }
-            }
-        }
-        tails.sort_unstable_by_key(|&(route, _)| route);
-        for (_, batch) in &tails {
-            if !batch.is_empty() {
-                sink.accept_batch(batch);
-            }
-        }
+        let pending = self.poisoned.take();
+        let (crossed, err) = self.barrier(Barrier::Finish, sink);
         sink.flush();
-        metrics.sort_unstable_by_key(|&(route, _)| route);
-        self.route_metrics = metrics.into_iter().map(|(_, m)| m).collect();
+        self.route_metrics = crossed
+            .into_iter()
+            .filter_map(|c| match c {
+                Crossed::Metrics(m) => Some(m),
+                Crossed::Snapshot(_) => None,
+            })
+            .collect();
         self.shutdown();
-        match first_err {
+        match pending.or(err) {
             Some(e) => Err(e),
             None => Ok(()),
         }
@@ -1205,6 +1049,68 @@ impl ShardedEngine {
     // ------------------------------------------------------------------
     // internals
     // ------------------------------------------------------------------
+
+    /// The one barrier behind [`checkpoint`](Self::checkpoint) and
+    /// [`finish_into`](Self::finish_into): merges everything in flight
+    /// into `sink`, sends one barrier to every shard, collects **every**
+    /// shard's reply (so none is ever left queued behind the next
+    /// request) and delivers the tails in route order. Returns what each
+    /// route handed back, in route order, and the first error — an
+    /// in-flight batch's before any barrier's, and among barrier errors
+    /// the lowest route's (a dead shard counts as its first route).
+    fn barrier<S: EmissionSink>(
+        &mut self,
+        kind: Barrier,
+        sink: &mut S,
+    ) -> (Vec<Crossed>, Option<Error>) {
+        let mut merge_err = None;
+        while !self.in_flight.is_empty() {
+            if let Err(e) = self.merge_oldest(sink) {
+                merge_err.get_or_insert(e);
+            }
+        }
+        let mut route_err: Option<(u32, Error)> = None;
+        let mut note = |route: u32, e: Error| {
+            if route_err.as_ref().is_none_or(|(r, _)| route < *r) {
+                route_err = Some((route, e));
+            }
+        };
+        // Send every barrier before collecting any reply, so the
+        // per-shard drains run concurrently.
+        let mut awaiting = Vec::with_capacity(self.shards.len());
+        for si in 0..self.shards.len() {
+            match self.send(si, ToShard::Barrier(kind)) {
+                Ok(()) => awaiting.push(si),
+                Err(e) => note(self.shards[si].routes[0], e),
+            }
+        }
+        let mut tails = Vec::new();
+        let mut crossed = Vec::with_capacity(self.n_routes);
+        for si in awaiting {
+            match self.recv(si, Some(kind)) {
+                Ok(FromShard::Barrier(reply)) => {
+                    tails.extend(reply.tail);
+                    crossed.extend(reply.crossed);
+                    if let Some((route, e)) = reply.error {
+                        note(route, e);
+                    }
+                }
+                Ok(FromShard::Batch(_)) => {
+                    unreachable!("every batch in flight was merged before the barrier was sent")
+                }
+                Err(e) => note(self.shards[si].routes[0], e),
+            }
+        }
+        tails.sort_unstable_by_key(|&(route, _)| route);
+        for (_, batch) in &tails {
+            if !batch.is_empty() {
+                sink.accept_batch(batch);
+            }
+        }
+        crossed.sort_unstable_by_key(|&(route, _)| route);
+        let crossed = crossed.into_iter().map(|(_, c)| c).collect();
+        (crossed, merge_err.or(route_err.map(|(_, e)| e)))
+    }
 
     /// Merges the oldest batches until at most [`QUEUE_DEPTH`] stay in
     /// flight.
@@ -1218,7 +1124,9 @@ impl ShardedEngine {
     /// Broadcasts one batch to every shard (an `Arc` bump each). The
     /// batch is appended to the bounded replay log first, so a send that
     /// finds a dead worker recovers it — and the replay, which includes
-    /// this batch, *is* the delivery.
+    /// this batch, *is* the delivery. Every shard is offered the batch
+    /// even past a failed one, so each live worker still owes one reply
+    /// per batch in flight.
     fn ship(&mut self, batch: &Arc<TupleBatch>) -> Result<(), Error> {
         let stamps: Vec<Micros> = if self.track_step_costs {
             batch.timestamps().to_vec()
@@ -1229,24 +1137,21 @@ impl ShardedEngine {
         if self.try_log_replay(batch.rows()) {
             self.replay_log.push(msg.clone());
         }
+        self.in_flight.push_back(stamps);
+        let mut first_err = None;
         for si in 0..self.shards.len() {
-            if !self.shards[si].send(msg.clone()) {
-                self.recover_shard(si)?;
+            if let Err(e) = self.send(si, msg.clone()) {
+                first_err.get_or_insert(e);
             }
         }
-        self.in_flight.push_back(stamps);
-        Ok(())
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Receives the oldest in-flight batch's reply from every shard and
     /// feeds the merged emissions to the sink in `(step, route)` order.
-    ///
-    /// A worker found dead here (disconnected channel — a panicked or
-    /// [`kill_shard`](Self::kill_shard)ed thread) is respawned from the
-    /// last checkpoint and the replay log brings it back to the live
-    /// stream position; its reply for this batch is then taken from the
-    /// fresh channel, so the merged output is byte-identical to a
-    /// fault-free run.
+    /// A worker found dead here is respawned by [`recv`](Self::recv), and
+    /// its reply for this batch is taken from the fresh channel, so the
+    /// merged output is byte-identical to a fault-free run.
     fn merge_oldest<S: EmissionSink>(&mut self, sink: &mut S) -> Result<(), Error> {
         let stamps = self
             .in_flight
@@ -1256,26 +1161,8 @@ impl ShardedEngine {
         let mut first_err: Option<(usize, u32, Error)> = None;
         let mut dead_err: Option<Error> = None;
         for si in 0..self.shards.len() {
-            let reply = loop {
-                match self.shards[si].rx.recv() {
-                    Ok(FromShard::Batch(reply)) => break Some(reply),
-                    // A worker only sends Finished/Checkpointed in response
-                    // to Finish/Checkpoint, never while batches are in
-                    // flight — a worker that emits one here is broken.
-                    Ok(_) => break None,
-                    Err(_) => match self.recover_shard(si) {
-                        // The respawn replayed the suffix; the reply for
-                        // this batch is queued on the fresh channel.
-                        Ok(()) => continue,
-                        Err(e) => {
-                            dead_err.get_or_insert(e);
-                            break None;
-                        }
-                    },
-                }
-            };
-            match reply {
-                Some(reply) => {
+            match self.recv(si, None) {
+                Ok(FromShard::Batch(reply)) => {
                     if let Some(e) = &reply.error {
                         if first_err.as_ref().is_none_or(|f| (e.0, e.1) < (f.0, f.1)) {
                             first_err = Some(e.clone());
@@ -1283,10 +1170,11 @@ impl ShardedEngine {
                     }
                     replies.push(reply);
                 }
-                None => {
-                    dead_err.get_or_insert(Error::InvalidConfig {
-                        reason: "shard worker terminated early".into(),
-                    });
+                Ok(FromShard::Barrier(_)) => {
+                    unreachable!("a barrier collects its replies before anything else is sent")
+                }
+                Err(e) => {
+                    dead_err.get_or_insert(e);
                 }
             }
         }
@@ -1298,8 +1186,8 @@ impl ShardedEngine {
             let mut merged = std::mem::take(&mut self.merge_scratch);
             for reply in &mut replies {
                 if let Some(out) = reply.steps.get_mut(step) {
-                    cpu += out.cpu;
-                    merged.append(&mut out.batches);
+                    cpu += reply.cpu;
+                    merged.append(out);
                 }
             }
             merged.sort_unstable_by_key(|&(route, _)| route);
@@ -1360,20 +1248,20 @@ fn shard_worker(
                 let rows = batch.rows();
                 let mut reply = BatchReply {
                     steps: Vec::with_capacity(rows),
+                    cpu: Duration::ZERO,
                     error: poisoned.clone(),
                 };
                 if poisoned.is_none() {
                     // Each route consumes the whole batch column-at-a-time,
                     // dropping every row's emissions into that row's step
                     // (ascending route order, since routes run in order).
-                    reply.steps.resize_with(rows, StepOut::default);
+                    reply.steps.resize_with(rows, Vec::new);
                     let start = Instant::now();
                     for (route, engine) in &mut engines {
                         let mut row = 0;
                         let pushed = engine.push_columnar_rows(&batch, |emissions| {
                             if !emissions.is_empty() {
-                                let step = &mut reply.steps[row];
-                                step.batches.push((*route, std::mem::take(emissions)));
+                                reply.steps[row].push((*route, std::mem::take(emissions)));
                             }
                             row += 1;
                         });
@@ -1388,7 +1276,7 @@ fn shard_worker(
                     // Whole-batch wall clock, attributed evenly across the
                     // rows (per-step costs are monitoring data; the merge
                     // order never depends on them).
-                    let per_step_cpu = start.elapsed() / rows.max(1) as u32;
+                    reply.cpu = start.elapsed() / rows.max(1) as u32;
                     // Truncate at the earliest failure in (row, route)
                     // order — where feeding the routes one tuple at a time
                     // would stop: steps past the failing row are dropped,
@@ -1397,11 +1285,8 @@ fn shard_worker(
                     if let Some((erow, eroute, _)) = &poisoned {
                         reply.steps.truncate(erow + 1);
                         if let Some(step) = reply.steps.get_mut(*erow) {
-                            step.batches.retain(|(r, _)| r < eroute);
+                            step.retain(|(r, _)| r < eroute);
                         }
-                    }
-                    for step in &mut reply.steps {
-                        step.cpu = per_step_cpu;
                     }
                     reply.error = poisoned.clone();
                 }
@@ -1428,62 +1313,42 @@ fn shard_worker(
                     }
                 }
             }
-            ToShard::Checkpoint => {
-                // The caller merged everything in flight before sending
-                // this, so every engine sits exactly at the barrier: cross
-                // each safe-point boundary and ship the drains + snapshots.
-                let mut reply = CheckpointReply {
+            ToShard::Barrier(kind) => {
+                let mut reply = BarrierReply {
                     tail: Vec::with_capacity(engines.len()),
-                    snaps: Vec::with_capacity(engines.len()),
-                    error: poisoned.as_ref().map(|(_, r, e)| (*r, e.clone())),
+                    crossed: Vec::with_capacity(engines.len()),
+                    error: None,
                 };
-                if poisoned.is_none() {
-                    for (route, engine) in &mut engines {
-                        match engine.snapshot_into(&mut collector) {
+                for (route, engine) in &mut engines {
+                    if poisoned.is_none() {
+                        let snap = match kind {
+                            Barrier::Checkpoint => engine.snapshot_into(&mut collector).map(Some),
+                            Barrier::Finish => engine.finish_into(&mut collector).map(|()| None),
+                        };
+                        match snap {
                             Ok(snap) => {
                                 reply.tail.push((*route, collector.drain_vec()));
-                                reply.snaps.push((*route, snap));
+                                if let Some(s) = snap {
+                                    reply.crossed.push((*route, Crossed::Snapshot(s)));
+                                }
                             }
-                            Err(e) => {
-                                poisoned = Some((0, *route, e.clone()));
-                                reply.error = Some((*route, e));
-                                break;
-                            }
+                            Err(e) => poisoned = Some((0, *route, e)),
                         }
                     }
+                    if kind == Barrier::Finish {
+                        let metrics = engine.lifetime_metrics();
+                        reply.crossed.push((*route, Crossed::Metrics(metrics)));
+                    }
                 }
-                if tx.send(FromShard::Checkpointed(reply)).is_err() {
-                    return; // caller went away
+                reply.error = poisoned.as_ref().map(|(_, r, e)| (*r, e.clone()));
+                if tx.send(FromShard::Barrier(reply)).is_err() || kind == Barrier::Finish {
+                    return; // the caller went away, or the stream ended
                 }
             }
             ToShard::Die => {
                 // Fault injection: exit without replying, exactly like a
                 // panicked worker — the disconnected channels are what the
                 // caller's failure detection keys on.
-                return;
-            }
-            ToShard::Finish => {
-                let mut reply = FinishReply {
-                    tail: Vec::with_capacity(engines.len()),
-                    metrics: Vec::with_capacity(engines.len()),
-                    error: poisoned.as_ref().map(|(_, r, e)| (*r, e.clone())),
-                };
-                for (route, engine) in &mut engines {
-                    if poisoned.is_none() {
-                        match engine.finish_into(&mut collector) {
-                            Ok(()) => reply.tail.push((*route, collector.drain_vec())),
-                            Err(e) => {
-                                if reply.error.is_none() {
-                                    reply.error = Some((*route, e));
-                                }
-                            }
-                        }
-                    }
-                    // Lifetime metrics, so filters removed by control ops
-                    // keep their per-epoch stats in the aggregate.
-                    reply.metrics.push((*route, engine.lifetime_metrics()));
-                }
-                let _ = tx.send(FromShard::Finished(reply));
                 return;
             }
         }
@@ -1872,97 +1737,109 @@ mod tests {
             assert_eq!(restored.metrics().input_tuples, 500, "lifetime continues");
         }
 
+        /// Kills shard 0, then feeds `rows` in batches of ten: a death is
+        /// found by the third push at the latest (the merge of the first
+        /// batch sent after the kill), so 30 rows or more see it inside
+        /// the call.
+        fn kill_then_feed(
+            e: &mut ShardedEngine,
+            rows: &[Tuple],
+            out: &mut VecSink,
+        ) -> Result<(), Error> {
+            e.kill_shard(0)?;
+            feed(e, rows, 10, out)
+        }
+
+        fn one_route(s: &Schema) -> ShardedEngine {
+            ShardedEngine::builder()
+                .route("only", group(s, 1.0))
+                .build()
+                .unwrap()
+        }
+
         #[test]
         fn respawn_budget_and_replay_bound_are_enforced() {
             let s = schema();
-            let tuples = stream(&s, 300);
-            // Budget 0: the first death is fatal.
-            let mut e = ShardedEngine::builder()
-                .max_respawns(0)
-                .route("only", group(&s, 1.0))
-                .build()
-                .unwrap();
-            e.kill_shard(0).unwrap();
+            // The budget: MAX_RESPAWNS deaths are recovered, the next is
+            // fatal.
+            let tuples = stream(&s, 50 * (MAX_RESPAWNS as usize + 1));
+            let mut chunks = tuples.chunks(50);
+            let mut e = one_route(&s);
             let mut out = VecSink::new();
-            let err = run(&mut e, &tuples, 16, &mut out).unwrap_err();
+            for rows in chunks.by_ref().take(MAX_RESPAWNS as usize) {
+                kill_then_feed(&mut e, rows, &mut out).unwrap();
+            }
+            assert_eq!(e.respawns(), MAX_RESPAWNS);
+            let err = kill_then_feed(&mut e, chunks.next().unwrap(), &mut out).unwrap_err();
             assert!(err.to_string().contains("respawn budget"), "{err}");
 
-            // Replay bound: once the log overflows, respawn is refused.
-            let mut e = ShardedEngine::builder()
-                .replay_capacity(64)
-                .route("only", group(&s, 1.0))
-                .build()
-                .unwrap();
+            // The replay bound: one tuple past REPLAY_CAPACITY drops the
+            // log, so the next death is an error…
+            let tuples = stream(&s, REPLAY_CAPACITY + 1 + 50);
+            let (head, tail) = tuples.split_at(REPLAY_CAPACITY + 1);
+            let mut e = one_route(&s);
             let mut out = VecSink::new();
-            feed(&mut e, &tuples[..200], 16, &mut out).unwrap();
-            e.kill_shard(0).unwrap();
-            let err = run(&mut e, &tuples[200..], 16, &mut out).unwrap_err();
+            feed(&mut e, head, 1024, &mut out).unwrap();
+            let err = kill_then_feed(&mut e, tail, &mut out).unwrap_err();
             assert!(err.to_string().contains("replay log overflowed"), "{err}");
 
-            // …and a checkpoint resets the bound, making respawn live again.
-            let mut e = ShardedEngine::builder()
-                .replay_capacity(64)
-                .route("only", group(&s, 1.0))
-                .build()
-                .unwrap();
+            // …until a checkpoint resets the log, making respawn live again.
+            let mut e = one_route(&s);
             let mut out = VecSink::new();
-            feed(&mut e, &tuples[..200], 16, &mut out).unwrap();
+            feed(&mut e, head, 1024, &mut out).unwrap();
             e.checkpoint(&mut out).unwrap();
-            e.kill_shard(0).unwrap();
-            run(&mut e, &tuples[200..], 16, &mut out).unwrap();
+            kill_then_feed(&mut e, tail, &mut out).unwrap();
+            e.finish_into(&mut out).unwrap();
             assert_eq!(e.respawns(), 1);
         }
 
         #[test]
         fn control_ops_count_toward_the_replay_bound() {
             // A churn-heavy stream must not grow the replay log without
-            // bound: ops cost one tuple-equivalent each, so an op-only
-            // workload overflows the bound and a later death is refused.
+            // bound: an op costs one tuple-equivalent, so at exactly
+            // REPLAY_CAPACITY tuples the log still replays a death, and one
+            // op more drops it.
             let s = schema();
-            let mut e = ShardedEngine::builder()
-                .replay_capacity(8)
-                .route("only", group(&s, 1.0))
-                .build()
-                .unwrap();
-            let mut refused = false;
-            for i in 0..40 {
-                if i == 20 {
-                    e.kill_shard(0).unwrap();
+            let tuples = stream(&s, REPLAY_CAPACITY);
+            let kill_at_the_bound = |op: bool| {
+                let mut e = one_route(&s);
+                let mut out = VecSink::new();
+                feed(&mut e, &tuples, 1024, &mut out).unwrap();
+                if op {
+                    let spec = FilterSpec::delta("t", 2.0, 0.9);
+                    e.update_filter(0, FilterId::from_index(0), spec).unwrap();
                 }
-                let op =
-                    e.update_filter(0, FilterId::from_index(0), FilterSpec::delta("t", 2.0, 0.9));
-                if let Err(err) = op {
-                    assert!(err.to_string().contains("replay log overflowed"), "{err}");
-                    refused = true;
-                    break;
-                }
-            }
-            assert!(refused, "the overflowed log must refuse the respawn");
+                e.kill_shard(0).unwrap();
+                e.finish_into(&mut out).map(|()| e.respawns())
+            };
+            assert_eq!(kill_at_the_bound(false), Ok(1));
+            let err = kill_at_the_bound(true).unwrap_err();
+            assert!(err.to_string().contains("replay log overflowed"), "{err}");
         }
 
         #[test]
         fn restore_keeps_the_fault_tolerance_envelope() {
+            // A restored engine has a fresh budget of MAX_RESPAWNS, however
+            // much of its own the checkpointed engine spent: the budget-th
+            // kill is respawned and the next one is an error.
             let s = schema();
-            let tuples = stream(&s, 400);
-            let mut e = ShardedEngine::builder()
-                .replay_capacity(10_000)
-                .max_respawns(9)
-                .route("only", group(&s, 1.0))
-                .build()
-                .unwrap();
+            let budget = MAX_RESPAWNS as usize;
+            let tuples = stream(&s, 50 * (2 * budget + 1));
+            let mut chunks = tuples.chunks(50);
+            let mut e = one_route(&s);
             let mut out = VecSink::new();
-            feed(&mut e, &tuples[..100], 16, &mut out).unwrap();
+            for rows in chunks.by_ref().take(budget) {
+                kill_then_feed(&mut e, rows, &mut out).unwrap();
+            }
+            assert_eq!(e.respawns(), MAX_RESPAWNS);
             let snap = e.checkpoint(&mut out).unwrap();
             let mut restored = ShardedEngine::restore(&snap).unwrap();
-            // the restored process honours the configured knobs: a death
-            // well past the default 4-respawn budget is still recovered
-            // (deaths are detected at a push, so the batches stay small)
-            for rows in tuples[100..].chunks(50) {
-                restored.kill_shard(0).unwrap();
-                feed(&mut restored, rows, 10, &mut out).unwrap();
+            for rows in chunks.by_ref().take(budget) {
+                kill_then_feed(&mut restored, rows, &mut out).unwrap();
             }
-            restored.finish_into(&mut out).unwrap();
-            assert!(restored.respawns() > 4, "got {}", restored.respawns());
+            assert_eq!(restored.respawns(), MAX_RESPAWNS);
+            let err = kill_then_feed(&mut restored, chunks.next().unwrap(), &mut out).unwrap_err();
+            assert!(err.to_string().contains("respawn budget"), "{err}");
         }
 
         #[test]
@@ -1993,6 +1870,120 @@ mod tests {
             assert!(roster.iter().any(|(id, _)| *id == added));
             assert_eq!(snap.route_snapshots()[0].epoch(), 1);
             run(&mut e, &tuples[90..], 11, &mut out).unwrap();
+        }
+
+        /// What a kill-at-the-barrier run calls right after the kill.
+        #[derive(Debug, Clone, Copy)]
+        enum Next {
+            Checkpoint,
+            Finish,
+            Add,
+            Update,
+        }
+
+        /// Two routes, a checkpoint at row 150, rows up to 200, then
+        /// (when `kill`) every shard killed, then `next`, then the rest of
+        /// the stream. Runs under a one-minute watchdog: a broken respawn
+        /// policy deadlocks — a barrier nobody sends again, a reply channel
+        /// full of replies nobody discarded — more often than it diverges.
+        fn kill_then(
+            parallelism: usize,
+            next: Next,
+            kill: bool,
+        ) -> (Vec<crate::engine::Emission>, u32) {
+            let (alive, watchdog) = std::sync::mpsc::channel::<()>();
+            let worker = std::thread::spawn(move || {
+                let _alive = alive; // dropped when the run returns or panics
+                let s = schema();
+                let tuples = stream(&s, 400);
+                let mut e = ShardedEngine::builder()
+                    .parallelism(parallelism)
+                    .route("a", group(&s, 1.0))
+                    .route("b", group(&s, 0.5))
+                    .build()
+                    .unwrap();
+                let mut out = VecSink::new();
+                feed(&mut e, &tuples[..150], 17, &mut out).unwrap();
+                e.checkpoint(&mut out).unwrap();
+                feed(&mut e, &tuples[150..200], 17, &mut out).unwrap();
+                if kill {
+                    for shard in 0..e.shards() {
+                        e.kill_shard(shard).unwrap();
+                    }
+                }
+                match next {
+                    Next::Checkpoint => {
+                        e.checkpoint(&mut out).unwrap();
+                    }
+                    Next::Finish => {}
+                    Next::Add => {
+                        e.add_filter(1, FilterSpec::delta("t", 1.0, 0.4)).unwrap();
+                    }
+                    Next::Update => {
+                        let spec = FilterSpec::delta("t", 2.5, 1.1);
+                        e.update_filter(0, FilterId::from_index(1), spec).unwrap();
+                    }
+                }
+                if !matches!(next, Next::Finish) {
+                    feed(&mut e, &tuples[200..], 17, &mut out).unwrap();
+                }
+                e.finish_into(&mut out).unwrap();
+                (out.into_vec(), e.respawns())
+            });
+            let waited = watchdog.recv_timeout(Duration::from_secs(60));
+            if waited == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+                panic!("{next:?} x{parallelism} (kill: {kill}) did not finish within a minute");
+            }
+            worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }
+
+        #[test]
+        fn kill_right_before_a_barrier_or_a_control_op_is_recovered() {
+            for parallelism in [1usize, 2] {
+                for next in [Next::Checkpoint, Next::Finish, Next::Add, Next::Update] {
+                    let (expected, zero) = kill_then(parallelism, next, false);
+                    let (killed, respawns) = kill_then(parallelism, next, true);
+                    assert_eq!(zero, 0);
+                    assert!(respawns >= 1, "{next:?} x{parallelism}");
+                    assert_eq!(killed, expected, "{next:?} x{parallelism}");
+                }
+            }
+        }
+
+        #[test]
+        fn a_route_error_fails_the_checkpoint_and_then_the_finish() {
+            let s = Schema::new(["t", "u"]);
+            let on = |attr: &str| {
+                GroupEngine::builder(s.clone()).filter(FilterSpec::delta(attr, 2.0, 0.9))
+            };
+            for parallelism in [1usize, 2] {
+                let mut e = ShardedEngine::builder()
+                    .parallelism(parallelism)
+                    .route("needs-t", on("t"))
+                    .route("needs-u", on("u"))
+                    .build()
+                    .unwrap();
+                let mut b = TupleBuilder::new(&s);
+                // `u` is never set, so the second route fails on the first row
+                let rows: Vec<Tuple> = (0..8u64)
+                    .map(|i| {
+                        b.at_millis(10 * (i + 1))
+                            .set("t", i as f64)
+                            .build()
+                            .unwrap()
+                    })
+                    .collect();
+                let mut out = VecSink::new();
+                feed(&mut e, &rows, 8, &mut out).unwrap();
+                let err = e.checkpoint(&mut out).unwrap_err();
+                assert!(
+                    matches!(err, Error::MissingValue { .. }),
+                    "x{parallelism}: {err:?}"
+                );
+                assert_eq!(e.finish_into(&mut out), Err(err), "x{parallelism}");
+            }
         }
     }
 }

@@ -214,8 +214,6 @@ pub struct EngineSnapshot {
     pub(crate) route_keys: Vec<String>,
     pub(crate) parallelism: usize,
     pub(crate) track_step_costs: bool,
-    pub(crate) replay_capacity: usize,
-    pub(crate) max_respawns: u32,
     pub(crate) last_ts: Option<Micros>,
     pub(crate) last_seq: Option<u64>,
     pub(crate) input_tuples: u64,

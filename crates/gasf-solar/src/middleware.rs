@@ -496,8 +496,9 @@ impl SourceEntry {
     }
 }
 
-#[derive(Debug)]
-struct AppEntry {
+/// One subscription, live and as captured by [`MiddlewareSnapshot`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct AppEntry {
     name: String,
     node: NodeId,
     /// Kept for introspection/debugging of multi-source deployments.
@@ -590,7 +591,7 @@ pub struct MiddlewareSnapshot {
     pub(crate) config: MiddlewareConfig,
     pub(crate) deployed: bool,
     pub(crate) sources: Vec<SourceState>,
-    pub(crate) apps: Vec<AppState>,
+    pub(crate) apps: Vec<AppEntry>,
 }
 
 impl MiddlewareSnapshot {
@@ -648,18 +649,6 @@ pub(crate) struct PartState {
 pub(crate) enum PartEngineState {
     Single(GroupSnapshot),
     Sharded(EngineSnapshot),
-}
-
-/// One subscription's captured state (see [`MiddlewareSnapshot`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct AppState {
-    name: String,
-    node: NodeId,
-    source: SourceId,
-    spec: FilterSpec,
-    active: bool,
-    tuples: u64,
-    e2e_latency_sum_us: u64,
 }
 
 /// The data-dissemination middleware.
@@ -1634,24 +1623,11 @@ impl Middleware {
                 parts,
             });
         }
-        let apps = self
-            .apps
-            .iter()
-            .map(|a| AppState {
-                name: a.name.clone(),
-                node: a.node,
-                source: a.source,
-                spec: a.spec.clone(),
-                active: a.active,
-                tuples: a.tuples,
-                e2e_latency_sum_us: a.e2e_latency_sum_us,
-            })
-            .collect();
         Ok(MiddlewareSnapshot {
             config: self.config,
             deployed: self.deployed,
             sources,
-            apps,
+            apps: self.apps.clone(),
         })
     }
 
@@ -1673,28 +1649,19 @@ impl Middleware {
     /// small for a captured node, plus engine-restore and group-creation
     /// failures.
     pub fn recover(overlay: Overlay, snap: &MiddlewareSnapshot) -> Result<Middleware, SolarError> {
+        for a in &snap.apps {
+            if a.node.index() >= overlay.topology().len() {
+                return Err(SolarError::UnknownNode(a.node));
+            }
+        }
         let mut mw = Middleware {
             overlay,
             config: snap.config,
             sources: Vec::with_capacity(snap.sources.len()),
-            apps: Vec::with_capacity(snap.apps.len()),
+            apps: snap.apps.clone(),
             deployed: snap.deployed,
             node_latency: Vec::new(),
         };
-        for a in &snap.apps {
-            if a.node.index() >= mw.overlay.topology().len() {
-                return Err(SolarError::UnknownNode(a.node));
-            }
-            mw.apps.push(AppEntry {
-                name: a.name.clone(),
-                node: a.node,
-                source: a.source,
-                spec: a.spec.clone(),
-                active: a.active,
-                tuples: a.tuples,
-                e2e_latency_sum_us: a.e2e_latency_sum_us,
-            });
-        }
         for s in &snap.sources {
             if s.node.index() >= mw.overlay.topology().len() {
                 return Err(SolarError::UnknownNode(s.node));
