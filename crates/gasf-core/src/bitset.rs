@@ -232,6 +232,22 @@ impl FilterSet {
         self.0.union_with(&other.0);
     }
 
+    /// Whether the two sets share at least one filter.
+    pub fn intersects(&self, other: &FilterSet) -> bool {
+        self.0.intersects(&other.0)
+    }
+
+    /// The filters in both sets, ascending by id — the intersection,
+    /// walked block by block without building it.
+    pub fn intersection<'a>(&'a self, other: &'a FilterSet) -> Intersection<'a> {
+        Intersection {
+            a: self.blocks(),
+            b: other.blocks(),
+            next_block: 0,
+            current: 0,
+        }
+    }
+
     /// Iterates the filters in ascending id order.
     pub fn iter(&self) -> FilterIds<'_> {
         FilterIds(self.0.iter())
@@ -261,6 +277,36 @@ impl Iterator for FilterIds<'_> {
 
     fn next(&mut self) -> Option<FilterId> {
         self.0.next().map(FilterId::from_index)
+    }
+}
+
+/// Allocation-free iterator over the filters two [`FilterSet`]s share,
+/// ascending by filter id (see [`FilterSet::intersection`]).
+#[derive(Debug, Clone)]
+pub struct Intersection<'a> {
+    a: &'a [u64],
+    b: &'a [u64],
+    /// Index of the next block pair to load; the block being drained is
+    /// `next_block - 1`.
+    next_block: usize,
+    current: u64,
+}
+
+impl Iterator for Intersection<'_> {
+    type Item = FilterId;
+
+    fn next(&mut self) -> Option<FilterId> {
+        loop {
+            if self.current != 0 {
+                let bit = self.current.trailing_zeros() as usize;
+                self.current &= self.current - 1;
+                return Some(FilterId::from_index(
+                    (self.next_block - 1) * BLOCK_BITS + bit,
+                ));
+            }
+            self.current = self.a.get(self.next_block)? & self.b.get(self.next_block)?;
+            self.next_block += 1;
+        }
     }
 }
 
@@ -363,6 +409,23 @@ mod tests {
         assert_eq!(u.len(), 3);
         u.union_with(&b);
         assert_eq!(u.len(), 3);
+    }
+
+    #[test]
+    fn filter_set_intersection_walks_the_common_ids() {
+        let ids = |v: &[usize]| {
+            v.iter()
+                .map(|&i| FilterId::from_index(i))
+                .collect::<FilterSet>()
+        };
+        let a = ids(&[0, 5, 63, 64, 130, 200]);
+        let b = ids(&[5, 64, 65, 200]);
+        let common: Vec<usize> = a.intersection(&b).map(|f| f.index()).collect();
+        assert_eq!(common, vec![5, 64, 200]);
+        assert!(a.intersects(&b));
+        assert!(!a.intersects(&ids(&[1, 66])));
+        assert_eq!(a.intersection(&ids(&[1, 66])).count(), 0);
+        assert_eq!(a.intersection(&FilterSet::new()).count(), 0);
     }
 
     #[test]

@@ -215,10 +215,19 @@ impl LatencyHistogram {
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: Micros) {
+        self.record_n(latency, 1);
+    }
+
+    /// Records `n` samples of the same latency — the same histogram as
+    /// `n` calls to [`record`](Self::record); nothing for `n == 0`.
+    pub fn record_n(&mut self, latency: Micros, n: u64) {
+        if n == 0 {
+            return;
+        }
         let us = latency.as_micros();
-        self.buckets[us.max(1).ilog2() as usize] += 1;
-        self.count += 1;
-        self.sum_us += us;
+        self.buckets[us.max(1).ilog2() as usize] += n;
+        self.count += n;
+        self.sum_us += us * n;
         self.max_us = self.max_us.max(us);
     }
 
@@ -506,6 +515,19 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.max(), Micros(1000));
         assert_eq!(a.mean(), Micros(1017 / 3));
+    }
+
+    #[test]
+    fn latency_histogram_record_n_is_n_records() {
+        let (mut once, mut each) = (LatencyHistogram::new(), LatencyHistogram::new());
+        for (us, n) in [(0u64, 3u64), (70, 1), (70, 0), (900, 5)] {
+            once.record_n(Micros(us), n);
+            for _ in 0..n {
+                each.record(Micros(us));
+            }
+        }
+        once.record_n(Micros(1_000_000), 0);
+        assert_eq!(once, each);
     }
 
     #[test]

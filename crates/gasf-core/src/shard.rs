@@ -50,6 +50,19 @@
 //! [`finish_into`](ShardedEngine::finish_into)). The emission *sequence*
 //! is unaffected; only the sink-call boundaries move.
 //!
+//! ## The reply layout
+//!
+//! A worker answers a batch with **one** emission vector: each route
+//! consumes the whole batch in turn, and every row that emits appends its
+//! emissions (moved out of the engine's release buffer, which keeps its
+//! capacity) plus one `(row, route, end)` run marking where they end.
+//! The caller sorts every shard's runs by `(row, route)` and hands the
+//! sink **one `accept_batch` per contiguous run of one reply** — a single
+//! call per batch when one route is hosted, since its runs are already
+//! in row order. Nothing in the reply is allocated per row. A route
+//! failure voids the runs at and past the failing `(row, route)`, exactly
+//! where feeding the routes one tuple at a time would have stopped.
+//!
 //! ## Checkpoint barriers and worker respawn
 //!
 //! [`checkpoint`](ShardedEngine::checkpoint) and
@@ -103,15 +116,26 @@ use std::time::{Duration, Instant};
 /// order.
 type RouteBatches = Vec<(u32, Vec<Emission>)>;
 
-/// Worker → caller reply for one input batch.
+/// Worker → caller reply for one input batch: one flat emission vector
+/// and the runs that cut it into `(row, route)` steps.
 #[derive(Debug)]
 struct BatchReply {
-    /// One entry per row of the input batch (empty after an error).
-    steps: Vec<RouteBatches>,
-    /// What each of `steps` cost on the shard (all of its routes): the
-    /// batch's wall clock divided evenly across its rows.
+    /// Every emitting step's emissions, appended in the order the worker
+    /// ran them: route by route, rows ascending within a route.
+    emissions: Vec<Emission>,
+    /// One `(row, route, end)` per emitting step, in `emissions` order:
+    /// the step's emissions are `emissions[start..end]`, where `start` is
+    /// the previous run's `end` (0 for the first run).
+    runs: Vec<(u32, u32, u32)>,
+    /// Rows the shard completed a step for: the batch's rows, up to and
+    /// including the failing row after an error, none while poisoned.
+    steps: usize,
+    /// What each step cost on the shard (all of its routes): the batch's
+    /// wall clock divided evenly across its rows.
     cpu: Duration,
-    /// First failure, as (step offset in batch, route index, error).
+    /// First failure, as (step offset in batch, route index, error). Runs
+    /// at or past its `(row, route)` are void: feeding the routes one
+    /// tuple at a time would have stopped there.
     error: Option<(usize, u32, Error)>,
 }
 
@@ -257,7 +281,7 @@ impl ShardedEngineBuilder {
 
     /// Record per-step `(arrival timestamp, CPU cost)` samples, summed
     /// across shards, for the caller to drain via
-    /// [`ShardedEngine::take_step_costs`] (default off). Middleware uses
+    /// [`ShardedEngine::drain_step_costs`] (default off). Middleware uses
     /// this to feed flow-control monitors without touching the data path.
     /// A step's cost is its batch's wall-clock cost divided by the batch's
     /// rows — monitoring data only; the merge order never depends on it.
@@ -440,9 +464,10 @@ pub struct ShardedEngine {
     shards: Vec<ShardHandle>,
     n_routes: usize,
     track_step_costs: bool,
-    /// Arrival timestamps of each dispatched-but-unmerged batch. Every
-    /// live worker owes exactly one reply per entry.
-    in_flight: VecDeque<Vec<Micros>>,
+    /// Each dispatched-but-unmerged batch (its timestamps are the step
+    /// costs' arrivals). Every live worker owes exactly one reply per
+    /// entry.
+    in_flight: VecDeque<Arc<TupleBatch>>,
     input_tuples: u64,
     last_ts: Option<Micros>,
     last_seq: Option<u64>,
@@ -464,8 +489,9 @@ pub struct ShardedEngine {
     route_metrics: Vec<EngineMetrics>,
     /// Undrained `(arrival, cpu)` samples when tracking is on.
     step_costs: Vec<(Micros, Duration)>,
-    /// Reused per-step merge buffer.
-    merge_scratch: RouteBatches,
+    /// Reused merge buffer: every reply's runs as `(row, route, reply,
+    /// start, end)`, sorted into `(row, route)` order.
+    merge_runs: Vec<(u32, u32, usize, usize, usize)>,
     /// Route keys in route-index order (drive shard placement; kept for
     /// checkpoints and respawns).
     route_keys: Vec<String>,
@@ -542,11 +568,13 @@ impl ShardedEngine {
     }
 
     /// Drains the per-step `(arrival timestamp, CPU cost)` samples merged
-    /// since the last call. CPU is the wall-clock filtering cost of the
-    /// step summed across shards. Always empty unless the engine was built
-    /// with [`track_step_costs`](ShardedEngineBuilder::track_step_costs).
-    pub fn take_step_costs(&mut self) -> Vec<(Micros, Duration)> {
-        std::mem::take(&mut self.step_costs)
+    /// since the last call, in step order. CPU is the wall-clock filtering
+    /// cost of the step summed across shards. Always empty unless the
+    /// engine was built with
+    /// [`track_step_costs`](ShardedEngineBuilder::track_step_costs). The
+    /// engine keeps the buffer, so draining allocates nothing.
+    pub fn drain_step_costs(&mut self) -> impl Iterator<Item = (Micros, Duration)> + '_ {
+        self.step_costs.drain(..)
     }
 
     // ------------------------------------------------------------------
@@ -670,7 +698,7 @@ impl ShardedEngine {
             staged: VecSink::new(),
             route_metrics: Vec::new(),
             step_costs: Vec::new(),
-            merge_scratch: Vec::new(),
+            merge_runs: Vec::new(),
             last_checkpoint: snap.snaps,
             replay_log: Vec::new(),
             replay_cost: 0,
@@ -1128,16 +1156,11 @@ impl ShardedEngine {
     /// even past a failed one, so each live worker still owes one reply
     /// per batch in flight.
     fn ship(&mut self, batch: &Arc<TupleBatch>) -> Result<(), Error> {
-        let stamps: Vec<Micros> = if self.track_step_costs {
-            batch.timestamps().to_vec()
-        } else {
-            Vec::new()
-        };
         let msg = ToShard::Columnar(Arc::clone(batch));
         if self.try_log_replay(batch.rows()) {
             self.replay_log.push(msg.clone());
         }
-        self.in_flight.push_back(stamps);
+        self.in_flight.push_back(Arc::clone(batch));
         let mut first_err = None;
         for si in 0..self.shards.len() {
             if let Err(e) = self.send(si, msg.clone()) {
@@ -1148,12 +1171,13 @@ impl ShardedEngine {
     }
 
     /// Receives the oldest in-flight batch's reply from every shard and
-    /// feeds the merged emissions to the sink in `(step, route)` order.
-    /// A worker found dead here is respawned by [`recv`](Self::recv), and
-    /// its reply for this batch is taken from the fresh channel, so the
-    /// merged output is byte-identical to a fault-free run.
+    /// feeds the merged emissions to the sink in `(step, route)` order,
+    /// one `accept_batch` per contiguous run of one reply. A worker found
+    /// dead here is respawned by [`recv`](Self::recv), and its reply for
+    /// this batch is taken from the fresh channel, so the merged output is
+    /// byte-identical to a fault-free run.
     fn merge_oldest<S: EmissionSink>(&mut self, sink: &mut S) -> Result<(), Error> {
-        let stamps = self
+        let batch = self
             .in_flight
             .pop_front()
             .expect("merge_oldest called with a batch in flight");
@@ -1180,27 +1204,40 @@ impl ShardedEngine {
         }
         // Merge whatever arrived before reporting a dead shard, so healthy
         // routes' emissions for this batch are still delivered.
-        let steps = replies.iter().map(|r| r.steps.len()).max().unwrap_or(0);
-        for step in 0..steps {
-            let mut cpu = Duration::ZERO;
-            let mut merged = std::mem::take(&mut self.merge_scratch);
-            for reply in &mut replies {
-                if let Some(out) = reply.steps.get_mut(step) {
-                    cpu += reply.cpu;
-                    merged.append(out);
+        let runs = &mut self.merge_runs;
+        runs.clear();
+        for (ri, reply) in replies.iter().enumerate() {
+            let mut start = 0;
+            for &(row, route, end) in &reply.runs {
+                let void = reply
+                    .error
+                    .as_ref()
+                    .is_some_and(|(erow, eroute, _)| (row as usize, route) >= (*erow, *eroute));
+                if !void {
+                    runs.push((row, route, ri, start, end as usize));
                 }
+                start = end as usize;
             }
-            merged.sort_unstable_by_key(|&(route, _)| route);
-            for (_, batch) in &merged {
-                sink.accept_batch(batch);
-            }
-            if self.track_step_costs {
-                if let Some(&ts) = stamps.get(step) {
-                    self.step_costs.push((ts, cpu));
+        }
+        runs.sort_unstable();
+        let mut next = 0;
+        while let Some(&(_, _, ri, start, mut end)) = runs.get(next) {
+            next += 1;
+            while let Some(&(_, _, r, s, e)) = runs.get(next) {
+                if r != ri || s != end {
+                    break;
                 }
+                end = e;
+                next += 1;
             }
-            merged.clear();
-            self.merge_scratch = merged;
+            sink.accept_batch(&replies[ri].emissions[start..end]);
+        }
+        if self.track_step_costs {
+            let steps = replies.iter().map(|r| r.steps).max().unwrap_or(0);
+            for step in 0..steps {
+                let cpu = replies.iter().filter(|r| r.steps > step).map(|r| r.cpu);
+                self.step_costs.push((batch.timestamp(step), cpu.sum()));
+            }
         }
         self.merged_since_ckpt += 1;
         match first_err {
@@ -1232,9 +1269,9 @@ impl Drop for ShardedEngine {
 }
 
 /// The shard thread: run every batch through this shard's engines (in
-/// ascending route order), replying with per-row, per-route emission
-/// batches. After an error the shard stops filtering and replies with the
-/// same error until finish.
+/// ascending route order), replying with each batch's emissions appended
+/// to one vector and cut into per-row, per-route runs. After an error the
+/// shard stops filtering and replies with the same error until finish.
 fn shard_worker(
     mut engines: Vec<(u32, GroupEngine)>,
     rx: Receiver<ToShard>,
@@ -1242,32 +1279,38 @@ fn shard_worker(
 ) {
     let mut poisoned: Option<(usize, u32, Error)> = None;
     let mut collector = crate::sink::VecSink::new();
+    // The last reply's sizes: the next one reserves them up front instead
+    // of growing to them.
+    let (mut emitted, mut stepped) = (0, 0);
     while let Ok(msg) = rx.recv() {
         match msg {
             ToShard::Columnar(batch) => {
                 let rows = batch.rows();
                 let mut reply = BatchReply {
-                    steps: Vec::with_capacity(rows),
+                    emissions: Vec::with_capacity(emitted),
+                    runs: Vec::with_capacity(stepped),
+                    steps: 0,
                     cpu: Duration::ZERO,
                     error: poisoned.clone(),
                 };
                 if poisoned.is_none() {
                     // Each route consumes the whole batch column-at-a-time,
-                    // dropping every row's emissions into that row's step
-                    // (ascending route order, since routes run in order).
-                    reply.steps.resize_with(rows, Vec::new);
+                    // appending every emitting row's emissions as one run.
                     let start = Instant::now();
                     for (route, engine) in &mut engines {
                         let mut row = 0;
                         let pushed = engine.push_columnar_rows(&batch, |emissions| {
                             if !emissions.is_empty() {
-                                reply.steps[row].push((*route, std::mem::take(emissions)));
+                                reply.emissions.append(emissions);
+                                let end = reply.emissions.len() as u32;
+                                reply.runs.push((row, *route, end));
                             }
                             row += 1;
                         });
                         // On failure `row` is the failing row: the first
                         // one the route completed no step for.
                         if let Err(e) = pushed {
+                            let row = row as usize;
                             if poisoned.as_ref().is_none_or(|f| (row, *route) < (f.0, f.1)) {
                                 poisoned = Some((row, *route, e));
                             }
@@ -1277,18 +1320,9 @@ fn shard_worker(
                     // rows (per-step costs are monitoring data; the merge
                     // order never depends on them).
                     reply.cpu = start.elapsed() / rows.max(1) as u32;
-                    // Truncate at the earliest failure in (row, route)
-                    // order — where feeding the routes one tuple at a time
-                    // would stop: steps past the failing row are dropped,
-                    // and at the failing row only routes *before* the
-                    // failing one contribute.
-                    if let Some((erow, eroute, _)) = &poisoned {
-                        reply.steps.truncate(erow + 1);
-                        if let Some(step) = reply.steps.get_mut(*erow) {
-                            step.retain(|(r, _)| r < eroute);
-                        }
-                    }
+                    reply.steps = poisoned.as_ref().map_or(rows, |(erow, _, _)| erow + 1);
                     reply.error = poisoned.clone();
+                    (emitted, stepped) = (reply.emissions.len(), reply.runs.len());
                 }
                 if tx.send(FromShard::Batch(reply)).is_err() {
                     return; // caller went away
@@ -1559,6 +1593,60 @@ mod tests {
         ));
     }
 
+    /// A route failing mid-batch cuts the merged output exactly where
+    /// feeding the routes one tuple at a time, in route order, stops:
+    /// every route's steps before the failing row, and at the failing row
+    /// only the routes before the failing one — while the other route of
+    /// the batch has already run past it on the worker.
+    #[test]
+    fn a_route_error_cuts_the_merge_where_per_tuple_feeding_stops() {
+        let s = Schema::new(["t", "u"]);
+        let on =
+            |attr: &str| GroupEngine::builder(s.clone()).filter(FilterSpec::delta(attr, 1.0, 0.4));
+        let mut b = TupleBuilder::new(&s);
+        // Row 37 (of 64, the third 16-row batch) carries no `u`.
+        let tuples: Vec<Tuple> = (0..64u64)
+            .map(|i| {
+                let v = (i as f64 * 0.9).sin() * 6.0;
+                b.at_millis(10 * (i + 1)).set("t", v);
+                if i != 37 {
+                    b.set("u", -v);
+                }
+                b.build().unwrap()
+            })
+            .collect();
+        for failing in [0usize, 1] {
+            let attrs = if failing == 0 { ["u", "t"] } else { ["t", "u"] };
+            let mut oracle: Vec<GroupEngine> =
+                attrs.iter().map(|a| on(a).build().unwrap()).collect();
+            let mut expected = VecSink::new();
+            'rows: for t in &tuples {
+                for engine in &mut oracle {
+                    let mut step = VecSink::new();
+                    if engine.push_into(t.clone(), &mut step).is_err() {
+                        break 'rows;
+                    }
+                    expected.accept_batch(step.as_slice());
+                }
+            }
+            for parallelism in [1, 2] {
+                let mut e = ShardedEngine::builder()
+                    .parallelism(parallelism)
+                    .route("r0", on(attrs[0]))
+                    .route("r1", on(attrs[1]))
+                    .build()
+                    .unwrap();
+                let mut out = VecSink::new();
+                let fed = feed(&mut e, &tuples, 16, &mut out);
+                let finished = e.finish_into(&mut out);
+                assert!(matches!(fed.and(finished), Err(Error::MissingValue { .. })));
+                let label = format!("route {failing} fails, parallelism {parallelism}");
+                assert!(!expected.is_empty(), "{label}");
+                assert_eq!(out.as_slice(), expected.as_slice(), "{label}");
+            }
+        }
+    }
+
     #[test]
     fn builder_rejects_empty_and_duplicate_routes() {
         assert!(matches!(
@@ -1632,11 +1720,11 @@ mod tests {
             .build()
             .unwrap();
         run(&mut e, &stream(&s, 64), 8, &mut crate::sink::NullSink).unwrap();
-        let samples = e.take_step_costs();
+        let samples: Vec<_> = e.drain_step_costs().collect();
         assert_eq!(samples.len(), 64);
         // arrival stamps are the tuples' own timestamps, in order
         assert!(samples.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(e.take_step_costs().is_empty(), "drained");
+        assert_eq!(e.drain_step_costs().count(), 0, "drained");
     }
 
     #[test]

@@ -49,4 +49,4 @@ pub use multicast::{
     Delivery, GroupId, NetError, Overlay, OverlayConfig, RepairReport, ShardedGroup,
 };
 pub use topology::{LinkSpec, NodeId, Topology, TopologyBuilder};
-pub use transport::{LinkLoad, NullTransport, Transport};
+pub use transport::{resolve_nodes, LinkLoad, NullTransport, Transport};

@@ -33,6 +33,7 @@
 //!   scratch, reused by the next send.
 
 use crate::topology::{LinkSpec, NodeId, Topology};
+use crate::transport::resolve_nodes;
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::Emission;
 use gasf_core::time::Micros;
@@ -954,15 +955,11 @@ impl Overlay {
         group: GroupId,
         src: NodeId,
         emission: &Emission,
-        mut node_of: impl FnMut(FilterId) -> NodeId,
+        node_of: impl FnMut(FilterId) -> NodeId,
     ) -> Result<Delivery, NetError> {
         let mut nodes = std::mem::take(&mut self.scratch_nodes);
-        nodes.clear();
-        nodes.extend(emission.recipients.iter().map(&mut node_of));
-        nodes.sort_unstable();
-        nodes.dedup();
+        resolve_nodes(&mut nodes, emission, node_of);
         let result = self.multicast(group, src, &nodes, emission.tuple.wire_size());
-        nodes.clear();
         self.scratch_nodes = nodes;
         result
     }

@@ -6,8 +6,8 @@
 //! emissions into
 //!
 //! * the in-process analytic overlay (this crate — [`Overlay`] implements
-//!   `Transport` by delegating to `multicast_emission`, byte-for-byte
-//!   identical to calling it directly), or
+//!   `Transport` by delegating to `multicast`, byte-for-byte identical to
+//!   calling `multicast_emission` directly), or
 //! * a real wire (the `gasf-wire` crate's length-prefixed TCP transport,
 //!   which frames each emission and multiplexes per-peer connections), or
 //! * a recording tee that wraps either of the above and hashes the
@@ -17,14 +17,26 @@
 //! stores it behind a reference in its per-source sink; that is also why
 //! `node_of` is a `&mut dyn FnMut` rather than a generic parameter.
 //!
+//! ## Two ways to name the recipients
+//!
+//! [`Transport::send_emission`] takes a label → node map and resolves the
+//! emission's recipient nodes itself, with [`resolve_nodes`] — the one
+//! place in the workspace that maps every label, sorts and dedups.
+//! [`Transport::send_to_nodes`] takes the nodes already resolved, so a
+//! caller that keeps per-node label masks (the middleware's
+//! `MulticastSink`) pays one block-AND per node instead of a map call per
+//! label plus a sort. Every transport in the workspace does its work in
+//! `send_to_nodes`; their `send_emission` is `resolve_nodes` followed by
+//! `send_to_nodes`.
+//!
 //! ## Flush and backpressure
 //!
 //! [`Transport::flush`] is the explicit drain point: a transport may
 //! buffer frames (the TCP transport batches small frames per peer
 //! connection) and must push everything to the underlying medium when
 //! flushed. Backpressure is the transport's responsibility — a bounded
-//! implementation blocks inside [`Transport::send_emission`] or `flush`
-//! until the medium accepts the bytes, and reports a hard failure as
+//! implementation blocks inside a send or `flush` until the medium
+//! accepts the bytes, and reports a hard failure as
 //! [`NetError::Transport`]. The analytic overlay transmits synchronously,
 //! so its `flush` is a no-op.
 
@@ -85,6 +97,33 @@ pub trait Transport: fmt::Debug {
         node_of: &mut dyn FnMut(FilterId) -> NodeId,
     ) -> Result<Delivery, NetError>;
 
+    /// Sends one emission to `nodes`, which the caller has already
+    /// resolved from the emission's recipients: exactly what
+    /// [`resolve_nodes`] makes of them with `node_of` — ascending,
+    /// distinct, and every one a member of `group` (a node that is not is
+    /// an error, as for `send_emission`). The [`Delivery`], the traffic
+    /// counters and what reaches each node must equal those of
+    /// [`send_emission`](Self::send_emission) with the same `node_of`.
+    ///
+    /// `node_of` stays in the signature for the default, which forwards
+    /// to `send_emission` so a transport that implements only that (a
+    /// wrapper timing its sends, say) still sends real emissions. Every
+    /// transport in this workspace overrides it and ignores `node_of`.
+    ///
+    /// # Errors
+    /// Same as [`send_emission`](Self::send_emission).
+    fn send_to_nodes(
+        &mut self,
+        group: GroupId,
+        src: NodeId,
+        emission: &Emission,
+        nodes: &[NodeId],
+        node_of: &mut dyn FnMut(FilterId) -> NodeId,
+    ) -> Result<Delivery, NetError> {
+        let _ = nodes;
+        self.send_emission(group, src, emission, node_of)
+    }
+
     /// Drains any buffered frames to the underlying medium (see the
     /// module docs on flush/backpressure semantics).
     ///
@@ -104,10 +143,26 @@ pub trait Transport: fmt::Debug {
     fn link_loads(&self) -> Vec<LinkLoad>;
 }
 
+/// The distinct nodes an emission's recipients live on, ascending, into
+/// `nodes` (cleared first): `node_of` per label, then sort and dedup. The
+/// one place the workspace resolves labels this way — every transport's
+/// `send_emission` and [`Overlay::multicast_emission`] call it.
+pub fn resolve_nodes(
+    nodes: &mut Vec<NodeId>,
+    emission: &Emission,
+    node_of: impl FnMut(FilterId) -> NodeId,
+) {
+    nodes.clear();
+    nodes.extend(emission.recipients.iter().map(node_of));
+    nodes.sort_unstable();
+    nodes.dedup();
+}
+
 /// The analytic overlay *is* a transport: sends delegate to
-/// [`Overlay::multicast_emission`] unchanged, so routing a middleware
-/// through `&mut dyn Transport` instead of `&mut Overlay` produces
-/// byte-for-byte identical deliveries and accounting.
+/// [`Overlay::multicast_emission`] and [`Overlay::multicast`] unchanged,
+/// so routing a middleware through `&mut dyn Transport` instead of
+/// `&mut Overlay` produces byte-for-byte identical deliveries and
+/// accounting.
 impl Transport for Overlay {
     fn send_emission(
         &mut self,
@@ -117,6 +172,17 @@ impl Transport for Overlay {
         node_of: &mut dyn FnMut(FilterId) -> NodeId,
     ) -> Result<Delivery, NetError> {
         self.multicast_emission(group, src, emission, node_of)
+    }
+
+    fn send_to_nodes(
+        &mut self,
+        group: GroupId,
+        src: NodeId,
+        emission: &Emission,
+        nodes: &[NodeId],
+        _node_of: &mut dyn FnMut(FilterId) -> NodeId,
+    ) -> Result<Delivery, NetError> {
+        self.multicast(group, src, nodes, emission.tuple.wire_size())
     }
 
     fn flush(&mut self) -> Result<(), NetError> {
@@ -165,18 +231,27 @@ impl NullTransport {
 impl Transport for NullTransport {
     fn send_emission(
         &mut self,
-        _group: GroupId,
-        _src: NodeId,
+        group: GroupId,
+        src: NodeId,
         emission: &Emission,
         node_of: &mut dyn FnMut(FilterId) -> NodeId,
     ) -> Result<Delivery, NetError> {
-        self.scratch_nodes.clear();
-        self.scratch_nodes
-            .extend(emission.recipients.iter().map(&mut *node_of));
-        self.scratch_nodes.sort_unstable();
-        self.scratch_nodes.dedup();
-        let latencies = self
-            .scratch_nodes
+        let mut nodes = std::mem::take(&mut self.scratch_nodes);
+        resolve_nodes(&mut nodes, emission, &mut *node_of);
+        let delivery = self.send_to_nodes(group, src, emission, &nodes, node_of);
+        self.scratch_nodes = nodes;
+        delivery
+    }
+
+    fn send_to_nodes(
+        &mut self,
+        _group: GroupId,
+        _src: NodeId,
+        _emission: &Emission,
+        nodes: &[NodeId],
+        _node_of: &mut dyn FnMut(FilterId) -> NodeId,
+    ) -> Result<Delivery, NetError> {
+        let latencies = nodes
             .iter()
             .map(|&n| (n, gasf_core::time::Micros::ZERO))
             .collect();
@@ -262,6 +337,49 @@ mod tests {
             loads.iter().map(|l| l.bytes).sum::<u64>(),
             direct.total_bytes()
         );
+    }
+
+    /// Sends `emissions` through `per_label` with `send_emission` and
+    /// through `resolved` with `send_to_nodes` over what `resolve_nodes`
+    /// makes of the same map: every result (errors included) and every
+    /// traffic counter must agree.
+    fn assert_resolved_sends_match<T: Transport>(
+        mut per_label: T,
+        mut resolved: T,
+        group: GroupId,
+        emissions: &[Emission],
+    ) {
+        let mut node_of = |f: FilterId| NodeId((f.index() * 7 % 6) as u32);
+        let mut nodes = Vec::new();
+        for e in emissions {
+            let a = per_label.send_emission(group, NodeId(0), e, &mut node_of);
+            resolve_nodes(&mut nodes, e, node_of);
+            let b = resolved.send_to_nodes(group, NodeId(0), e, &nodes, &mut node_of);
+            assert_eq!(a, b, "recipients {}", e.recipients);
+        }
+        assert_eq!(per_label.total_bytes(), resolved.total_bytes());
+        assert_eq!(per_label.messages(), resolved.messages());
+        assert_eq!(per_label.link_loads(), resolved.link_loads());
+    }
+
+    #[test]
+    fn resolved_sends_match_per_label_sends() {
+        // Labels 0..12 land on nodes 0..6 with repeats; node 5 (label 5,
+        // 11) is outside the group, so that send must fail on both paths.
+        let emissions: Vec<Emission> = [&[0, 1, 2][..], &[3, 9], &[1, 4, 6, 8, 10], &[11], &[]]
+            .iter()
+            .map(|labels| emission(labels))
+            .collect();
+        let members: Vec<NodeId> = (0..5).map(NodeId).collect();
+        let overlay = || {
+            let mut o = Overlay::new(Topology::ring(6).build());
+            let g = o.create_group("g", &members).unwrap();
+            (o, g)
+        };
+        let ((a, g), (b, _)) = (overlay(), overlay());
+        assert_resolved_sends_match(a, b, g, &emissions);
+        let g = GroupId::from_raw(1);
+        assert_resolved_sends_match(NullTransport::new(), NullTransport::new(), g, &emissions);
     }
 
     #[test]

@@ -425,7 +425,7 @@ impl EngineHost {
 /// Feeds the per-step cost samples a sharded engine merged since the last
 /// call into the flow monitor.
 fn observe_step_costs(engine: &mut ShardedEngine, monitor: &mut FlowMonitor) {
-    for (arrival, cpu) in engine.take_step_costs() {
+    for (arrival, cpu) in engine.drain_step_costs() {
         monitor.observe(arrival, cpu);
     }
 }
@@ -443,9 +443,57 @@ struct PartEntry {
     /// Append-only: vacated slots keep their mapping so emissions drained
     /// at an epoch boundary still resolve to the (now inactive) app.
     filter_apps: Vec<usize>,
+    /// `filter_apps` grouped by node: `(node, the filter ids whose app
+    /// lives there)` for every node a filter of this part ever served,
+    /// ascending by node. Append-only like `filter_apps` (a vacated slot
+    /// keeps its bit), so an emission's recipient nodes are the entries
+    /// whose mask meets its labels.
+    node_masks: Vec<(NodeId, FilterSet)>,
     /// Nodes whose overlay membership should be dropped once the next
     /// epoch boundary has passed (their final deliveries are out).
     deferred_leaves: Vec<NodeId>,
+}
+
+impl PartEntry {
+    /// A part over `engine` and its tree whose filter ids serve
+    /// `filter_apps`, in id order.
+    fn new(
+        engine: EngineHost,
+        group: GroupId,
+        group_name: String,
+        filter_apps: &[usize],
+        apps: &[AppEntry],
+        deferred_leaves: Vec<NodeId>,
+    ) -> PartEntry {
+        let mut part = PartEntry {
+            engine,
+            group,
+            group_name,
+            filter_apps: Vec::with_capacity(filter_apps.len()),
+            node_masks: Vec::new(),
+            deferred_leaves,
+        };
+        for &a in filter_apps {
+            part.push_filter(a, apps[a].node);
+        }
+        part
+    }
+
+    /// Maps the next filter id to subscription `app`, which lives on
+    /// `node`, and returns the id.
+    fn push_filter(&mut self, app: usize, node: NodeId) -> FilterId {
+        let id = FilterId::from_index(self.filter_apps.len());
+        self.filter_apps.push(app);
+        match self.node_masks.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(i) => {
+                self.node_masks[i].1.insert(id);
+            }
+            Err(i) => self
+                .node_masks
+                .insert(i, (node, FilterSet::from_iter([id]))),
+        }
+        id
+    }
 }
 
 #[derive(Debug)]
@@ -687,9 +735,9 @@ pub struct Middleware {
     sources: Vec<SourceEntry>,
     apps: Vec<AppEntry>,
     deployed: bool,
-    /// [`MulticastSink`]'s node-indexed latency scratch, kept here so
-    /// every push's sink reuses one allocation.
-    node_latency: Vec<Micros>,
+    /// [`MulticastSink`]'s recipient-node scratch, kept here so every
+    /// push's sink reuses one allocation.
+    recipient_nodes: Vec<NodeId>,
 }
 
 impl Middleware {
@@ -706,7 +754,7 @@ impl Middleware {
             sources: Vec::new(),
             apps: Vec::new(),
             deployed: false,
-            node_latency: Vec::new(),
+            recipient_nodes: Vec::new(),
         }
     }
 
@@ -1660,7 +1708,7 @@ impl Middleware {
             sources: Vec::with_capacity(snap.sources.len()),
             apps: snap.apps.clone(),
             deployed: snap.deployed,
-            node_latency: Vec::new(),
+            recipient_nodes: Vec::new(),
         };
         for s in &snap.sources {
             if s.node.index() >= mw.overlay.topology().len() {
@@ -1677,13 +1725,14 @@ impl Middleware {
                     }
                 };
                 let group = mw.overlay.create_group(&p.group_name, &p.members)?;
-                parts.push(PartEntry {
+                parts.push(PartEntry::new(
                     engine,
                     group,
-                    group_name: p.group_name.clone(),
-                    filter_apps: p.filter_apps.clone(),
-                    deferred_leaves: p.deferred_leaves.clone(),
-                });
+                    p.group_name.clone(),
+                    &p.filter_apps,
+                    &mw.apps,
+                    p.deferred_leaves.clone(),
+                ));
             }
             mw.sources.push(SourceEntry {
                 name: s.name.clone(),
@@ -1774,13 +1823,8 @@ impl Middleware {
             s.parts.len()
         );
         let group = self.overlay.create_group(&name, &members)?;
-        self.sources[source_idx].parts.push(PartEntry {
-            engine,
-            group,
-            group_name: name,
-            filter_apps: app_idxs.to_vec(),
-            deferred_leaves: Vec::new(),
-        });
+        let part = PartEntry::new(engine, group, name, app_idxs, &self.apps, Vec::new());
+        self.sources[source_idx].parts.push(part);
         Ok(())
     }
 
@@ -1801,8 +1845,8 @@ impl Middleware {
         let node = self.apps[app_idx].node;
         let part = &mut self.sources[source.0].parts[0];
         let id = part.engine.add_filter(spec)?;
-        debug_assert_eq!(id.index(), part.filter_apps.len());
-        part.filter_apps.push(app_idx);
+        let slot = part.push_filter(app_idx, node);
+        debug_assert_eq!(id, slot);
         let group = part.group;
         self.overlay.join_group(group, node)?;
         Ok(())
@@ -1898,10 +1942,11 @@ impl Middleware {
             transport,
             apps: &mut self.apps,
             filter_apps: &part.filter_apps,
+            node_masks: &part.node_masks,
             group: part.group,
             src_node: s.node,
             lat_hist: &mut s.lat_hist,
-            node_latency: &mut self.node_latency,
+            nodes: &mut self.recipient_nodes,
             error: None,
         };
         let mut sink = Metered::new(sink, &mut s.flow);
@@ -1915,14 +1960,20 @@ impl Middleware {
 
 /// Transport dissemination as an [`EmissionSink`]: every accepted
 /// emission is sent through a [`Transport`] — by default the in-process
-/// overlay (the borrow-based
-/// [`Overlay::multicast_emission`](gasf_net::Overlay::multicast_emission)
-/// path, pruned to the emission's recipient subset), or a real wire when
-/// the pipeline was built with [`Middleware::pipeline_over`] — and
-/// per-subscription delivery statistics are updated in place. Recipient
-/// [`FilterId`]s resolve through the part's append-only
-/// id → subscription table, so labels drained at an epoch boundary still
-/// reach (and are accounted to) apps that just unsubscribed.
+/// overlay (the emission's tuple-level multicast, pruned to its recipient
+/// nodes), or a real wire when the pipeline was built with
+/// [`Middleware::pipeline_over`] — and per-subscription delivery
+/// statistics are updated in place.
+///
+/// Recipient nodes are resolved per *node*, not per label: the part keeps
+/// one filter mask per node its filters live on, and an emission goes to
+/// the nodes whose mask meets its labels — one block-AND each, already
+/// distinct and ascending, handed to
+/// [`Transport::send_to_nodes`]. The masks, like the part's append-only
+/// id → subscription table, keep vacated slots, so labels drained at an
+/// epoch boundary still reach (and are accounted to) apps that just
+/// unsubscribed. The labels a node hosts share its delivery latency, so
+/// the latency histogram takes one weighted sample per node.
 ///
 /// Network failures cannot surface through [`accept`](EmissionSink::accept)
 /// (the sink contract is infallible), so the sink latches the first error
@@ -1933,15 +1984,15 @@ pub struct MulticastSink<'a> {
     transport: &'a mut (dyn Transport + 'a),
     apps: &'a mut Vec<AppEntry>,
     filter_apps: &'a [usize],
+    node_masks: &'a [(NodeId, FilterSet)],
     group: GroupId,
     src_node: NodeId,
     /// The source's delivery-latency histogram: one sample per
     /// (emission, recipient) delivery, same quantity the per-app means
     /// aggregate.
     lat_hist: &'a mut LatencyHistogram,
-    /// Network latency by recipient node for the emission being
-    /// accounted; all zero between emissions.
-    node_latency: &'a mut Vec<Micros>,
+    /// The recipient nodes of the emission being sent.
+    nodes: &'a mut Vec<NodeId>,
     error: Option<SolarError>,
 }
 
@@ -1950,43 +2001,46 @@ impl EmissionSink for MulticastSink<'_> {
         if self.error.is_some() {
             return;
         }
-        // Map recipient filter ids to subscriber nodes; the transport
-        // dedups nodes (the overlay additionally reuses its recipient
-        // scratch buffer).
+        let labels = &emission.recipients;
+        self.nodes.clear();
+        self.nodes.extend(
+            self.node_masks
+                .iter()
+                .filter(|(_, mask)| mask.intersects(labels))
+                .map(|&(node, _)| node),
+        );
         let filter_apps = self.filter_apps;
         let apps = &*self.apps;
-        let delivery =
-            match self
-                .transport
-                .send_emission(self.group, self.src_node, emission, &mut |f| {
-                    apps[filter_apps[f.index()]].node
-                }) {
-                Ok(d) => d,
-                Err(e) => {
-                    self.error = Some(e.into());
-                    return;
-                }
-            };
-        // Many labels share few nodes: each recipient node's latency is
-        // looked up once, and the labels index the scratch (a node the
-        // delivery does not list reads zero).
-        let net = &mut *self.node_latency;
-        for (node, &latency) in &delivery.latencies {
-            if net.len() <= node.index() {
-                net.resize(node.index() + 1, Micros::ZERO);
+        let sent = self.transport.send_to_nodes(
+            self.group,
+            self.src_node,
+            emission,
+            self.nodes,
+            &mut |f| apps[filter_apps[f.index()]].node,
+        );
+        let delivery = match sent {
+            Ok(d) => d,
+            Err(e) => {
+                self.error = Some(e.into());
+                return;
             }
-            net[node.index()] = latency;
-        }
-        for f in emission.recipients.iter() {
-            let entry = &mut self.apps[self.filter_apps[f.index()]];
-            let net = net.get(entry.node.index()).copied().unwrap_or_default();
+        };
+        let mut sent_to = self.nodes.iter().peekable();
+        for (node, mask) in self.node_masks {
+            if sent_to.next_if_eq(&node).is_none() {
+                continue;
+            }
+            // A node the delivery does not list reads zero.
+            let net = delivery.latencies.get(node).copied().unwrap_or_default();
             let e2e = emission.latency() + net;
-            entry.tuples += 1;
-            entry.e2e_latency_sum_us += e2e.as_micros();
-            self.lat_hist.record(e2e);
-        }
-        for node in delivery.latencies.keys() {
-            net[node.index()] = Micros::ZERO;
+            let mut n = 0;
+            for f in labels.intersection(mask) {
+                let entry = &mut self.apps[filter_apps[f.index()]];
+                entry.tuples += 1;
+                entry.e2e_latency_sum_us += e2e.as_micros();
+                n += 1;
+            }
+            self.lat_hist.record_n(e2e, n);
         }
     }
 

@@ -14,7 +14,7 @@ use crate::codec::{canonical_emission, StreamDigest};
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::Emission;
 use gasf_net::transport::LinkLoad;
-use gasf_net::{Delivery, GroupId, NetError, NodeId, Transport};
+use gasf_net::{resolve_nodes, Delivery, GroupId, NetError, NodeId, Transport};
 use std::collections::BTreeMap;
 
 /// A [`Transport`] wrapper recording per-node stream digests.
@@ -61,22 +61,33 @@ impl<T: Transport> Transport for Recorded<T> {
         emission: &Emission,
         node_of: &mut dyn FnMut(FilterId) -> NodeId,
     ) -> Result<Delivery, NetError> {
-        // Record first with the same map-sort-dedup the transports use,
-        // so the digest reflects what *will* be sent; if the inner send
-        // then fails the whole pipeline aborts and digests are moot.
-        self.scratch_nodes.clear();
-        self.scratch_nodes
-            .extend(emission.recipients.iter().map(&mut *node_of));
-        self.scratch_nodes.sort_unstable();
-        self.scratch_nodes.dedup();
+        let mut nodes = std::mem::take(&mut self.scratch_nodes);
+        resolve_nodes(&mut nodes, emission, &mut *node_of);
+        let delivery = self.send_to_nodes(group, src, emission, &nodes, node_of);
+        self.scratch_nodes = nodes;
+        delivery
+    }
+
+    fn send_to_nodes(
+        &mut self,
+        group: GroupId,
+        src: NodeId,
+        emission: &Emission,
+        nodes: &[NodeId],
+        node_of: &mut dyn FnMut(FilterId) -> NodeId,
+    ) -> Result<Delivery, NetError> {
+        // Record first, so the digest reflects what *will* be sent; if the
+        // inner send then fails the whole pipeline aborts and digests are
+        // moot.
         canonical_emission(&mut self.scratch_canon, group, src, emission);
-        for &node in &self.scratch_nodes {
+        for &node in nodes {
             self.digests
                 .entry(node)
                 .or_default()
                 .update(&self.scratch_canon);
         }
-        self.inner.send_emission(group, src, emission, node_of)
+        self.inner
+            .send_to_nodes(group, src, emission, nodes, node_of)
     }
 
     fn flush(&mut self) -> Result<(), NetError> {
@@ -154,5 +165,41 @@ mod tests {
         // digests agree — the digest is a function of the bytes alone.
         let hashes: Vec<u64> = digests.values().map(|d| d.hash).collect();
         assert_eq!(hashes[0], hashes[1]);
+    }
+
+    /// A resolved send through the tee records and sends what the
+    /// per-label send does.
+    #[test]
+    fn resolved_sends_record_like_per_label_sends() {
+        let topo = Topology::ring(5).build();
+        let members: Vec<NodeId> = (0..5).map(NodeId).collect();
+        let schema = Schema::new(["a"]);
+        let recorded = || {
+            let mut o = Overlay::new(topo.clone());
+            let g = o.create_group("g", &members).unwrap();
+            (Recorded::new(o), g)
+        };
+        let ((mut per_label, g), (mut resolved, _)) = (recorded(), recorded());
+        let mut node_of = |f: FilterId| NodeId((f.index() % 4) as u32 + 1);
+        let mut nodes = Vec::new();
+        for (seq, labels) in [&[0usize, 4, 5][..], &[2], &[1, 3, 6, 7], &[0, 8]]
+            .into_iter()
+            .enumerate()
+        {
+            let tuple = Tuple::new(&schema, seq as u64, Micros(seq as u64), vec![1.0]).unwrap();
+            let e = Emission {
+                tuple: Arc::new(tuple),
+                recipients: labels.iter().map(|&i| FilterId::from_index(i)).collect(),
+                emitted_at: Micros(seq as u64),
+            };
+            let a = per_label.send_emission(g, NodeId(0), &e, &mut node_of);
+            resolve_nodes(&mut nodes, &e, node_of);
+            let b = resolved.send_to_nodes(g, NodeId(0), &e, &nodes, &mut node_of);
+            assert_eq!(a, b);
+        }
+        assert_eq!(per_label.digests(), resolved.digests());
+        assert_eq!(per_label.total_bytes(), resolved.total_bytes());
+        assert_eq!(per_label.messages(), resolved.messages());
+        assert_eq!(per_label.link_loads(), resolved.link_loads());
     }
 }

@@ -13,7 +13,7 @@
 //! Frames are staged in a per-peer userspace buffer and written out when
 //! the buffer crosses [`WireConfig::flush_threshold`] or on
 //! [`Transport::flush`]. The write is blocking: once the peer's kernel
-//! socket buffer is full, `send_emission` blocks until the receiver
+//! socket buffer is full, a send blocks until the receiver
 //! drains — that *is* the backpressure, propagated straight up the
 //! pipeline to the engine's release path. Hard I/O failures surface as
 //! [`NetError::Transport`].
@@ -25,7 +25,7 @@ use gasf_core::candidate::FilterId;
 use gasf_core::engine::Emission;
 use gasf_core::time::Micros;
 use gasf_net::transport::LinkLoad;
-use gasf_net::{Delivery, GroupId, NetError, NodeId, Transport};
+use gasf_net::{resolve_nodes, Delivery, GroupId, NetError, NodeId, Transport};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -271,16 +271,23 @@ impl Transport for TcpTransport {
         emission: &Emission,
         node_of: &mut dyn FnMut(FilterId) -> NodeId,
     ) -> Result<Delivery, NetError> {
-        // Resolve recipients exactly like the overlay: map, sort, dedup,
-        // reusing the scratch buffer (no allocation at steady state).
         let mut nodes = std::mem::take(&mut self.scratch_nodes);
-        nodes.clear();
-        nodes.extend(emission.recipients.iter().map(&mut *node_of));
-        nodes.sort_unstable();
-        nodes.dedup();
+        resolve_nodes(&mut nodes, emission, &mut *node_of);
+        let delivery = self.send_to_nodes(group, src, emission, &nodes, node_of);
+        self.scratch_nodes = nodes;
+        delivery
+    }
 
+    fn send_to_nodes(
+        &mut self,
+        group: GroupId,
+        src: NodeId,
+        emission: &Emission,
+        nodes: &[NodeId],
+        _node_of: &mut dyn FnMut(FilterId) -> NodeId,
+    ) -> Result<Delivery, NetError> {
         canonical_emission(&mut self.scratch_canon, group, src, emission);
-        for &node in &nodes {
+        for &node in nodes {
             self.digests
                 .entry(node)
                 .or_default()
@@ -327,11 +334,9 @@ impl Transport for TcpTransport {
         // Latency over a real wire is measured at the receiver; the
         // sender reports zero per recipient (the analytic model belongs
         // to the simulated overlay).
-        for &node in &nodes {
+        for &node in nodes {
             latencies.insert(node, Micros::ZERO);
         }
-        nodes.clear();
-        self.scratch_nodes = nodes;
         if let Some(e) = err {
             return Err(NetError::Transport(e.to_string()));
         }
@@ -458,6 +463,64 @@ nodes = [1, 2]
             }
             other => panic!("expected emission frame, got {other:?}"),
         }
+    }
+
+    /// A loopback peer that collects every frame until the sender hangs
+    /// up: returns the address to connect to and the collector.
+    fn collecting_peer() -> (SocketAddr, std::thread::JoinHandle<Vec<Frame>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut frames = Vec::new();
+            while let Some(f) = read_frame(&mut s, DEFAULT_MAX_FRAME).unwrap() {
+                frames.push(f);
+            }
+            frames
+        });
+        (addr, peer)
+    }
+
+    /// A resolved send puts the same frames on the wire, and books the
+    /// same bytes, messages and digests, as the per-label send.
+    #[test]
+    fn resolved_sends_frame_like_per_label_sends() {
+        let layout = HostLayout::from_toml(LAYOUT).unwrap();
+        let (addr_a, peer_a) = collecting_peer();
+        let (addr_b, peer_b) = collecting_peer();
+        let config = WireConfig::default();
+        let mut per_label = TcpTransport::connect(&layout, 0, config, |_| Ok(addr_a)).unwrap();
+        let mut resolved = TcpTransport::connect(&layout, 0, config, |_| Ok(addr_b)).unwrap();
+        let mut node_of = |f: FilterId| NodeId(f.index() as u32 % 2 + 1);
+        let mut nodes = Vec::new();
+        let group = GroupId::from_raw(9);
+        for (seq, labels) in [&[0usize, 2][..], &[1], &[0, 1, 2, 3], &[]]
+            .into_iter()
+            .enumerate()
+        {
+            let e = emission(labels, seq as u64);
+            let a = per_label.send_emission(group, NodeId(0), &e, &mut node_of);
+            resolve_nodes(&mut nodes, &e, node_of);
+            let b = resolved.send_to_nodes(group, NodeId(0), &e, &nodes, &mut node_of);
+            assert_eq!(a.unwrap(), b.unwrap());
+        }
+        Transport::flush(&mut per_label).unwrap();
+        Transport::flush(&mut resolved).unwrap();
+        assert_eq!(per_label.sent_digests(), resolved.sent_digests());
+        assert_eq!(
+            Transport::total_bytes(&per_label),
+            Transport::total_bytes(&resolved)
+        );
+        assert_eq!(
+            Transport::messages(&per_label),
+            Transport::messages(&resolved)
+        );
+        assert_eq!(
+            Transport::link_loads(&per_label),
+            Transport::link_loads(&resolved)
+        );
+        drop((per_label, resolved));
+        assert_eq!(peer_a.join().unwrap(), peer_b.join().unwrap());
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! End-to-end integration: sources → middleware → engines → overlay
 //! multicast → applications, across crates.
 
+use gasf_core::candidate::FilterId;
 use gasf_core::cuts::TimeConstraint;
-use gasf_core::engine::{Algorithm, OutputStrategy};
+use gasf_core::engine::{Algorithm, Emission, OutputStrategy};
 use gasf_core::quality::FilterSpec;
 use gasf_core::time::Micros;
-use gasf_net::{NodeId, Overlay, Topology};
-use gasf_solar::{Middleware, MiddlewareConfig};
+use gasf_net::{
+    resolve_nodes, Delivery, GroupId, LinkLoad, NetError, NodeId, NullTransport, Overlay, Topology,
+    Transport,
+};
+use gasf_solar::{GroupingStrategy, Middleware, MiddlewareConfig};
 use gasf_sources::{ChlorinePlume, NamosBuoy, SourceKind};
+use proptest::prelude::*;
 
 fn build(
     algorithm: Algorithm,
@@ -242,4 +247,134 @@ fn tighter_constraints_cut_more_and_lower_latency() {
         tight_latency <= loose_latency,
         "{tight_latency} vs {loose_latency}"
     );
+}
+
+/// A data plane that checks every send the middleware resolves against
+/// the per-label resolution: the nodes it is handed must be exactly what
+/// `resolve_nodes` makes of the label → node map handed along with them.
+#[derive(Debug, Default)]
+struct CheckedResolution {
+    inner: NullTransport,
+    expected: Vec<NodeId>,
+    resolved_sends: u64,
+    first_mismatch: Option<String>,
+}
+
+impl Transport for CheckedResolution {
+    fn send_emission(
+        &mut self,
+        group: GroupId,
+        src: NodeId,
+        emission: &Emission,
+        node_of: &mut dyn FnMut(FilterId) -> NodeId,
+    ) -> Result<Delivery, NetError> {
+        self.inner.send_emission(group, src, emission, node_of)
+    }
+
+    fn send_to_nodes(
+        &mut self,
+        group: GroupId,
+        src: NodeId,
+        emission: &Emission,
+        nodes: &[NodeId],
+        node_of: &mut dyn FnMut(FilterId) -> NodeId,
+    ) -> Result<Delivery, NetError> {
+        resolve_nodes(&mut self.expected, emission, &mut *node_of);
+        self.resolved_sends += 1;
+        if self.expected != nodes && self.first_mismatch.is_none() {
+            self.first_mismatch = Some(format!(
+                "labels {} resolved to {nodes:?}, per label {:?}",
+                emission.recipients, self.expected
+            ));
+        }
+        self.inner
+            .send_to_nodes(group, src, emission, nodes, node_of)
+    }
+
+    fn flush(&mut self) -> Result<(), NetError> {
+        self.inner.flush()
+    }
+
+    fn total_bytes(&self) -> u64 {
+        self.inner.total_bytes()
+    }
+
+    fn messages(&self) -> u64 {
+        self.inner.messages()
+    }
+
+    fn link_loads(&self) -> Vec<LinkLoad> {
+        self.inner.link_loads()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The per-part node masks resolve every emission to the nodes the
+    /// per-label map → sort → dedup gives, across random rosters (several
+    /// filters per node, vacancies left by unsubscribes, filters appended
+    /// live), regroups into several parts and a checkpoint → recover hop,
+    /// inline and sharded.
+    #[test]
+    fn node_masks_resolve_like_the_per_label_map(
+        ring in 3u32..9,
+        roster in collection::vec((0u32..8, 0u64..6), 2..10),
+        ops in collection::vec((0u64..5, 0u64..64, 0u64..6), 3..9),
+        parallelism in 1usize..3,
+    ) {
+        let trace = NamosBuoy::new().tuples(1_200).seed(11).generate();
+        let step = trace.stats("tmpr4").unwrap().mean_abs_delta;
+        let spec = |k: u64| {
+            let k = k as f64;
+            FilterSpec::delta("tmpr4", step * (1.5 + 0.6 * k), step * (0.6 + 0.1 * k))
+        };
+        let node = |raw: u32| NodeId(1 + raw % (ring - 1));
+        let topology = || Topology::ring(ring as usize).build();
+        let config = MiddlewareConfig {
+            parallelism,
+            ..Default::default()
+        };
+        let mut mw = Middleware::with_config(Overlay::new(topology()), config);
+        let src = mw
+            .register_source("s", NodeId(0), trace.schema().clone())
+            .unwrap();
+        for (i, &(raw, k)) in roster.iter().enumerate() {
+            let _ = mw.subscribe(format!("a{i}"), node(raw), src, spec(k)).unwrap();
+        }
+        mw.deploy().unwrap();
+        let mut wire = CheckedResolution::default();
+        let chunks: Vec<_> = trace.tuples().chunks(1_200 / (ops.len() + 1) + 1).collect();
+        for (chunk, &(op, pick, k)) in chunks.iter().zip(&ops) {
+            mw.pipeline_over(src, &mut wire)
+                .unwrap()
+                .push_batch(chunk.to_vec())
+                .unwrap();
+            let live = mw.subscriptions(src).unwrap();
+            let picked = live[pick as usize % live.len()];
+            match op {
+                0 => {
+                    let name = format!("late{pick}");
+                    let _ = mw.subscribe(name, node(pick as u32), src, spec(k)).unwrap();
+                }
+                1 if live.len() > 1 => mw.unsubscribe(picked).unwrap(),
+                2 => mw.resubscribe(picked, spec(k)).unwrap(),
+                3 => {
+                    let strategy = GroupingStrategy::MaxSize(1 + pick as usize % 3);
+                    mw.regroup(src, strategy).unwrap();
+                }
+                _ => {
+                    let snap = mw.checkpoint().unwrap();
+                    mw = Middleware::recover(Overlay::new(topology()), &snap).unwrap();
+                }
+            }
+        }
+        let mut pipeline = mw.pipeline_over(src, &mut wire).unwrap();
+        for chunk in &chunks[ops.len().min(chunks.len())..] {
+            pipeline.push_batch(chunk.to_vec()).unwrap();
+        }
+        pipeline.finish().unwrap();
+        prop_assert!(wire.resolved_sends > 0, "the sink sent nothing resolved");
+        prop_assert_eq!(wire.first_mismatch, None);
+    }
 }
