@@ -2,8 +2,8 @@
 //! [`ShardedEngine`](gasf_core::shard::ShardedEngine) at 1/2/4/8 shards
 //! for each of RG/PS/SI.
 //!
-//! One iteration builds the sharded engine (routes hash-partitioned by
-//! group name), replays the whole trace into a [`NullSink`] in 128-row
+//! One iteration builds the sharded engine (routes dealt round-robin
+//! over the shards), replays the whole trace into a [`NullSink`] in 128-row
 //! batches (chunked once, outside the timed loop) and finishes the
 //! stream — so `mean_ns` is the wall-clock cost of the complete run
 //! and shard scaling shows up directly as a lower mean. The ten routes

@@ -45,7 +45,7 @@
 //! steady-state release path allocates no `Vec<Emission>` per push.
 //!
 //! The same seam hosts the multi-core path: [`shard::ShardedEngine`]
-//! hash-partitions independent filter groups across worker threads fed by
+//! deals independent filter groups round-robin over worker threads fed by
 //! bounded channels and merges their emissions back in deterministic
 //! `(input step, route)` order, so sharded output is byte-identical to
 //! running each group inline.

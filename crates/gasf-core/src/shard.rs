@@ -6,18 +6,18 @@
 //! is the filter-group population: independent groups share nothing but
 //! the input stream. [`ShardedEngine`] exploits exactly that — it hosts
 //! any number of *routes* (one [`GroupEngine`] each, identified by a
-//! string key), hash-partitions the routes across `N` worker shards, and
-//! fans every input tuple out to the shards that own at least one route.
-//! Each shard is a plain OS thread running its engines single-threaded,
-//! fed by a bounded channel (backpressure, bounded memory), and the
-//! emissions stream back to the caller where they are **merged in
-//! deterministic sequence order** — input step first, route index second —
-//! into any [`EmissionSink`].
+//! string key), deals the routes round-robin over `N` worker shards
+//! (route `i` on shard `i mod N`), and fans every input tuple out to the
+//! shards. Each shard is a plain OS thread running its engines
+//! single-threaded, fed by a bounded channel (backpressure, bounded
+//! memory), and the emissions stream back to the caller where they are
+//! **merged in deterministic sequence order** — input step first, route
+//! index second — into any [`EmissionSink`].
 //!
 //! ```text
 //!                      ┌─ shard 0 ── GroupEngine(route 0), GroupEngine(route 3) ─┐
-//!   batch ──broadcast──┼─ shard 1 ── GroupEngine(route 1)                        ├─ merge ─▶ EmissionSink
-//!   (bounded channels) └─ shard 2 ── GroupEngine(route 2), GroupEngine(route 4) ─┘ (step, route) order
+//!   batch ──broadcast──┼─ shard 1 ── GroupEngine(route 1), GroupEngine(route 4) ─├─ merge ─▶ EmissionSink
+//!   (bounded channels) └─ shard 2 ── GroupEngine(route 2)                        ┘ (step, route) order
 //! ```
 //!
 //! Because the merge order depends only on `(input step, route index)` and
@@ -60,7 +60,8 @@
 //! sink **one `accept_batch` per contiguous run of one reply** — a single
 //! call per batch when one route is hosted, since its runs are already
 //! in row order. Nothing in the reply is allocated per row. A route
-//! failure voids the runs at and past the failing `(row, route)`, exactly
+//! failure voids the runs at and past the failing `(row, route)` in every
+//! shard's reply, and nothing merged after it is delivered — exactly
 //! where feeding the routes one tuple at a time would have stopped.
 //!
 //! ## Checkpoint barriers and worker respawn
@@ -214,23 +215,6 @@ struct RouteControl {
     next_id: u32,
 }
 
-/// The deterministic route-key hash (FNV-1a finished with splitmix64).
-///
-/// Exposed so deployment tooling can predict placement: a route with key
-/// `k` runs on shard `shard_index(k, n)` of an `n`-shard engine.
-pub fn shard_index(key: &str, shards: usize) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    (h % shards.max(1) as u64) as usize
-}
-
 /// Builder for [`ShardedEngine`] (see [`ShardedEngine::builder`]).
 #[derive(Debug, Default)]
 pub struct ShardedEngineBuilder {
@@ -262,18 +246,18 @@ pub const MAX_RESPAWNS: u32 = 4;
 const QUEUE_DEPTH: usize = 2;
 
 impl ShardedEngineBuilder {
-    /// Adds a filter group as a route. The key determines shard placement
-    /// (via [`shard_index`]) and must be unique; the route's index — its
-    /// position in insertion order — determines its slot in the merged
-    /// output order.
+    /// Adds a filter group as a route. The key names the route in
+    /// checkpoints and must be unique; the route's index — its position
+    /// in insertion order — determines its shard (`index mod
+    /// parallelism`) and its slot in the merged output order.
     pub fn route(mut self, key: impl Into<String>, engine: GroupEngineBuilder) -> Self {
         self.routes.push((key.into(), engine));
         self
     }
 
-    /// Number of worker shards (default 1). Shards that end up owning no
-    /// route are never spawned, so `n` larger than the route count costs
-    /// nothing.
+    /// Number of worker shards (default 1). Routes are dealt round-robin,
+    /// so `min(n, routes)` workers are spawned and `n` larger than the
+    /// route count costs nothing.
     pub fn parallelism(mut self, n: usize) -> Self {
         self.parallelism = n;
         self
@@ -343,30 +327,26 @@ impl ShardedEngineBuilder {
     }
 }
 
-/// Partitions the routes across `parallelism` shards by key hash and
-/// spawns one worker thread per non-empty shard. Returns the shard
-/// handles plus the route-index → handle-index map. The worker-respawn
-/// path spawns a single shard through [`spawn_worker`].
+/// Deals the routes round-robin over `parallelism` shards — route `i` on
+/// shard `i mod parallelism`, whatever its key — and spawns one worker
+/// thread per non-empty shard, so `min(parallelism, routes)` workers run.
+/// Returns the shard handles plus the route-index → shard map. Build and
+/// restore both come through here with the routes in snapshot order, and
+/// the worker-respawn path rebuilds one shard's own routes through
+/// [`spawn_worker`], so placement is the same rule everywhere.
 fn spawn_shards(
     parallelism: usize,
-    route_keys: &[String],
     engines: Vec<GroupEngine>,
 ) -> Result<(Vec<ShardHandle>, Vec<usize>), Error> {
+    let n = parallelism.min(engines.len());
     let mut assignment: Vec<Vec<(u32, GroupEngine)>> = Vec::new();
-    assignment.resize_with(parallelism, Vec::new);
-    let mut shard_of_route = vec![0usize; route_keys.len()];
-    for (idx, (key, engine)) in route_keys.iter().zip(engines).enumerate() {
-        let shard = shard_index(key, parallelism);
-        shard_of_route[idx] = shard;
-        assignment[shard].push((idx as u32, engine));
+    assignment.resize_with(n, Vec::new);
+    let route_shard: Vec<usize> = (0..engines.len()).map(|idx| idx % n).collect();
+    for (idx, engine) in engines.into_iter().enumerate() {
+        assignment[idx % n].push((idx as u32, engine));
     }
-    let mut shards = Vec::new();
-    let mut handle_of_shard: Vec<Option<usize>> = vec![None; parallelism];
+    let mut shards = Vec::with_capacity(n);
     for (shard_no, slots) in assignment.into_iter().enumerate() {
-        if slots.is_empty() {
-            continue;
-        }
-        handle_of_shard[shard_no] = Some(shards.len());
         let routes: Vec<u32> = slots.iter().map(|(idx, _)| *idx).collect();
         let (tx, rx, join) = spawn_worker(shard_no, slots)?;
         shards.push(ShardHandle {
@@ -377,10 +357,6 @@ fn spawn_shards(
             shard_no,
         });
     }
-    let route_shard: Vec<usize> = shard_of_route
-        .into_iter()
-        .map(|s| handle_of_shard[s].expect("every route's shard was spawned"))
-        .collect();
     Ok((shards, route_shard))
 }
 
@@ -421,8 +397,9 @@ struct ShardHandle {
     shard_no: usize,
 }
 
-/// A hash-partitioned, multi-threaded host for independent filter groups,
-/// with deterministic in-order emission merging.
+/// A multi-threaded host for independent filter groups, dealt
+/// round-robin over worker shards, with deterministic in-order emission
+/// merging.
 ///
 /// See the [module documentation](self) for the execution model. Built via
 /// [`ShardedEngine::builder`]; a single route moves one group onto a
@@ -476,6 +453,11 @@ pub struct ShardedEngine {
     /// further input (only [`finish_into`](ShardedEngine::finish_into)
     /// remains, to drain and join the workers).
     poisoned: Option<Error>,
+    /// A route error has been merged. The output stops where feeding the
+    /// routes one tuple at a time would have stopped, so nothing merged
+    /// after it — a later batch from a healthy shard, a barrier tail — is
+    /// delivered.
+    halted: bool,
     /// Caller-side roster mirror per route (control-op validation and
     /// [`FilterId`] assignment).
     controls: Vec<RouteControl>,
@@ -492,11 +474,10 @@ pub struct ShardedEngine {
     /// Reused merge buffer: every reply's runs as `(row, route, reply,
     /// start, end)`, sorted into `(row, route)` order.
     merge_runs: Vec<(u32, u32, usize, usize, usize)>,
-    /// Route keys in route-index order (drive shard placement; kept for
-    /// checkpoints and respawns).
+    /// Route keys in route-index order (kept for checkpoints).
     route_keys: Vec<String>,
-    /// The configured worker-shard count (shards owning no route are
-    /// elided from `shards`, but placement math uses this).
+    /// The configured worker-shard count (`shards` holds
+    /// `min(parallelism, routes)`; checkpoints keep the configured one).
     parallelism: usize,
     /// Per-route safe-point snapshots from the last checkpoint barrier
     /// (never-fed initial snapshots until the first checkpoint) — what a
@@ -532,8 +513,8 @@ impl ShardedEngine {
         self.n_routes
     }
 
-    /// Number of worker shards actually spawned (shards owning no route
-    /// are elided, so this is `min(parallelism, routes)` or less).
+    /// Number of worker shards actually spawned: `min(parallelism,
+    /// routes)`, since routes are dealt round-robin.
     pub fn shards(&self) -> usize {
         self.shards.len()
     }
@@ -680,7 +661,7 @@ impl ShardedEngine {
             engines.push(GroupEngine::restore_with_tier(g, tier)?);
         }
         let parallelism = snap.parallelism.max(1);
-        let (shards, route_shard) = spawn_shards(parallelism, &snap.route_keys, engines)?;
+        let (shards, route_shard) = spawn_shards(parallelism, engines)?;
         Ok(ShardedEngine {
             shards,
             n_routes: snap.snaps.len(),
@@ -693,6 +674,7 @@ impl ShardedEngine {
             last_seq: snap.last_seq,
             finished: false,
             poisoned: None,
+            halted: false,
             controls,
             route_shard,
             staged: VecSink::new(),
@@ -1131,7 +1113,7 @@ impl ShardedEngine {
         }
         tails.sort_unstable_by_key(|&(route, _)| route);
         for (_, batch) in &tails {
-            if !batch.is_empty() {
+            if !batch.is_empty() && !self.halted {
                 sink.accept_batch(batch);
             }
         }
@@ -1203,22 +1185,22 @@ impl ShardedEngine {
             }
         }
         // Merge whatever arrived before reporting a dead shard, so healthy
-        // routes' emissions for this batch are still delivered.
+        // routes' emissions for this batch are still delivered. A route
+        // error voids the runs at or past its `(row, route)` on every
+        // shard, and everything after this batch.
+        let cut = first_err.as_ref().map(|&(row, route, _)| (row, route));
         let runs = &mut self.merge_runs;
         runs.clear();
         for (ri, reply) in replies.iter().enumerate() {
             let mut start = 0;
             for &(row, route, end) in &reply.runs {
-                let void = reply
-                    .error
-                    .as_ref()
-                    .is_some_and(|(erow, eroute, _)| (row as usize, route) >= (*erow, *eroute));
-                if !void {
+                if !self.halted && cut.is_none_or(|cut| (row as usize, route) < cut) {
                     runs.push((row, route, ri, start, end as usize));
                 }
                 start = end as usize;
             }
         }
+        self.halted |= cut.is_some();
         runs.sort_unstable();
         let mut next = 0;
         while let Some(&(_, _, ri, start, mut end)) = runs.get(next) {
@@ -1727,16 +1709,27 @@ mod tests {
         assert_eq!(e.drain_step_costs().count(), 0, "drained");
     }
 
+    /// `n` routes at `parallelism(n)` run on `n` workers whatever their
+    /// keys ("part0" and "part1" once hashed onto one shard of two), and
+    /// a restore from a checkpoint places them the same way.
     #[test]
-    fn shard_index_is_stable_and_bounded() {
-        for n in 1..9 {
-            for key in ["a", "b", "G1 (DC1 fluoro)", ""] {
-                let i = shard_index(key, n);
-                assert!(i < n);
-                assert_eq!(i, shard_index(key, n));
+    fn routes_are_dealt_round_robin_whatever_their_keys() {
+        let s = schema();
+        for (routes, parallelism) in [(2, 2), (3, 3), (4, 4), (5, 2), (2, 8)] {
+            let mut builder = ShardedEngine::builder().parallelism(parallelism);
+            for r in 0..routes {
+                builder = builder.route(format!("part{r}"), group(&s, 1.0 + r as f64));
             }
+            let mut e = builder.build().unwrap();
+            let want = routes.min(parallelism);
+            assert_eq!(
+                e.shards(),
+                want,
+                "{routes} routes at parallelism {parallelism}"
+            );
+            let snap = e.checkpoint(&mut crate::sink::NullSink).unwrap();
+            assert_eq!(ShardedEngine::restore(&snap).unwrap().shards(), want);
         }
-        assert_eq!(shard_index("anything", 1), 0);
     }
 
     mod fault_tolerance {

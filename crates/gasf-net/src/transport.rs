@@ -24,8 +24,8 @@
 //! place in the workspace that maps every label, sorts and dedups.
 //! [`Transport::send_to_nodes`] takes the nodes already resolved, so a
 //! caller that keeps per-node label masks (the middleware's
-//! `MulticastSink`) pays one block-AND per node instead of a map call per
-//! label plus a sort. Every transport in the workspace does its work in
+//! `MulticastSink`) can pay one block-AND per node instead of a map call
+//! per label plus a sort, whichever is shorter. Every transport in the workspace does its work in
 //! `send_to_nodes`; their `send_emission` is `resolve_nodes` followed by
 //! `send_to_nodes`.
 //!

@@ -564,6 +564,14 @@ pub(crate) struct AppEntry {
     e2e_latency_sum_us: u64,
 }
 
+impl AppEntry {
+    /// Counts one delivery that took `e2e` end to end.
+    fn book(&mut self, e2e: Micros) {
+        self.tuples += 1;
+        self.e2e_latency_sum_us += e2e.as_micros();
+    }
+}
+
 /// Per-subscription run statistics, keyed by the stable
 /// [`SubscriptionHandle`] — entries survive
 /// [`unsubscribe`](Middleware::unsubscribe) with their counters frozen.
@@ -1965,15 +1973,16 @@ impl Middleware {
 /// [`Middleware::pipeline_over`] — and per-subscription delivery
 /// statistics are updated in place.
 ///
-/// Recipient nodes are resolved per *node*, not per label: the part keeps
-/// one filter mask per node its filters live on, and an emission goes to
-/// the nodes whose mask meets its labels — one block-AND each, already
-/// distinct and ascending, handed to
-/// [`Transport::send_to_nodes`]. The masks, like the part's append-only
-/// id → subscription table, keep vacated slots, so labels drained at an
-/// epoch boundary still reach (and are accounted to) apps that just
-/// unsubscribed. The labels a node hosts share its delivery latency, so
-/// the latency histogram takes one weighted sample per node.
+/// Recipient nodes are resolved by whichever walk is shorter. The part
+/// keeps one filter mask per node its filters live on: an emission with
+/// at least as many labels as the part has nodes goes to the nodes whose
+/// mask meets its labels, one block-AND each; one with fewer labels maps
+/// each label to its app's node. Either way the nodes are distinct and
+/// ascending, handed to [`Transport::send_to_nodes`], and the deliveries
+/// are booked along the same walk. The masks, like the part's
+/// append-only id → subscription table, keep vacated slots, so labels
+/// drained at an epoch boundary still reach (and are accounted to) apps
+/// that just unsubscribed.
 ///
 /// Network failures cannot surface through [`accept`](EmissionSink::accept)
 /// (the sink contract is infallible), so the sink latches the first error
@@ -1996,19 +2005,38 @@ pub struct MulticastSink<'a> {
     error: Option<SolarError>,
 }
 
+impl MulticastSink<'_> {
+    /// Resolves the emission's labels to their recipient nodes, ascending
+    /// and distinct, into `nodes`, and returns whether it went label by
+    /// label. The walk is the shorter one: an emission with fewer labels
+    /// than the part has nodes maps each label to its app's node
+    /// ([`resolve_nodes`](gasf_net::resolve_nodes)); any other takes one
+    /// block-AND per node mask.
+    fn resolve(&mut self, emission: &Emission) -> bool {
+        let labels = &emission.recipients;
+        let per_label = labels.len() < self.node_masks.len();
+        if per_label {
+            let (apps, filter_apps) = (&*self.apps, self.filter_apps);
+            gasf_net::resolve_nodes(self.nodes, emission, |f| apps[filter_apps[f.index()]].node);
+        } else {
+            self.nodes.clear();
+            self.nodes.extend(
+                self.node_masks
+                    .iter()
+                    .filter(|(_, mask)| mask.intersects(labels))
+                    .map(|&(node, _)| node),
+            );
+        }
+        per_label
+    }
+}
+
 impl EmissionSink for MulticastSink<'_> {
     fn accept(&mut self, emission: &Emission) {
         if self.error.is_some() {
             return;
         }
-        let labels = &emission.recipients;
-        self.nodes.clear();
-        self.nodes.extend(
-            self.node_masks
-                .iter()
-                .filter(|(_, mask)| mask.intersects(labels))
-                .map(|&(node, _)| node),
-        );
+        let per_label = self.resolve(emission);
         let filter_apps = self.filter_apps;
         let apps = &*self.apps;
         let sent = self.transport.send_to_nodes(
@@ -2025,19 +2053,29 @@ impl EmissionSink for MulticastSink<'_> {
                 return;
             }
         };
+        // A node the delivery does not list reads zero.
+        let e2e = |node: &NodeId| {
+            emission.latency() + delivery.latencies.get(node).copied().unwrap_or_default()
+        };
+        let labels = &emission.recipients;
+        if per_label {
+            for f in labels.iter() {
+                let entry = &mut self.apps[filter_apps[f.index()]];
+                let e2e = e2e(&entry.node);
+                entry.book(e2e);
+                self.lat_hist.record(e2e);
+            }
+            return;
+        }
         let mut sent_to = self.nodes.iter().peekable();
         for (node, mask) in self.node_masks {
             if sent_to.next_if_eq(&node).is_none() {
                 continue;
             }
-            // A node the delivery does not list reads zero.
-            let net = delivery.latencies.get(node).copied().unwrap_or_default();
-            let e2e = emission.latency() + net;
+            let e2e = e2e(node);
             let mut n = 0;
             for f in labels.intersection(mask) {
-                let entry = &mut self.apps[filter_apps[f.index()]];
-                entry.tuples += 1;
-                entry.e2e_latency_sum_us += e2e.as_micros();
+                self.apps[filter_apps[f.index()]].book(e2e);
                 n += 1;
             }
             self.lat_hist.record_n(e2e, n);

@@ -350,45 +350,82 @@ impl WireDecode for Vec<NodeId> {
     }
 }
 
-/// Chained FNV-1a 64 digest of a per-node emission stream.
+/// Digest of a per-node emission stream: hash each emission once, then
+/// fold the hash into every recipient node's chain.
 ///
-/// Each recipient node folds the canonical bytes of every emission it
-/// observes (in order) into a running 64-bit hash; two nodes saw
-/// byte-identical streams iff their `(count, hash)` pairs match. This is
-/// the currency of the distributed-equivalence contract: the in-process
-/// reference records digests through [`Recorded`](crate::Recorded), the
-/// subscriber workers compute them from decoded frames, and `gasfctl`
-/// compares.
+/// [`canon_hash`] reads an emission's canonical bytes once, eight at a
+/// time; [`fold`](Self::fold) advances one node's chain by that hash in
+/// O(1), so a send to many nodes hashes its bytes once.
+/// [`update`](Self::update) is the two in one. Two nodes saw
+/// byte-identical streams iff their `(count, hash)` pairs match (up to
+/// 64-bit collisions; this is a witness, not a cryptographic hash). This
+/// is the currency of the distributed-equivalence contract: the
+/// in-process reference records digests through
+/// [`Recorded`](crate::Recorded), the subscriber workers compute them
+/// from decoded frames, and `gasfctl` compares.
+///
+/// The definition is not versioned: digests from builds with a different
+/// definition do not compare. They only ever meet inside one deployment,
+/// whose processes run one build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamDigest {
     /// Emissions folded in so far.
     pub count: u64,
-    /// Chained FNV-1a 64 over the canonical encodings.
+    /// The chain over the emissions' [`canon_hash`]es.
     pub hash: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Odd multiplier of the word step (2⁶⁴ / φ).
+const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The 64-bit finaliser of MurmurHash3: a bijection, so two different
+/// states stay different.
+fn mix(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// Hashes one emission's canonical bytes (see [`canonical_emission`]),
+/// eight bytes per step, the length folded in first and a partial last
+/// word zero-padded. Each step is a bijection of the state for a fixed
+/// word and of the word for a fixed state, so inputs of one length that
+/// differ in a single word — a flipped bit, say — always hash apart.
+pub fn canon_hash(canon: &[u8]) -> u64 {
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
+    let mut words = canon.chunks_exact(8);
+    let mut h = (canon.len() as u64).wrapping_mul(K);
+    for word in &mut words {
+        h = step(
+            h,
+            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+        );
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(last));
+    }
+    mix(h)
+}
 
 impl StreamDigest {
-    /// Folds one emission's canonical bytes into the digest.
-    pub fn update(&mut self, canon: &[u8]) {
-        let mut h = if self.count == 0 {
-            FNV_OFFSET
-        } else {
-            self.hash
-        };
-        // Chain by hashing the previous state's bytes first, so
-        // concatenation ambiguity between consecutive emissions cannot
-        // produce colliding streams.
-        for b in h.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        for &b in canon {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        self.hash = h;
+    /// Folds one emission's [`canon_hash`] into the digest. The chain is
+    /// a bijection of the previous state for a fixed hash and of the
+    /// hash for a fixed state, so two streams of hashes that differ at a
+    /// single position always digest apart.
+    pub fn fold(&mut self, canon_hash: u64) {
+        self.hash = mix(self.hash ^ canon_hash);
         self.count += 1;
+    }
+
+    /// Folds one emission's canonical bytes into the digest:
+    /// `fold(canon_hash(canon))`.
+    pub fn update(&mut self, canon: &[u8]) {
+        self.fold(canon_hash(canon));
     }
 }
 
@@ -408,6 +445,7 @@ mod tests {
     use super::*;
     use gasf_core::candidate::FilterId;
     use gasf_core::schema::Schema;
+    use proptest::prelude::*;
 
     #[test]
     fn primitives_round_trip() {
@@ -469,5 +507,85 @@ mod tests {
         b.update(b"yz");
         assert_ne!(a.hash, b.hash, "chaining must break concat ambiguity");
         assert_eq!(a.count, b.count);
+    }
+
+    /// The digest of a fixed two-emission stream, pinned: a change to the
+    /// hash or the chain must change this value on purpose.
+    #[test]
+    fn golden_stream_digest() {
+        let schema = Schema::new(["a", "b"]);
+        let mut digest = StreamDigest::default();
+        let mut canon = Vec::new();
+        for (seq, labels) in [(3u64, &[0usize, 5][..]), (4, &[70])] {
+            let values = vec![seq as f64 * 1.5, -(seq as f64)];
+            let tuple = Tuple::new(&schema, seq, Micros(seq * 1000), values).unwrap();
+            let e = Emission {
+                tuple: Arc::new(tuple),
+                recipients: labels.iter().map(|&i| FilterId::from_index(i)).collect(),
+                emitted_at: Micros(seq * 1000 + 7),
+            };
+            canonical_emission(&mut canon, GroupId::from_raw(42), NodeId(1), &e);
+            digest.update(&canon);
+        }
+        assert_eq!(digest.count, 2);
+        assert_eq!(
+            digest.hash, 0x9b45_1477_e204_cb07,
+            "got {:#018x}",
+            digest.hash
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `update` is `fold` over `canon_hash`, so a sender that hashes
+        /// once and folds per node digests what a receiver updating per
+        /// node does.
+        #[test]
+        fn update_is_fold_of_canon_hash(
+            stream in collection::vec(bytes(0..300), 1..6),
+        ) {
+            let (mut updated, mut folded) = (StreamDigest::default(), StreamDigest::default());
+            for canon in &stream {
+                updated.update(canon);
+                folded.fold(canon_hash(canon));
+            }
+            prop_assert_eq!(updated, folded);
+        }
+
+        /// Flipping any one bit, or inserting or removing one byte
+        /// anywhere, changes the hash, at every length across the
+        /// partial-word tail. Every position of each input is tried.
+        #[test]
+        fn canon_hash_sees_every_bit_and_the_length(
+            canon in bytes(0..301),
+            byte in 0u16..256,
+        ) {
+            let h = canon_hash(&canon);
+            // A zero byte too: a zero-padded tail word must not hide it.
+            for b in [0, byte as u8] {
+                for at in 0..=canon.len() {
+                    let mut longer = canon.clone();
+                    longer.insert(at, b);
+                    prop_assert!(canon_hash(&longer) != h, "inserted {b} at {at} of {}", canon.len());
+                }
+            }
+            for at in 0..canon.len() {
+                let mut shorter = canon.clone();
+                shorter.remove(at);
+                prop_assert!(canon_hash(&shorter) != h, "removed {at} of {}", canon.len());
+                let mut flipped = canon.clone();
+                for bit in 0..8 {
+                    flipped[at] ^= 1 << bit;
+                    prop_assert!(canon_hash(&flipped) != h, "bit {bit} of byte {at}");
+                    flipped[at] ^= 1 << bit;
+                }
+            }
+        }
+    }
+
+    /// Byte strings with a length drawn from `len`.
+    fn bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+        collection::vec((0u16..256).prop_map(|b| b as u8), len)
     }
 }

@@ -45,7 +45,7 @@ pub struct NodeDigest {
     pub node: NodeId,
     /// Emissions the node observed.
     pub count: u64,
-    /// Chained FNV-1a 64 over the canonical emission bytes (see
+    /// The node's chain over its emissions' canonical-byte hashes (see
     /// [`StreamDigest`](crate::codec::StreamDigest)).
     pub hash: u64,
 }
@@ -63,7 +63,7 @@ pub struct SubscriberReport {
     pub bytes: u64,
     /// Whether a [`Frame::Finish`] has arrived (the stream is complete).
     pub done: bool,
-    /// Per hosted node: emission count and chained stream hash.
+    /// Per hosted node: emission count and stream digest hash.
     pub per_node: Vec<NodeDigest>,
 }
 

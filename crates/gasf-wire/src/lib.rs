@@ -10,8 +10,9 @@
 //! * [`codec`] — a hand-rolled little-endian byte codec
 //!   ([`WireEncode`]/[`WireDecode`]) for `Emission`, `Delivery` and the
 //!   core id types, allocation-free on the send path, with
-//!   [`StreamDigest`] (chained FNV-1a over canonical emission bytes) as
-//!   the byte-identical-stream witness;
+//!   [`StreamDigest`] (each emission's canonical bytes hashed once, the
+//!   hash folded into a per-node chain) as the byte-identical-stream
+//!   witness;
 //! * [`frame`] — the versioned frame format
 //!   (`[len][magic][version][tag][body]`) and the [`Frame`] control
 //!   protocol (`Hello`/`Emission`/`Finish`/`StatusRequest`/

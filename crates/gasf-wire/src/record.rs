@@ -2,15 +2,16 @@
 //! the distributed-equivalence contract.
 //!
 //! `Recorded<T>` delegates every call to the inner transport unchanged
-//! and, on the way through, folds each emission's canonical bytes into a
-//! [`StreamDigest`] per recipient node — exactly the digest the
+//! and, on the way through, hashes each emission's canonical bytes once
+//! and folds the hash into a [`StreamDigest`] per recipient node —
+//! exactly the digest the
 //! subscriber workers compute from decoded frames on the far side of a
 //! TCP deployment. Wrapping the in-process [`Overlay`](gasf_net::Overlay)
 //! therefore produces the *reference* digests a wire run must match:
 //! byte-identical streams per node, or the deployment fails its
 //! equivalence check.
 
-use crate::codec::{canonical_emission, StreamDigest};
+use crate::codec::{canon_hash, canonical_emission, StreamDigest};
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::Emission;
 use gasf_net::transport::LinkLoad;
@@ -80,11 +81,9 @@ impl<T: Transport> Transport for Recorded<T> {
         // inner send then fails the whole pipeline aborts and digests are
         // moot.
         canonical_emission(&mut self.scratch_canon, group, src, emission);
+        let hash = canon_hash(&self.scratch_canon);
         for &node in nodes {
-            self.digests
-                .entry(node)
-                .or_default()
-                .update(&self.scratch_canon);
+            self.digests.entry(node).or_default().fold(hash);
         }
         self.inner
             .send_to_nodes(group, src, emission, nodes, node_of)

@@ -18,7 +18,7 @@
 //! pipeline to the engine's release path. Hard I/O failures surface as
 //! [`NetError::Transport`].
 
-use crate::codec::{canonical_emission, StreamDigest, WireError};
+use crate::codec::{canon_hash, canonical_emission, StreamDigest, WireError};
 use crate::frame::{encode_emission_frame, read_frame, Frame, SubscriberReport, DEFAULT_MAX_FRAME};
 use crate::layout::HostLayout;
 use gasf_core::candidate::FilterId;
@@ -107,8 +107,9 @@ pub struct TcpTransport {
     scratch_frame_nodes: Vec<NodeId>,
     /// Scratch: canonical emission bytes (digest recording).
     scratch_canon: Vec<u8>,
-    /// Per-node digests of everything sent, for delivery reports.
-    digests: BTreeMap<NodeId, StreamDigest>,
+    /// Per-node digests of everything sent, for delivery reports, indexed
+    /// by `NodeId` like `node_peer` (a node never sent to reads count 0).
+    digests: Vec<StreamDigest>,
 }
 
 impl TcpTransport {
@@ -160,7 +161,7 @@ impl TcpTransport {
             scratch_frame: Vec::new(),
             scratch_frame_nodes: Vec::new(),
             scratch_canon: Vec::new(),
-            digests: BTreeMap::new(),
+            digests: vec![StreamDigest::default(); total],
         };
         for i in 0..transport.peers.len() {
             transport.connect_peer(i)?;
@@ -250,11 +251,16 @@ impl TcpTransport {
         }
     }
 
-    /// Per-node digests of every emission this transport sent — the
-    /// sender-side half of the delivery report (receiver-side digests
-    /// come back in [`SubscriberReport`]s).
-    pub fn sent_digests(&self) -> &BTreeMap<NodeId, StreamDigest> {
-        &self.digests
+    /// Per-node digests of every emission this transport sent, keyed by
+    /// every node sent to at least once — the sender-side half of the
+    /// delivery report (receiver-side digests come back in
+    /// [`SubscriberReport`]s).
+    pub fn sent_digests(&self) -> BTreeMap<NodeId, StreamDigest> {
+        (0u32..)
+            .zip(&self.digests)
+            .filter(|(_, d)| d.count > 0)
+            .map(|(node, &d)| (NodeId(node), d))
+            .collect()
     }
 
     /// The deployment name this transport was built for.
@@ -287,11 +293,13 @@ impl Transport for TcpTransport {
         _node_of: &mut dyn FnMut(FilterId) -> NodeId,
     ) -> Result<Delivery, NetError> {
         canonical_emission(&mut self.scratch_canon, group, src, emission);
+        let hash = canon_hash(&self.scratch_canon);
         for &node in nodes {
-            self.digests
-                .entry(node)
-                .or_default()
-                .update(&self.scratch_canon);
+            if self.digests.len() <= node.index() {
+                self.digests
+                    .resize(node.index() + 1, StreamDigest::default());
+            }
+            self.digests[node.index()].fold(hash);
         }
 
         let mut latencies = BTreeMap::new();

@@ -31,7 +31,7 @@
 //! within the deadline, and `gasfctl` (or the CI timeout guard) reaps
 //! whatever is left.
 
-use crate::codec::{canonical_emission, StreamDigest, WireError};
+use crate::codec::{canon_hash, canonical_emission, StreamDigest, WireError};
 use crate::frame::{write_frame, Frame, NodeDigest, SubscriberReport, DEFAULT_MAX_FRAME};
 use crate::layout::{algorithm_name, strategy_name, HostLayout, ProcessSpec, Role};
 use crate::record::Recorded;
@@ -314,12 +314,10 @@ impl SubscriberState {
                 // bytes — identical to the sender's encoding iff the
                 // stream really is byte-identical end to end.
                 canonical_emission(&mut self.scratch_canon, group, src, &emission);
+                let hash = canon_hash(&self.scratch_canon);
                 for node in nodes {
                     if self.hosted.contains(&node) {
-                        self.digests
-                            .entry(node)
-                            .or_default()
-                            .update(&self.scratch_canon);
+                        self.digests.entry(node).or_default().fold(hash);
                     }
                 }
                 Ok(None)
@@ -596,7 +594,7 @@ pub fn run_source(
     // The sender-side digests must agree with the reference too — a
     // cheap tripwire for transport-side recipient-mapping bugs.
     for (node, d) in wire.sent_digests() {
-        let r = reference.get(node).copied().unwrap_or_default();
+        let r = reference.get(&node).copied().unwrap_or_default();
         if (d.count, d.hash) != (r.count, r.hash) {
             mismatches.push(format!(
                 "node {node} sender-side digest diverged from reference"

@@ -75,7 +75,7 @@ fn main() {
     );
 
     println!();
-    println!("per-node streams (count x chained-FNV hash), reference vs received:");
+    println!("per-node streams (count x stream hash), reference vs received:");
     for report in &outcome.received {
         for d in &report.per_node {
             let r = outcome.reference.get(&d.node).copied().unwrap_or_default();

@@ -3,7 +3,7 @@
 //! Reproduces the paper's ten-group workload shape (Ch. 5, Table 5.2) at
 //! production scale: ten independent filter groups share one NAMOS buoy
 //! stream, each group hosted by its own `GroupEngine` route inside a
-//! [`ShardedEngine`] that hash-partitions the routes across worker
+//! [`ShardedEngine`] that deals the routes round-robin over worker
 //! threads, fed the stream in 256-row batches (the engine's one data
 //! entry: a push is a hand-off per shard, so hand over a batch). The demo
 //! verifies the headline guarantee — merged output is **byte-identical at

@@ -372,7 +372,11 @@ fn sharded_run_cuts_at_the_failing_row() {
             .route("c", r1)
             .build()
             .unwrap();
-        assert_eq!(sharded.shards(), n, "the keys must spread over {n} shards");
+        assert_eq!(
+            sharded.shards(),
+            n,
+            "the two routes must spread over {n} shards"
+        );
         let mut out = VecSink::new();
         let mut surfaced = false;
         for rows in tuples.chunks(7) {

@@ -13,6 +13,8 @@ use gasf_net::{
 use gasf_solar::{GroupingStrategy, Middleware, MiddlewareConfig};
 use gasf_sources::{ChlorinePlume, NamosBuoy, SourceKind};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Mutex;
 
 fn build(
     algorithm: Algorithm,
@@ -252,12 +254,39 @@ fn tighter_constraints_cut_more_and_lower_latency() {
 /// A data plane that checks every send the middleware resolves against
 /// the per-label resolution: the nodes it is handed must be exactly what
 /// `resolve_nodes` makes of the label → node map handed along with them.
+///
+/// It also counts sends whose walk is known from outside. The sink walks
+/// label by label when an emission has fewer labels than the sending part
+/// has nodes, and by node mask otherwise. A part spans at least the nodes
+/// its group has been sent to so far, and at most the distinct nodes of
+/// every subscription made (`subscribed`, kept by the test).
 #[derive(Debug, Default)]
 struct CheckedResolution {
     inner: NullTransport,
     expected: Vec<NodeId>,
     resolved_sends: u64,
     first_mismatch: Option<String>,
+    subscribed: BTreeSet<NodeId>,
+    group_nodes: BTreeMap<GroupId, BTreeSet<NodeId>>,
+    per_label_sends: u64,
+    per_mask_sends: u64,
+    /// `(emission, label)` deliveries per recipient node.
+    delivered: BTreeMap<NodeId, u64>,
+}
+
+/// Deliveries booked per node, and the latency samples behind them.
+type Booked = (BTreeMap<NodeId, u64>, u64);
+
+impl CheckedResolution {
+    /// `before` plus one delivery per label sent since the last call: what
+    /// the sink must have booked by now.
+    fn booked_after(&mut self, (mut per_node, mut samples): Booked) -> Booked {
+        for (node, n) in std::mem::take(&mut self.delivered) {
+            *per_node.entry(node).or_default() += n;
+            samples += n;
+        }
+        (per_node, samples)
+    }
 }
 
 impl Transport for CheckedResolution {
@@ -281,6 +310,17 @@ impl Transport for CheckedResolution {
     ) -> Result<Delivery, NetError> {
         resolve_nodes(&mut self.expected, emission, &mut *node_of);
         self.resolved_sends += 1;
+        let labels = emission.recipients.len();
+        let seen = self.group_nodes.entry(group).or_default();
+        seen.extend(&self.expected);
+        if labels < seen.len() {
+            self.per_label_sends += 1;
+        } else if labels >= self.subscribed.len() {
+            self.per_mask_sends += 1;
+        }
+        for f in emission.recipients.iter() {
+            *self.delivered.entry(node_of(f)).or_default() += 1;
+        }
         if self.expected != nodes && self.first_mismatch.is_none() {
             self.first_mismatch = Some(format!(
                 "labels {} resolved to {nodes:?}, per label {:?}",
@@ -308,14 +348,22 @@ impl Transport for CheckedResolution {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Cases of `node_masks_resolve_like_the_per_label_map`.
+const RESOLUTION_CASES: u32 = 12;
 
-    /// The per-part node masks resolve every emission to the nodes the
-    /// per-label map → sort → dedup gives, across random rosters (several
-    /// filters per node, vacancies left by unsubscribes, filters appended
-    /// live), regroups into several parts and a checkpoint → recover hop,
-    /// inline and sharded.
+/// Over the cases run so far: `(cases, sends known to walk label by
+/// label, sends known to walk by node mask)`.
+static RESOLUTION_WALKS: Mutex<(u32, u64, u64)> = Mutex::new((0, 0, 0));
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(RESOLUTION_CASES))]
+
+    /// The sink resolves every emission to the nodes the per-label map →
+    /// sort → dedup gives, and books one delivery per label to the app on
+    /// the label's node, across random rosters (several filters per node,
+    /// vacancies left by unsubscribes, filters appended live), regroups
+    /// into several parts and a checkpoint → recover hop, inline and
+    /// sharded — on both walks, which the cases together must exercise.
     #[test]
     fn node_masks_resolve_like_the_per_label_map(
         ring in 3u32..9,
@@ -330,6 +378,12 @@ proptest! {
             FilterSpec::delta("tmpr4", step * (1.5 + 0.6 * k), step * (0.6 + 0.1 * k))
         };
         let node = |raw: u32| NodeId(1 + raw % (ring - 1));
+        // Subscription names say where the app lives: `a{i}` is roster
+        // entry `i`, `late{pick}` sits on `node(pick)`.
+        let app_node = |name: &str| match name.strip_prefix("late") {
+            Some(pick) => node(pick.parse().unwrap()),
+            None => node(roster[name[1..].parse::<usize>().unwrap()].0),
+        };
         let topology = || Topology::ring(ring as usize).build();
         let config = MiddlewareConfig {
             parallelism,
@@ -343,19 +397,37 @@ proptest! {
             let _ = mw.subscribe(format!("a{i}"), node(raw), src, spec(k)).unwrap();
         }
         mw.deploy().unwrap();
-        let mut wire = CheckedResolution::default();
+        let mut wire = CheckedResolution {
+            subscribed: roster.iter().map(|&(raw, _)| node(raw)).collect(),
+            ..Default::default()
+        };
+        // What a push books must be what the wire saw it send. (Control
+        // ops disseminate their boundary drains over the overlay, so only
+        // pushes are compared.)
+        let booked = |mw: &Middleware| -> Booked {
+            let mut per_node = BTreeMap::new();
+            for app in mw.report(src).unwrap().per_app {
+                if app.tuples > 0 {
+                    *per_node.entry(app_node(&app.name)).or_default() += app.tuples;
+                }
+            }
+            (per_node, mw.latency_histogram(src).unwrap().count())
+        };
         let chunks: Vec<_> = trace.tuples().chunks(1_200 / (ops.len() + 1) + 1).collect();
         for (chunk, &(op, pick, k)) in chunks.iter().zip(&ops) {
+            let before = booked(&mw);
             mw.pipeline_over(src, &mut wire)
                 .unwrap()
                 .push_batch(chunk.to_vec())
                 .unwrap();
+            prop_assert_eq!(booked(&mw), wire.booked_after(before));
             let live = mw.subscriptions(src).unwrap();
             let picked = live[pick as usize % live.len()];
             match op {
                 0 => {
                     let name = format!("late{pick}");
                     let _ = mw.subscribe(name, node(pick as u32), src, spec(k)).unwrap();
+                    wire.subscribed.insert(node(pick as u32));
                 }
                 1 if live.len() > 1 => mw.unsubscribe(picked).unwrap(),
                 2 => mw.resubscribe(picked, spec(k)).unwrap(),
@@ -369,12 +441,21 @@ proptest! {
                 }
             }
         }
+        let before = booked(&mw);
         let mut pipeline = mw.pipeline_over(src, &mut wire).unwrap();
         for chunk in &chunks[ops.len().min(chunks.len())..] {
             pipeline.push_batch(chunk.to_vec()).unwrap();
         }
         pipeline.finish().unwrap();
+        prop_assert_eq!(booked(&mw), wire.booked_after(before));
         prop_assert!(wire.resolved_sends > 0, "the sink sent nothing resolved");
         prop_assert_eq!(wire.first_mismatch, None);
+        let mut walks = RESOLUTION_WALKS.lock().unwrap();
+        walks.0 += 1;
+        walks.1 += wire.per_label_sends;
+        walks.2 += wire.per_mask_sends;
+        if walks.0 == RESOLUTION_CASES {
+            prop_assert!(walks.1 > 0 && walks.2 > 0, "both walks taken: {:?}", *walks);
+        }
     }
 }
