@@ -216,61 +216,54 @@ impl GroupEngineBuilder {
     }
 
     /// The safe-point snapshot of the engine this builder *would* build:
-    /// a never-fed engine at epoch 0. Restoring it is equivalent to
-    /// [`build`](Self::build) — the sharded host builds its initial
-    /// engines *and* rebuilds crashed pre-first-checkpoint workers
-    /// through exactly this snapshot, so the two paths cannot drift.
-    /// Spec validation happens when the snapshot is restored.
-    pub(crate) fn initial_snapshot(&self) -> Result<GroupSnapshot, Error> {
-        let roster = self.resolve_roster()?;
-        let width = roster.last().map_or(0, |(id, _)| id.index() + 1);
-        let mut specs: Vec<Option<FilterSpec>> = vec![None; width];
-        for (id, spec) in roster {
-            specs[id.index()] = Some(spec);
-        }
-        Ok(GroupSnapshot {
-            schema: self.schema.clone(),
-            algorithm: self.algorithm,
-            strategy: self.strategy,
-            constraint: self.constraint,
-            predictor_window: self.predictor_window,
-            overestimate_us: self.overestimate_us,
-            roster: specs,
-            next_filter_id: width as u32,
-            epoch: 0,
-            past_epochs: Vec::new(),
-            watermark: Micros::ZERO,
-            last_ts: None,
-            last_seq: None,
-        })
-    }
-
-    /// Resolves the roster this builder would instantiate: pinned specs in
-    /// their explicit slots, then plain [`filter`](Self::filter) specs in
-    /// the lowest free slots, insertion order preserved.
-    pub(crate) fn resolve_roster(&self) -> Result<Vec<(FilterId, FilterSpec)>, Error> {
+    /// a never-fed engine at epoch 0, whose roster holds the pinned specs
+    /// in their explicit slots, then the plain [`filter`](Self::filter)
+    /// specs in the lowest free slots, insertion order preserved.
+    /// [`build`](Self::build) restores it, and the sharded host builds its
+    /// initial engines *and* rebuilds crashed pre-first-checkpoint workers
+    /// through it too, so building and restoring cannot drift. Spec
+    /// validation happens when the snapshot is restored.
+    pub(crate) fn initial_snapshot(self) -> Result<GroupSnapshot, Error> {
         let mut slots: BTreeMap<u32, FilterSpec> = BTreeMap::new();
-        for (id, spec) in &self.pinned {
-            if slots.insert(id.0, spec.clone()).is_some() {
+        for (id, spec) in self.pinned {
+            if slots.insert(id.0, spec).is_some() {
                 return Err(Error::InvalidConfig {
                     reason: format!("filter slot {id} pinned twice"),
                 });
             }
         }
         let mut next = 0u32;
-        for spec in &self.specs {
+        for spec in self.specs {
             while slots.contains_key(&next) {
                 next += 1;
             }
-            slots.insert(next, spec.clone());
+            slots.insert(next, spec);
             next += 1;
         }
-        if slots.is_empty() {
+        let Some((&last, _)) = slots.last_key_value() else {
             return Err(Error::InvalidConfig {
                 reason: "a group needs at least one filter".into(),
             });
+        };
+        let mut roster: Vec<Option<FilterSpec>> = vec![None; last as usize + 1];
+        for (i, spec) in slots {
+            roster[i as usize] = Some(spec);
         }
-        Ok(slots.into_iter().map(|(i, s)| (FilterId(i), s)).collect())
+        Ok(GroupSnapshot {
+            schema: self.schema,
+            algorithm: self.algorithm,
+            strategy: self.strategy,
+            constraint: self.constraint,
+            predictor_window: self.predictor_window,
+            overestimate_us: self.overestimate_us,
+            roster,
+            next_filter_id: last + 1,
+            epoch: 0,
+            past_epochs: Vec::new(),
+            watermark: Micros::ZERO,
+            last_ts: None,
+            last_seq: None,
+        })
     }
 
     /// Builds the engine.
@@ -282,68 +275,8 @@ impl GroupEngineBuilder {
     /// * [`Error::InvalidSpec`] / [`Error::UnknownAttribute`] from filter
     ///   instantiation.
     pub fn build(self) -> Result<GroupEngine, Error> {
-        let roster = self.resolve_roster()?;
-        let width = roster.last().map_or(0, |(id, _)| id.index() + 1);
-        let mut slots: Vec<Option<FilterSlot>> = Vec::new();
-        slots.resize_with(width, || None);
-        for (id, spec) in roster {
-            let filter = match self.tier {
-                EvaluatorTier::Interpreted => {
-                    Some(instantiate_filter(&spec, id, &self.schema, self.algorithm)?)
-                }
-                // Compilation below validates every spec with the same
-                // errors in the same (ascending-slot) order.
-                EvaluatorTier::Compiled => None,
-            };
-            slots[id.index()] = Some(FilterSlot { spec, filter });
-        }
-        let compiled = match self.tier {
-            EvaluatorTier::Compiled => Some(compile_slots(&slots, &self.schema, self.algorithm)?),
-            EvaluatorTier::Interpreted => None,
-        };
-        let constraint = effective_constraint(self.constraint, &slots);
-        Ok(GroupEngine {
-            schema: self.schema,
-            slots,
-            tier: self.tier,
-            twins: twin_table(compiled.as_ref(), width),
-            compiled,
-            step: StepActions::default(),
-            algorithm: self.algorithm,
-            strategy: self.strategy,
-            explicit_constraint: self.constraint,
-            constraint,
-            predictor_window: self.predictor_window,
-            overestimate_us: self.overestimate_us,
-            predictor: RuntimePredictor::with_window(self.predictor_window, self.overestimate_us),
-            utility: GroupUtility::new(),
-            tracker: RegionTracker::new(),
-            cover_buf: OpenCovers::default(),
-            ready_buf: Vec::new(),
-            ids_buf: Vec::new(),
-            weights_buf: Vec::new(),
-            solver: GreedySolver::default(),
-            pool: TuplePool::new(),
-            pending: BTreeMap::new(),
-            releasable: BTreeSet::new(),
-            recently_decided: HashSet::new(),
-            batch_counter: 0,
-            watermark: Micros::ZERO,
-            max_emitted_id: None,
-            last_ts: None,
-            last_seq: None,
-            finished: false,
-            scratch: Vec::new(),
-            control_queue: Vec::new(),
-            queued_structural: 0,
-            next_filter_id: width as u32,
-            epoch: 0,
-            past_epochs: Vec::new(),
-            metrics: EngineMetrics {
-                per_filter: vec![FilterMetrics::default(); width],
-                ..Default::default()
-            },
-        })
+        let tier = self.tier;
+        GroupEngine::restore_owned(self.initial_snapshot()?, tier)
     }
 }
 
@@ -705,9 +638,14 @@ impl GroupEngine {
 
     /// Consumes the engine, returning the final lifetime metrics (every
     /// epoch folded together; see
-    /// [`lifetime_metrics`](Self::lifetime_metrics)).
+    /// [`lifetime_metrics`](Self::lifetime_metrics)). An engine that never
+    /// crossed an epoch boundary hands its samples over without a copy.
     pub fn into_metrics(self) -> EngineMetrics {
-        self.lifetime_metrics()
+        if self.past_epochs.is_empty() {
+            self.metrics
+        } else {
+            self.lifetime_metrics()
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1020,6 +958,16 @@ impl GroupEngine {
         snap: &GroupSnapshot,
         tier: EvaluatorTier,
     ) -> Result<GroupEngine, Error> {
+        GroupEngine::restore_owned(snap.clone(), tier)
+    }
+
+    /// [`restore_with_tier`](Self::restore_with_tier) from a snapshot the
+    /// caller gives up: its roster and metrics archive move into the
+    /// engine instead of being copied.
+    pub(crate) fn restore_owned(
+        snap: GroupSnapshot,
+        tier: EvaluatorTier,
+    ) -> Result<GroupEngine, Error> {
         if !snap.roster.iter().any(Option::is_some) {
             return Err(Error::InvalidConfig {
                 reason: "snapshot holds no live filter".into(),
@@ -1027,22 +975,22 @@ impl GroupEngine {
         }
         let width = snap.roster.len();
         let mut slots: Vec<Option<FilterSlot>> = Vec::with_capacity(width);
-        for (i, spec) in snap.roster.iter().enumerate() {
+        for (i, spec) in snap.roster.into_iter().enumerate() {
             slots.push(match spec {
                 Some(spec) => {
                     let filter = match tier {
                         EvaluatorTier::Interpreted => Some(instantiate_filter(
-                            spec,
+                            &spec,
                             FilterId::from_index(i),
                             &snap.schema,
                             snap.algorithm,
                         )?),
+                        // Compilation below validates every spec with
+                        // the same errors in the same (ascending-slot)
+                        // order.
                         EvaluatorTier::Compiled => None,
                     };
-                    Some(FilterSlot {
-                        spec: spec.clone(),
-                        filter,
-                    })
+                    Some(FilterSlot { spec, filter })
                 }
                 None => None,
             });
@@ -1053,7 +1001,7 @@ impl GroupEngine {
         };
         let constraint = effective_constraint(snap.constraint, &slots);
         Ok(GroupEngine {
-            schema: snap.schema.clone(),
+            schema: snap.schema,
             slots,
             tier,
             twins: twin_table(compiled.as_ref(), width),
@@ -1088,7 +1036,7 @@ impl GroupEngine {
             queued_structural: 0,
             next_filter_id: snap.next_filter_id,
             epoch: snap.epoch,
-            past_epochs: snap.past_epochs.clone(),
+            past_epochs: snap.past_epochs,
             metrics: EngineMetrics {
                 per_filter: vec![FilterMetrics::default(); width],
                 ..Default::default()

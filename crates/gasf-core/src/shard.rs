@@ -33,6 +33,12 @@
 //! inline or sharded — may cut at different points; sharding adds no new
 //! nondeterminism, but cannot remove the clock from that path either.
 //!
+//! Parallelism `0` spawns no thread: every route sits on one *inline*
+//! shard that the caller thread steps inside each send, so a push merges
+//! before it returns. Merge, barrier, control mirror, step costs and
+//! snapshots are one code path at every parallelism; only the private
+//! send and receive helpers tell a worker from the inline shard.
+//!
 //! ## Batching and delivery latency
 //!
 //! [`push_batch_columnar`](ShardedEngine::push_batch_columnar) — the one
@@ -44,11 +50,12 @@
 //! a slow source would wait on rows that have not arrived yet, and its
 //! worker would see no tuple to fire a timely cut on.
 //!
-//! Two batches are kept in flight per shard before the caller blocks and
+//! Two batches are kept in flight per worker before the caller blocks and
 //! merges, so a step's emissions reach the sink at most three batches *of
 //! the caller's own size* after the push that released them (and always by
-//! [`finish_into`](ShardedEngine::finish_into)). The emission *sequence*
-//! is unaffected; only the sink-call boundaries move.
+//! [`finish_into`](ShardedEngine::finish_into)); an inline engine delivers
+//! them before the push returns. The emission *sequence* is unaffected;
+//! only the sink-call boundaries move.
 //!
 //! ## The reply layout
 //!
@@ -83,6 +90,7 @@
 //! | data batch (`push_batch_columnar`) | carried by the replay: logged before it is sent |
 //! | control op (`add_filter`, `remove_filter`, `update_filter`) | carried by the replay: logged before it is sent |
 //! | barrier (`checkpoint`, `finish_into`) | re-issued: never logged |
+//! | any, at parallelism 0 | none: no worker can die, so nothing is logged and `kill_shard` has no shard to kill |
 //!
 //! ## Errors
 //!
@@ -145,18 +153,9 @@ struct BatchReply {
 enum Barrier {
     /// Cross every route's safe-point boundary and snapshot it.
     Checkpoint,
-    /// End every route's stream; the worker exits after replying.
+    /// End every route's stream and drop the engines; the worker exits
+    /// after replying.
     Finish,
-}
-
-/// What one route hands back at a barrier.
-#[derive(Debug)]
-enum Crossed {
-    /// At a checkpoint: the route's safe-point snapshot.
-    Snapshot(GroupSnapshot),
-    /// At the end of the stream: the route's lifetime metrics, so filters
-    /// removed by control ops keep their per-epoch stats in the aggregate.
-    Metrics(EngineMetrics),
 }
 
 /// Worker → caller reply for a barrier.
@@ -164,10 +163,19 @@ enum Crossed {
 struct BarrierReply {
     /// Boundary drains (checkpoint) or force-closed tails (finish).
     tail: RouteBatches,
-    /// What each route handed back, in ascending route order.
-    crossed: Vec<(u32, Crossed)>,
+    /// At a checkpoint: each route's safe-point snapshot.
+    snaps: Vec<(u32, GroupSnapshot)>,
+    /// At the end of the stream: each route's lifetime metrics, so filters
+    /// removed by control ops keep their per-epoch stats in the aggregate.
+    metrics: Vec<(u32, EngineMetrics)>,
     /// First failure, as (route index, error).
     error: Option<(u32, Error)>,
+}
+
+/// Strips the route tags off `tagged`, in ascending route order.
+fn in_route_order<T>(mut tagged: Vec<(u32, T)>) -> Vec<T> {
+    tagged.sort_unstable_by_key(|&(route, _)| route);
+    tagged.into_iter().map(|(_, t)| t).collect()
 }
 
 #[derive(Debug, Clone)]
@@ -180,7 +188,7 @@ enum ToShard {
     /// A control-plane op for one route, interleaved with the data
     /// batches so it lands at the exact stream position it was issued
     /// at. The worker queues it on the route's engine, which applies it
-    /// at its next safe point — identical to the inline path.
+    /// at its next safe point — as `GroupEngine`'s own control ops do.
     Control(u32, ControlOp),
     /// The caller has merged everything in flight, so every hosted engine
     /// sits exactly at the barrier position. The worker crosses each
@@ -216,7 +224,7 @@ struct RouteControl {
 }
 
 /// Builder for [`ShardedEngine`] (see [`ShardedEngine::builder`]).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ShardedEngineBuilder {
     parallelism: usize,
     track_step_costs: bool,
@@ -239,10 +247,11 @@ pub const REPLAY_CAPACITY: usize = 65_536;
 /// would otherwise respawn forever.
 pub const MAX_RESPAWNS: u32 = 4;
 
-/// Batches kept in flight per shard before a push blocks and merges:
+/// Batches kept in flight per worker before a push blocks and merges:
 /// one being filtered, one queued behind it, so a worker never idles
 /// while the caller merges. This bounds the engine's buffering to
-/// `QUEUE_DEPTH + 1` of the caller's batches per shard.
+/// `QUEUE_DEPTH + 1` of the caller's batches per worker. An inline
+/// engine keeps none: its shard has already run a batch when it merges.
 const QUEUE_DEPTH: usize = 2;
 
 impl ShardedEngineBuilder {
@@ -257,7 +266,8 @@ impl ShardedEngineBuilder {
 
     /// Number of worker shards (default 1). Routes are dealt round-robin,
     /// so `min(n, routes)` workers are spawned and `n` larger than the
-    /// route count costs nothing.
+    /// route count costs nothing. `0` spawns no worker: the routes run on
+    /// the caller thread, and every push merges before it returns.
     pub fn parallelism(mut self, n: usize) -> Self {
         self.parallelism = n;
         self
@@ -310,8 +320,8 @@ impl ShardedEngineBuilder {
         let mut tiers = Vec::with_capacity(self.routes.len());
         let mut route_keys = Vec::with_capacity(self.routes.len());
         for (key, builder) in self.routes {
-            snaps.push(builder.initial_snapshot()?);
             tiers.push(builder.configured_evaluator());
+            snaps.push(builder.initial_snapshot()?);
             route_keys.push(key);
         }
         let snap = EngineSnapshot {
@@ -329,7 +339,8 @@ impl ShardedEngineBuilder {
 
 /// Deals the routes round-robin over `parallelism` shards — route `i` on
 /// shard `i mod parallelism`, whatever its key — and spawns one worker
-/// thread per non-empty shard, so `min(parallelism, routes)` workers run.
+/// thread per non-empty shard, so `min(parallelism, routes)` workers run;
+/// parallelism 0 keeps every route on one inline shard instead.
 /// Returns the shard handles plus the route-index → shard map. Build and
 /// restore both come through here with the routes in snapshot order, and
 /// the worker-respawn path rebuilds one shard's own routes through
@@ -338,7 +349,7 @@ fn spawn_shards(
     parallelism: usize,
     engines: Vec<GroupEngine>,
 ) -> Result<(Vec<ShardHandle>, Vec<usize>), Error> {
-    let n = parallelism.min(engines.len());
+    let n = parallelism.clamp(1, engines.len());
     let mut assignment: Vec<Vec<(u32, GroupEngine)>> = Vec::new();
     assignment.resize_with(n, Vec::new);
     let route_shard: Vec<usize> = (0..engines.len()).map(|idx| idx % n).collect();
@@ -348,11 +359,21 @@ fn spawn_shards(
     let mut shards = Vec::with_capacity(n);
     for (shard_no, slots) in assignment.into_iter().enumerate() {
         let routes: Vec<u32> = slots.iter().map(|(idx, _)| *idx).collect();
-        let (tx, rx, join) = spawn_worker(shard_no, slots)?;
+        let link = if parallelism == 0 {
+            Link::Inline {
+                shard: Shard::new(slots),
+                replies: VecDeque::new(),
+            }
+        } else {
+            let (tx, rx, join) = spawn_worker(shard_no, slots)?;
+            Link::Worker {
+                tx: Some(tx),
+                rx,
+                join: Some(join),
+            }
+        };
         shards.push(ShardHandle {
-            tx: Some(tx),
-            rx,
-            join: Some(join),
+            link,
             routes,
             shard_no,
         });
@@ -376,9 +397,10 @@ fn spawn_worker(
 ) -> Result<(SyncSender<ToShard>, Receiver<FromShard>, JoinHandle<()>), Error> {
     let (tx, rx) = sync_channel::<ToShard>(QUEUE_DEPTH + 1);
     let (reply_tx, reply_rx) = sync_channel::<FromShard>(QUEUE_DEPTH + 2);
+    let shard = Shard::new(engines);
     let join = std::thread::Builder::new()
         .name(format!("gasf-shard-{shard_no}"))
-        .spawn(move || shard_worker(engines, rx, reply_tx))
+        .spawn(move || shard_worker(shard, rx, reply_tx))
         .map_err(|e| Error::InvalidConfig {
             reason: format!("failed to spawn shard worker: {e}"),
         })?;
@@ -387,14 +409,31 @@ fn spawn_worker(
 
 #[derive(Debug)]
 struct ShardHandle {
-    /// `None` once the engine shuts down (dropping it closes the worker).
-    tx: Option<SyncSender<ToShard>>,
-    rx: Receiver<FromShard>,
-    join: Option<JoinHandle<()>>,
+    link: Link,
     /// Route indices this shard owns, ascending (what a respawn rebuilds).
     routes: Vec<u32>,
     /// The stable shard number (names the worker thread across respawns).
     shard_no: usize,
+}
+
+/// How the caller reaches a shard's engines.
+#[derive(Debug)]
+enum Link {
+    /// A worker thread behind bounded channels.
+    Worker {
+        /// `None` once the engine shuts down (dropping it closes the
+        /// worker).
+        tx: Option<SyncSender<ToShard>>,
+        rx: Receiver<FromShard>,
+        join: Option<JoinHandle<()>>,
+    },
+    /// No thread (parallelism 0): [`ShardedEngine::send`] steps the shard
+    /// on the caller thread and queues its reply for
+    /// [`ShardedEngine::recv`].
+    Inline {
+        shard: Shard,
+        replies: VecDeque<FromShard>,
+    },
 }
 
 /// A multi-threaded host for independent filter groups, dealt
@@ -403,7 +442,7 @@ struct ShardHandle {
 ///
 /// See the [module documentation](self) for the execution model. Built via
 /// [`ShardedEngine::builder`]; a single route moves one group onto a
-/// worker thread.
+/// worker thread, or, at parallelism 0, hosts it on the caller thread.
 ///
 /// ```rust
 /// use gasf_core::prelude::*;
@@ -471,23 +510,26 @@ pub struct ShardedEngine {
     route_metrics: Vec<EngineMetrics>,
     /// Undrained `(arrival, cpu)` samples when tracking is on.
     step_costs: Vec<(Micros, Duration)>,
-    /// Reused merge buffer: every reply's runs as `(row, route, reply,
-    /// start, end)`, sorted into `(row, route)` order.
+    /// Reused merge buffers: one batch's replies, and every reply's runs
+    /// as `(row, route, reply, start, end)` sorted into `(row, route)`
+    /// order.
+    merge_replies: Vec<BatchReply>,
     merge_runs: Vec<(u32, u32, usize, usize, usize)>,
     /// Route keys in route-index order (kept for checkpoints).
     route_keys: Vec<String>,
     /// The configured worker-shard count (`shards` holds
-    /// `min(parallelism, routes)`; checkpoints keep the configured one).
+    /// `min(parallelism, routes)` workers, or one inline shard at 0).
     parallelism: usize,
     /// Per-route safe-point snapshots from the last checkpoint barrier
     /// (never-fed initial snapshots until the first checkpoint) — what a
-    /// crashed worker is rebuilt from.
+    /// crashed worker is rebuilt from. Empty on an inline engine.
     last_checkpoint: Vec<GroupSnapshot>,
     /// The bounded post-checkpoint replay log: every data batch (each
     /// shard received it; the log holds the same shared `Arc`) and control
     /// op (only the owning shard did) shipped since the last checkpoint,
     /// in channel order, so a respawned shard can be brought back to the
-    /// live stream position deterministically.
+    /// live stream position deterministically. Never written on an inline
+    /// engine.
     replay_log: Vec<ToShard>,
     /// Cost of the replay log in tuple-equivalents (one per tuple, one
     /// per control op), so churn-heavy streams stay bounded too.
@@ -505,7 +547,11 @@ pub struct ShardedEngine {
 impl ShardedEngine {
     /// Starts building a sharded engine.
     pub fn builder() -> ShardedEngineBuilder {
-        ShardedEngineBuilder::default()
+        ShardedEngineBuilder {
+            parallelism: 1,
+            track_step_costs: false,
+            routes: Vec::new(),
+        }
     }
 
     /// Number of routes (filter groups) hosted.
@@ -514,9 +560,10 @@ impl ShardedEngine {
     }
 
     /// Number of worker shards actually spawned: `min(parallelism,
-    /// routes)`, since routes are dealt round-robin.
+    /// routes)`, since routes are dealt round-robin — none at
+    /// parallelism 0.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.parallelism.min(self.n_routes)
     }
 
     /// Total input tuples accepted so far.
@@ -524,20 +571,36 @@ impl ShardedEngine {
         self.input_tuples
     }
 
+    /// Batches shipped whose emissions have not reached a sink yet: at
+    /// most two after a push on worker threads, always 0 on an inline
+    /// engine, and 0 after a checkpoint or finish.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.len()
+    }
+
     /// Aggregated metrics across every route, summed field-wise.
     ///
     /// Per-route metrics live on the worker threads while the stream is
     /// open, so before [`finish_into`](Self::finish_into) only
     /// `input_tuples` is populated (counting each route's view of the
-    /// stream); after finish the aggregate is complete.
+    /// stream); after finish the aggregate is complete. An inline engine
+    /// reads its routes' lifetime metrics live at any time.
     pub fn metrics(&self) -> EngineMetrics {
         let mut total = EngineMetrics::default();
-        if self.route_metrics.is_empty() {
+        if !self.route_metrics.is_empty() {
+            for m in &self.route_metrics {
+                total.merge(m);
+            }
+        } else if let [ShardHandle {
+            link: Link::Inline { shard, .. },
+            ..
+        }] = &self.shards[..]
+        {
+            for (_, engine) in &shard.engines {
+                total.merge(&engine.lifetime_metrics());
+            }
+        } else {
             total.input_tuples = self.input_tuples * self.n_routes as u64;
-            return total;
-        }
-        for m in &self.route_metrics {
-            total.merge(m);
         }
         total
     }
@@ -589,19 +652,14 @@ impl ShardedEngine {
     /// shard error).
     pub fn checkpoint<S: EmissionSink>(&mut self, sink: &mut S) -> Result<EngineSnapshot, Error> {
         self.ensure_open(sink)?;
-        let (crossed, err) = self.barrier(Barrier::Checkpoint, sink);
+        let (snaps, _, err) = self.barrier(Barrier::Checkpoint, sink);
         if let Some(e) = err {
             self.poisoned = Some(e.clone());
             return Err(e);
         }
-        let snaps: Vec<GroupSnapshot> = crossed
-            .into_iter()
-            .filter_map(|c| match c {
-                Crossed::Snapshot(s) => Some(s),
-                Crossed::Metrics(_) => None,
-            })
-            .collect();
-        self.last_checkpoint = snaps.clone();
+        if !self.inline() {
+            self.last_checkpoint = snaps.clone();
+        }
         self.replay_log.clear();
         self.replay_cost = 0;
         self.replay_overflowed = false;
@@ -648,9 +706,17 @@ impl ShardedEngine {
     /// workers — what [`ShardedEngineBuilder::build`] and
     /// [`restore`](Self::restore) both are.
     fn start(snap: EngineSnapshot, tiers: Vec<EvaluatorTier>) -> Result<ShardedEngine, Error> {
-        let mut controls = Vec::with_capacity(snap.snaps.len());
-        let mut engines = Vec::with_capacity(snap.snaps.len());
-        for (g, tier) in snap.snaps.iter().zip(tiers) {
+        // Workers keep the snapshots to rebuild a dead one from; an inline
+        // engine, which never rebuilds, moves them into its engines.
+        let parallelism = snap.parallelism;
+        let mut last_checkpoint = snap.snaps;
+        let owned = match parallelism {
+            0 => std::mem::take(&mut last_checkpoint),
+            _ => last_checkpoint.clone(),
+        };
+        let mut controls = Vec::with_capacity(owned.len());
+        let mut engines = Vec::with_capacity(owned.len());
+        for (g, tier) in owned.into_iter().zip(tiers) {
             controls.push(RouteControl {
                 schema: g.schema().clone(),
                 algorithm: g.algorithm(),
@@ -658,13 +724,12 @@ impl ShardedEngine {
                 live: g.roster_iter().map(|(id, _)| id.index() as u32).collect(),
                 next_id: g.next_filter_id,
             });
-            engines.push(GroupEngine::restore_with_tier(g, tier)?);
+            engines.push(GroupEngine::restore_owned(g, tier)?);
         }
-        let parallelism = snap.parallelism.max(1);
         let (shards, route_shard) = spawn_shards(parallelism, engines)?;
         Ok(ShardedEngine {
             shards,
-            n_routes: snap.snaps.len(),
+            n_routes: controls.len(),
             route_keys: snap.route_keys,
             parallelism,
             track_step_costs: snap.track_step_costs,
@@ -680,8 +745,9 @@ impl ShardedEngine {
             staged: VecSink::new(),
             route_metrics: Vec::new(),
             step_costs: Vec::new(),
+            merge_replies: Vec::new(),
             merge_runs: Vec::new(),
-            last_checkpoint: snap.snaps,
+            last_checkpoint,
             replay_log: Vec::new(),
             replay_cost: 0,
             replay_overflowed: false,
@@ -701,18 +767,19 @@ impl ShardedEngine {
     ///
     /// # Errors
     /// [`Error::Finished`] after the stream ended, or
-    /// [`Error::InvalidConfig`] for an unknown shard index.
+    /// [`Error::InvalidConfig`] for an unknown shard index — every index
+    /// on an inline engine, which has no worker.
     pub fn kill_shard(&mut self, shard: usize) -> Result<(), Error> {
         if self.finished {
             return Err(Error::Finished);
         }
-        if shard >= self.shards.len() {
+        if shard >= self.shards() {
             return Err(Error::InvalidConfig {
-                reason: format!("unknown shard index {shard} (have {})", self.shards.len()),
+                reason: format!("unknown shard index {shard} (have {})", self.shards()),
             });
         }
         // An already-dead worker ignores the message either way.
-        if let Some(tx) = &self.shards[shard].tx {
+        if let Link::Worker { tx: Some(tx), .. } = &self.shards[shard].link {
             let _ = tx.send(ToShard::Die);
         }
         Ok(())
@@ -723,12 +790,18 @@ impl ShardedEngine {
         self.respawns
     }
 
+    /// Whether the routes run on the caller thread (parallelism 0).
+    fn inline(&self) -> bool {
+        self.parallelism == 0
+    }
+
     /// Reserves `cost` tuple-equivalents in the bounded replay log,
     /// reporting whether the entry may be appended. Past the bound the
     /// log is useless, so it is dropped — memory stays bounded and
-    /// respawn is refused until the next checkpoint resets it.
+    /// respawn is refused until the next checkpoint resets it. An inline
+    /// engine has nothing to respawn and logs nothing.
     fn try_log_replay(&mut self, cost: usize) -> bool {
-        if self.replay_overflowed {
+        if self.replay_overflowed || self.inline() {
             return false;
         }
         if self.replay_cost.saturating_add(cost) > REPLAY_CAPACITY {
@@ -742,18 +815,23 @@ impl ShardedEngine {
         true
     }
 
-    /// Sends `msg` to shard `si`. One of the two places a dead worker is
-    /// found (the other is [`recv`](Self::recv)): it is respawned, and a
-    /// data batch or control op — logged before it is sent — reaches it
-    /// through the replay, while a barrier, which is never logged, is sent
-    /// again.
+    /// Sends `msg` to shard `si`; an inline shard runs it on the spot and
+    /// queues its reply. One of the two places a dead worker is found (the
+    /// other is [`recv`](Self::recv)): it is respawned, and a data batch
+    /// or control op — logged before it is sent — reaches it through the
+    /// replay, while a barrier, which is never logged, is sent again.
     fn send(&mut self, si: usize, mut msg: ToShard) -> Result<(), Error> {
         loop {
-            if let Some(tx) = &self.shards[si].tx {
-                match tx.send(msg) {
+            match &mut self.shards[si].link {
+                Link::Inline { shard, replies } => {
+                    replies.extend(shard.step(msg));
+                    return Ok(());
+                }
+                Link::Worker { tx: Some(tx), .. } => match tx.send(msg) {
                     Ok(()) => return Ok(()),
                     Err(unsent) => msg = unsent.0,
-                }
+                },
+                Link::Worker { tx: None, .. } => {}
             }
             self.recover_shard(si)?;
             if !matches!(msg, ToShard::Barrier(_)) {
@@ -768,8 +846,16 @@ impl ShardedEngine {
     /// awaited barrier reply needs its barrier (`awaited`) sent again.
     fn recv(&mut self, si: usize, awaited: Option<Barrier>) -> Result<FromShard, Error> {
         loop {
-            if let Ok(reply) = self.shards[si].rx.recv() {
-                return Ok(reply);
+            match &mut self.shards[si].link {
+                Link::Inline { replies, .. } => {
+                    let reply = replies.pop_front();
+                    return Ok(reply.expect("the send a reply answers queued it"));
+                }
+                Link::Worker { rx, .. } => {
+                    if let Ok(reply) = rx.recv() {
+                        return Ok(reply);
+                    }
+                }
             }
             self.recover_shard(si)?;
             if let Some(kind) = awaited {
@@ -804,10 +890,12 @@ impl ShardedEngine {
             });
         }
         self.respawns += 1;
-        // Reap the dead worker.
-        self.shards[si].tx = None;
-        if let Some(join) = self.shards[si].join.take() {
-            let _ = join.join();
+        // Reap the dead worker (only a worker can die).
+        if let Link::Worker { tx, join, .. } = &mut self.shards[si].link {
+            *tx = None;
+            if let Some(join) = join.take() {
+                let _ = join.join();
+            }
         }
         // Rebuild this shard's engines at the last checkpoint boundary.
         let routes = self.shards[si].routes.clone();
@@ -840,9 +928,11 @@ impl ShardedEngine {
                 }
             }
         }
-        self.shards[si].tx = Some(tx);
-        self.shards[si].rx = rx;
-        self.shards[si].join = Some(join);
+        self.shards[si].link = Link::Worker {
+            tx: Some(tx),
+            rx,
+            join: Some(join),
+        };
         Ok(())
     }
 
@@ -1040,15 +1130,9 @@ impl ShardedEngine {
         self.finished = true;
         self.deliver_staged(sink);
         let pending = self.poisoned.take();
-        let (crossed, err) = self.barrier(Barrier::Finish, sink);
+        let (_, metrics, err) = self.barrier(Barrier::Finish, sink);
         sink.flush();
-        self.route_metrics = crossed
-            .into_iter()
-            .filter_map(|c| match c {
-                Crossed::Metrics(m) => Some(m),
-                Crossed::Snapshot(_) => None,
-            })
-            .collect();
+        self.route_metrics = metrics;
         self.shutdown();
         match pending.or(err) {
             Some(e) => Err(e),
@@ -1064,15 +1148,15 @@ impl ShardedEngine {
     /// [`finish_into`](Self::finish_into): merges everything in flight
     /// into `sink`, sends one barrier to every shard, collects **every**
     /// shard's reply (so none is ever left queued behind the next
-    /// request) and delivers the tails in route order. Returns what each
-    /// route handed back, in route order, and the first error — an
+    /// request) and delivers the tails in route order. Returns the routes'
+    /// snapshots and metrics, in route order, and the first error — an
     /// in-flight batch's before any barrier's, and among barrier errors
     /// the lowest route's (a dead shard counts as its first route).
     fn barrier<S: EmissionSink>(
         &mut self,
         kind: Barrier,
         sink: &mut S,
-    ) -> (Vec<Crossed>, Option<Error>) {
+    ) -> (Vec<GroupSnapshot>, Vec<EngineMetrics>, Option<Error>) {
         let mut merge_err = None;
         while !self.in_flight.is_empty() {
             if let Err(e) = self.merge_oldest(sink) {
@@ -1094,13 +1178,13 @@ impl ShardedEngine {
                 Err(e) => note(self.shards[si].routes[0], e),
             }
         }
-        let mut tails = Vec::new();
-        let mut crossed = Vec::with_capacity(self.n_routes);
+        let (mut tails, mut snaps, mut metrics) = (Vec::new(), Vec::new(), Vec::new());
         for si in awaiting {
             match self.recv(si, Some(kind)) {
                 Ok(FromShard::Barrier(reply)) => {
                     tails.extend(reply.tail);
-                    crossed.extend(reply.crossed);
+                    snaps.extend(reply.snaps);
+                    metrics.extend(reply.metrics);
                     if let Some((route, e)) = reply.error {
                         note(route, e);
                     }
@@ -1111,21 +1195,20 @@ impl ShardedEngine {
                 Err(e) => note(self.shards[si].routes[0], e),
             }
         }
-        tails.sort_unstable_by_key(|&(route, _)| route);
-        for (_, batch) in &tails {
+        for batch in in_route_order(tails) {
             if !batch.is_empty() && !self.halted {
-                sink.accept_batch(batch);
+                sink.accept_batch(&batch);
             }
         }
-        crossed.sort_unstable_by_key(|&(route, _)| route);
-        let crossed = crossed.into_iter().map(|(_, c)| c).collect();
-        (crossed, merge_err.or(route_err.map(|(_, e)| e)))
+        let err = merge_err.or(route_err.map(|(_, e)| e));
+        (in_route_order(snaps), in_route_order(metrics), err)
     }
 
     /// Merges the oldest batches until at most [`QUEUE_DEPTH`] stay in
-    /// flight.
+    /// flight — none on an inline engine.
     fn merge_down<S: EmissionSink>(&mut self, sink: &mut S) -> Result<(), Error> {
-        while self.in_flight.len() > QUEUE_DEPTH {
+        let depth = if self.inline() { 0 } else { QUEUE_DEPTH };
+        while self.in_flight.len() > depth {
             self.merge_oldest(sink)?;
         }
         Ok(())
@@ -1163,7 +1246,7 @@ impl ShardedEngine {
             .in_flight
             .pop_front()
             .expect("merge_oldest called with a batch in flight");
-        let mut replies: Vec<BatchReply> = Vec::with_capacity(self.shards.len());
+        let mut replies = std::mem::take(&mut self.merge_replies);
         let mut first_err: Option<(usize, u32, Error)> = None;
         let mut dead_err: Option<Error> = None;
         for si in 0..self.shards.len() {
@@ -1221,6 +1304,8 @@ impl ShardedEngine {
                 self.step_costs.push((batch.timestamp(step), cpu.sum()));
             }
         }
+        replies.clear();
+        self.merge_replies = replies;
         self.merged_since_ckpt += 1;
         match first_err {
             Some((_, _, e)) => Err(e),
@@ -1234,11 +1319,15 @@ impl ShardedEngine {
     /// Closes the input channels and joins the workers.
     fn shutdown(&mut self) {
         for shard in &mut self.shards {
-            shard.tx = None; // dropping the sender ends the worker loop
+            if let Link::Worker { tx, .. } = &mut shard.link {
+                *tx = None; // dropping the sender ends the worker loop
+            }
         }
         for shard in &mut self.shards {
-            if let Some(join) = shard.join.take() {
-                let _ = join.join();
+            if let Link::Worker { join, .. } = &mut shard.link {
+                if let Some(join) = join.take() {
+                    let _ = join.join();
+                }
             }
         }
     }
@@ -1250,124 +1339,158 @@ impl Drop for ShardedEngine {
     }
 }
 
-/// The shard thread: run every batch through this shard's engines (in
-/// ascending route order), replying with each batch's emissions appended
-/// to one vector and cut into per-row, per-route runs. After an error the
-/// shard stops filtering and replies with the same error until finish.
-fn shard_worker(
-    mut engines: Vec<(u32, GroupEngine)>,
-    rx: Receiver<ToShard>,
-    tx: SyncSender<FromShard>,
-) {
-    let mut poisoned: Option<(usize, u32, Error)> = None;
-    let mut collector = crate::sink::VecSink::new();
-    // The last reply's sizes: the next one reserves them up front instead
-    // of growing to them.
-    let (mut emitted, mut stepped) = (0, 0);
+/// The shard thread: steps its [`Shard`] through every message and sends
+/// each reply back, until the stream ends, a kill arrives or the caller
+/// goes away.
+fn shard_worker(mut shard: Shard, rx: Receiver<ToShard>, tx: SyncSender<FromShard>) {
     while let Ok(msg) = rx.recv() {
+        // Fault injection exits without replying, exactly like a panicked
+        // worker — the disconnected channels are what the caller's failure
+        // detection keys on. The stream's end exits after its reply.
+        let last = matches!(msg, ToShard::Die | ToShard::Barrier(Barrier::Finish));
+        let sent = shard.step(msg).map_or(Ok(()), |reply| tx.send(reply));
+        if sent.is_err() || last {
+            return; // the caller went away, or this was the last message
+        }
+    }
+}
+
+/// One shard's engines and what its steps carry from message to message.
+/// A worker thread steps it over its channels; an inline shard is stepped
+/// on the caller thread.
+#[derive(Debug)]
+struct Shard {
+    engines: Vec<(u32, GroupEngine)>,
+    /// The first failure, as (step offset in batch, route index, error).
+    /// After it the shard stops filtering and answers with it until
+    /// finish.
+    poisoned: Option<(usize, u32, Error)>,
+    collector: VecSink,
+    /// The last batch reply's sizes: the next one reserves them up front
+    /// instead of growing to them.
+    emitted: usize,
+    stepped: usize,
+}
+
+impl Shard {
+    fn new(engines: Vec<(u32, GroupEngine)>) -> Shard {
+        Shard {
+            engines,
+            poisoned: None,
+            collector: VecSink::new(),
+            emitted: 0,
+            stepped: 0,
+        }
+    }
+
+    /// Runs one message through the engines (in ascending route order)
+    /// and returns the reply it owes: a batch's emissions appended to one
+    /// vector and cut into per-row, per-route runs, or a barrier's tails.
+    /// A control op and a kill owe none.
+    fn step(&mut self, msg: ToShard) -> Option<FromShard> {
         match msg {
-            ToShard::Columnar(batch) => {
-                let rows = batch.rows();
-                let mut reply = BatchReply {
-                    emissions: Vec::with_capacity(emitted),
-                    runs: Vec::with_capacity(stepped),
-                    steps: 0,
-                    cpu: Duration::ZERO,
-                    error: poisoned.clone(),
-                };
-                if poisoned.is_none() {
-                    // Each route consumes the whole batch column-at-a-time,
-                    // appending every emitting row's emissions as one run.
-                    let start = Instant::now();
-                    for (route, engine) in &mut engines {
-                        let mut row = 0;
-                        let pushed = engine.push_columnar_rows(&batch, |emissions| {
-                            if !emissions.is_empty() {
-                                reply.emissions.append(emissions);
-                                let end = reply.emissions.len() as u32;
-                                reply.runs.push((row, *route, end));
-                            }
-                            row += 1;
-                        });
-                        // On failure `row` is the failing row: the first
-                        // one the route completed no step for.
-                        if let Err(e) = pushed {
-                            let row = row as usize;
-                            if poisoned.as_ref().is_none_or(|f| (row, *route) < (f.0, f.1)) {
-                                poisoned = Some((row, *route, e));
-                            }
-                        }
-                    }
-                    // Whole-batch wall clock, attributed evenly across the
-                    // rows (per-step costs are monitoring data; the merge
-                    // order never depends on them).
-                    reply.cpu = start.elapsed() / rows.max(1) as u32;
-                    reply.steps = poisoned.as_ref().map_or(rows, |(erow, _, _)| erow + 1);
-                    reply.error = poisoned.clone();
-                    (emitted, stepped) = (reply.emissions.len(), reply.runs.len());
-                }
-                if tx.send(FromShard::Batch(reply)).is_err() {
-                    return; // caller went away
-                }
-            }
+            ToShard::Columnar(batch) => Some(FromShard::Batch(self.run_batch(&batch))),
             ToShard::Control(route, op) => {
                 // Queue the op on the route's engine; it applies at the
                 // engine's next safe point (the first tuple of the next
-                // batch), matching the inline path's boundary exactly.
+                // batch), matching `GroupEngine`'s own boundary exactly.
                 // Ops are validated on the caller thread, so a failure
                 // here poisons the shard like any engine error.
-                if poisoned.is_none() {
-                    if let Some((_, engine)) = engines.iter_mut().find(|(r, _)| *r == route) {
+                if self.poisoned.is_none() {
+                    let found = self.engines.iter_mut().find(|(r, _)| *r == route);
+                    if let Some((_, engine)) = found {
                         let result = match op {
                             ControlOp::Add(id, spec) => engine.queue_add_at(id, spec),
                             ControlOp::Remove(id) => engine.remove_filter(id),
                             ControlOp::Update(id, spec) => engine.update_filter(id, spec),
                         };
                         if let Err(e) = result {
-                            poisoned = Some((0, route, e));
+                            self.poisoned = Some((0, route, e));
                         }
                     }
                 }
+                None
             }
-            ToShard::Barrier(kind) => {
-                let mut reply = BarrierReply {
-                    tail: Vec::with_capacity(engines.len()),
-                    crossed: Vec::with_capacity(engines.len()),
-                    error: None,
-                };
-                for (route, engine) in &mut engines {
-                    if poisoned.is_none() {
-                        let snap = match kind {
-                            Barrier::Checkpoint => engine.snapshot_into(&mut collector).map(Some),
-                            Barrier::Finish => engine.finish_into(&mut collector).map(|()| None),
-                        };
-                        match snap {
-                            Ok(snap) => {
-                                reply.tail.push((*route, collector.drain_vec()));
-                                if let Some(s) = snap {
-                                    reply.crossed.push((*route, Crossed::Snapshot(s)));
-                                }
-                            }
-                            Err(e) => poisoned = Some((0, *route, e)),
-                        }
-                    }
-                    if kind == Barrier::Finish {
-                        let metrics = engine.lifetime_metrics();
-                        reply.crossed.push((*route, Crossed::Metrics(metrics)));
-                    }
+            ToShard::Barrier(kind) => Some(FromShard::Barrier(self.cross(kind))),
+            ToShard::Die => None,
+        }
+    }
+
+    fn run_batch(&mut self, batch: &Arc<TupleBatch>) -> BatchReply {
+        let rows = batch.rows();
+        let mut reply = BatchReply {
+            emissions: Vec::with_capacity(self.emitted),
+            runs: Vec::with_capacity(self.stepped),
+            steps: 0,
+            cpu: Duration::ZERO,
+            error: self.poisoned.clone(),
+        };
+        if self.poisoned.is_some() {
+            return reply;
+        }
+        // Each route consumes the whole batch column-at-a-time, appending
+        // every emitting row's emissions as one run.
+        let start = Instant::now();
+        for (route, engine) in &mut self.engines {
+            let mut row = 0;
+            let pushed = engine.push_columnar_rows(batch, |emissions| {
+                if !emissions.is_empty() {
+                    reply.emissions.append(emissions);
+                    let end = reply.emissions.len() as u32;
+                    reply.runs.push((row, *route, end));
                 }
-                reply.error = poisoned.as_ref().map(|(_, r, e)| (*r, e.clone()));
-                if tx.send(FromShard::Barrier(reply)).is_err() || kind == Barrier::Finish {
-                    return; // the caller went away, or the stream ended
+                row += 1;
+            });
+            // On failure `row` is the failing row: the first one the route
+            // completed no step for.
+            if let Err(e) = pushed {
+                let (row, poisoned) = (row as usize, &mut self.poisoned);
+                if poisoned.as_ref().is_none_or(|f| (row, *route) < (f.0, f.1)) {
+                    *poisoned = Some((row, *route, e));
                 }
-            }
-            ToShard::Die => {
-                // Fault injection: exit without replying, exactly like a
-                // panicked worker — the disconnected channels are what the
-                // caller's failure detection keys on.
-                return;
             }
         }
+        // Whole-batch wall clock, attributed evenly across the rows
+        // (per-step costs are monitoring data; the merge order never
+        // depends on them).
+        reply.cpu = start.elapsed() / rows.max(1) as u32;
+        reply.steps = self.poisoned.as_ref().map_or(rows, |(erow, _, _)| erow + 1);
+        reply.error = self.poisoned.clone();
+        (self.emitted, self.stepped) = (reply.emissions.len(), reply.runs.len());
+        reply
+    }
+
+    fn cross(&mut self, kind: Barrier) -> BarrierReply {
+        let mut reply = BarrierReply {
+            tail: Vec::with_capacity(self.engines.len()),
+            snaps: Vec::new(),
+            metrics: Vec::new(),
+            error: None,
+        };
+        for (route, engine) in &mut self.engines {
+            if self.poisoned.is_none() {
+                let snap = match kind {
+                    Barrier::Checkpoint => engine.snapshot_into(&mut self.collector).map(Some),
+                    Barrier::Finish => engine.finish_into(&mut self.collector).map(|()| None),
+                };
+                match snap {
+                    Ok(snap) => {
+                        reply.tail.push((*route, self.collector.drain_vec()));
+                        reply.snaps.extend(snap.map(|s| (*route, s)));
+                    }
+                    Err(e) => self.poisoned = Some((0, *route, e)),
+                }
+            }
+        }
+        if kind == Barrier::Finish {
+            // The engines are done with: hand back their lifetime metrics
+            // and free them — on the caller thread too, not just when a
+            // worker exits.
+            let engines = self.engines.drain(..);
+            reply.metrics = engines.map(|(r, e)| (r, e.into_metrics())).collect();
+        }
+        reply.error = self.poisoned.as_ref().map(|(_, r, e)| (*r, e.clone()));
+        reply
     }
 }
 
@@ -1436,7 +1559,7 @@ mod tests {
         let mut expected = VecSink::new();
         reference.run_into(stream(&s, 500), &mut expected).unwrap();
 
-        for n in [1usize, 2, 4] {
+        for n in [0usize, 1, 2, 4] {
             let mut sharded = ShardedEngine::builder()
                 .parallelism(n)
                 .route("only", group(&s, 1.0))
@@ -1470,7 +1593,7 @@ mod tests {
             (out.into_vec(), e.metrics())
         };
         let (base_out, base_metrics) = run_with(1, 128);
-        for (n, chunk) in [(2usize, 128usize), (4, 31), (8, 1), (3, 400)] {
+        for (n, chunk) in [(0usize, 64usize), (2, 128), (4, 31), (8, 1), (3, 400)] {
             let (out, metrics) = run_with(n, chunk);
             assert_eq!(out, base_out, "n={n} chunk={chunk}");
             assert_eq!(metrics.output_tuples, base_metrics.output_tuples);
@@ -1611,7 +1734,7 @@ mod tests {
                     expected.accept_batch(step.as_slice());
                 }
             }
-            for parallelism in [1, 2] {
+            for parallelism in [0, 1, 2] {
                 let mut e = ShardedEngine::builder()
                     .parallelism(parallelism)
                     .route("r0", on(attrs[0]))
@@ -1665,7 +1788,7 @@ mod tests {
             expected: 1,
             actual: 2,
         };
-        for parallelism in [1usize, 2] {
+        for parallelism in [0usize, 1, 2] {
             let build = || {
                 ShardedEngine::builder()
                     .parallelism(parallelism)
@@ -1921,6 +2044,45 @@ mod tests {
             assert_eq!(restored.respawns(), MAX_RESPAWNS);
             let err = kill_then_feed(&mut restored, chunks.next().unwrap(), &mut out).unwrap_err();
             assert!(err.to_string().contains("respawn budget"), "{err}");
+        }
+
+        /// Parallelism 0 spawns no worker: there is no shard to kill, the
+        /// output is the one a worker produces, every push has merged by
+        /// the time it returns, and a checkpoint restores inline.
+        #[test]
+        fn an_inline_engine_has_no_worker_to_kill() {
+            let s = schema();
+            let tuples = stream(&s, 300);
+            let build = |parallelism: usize| {
+                ShardedEngine::builder()
+                    .parallelism(parallelism)
+                    .route("a", group(&s, 1.0))
+                    .route("b", group(&s, 0.5))
+                    .build()
+                    .unwrap()
+            };
+            let mut expected = VecSink::new();
+            let mut worker = build(1);
+            feed(&mut worker, &tuples[..120], 16, &mut expected).unwrap();
+            worker.checkpoint(&mut expected).unwrap();
+            run(&mut worker, &tuples[120..], 16, &mut expected).unwrap();
+
+            let mut inline = build(0);
+            assert_eq!(inline.shards(), 0);
+            let err = inline.kill_shard(0).unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig { .. }), "{err:?}");
+            let mut out = VecSink::new();
+            feed(&mut inline, &tuples[..120], 16, &mut out).unwrap();
+            assert_eq!(inline.in_flight(), 0, "an inline push merges at once");
+            assert_eq!(inline.metrics().input_tuples, 2 * 120, "live metrics");
+            let snap = inline.checkpoint(&mut out).unwrap();
+            assert_eq!(snap.parallelism(), 0);
+            let mut restored = ShardedEngine::restore(&snap).unwrap();
+            assert_eq!(restored.shards(), 0, "an inline snapshot restores inline");
+            assert!(restored.kill_shard(0).is_err());
+            run(&mut restored, &tuples[120..], 16, &mut out).unwrap();
+            assert_eq!(out.as_slice(), expected.as_slice());
+            assert_eq!(restored.respawns(), 0);
         }
 
         #[test]

@@ -17,10 +17,11 @@
 //!   engine → [`Metered`] flow accounting → [`MulticastSink`]), and a
 //!   **run of rows** is the only thing that crosses it: a single tuple is
 //!   a run of one, and every run reaches every engine as one columnar
-//!   batch. With [`MiddlewareConfig::parallelism`] above one each filter
-//!   group runs on a worker thread of its own behind a single-route
-//!   [`ShardedEngine`](gasf_core::shard::ShardedEngine) — byte-identical
-//!   output, one thread hand-off per run, so hand over what you have,
+//!   batch. Each filter group runs behind a single-route
+//!   [`ShardedEngine`](gasf_core::shard::ShardedEngine): on the caller
+//!   thread at [`MiddlewareConfig::parallelism`] ≤ 1, on a worker thread of
+//!   its own above it — byte-identical output, one thread hand-off per
+//!   run, so hand over what you have,
 //! * a **live subscription control plane** — [`Middleware::subscribe`] /
 //!   [`Middleware::unsubscribe`] / [`Middleware::resubscribe`] work after
 //!   deployment and return stable [`SubscriptionHandle`]s, and

@@ -28,10 +28,11 @@
 //! the app's node joins the multicast tree in place).
 //! [`Middleware::unsubscribe`] removes the filter at the same epoch
 //! boundary, delivers everything already decided for the app, and prunes
-//! the node from the tree once the boundary passes (on the sharded path,
-//! where boundary emissions can trail by a few batches, the prune waits
-//! for stream finish — a stale member costs nothing meanwhile, since
-//! every send is pruned to its recipient subset);
+//! the node from the tree after the first push that leaves nothing in
+//! flight (with worker threads, where boundary emissions can trail by a
+//! few batches, that is the next checkpoint or the stream's finish — a
+//! stale member costs nothing meanwhile, since every send is pruned to
+//! its recipient subset);
 //! [`Middleware::resubscribe`] retunes a live filter in place. Delivery
 //! accounting follows the *subscription* (the handle), not the engine
 //! slot: a removed app keeps its statistics in every report.
@@ -66,7 +67,7 @@ use gasf_core::schema::Schema;
 use gasf_core::shard::ShardedEngine;
 use gasf_core::shed::PushOutcome;
 use gasf_core::sink::EmissionSink;
-use gasf_core::snapshot::{EngineSnapshot, GroupSnapshot};
+use gasf_core::snapshot::EngineSnapshot;
 use gasf_core::time::Micros;
 use gasf_core::tuple::Tuple;
 use gasf_net::{GroupId, NodeId, Overlay, RepairReport, Transport};
@@ -182,18 +183,18 @@ pub struct MiddlewareConfig {
     pub strategy: OutputStrategy,
     /// Optional group time constraint (timely cuts).
     pub constraint: Option<TimeConstraint>,
-    /// Where a part's engine runs: `1` (the default) is inline on the
-    /// caller thread; **any** value above one gives every part one worker
-    /// thread of its own. Each part hosts a single-route
-    /// [`ShardedEngine`], and shards that own no route are never spawned,
-    /// so 2 and 64 configure the same deployment — the setting is
-    /// two-valued. The worker moves filtering off the caller thread so it
-    /// overlaps with multicast dissemination; output (and therefore all
-    /// delivery accounting) is byte-identical to the inline path. (The
-    /// byte-identical guarantee holds whenever the engine itself is
-    /// input-deterministic; with a `constraint` set, timely-cut timing
-    /// depends on measured wall clock on *both* paths, so no two runs —
-    /// inline or sharded — are guaranteed identical there.)
+    /// Where a part's engine runs. Every part hosts a single-route
+    /// [`ShardedEngine`]: at `1` (the default) or below it has no worker
+    /// thread and filters on the caller thread; **any** value above one
+    /// gives every part one worker thread of its own. Shards that own no
+    /// route are never spawned, so 2 and 64 configure the same deployment
+    /// — the setting is two-valued. The worker moves filtering off the
+    /// caller thread so it overlaps with multicast dissemination; output
+    /// (and therefore all delivery accounting) is byte-identical either
+    /// way. (The byte-identical guarantee holds whenever the engine itself
+    /// is input-deterministic; with a `constraint` set, timely-cut timing
+    /// depends on measured wall clock at *every* setting, so no two runs
+    /// are guaranteed identical there.)
     pub parallelism: usize,
     /// Event-time front end. `Some(cfg)` puts a per-source
     /// [`ReorderBuffer`] **ahead of** every part's engine: tuples may
@@ -311,130 +312,13 @@ enum Run<'a> {
     Batch(&'a Arc<TupleBatch>),
 }
 
-/// A filter group's engine: inline, or on a worker thread of its own.
-/// Every part hosts exactly one group (route 0 on the sharded path), so
-/// the control plane addresses both uniformly — and both take data
-/// through one entry, [`push_columnar`](Self::push_columnar).
-#[derive(Debug)]
-enum EngineHost {
-    Single(Box<GroupEngine>),
-    Sharded(Box<ShardedEngine>),
-}
-
-impl EngineHost {
-    /// Lifetime engine metrics — every epoch folded together, aggregated
-    /// across shards on the parallel path (complete once the stream is
-    /// finished; see [`ShardedEngine::metrics`]).
-    fn metrics(&self) -> EngineMetrics {
-        match self {
-            EngineHost::Single(e) => e.lifetime_metrics(),
-            EngineHost::Sharded(e) => e.metrics(),
-        }
-    }
-
-    fn add_filter(&mut self, spec: FilterSpec) -> Result<FilterId, gasf_core::Error> {
-        match self {
-            EngineHost::Single(e) => e.add_filter(spec),
-            EngineHost::Sharded(e) => e.add_filter(0, spec),
-        }
-    }
-
-    fn remove_filter(&mut self, id: FilterId) -> Result<(), gasf_core::Error> {
-        match self {
-            EngineHost::Single(e) => e.remove_filter(id),
-            EngineHost::Sharded(e) => e.remove_filter(0, id),
-        }
-    }
-
-    fn update_filter(&mut self, id: FilterId, spec: FilterSpec) -> Result<(), gasf_core::Error> {
-        match self {
-            EngineHost::Single(e) => e.update_filter(id, spec),
-            EngineHost::Sharded(e) => e.update_filter(0, id, spec),
-        }
-    }
-
-    /// Queued control ops that the next push applies — and whose boundary
-    /// drain it delivers — before anything else. Always zero on the
-    /// sharded path, where boundary emissions can trail the push by a few
-    /// batches: work that must follow the boundary waits for
-    /// [`finish`](Self::finish) there.
-    fn pending_control_ops(&self) -> usize {
-        match self {
-            EngineHost::Single(e) => e.pending_control_ops(),
-            EngineHost::Sharded(_) => 0,
-        }
-    }
-
-    /// Pushes one columnar batch; the monitor sees it as per-row samples
-    /// with the batch cost amortised across them.
-    fn push_columnar<S: EmissionSink>(
-        &mut self,
-        batch: &Arc<TupleBatch>,
-        sink: &mut Metered<'_, S>,
-    ) -> Result<(), gasf_core::Error> {
-        match self {
-            EngineHost::Single(e) => {
-                let cpu_before = e.metrics().cpu;
-                e.push_batch_columnar(batch, sink)?;
-                let cpu_spent = e.metrics().cpu.saturating_sub(cpu_before);
-                let per_row = cpu_spent / batch.rows().max(1) as u32;
-                for r in 0..batch.rows() {
-                    sink.monitor().observe(batch.timestamp(r), per_row);
-                }
-            }
-            EngineHost::Sharded(e) => {
-                e.push_batch_columnar(batch, sink)?;
-                observe_step_costs(e, sink.monitor());
-            }
-        }
-        Ok(())
-    }
-
-    /// Ends the stream, draining the tail into `sink`.
-    fn finish<S: EmissionSink>(
-        &mut self,
-        sink: &mut Metered<'_, S>,
-    ) -> Result<(), gasf_core::Error> {
-        match self {
-            EngineHost::Single(e) => e.finish_into(sink),
-            EngineHost::Sharded(e) => {
-                e.finish_into(sink)?;
-                observe_step_costs(e, sink.monitor());
-                Ok(())
-            }
-        }
-    }
-
-    /// Crosses the safe-point boundary, draining it into `sink`, and
-    /// returns the engine's snapshot.
-    fn checkpoint<S: EmissionSink>(
-        &mut self,
-        sink: &mut Metered<'_, S>,
-    ) -> Result<PartEngineState, gasf_core::Error> {
-        match self {
-            EngineHost::Single(e) => e.snapshot_into(sink).map(PartEngineState::Single),
-            EngineHost::Sharded(e) => {
-                let snap = e.checkpoint(sink)?;
-                observe_step_costs(e, sink.monitor());
-                Ok(PartEngineState::Sharded(snap))
-            }
-        }
-    }
-}
-
-/// Feeds the per-step cost samples a sharded engine merged since the last
-/// call into the flow monitor.
-fn observe_step_costs(engine: &mut ShardedEngine, monitor: &mut FlowMonitor) {
-    for (arrival, cpu) in engine.drain_step_costs() {
-        monitor.observe(arrival, cpu);
-    }
-}
-
 /// One filter group of a source: its engine, its multicast tree and the
 /// stable [`FilterId`] → subscription mapping.
 #[derive(Debug)]
 struct PartEntry {
-    engine: EngineHost,
+    /// The group's engine: route 0 of a [`ShardedEngine`], with no worker
+    /// thread at parallelism ≤ 1 (see [`MiddlewareConfig::parallelism`]).
+    engine: ShardedEngine,
     group: GroupId,
     /// The overlay group's creation name (kept so a checkpoint can
     /// recreate the identical tree on a fresh overlay).
@@ -458,7 +342,7 @@ impl PartEntry {
     /// A part over `engine` and its tree whose filter ids serve
     /// `filter_apps`, in id order.
     fn new(
-        engine: EngineHost,
+        engine: ShardedEngine,
         group: GroupId,
         group_name: String,
         filter_apps: &[usize],
@@ -690,7 +574,7 @@ pub(crate) struct SourceState {
 /// One filter group's captured state (see [`MiddlewareSnapshot`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct PartState {
-    engine: PartEngineState,
+    engine: EngineSnapshot,
     group_name: String,
     /// Current multicast-tree membership; recreating the group with the
     /// full member list reproduces the identical tree (pinned by the
@@ -698,13 +582,6 @@ pub(crate) struct PartState {
     members: Vec<NodeId>,
     filter_apps: Vec<usize>,
     deferred_leaves: Vec<NodeId>,
-}
-
-/// A part engine's safe-point snapshot, matching its execution host.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) enum PartEngineState {
-    Single(GroupSnapshot),
-    Sharded(EngineSnapshot),
 }
 
 /// The data-dissemination middleware.
@@ -891,7 +768,7 @@ impl Middleware {
             return self.retire_part(source.0, part_idx).map(|_| ());
         }
         let part = &mut self.sources[source.0].parts[part_idx];
-        part.engine.remove_filter(fid)?;
+        part.engine.remove_filter(0, fid)?;
         part.deferred_leaves.push(node);
         Ok(())
     }
@@ -928,7 +805,7 @@ impl Middleware {
                 let engine_spec = spec.degraded(rung).unwrap_or_else(|| spec.clone());
                 self.sources[source.0].parts[part_idx]
                     .engine
-                    .update_filter(fid, engine_spec)?;
+                    .update_filter(0, fid, engine_spec)?;
             }
         }
         self.apps[idx].spec = spec;
@@ -961,7 +838,9 @@ impl Middleware {
     /// The continuing stream flows through the new engines seamlessly.
     ///
     /// Reference rates for [`GroupingStrategy::BySelectivity`] come from
-    /// the engines' own per-filter metrics (`references / input_tuples`).
+    /// the engines' own per-filter metrics (`references / input_tuples`)
+    /// over each drained engine's whole life — every epoch since its part
+    /// was spawned, whatever the parallelism.
     ///
     /// # Errors
     /// [`SolarError::NotDeployed`], [`SolarError::UnknownId`],
@@ -993,17 +872,16 @@ impl Middleware {
         let table = self.locate_all(source);
         let locations: Vec<Option<(usize, FilterId)>> = active.iter().map(|&a| table[a]).collect();
         // Epoch boundary: drain and retire every live part, collecting
-        // each engine's final-epoch metrics. Rates are computed *after*
-        // the drain so they exist on every execution path (sharded
-        // per-route metrics only materialise at finish).
-        let mut recent: Vec<EngineMetrics> = Vec::new();
+        // each engine's lifetime metrics. Rates are computed *after* the
+        // drain, when a worker's per-route metrics have materialised.
+        let mut lifetimes: Vec<EngineMetrics> = Vec::new();
         while !self.sources[source.0].parts.is_empty() {
-            recent.push(self.retire_part(source.0, 0)?);
+            lifetimes.push(self.retire_part(source.0, 0)?);
         }
         let mut rates = vec![0.0; active.len()];
         for (k, loc) in locations.iter().enumerate() {
             let Some((part_idx, fid)) = loc else { continue };
-            let Some(m) = recent.get(*part_idx) else {
+            let Some(m) = lifetimes.get(*part_idx) else {
                 continue;
             };
             if m.input_tuples > 0 && fid.index() < m.per_filter.len() {
@@ -1509,7 +1387,7 @@ impl Middleware {
             };
             self.sources[source.0].parts[part_idx]
                 .engine
-                .update_filter(fid, next)?;
+                .update_filter(0, fid, next)?;
             if degrade {
                 self.sources[source.0].flow.observe_degrade();
             } else {
@@ -1724,14 +1602,7 @@ impl Middleware {
             }
             let mut parts = Vec::with_capacity(s.parts.len());
             for p in &s.parts {
-                let engine = match &p.engine {
-                    PartEngineState::Single(g) => {
-                        EngineHost::Single(Box::new(GroupEngine::restore(g)?))
-                    }
-                    PartEngineState::Sharded(e) => {
-                        EngineHost::Sharded(Box::new(ShardedEngine::restore(e)?))
-                    }
-                };
+                let engine = ShardedEngine::restore(&p.engine)?;
                 let group = mw.overlay.create_group(&p.group_name, &p.members)?;
                 parts.push(PartEntry::new(
                     engine,
@@ -1810,17 +1681,13 @@ impl Middleware {
         for &a in app_idxs {
             builder = builder.filter(self.apps[a].spec.clone());
         }
-        let engine = if self.config.parallelism > 1 {
-            EngineHost::Sharded(Box::new(
-                ShardedEngine::builder()
-                    .parallelism(self.config.parallelism)
-                    .track_step_costs(true)
-                    .route(format!("src:{source_idx}:{}", s.name), builder)
-                    .build()?,
-            ))
-        } else {
-            EngineHost::Single(Box::new(builder.build()?))
-        };
+        // One route: one worker above parallelism 1, none (the caller
+        // thread filters) at or below it.
+        let engine = ShardedEngine::builder()
+            .parallelism(usize::from(self.config.parallelism > 1))
+            .track_step_costs(true)
+            .route(format!("src:{source_idx}:{}", s.name), builder)
+            .build()?;
         let mut members: BTreeSet<NodeId> = app_idxs.iter().map(|&a| self.apps[a].node).collect();
         members.insert(s.node); // the source proxy is always a member
         let members: Vec<NodeId> = members.into_iter().collect();
@@ -1852,7 +1719,7 @@ impl Middleware {
         let spec = declared.degraded(rung).unwrap_or(declared);
         let node = self.apps[app_idx].node;
         let part = &mut self.sources[source.0].parts[0];
-        let id = part.engine.add_filter(spec)?;
+        let id = part.engine.add_filter(0, spec)?;
         let slot = part.push_filter(app_idx, node);
         debug_assert_eq!(id, slot);
         let group = part.group;
@@ -1893,50 +1760,44 @@ impl Middleware {
     /// drops the part. A part whose stream already finished has nothing
     /// in flight and archives directly.
     ///
-    /// Returns the part's *final-epoch* metrics (full lifetime on the
-    /// sharded path, where per-route metrics only exist at finish) — the
-    /// recent-behavior sample regrouping heuristics judge.
+    /// Returns the part's lifetime metrics — the sample regrouping
+    /// heuristics judge.
     fn retire_part(
         &mut self,
         source_idx: usize,
         part_idx: usize,
     ) -> Result<EngineMetrics, SolarError> {
         let drained = self.with_part_sink(None, source_idx, part_idx, |engine, sink| {
-            match engine.finish(sink) {
+            match engine.finish_into(sink) {
                 // already finished = already drained; nothing was in flight
                 Ok(()) | Err(gasf_core::Error::Finished) => Ok(()),
                 Err(e) => Err(e),
             }
         });
         let s = &mut self.sources[source_idx];
-        let part = &s.parts[part_idx];
+        let part = s.parts.remove(part_idx);
         let lifetime = part.engine.metrics();
-        let recent = match &part.engine {
-            EngineHost::Single(e) => e.metrics().clone(),
-            EngineHost::Sharded(_) => lifetime.clone(),
-        };
-        s.archived.push(lifetime);
-        let group = part.group;
-        s.parts.remove(part_idx);
+        s.archived.push(lifetime.clone());
         // The tree is dead — reclaim it so churn can't grow the overlay
         // without bound.
-        let _ = self.overlay.remove_group(group);
+        let _ = self.overlay.remove_group(part.group);
         drained?;
-        Ok(recent)
+        Ok(lifetime)
     }
 
     /// The one place a part's engine meets its sink: split-borrows the
-    /// middleware into the part's [`EngineHost`] and a [`Metered`]
+    /// middleware into the part's engine and a [`Metered`]
     /// [`MulticastSink`] over `wire` (the overlay when `None`), runs
-    /// `drive`, then re-raises what it produced — engine errors first,
-    /// then the first network error the sink latched.
+    /// `drive`, feeds the step costs it merged to the flow monitor, then
+    /// re-raises what it produced — engine errors first, then the first
+    /// network error the sink latched.
     fn with_part_sink<R>(
         &mut self,
         wire: Option<&mut (dyn Transport + '_)>,
         source_idx: usize,
         part_idx: usize,
         drive: impl FnOnce(
-            &mut EngineHost,
+            &mut ShardedEngine,
             &mut Metered<'_, MulticastSink<'_>>,
         ) -> Result<R, gasf_core::Error>,
     ) -> Result<R, SolarError> {
@@ -1958,7 +1819,11 @@ impl Middleware {
             error: None,
         };
         let mut sink = Metered::new(sink, &mut s.flow);
-        let out = drive(&mut part.engine, &mut sink)?;
+        let out = drive(&mut part.engine, &mut sink);
+        for (arrival, cpu) in part.engine.drain_step_costs() {
+            sink.monitor().observe(arrival, cpu);
+        }
+        let out = out?;
         match sink.inner_mut().error.take() {
             Some(e) => Err(e),
             None => Ok(out),
@@ -2103,16 +1968,24 @@ impl EmissionSink for MulticastSink<'_> {
 /// (or simply don't hold) the pipeline, call
 /// `subscribe`/`unsubscribe`/`resubscribe`/`regroup`, and keep pushing.
 ///
-/// With [`MiddlewareConfig::parallelism`] above one, each engine is a
-/// [`ShardedEngine`]: filtering runs on worker threads and this pipeline's
-/// caller thread only merges emissions and disseminates them — note that
-/// on that path emissions released by a push may be multicast up to
-/// three pushes later (two runs stay in flight per worker), with
+/// Each part's engine is a single-route [`ShardedEngine`]. At
+/// [`MiddlewareConfig::parallelism`] ≤ 1 it has no worker thread: a push
+/// filters on the caller thread and multicasts everything it released
+/// before returning. Above one, filtering runs on worker threads and this
+/// pipeline's caller thread only merges emissions and disseminates them —
+/// emissions released by a push may be multicast up to three pushes
+/// later (two runs stay in flight per worker), with
 /// [`finish`](Pipeline::finish) always draining everything. Every push
-/// is one hand-off to each part's worker, so hand over what you have:
-/// [`push_columnar`](Pipeline::push_columnar) or
+/// is then one hand-off to each part's worker, so hand over what you
+/// have: [`push_columnar`](Pipeline::push_columnar) or
 /// [`push_batch`](Pipeline::push_batch) rather than a loop of
 /// [`push`](Pipeline::push).
+///
+/// An error raised inside a part's engine while it filters (such as
+/// [`MissingValue`](gasf_core::Error::MissingValue)) poisons that engine
+/// at every parallelism: later pushes, checkpoints and the finish return
+/// the same error. Ordering and width violations are rejected before the
+/// engine moves and leave it usable.
 #[derive(Debug)]
 pub struct Pipeline<'m> {
     mw: &'m mut Middleware,
@@ -2215,23 +2088,19 @@ impl Pipeline<'_> {
     }
 
     /// Fans one stream-ordered columnar run out to every part of the
-    /// source; every part shares the same `Arc`. A pending control op
-    /// means the push crosses the part's epoch boundary (the engine
-    /// applies queued ops, and delivers the boundary drain, at the run's
-    /// head — a run is never split by a safe point) — afterwards stale
-    /// tree members can safely leave.
+    /// source; every part shares the same `Arc`. A push that leaves
+    /// nothing in flight has delivered every boundary drain its engine
+    /// crossed (queued ops apply, and their drain goes out, at the run's
+    /// head — a run is never split by a safe point), so stale tree
+    /// members can safely leave.
     fn feed_parts(&mut self, batch: &Arc<TupleBatch>) -> Result<(), SolarError> {
         let source = self.source;
         for p in 0..self.mw.sources[source].parts.len() {
-            let at_boundary = self.mw.sources[source].parts[p]
-                .engine
-                .pending_control_ops()
-                > 0;
             self.mw
                 .with_part_sink(self.wire.as_deref_mut(), source, p, |engine, sink| {
-                    engine.push_columnar(batch, sink)
+                    engine.push_batch_columnar(batch, sink)
                 })?;
-            if at_boundary {
+            if self.mw.sources[source].parts[p].engine.in_flight() == 0 {
                 Self::process_deferred_leaves(self.mw, source, p)?;
             }
         }
@@ -2374,7 +2243,7 @@ impl Pipeline<'_> {
         for p in 0..n_parts {
             self.mw
                 .with_part_sink(self.wire.as_deref_mut(), source, p, |engine, sink| {
-                    engine.finish(sink)
+                    engine.finish_into(sink)
                 })?;
             Self::process_deferred_leaves(self.mw, source, p)?;
         }
@@ -2382,8 +2251,9 @@ impl Pipeline<'_> {
     }
 
     /// Metrics of the engines this pipeline feeds: lifetime metrics
-    /// folded over every part and every engine retired by churn
-    /// (aggregated across shards on the parallel path).
+    /// folded over every part and every engine retired by churn. Live at
+    /// parallelism ≤ 1; with worker threads a live part reports only its
+    /// input count until it finishes (see [`ShardedEngine::metrics`]).
     pub fn metrics(&self) -> EngineMetrics {
         self.mw.sources[self.source].folded_metrics()
     }
@@ -2562,15 +2432,17 @@ mod tests {
         mw.resubscribe(handle, FilterSpec::delta("t", 8.0, 3.0))
             .unwrap();
         mw.push_batch(src, tuples[100..].to_vec()).unwrap();
+        // the engine crossed exactly one epoch boundary before the
+        // checkpoint crosses its own
+        let snap = mw.checkpoint().unwrap();
+        assert_eq!(
+            snap.sources[0].parts[0].engine.route_snapshots()[0].epoch(),
+            2
+        );
         mw.finish(src).unwrap();
         let report = mw.report(src).unwrap();
         assert_eq!(report.per_app.len(), 3);
         assert!(report.per_app.iter().all(|a| a.active));
-        // the engine crossed exactly one epoch boundary
-        match &mw.sources[src.0].parts[0].engine {
-            EngineHost::Single(e) => assert_eq!(e.epoch(), 1),
-            EngineHost::Sharded(_) => unreachable!("default config is inline"),
-        }
     }
 
     #[test]
@@ -2647,6 +2519,53 @@ mod tests {
         mw.finish(src).unwrap();
         let report = mw.report(src).unwrap();
         assert!(report.per_app.iter().all(|a| a.tuples > 0));
+    }
+
+    /// Selectivity rates are lifetime rates at every parallelism: a
+    /// subscriber that was greedy before a resubscribe still counts as
+    /// greedy, so the regroup — and every byte after it — is the same
+    /// with or without worker threads.
+    #[test]
+    fn regroup_partitions_alike_at_every_parallelism() {
+        let run = |parallelism: usize| {
+            let overlay = Overlay::new(Topology::ring(7).build());
+            let config = MiddlewareConfig {
+                parallelism,
+                ..Default::default()
+            };
+            let mut mw = Middleware::with_config(overlay, config);
+            let schema = Schema::new(["t"]);
+            let src = mw.register_source("s", NodeId(0), schema.clone()).unwrap();
+            let calm = |delta: f64, slack: f64| FilterSpec::delta("t", delta, slack);
+            let _ = mw
+                .subscribe("calm1", NodeId(2), src, calm(6.0, 2.5))
+                .unwrap();
+            let _ = mw
+                .subscribe("calm2", NodeId(4), src, calm(5.0, 2.0))
+                .unwrap();
+            let greedy = mw
+                .subscribe("greedy", NodeId(6), src, calm(0.05, 0.02))
+                .unwrap();
+            mw.deploy().unwrap();
+            let tuples = stream(&schema, 600);
+            mw.push_batch(src, tuples[..200].to_vec()).unwrap();
+            mw.resubscribe(greedy, calm(6.0, 2.5)).unwrap();
+            mw.push_batch(src, tuples[200..300].to_vec()).unwrap();
+            let parts = mw
+                .regroup(src, GroupingStrategy::BySelectivity { isolate_above: 0.5 })
+                .unwrap();
+            mw.push_batch(src, tuples[300..].to_vec()).unwrap();
+            mw.finish(src).unwrap();
+            let report = mw.report(src).unwrap();
+            (parts, report.per_app, report.network_bytes)
+        };
+        let (parts, per_app, bytes) = run(1);
+        for parallelism in [2, 4] {
+            let (p, a, b) = run(parallelism);
+            assert_eq!(p, parts, "partition at parallelism {parallelism}");
+            assert_eq!(a, per_app, "per_app at parallelism {parallelism}");
+            assert_eq!(b, bytes, "network_bytes at parallelism {parallelism}");
+        }
     }
 
     #[test]
@@ -2878,7 +2797,7 @@ mod tests {
     #[test]
     fn sharded_pipeline_is_byte_identical_to_inline() {
         // Deliveries, byte counts and per-app stats must not change when
-        // the engine moves onto the sharded path — only who runs it does.
+        // the engine moves onto a worker thread — only who runs it does.
         let inline = {
             let (mut mw, src, schema) = setup(MiddlewareConfig::default());
             mw.run_trace(src, stream(&schema, 400)).unwrap()
@@ -2900,9 +2819,9 @@ mod tests {
 
     #[test]
     fn sharded_live_churn_matches_inline() {
-        // The control plane rides the data channel on the sharded path;
-        // deliveries with mid-stream churn must match the inline path
-        // delivery-for-delivery.
+        // The control plane rides the data channel to a worker thread;
+        // deliveries with mid-stream churn must match the caller-thread
+        // engine delivery-for-delivery.
         let run = |parallelism: usize| {
             let (mut mw, src, schema) = setup(MiddlewareConfig {
                 parallelism,
@@ -3047,7 +2966,7 @@ mod tests {
                 .iter()
                 .map(|a| a.tuples)
                 .sum();
-            mw.checkpoint().unwrap();
+            let snap = mw.checkpoint().unwrap();
             let after: u64 = mw
                 .report(src)
                 .unwrap()
@@ -3057,10 +2976,8 @@ mod tests {
                 .sum();
             assert!(after >= before, "drain cannot lose deliveries");
             // the engines crossed exactly one epoch boundary
-            match &mw.sources[src.0].parts[0].engine {
-                EngineHost::Single(e) => assert_eq!(e.epoch(), 1),
-                EngineHost::Sharded(_) => unreachable!("default config is inline"),
-            }
+            let engine = &snap.sources[0].parts[0].engine;
+            assert_eq!(engine.route_snapshots()[0].epoch(), 1);
             mw.push_batch(src, tuples[100..].to_vec()).unwrap();
             mw.finish(src).unwrap();
         }

@@ -191,7 +191,7 @@ fn sharded_columnar_matches_inline_at_every_parallelism() {
     for algorithm in ALGORITHMS {
         for strategy in STRATEGIES {
             let (expected, _) = run_single(&trace, algorithm, strategy, EvaluatorTier::Compiled);
-            for n in [1usize, 2, 4] {
+            for n in [0usize, 1, 2, 4] {
                 let sharded = || {
                     ShardedEngine::builder()
                         .parallelism(n)
@@ -364,7 +364,7 @@ fn sharded_run_cuts_at_the_failing_row() {
     }
     assert!(!expected.is_empty(), "the prefix must emit");
 
-    for n in [1usize, 2] {
+    for n in [0usize, 1, 2] {
         let [r0, r1] = routes();
         let mut sharded = ShardedEngine::builder()
             .parallelism(n)

@@ -358,7 +358,7 @@ fn sharded_churn_matches_inline_for_every_combination() {
         for strategy in STRATEGIES {
             let label = format!("{algorithm:?}/{strategy:?}");
             let (expected, _) = run_dynamic(&trace, algorithm, strategy, &events);
-            for n in [1usize, 2, 4] {
+            for n in [0usize, 1, 2, 4] {
                 // 23 rows: off the boundary indices, so control ops split
                 // what a steady chunking would have kept together
                 let out = run_sharded(&trace, algorithm, strategy, &events, n, 23);

@@ -161,7 +161,7 @@ fn sharded_compiled_matches_interpreted_at_every_parallelism() {
                     strategy,
                     EvaluatorTier::Interpreted,
                 );
-                for n in [1usize, 2, 4] {
+                for n in [0usize, 1, 2, 4] {
                     let mut sharded = ShardedEngine::builder()
                         .parallelism(n)
                         .route(

@@ -143,7 +143,7 @@ fn sharded_engine_equals_group_engine_for_every_combination() {
                 .run_into(trace.tuples().iter().cloned(), &mut expected)
                 .unwrap();
 
-            for n in [1usize, 2, 4] {
+            for n in [0usize, 1, 2, 4] {
                 let mut sharded = ShardedEngine::builder()
                     .parallelism(n)
                     .route(
@@ -210,7 +210,7 @@ proptest! {
             .run_into(trace.tuples().iter().cloned(), &mut expected)
             .unwrap();
 
-        for n in [1usize, 2, 4] {
+        for n in [0usize, 1, 2, 4] {
             let mut sharded = ShardedEngine::builder()
                 .parallelism(n)
                 .route("group", group())
@@ -244,7 +244,7 @@ proptest! {
             builder.build().unwrap()
         };
         let base_sink = run_sharded(&mut build(1), &trace, 64);
-        for n in [2usize, 4] {
+        for n in [0usize, 2, 4] {
             let out = run_sharded(&mut build(n), &trace, batch);
             prop_assert_eq!(out.as_slice(), base_sink.as_slice());
         }

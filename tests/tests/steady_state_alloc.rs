@@ -255,13 +255,14 @@ fn columnar_steady_state(specs: impl Fn(f64) -> Vec<FilterSpec>) -> (f64, f64) {
     )
 }
 
-/// Process-wide allocations per tuple of `specs` hosted inline and behind
-/// a single-route sharded engine at parallelism 1. Each window opens
-/// right after a safe point crossed at the end of the warm-up (for the
-/// sharded engine a checkpoint, which also leaves its worker idle) and
-/// closes after `finish_into`, so it holds exactly the measured batches
-/// and the finish, on either host.
-fn inline_and_sharded(specs: impl Fn(f64) -> Vec<FilterSpec>) -> (f64, f64) {
+/// Process-wide allocations per tuple of `specs` hosted by a plain
+/// `GroupEngine` and behind a single-route sharded engine at
+/// `parallelism` (0: no worker, the shard runs on the caller thread).
+/// Each window opens right after a safe point crossed at the end of the
+/// warm-up (for the sharded engine a checkpoint, which also leaves a
+/// worker idle) and closes after `finish_into`, so it holds exactly the
+/// measured batches and the finish, on either host.
+fn inline_and_sharded(specs: impl Fn(f64) -> Vec<FilterSpec>, parallelism: usize) -> (f64, f64) {
     let (batches, builder) = steady_state_input(specs);
     let (warm_up, measured) = batches.split_at(WARM_UP);
     let tuples = (MEASURED * ROWS) as f64;
@@ -277,7 +278,7 @@ fn inline_and_sharded(specs: impl Fn(f64) -> Vec<FilterSpec>) -> (f64, f64) {
         inline.finish_into(&mut NullSink).unwrap();
     });
     let mut sharded = ShardedEngine::builder()
-        .parallelism(1)
+        .parallelism(parallelism)
         .route("roster", builder())
         .build()
         .unwrap();
@@ -363,24 +364,32 @@ fn folded_twins_allocate_per_emission_only() {
 }
 
 /// A single-route sharded engine adds next to nothing per tuple to the
-/// engine it hosts: caller and worker together stay within 0.05
-/// allocations per tuple of the same engine run inline, on the
-/// 256-filter roster.
+/// engine it hosts: with one worker (caller and worker together) and with
+/// none (the shard on the caller thread, as the middleware runs every
+/// part at parallelism 1), it stays within 0.05 allocations per tuple of
+/// a plain `GroupEngine`, on the 256-filter roster.
 ///
-/// Measured: 1.146 allocations per tuple inline, 1.150 sharded (+0.004:
-/// each batch's reply vectors). Before the flat replies the sharded
-/// engine cost 1.562 (+0.416): every emitting row's emissions left in a
-/// `Vec` taken from the engine's release buffer, which then regrew it,
-/// and were pushed onto a per-row step vector that allocated too.
+/// Measured: 1.146 allocations per tuple for the plain engine, 1.149
+/// behind a worker and inline alike (+0.003: each batch's two reply
+/// vectors).
+/// Before the flat replies a worker cost 1.562 (+0.416): every emitting
+/// row's emissions left in a `Vec` taken from the engine's release
+/// buffer, which then regrew it, and were pushed onto a per-row step
+/// vector that allocated too.
 #[test]
 fn sharded_engine_adds_nothing_per_tuple() {
     const EXTRA_PER_TUPLE: f64 = 0.05;
     let _serial = serial();
-    let (inline, sharded) = inline_and_sharded(|step| overlapping(step, 256));
-    println!("sharded engine: {sharded:.3} allocations per tuple (inline {inline:.3})");
-    assert!(
-        sharded <= inline + EXTRA_PER_TUPLE,
-        "{sharded:.3} allocations per tuple against {inline:.3} inline \
-         (allowance {EXTRA_PER_TUPLE})"
-    );
+    for parallelism in [1, 0] {
+        let (plain, sharded) = inline_and_sharded(|step| overlapping(step, 256), parallelism);
+        println!(
+            "sharded engine at parallelism {parallelism}: {sharded:.3} allocations per tuple \
+             (plain {plain:.3})"
+        );
+        assert!(
+            sharded <= plain + EXTRA_PER_TUPLE,
+            "{sharded:.3} allocations per tuple at parallelism {parallelism} against \
+             {plain:.3} (allowance {EXTRA_PER_TUPLE})"
+        );
+    }
 }
