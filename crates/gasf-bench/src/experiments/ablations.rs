@@ -115,14 +115,12 @@ pub fn abl_predictor(params: &Params) -> Vec<Table> {
             .filters(group.specs.clone())
             .build()
             .expect("valid");
-        engine.run(trace.tuples().to_vec()).expect("run");
+        let emissions = engine.run(trace.tuples().to_vec()).expect("run");
         let m = engine.metrics();
-        let violations = m
-            .latencies_us
-            .iter()
-            .filter(|&&l| l > deadline.as_micros())
+        let violations = (emissions.iter())
+            .filter(|e| e.latency() > deadline)
             .count() as f64
-            / m.latencies_us.len().max(1) as f64;
+            / emissions.len().max(1) as f64;
         t.row([
             format!("{overestimate:.0}"),
             format!("{:.1}%", violations * 100.0),

@@ -193,7 +193,7 @@ mod tests {
             .iter()
             .map(|(_, ga, _)| {
                 let admitted: u64 = ga.metrics.per_filter.iter().map(|f| f.admitted).sum();
-                admitted + ga.metrics.region_sizes.iter().sum::<usize>() as u64
+                admitted + ga.metrics.region_size.sum() as u64
             })
             .collect();
         let half = work.len() / 2;

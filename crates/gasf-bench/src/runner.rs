@@ -221,13 +221,14 @@ pub fn mean_latency_ms(outcome: &RunOutcome) -> f64 {
     outcome.metrics.mean_latency().as_millis_f64() + MULTICAST_CONSTANT.as_millis_f64()
 }
 
-/// Latency samples (filtering + multicast constant), milliseconds.
+/// Latency samples (filtering + multicast constant), milliseconds, one
+/// per emission in release order — the raw samples the paper's box plots
+/// need, taken from the emissions rather than kept by the engine.
 pub fn latency_samples_ms(outcome: &RunOutcome) -> Vec<f64> {
     outcome
-        .metrics
-        .latencies_us
+        .emissions
         .iter()
-        .map(|&us| us as f64 / 1000.0 + MULTICAST_CONSTANT.as_millis_f64())
+        .map(|e| e.latency().as_millis_f64() + MULTICAST_CONSTANT.as_millis_f64())
         .collect()
 }
 
@@ -276,7 +277,10 @@ mod tests {
         assert!(r > 0.0 && r <= 1.0, "ratio {r}");
         assert!(cpu_per_tuple_us(&ga) > 0.0);
         assert!(mean_latency_ms(&ga) >= 12.0);
-        assert_eq!(latency_samples_ms(&ga).len(), ga.metrics.latencies_us.len());
+        let samples = latency_samples_ms(&ga);
+        assert_eq!(samples.len() as u64, ga.metrics.latency_us.count());
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        assert!((mean - mean_latency_ms(&ga)).abs() < 1e-3, "{mean}");
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! and reports:
 //!
 //! * **p50/p99 delivery latency** from the per-source
-//!   [`LatencyHistogram`](gasf_core::metrics::LatencyHistogram)
-//!   (fixed-footprint, so a million subscribers cost 64 counters, not
-//!   gigabytes of samples), and
+//!   [`Histogram`](gasf_core::metrics::Histogram) (fixed-footprint, so a
+//!   million subscribers cost at most a few thousand counters, not
+//!   gigabytes of samples; quantiles within 1.6 %), and
 //! * **bytes saved vs. naive multicast** — the overlay's measured wire
 //!   bytes against the no-sharing baseline that unicasts *every* input
 //!   tuple to *every* subscriber along underlay shortest paths.
@@ -517,9 +517,9 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
         subscriptions: cfg.subscriptions,
         input_tuples: cfg.tuples as u64,
         deliveries: hist.count(),
-        p50_us: hist.percentile(50.0).as_micros(),
-        p99_us: hist.percentile(99.0).as_micros(),
-        max_us: hist.max().as_micros(),
+        p50_us: hist.quantile(0.5),
+        p99_us: hist.quantile(0.99),
+        max_us: hist.max(),
         actual_bytes: report.network_bytes,
         naive_bytes: rig.naive_bytes,
         throttled: flow.throttled(),

@@ -37,12 +37,11 @@
 //!   [`GroupEngineBuilder::filter_at`]) and continuing — the contract
 //!   `tests/tests/churn_equivalence.rs` pins across every
 //!   `Algorithm` × `OutputStrategy` × parallelism;
-//! * [`metrics`](GroupEngine::metrics) covers the current epoch only;
-//!   completed epochs are archived in
-//!   [`epoch_metrics`](GroupEngine::epoch_metrics) (so a removed filter's
-//!   stats survive it) and
-//!   [`lifetime_metrics`](GroupEngine::lifetime_metrics) folds them back
-//!   together, per-filter counters aligned by id.
+//! * [`metrics`](GroupEngine::metrics) is one lifetime accumulator that
+//!   every epoch adds into: a boundary only widens the per-filter
+//!   counters to the new slot count, and since ids are never reused, slot
+//!   `i` is filter `i` in every epoch (a removed filter's stats stay in
+//!   its vacant slot). Its size is O(roster) at any stream length.
 
 mod decide;
 #[cfg(test)]
@@ -259,7 +258,7 @@ impl GroupEngineBuilder {
             roster,
             next_filter_id: last + 1,
             epoch: 0,
-            past_epochs: Vec::new(),
+            metrics: EngineMetrics::default(),
             watermark: Micros::ZERO,
             last_ts: None,
             last_seq: None,
@@ -459,8 +458,7 @@ pub struct GroupEngine {
     next_filter_id: u32,
     /// Epochs completed so far (bumped by every control-op application).
     epoch: u64,
-    /// Archived metrics of completed epochs, oldest first.
-    past_epochs: Vec<EngineMetrics>,
+    /// Lifetime metrics, one slot of `per_filter` per roster slot.
     metrics: EngineMetrics,
 }
 
@@ -572,10 +570,9 @@ impl GroupEngine {
         self.constraint
     }
 
-    /// Metrics accumulated in the **current epoch** (since the last
-    /// applied roster change, or since construction). See
-    /// [`epoch_metrics`](Self::epoch_metrics) and
-    /// [`lifetime_metrics`](Self::lifetime_metrics) for history.
+    /// Metrics accumulated over the engine's whole life, across every
+    /// epoch (and, for a restored engine, from before its snapshot), with
+    /// per-filter counters indexed by stable [`FilterId`].
     pub fn metrics(&self) -> &EngineMetrics {
         &self.metrics
     }
@@ -583,24 +580,6 @@ impl GroupEngine {
     /// Number of completed epochs (control-op applications so far).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Archived metrics of completed epochs, oldest first. A filter
-    /// removed in epoch `k` keeps its counters in entries `0..=k`.
-    pub fn epoch_metrics(&self) -> &[EngineMetrics] {
-        &self.past_epochs
-    }
-
-    /// Metrics folded over every epoch plus the current one, per-filter
-    /// counters aligned by stable [`FilterId`]
-    /// ([`EngineMetrics::absorb`]).
-    pub fn lifetime_metrics(&self) -> EngineMetrics {
-        let mut total = EngineMetrics::default();
-        for m in &self.past_epochs {
-            total.absorb(m);
-        }
-        total.absorb(&self.metrics);
-        total
     }
 
     /// Number of queued control ops awaiting the next safe point.
@@ -636,16 +615,10 @@ impl GroupEngine {
         self.watermark
     }
 
-    /// Consumes the engine, returning the final lifetime metrics (every
-    /// epoch folded together; see
-    /// [`lifetime_metrics`](Self::lifetime_metrics)). An engine that never
-    /// crossed an epoch boundary hands its samples over without a copy.
+    /// Consumes the engine, returning its lifetime
+    /// [`metrics`](Self::metrics) without a copy.
     pub fn into_metrics(self) -> EngineMetrics {
-        if self.past_epochs.is_empty() {
-            self.metrics
-        } else {
-            self.lifetime_metrics()
-        }
+        self.metrics
     }
 
     // ------------------------------------------------------------------
@@ -687,8 +660,8 @@ impl GroupEngine {
     /// Queues the removal of a filter. Applied at the next safe point: the
     /// filter's open candidate set is closed with everything else at the
     /// epoch boundary, its pending outputs are released, its slot becomes
-    /// a vacancy and its metrics survive in
-    /// [`epoch_metrics`](Self::epoch_metrics).
+    /// a vacancy and its counters stay in its slot of
+    /// [`metrics`](Self::metrics).
     ///
     /// # Errors
     /// [`Error::Finished`], [`Error::UnknownFilter`] for ids that are not
@@ -773,12 +746,12 @@ impl GroupEngine {
     }
 
     /// Crosses the epoch boundary: drains all open state (exactly like
-    /// [`finish_into`](Self::finish_into), without ending the stream),
-    /// archives the epoch's metrics and applies the queued roster
-    /// changes. Retained filters restart fresh, so the continuation is
-    /// byte-identical to a static rebuild with the post-churn roster. The
-    /// boundary tail stays staged in the scratch buffer, ahead of
-    /// whatever the push that crossed the boundary releases.
+    /// [`finish_into`](Self::finish_into), without ending the stream) and
+    /// applies the queued roster changes. Retained filters restart fresh,
+    /// so the continuation is byte-identical to a static rebuild with the
+    /// post-churn roster. The boundary tail stays staged in the scratch
+    /// buffer, ahead of whatever the push that crossed the boundary
+    /// releases.
     fn apply_control_ops(&mut self) {
         let start = Instant::now();
         let now = self.last_ts.unwrap_or(Micros::ZERO);
@@ -788,7 +761,8 @@ impl GroupEngine {
     }
 
     /// Applies the queued ops to the roster and resets all per-epoch
-    /// state. Must only run with the engine fully drained.
+    /// state; the lifetime metrics carry over, widened to the new slot
+    /// count. Must only run with the engine fully drained.
     fn advance_epoch(&mut self) {
         debug_assert!(self.pending.is_empty() && self.releasable.is_empty());
         // The retained specs are moved, not cloned: the old slots are dead
@@ -853,15 +827,11 @@ impl GroupEngine {
         self.recently_decided.clear();
         self.batch_counter = 0;
         self.max_emitted_id = None;
-        let width = self.slots.len();
-        let done = std::mem::replace(
-            &mut self.metrics,
-            EngineMetrics {
-                per_filter: vec![FilterMetrics::default(); width],
-                ..Default::default()
-            },
-        );
-        self.past_epochs.push(done);
+        // Slots never shrink: ids are not reused, a removal leaves a
+        // vacancy.
+        self.metrics
+            .per_filter
+            .resize(self.slots.len(), FilterMetrics::default());
         self.epoch += 1;
     }
 
@@ -874,7 +844,7 @@ impl GroupEngine {
     /// boundary tail to `sink`, exactly like a queued control op with an
     /// empty op set — then captures the durable state
     /// ([`GroupSnapshot`]): roster (with vacancy holes), epoch counter,
-    /// per-epoch metrics archive, stream position and configuration.
+    /// lifetime metrics, stream position and configuration.
     /// Queued control ops apply at this boundary (it *is* the next safe
     /// point) and are reflected in the snapshot.
     ///
@@ -909,7 +879,7 @@ impl GroupEngine {
                 .collect(),
             next_filter_id: self.next_filter_id,
             epoch: self.epoch,
-            past_epochs: self.past_epochs.clone(),
+            metrics: self.metrics.clone(),
             watermark: self.watermark,
             last_ts: self.last_ts,
             last_seq: self.last_seq,
@@ -933,8 +903,8 @@ impl GroupEngine {
     /// Rebuilds an engine from a safe-point snapshot. The restored engine
     /// is state-equivalent to the engine that took the snapshot at the
     /// moment the boundary passed: same roster (ids, vacancies and the
-    /// never-reused id frontier included), same epoch counter and metrics
-    /// archive, same stream-order frontier — so feeding it the
+    /// never-reused id frontier included), same epoch counter and lifetime
+    /// metrics, same stream-order frontier — so feeding it the
     /// post-checkpoint suffix reproduces the original run byte for byte.
     ///
     /// # Errors
@@ -962,8 +932,8 @@ impl GroupEngine {
     }
 
     /// [`restore_with_tier`](Self::restore_with_tier) from a snapshot the
-    /// caller gives up: its roster and metrics archive move into the
-    /// engine instead of being copied.
+    /// caller gives up: its roster and metrics move into the engine
+    /// instead of being copied.
     pub(crate) fn restore_owned(
         snap: GroupSnapshot,
         tier: EvaluatorTier,
@@ -1000,6 +970,8 @@ impl GroupEngine {
             EvaluatorTier::Interpreted => None,
         };
         let constraint = effective_constraint(snap.constraint, &slots);
+        let mut metrics = snap.metrics;
+        metrics.per_filter.resize(width, FilterMetrics::default());
         Ok(GroupEngine {
             schema: snap.schema,
             slots,
@@ -1036,11 +1008,7 @@ impl GroupEngine {
             queued_structural: 0,
             next_filter_id: snap.next_filter_id,
             epoch: snap.epoch,
-            past_epochs: snap.past_epochs,
-            metrics: EngineMetrics {
-                per_filter: vec![FilterMetrics::default(); width],
-                ..Default::default()
-            },
+            metrics,
         })
     }
 
@@ -1675,7 +1643,7 @@ impl GroupEngine {
     fn complete_region(&mut self, region: Region, _now: Micros) {
         self.watermark = self.watermark.max(region.cover().max);
         self.metrics.regions += 1;
-        self.metrics.region_sizes.push(region.size());
+        self.metrics.region_size.record(region.size() as u64);
         if region.was_cut() {
             self.metrics.regions_cut += 1;
         }
@@ -1807,8 +1775,8 @@ impl GroupEngine {
             self.metrics.output_tuples += 1;
         }
         self.metrics
-            .latencies_us
-            .push(now.saturating_sub(tuple.timestamp()).as_micros());
+            .latency_us
+            .record(now.saturating_sub(tuple.timestamp()).as_micros());
         // The tuple may still be re-chosen while its region is
         // incomplete (per-candidate-set strategy); region completion
         // releases it from the pool for good.

@@ -142,7 +142,7 @@ fn self_interested_baseline_emits_references() {
     let m = engine.metrics();
     assert_eq!(m.output_tuples, 6);
     // SI emits at reference identification: zero filtering latency.
-    assert!(m.latencies_us.iter().all(|&l| l == 0));
+    assert_eq!((m.latency_us.count(), m.latency_us.max()), (m.emissions, 0));
     // tuple 0 is shared by all three filters even under SI multiplexing
     let zero = emissions.iter().find(|e| val(e) == 0.0).unwrap();
     assert_eq!(recipients(zero), vec![0, 1, 2]);
@@ -394,13 +394,16 @@ fn quality_guarantee_all_chosen_tuples_within_slack() {
 
 #[test]
 fn metrics_latency_reflects_region_wait() {
-    let (engine, _) = run(Algorithm::RegionGreedy, OutputStrategy::Earliest, None);
-    let m = engine.metrics();
+    let (engine, emissions) = run(Algorithm::RegionGreedy, OutputStrategy::Earliest, None);
     // Tuple 0 (ts 10 ms) is released at 20 ms; tuple 50 (ts 50 ms) at
     // 100 ms; tuple 100 (ts 90 ms) at 100 ms.
-    let mut lats = m.latencies_us.clone();
+    let mut lats: Vec<u64> = emissions.iter().map(|e| e.latency().as_micros()).collect();
     lats.sort_unstable();
     assert_eq!(lats, vec![10_000, 10_000, 50_000]);
+    // The engine's histogram holds the same samples.
+    let m = engine.metrics();
+    assert_eq!((m.latency_us.count(), m.latency_us.max()), (3, 50_000));
+    assert_eq!(m.mean_latency(), Micros(70_000 / 3));
 }
 
 #[test]
@@ -533,7 +536,11 @@ fn mean_region_size_matches_paper_scale() {
     // Region 1 has 3 candidates; region 2's five sets hold 3+2+4+2+2 = 13
     // candidates with multiplicity.
     let m = engine.metrics();
-    assert_eq!(m.region_sizes, vec![3, 13]);
+    // Sizes below 32 are exact buckets: the two quantiles are the sizes.
+    let sizes = &m.region_size;
+    assert_eq!((sizes.count(), sizes.sum()), (2, 16));
+    assert_eq!((sizes.quantile(0.5), sizes.quantile(1.0)), (3, 13));
+    assert_eq!(m.mean_region_size(), 8.0);
 }
 
 #[test]
@@ -827,7 +834,7 @@ fn batched_strategy_batches_through_sink() {
 
 mod control_plane {
     use super::*;
-    use crate::metrics::EngineMetrics;
+    use crate::metrics::{EngineMetrics, FilterMetrics, Histogram};
     use crate::sink::VecSink;
 
     fn long_stream(n: usize) -> (Schema, Vec<Tuple>) {
@@ -844,14 +851,44 @@ mod control_plane {
         (schema, tuples)
     }
 
-    fn fingerprint(m: &EngineMetrics) -> (u64, u64, u64, u64, Vec<u64>) {
+    type Fingerprint = (u64, u64, u64, u64, Histogram, Histogram, Vec<FilterMetrics>);
+
+    fn fingerprint(m: &EngineMetrics) -> Fingerprint {
         (
             m.input_tuples,
             m.output_tuples,
             m.emissions,
             m.recipient_labels,
-            m.latencies_us.clone(),
+            m.latency_us.clone(),
+            m.region_size.clone(),
+            m.per_filter.clone(),
         )
+    }
+
+    /// The oracle of a churned engine's lifetime metrics: its static
+    /// segment engines' metrics added up, per-filter counters by filter id
+    /// (every segment pins the ids it keeps).
+    fn fold_by_id(segments: &[&EngineMetrics]) -> EngineMetrics {
+        let mut total = EngineMetrics::default();
+        for &m in segments {
+            let mut scalars = m.clone();
+            let per_filter = std::mem::take(&mut scalars.per_filter);
+            total.merge(&scalars);
+            if total.per_filter.len() < per_filter.len() {
+                total
+                    .per_filter
+                    .resize(per_filter.len(), FilterMetrics::default());
+            }
+            for (sum, f) in total.per_filter.iter_mut().zip(&per_filter) {
+                sum.references += f.references;
+                sum.chosen += f.chosen;
+                sum.sets_closed += f.sets_closed;
+                sum.sets_cut += f.sets_cut;
+                sum.admitted += f.admitted;
+                sum.dismissed += f.dismissed;
+            }
+        }
+        total
     }
 
     #[test]
@@ -1012,28 +1049,16 @@ mod control_plane {
         epoch1.finish_into(&mut static_sink).unwrap();
 
         assert_eq!(dyn_sink.as_slice(), static_sink.as_slice());
-        // per-epoch metrics match the per-segment engines, and the
-        // removed filter's stats survive in the archive
+        // the lifetime metrics are the segment engines' added up by
+        // filter id, and the removed filter's stats survive in its slot
         assert_eq!(dynamic.epoch(), 1);
-        assert_eq!(dynamic.epoch_metrics().len(), 1);
-        assert_eq!(
-            fingerprint(&dynamic.epoch_metrics()[0]),
-            fingerprint(epoch0.metrics())
-        );
         assert_eq!(
             fingerprint(dynamic.metrics()),
-            fingerprint(epoch1.metrics())
+            fingerprint(&fold_by_id(&[epoch0.metrics(), epoch1.metrics()]))
         );
-        let lifetime = dynamic.lifetime_metrics();
-        assert_eq!(
-            lifetime.per_filter[1].sets_closed,
-            epoch0.metrics().per_filter[1].sets_closed,
-            "removed filter's stats survive"
-        );
-        assert_eq!(
-            lifetime.input_tuples,
-            epoch0.metrics().input_tuples + epoch1.metrics().input_tuples
-        );
+        let removed = &dynamic.metrics().per_filter[1];
+        assert!(removed.sets_closed > 0, "removed filter's stats survive");
+        assert_eq!(removed, &epoch0.metrics().per_filter[1]);
     }
 
     #[test]
@@ -1110,7 +1135,7 @@ mod control_plane {
             assert_eq!(out.as_slice(), expected.as_slice(), "n={n}");
             assert_eq!(
                 sharded.metrics().output_tuples,
-                inline.lifetime_metrics().output_tuples,
+                inline.metrics().output_tuples,
                 "n={n}"
             );
         }

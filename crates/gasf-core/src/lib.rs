@@ -55,7 +55,7 @@
 //! control messages interleaved with the data channel) queue roster
 //! changes that apply at the next epoch boundary, with stable
 //! never-reused [`candidate::FilterId`]s, vacancy-tolerant recipient
-//! bitsets and per-epoch metrics — and churn is byte-identical to a
+//! bitsets and lifetime metrics — and churn is byte-identical to a
 //! static rebuild with the post-churn roster (see the engine docs).
 //!
 //! The same safe point powers **fault tolerance** ([`snapshot`]):

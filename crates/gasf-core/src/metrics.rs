@@ -6,8 +6,11 @@
 //! * **Latency per tuple** — source-to-emission delay per output tuple.
 //! * **% regions cut**, region sizes, per-filter compression counters.
 //!
-//! [`BoxPlot`] reproduces the paper's box-plot summaries (min, quartiles,
-//! median, max, 1.5·IQR outliers).
+//! Distributions (latencies, region sizes) are kept as [`Histogram`]s:
+//! fixed footprint at any stream length, mergeable, exact in count, sum
+//! and max. [`BoxPlot`] reproduces the paper's box-plot summaries (min,
+//! quartiles, median, max, 1.5·IQR outliers) from raw samples, which the
+//! experiment harness takes from the emissions themselves.
 
 use crate::time::Micros;
 use serde::{Deserialize, Serialize};
@@ -30,20 +33,9 @@ pub struct FilterMetrics {
     pub dismissed: u64,
 }
 
-impl FilterMetrics {
-    /// Adds another set of counters for the *same* filter into this one
-    /// (used by the per-epoch metrics fold).
-    pub fn absorb(&mut self, other: &FilterMetrics) {
-        self.references += other.references;
-        self.chosen += other.chosen;
-        self.sets_closed += other.sets_closed;
-        self.sets_cut += other.sets_cut;
-        self.admitted += other.admitted;
-        self.dismissed += other.dismissed;
-    }
-}
-
-/// Metrics accumulated by a [`GroupEngine`](crate::engine::GroupEngine) run.
+/// Metrics accumulated by a [`GroupEngine`](crate::engine::GroupEngine)
+/// over its whole life: every epoch adds into the same accumulator, so its
+/// size is O(roster) at any stream length.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct EngineMetrics {
     /// Input tuples pushed.
@@ -63,11 +55,12 @@ pub struct EngineMetrics {
     pub regions: u64,
     /// Regions containing at least one cut set.
     pub regions_cut: u64,
-    /// Region sizes (candidate tuples with multiplicity).
-    pub region_sizes: Vec<usize>,
-    /// Per-output-tuple latency, microseconds (emission time − source
-    /// timestamp).
-    pub latencies_us: Vec<u64>,
+    /// Region sizes (candidate tuples with multiplicity), one sample per
+    /// region.
+    pub region_size: Histogram,
+    /// Per-emission latency, microseconds (emission time − source
+    /// timestamp), one sample per emission.
+    pub latency_us: Histogram,
     /// Total filtering CPU time (wall clock inside `push`/`finish`).
     pub cpu: Duration,
     /// CPU time spent in the greedy hitting-set solver alone.
@@ -80,38 +73,13 @@ impl EngineMetrics {
     /// Accumulates another engine's metrics into this one, field-wise.
     ///
     /// This is how the sharded execution path aggregates across routes:
-    /// counters and CPU add up, sample vectors concatenate, and the
-    /// per-filter counters append (each route keeps its own filter-id
-    /// space, so the combined vector is indexed by `(route, filter)` in
-    /// route order). Note that `input_tuples` sums each engine's *view* of
-    /// the stream — `G` routes over one stream count it `G` times, which
-    /// keeps `oi_ratio`/`cpu_per_tuple` meaningful as per-engine means.
+    /// counters and CPU add up, histograms merge, and the per-filter
+    /// counters append (each route keeps its own filter-id space, so the
+    /// combined vector is indexed by `(route, filter)` in route order).
+    /// Note that `input_tuples` sums each engine's *view* of the stream —
+    /// `G` routes over one stream count it `G` times, which keeps
+    /// `oi_ratio`/`cpu_per_tuple` meaningful as per-engine means.
     pub fn merge(&mut self, other: &EngineMetrics) {
-        self.accumulate_scalars(other);
-        self.per_filter.extend_from_slice(&other.per_filter);
-    }
-
-    /// Accumulates another *epoch of the same engine* into this one.
-    ///
-    /// Counters, samples and CPU add up exactly like
-    /// [`merge`](Self::merge), but `per_filter` is added element-wise by
-    /// filter id instead of appended: epochs of one engine share a stable
-    /// [`FilterId`](crate::candidate::FilterId) space, so slot `i` is
-    /// filter `i` in every epoch (vacant slots contribute zeros and the
-    /// vector grows to the larger id space). This is how
-    /// `GroupEngine::lifetime_metrics` folds the per-epoch archive.
-    pub fn absorb(&mut self, other: &EngineMetrics) {
-        self.accumulate_scalars(other);
-        if self.per_filter.len() < other.per_filter.len() {
-            self.per_filter
-                .resize(other.per_filter.len(), FilterMetrics::default());
-        }
-        for (dst, src) in self.per_filter.iter_mut().zip(&other.per_filter) {
-            dst.absorb(src);
-        }
-    }
-
-    fn accumulate_scalars(&mut self, other: &EngineMetrics) {
         self.input_tuples += other.input_tuples;
         self.output_tuples += other.output_tuples;
         self.emissions += other.emissions;
@@ -119,10 +87,11 @@ impl EngineMetrics {
         self.disordered_emissions += other.disordered_emissions;
         self.regions += other.regions;
         self.regions_cut += other.regions_cut;
-        self.region_sizes.extend_from_slice(&other.region_sizes);
-        self.latencies_us.extend_from_slice(&other.latencies_us);
+        self.region_size.merge(&other.region_size);
+        self.latency_us.merge(&other.latency_us);
         self.cpu += other.cpu;
         self.greedy_cpu += other.greedy_cpu;
+        self.per_filter.extend_from_slice(&other.per_filter);
     }
 
     /// Output/input ratio (§4.4); `NaN` when no input was processed.
@@ -139,13 +108,15 @@ impl EngineMetrics {
         }
     }
 
-    /// Mean latency per output tuple.
+    /// Mean latency per output tuple (exact, truncated to the
+    /// microsecond).
     pub fn mean_latency(&self) -> Micros {
-        if self.latencies_us.is_empty() {
-            Micros::ZERO
-        } else {
-            Micros(self.latencies_us.iter().sum::<u64>() / self.latencies_us.len() as u64)
-        }
+        let mean = self
+            .latency_us
+            .sum()
+            .checked_div(u128::from(self.latency_us.count()));
+        // A mean never exceeds the largest sample, which is a `u64`.
+        Micros(mean.map_or(0, |m| m as u64))
     }
 
     /// Fraction of regions affected by cuts, in `[0, 1]`.
@@ -157,122 +128,129 @@ impl EngineMetrics {
         }
     }
 
-    /// Mean region size (candidate tuples, with multiplicity).
+    /// Mean region size (candidate tuples, with multiplicity; exact).
     pub fn mean_region_size(&self) -> f64 {
-        if self.region_sizes.is_empty() {
-            0.0
-        } else {
-            self.region_sizes.iter().sum::<usize>() as f64 / self.region_sizes.len() as f64
+        match self.region_size.count() {
+            0 => 0.0,
+            n => self.region_size.sum() as f64 / n as f64,
         }
-    }
-
-    /// Latency samples in milliseconds (for box plots).
-    pub fn latencies_ms(&self) -> Vec<f64> {
-        self.latencies_us
-            .iter()
-            .map(|&u| u as f64 / 1000.0)
-            .collect()
     }
 }
 
-/// A fixed-footprint log₂-bucketed latency histogram (microseconds).
+/// Bits of the sub-bucket index: values below `SUB` get exact unit
+/// buckets, and every octave above is cut into `SUB` equal sub-buckets.
+const SUB_BITS: u32 = 5;
+const SUB: u64 = 1 << SUB_BITS;
+
+/// The bucket holding `v`: `v` itself below `SUB`; above, the octave
+/// (`ilog2(v) - SUB_BITS + 1`, counted from 1) times `SUB` plus the
+/// `SUB_BITS` bits right after the leading one.
+fn bucket_of(v: u64) -> usize {
+    if v < SUB {
+        return v as usize;
+    }
+    let shift = v.ilog2() - SUB_BITS;
+    let sub = (v >> shift) & (SUB - 1);
+    ((u64::from(shift) + 1) * SUB + sub) as usize
+}
+
+/// The midpoint (rounded down) of the values bucket `i` holds.
+fn midpoint(i: usize) -> u64 {
+    let i = i as u64;
+    if i < SUB {
+        return i;
+    }
+    let shift = i / SUB - 1;
+    let lo = (SUB + i % SUB) << shift;
+    lo + ((1u64 << shift) - 1) / 2
+}
+
+/// A fixed-footprint, mergeable log-linear histogram of `u64` samples.
 ///
-/// Per-sample `Vec` accounting is fine at benchmark scale but not at
-/// soak scale — 10⁶ subscribers × many deliveries would spend gigabytes
-/// on samples nobody reads individually. This histogram spends 64
-/// counters total: bucket `b` covers latencies with `ilog2 == b`
-/// (bucket 0 is `{0, 1}` µs), so quantile estimates carry at most a
-/// factor-of-two error — ample for p50/p99 soak reporting, and
-/// completely deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    /// `buckets[b]` counts samples with `ilog2(max(us, 1)) == b`.
-    buckets: [u64; 64],
-    /// Total samples recorded.
+/// Values below 32 land in exact unit buckets; above that every
+/// power-of-two octave is cut into 32 equal sub-buckets, so a
+/// [`quantile`](Self::quantile) — its bucket's midpoint — is within 1.6 %
+/// of any value the bucket holds. `count`, `sum` and `max` are exact, so
+/// means are exact too. The bucket counts live in a `Vec` grown only up
+/// to the highest bucket touched (at most 1 920 counters for `u64::MAX`),
+/// so an empty histogram allocates nothing, and two histograms of the
+/// same samples compare equal however they were recorded or merged.
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Histogram {
+    /// Samples per bucket, up to the highest non-empty one.
+    counts: Vec<u64>,
     count: u64,
-    /// Sum of all samples (exact mean).
-    sum_us: u64,
-    /// Largest sample seen (exact max).
-    max_us: u64,
+    sum: u128,
+    max: u64,
 }
 
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; 64],
-            count: 0,
-            sum_us: 0,
-            max_us: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
+impl Histogram {
+    /// Records one sample.
+    pub fn record(&mut self, v: u64) {
+        self.record_n(v, 1);
     }
 
-    /// Records one latency sample.
-    pub fn record(&mut self, latency: Micros) {
-        self.record_n(latency, 1);
-    }
-
-    /// Records `n` samples of the same latency — the same histogram as
-    /// `n` calls to [`record`](Self::record); nothing for `n == 0`.
-    pub fn record_n(&mut self, latency: Micros, n: u64) {
+    /// Records `n` samples of the same value — the same histogram as `n`
+    /// calls to [`record`](Self::record); nothing for `n == 0`.
+    pub fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }
-        let us = latency.as_micros();
-        self.buckets[us.max(1).ilog2() as usize] += n;
+        let b = bucket_of(v);
+        if b >= self.counts.len() {
+            self.counts.resize(b + 1, 0);
+        }
+        self.counts[b] += n;
         self.count += n;
-        self.sum_us += us * n;
-        self.max_us = self.max_us.max(us);
+        self.sum += u128::from(v) * u128::from(n);
+        self.max = self.max.max(v);
     }
 
-    /// Total samples recorded.
+    /// Adds another histogram's samples into this one: the same histogram
+    /// as recording both sample sets into one.
+    pub fn merge(&mut self, other: &Histogram) {
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
+            *dst += src;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
+    /// Samples recorded (exact).
     pub fn count(&self) -> u64 {
         self.count
     }
 
-    /// Exact mean latency (zero when empty).
-    pub fn mean(&self) -> Micros {
-        Micros(self.sum_us.checked_div(self.count).unwrap_or(0))
+    /// Sum of every sample (exact).
+    pub fn sum(&self) -> u128 {
+        self.sum
     }
 
-    /// Exact maximum latency.
-    pub fn max(&self) -> Micros {
-        Micros(self.max_us)
+    /// Largest sample (exact); zero when empty.
+    pub fn max(&self) -> u64 {
+        self.max
     }
 
-    /// Estimated percentile (`pct` in `[0, 100]`): the upper edge of the
-    /// bucket containing the rank, clamped to the exact max. Zero when
-    /// empty.
-    pub fn percentile(&self, pct: f64) -> Micros {
+    /// The `q`-quantile (`q` in `[0, 1]`) by the nearest-rank rule: the
+    /// midpoint of the bucket holding that rank, capped at the exact max.
+    /// Zero when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
-            return Micros::ZERO;
+            return 0;
         }
-        let rank = ((pct / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0;
+        for (i, &n) in self.counts.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                let upper = if b >= 63 { u64::MAX } else { (2u64 << b) - 1 };
-                return Micros(upper.min(self.max_us));
+                return midpoint(i).min(self.max);
             }
         }
-        Micros(self.max_us)
-    }
-
-    /// Adds another histogram's counts into this one.
-    pub fn absorb(&mut self, other: &LatencyHistogram) {
-        for (dst, src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.max_us = self.max_us.max(other.max_us);
+        self.max
     }
 }
 
@@ -370,24 +348,33 @@ pub fn std_dev(samples: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// A histogram holding `samples`.
+    fn hist(samples: &[u64]) -> Histogram {
+        let mut h = Histogram::default();
+        for &v in samples {
+            h.record(v);
+        }
+        h
+    }
+
     #[test]
     fn oi_ratio_and_means() {
         let m = EngineMetrics {
             input_tuples: 100,
             output_tuples: 35,
-            latencies_us: vec![10_000, 20_000, 30_000],
+            latency_us: hist(&[10_000, 20_000, 30_001]),
             regions: 4,
             regions_cut: 1,
-            region_sizes: vec![2, 4, 6, 8],
+            region_size: hist(&[2, 4, 6, 9]),
             cpu: Duration::from_millis(50),
             ..Default::default()
         };
         assert!((m.oi_ratio() - 0.35).abs() < 1e-12);
+        // exact to the unit, not to a bucket
         assert_eq!(m.mean_latency(), Micros(20_000));
         assert!((m.cut_fraction() - 0.25).abs() < 1e-12);
-        assert!((m.mean_region_size() - 5.0).abs() < 1e-12);
+        assert_eq!(m.mean_region_size(), 5.25);
         assert_eq!(m.cpu_per_tuple(), Duration::from_micros(500));
-        assert_eq!(m.latencies_ms(), vec![10.0, 20.0, 30.0]);
     }
 
     #[test]
@@ -401,50 +388,32 @@ mod tests {
     }
 
     #[test]
-    fn absorb_aligns_per_filter_by_id_while_merge_appends() {
+    fn merge_adds_counters_and_histograms_and_appends_per_filter() {
+        let filters = |chosen: &[u64]| -> Vec<FilterMetrics> {
+            (chosen.iter())
+                .map(|&chosen| FilterMetrics {
+                    chosen,
+                    ..Default::default()
+                })
+                .collect()
+        };
         let a = EngineMetrics {
             input_tuples: 10,
-            per_filter: vec![
-                FilterMetrics {
-                    chosen: 1,
-                    ..Default::default()
-                },
-                FilterMetrics {
-                    chosen: 2,
-                    ..Default::default()
-                },
-            ],
+            latency_us: hist(&[5, 700]),
+            per_filter: filters(&[1, 2]),
             ..Default::default()
         };
         let b = EngineMetrics {
             input_tuples: 5,
-            per_filter: vec![
-                FilterMetrics {
-                    chosen: 10,
-                    ..Default::default()
-                },
-                FilterMetrics {
-                    chosen: 20,
-                    ..Default::default()
-                },
-                FilterMetrics {
-                    chosen: 30,
-                    ..Default::default()
-                },
-            ],
+            latency_us: hist(&[90_000]),
+            per_filter: filters(&[10, 20, 30]),
             ..Default::default()
         };
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged.input_tuples, 15);
-        assert_eq!(merged.per_filter.len(), 5, "merge concatenates");
-
-        let mut folded = a.clone();
-        folded.absorb(&b);
-        assert_eq!(folded.input_tuples, 15);
-        assert_eq!(folded.per_filter.len(), 3, "absorb aligns by id");
-        let chosen: Vec<u64> = folded.per_filter.iter().map(|f| f.chosen).collect();
-        assert_eq!(chosen, vec![11, 22, 30]);
+        assert_eq!(merged.latency_us, hist(&[5, 700, 90_000]));
+        assert_eq!(merged.per_filter, filters(&[1, 2, 10, 20, 30]));
     }
 
     #[test]
@@ -483,51 +452,87 @@ mod tests {
         assert_eq!(b.median, 2.0);
     }
 
-    #[test]
-    fn latency_histogram_percentiles_bound_samples() {
-        let mut h = LatencyHistogram::new();
-        for us in [0u64, 1, 2, 3, 100, 1000, 1001, 5000, 100_000, 1_000_000] {
-            h.record(Micros(us));
-        }
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.max(), Micros(1_000_000));
-        assert_eq!(h.mean(), Micros(1_107_107 / 10));
-        // p100 is the exact max; estimates never exceed it
-        assert_eq!(h.percentile(100.0), Micros(1_000_000));
-        // p50 falls in the bucket holding the 5th sample (100µs → [64,127])
-        let p50 = h.percentile(50.0).as_micros();
-        assert!((100..=127).contains(&p50), "p50 {p50}");
-        // within a factor of two of the true percentile, always above it
-        let p90 = h.percentile(90.0).as_micros();
-        assert!((100_000..=200_000).contains(&p90), "p90 {p90}");
-        assert_eq!(LatencyHistogram::new().percentile(99.0), Micros::ZERO);
-        assert_eq!(LatencyHistogram::new().mean(), Micros::ZERO);
+    /// Exact nearest-rank quantile of a sorted sample.
+    fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
     }
 
     #[test]
-    fn latency_histogram_absorb_adds_counts() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(Micros(10));
-        b.record(Micros(1000));
-        b.record(Micros(7));
-        a.absorb(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), Micros(1000));
-        assert_eq!(a.mean(), Micros(1017 / 3));
+    fn latency_histogram_quantiles_are_within_two_percent_of_exact() {
+        // Skewed over seven decades: x_k = floor(1.00013^k) + k mod 7.
+        let mut sample: Vec<u64> = (0..120_000i32)
+            .map(|k| 1.00013f64.powi(k) as u64 + (k % 7) as u64)
+            .collect();
+        let h = hist(&sample);
+        sample.sort_unstable();
+        assert!(sample[sample.len() - 1] > 5_000_000, "seven decades");
+        for q in [0.001, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+            let (got, want) = (h.quantile(q) as f64, nearest_rank(&sample, q) as f64);
+            assert!(
+                (got - want).abs() <= 0.02 * want,
+                "q={q}: histogram {got} against exact {want}"
+            );
+        }
+        assert_eq!(h.count(), sample.len() as u64);
+        assert_eq!(h.max(), sample[sample.len() - 1]);
+        assert_eq!(h.sum(), sample.iter().map(|&v| u128::from(v)).sum());
+        assert_eq!(Histogram::default().quantile(0.99), 0);
+    }
+
+    #[test]
+    fn small_values_are_exact_and_u64_max_fits() {
+        let h = hist(&(0..SUB).collect::<Vec<_>>());
+        for v in 0..SUB {
+            let q = (v + 1) as f64 / SUB as f64;
+            assert_eq!(h.quantile(q), v, "q={q}");
+        }
+        let h = hist(&[u64::MAX, u64::MAX, 3]);
+        assert_eq!(h.max(), u64::MAX);
+        assert_eq!(h.sum(), 2 * u128::from(u64::MAX) + 3);
+        let top = h.quantile(1.0);
+        assert!(top as f64 >= u64::MAX as f64 * 0.98, "{top}");
+    }
+
+    #[test]
+    fn latency_histogram_merge_equals_recording_into_one() {
+        let (mut a, mut b, mut both) = (
+            Histogram::default(),
+            Histogram::default(),
+            Histogram::default(),
+        );
+        for k in 0..5_000u64 {
+            let v = k * k * k + 3;
+            let half = if k % 2 == 0 { &mut a } else { &mut b };
+            half.record_n(v, 1 + k % 3);
+            both.record_n(v, 1 + k % 3);
+        }
+        // the wider histogram merged into the narrower one, and back
+        let mut ab = a.clone();
+        ab.merge(&b);
+        b.merge(&a);
+        assert_eq!(ab, both);
+        assert_eq!(b, both);
+        let mut empty = Histogram::default();
+        empty.merge(&Histogram::default());
+        assert_eq!(empty, Histogram::default());
     }
 
     #[test]
     fn latency_histogram_record_n_is_n_records() {
-        let (mut once, mut each) = (LatencyHistogram::new(), LatencyHistogram::new());
-        for (us, n) in [(0u64, 3u64), (70, 1), (70, 0), (900, 5)] {
-            once.record_n(Micros(us), n);
+        let (mut once, mut each) = (Histogram::default(), Histogram::default());
+        for (v, n) in [(0u64, 3u64), (70, 1), (70, 0), (900, 5), (1 << 40, 2)] {
+            once.record_n(v, n);
             for _ in 0..n {
-                each.record(Micros(us));
+                each.record(v);
             }
         }
-        once.record_n(Micros(1_000_000), 0);
+        once.record_n(1_000_000_000, 0);
         assert_eq!(once, each);
+        let mut nothing = Histogram::default();
+        nothing.record_n(u64::MAX, 0);
+        assert_eq!(nothing, Histogram::default());
+        assert_eq!(nothing.max(), 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub use crate::filter::{
     build_filter, DeltaCompression, GroupFilter, MultiAttrDelta, ReservoirSampler,
     StratifiedSampler, TrendDelta,
 };
-pub use crate::metrics::{BoxPlot, EngineMetrics, LatencyHistogram};
+pub use crate::metrics::{BoxPlot, EngineMetrics, Histogram};
 pub use crate::monitor::{BenefitMonitor, BenefitReport, Recommendation};
 pub use crate::plan::{CompiledRoster, EvaluatorTier, RosterPlan};
 pub use crate::quality::{Dependency, FilterKind, FilterSpec, PickDegree, PickSpec, Prescription};

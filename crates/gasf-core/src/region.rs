@@ -170,7 +170,7 @@ impl Region {
     }
 
     /// Moves `other`'s sets in, handing back its emptied list.
-    fn absorb(&mut self, mut other: Region) -> Vec<ClosedSet> {
+    fn merge_from(&mut self, mut other: Region) -> Vec<ClosedSet> {
         self.cover = self.cover.union(&other.cover);
         self.size += other.size;
         self.sets.append(&mut other.sets);
@@ -192,7 +192,7 @@ pub struct RegionTracker {
     /// Pairwise disjoint (Axiom 2), kept in time order — so the regions
     /// a new set connects are one run, found by binary search.
     pending: Vec<Region>,
-    /// Emptied set lists (of absorbed regions, and of completed ones the
+    /// Emptied set lists (of merged-away regions, and of completed ones the
     /// engine hands back), reused by the next single-set region.
     spare: Vec<Vec<ClosedSet>>,
 }
@@ -229,7 +229,7 @@ impl RegionTracker {
         }
         let mut merged = Region::from_set(set, weight, self.spare.pop().unwrap_or_default());
         for mut other in self.pending.drain(lo..hi) {
-            // Absorb the smaller side into the larger: a long-lived
+            // Merge the smaller side into the larger: a long-lived
             // region accumulates thousands of sets, and moving it into
             // each new single-set region would make the steady stream of
             // merges quadratic in region size. Set order inside a region
@@ -238,7 +238,7 @@ impl RegionTracker {
             if other.sets.len() > merged.sets.len() {
                 std::mem::swap(&mut other, &mut merged);
             }
-            self.spare.push(merged.absorb(other));
+            self.spare.push(merged.merge_from(other));
         }
         self.pending.insert(lo, merged);
     }

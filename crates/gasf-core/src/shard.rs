@@ -166,7 +166,7 @@ struct BarrierReply {
     /// At a checkpoint: each route's safe-point snapshot.
     snaps: Vec<(u32, GroupSnapshot)>,
     /// At the end of the stream: each route's lifetime metrics, so filters
-    /// removed by control ops keep their per-epoch stats in the aggregate.
+    /// removed by control ops keep their stats in the aggregate.
     metrics: Vec<(u32, EngineMetrics)>,
     /// First failure, as (route index, error).
     error: Option<(u32, Error)>,
@@ -597,7 +597,7 @@ impl ShardedEngine {
         }] = &self.shards[..]
         {
             for (_, engine) in &shard.engines {
-                total.merge(&engine.lifetime_metrics());
+                total.merge(engine.metrics());
             }
         } else {
             total.input_tuples = self.input_tuples * self.n_routes as u64;

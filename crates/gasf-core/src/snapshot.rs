@@ -3,7 +3,7 @@
 //!
 //! A long-lived deployment must survive a crashed worker, a killed
 //! process, or a whole host going away without losing its subscription
-//! roster, its per-epoch accounting, or — most importantly — its
+//! roster, its accounting, or — most importantly — its
 //! **determinism**. The mechanism is the *safe point* the subscription
 //! control plane already defines: the epoch boundary where every open
 //! candidate set is force-closed, every region completed, and everything
@@ -12,7 +12,8 @@
 //!
 //! * the filter roster (with vacancy holes and the never-reused
 //!   [`FilterId`] frontier),
-//! * the epoch counter and the per-epoch metrics archive,
+//! * the epoch counter and the lifetime metrics (one accumulator of
+//!   O(roster) size),
 //! * the stream position (last accepted timestamp + sequence number, i.e.
 //!   the seq-ring frontier) and the output watermark,
 //! * the engine configuration (schema, algorithm, output strategy, time
@@ -22,15 +23,10 @@
 //! are taken only at boundary drains, so there is nothing transient to
 //! serialise.
 //!
-//! One size note: the per-epoch metrics archive grows by one entry per
-//! boundary crossing (checkpoint or control-op application) and each
-//! snapshot carries the whole archive, so snapshot size — unlike the
-//! replay log — is proportional to the engine's boundary count, not
-//! bounded by the checkpoint interval. Deployments that checkpoint very
-//! frequently over a very long life should expect checkpoint cost to
-//! grow with it; compacting the archive into the snapshot (summarised
-//! epochs beyond a window) is the natural extension if that ever
-//! dominates. [`GroupSnapshot`] captures exactly that state for one
+//! None of it grows with stream length or with the number of boundaries
+//! crossed: latencies and region sizes are fixed-footprint
+//! [`Histogram`](crate::metrics::Histogram)s, so a snapshot's size is set
+//! by the roster. [`GroupSnapshot`] captures exactly that state for one
 //! [`GroupEngine`](crate::engine::GroupEngine);
 //! [`EngineSnapshot`] collects one `GroupSnapshot` per route plus the
 //! caller-side stream position for a whole
@@ -129,10 +125,11 @@ pub struct GroupSnapshot {
     /// The never-reused filter-id frontier.
     pub(crate) next_filter_id: u32,
     /// Epochs completed at the snapshot boundary (the checkpoint itself
-    /// counts: it archives the running epoch).
+    /// counts: it ends the running epoch).
     pub(crate) epoch: u64,
-    /// Archived metrics of every completed epoch, oldest first.
-    pub(crate) past_epochs: Vec<EngineMetrics>,
+    /// Lifetime metrics at the boundary, which a restored engine
+    /// continues from.
+    pub(crate) metrics: EngineMetrics,
     pub(crate) watermark: Micros,
     /// Timestamp of the last accepted tuple (stream-order frontier).
     pub(crate) last_ts: Option<Micros>,
@@ -156,10 +153,10 @@ impl GroupSnapshot {
         self.epoch
     }
 
-    /// Archived metrics of completed epochs, oldest first — the history a
-    /// restored engine continues from.
-    pub fn epoch_metrics(&self) -> &[EngineMetrics] {
-        &self.past_epochs
+    /// Lifetime metrics at the boundary — what a restored engine
+    /// continues from.
+    pub fn metrics(&self) -> &EngineMetrics {
+        &self.metrics
     }
 
     /// The live roster at the boundary: `(id, spec)` per occupied slot,

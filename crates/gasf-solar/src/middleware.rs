@@ -40,7 +40,7 @@
 //! [`crate::regroup::partition`] and migrates them across engines at an
 //! epoch boundary — in-flight candidate sets are drained (and their
 //! outputs disseminated) before the old engines are torn down, and their
-//! metrics survive in the source's archive.
+//! metrics survive in the source's retired total.
 //!
 //! The legacy one-shot protocol — subscribe everything, then
 //! [`deploy`](Middleware::deploy), then stream — still works unchanged:
@@ -61,7 +61,7 @@ use gasf_core::engine::{Algorithm, Emission, GroupEngine, OutputStrategy};
 use gasf_core::event_time::{
     EventTimeConfig, LateOutcome, LateTuple, ReorderBuffer, ReorderSnapshot,
 };
-use gasf_core::metrics::{EngineMetrics, LatencyHistogram};
+use gasf_core::metrics::{EngineMetrics, Histogram};
 use gasf_core::quality::FilterSpec;
 use gasf_core::schema::Schema;
 use gasf_core::shard::ShardedEngine;
@@ -390,9 +390,9 @@ struct SourceEntry {
     /// Live filter groups (one in the common case; several after
     /// [`Middleware::regroup`]). Every part sees the full stream.
     parts: Vec<PartEntry>,
-    /// Lifetime metrics of engines retired by regroup/unsubscribe, so
-    /// their epochs survive in reports.
-    archived: Vec<EngineMetrics>,
+    /// Lifetime metrics of every engine retired by regroup/unsubscribe,
+    /// merged into one, so their history survives in reports.
+    retired: EngineMetrics,
     /// Bumped by every regroup so retired multicast trees never collide
     /// with their replacements (reset by [`Middleware::deploy`]).
     generation: u64,
@@ -402,10 +402,10 @@ struct SourceEntry {
     /// fan-out (every part sees the full stream, so reordering once ahead
     /// of all parts is equivalent to reordering per part).
     reorder: Option<ReorderBuffer>,
-    /// Delivery-latency distribution across every subscriber of this
-    /// source (filtering + overlay multicast), fixed-footprint so it
-    /// stays cheap at soak scale.
-    lat_hist: LatencyHistogram,
+    /// Delivery-latency distribution (microseconds) across every
+    /// subscriber of this source (filtering + overlay multicast),
+    /// fixed-footprint so it stays cheap at soak scale.
+    lat_hist: Histogram,
     /// Bounded ingress ([`MiddlewareConfig::ingress_capacity`]).
     gate: Option<CreditGate>,
     /// Quality-aware shedding policy ([`MiddlewareConfig::shedding`]).
@@ -417,10 +417,7 @@ impl SourceEntry {
     /// every engine retired by churn — the single definition both
     /// [`Middleware::report`] and [`Pipeline::metrics`] present.
     fn folded_metrics(&self) -> EngineMetrics {
-        let mut total = EngineMetrics::default();
-        for m in &self.archived {
-            total.merge(m);
-        }
+        let mut total = self.retired.clone();
         for part in &self.parts {
             total.merge(&part.engine.metrics());
         }
@@ -554,7 +551,7 @@ pub(crate) struct SourceState {
     node: NodeId,
     schema: Schema,
     subscribers: Vec<usize>,
-    archived: Vec<EngineMetrics>,
+    retired: EngineMetrics,
     generation: u64,
     flow: FlowMonitor,
     /// Watermark + reorder-buffer state (sources with an event-time
@@ -562,7 +559,7 @@ pub(crate) struct SourceState {
     reorder: Option<ReorderSnapshot>,
     /// Delivery-latency distribution (lifetime counters travel with the
     /// flow monitor).
-    lat_hist: LatencyHistogram,
+    lat_hist: Histogram,
     /// The shedding ladder rung at the checkpoint boundary. The part
     /// engines' snapshots carry that rung's degraded specs, so recovery
     /// resumes the shedder at the same rung (streaks and the credit
@@ -671,11 +668,11 @@ impl Middleware {
             schema,
             subscribers: Vec::new(),
             parts: Vec::new(),
-            archived: Vec::new(),
+            retired: EngineMetrics::default(),
             generation: 0,
             flow: FlowMonitor::default(),
             reorder: self.config.event_time.map(ReorderBuffer::new),
-            lat_hist: LatencyHistogram::new(),
+            lat_hist: Histogram::default(),
             gate: self.config.ingress_capacity.map(CreditGate::new),
             shedder: self.config.shedding.map(Shedder::new),
         });
@@ -833,7 +830,7 @@ impl Middleware {
     /// [`regroup::partition`] and migrates them across engines at an
     /// epoch boundary: every existing part is drained (in-flight
     /// candidate sets close, pending outputs are multicast) and retired —
-    /// its metrics survive in the source's archive — then one fresh
+    /// its metrics survive in the source's retired total — then one fresh
     /// engine and multicast tree is spawned per non-empty partition part.
     /// The continuing stream flows through the new engines seamlessly.
     ///
@@ -939,7 +936,7 @@ impl Middleware {
     /// Instantiates the filtering engines and multicast groups from the
     /// live subscriptions — the *static rebuild* the dynamic lifecycle is
     /// defined against. Also the reset path: deploying again rebuilds
-    /// every engine, clears the per-source archives and restarts the
+    /// every engine, clears the per-source retired totals and restarts the
     /// multicast generation.
     ///
     /// # Errors
@@ -952,7 +949,7 @@ impl Middleware {
             for part in s.parts.drain(..) {
                 let _ = self.overlay.remove_group(part.group);
             }
-            s.archived.clear();
+            s.retired = EngineMetrics::default();
             s.generation = 0;
             // Deploy restarts the stream, so the event-time front end
             // restarts with it (fresh watermark, empty buffer) — and so
@@ -1271,12 +1268,13 @@ impl Middleware {
             .ok_or_else(|| SolarError::UnknownId(source.to_string()))
     }
 
-    /// The source's delivery-latency distribution: one sample per
-    /// (emission, recipient) delivery, fixed footprint at any scale.
+    /// The source's delivery-latency distribution, in microseconds: one
+    /// sample per (emission, recipient) delivery, fixed footprint at any
+    /// scale.
     ///
     /// # Errors
     /// [`SolarError::UnknownId`] for unknown sources.
-    pub fn latency_histogram(&self, source: SourceId) -> Result<&LatencyHistogram, SolarError> {
+    pub fn latency_histogram(&self, source: SourceId) -> Result<&Histogram, SolarError> {
         self.sources
             .get(source.0)
             .map(|s| &s.lat_hist)
@@ -1451,7 +1449,7 @@ impl Middleware {
             app.e2e_latency_sum_us = 0;
         }
         for s in &mut self.sources {
-            s.lat_hist = LatencyHistogram::new();
+            s.lat_hist = Histogram::default();
         }
         let mut pipeline = self.pipeline(source)?;
         pipeline.push_batch(tuples)?;
@@ -1472,7 +1470,9 @@ impl Middleware {
             .sources
             .get(source.0)
             .ok_or_else(|| SolarError::UnknownId(source.to_string()))?;
-        if s.parts.is_empty() && s.archived.is_empty() {
+        // Every engine has at least one filter slot, so a source that
+        // never ran one has no per-filter counters at all.
+        if s.parts.is_empty() && s.retired.per_filter.is_empty() {
             return Err(SolarError::NoSubscribers(s.name.clone()));
         }
         let engine = s.folded_metrics();
@@ -1548,7 +1548,7 @@ impl Middleware {
                 node: s.node,
                 schema: s.schema.clone(),
                 subscribers: s.subscribers.clone(),
-                archived: s.archived.clone(),
+                retired: s.retired.clone(),
                 generation: s.generation,
                 flow: s.flow.clone(),
                 reorder: s.reorder.as_ref().map(ReorderBuffer::snapshot),
@@ -1619,7 +1619,7 @@ impl Middleware {
                 schema: s.schema.clone(),
                 subscribers: s.subscribers.clone(),
                 parts,
-                archived: s.archived.clone(),
+                retired: s.retired.clone(),
                 generation: s.generation,
                 flow: s.flow.clone(),
                 reorder: s.reorder.as_ref().map(ReorderBuffer::restore),
@@ -1755,10 +1755,11 @@ impl Middleware {
     }
 
     /// Drains a part's engine through the multicast path (in-flight
-    /// candidate sets close, pending outputs are delivered), archives its
-    /// lifetime metrics, removes its multicast group from the overlay and
-    /// drops the part. A part whose stream already finished has nothing
-    /// in flight and archives directly.
+    /// candidate sets close, pending outputs are delivered), merges its
+    /// lifetime metrics into the source's retired total, removes its
+    /// multicast group from the overlay and drops the part. A part whose
+    /// stream already finished has nothing in flight and is merged
+    /// directly.
     ///
     /// Returns the part's lifetime metrics — the sample regrouping
     /// heuristics judge.
@@ -1777,7 +1778,7 @@ impl Middleware {
         let s = &mut self.sources[source_idx];
         let part = s.parts.remove(part_idx);
         let lifetime = part.engine.metrics();
-        s.archived.push(lifetime.clone());
+        s.retired.merge(&lifetime);
         // The tree is dead — reclaim it so churn can't grow the overlay
         // without bound.
         let _ = self.overlay.remove_group(part.group);
@@ -1864,7 +1865,7 @@ pub struct MulticastSink<'a> {
     /// The source's delivery-latency histogram: one sample per
     /// (emission, recipient) delivery, same quantity the per-app means
     /// aggregate.
-    lat_hist: &'a mut LatencyHistogram,
+    lat_hist: &'a mut Histogram,
     /// The recipient nodes of the emission being sent.
     nodes: &'a mut Vec<NodeId>,
     error: Option<SolarError>,
@@ -1928,7 +1929,7 @@ impl EmissionSink for MulticastSink<'_> {
                 let entry = &mut self.apps[filter_apps[f.index()]];
                 let e2e = e2e(&entry.node);
                 entry.book(e2e);
-                self.lat_hist.record(e2e);
+                self.lat_hist.record(e2e.as_micros());
             }
             return;
         }
@@ -1943,7 +1944,7 @@ impl EmissionSink for MulticastSink<'_> {
                 self.apps[filter_apps[f.index()]].book(e2e);
                 n += 1;
             }
-            self.lat_hist.record_n(e2e, n);
+            self.lat_hist.record_n(e2e.as_micros(), n);
         }
     }
 
@@ -2474,11 +2475,12 @@ mod tests {
         mw.push_batch(src, tuples[200..].to_vec()).unwrap();
         mw.finish(src).unwrap();
         let report = mw.report(src).unwrap();
-        // every engine generation is accounted: the retired engine saw
-        // 200 tuples x 3 filters... actually input counts per engine; the
-        // archive plus both live parts must cover the whole stream.
-        assert_eq!(mw.sources[src.0].archived.len(), 1);
-        assert!(report.engine.input_tuples >= 400);
+        // every engine generation is accounted: the retired engine (its
+        // three filters, the first 200 tuples) plus both live parts (the
+        // other 200, once each) cover the whole stream.
+        let retired = &mw.sources[src.0].retired;
+        assert_eq!((retired.per_filter.len(), retired.input_tuples), (3, 200));
+        assert_eq!(report.engine.input_tuples, 200 + 2 * 200);
         for app in &report.per_app {
             assert!(app.tuples > 0, "{} starved across the migration", app.name);
         }
@@ -2814,7 +2816,7 @@ mod tests {
         assert_eq!(sharded.messages, inline.messages);
         assert_eq!(sharded.engine.output_tuples, inline.engine.output_tuples);
         assert_eq!(sharded.engine.emissions, inline.engine.emissions);
-        assert_eq!(sharded.engine.latencies_us, inline.engine.latencies_us);
+        assert_eq!(sharded.engine.latency_us, inline.engine.latency_us);
     }
 
     #[test]

@@ -7,11 +7,19 @@
 //! nothing it may touch). Plus the resumability regression pinned in
 //! `try_push_columnar`'s contract: a mid-batch `Throttled` leaves the
 //! batch resumable at the exact rejected row.
+//!
+//! Emission *order* is not compared: the engines reject a gap or a
+//! reorder in the row stream and no spec here can be retuned, so no
+//! run crosses a safe point and the order follows from the rows alone.
+//! `sink_equivalence` and `batch_equivalence` pin the engines' order at
+//! any slicing, and `distributed_equivalence` the middleware's per-node
+//! delivery order.
 
 use std::sync::Arc;
 
 use gasf_core::batch::TupleBatch;
 use gasf_core::engine::{Algorithm, OutputStrategy};
+use gasf_core::metrics::Histogram;
 use gasf_core::quality::FilterSpec;
 use gasf_core::shed::PushOutcome;
 use gasf_core::time::Micros;
@@ -70,7 +78,7 @@ struct RunFingerprint {
     output_tuples: u64,
     emissions: u64,
     recipient_labels: u64,
-    latencies_us: Vec<u64>,
+    latency_us: Histogram,
     network_bytes: u64,
     messages: u64,
     per_app: Vec<(String, bool, u64, u64)>,
@@ -83,7 +91,7 @@ fn fingerprint(mw: &Middleware, src: SourceId) -> RunFingerprint {
         output_tuples: report.engine.output_tuples,
         emissions: report.engine.emissions,
         recipient_labels: report.engine.recipient_labels,
-        latencies_us: report.engine.latencies_us.clone(),
+        latency_us: report.engine.latency_us.clone(),
         network_bytes: report.network_bytes,
         messages: report.messages,
         per_app: report

@@ -13,7 +13,7 @@
 use gasf_core::batch::TupleBatch;
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, GroupEngineBuilder, OutputStrategy};
-use gasf_core::metrics::EngineMetrics;
+use gasf_core::metrics::{EngineMetrics, Histogram};
 use gasf_core::plan::EvaluatorTier;
 use gasf_core::quality::FilterSpec;
 use gasf_core::schema::Schema;
@@ -86,13 +86,13 @@ fn builder(
 }
 
 /// Deterministic subset of the metrics (everything but wall-clock CPU).
-fn fingerprint(m: &EngineMetrics) -> (u64, u64, u64, u64, Vec<u64>) {
+fn fingerprint(m: &EngineMetrics) -> (u64, u64, u64, u64, Histogram) {
     (
         m.input_tuples,
         m.output_tuples,
         m.emissions,
         m.recipient_labels,
-        m.latencies_us.clone(),
+        m.latency_us.clone(),
     )
 }
 

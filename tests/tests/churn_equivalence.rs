@@ -8,10 +8,13 @@
 //! Covered exhaustively for every `Algorithm` × `OutputStrategy` and for
 //! parallelism ∈ {1, 2, 4} (the sharded engine ships control ops
 //! interleaved with the data batches), plus a property-based sweep over
-//! random churn schedules. Per-epoch metrics are pinned against the
-//! per-segment static engines, and a removed filter's stats must survive
-//! in the epoch archive.
+//! random churn schedules. The lifetime metrics are pinned against the
+//! per-segment static engines' metrics added up by filter id, and a
+//! removed filter's stats must survive in its vacant slot.
 
+mod common;
+
+use common::fold_by_id;
 use gasf_core::batch::TupleBatch;
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, GroupEngineBuilder, OutputStrategy};
@@ -165,15 +168,27 @@ fn run_static_segments(
 }
 
 /// Deterministic subset of the metrics (everything but wall-clock CPU),
-/// down to each filter's counters and every region's size.
+/// down to each filter's counters and the region-size and latency
+/// histograms.
 fn fingerprint(m: &EngineMetrics) -> impl PartialEq + std::fmt::Debug {
     (
         (m.input_tuples, m.output_tuples, m.emissions),
         (m.recipient_labels, m.disordered_emissions),
-        (m.regions, m.regions_cut, m.region_sizes.clone()),
-        m.latencies_us.clone(),
+        (m.regions, m.regions_cut, m.region_size.clone()),
+        m.latency_us.clone(),
         m.per_filter.clone(),
     )
+}
+
+/// The engine's lifetime metrics equal its segment engines' added up by
+/// filter id.
+fn assert_lifetime_is_the_segments(engine: &GroupEngine, segments: &[GroupEngine], label: &str) {
+    let segments: Vec<&EngineMetrics> = segments.iter().map(GroupEngine::metrics).collect();
+    assert_eq!(
+        fingerprint(engine.metrics()),
+        fingerprint(&fold_by_id(&segments)),
+        "{label}: lifetime metrics"
+    );
 }
 
 /// The fixed churn schedule of the exhaustive pin: a join, then a
@@ -212,26 +227,13 @@ fn dynamic_churn_equals_static_rebuilds_for_every_combination() {
             assert_eq!(dynamic, statics, "{label}: emission stream");
             assert!(!dynamic.is_empty(), "{label}: churn trace must emit");
 
-            // Per-epoch metrics match the per-segment engines exactly.
             assert_eq!(engine.epoch(), 2, "{label}");
-            assert_eq!(engine.epoch_metrics().len(), 2, "{label}");
             assert_eq!(segment_engines.len(), 3, "{label}");
-            for (k, seg) in segment_engines.iter().enumerate() {
-                let epoch = if k < 2 {
-                    &engine.epoch_metrics()[k]
-                } else {
-                    engine.metrics()
-                };
-                assert_eq!(
-                    fingerprint(epoch),
-                    fingerprint(seg.metrics()),
-                    "{label}: epoch {k}"
-                );
-            }
+            assert_lifetime_is_the_segments(&engine, &segment_engines, &label);
 
-            // The removed filter's stats survive in the archive, and the
-            // lifetime fold accounts the whole stream.
-            let lifetime = engine.lifetime_metrics();
+            // The removed filter's stats survive in its slot, and the
+            // lifetime metrics account the whole stream.
+            let lifetime = engine.metrics();
             assert!(
                 lifetime.per_filter[1].sets_closed > 0,
                 "{label}: removed filter's history must survive"
@@ -282,16 +284,9 @@ fn twin_classes_split_join_and_lose_their_leader_like_static_rebuilds() {
             assert_eq!(dynamic, statics, "{label}: emission stream");
             assert_eq!(engine.epoch(), 5, "{label}");
             assert_eq!(segment_engines.len(), 6, "{label}");
-            for (k, seg) in segment_engines.iter().enumerate() {
-                let epoch = engine.epoch_metrics().get(k).unwrap_or(engine.metrics());
-                assert_eq!(
-                    fingerprint(epoch),
-                    fingerprint(seg.metrics()),
-                    "{label}: epoch {k}"
-                );
-            }
+            assert_lifetime_is_the_segments(&engine, &segment_engines, &label);
             // While {0, 3, 4} stood together its members fared alike.
-            let together = &engine.epoch_metrics()[1].per_filter;
+            let together = &segment_engines[1].metrics().per_filter;
             assert!(together[0].sets_closed > 0, "{label}");
             for twin in [3, 4] {
                 assert_eq!(together[twin], together[0], "{label}: twin {twin}");

@@ -100,8 +100,8 @@ fn fingerprint(m: &EngineMetrics) -> impl PartialEq + std::fmt::Debug {
     (
         (m.input_tuples, m.output_tuples, m.emissions),
         (m.recipient_labels, m.disordered_emissions),
-        (m.regions, m.regions_cut, m.region_sizes.clone()),
-        m.latencies_us.clone(),
+        (m.regions, m.regions_cut, m.region_size.clone()),
+        m.latency_us.clone(),
         m.per_filter.clone(),
     )
 }

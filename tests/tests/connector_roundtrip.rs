@@ -1,7 +1,8 @@
 //! Connector-seam roundtrips: every [`SourceConnector`] must reproduce
 //! the in-memory [`run_trace`](Middleware::run_trace) run **byte for
-//! byte** — same engine metrics (per-emission latencies included), same
-//! wire bytes and message count, same per-app delivery statistics.
+//! byte** — same engine metrics (the per-emission latency histogram
+//! included), same wire bytes and message count, same per-app delivery
+//! statistics.
 //! The seam may change how tuples *arrive*; it must never change what
 //! the engines *see*:
 //!
@@ -14,9 +15,16 @@
 //!   event-time front end;
 //! - property: ragged connector chunking (any `chunk_sizes` pattern ×
 //!   any ingest `max_rows`) and any crash/burst schedule are invisible.
+//!
+//! Emission *order* is not compared: the engines reject a gap or a
+//! reorder in the row stream and no run here crosses a safe point, so
+//! the order follows from the rows alone. `sink_equivalence` and
+//! `batch_equivalence` pin the engines' order at any slicing, and
+//! `distributed_equivalence` the middleware's per-node delivery order.
 
 use gasf_core::engine::{Algorithm, OutputStrategy};
 use gasf_core::event_time::EventTimeConfig;
+use gasf_core::metrics::Histogram;
 use gasf_core::quality::FilterSpec;
 use gasf_core::time::Micros;
 use gasf_core::tuple::Tuple;
@@ -74,7 +82,7 @@ struct RunFingerprint {
     output_tuples: u64,
     emissions: u64,
     recipient_labels: u64,
-    latencies_us: Vec<u64>,
+    latency_us: Histogram,
     network_bytes: u64,
     messages: u64,
     per_app: Vec<(String, bool, u64, u64)>,
@@ -87,7 +95,7 @@ fn fingerprint(mw: &Middleware, src: SourceId) -> RunFingerprint {
         output_tuples: report.engine.output_tuples,
         emissions: report.engine.emissions,
         recipient_labels: report.engine.recipient_labels,
-        latencies_us: report.engine.latencies_us.clone(),
+        latency_us: report.engine.latency_us.clone(),
         network_bytes: report.network_bytes,
         messages: report.messages,
         per_app: report

@@ -137,7 +137,7 @@ proptest! {
         let (unfolded, um) = run(EvaluatorTier::Interpreted);
         prop_assert_eq!(&folded, &unfolded);
         prop_assert_eq!((fm.regions, fm.regions_cut), (um.regions, um.regions_cut));
-        prop_assert_eq!(&fm.region_sizes, &um.region_sizes);
+        prop_assert_eq!(&fm.region_size, &um.region_size);
         prop_assert_eq!(&fm.per_filter, &um.per_filter);
         // Copies of a spec receive the same tuples.
         for e in &folded {

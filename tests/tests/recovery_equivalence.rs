@@ -13,6 +13,9 @@
 //! the fault model is pinned too: a run with a failed interior tree node
 //! still delivers to every live member (Scribe re-graft).
 
+mod common;
+
+use common::fold_by_id;
 use gasf_core::batch::TupleBatch;
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, GroupEngineBuilder, OutputStrategy};
@@ -59,15 +62,15 @@ fn builder(trace: &Trace, algorithm: Algorithm, strategy: OutputStrategy) -> Gro
         .output_strategy(strategy)
 }
 
-/// Deterministic subset of the metrics (everything but wall-clock CPU).
-fn fingerprint(m: &EngineMetrics) -> (u64, u64, u64, u64, u64, Vec<u64>) {
+/// Deterministic subset of the metrics (everything but wall-clock CPU),
+/// down to each filter's counters and the latency and region-size
+/// histograms.
+fn fingerprint(m: &EngineMetrics) -> impl PartialEq + std::fmt::Debug {
     (
-        m.input_tuples,
-        m.output_tuples,
-        m.emissions,
-        m.recipient_labels,
-        m.disordered_emissions,
-        m.latencies_us.clone(),
+        (m.input_tuples, m.output_tuples, m.emissions),
+        (m.recipient_labels, m.disordered_emissions),
+        (m.latency_us.clone(), m.region_size.clone()),
+        m.per_filter.clone(),
     )
 }
 
@@ -131,20 +134,27 @@ fn inline_crash_restore_replay_equals_fault_free_for_every_combination() {
             restored.finish_into(&mut replayed).unwrap();
             assert_eq!(replayed.into_vec(), post, "{label}: suffix bytes");
 
-            // metrics history continues identically (modulo wall clock)
+            // the lifetime metrics continue identically (modulo wall
+            // clock), and are the two segments' static engines added up
             assert_eq!(restored.epoch(), live.epoch(), "{label}");
             assert_eq!(
-                restored.epoch_metrics().len(),
-                live.epoch_metrics().len(),
-                "{label}"
+                fingerprint(restored.metrics()),
+                fingerprint(live.metrics()),
+                "{label}: lifetime metrics"
             );
-            for (a, b) in restored.epoch_metrics().iter().zip(live.epoch_metrics()) {
-                assert_eq!(fingerprint(a), fingerprint(b), "{label}: epoch archive");
-            }
+            let segments = [0..CKPT, CKPT..trace.tuples().len()].map(|rows| {
+                let mut engine = builder(&trace, algorithm, strategy)
+                    .filters(base_specs(&trace))
+                    .build()
+                    .unwrap();
+                let rows = trace.tuples()[rows].iter().cloned();
+                engine.run_into(rows, &mut VecSink::new()).unwrap();
+                engine
+            });
             assert_eq!(
-                fingerprint(&restored.lifetime_metrics()),
-                fingerprint(&live.lifetime_metrics()),
-                "{label}: lifetime fold"
+                fingerprint(live.metrics()),
+                fingerprint(&fold_by_id(&[segments[0].metrics(), segments[1].metrics()])),
+                "{label}: the segments added up"
             );
         }
     }
@@ -436,9 +446,10 @@ proptest! {
 
     /// The satellite oracle: `snapshot()` → `restore()` at a random safe
     /// point round-trips the roster (vacancy holes included), the epoch
-    /// archive and the metrics exactly — checked field-wise against the
-    /// live engine after the same no-op churn (the boundary crossing both
-    /// engines share), then byte-wise over the remaining suffix.
+    /// counter and the lifetime metrics exactly — checked field-wise
+    /// against the live engine after the same no-op churn (the boundary
+    /// crossing both engines share), then byte-wise over the remaining
+    /// suffix.
     #[test]
     fn snapshot_restore_round_trips_at_random_safe_points(
         seed in 0u64..400,
@@ -463,22 +474,16 @@ proptest! {
         let (snap, _boundary) = live.snapshot().unwrap();
 
         let restored = GroupEngine::restore(&snap).unwrap();
-        // state round-trip: roster (with the hole), epoch archive, metrics
+        // state round-trip: roster (with the hole), epoch, metrics
         prop_assert_eq!(restored.roster(), live.roster());
         prop_assert_eq!(restored.group_size(), 2);
         prop_assert_eq!(restored.epoch(), live.epoch());
         prop_assert_eq!(restored.time_constraint(), live.time_constraint());
-        prop_assert_eq!(restored.epoch_metrics().len(), live.epoch_metrics().len());
-        for (a, b) in restored.epoch_metrics().iter().zip(live.epoch_metrics()) {
-            prop_assert_eq!(fingerprint(a), fingerprint(b));
-        }
-        prop_assert_eq!(
-            fingerprint(&restored.lifetime_metrics()),
-            fingerprint(&live.lifetime_metrics())
-        );
+        prop_assert_eq!(fingerprint(restored.metrics()), fingerprint(live.metrics()));
         // the snapshot's own accessors agree with the engine
         prop_assert_eq!(snap.roster(), live.roster());
         prop_assert_eq!(snap.epoch(), live.epoch());
+        prop_assert_eq!(fingerprint(snap.metrics()), fingerprint(live.metrics()));
         prop_assert_eq!(snap.group_size(), 2);
 
         // and the continuation is byte-identical

@@ -4,8 +4,8 @@
 //!    credit gate and the [`Shedder`](gasf_solar::Shedder) attached but
 //!    never pressured is **byte-identical** to one deployed without
 //!    them, across every `Algorithm` × `OutputStrategy` and parallelism
-//!    ∈ {1, 2, 4}: same engine metrics (including per-emission
-//!    latencies), same wire bytes and message count, same per-app
+//!    ∈ {1, 2, 4}: same engine metrics (including the per-emission
+//!    latency histogram), same wire bytes and message count, same per-app
 //!    delivery statistics — and every flow counter still zero.
 //! 2. **Slack obedience under pressure** — a starvation schedule climbs
 //!    the ladder to its cap; the specs the engines actually ran are
@@ -20,12 +20,20 @@
 //!    exactly with what the driving loop observed at the call sites,
 //!    and [`IngestReport`](gasf_solar::IngestReport) agrees with the
 //!    monitor for connector-driven ingest.
+//!
+//! Emission *order* is not compared here. Every part engine rejects a
+//! gap or a reorder in the row stream, so its emission order follows
+//! from the rows it is fed and where its safe points land: the rungs'
+//! row positions are pinned below, the engines' order at any slicing by
+//! `sink_equivalence` and `batch_equivalence`, and the middleware's
+//! per-node delivery order by `distributed_equivalence`'s stream digests.
 
 use std::sync::Arc;
 
 use gasf_core::batch::TupleBatch;
 use gasf_core::connector::{Chunk, SourceConnector};
 use gasf_core::engine::{Algorithm, OutputStrategy};
+use gasf_core::metrics::Histogram;
 use gasf_core::quality::{FilterKind, FilterSpec};
 use gasf_core::schema::Schema;
 use gasf_core::shed::{PushOutcome, ShedHeadroom};
@@ -111,7 +119,7 @@ struct RunFingerprint {
     output_tuples: u64,
     emissions: u64,
     recipient_labels: u64,
-    latencies_us: Vec<u64>,
+    latency_us: Histogram,
     network_bytes: u64,
     messages: u64,
     per_app: Vec<(String, bool, u64, u64)>,
@@ -124,7 +132,7 @@ fn fingerprint(mw: &Middleware, src: SourceId) -> RunFingerprint {
         output_tuples: report.engine.output_tuples,
         emissions: report.engine.emissions,
         recipient_labels: report.engine.recipient_labels,
-        latencies_us: report.engine.latencies_us.clone(),
+        latency_us: report.engine.latency_us.clone(),
         network_bytes: report.network_bytes,
         messages: report.messages,
         per_app: report
@@ -545,8 +553,8 @@ struct LadderRun {
     /// Input tuples, output tuples, emissions, recipient labels,
     /// network bytes, messages.
     report: [u64; 6],
-    /// Order-sensitive fold of the per-emission latencies.
-    latency_fold: u64,
+    /// Exact sum and maximum of the per-emission latencies, µs.
+    latency_sum_max: (u128, u64),
     /// Tuples delivered per subscription.
     per_app: Vec<u64>,
 }
@@ -589,10 +597,7 @@ fn ladder_run(mw: &Middleware, src: SourceId, transitions: Vec<(usize, u8)>) -> 
             fp.network_bytes,
             fp.messages,
         ],
-        latency_fold: fp
-            .latencies_us
-            .iter()
-            .fold(0u64, |h, &l| h.wrapping_mul(0x0100_0000_01b3) ^ l),
+        latency_sum_max: (fp.latency_us.sum(), fp.latency_us.max()),
         per_app: fp.per_app.iter().map(|a| a.2).collect(),
     }
 }
@@ -753,7 +758,7 @@ fn golden_ladder_schedule_holds_for_every_input_shape() {
         ],
         counters: [575, 7, 7, 0],
         report: [360, 209, 209, 593, 306_000, 209],
-        latency_fold: 2_208_891_559_619_878_656,
+        latency_sum_max: (101_000_000, 1_260_000),
         per_app: vec![76, 55, 65, 83, 181, 133],
     };
     // Rows 185 → 195 are one 9-row chunk: two rungs down inside it.
@@ -769,7 +774,7 @@ fn golden_ladder_schedule_holds_for_every_input_shape() {
         ],
         counters: [176, 7, 7, 0],
         report: [360, 201, 201, 574, 295_800, 201],
-        latency_fold: 11_476_696_815_957_072_256,
+        latency_sum_max: (103_980_000, 1_580_000),
         per_app: vec![77, 54, 65, 81, 166, 131],
     };
     let by_batch_chunks = LadderRun {
@@ -785,7 +790,7 @@ fn golden_ladder_schedule_holds_for_every_input_shape() {
         ],
         counters: [158, 14, 7, 112],
         report: [752, 376, 376, 1138, 568_208, 376],
-        latency_fold: 11_407_592_952_880_738_592,
+        latency_sum_max: (152_060_000, 1_590_000),
         per_app: vec![172, 117, 140, 161, 281, 267],
     };
     for parallelism in [1usize, 2] {

@@ -8,6 +8,7 @@
 //! diverge between the two paths, one of these assertions trips.
 
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, OutputStrategy};
+use gasf_core::metrics::Histogram;
 use gasf_core::quality::FilterSpec;
 use gasf_core::shard::ShardedEngine;
 use gasf_core::sink::{EmissionSink, VecSink};
@@ -63,7 +64,7 @@ fn engine(trace: &Trace, algorithm: Algorithm, strategy: OutputStrategy) -> Grou
 }
 
 /// Deterministic subset of the metrics (everything but wall-clock CPU).
-fn metric_fingerprint(e: &GroupEngine) -> (u64, u64, u64, u64, u64, Vec<u64>) {
+fn metric_fingerprint(e: &GroupEngine) -> (u64, u64, u64, u64, u64, Histogram) {
     let m = e.metrics();
     (
         m.input_tuples,
@@ -71,7 +72,7 @@ fn metric_fingerprint(e: &GroupEngine) -> (u64, u64, u64, u64, u64, Vec<u64>) {
         m.emissions,
         m.recipient_labels,
         m.disordered_emissions,
-        m.latencies_us.clone(),
+        m.latency_us.clone(),
     )
 }
 
@@ -162,7 +163,7 @@ fn sharded_engine_equals_group_engine_for_every_combination() {
                 let m = reference.metrics();
                 assert_eq!(merged.output_tuples, m.output_tuples, "{label}: n={n}");
                 assert_eq!(merged.emissions, m.emissions, "{label}: n={n}");
-                assert_eq!(merged.latencies_us, m.latencies_us, "{label}: n={n}");
+                assert_eq!(merged.latency_us, m.latency_us, "{label}: n={n}");
                 assert_eq!(
                     merged.disordered_emissions, m.disordered_emissions,
                     "{label}: n={n}"
