@@ -661,24 +661,19 @@ impl GroupEngine {
     /// filter's open candidate set is closed with everything else at the
     /// epoch boundary, its pending outputs are released, its slot becomes
     /// a vacancy and its counters stay in its slot of
-    /// [`metrics`](Self::metrics).
+    /// [`metrics`](Self::metrics). Removing the last live filter leaves an
+    /// empty roster: the engine keeps consuming the stream (and counting
+    /// it in `input_tuples`) but emits nothing until a filter is added.
     ///
     /// # Errors
-    /// [`Error::Finished`], [`Error::UnknownFilter`] for ids that are not
-    /// live (counting queued ops), or [`Error::InvalidConfig`] when the
-    /// removal would leave the group empty.
+    /// [`Error::Finished`], or [`Error::UnknownFilter`] for ids that are
+    /// not live (counting queued ops).
     pub fn remove_filter(&mut self, id: FilterId) -> Result<(), Error> {
         if self.finished {
             return Err(Error::Finished);
         }
-        let live = self.projected_roster();
-        if !live.contains(&id.0) {
+        if !self.projected_live(id) {
             return Err(Error::UnknownFilter { id });
-        }
-        if live.len() == 1 {
-            return Err(Error::InvalidConfig {
-                reason: format!("removing {id} would leave the group empty"),
-            });
         }
         self.control_queue.push(ControlOp::Remove(id));
         self.queued_structural += 1;
@@ -717,29 +712,6 @@ impl GroupEngine {
                 ControlOp::Add(i, _) if i.0 == id.0 => live = true,
                 ControlOp::Remove(i) if i.0 == id.0 => live = false,
                 _ => {}
-            }
-        }
-        live
-    }
-
-    /// The roster as it will look once the queued ops apply.
-    fn projected_roster(&self) -> BTreeSet<u32> {
-        let mut live: BTreeSet<u32> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(i, _)| i as u32)
-            .collect();
-        for op in &self.control_queue {
-            match op {
-                ControlOp::Add(id, _) => {
-                    live.insert(id.0);
-                }
-                ControlOp::Remove(id) => {
-                    live.remove(&id.0);
-                }
-                ControlOp::Update(..) => {}
             }
         }
         live
@@ -907,9 +879,11 @@ impl GroupEngine {
     /// metrics, same stream-order frontier — so feeding it the
     /// post-checkpoint suffix reproduces the original run byte for byte.
     ///
+    /// A snapshot taken after the last filter was removed restores to an
+    /// engine with an empty roster.
+    ///
     /// # Errors
-    /// [`Error::InvalidConfig`] for a snapshot without live filters, or
-    /// any filter-instantiation error ([`GroupEngineBuilder::build`]'s
+    /// Any filter-instantiation error ([`GroupEngineBuilder::build`]'s
     /// rules).
     pub fn restore(snap: &GroupSnapshot) -> Result<GroupEngine, Error> {
         GroupEngine::restore_with_tier(snap, EvaluatorTier::default())
@@ -938,11 +912,6 @@ impl GroupEngine {
         snap: GroupSnapshot,
         tier: EvaluatorTier,
     ) -> Result<GroupEngine, Error> {
-        if !snap.roster.iter().any(Option::is_some) {
-            return Err(Error::InvalidConfig {
-                reason: "snapshot holds no live filter".into(),
-            });
-        }
         let width = snap.roster.len();
         let mut slots: Vec<Option<FilterSlot>> = Vec::with_capacity(width);
         for (i, spec) in snap.roster.into_iter().enumerate() {

@@ -924,30 +924,28 @@ mod control_plane {
             .filter(FilterSpec::delta("t", 40.0, 5.0))
             .build()
             .unwrap();
-        // unknown id / unknown attribute / empty-group guard
+        // unknown id / unknown attribute
         assert!(matches!(
             e.remove_filter(FilterId::from_index(7)),
             Err(Error::UnknownFilter { .. })
-        ));
-        assert!(matches!(
-            e.remove_filter(FilterId::from_index(0)),
-            Err(Error::InvalidConfig { .. }),
         ));
         assert!(e.add_filter(FilterSpec::delta("nope", 1.0, 0.1)).is_err());
         assert!(matches!(
             e.update_filter(FilterId::from_index(3), FilterSpec::delta("t", 1.0, 0.1)),
             Err(Error::UnknownFilter { .. })
         ));
-        // a queued add makes its id a valid remove target, and removing
-        // the only *remaining* filter is still rejected
+        // a queued add makes its id a valid remove target, a queued
+        // removal makes it unknown again, and the roster may empty
         let id = e.add_filter(FilterSpec::delta("t", 20.0, 4.0)).unwrap();
         e.remove_filter(FilterId::from_index(0)).unwrap();
+        e.remove_filter(id).unwrap();
         assert!(matches!(
             e.remove_filter(id),
-            Err(Error::InvalidConfig { .. })
+            Err(Error::UnknownFilter { .. })
         ));
         let mut sink = VecSink::new();
         e.run_into(tuples, &mut sink).unwrap();
+        assert!(sink.is_empty(), "an emptied roster emits nothing");
         // after finish every op errors
         assert!(matches!(
             e.add_filter(FilterSpec::delta("t", 9.0, 1.0)),
@@ -1152,10 +1150,6 @@ mod control_plane {
             .build()
             .unwrap();
         assert!(matches!(
-            e.remove_filter(0, FilterId::from_index(0)),
-            Err(Error::InvalidConfig { .. })
-        ));
-        assert!(matches!(
             e.remove_filter(0, FilterId::from_index(5)),
             Err(Error::UnknownFilter { .. })
         ));
@@ -1166,5 +1160,41 @@ mod control_plane {
         assert!(e
             .add_filter(0, FilterSpec::delta("nope", 1.0, 0.1))
             .is_err());
+        // removing the route's last filter is allowed, and twice is
+        // unknown, as on the inline engine
+        e.remove_filter(0, FilterId::from_index(0)).unwrap();
+        assert!(matches!(
+            e.remove_filter(0, FilterId::from_index(0)),
+            Err(Error::UnknownFilter { .. })
+        ));
+    }
+
+    /// Removing the last filter leaves an empty roster that keeps
+    /// counting the stream, emits nothing and survives snapshot →
+    /// restore; a builder still refuses an empty group.
+    #[test]
+    fn an_emptied_roster_snapshots_and_restores() {
+        let (schema, tuples) = long_stream(40);
+        let mut e = GroupEngine::builder(schema.clone())
+            .filter(FilterSpec::delta("t", 40.0, 5.0))
+            .build()
+            .unwrap();
+        let mut sink = VecSink::new();
+        e.push_batch(tuples[..20].to_vec(), &mut sink).unwrap();
+        e.remove_filter(FilterId::from_index(0)).unwrap();
+        let (snap, _) = e.snapshot().unwrap();
+        assert_eq!(snap.group_size(), 0);
+        let mut restored = GroupEngine::restore(&snap).unwrap();
+        let mut out = VecSink::new();
+        restored
+            .push_batch(tuples[20..].to_vec(), &mut out)
+            .unwrap();
+        restored.finish_into(&mut out).unwrap();
+        assert!(out.is_empty(), "an empty roster emits nothing");
+        assert_eq!(restored.metrics().input_tuples, tuples.len() as u64);
+        assert!(matches!(
+            GroupEngine::builder(schema).build(),
+            Err(Error::InvalidConfig { .. })
+        ));
     }
 }

@@ -33,6 +33,14 @@
 //! inline or sharded — may cut at different points; sharding adds no new
 //! nondeterminism, but cannot remove the clock from that path either.
 //!
+//! In `gasf-solar`'s middleware a source owns one such engine and its
+//! routes are the source's *parts* (the filter groups a regroup splits
+//! its subscribers into), so a multi-part source's emissions reach the
+//! subscribers in `(row, part)` order whatever the run size or
+//! parallelism. A route whose last filter is removed stays *dormant*: it
+//! drains at its next safe point, then emits nothing until a filter is
+//! added to it again.
+//!
 //! Parallelism `0` spawns no thread: every route sits on one *inline*
 //! shard that the caller thread steps inside each send, so a push merges
 //! before it returns. Merge, barrier, control mirror, step costs and
@@ -64,9 +72,11 @@
 //! emissions (moved out of the engine's release buffer, which keeps its
 //! capacity) plus one `(row, route, end)` run marking where they end.
 //! The caller sorts every shard's runs by `(row, route)` and hands the
-//! sink **one `accept_batch` per contiguous run of one reply** — a single
+//! sink **one [`accept_route`](EmissionSink::accept_route) per contiguous
+//! run of one route in one reply**, tagged with that route — a single
 //! call per batch when one route is hosted, since its runs are already
-//! in row order. Nothing in the reply is allocated per row. A route
+//! in row order. Barrier tails reach the sink the same way, one call per
+//! route in route order. Nothing in the reply is allocated per row. A route
 //! failure voids the runs at and past the failing `(row, route)` in every
 //! shard's reply, and nothing merged after it is delivered — exactly
 //! where feeding the routes one tuple at a time would have stopped.
@@ -502,10 +512,6 @@ pub struct ShardedEngine {
     controls: Vec<RouteControl>,
     /// Which spawned shard handle owns each route.
     route_shard: Vec<usize>,
-    /// Emissions merged while servicing a control op (the caller has no
-    /// sink at that moment); delivered at the start of the next
-    /// push/finish, preserving the emission sequence exactly.
-    staged: VecSink,
     /// Per-route final metrics, in route order (populated at finish).
     route_metrics: Vec<EngineMetrics>,
     /// Undrained `(arrival, cpu)` samples when tracking is on.
@@ -651,7 +657,7 @@ impl ShardedEngine {
     /// shard error (a failed checkpoint poisons the engine like any other
     /// shard error).
     pub fn checkpoint<S: EmissionSink>(&mut self, sink: &mut S) -> Result<EngineSnapshot, Error> {
-        self.ensure_open(sink)?;
+        self.ensure_open()?;
         let (snaps, _, err) = self.barrier(Barrier::Checkpoint, sink);
         if let Some(e) = err {
             self.poisoned = Some(e.clone());
@@ -742,7 +748,6 @@ impl ShardedEngine {
             halted: false,
             controls,
             route_shard,
-            staged: VecSink::new(),
             route_metrics: Vec::new(),
             step_costs: Vec::new(),
             merge_replies: Vec::new(),
@@ -965,21 +970,19 @@ impl ShardedEngine {
 
     /// Queues the removal of a filter from route `route` (see
     /// [`GroupEngine::remove_filter`] for the boundary semantics).
+    /// Removing a route's last filter leaves it *dormant*: its boundary
+    /// drain goes out with the next batch, in `(row, route)` order, it
+    /// emits nothing after that (while still counting its view of the
+    /// stream in `input_tuples`), and [`add_filter`](Self::add_filter)
+    /// revives it.
     ///
     /// # Errors
-    /// [`Error::Finished`], a pending shard error,
-    /// [`Error::UnknownFilter`], or [`Error::InvalidConfig`] when the
-    /// removal would empty the route.
+    /// [`Error::Finished`], a pending shard error, or
+    /// [`Error::UnknownFilter`].
     pub fn remove_filter(&mut self, route: usize, id: FilterId) -> Result<(), Error> {
         self.control_guard(route)?;
-        let ctl = &self.controls[route];
-        if !ctl.live.contains(&(id.index() as u32)) {
+        if !self.controls[route].live.contains(&(id.index() as u32)) {
             return Err(Error::UnknownFilter { id });
-        }
-        if ctl.live.len() == 1 {
-            return Err(Error::InvalidConfig {
-                reason: format!("removing {id} would leave the route empty"),
-            });
         }
         self.send_control(route, ControlOp::Remove(id))?;
         self.controls[route].live.remove(&(id.index() as u32));
@@ -1023,15 +1026,14 @@ impl ShardedEngine {
     }
 
     /// Ships a control op to the route's shard at the current stream
-    /// position — between the batches it was issued between. The
-    /// in-flight window is merged down first (into the staging buffer —
-    /// the caller has no sink here) so channel capacities are never
-    /// exceeded.
+    /// position — between the batches it was issued between. Nothing
+    /// needs merging first: every push that succeeded left at most
+    /// [`QUEUE_DEPTH`] batches in flight (none inline), a failed one
+    /// poisoned the engine, and [`control_guard`](Self::control_guard)
+    /// refuses a poisoned engine. The worker consumes control ops
+    /// without replying, so the send cannot outgrow its channel.
     fn send_control(&mut self, route: usize, op: ControlOp) -> Result<(), Error> {
-        let mut staged = std::mem::take(&mut self.staged);
-        let merged = self.merge_down(&mut staged);
-        self.staged = staged;
-        merged.inspect_err(|e| self.poisoned = Some((*e).clone()))?;
+        debug_assert!(self.in_flight.len() <= if self.inline() { 0 } else { QUEUE_DEPTH });
         let msg = ToShard::Control(route as u32, op);
         if self.try_log_replay(1) {
             self.replay_log.push(msg.clone());
@@ -1041,25 +1043,14 @@ impl ShardedEngine {
     }
 
     /// The shared head of every call that takes a sink while the stream
-    /// is open: refuses a finished engine, delivers what control ops
-    /// staged, then refuses a poisoned engine.
-    fn ensure_open<S: EmissionSink>(&mut self, sink: &mut S) -> Result<(), Error> {
+    /// is open: refuses a finished or poisoned engine.
+    fn ensure_open(&self) -> Result<(), Error> {
         if self.finished {
             return Err(Error::Finished);
         }
-        self.deliver_staged(sink);
         match &self.poisoned {
             Some(e) => Err(e.clone()),
             None => Ok(()),
-        }
-    }
-
-    /// Delivers emissions merged during control ops (kept in sequence
-    /// ahead of anything this call merges).
-    fn deliver_staged<S: EmissionSink>(&mut self, sink: &mut S) {
-        if !self.staged.is_empty() {
-            sink.accept_batch(self.staged.as_slice());
-            self.staged.clear();
         }
     }
 
@@ -1088,7 +1079,7 @@ impl ShardedEngine {
         batch: &Arc<TupleBatch>,
         sink: &mut S,
     ) -> Result<(), Error> {
-        self.ensure_open(sink)?;
+        self.ensure_open()?;
         if batch.is_empty() {
             return Ok(());
         }
@@ -1128,7 +1119,6 @@ impl ShardedEngine {
             return Err(Error::Finished);
         }
         self.finished = true;
-        self.deliver_staged(sink);
         let pending = self.poisoned.take();
         let (_, metrics, err) = self.barrier(Barrier::Finish, sink);
         sink.flush();
@@ -1195,9 +1185,10 @@ impl ShardedEngine {
                 Err(e) => note(self.shards[si].routes[0], e),
             }
         }
-        for batch in in_route_order(tails) {
+        tails.sort_unstable_by_key(|&(route, _)| route);
+        for (route, batch) in tails {
             if !batch.is_empty() && !self.halted {
-                sink.accept_batch(&batch);
+                sink.accept_route(route as usize, &batch);
             }
         }
         let err = merge_err.or(route_err.map(|(_, e)| e));
@@ -1237,7 +1228,7 @@ impl ShardedEngine {
 
     /// Receives the oldest in-flight batch's reply from every shard and
     /// feeds the merged emissions to the sink in `(step, route)` order,
-    /// one `accept_batch` per contiguous run of one reply. A worker found
+    /// one `accept_route` per contiguous run of one route in one reply. A worker found
     /// dead here is respawned by [`recv`](Self::recv), and its reply for
     /// this batch is taken from the fresh channel, so the merged output is
     /// byte-identical to a fault-free run.
@@ -1286,16 +1277,16 @@ impl ShardedEngine {
         self.halted |= cut.is_some();
         runs.sort_unstable();
         let mut next = 0;
-        while let Some(&(_, _, ri, start, mut end)) = runs.get(next) {
+        while let Some(&(_, route, ri, start, mut end)) = runs.get(next) {
             next += 1;
-            while let Some(&(_, _, r, s, e)) = runs.get(next) {
-                if r != ri || s != end {
+            while let Some(&(_, rt, r, s, e)) = runs.get(next) {
+                if rt != route || r != ri || s != end {
                     break;
                 }
                 end = e;
                 next += 1;
             }
-            sink.accept_batch(&replies[ri].emissions[start..end]);
+            sink.accept_route(route as usize, &replies[ri].emissions[start..end]);
         }
         if self.track_step_costs {
             let steps = replies.iter().map(|r| r.steps).max().unwrap_or(0);
@@ -1852,6 +1843,91 @@ mod tests {
             );
             let snap = e.checkpoint(&mut crate::sink::NullSink).unwrap();
             assert_eq!(ShardedEngine::restore(&snap).unwrap().shards(), want);
+        }
+    }
+
+    /// Keeps each route's emissions apart, in delivery order.
+    #[derive(Debug, Default)]
+    struct ByRoute(Vec<Vec<Emission>>);
+
+    impl ByRoute {
+        fn route(&self, r: usize) -> &[Emission] {
+            self.0.get(r).map(Vec::as_slice).unwrap_or_default()
+        }
+    }
+
+    impl EmissionSink for ByRoute {
+        fn accept(&mut self, _: &Emission) {
+            unreachable!("a sharded engine delivers through accept_route")
+        }
+
+        fn accept_route(&mut self, route: usize, emissions: &[Emission]) {
+            if self.0.len() <= route {
+                self.0.resize(route + 1, Vec::new());
+            }
+            self.0[route].extend_from_slice(emissions);
+        }
+    }
+
+    /// A route whose last filter leaves goes dormant: at its next safe
+    /// point it drains what `GroupEngine::finish_into` drains over the
+    /// same prefix and then emits nothing, while the other route's output
+    /// stays a one-route engine's. The empty roster survives checkpoint →
+    /// restore, and an added filter revives the route.
+    #[test]
+    fn a_route_emptied_by_remove_filter_goes_dormant() {
+        let s = schema();
+        let tuples = stream(&s, 400);
+        let mut b_alone = group(&s, 0.5).build().unwrap();
+        let mut b_expected = VecSink::new();
+        b_alone
+            .push_batch(tuples[..120].to_vec(), &mut b_expected)
+            .unwrap();
+        b_alone.finish_into(&mut b_expected).unwrap();
+        for n in [0usize, 1, 2] {
+            let mut a_alone = ShardedEngine::builder()
+                .parallelism(n)
+                .route("a", group(&s, 1.0))
+                .build()
+                .unwrap();
+            let mut a_expected = VecSink::new();
+            feed(&mut a_alone, &tuples[..200], 40, &mut a_expected).unwrap();
+            a_alone.checkpoint(&mut a_expected).unwrap();
+            run(&mut a_alone, &tuples[200..], 40, &mut a_expected).unwrap();
+
+            let mut e = ShardedEngine::builder()
+                .parallelism(n)
+                .route("a", group(&s, 1.0))
+                .route("b", group(&s, 0.5))
+                .build()
+                .unwrap();
+            let mut out = ByRoute::default();
+            feed(&mut e, &tuples[..120], 40, &mut out).unwrap();
+            e.remove_filter(1, FilterId::from_index(0)).unwrap();
+            e.remove_filter(1, FilterId::from_index(1)).unwrap();
+            feed(&mut e, &tuples[120..200], 40, &mut out).unwrap();
+            let snap = e.checkpoint(&mut out).unwrap();
+            assert_eq!(out.route(1), b_expected.as_slice(), "n={n}: finish tail");
+            assert_eq!(snap.route_snapshots()[1].group_size(), 0, "n={n}");
+            // The live engine and its restored replica agree from here on:
+            // dormant for 100 rows, then revived by an added filter.
+            let mut restored = ShardedEngine::restore(&snap).unwrap();
+            let mut suffix = Vec::new();
+            for engine in [&mut e, &mut restored] {
+                let mut tail = ByRoute::default();
+                feed(engine, &tuples[200..300], 40, &mut tail).unwrap();
+                assert!(tail.route(1).is_empty(), "n={n}: dormant");
+                engine
+                    .add_filter(1, FilterSpec::delta("t", 1.2, 0.5))
+                    .unwrap();
+                run(engine, &tuples[300..], 40, &mut tail).unwrap();
+                assert!(!tail.route(1).is_empty(), "n={n}: revived");
+                suffix.push(tail.0);
+            }
+            assert_eq!(suffix[0], suffix[1], "n={n}: restored");
+            let mut a = out.route(0).to_vec();
+            a.extend_from_slice(&suffix[0][0]);
+            assert_eq!(a, a_expected.as_slice(), "n={n}: route a as if alone");
         }
     }
 

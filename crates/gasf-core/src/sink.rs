@@ -80,6 +80,20 @@ pub trait EmissionSink {
         }
     }
 
+    /// Consumes a batch of emissions released by one *route* of a
+    /// multi-route host ([`ShardedEngine`](crate::shard::ShardedEngine)
+    /// delivers everything it merges through here, the route being the
+    /// index of the group that released the batch).
+    ///
+    /// The default ignores the route and forwards to
+    /// [`accept_batch`](Self::accept_batch); a sink that serves each
+    /// route differently — the middleware sends each route to its own
+    /// part's multicast tree — overrides it.
+    fn accept_route(&mut self, route: usize, emissions: &[Emission]) {
+        let _ = route;
+        self.accept_batch(emissions);
+    }
+
     /// Consumes a **patch** emission: a late-tuple correction produced
     /// under [`LatePolicy::EmitPatch`](crate::event_time::LatePolicy)
     /// after the watermark already passed the tuple's timestamp.
@@ -111,6 +125,10 @@ impl<S: EmissionSink + ?Sized> EmissionSink for &mut S {
 
     fn accept_batch(&mut self, emissions: &[Emission]) {
         (**self).accept_batch(emissions);
+    }
+
+    fn accept_route(&mut self, route: usize, emissions: &[Emission]) {
+        (**self).accept_route(route, emissions);
     }
 
     fn accept_patch(&mut self, emission: &Emission) {
@@ -252,6 +270,28 @@ mod tests {
         let mut sink = VecSink::new();
         feed(&mut sink);
         assert_eq!(sink.len(), 2);
+    }
+
+    #[test]
+    fn routes_reach_the_sink_through_a_reference() {
+        #[derive(Default)]
+        struct Routes(Vec<(usize, usize)>);
+        impl EmissionSink for Routes {
+            fn accept(&mut self, _: &Emission) {}
+            fn accept_route(&mut self, route: usize, emissions: &[Emission]) {
+                self.0.push((route, emissions.len()));
+            }
+        }
+        fn feed<S: EmissionSink>(mut sink: S) {
+            sink.accept_route(3, &[emission(0), emission(1)]);
+        }
+        let mut routes = Routes::default();
+        feed(&mut routes);
+        assert_eq!(routes.0, [(3, 2)]);
+        // the default ignores the route
+        let mut sink = VecSink::new();
+        sink.accept_route(1, &[emission(0)]);
+        assert_eq!(sink.len(), 1);
     }
 
     #[test]

@@ -17,11 +17,6 @@
 //!   (store-and-forward: software delay per overlay hop + transmission +
 //!   propagation per link), calibrated so a small overlay shows the
 //!   ~130 ms software-dominated multicast delay the paper measured,
-//! * [`ShardedGroup`] — **shard-aware** multicast for sources whose
-//!   filtering runs on a sharded engine: one independent rendezvous tree
-//!   per producer shard over the same membership, selected
-//!   deterministically per tuple, so parallel shards do not serialise
-//!   through a single root,
 //! * **node-failure semantics with Scribe self-repair** —
 //!   [`Overlay::fail_node`] / [`Overlay::recover_node`]: children of a
 //!   failed interior tree node re-graft toward the rendezvous root, root
@@ -45,8 +40,6 @@ pub mod multicast;
 pub mod topology;
 pub mod transport;
 
-pub use multicast::{
-    Delivery, GroupId, NetError, Overlay, OverlayConfig, RepairReport, ShardedGroup,
-};
+pub use multicast::{Delivery, GroupId, NetError, Overlay, OverlayConfig, RepairReport};
 pub use topology::{LinkSpec, NodeId, Topology, TopologyBuilder};
 pub use transport::{resolve_nodes, LinkLoad, NullTransport, Transport};

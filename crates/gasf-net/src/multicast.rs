@@ -346,36 +346,6 @@ fn next_live(failed: &BTreeSet<NodeId>, nodes: usize, at: NodeId, to: NodeId) ->
     }
 }
 
-/// A multicast group split into several independent rendezvous trees, one
-/// per producer shard (see [`Overlay::create_sharded_group`]).
-///
-/// Every tree spans the same membership; they differ only in root (and
-/// therefore shape), spreading the per-message forwarding work of a
-/// sharded source across the overlay instead of serialising it at one
-/// root node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedGroup {
-    shards: Vec<GroupId>,
-}
-
-impl ShardedGroup {
-    /// Number of shard trees.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The per-shard group ids, in shard order.
-    pub fn ids(&self) -> &[GroupId] {
-        &self.shards
-    }
-
-    /// The shard tree a stream key (e.g. a tuple sequence number) maps
-    /// to: `splitmix64(key) % shards`, stable across runs.
-    pub fn shard_for(&self, key: u64) -> GroupId {
-        self.shards[(splitmix64(key) % self.shards.len() as u64) as usize]
-    }
-}
-
 /// What one [`Overlay::fail_node`] repair pass did: how many branches
 /// were re-grafted, how many rendezvous trees moved to a new root, and
 /// what the repair control traffic (Scribe re-JOIN messages) cost.
@@ -625,38 +595,6 @@ impl Overlay {
             if !needed {
                 *uplink = NO_PARENT;
             }
-        }
-        Ok(())
-    }
-
-    /// Joins a node to every shard tree of a [`ShardedGroup`]. Each tree
-    /// grafts independently; sibling trees are never rebuilt.
-    ///
-    /// # Errors
-    /// Same as [`join_group`](Self::join_group).
-    pub fn join_sharded_group(
-        &mut self,
-        group: &ShardedGroup,
-        node: NodeId,
-    ) -> Result<(), NetError> {
-        for &id in group.ids() {
-            self.join_group(id, node)?;
-        }
-        Ok(())
-    }
-
-    /// Removes a node from every shard tree of a [`ShardedGroup`],
-    /// pruning each tree independently.
-    ///
-    /// # Errors
-    /// Same as [`leave_group`](Self::leave_group).
-    pub fn leave_sharded_group(
-        &mut self,
-        group: &ShardedGroup,
-        node: NodeId,
-    ) -> Result<(), NetError> {
-        for &id in group.ids() {
-            self.leave_group(id, node)?;
         }
         Ok(())
     }
@@ -964,56 +902,6 @@ impl Overlay {
         result
     }
 
-    /// Creates a *sharded* multicast group: `shards` independent
-    /// Scribe trees over the same membership, each rooted at the owner of
-    /// `hash(name#i)`. A source whose stream is produced by a sharded
-    /// engine sends each shard's emissions down that shard's own tree, so
-    /// parallel producers do not funnel through a single rendezvous root
-    /// (the root of an ordinary group serialises every message of the
-    /// group).
-    ///
-    /// # Errors
-    /// Same as [`create_group`](Self::create_group); `shards` of zero is
-    /// rejected as [`NetError::EmptyGroup`].
-    pub fn create_sharded_group(
-        &mut self,
-        name: &str,
-        members: &[NodeId],
-        shards: usize,
-    ) -> Result<ShardedGroup, NetError> {
-        if shards == 0 {
-            return Err(NetError::EmptyGroup);
-        }
-        let mut ids = Vec::with_capacity(shards);
-        for i in 0..shards {
-            ids.push(self.create_group(&format!("{name}#{i}"), members)?);
-        }
-        Ok(ShardedGroup { shards: ids })
-    }
-
-    /// Sends one [`Emission`] down the shard tree selected by the
-    /// emission's tuple sequence number — the shard-aware counterpart of
-    /// [`multicast_emission`](Self::multicast_emission). The shard choice
-    /// is deterministic (`splitmix64(seq) % shards`), so replaying a
-    /// stream reproduces the same per-tree traffic exactly.
-    ///
-    /// # Errors
-    /// Same as [`multicast`](Self::multicast).
-    pub fn multicast_emission_sharded(
-        &mut self,
-        group: &ShardedGroup,
-        src: NodeId,
-        emission: &Emission,
-        node_of: impl FnMut(FilterId) -> NodeId,
-    ) -> Result<Delivery, NetError> {
-        self.multicast_emission(
-            group.shard_for(emission.tuple.seq()),
-            src,
-            emission,
-            node_of,
-        )
-    }
-
     /// Sends one message point-to-point along the underlay shortest path
     /// (the "no multicast" baseline).
     ///
@@ -1319,32 +1207,6 @@ mod tests {
             o.join_group(g, NodeId(3)).unwrap();
             let d = o.multicast(g, NodeId(0), &[NodeId(3)], 50).unwrap();
             assert_eq!(d.latencies.len(), 1);
-        }
-
-        #[test]
-        fn sharded_membership_updates_spare_sibling_trees() {
-            let mut o = ring7();
-            let sg = o
-                .create_sharded_group("grp", &[NodeId(0), NodeId(2)], 3)
-                .unwrap();
-            o.join_sharded_group(&sg, NodeId(6)).unwrap();
-            for &id in sg.ids() {
-                assert!(o.group_members(id).unwrap().contains(&NodeId(6)));
-            }
-            // existing member's delivery unchanged on every tree
-            let mut fresh = ring7();
-            let sg2 = fresh
-                .create_sharded_group("grp", &[NodeId(0), NodeId(2)], 3)
-                .unwrap();
-            for (&id, &id2) in sg.ids().iter().zip(sg2.ids()) {
-                let a = o.multicast(id, NodeId(0), &[NodeId(2)], 90).unwrap();
-                let b = fresh.multicast(id2, NodeId(0), &[NodeId(2)], 90).unwrap();
-                assert_eq!(a.latencies, b.latencies);
-            }
-            o.leave_sharded_group(&sg, NodeId(6)).unwrap();
-            for &id in sg.ids() {
-                assert!(!o.group_members(id).unwrap().contains(&NodeId(6)));
-            }
         }
 
         #[test]
@@ -1656,71 +1518,6 @@ mod tests {
                 .multicast(g2, NodeId(0), &[NodeId(4)], e.tuple.wire_size())
                 .unwrap();
             assert_eq!(d, single);
-        }
-
-        #[test]
-        fn sharded_group_spreads_roots_and_delivers() {
-            let mut o = ring7();
-            let sg = o.create_sharded_group("grp", &all_nodes(7), 4).unwrap();
-            assert_eq!(sg.shard_count(), 4);
-            assert_eq!(sg.ids().len(), 4);
-            // the shard choice is deterministic and covers the shard set
-            let mut seen = std::collections::HashSet::new();
-            for seq in 0..64u64 {
-                assert_eq!(sg.shard_for(seq), sg.shard_for(seq));
-                seen.insert(sg.shard_for(seq));
-            }
-            assert!(seen.len() > 1, "64 keys should hit several shards");
-            // every shard tree reaches all recipients
-            for &id in sg.ids() {
-                let e = emission(&[0, 1]);
-                let d = o
-                    .multicast_emission(id, NodeId(0), &e, |f| NodeId(f.index() as u32 + 1))
-                    .unwrap();
-                assert_eq!(d.latencies.len(), 2);
-            }
-        }
-
-        #[test]
-        fn sharded_send_matches_the_selected_tree() {
-            let e = emission(&[0, 2]);
-            let nodes = [NodeId(3), NodeId(5), NodeId(1)];
-
-            let mut a = ring7();
-            let sg = a.create_sharded_group("grp", &all_nodes(7), 3).unwrap();
-            let via_sharded = a
-                .multicast_emission_sharded(&sg, NodeId(0), &e, |f| nodes[f.index()])
-                .unwrap();
-
-            let mut b = ring7();
-            let sg2 = b.create_sharded_group("grp", &all_nodes(7), 3).unwrap();
-            let explicit = b
-                .multicast_emission(sg2.shard_for(e.tuple.seq()), NodeId(0), &e, |f| {
-                    nodes[f.index()]
-                })
-                .unwrap();
-            assert_eq!(via_sharded, explicit);
-        }
-
-        #[test]
-        fn sharded_group_rejects_zero_shards() {
-            let mut o = ring7();
-            assert_eq!(
-                o.create_sharded_group("grp", &all_nodes(7), 0),
-                Err(NetError::EmptyGroup)
-            );
-        }
-
-        #[test]
-        fn single_shard_group_behaves_like_its_tree() {
-            let e = emission(&[0]);
-            let mut o = ring7();
-            let sg = o.create_sharded_group("grp", &all_nodes(7), 1).unwrap();
-            assert_eq!(sg.shard_for(0), sg.ids()[0]);
-            let d = o
-                .multicast_emission_sharded(&sg, NodeId(0), &e, |_| NodeId(4))
-                .unwrap();
-            assert_eq!(d.latencies.len(), 1);
         }
 
         #[test]

@@ -11,9 +11,7 @@
 //! can be stale; the two must agree on the [`Delivery`] (or the error)
 //! and on every traffic counter.
 
-use gasf_net::{
-    Delivery, GroupId, LinkSpec, NetError, NodeId, Overlay, ShardedGroup, Topology, TopologyBuilder,
-};
+use gasf_net::{Delivery, GroupId, LinkSpec, NetError, NodeId, Overlay, Topology, TopologyBuilder};
 use std::collections::BTreeMap;
 
 /// Deterministic xorshift64*: the suite needs no external RNG.
@@ -49,7 +47,6 @@ impl Rng {
 #[derive(Debug, Clone)]
 enum Control {
     Create(String, Vec<NodeId>),
-    CreateSharded(String, Vec<NodeId>, usize),
     Join(usize, NodeId),
     Leave(usize, NodeId),
     Fail(NodeId),
@@ -60,25 +57,18 @@ enum Control {
 #[derive(Debug, Clone)]
 struct Send {
     group: usize,
-    /// Shard selector of a sharded group; the raw id when the group
-    /// index names no live group.
+    /// The raw id sent to when the group index names no live group.
     key: u64,
     src: NodeId,
     recipients: Vec<NodeId>,
     payload: usize,
 }
 
-#[derive(Debug)]
-enum Handle {
-    Plain(GroupId),
-    Sharded(ShardedGroup),
-}
-
 /// An overlay plus the groups created on it so far (`None`: the creation
 /// failed, or the group was removed).
 struct World {
     overlay: Overlay,
-    groups: Vec<Option<Handle>>,
+    groups: Vec<Option<GroupId>>,
 }
 
 type LinkBytes = BTreeMap<(NodeId, NodeId), u64>;
@@ -109,46 +99,30 @@ impl World {
         match op {
             Control::Create(name, members) => {
                 let made = o.create_group(name, members);
-                self.groups.push(made.clone().ok().map(Handle::Plain));
-                format!("{made:?}")
-            }
-            Control::CreateSharded(name, members, shards) => {
-                let made = o.create_sharded_group(name, members, *shards);
-                self.groups.push(made.clone().ok().map(Handle::Sharded));
+                self.groups.push(made.clone().ok());
                 format!("{made:?}")
             }
             Control::Join(g, node) => match self.groups.get(*g) {
-                Some(Some(Handle::Plain(id))) => format!("{:?}", o.join_group(*id, *node)),
-                Some(Some(Handle::Sharded(sg))) => {
-                    format!("{:?}", o.join_sharded_group(sg, *node))
-                }
+                Some(Some(id)) => format!("{:?}", o.join_group(*id, *node)),
                 _ => format!("{:?}", o.join_group(GroupId::from_raw(7), *node)),
             },
             Control::Leave(g, node) => match self.groups.get(*g) {
-                Some(Some(Handle::Plain(id))) => format!("{:?}", o.leave_group(*id, *node)),
-                Some(Some(Handle::Sharded(sg))) => {
-                    format!("{:?}", o.leave_sharded_group(sg, *node))
-                }
+                Some(Some(id)) => format!("{:?}", o.leave_group(*id, *node)),
                 _ => format!("{:?}", o.leave_group(GroupId::from_raw(7), *node)),
             },
             Control::Fail(node) => format!("{:?}", o.fail_node(*node)),
             Control::Recover(node) => format!("{:?}", o.recover_node(*node)),
             Control::Remove(g) => match self.groups.get_mut(*g).and_then(Option::take) {
-                Some(Handle::Plain(id)) => format!("{:?}", o.remove_group(id)),
-                Some(Handle::Sharded(sg)) => {
-                    let removed: Vec<_> = sg.ids().iter().map(|&id| o.remove_group(id)).collect();
-                    format!("{removed:?}")
-                }
+                Some(id) => format!("{:?}", o.remove_group(id)),
                 None => format!("{:?}", o.remove_group(GroupId::from_raw(7))),
             },
         }
     }
 
-    /// The tree a send to group `group` with shard selector `key` uses.
+    /// The tree a send to group `group` uses (`key` names no live group).
     fn target(&self, group: usize, key: u64) -> GroupId {
         match self.groups.get(group) {
-            Some(Some(Handle::Plain(id))) => *id,
-            Some(Some(Handle::Sharded(sg))) => sg.shard_for(key),
+            Some(Some(id)) => *id,
             _ => GroupId::from_raw(key),
         }
     }
@@ -195,8 +169,7 @@ fn add_links(into: &mut LinkBytes, delta: &LinkBytes) {
 fn random_control(rng: &mut Rng, nodes: usize, groups: usize, serial: usize) -> Control {
     let group = rng.below(groups + 1); // one past the end: no such group
     match rng.below(16) {
-        0..=2 => Control::Create(format!("g{serial}"), rng.subset(nodes)),
-        3 => Control::CreateSharded(format!("s{serial}"), rng.subset(nodes), 1 + rng.below(3)),
+        0..=3 => Control::Create(format!("g{serial}"), rng.subset(nodes)),
         4..=7 => Control::Join(group, rng.node(nodes)),
         8..=10 => Control::Leave(group, rng.node(nodes)),
         11..=12 => Control::Fail(rng.node(nodes)),

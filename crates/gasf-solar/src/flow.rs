@@ -292,6 +292,13 @@ impl<S: EmissionSink> EmissionSink for Metered<'_, S> {
         self.inner.accept_batch(emissions);
     }
 
+    fn accept_route(&mut self, route: usize, emissions: &[Emission]) {
+        for e in emissions {
+            self.monitor.observe_emission(e);
+        }
+        self.inner.accept_route(route, emissions);
+    }
+
     fn accept_patch(&mut self, emission: &Emission) {
         self.monitor.observe_patch(emission);
         self.inner.accept_patch(emission);

@@ -11,25 +11,27 @@
 //! This crate rebuilds that middleware over the [`gasf_net`] overlay:
 //!
 //! * [`Middleware`] — pub/sub registry + the group-aware filtering service
-//!   (one or more [`GroupEngine`](gasf_core::engine::GroupEngine)s per
-//!   source) + multicast dissemination with end-to-end accounting; its
+//!   (one [`ShardedEngine`](gasf_core::shard::ShardedEngine) per source,
+//!   one [`GroupEngine`](gasf_core::engine::GroupEngine) route per filter
+//!   group) + multicast dissemination with end-to-end accounting; its
 //!   data path is the sink-based [`Pipeline`] (event-time front end →
 //!   engine → [`Metered`] flow accounting → [`MulticastSink`]), and a
 //!   **run of rows** is the only thing that crosses it: a single tuple is
-//!   a run of one, and every run reaches every engine as one columnar
-//!   batch. Each filter group runs behind a single-route
-//!   [`ShardedEngine`](gasf_core::shard::ShardedEngine): on the caller
-//!   thread at [`MiddlewareConfig::parallelism`] ≤ 1, on a worker thread of
-//!   its own above it — byte-identical output, one thread hand-off per
-//!   run, so hand over what you have,
+//!   a run of one, and every run reaches the engine as one columnar
+//!   batch. A source's engine filters on the caller thread at
+//!   [`MiddlewareConfig::parallelism`] ≤ 1 and on `min(parallelism,
+//!   parts)` worker threads above it — byte-identical output, the parts
+//!   merged in `(row, part)` order, one thread hand-off per run, so hand
+//!   over what you have,
 //! * a **live subscription control plane** — [`Middleware::subscribe`] /
 //!   [`Middleware::unsubscribe`] / [`Middleware::resubscribe`] work after
 //!   deployment and return stable [`SubscriptionHandle`]s, and
 //!   [`Middleware::regroup`] re-partitions a source's live subscribers
-//!   (via [`partition`]) across engines at an epoch boundary — §4.8/§6.2's
+//!   (via [`partition`]) into the routes of a rebuilt engine at an epoch
+//!   boundary — §4.8/§6.2's
 //!   regrouping, running inside the system instead of on paper,
 //! * **checkpoint/recover fault tolerance** —
-//!   [`Middleware::checkpoint`] snapshots every part engine at its
+//!   [`Middleware::checkpoint`] snapshots every source engine at its
 //!   safe-point boundary together with the subscription roster, per-app
 //!   delivery statistics and [`FlowMonitor`] accounting;
 //!   [`Middleware::recover`] rebuilds the deployment on a fresh overlay

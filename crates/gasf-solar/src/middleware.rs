@@ -5,9 +5,9 @@
 //!   maintained through the subscription lifecycle
 //!   ([`Middleware::subscribe`] / [`Middleware::unsubscribe`] /
 //!   [`Middleware::resubscribe`]),
-//! * the **group-aware filtering manager** instantiates the filtering
-//!   engines — one or more *parts* per source — at
-//!   [`Middleware::deploy`] time and keeps them in sync with live
+//! * the **group-aware filtering manager** instantiates one filtering
+//!   engine per source — its routes are the source's *parts* — at
+//!   [`Middleware::deploy`] time and keeps it in sync with live
 //!   subscription churn afterwards,
 //! * the **global state manager** lives inside the engines,
 //! * the **output scheduler** is the engine's output strategy feeding the
@@ -37,10 +37,10 @@
 //! accounting follows the *subscription* (the handle), not the engine
 //! slot: a removed app keeps its statistics in every report.
 //! [`Middleware::regroup`] re-partitions a source's live subscribers with
-//! [`crate::regroup::partition`] and migrates them across engines at an
-//! epoch boundary — in-flight candidate sets are drained (and their
-//! outputs disseminated) before the old engines are torn down, and their
-//! metrics survive in the source's retired total.
+//! [`crate::regroup::partition`] and rebuilds the source's engine, one
+//! route per part, at an epoch boundary — in-flight candidate sets are
+//! drained (and their outputs disseminated) before the old engine is torn
+//! down, and its metrics survive in the source's retired total.
 //!
 //! The legacy one-shot protocol — subscribe everything, then
 //! [`deploy`](Middleware::deploy), then stream — still works unchanged:
@@ -183,15 +183,13 @@ pub struct MiddlewareConfig {
     pub strategy: OutputStrategy,
     /// Optional group time constraint (timely cuts).
     pub constraint: Option<TimeConstraint>,
-    /// Where a part's engine runs. Every part hosts a single-route
-    /// [`ShardedEngine`]: at `1` (the default) or below it has no worker
-    /// thread and filters on the caller thread; **any** value above one
-    /// gives every part one worker thread of its own. Shards that own no
-    /// route are never spawned, so 2 and 64 configure the same deployment
-    /// — the setting is two-valued. The worker moves filtering off the
-    /// caller thread so it overlaps with multicast dissemination; output
-    /// (and therefore all delivery accounting) is byte-identical either
-    /// way. (The byte-identical guarantee holds whenever the engine itself
+    /// Worker threads of each source's engine, one [`ShardedEngine`]
+    /// whose routes are the source's parts: none at `1` (the default) or
+    /// below — the caller thread filters — and `min(parallelism, parts)`
+    /// above. Workers let filtering overlap with multicast dissemination;
+    /// output (and therefore all delivery accounting) is byte-identical
+    /// at every setting, a multi-part source's in `(row, part)` order.
+    /// (The byte-identical guarantee holds whenever the engine itself
     /// is input-deterministic; with a `constraint` set, timely-cut timing
     /// depends on measured wall clock at *every* setting, so no two runs
     /// are guaranteed identical there.)
@@ -312,16 +310,13 @@ enum Run<'a> {
     Batch(&'a Arc<TupleBatch>),
 }
 
-/// One filter group of a source: its engine, its multicast tree and the
-/// stable [`FilterId`] → subscription mapping.
+/// One filter group of a source — a route of the source's engine — with
+/// its multicast tree and the stable [`FilterId`] → subscription mapping.
 #[derive(Debug)]
 struct PartEntry {
-    /// The group's engine: route 0 of a [`ShardedEngine`], with no worker
-    /// thread at parallelism ≤ 1 (see [`MiddlewareConfig::parallelism`]).
-    engine: ShardedEngine,
     group: GroupId,
-    /// The overlay group's creation name (kept so a checkpoint can
-    /// recreate the identical tree on a fresh overlay).
+    /// The overlay group's creation name and the part's route key (kept
+    /// so a checkpoint can recreate the identical tree on a fresh overlay).
     group_name: String,
     /// `filter_apps[id]` is the app index the engine's filter `id` serves.
     /// Append-only: vacated slots keep their mapping so emissions drained
@@ -339,10 +334,9 @@ struct PartEntry {
 }
 
 impl PartEntry {
-    /// A part over `engine` and its tree whose filter ids serve
-    /// `filter_apps`, in id order.
+    /// A part over its tree whose filter ids serve `filter_apps`, in id
+    /// order.
     fn new(
-        engine: ShardedEngine,
         group: GroupId,
         group_name: String,
         filter_apps: &[usize],
@@ -350,7 +344,6 @@ impl PartEntry {
         deferred_leaves: Vec<NodeId>,
     ) -> PartEntry {
         let mut part = PartEntry {
-            engine,
             group,
             group_name,
             filter_apps: Vec::with_capacity(filter_apps.len()),
@@ -387,8 +380,11 @@ struct SourceEntry {
     schema: Schema,
     /// Every subscription ever attached to this source (active or not).
     subscribers: Vec<usize>,
-    /// Live filter groups (one in the common case; several after
-    /// [`Middleware::regroup`]). Every part sees the full stream.
+    /// The source's engine, route `i` filtering for `parts[i]`; `None`
+    /// while the source has no live subscription.
+    engine: Option<ShardedEngine>,
+    /// Filter groups in route order (several after [`Middleware::regroup`]);
+    /// one whose subscriptions all left stays, dormant, until a rebuild.
     parts: Vec<PartEntry>,
     /// Lifetime metrics of every engine retired by regroup/unsubscribe,
     /// merged into one, so their history survives in reports.
@@ -413,15 +409,22 @@ struct SourceEntry {
 }
 
 impl SourceEntry {
-    /// The source's engine metrics, folded over every live part and
-    /// every engine retired by churn — the single definition both
+    /// The source's engine metrics, folded over its engine and every
+    /// engine retired by churn — the single definition both
     /// [`Middleware::report`] and [`Pipeline::metrics`] present.
     fn folded_metrics(&self) -> EngineMetrics {
         let mut total = self.retired.clone();
-        for part in &self.parts {
-            total.merge(&part.engine.metrics());
+        if let Some(engine) = &self.engine {
+            total.merge(&engine.metrics());
         }
         total
+    }
+
+    /// The source's engine, which every source with a part has.
+    fn engine_mut(&mut self) -> Result<&mut ShardedEngine, SolarError> {
+        self.engine
+            .as_mut()
+            .ok_or_else(|| SolarError::NoSubscribers(self.name.clone()))
     }
 }
 
@@ -491,6 +494,7 @@ pub struct EventTimeStats {
 pub struct RunReport {
     /// Engine metrics (O/I ratio, CPU, filtering latency, regions, …),
     /// folded over every epoch, part and retired engine of the source.
+    /// Each part counts the stream in `input_tuples`, a dormant one too.
     pub engine: EngineMetrics,
     /// Bytes that crossed overlay links during this run.
     pub network_bytes: u64,
@@ -513,7 +517,7 @@ impl RunReport {
     }
 }
 
-/// A full middleware checkpoint: every part engine captured at its
+/// A full middleware checkpoint: every source engine captured at its
 /// safe-point boundary ([`Middleware::checkpoint`]), the subscription
 /// roster with its per-app delivery statistics, the per-source
 /// [`FlowMonitor`] accounting, and enough overlay membership to recreate
@@ -565,13 +569,14 @@ pub(crate) struct SourceState {
     /// resumes the shedder at the same rung (streaks and the credit
     /// window restart fresh — a recovered node begins unpressured).
     shed_rung: u8,
+    /// The source's engine, one route per part (`None` without one).
+    engine: Option<EngineSnapshot>,
     parts: Vec<PartState>,
 }
 
 /// One filter group's captured state (see [`MiddlewareSnapshot`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct PartState {
-    engine: EngineSnapshot,
     group_name: String,
     /// Current multicast-tree membership; recreating the group with the
     /// full member list reproduces the identical tree (pinned by the
@@ -667,6 +672,7 @@ impl Middleware {
             node,
             schema,
             subscribers: Vec::new(),
+            engine: None,
             parts: Vec::new(),
             retired: EngineMetrics::default(),
             generation: 0,
@@ -732,8 +738,9 @@ impl Middleware {
     /// app are still delivered at that boundary — and the node leaves the
     /// multicast tree once the boundary has passed (unless another active
     /// subscription still needs it). The handle keeps its statistics
-    /// forever. The last subscriber of a part retires the whole part,
-    /// draining its in-flight candidate sets through the multicast path.
+    /// forever. A part left without subscriptions stays a dormant route
+    /// until the next rebuild; the source's last live subscription ends
+    /// its engine, draining in-flight candidate sets through the multicast path.
     ///
     /// # Errors
     /// [`SolarError::UnknownId`] for a foreign handle,
@@ -753,20 +760,15 @@ impl Middleware {
         if !self.deployed {
             return Ok(());
         }
-        let Some((part_idx, fid)) = self.locate(source, idx) else {
+        let Some((part_idx, fid)) = self.locate_all(source)[idx] else {
             return Ok(()); // source was never spawned
         };
-        let part = &self.sources[source.0].parts[part_idx];
-        let others_active = part
-            .filter_apps
-            .iter()
-            .any(|&a| a != idx && self.apps[a].active);
-        if !others_active {
-            return self.retire_part(source.0, part_idx).map(|_| ());
+        let s = &mut self.sources[source.0];
+        if !s.subscribers.iter().any(|&a| self.apps[a].active) {
+            return self.retire_engine(source.0).map(|_| ());
         }
-        let part = &mut self.sources[source.0].parts[part_idx];
-        part.engine.remove_filter(0, fid)?;
-        part.deferred_leaves.push(node);
+        s.engine_mut()?.remove_filter(part_idx, fid)?;
+        s.parts[part_idx].deferred_leaves.push(node);
         Ok(())
     }
 
@@ -792,7 +794,7 @@ impl Middleware {
         }
         let source = self.apps[idx].source;
         if self.deployed {
-            if let Some((part_idx, fid)) = self.locate(source, idx) {
+            if let Some((part_idx, fid)) = self.locate_all(source)[idx] {
                 // A source mid-shed installs the new spec at its current
                 // rung; the declared original still lands in `apps` below.
                 let rung = self.sources[source.0]
@@ -800,9 +802,9 @@ impl Middleware {
                     .as_ref()
                     .map_or(0, Shedder::rung);
                 let engine_spec = spec.degraded(rung).unwrap_or_else(|| spec.clone());
-                self.sources[source.0].parts[part_idx]
-                    .engine
-                    .update_filter(0, fid, engine_spec)?;
+                self.sources[source.0]
+                    .engine_mut()?
+                    .update_filter(part_idx, fid, engine_spec)?;
             }
         }
         self.apps[idx].spec = spec;
@@ -827,17 +829,16 @@ impl Middleware {
     }
 
     /// Re-partitions a source's live subscribers with
-    /// [`regroup::partition`] and migrates them across engines at an
-    /// epoch boundary: every existing part is drained (in-flight
-    /// candidate sets close, pending outputs are multicast) and retired —
-    /// its metrics survive in the source's retired total — then one fresh
-    /// engine and multicast tree is spawned per non-empty partition part.
-    /// The continuing stream flows through the new engines seamlessly.
+    /// [`regroup::partition`] and rebuilds the source's engine at an
+    /// epoch boundary: the engine is finished (in-flight candidate sets
+    /// close, pending outputs are multicast) and retired — its metrics
+    /// survive in the source's retired total — then a fresh one is built
+    /// with a route and multicast tree per non-empty partition part.
     ///
     /// Reference rates for [`GroupingStrategy::BySelectivity`] come from
-    /// the engines' own per-filter metrics (`references / input_tuples`)
-    /// over each drained engine's whole life — every epoch since its part
-    /// was spawned, whatever the parallelism.
+    /// the engine's own per-route, per-filter metrics (`references /
+    /// input_tuples`) over its whole life — every epoch since it was
+    /// built, whatever the parallelism.
     ///
     /// # Errors
     /// [`SolarError::NotDeployed`], [`SolarError::UnknownId`],
@@ -868,13 +869,10 @@ impl Middleware {
         // Remember where each live subscription sat before the drain.
         let table = self.locate_all(source);
         let locations: Vec<Option<(usize, FilterId)>> = active.iter().map(|&a| table[a]).collect();
-        // Epoch boundary: drain and retire every live part, collecting
-        // each engine's lifetime metrics. Rates are computed *after* the
-        // drain, when a worker's per-route metrics have materialised.
-        let mut lifetimes: Vec<EngineMetrics> = Vec::new();
-        while !self.sources[source.0].parts.is_empty() {
-            lifetimes.push(self.retire_part(source.0, 0)?);
-        }
+        // Epoch boundary: finish and retire the engine, collecting each
+        // part's lifetime metrics. Rates are computed *after* the drain,
+        // when a worker's per-route metrics have materialised.
+        let lifetimes = self.retire_engine(source.0)?;
         let mut rates = vec![0.0; active.len()];
         for (k, loc) in locations.iter().enumerate() {
             let Some((part_idx, fid)) = loc else { continue };
@@ -893,14 +891,13 @@ impl Middleware {
             active.len(),
         );
         self.sources[source.0].generation += 1;
-        // …and spawn one fresh engine + tree per partition part.
-        for part in &partition {
-            if part.is_empty() {
-                continue;
-            }
-            let app_idxs: Vec<usize> = part.iter().map(|&k| active[k]).collect();
-            self.spawn_part(source.0, &app_idxs)?;
-        }
+        // …and build one fresh engine, a route + tree per partition part.
+        let parts: Vec<Vec<usize>> = partition
+            .iter()
+            .filter(|part| !part.is_empty())
+            .map(|part| part.iter().map(|&k| active[k]).collect())
+            .collect();
+        self.build_source(source.0, &parts)?;
         Ok(partition
             .into_iter()
             .map(|part| {
@@ -949,6 +946,7 @@ impl Middleware {
             for part in s.parts.drain(..) {
                 let _ = self.overlay.remove_group(part.group);
             }
+            s.engine = None;
             s.retired = EngineMetrics::default();
             s.generation = 0;
             // Deploy restarts the stream, so the event-time front end
@@ -967,16 +965,16 @@ impl Middleware {
             if active.is_empty() {
                 continue;
             }
-            self.spawn_part(i, &active)?;
+            self.build_source(i, &[active])?;
         }
         self.deployed = true;
         Ok(())
     }
 
-    /// Wires a source's dataflow — engine(s) → metered multicast sinks —
-    /// and returns it ready to push tuples. This is the primary data
-    /// path: emissions stream from each engine's release scratch straight
-    /// into the overlay's multicast trees, with [`FlowMonitor`]
+    /// Wires a source's dataflow — engine → metered multicast sink — and
+    /// returns it ready to push tuples. This is the primary data path:
+    /// emissions stream from the engine's merge straight into each part's
+    /// multicast tree, with [`FlowMonitor`]
     /// accounting tee'd in, and no intermediate `Vec<Emission>` is ever
     /// built.
     ///
@@ -991,7 +989,7 @@ impl Middleware {
             .sources
             .get(source.0)
             .ok_or_else(|| SolarError::UnknownId(source.to_string()))?;
-        if s.parts.is_empty() {
+        if s.engine.is_none() {
             return Err(SolarError::NoSubscribers(s.name.clone()));
         }
         Ok(Pipeline {
@@ -1145,8 +1143,8 @@ impl Middleware {
     /// The one admission: offers rows `start..` of `run` to the source's
     /// bounded ingress and returns how many went through. Resolve the
     /// pipeline, take credits, feed the admitted rows through the
-    /// event-time front end into every part's columnar entry, book the
-    /// outcome — in that order, so a source with no live part fails
+    /// event-time front end into the source engine's columnar entry, book
+    /// the outcome — in that order, so a source with no engine fails
     /// before its credit window moves.
     ///
     /// `Accepted` means everything *offered* was admitted. Under a
@@ -1383,9 +1381,9 @@ impl Middleware {
             let Some((part_idx, fid)) = locations[a] else {
                 continue;
             };
-            self.sources[source.0].parts[part_idx]
-                .engine
-                .update_filter(0, fid, next)?;
+            self.sources[source.0]
+                .engine_mut()?
+                .update_filter(part_idx, fid, next)?;
             if degrade {
                 self.sources[source.0].flow.observe_degrade();
             } else {
@@ -1472,7 +1470,7 @@ impl Middleware {
             .ok_or_else(|| SolarError::UnknownId(source.to_string()))?;
         // Every engine has at least one filter slot, so a source that
         // never ran one has no per-filter counters at all.
-        if s.parts.is_empty() && s.retired.per_filter.is_empty() {
+        if s.engine.is_none() && s.retired.per_filter.is_empty() {
             return Err(SolarError::NoSubscribers(s.name.clone()));
         }
         let engine = s.folded_metrics();
@@ -1503,7 +1501,7 @@ impl Middleware {
     // fault tolerance: checkpoint / recover / node failure
     // ------------------------------------------------------------------
 
-    /// Takes a full middleware checkpoint. Every part engine crosses its
+    /// Takes a full middleware checkpoint. Every source engine crosses its
     /// safe-point boundary — the boundary drain is disseminated through
     /// the normal multicast path and accounted to its subscriptions, so
     /// nothing decided is lost — and the returned
@@ -1524,25 +1522,23 @@ impl Middleware {
     pub fn checkpoint(&mut self) -> Result<MiddlewareSnapshot, SolarError> {
         let mut sources = Vec::with_capacity(self.sources.len());
         for si in 0..self.sources.len() {
-            let n_parts = self.sources[si].parts.len();
-            let mut parts = Vec::with_capacity(n_parts);
-            for p in 0..n_parts {
-                let engine =
-                    self.with_part_sink(None, si, p, |engine, sink| engine.checkpoint(sink))?;
-                // The boundary has passed: stale tree members may leave
-                // before the membership is captured.
-                Pipeline::process_deferred_leaves(self, si, p)?;
-                let part = &self.sources[si].parts[p];
-                let members = self.overlay.group_members(part.group)?.to_vec();
+            let engine = match self.sources[si].engine {
+                Some(_) => Some(self.with_source_sink(None, si, |e, sink| e.checkpoint(sink))?),
+                None => None,
+            };
+            // The boundary has passed: stale tree members may leave before
+            // the membership is captured.
+            self.leave_deferred(si)?;
+            let s = &self.sources[si];
+            let mut parts = Vec::with_capacity(s.parts.len());
+            for part in &s.parts {
                 parts.push(PartState {
-                    engine,
                     group_name: part.group_name.clone(),
-                    members,
+                    members: self.overlay.group_members(part.group)?.to_vec(),
                     filter_apps: part.filter_apps.clone(),
                     deferred_leaves: part.deferred_leaves.clone(),
                 });
             }
-            let s = &self.sources[si];
             sources.push(SourceState {
                 name: s.name.clone(),
                 node: s.node,
@@ -1554,6 +1550,7 @@ impl Middleware {
                 reorder: s.reorder.as_ref().map(ReorderBuffer::snapshot),
                 lat_hist: s.lat_hist.clone(),
                 shed_rung: s.shedder.as_ref().map_or(0, Shedder::rung),
+                engine,
                 parts,
             });
         }
@@ -1566,8 +1563,8 @@ impl Middleware {
     }
 
     /// Rebuilds a middleware from a checkpoint on a fresh overlay — the
-    /// full-process recovery path. Part engines restore at their snapshot
-    /// boundaries, multicast trees are recreated with their captured
+    /// full-process recovery path. Source engines restore at their
+    /// snapshot boundaries, multicast trees are recreated with their captured
     /// memberships (identical shapes: creating a group with the full
     /// member list equals the original create-then-join history), and the
     /// subscription roster — including removed subscriptions and all
@@ -1600,12 +1597,11 @@ impl Middleware {
             if s.node.index() >= mw.overlay.topology().len() {
                 return Err(SolarError::UnknownNode(s.node));
             }
+            let engine = s.engine.as_ref().map(ShardedEngine::restore).transpose()?;
             let mut parts = Vec::with_capacity(s.parts.len());
             for p in &s.parts {
-                let engine = ShardedEngine::restore(&p.engine)?;
                 let group = mw.overlay.create_group(&p.group_name, &p.members)?;
                 parts.push(PartEntry::new(
-                    engine,
                     group,
                     p.group_name.clone(),
                     &p.filter_apps,
@@ -1618,6 +1614,7 @@ impl Middleware {
                 node: s.node,
                 schema: s.schema.clone(),
                 subscribers: s.subscribers.clone(),
+                engine,
                 parts,
                 retired: s.retired.clone(),
                 generation: s.generation,
@@ -1668,80 +1665,81 @@ impl Middleware {
     // internals
     // ------------------------------------------------------------------
 
-    /// Builds one part (engine + multicast tree) hosting `app_idxs`, in
-    /// subscription order (filter ids are dense `0..n` within the part).
-    fn spawn_part(&mut self, source_idx: usize, app_idxs: &[usize]) -> Result<(), SolarError> {
+    /// Builds a source's engine and trees, the one place they are made:
+    /// part `i` (subscriptions, whose filter ids are dense in list order)
+    /// becomes route `i`, keyed by its tree's name.
+    fn build_source(&mut self, source_idx: usize, parts: &[Vec<usize>]) -> Result<(), SolarError> {
         let s = &self.sources[source_idx];
-        let mut builder = GroupEngine::builder(s.schema.clone())
-            .algorithm(self.config.algorithm)
-            .output_strategy(self.config.strategy);
-        if let Some(c) = self.config.constraint {
-            builder = builder.time_constraint(c);
+        // `min(parallelism, parts)` workers above 1, none at or below it.
+        let workers = if self.config.parallelism > 1 {
+            self.config.parallelism
+        } else {
+            0
+        };
+        let mut engine = ShardedEngine::builder()
+            .parallelism(workers)
+            .track_step_costs(true);
+        let mut names = Vec::with_capacity(parts.len());
+        for (p, app_idxs) in parts.iter().enumerate() {
+            let mut builder = GroupEngine::builder(s.schema.clone())
+                .algorithm(self.config.algorithm)
+                .output_strategy(self.config.strategy);
+            if let Some(c) = self.config.constraint {
+                builder = builder.time_constraint(c);
+            }
+            for &a in app_idxs {
+                builder = builder.filter(self.apps[a].spec.clone());
+            }
+            let name = format!("src:{source_idx}:{}:g{}:p{p}", s.name, s.generation);
+            engine = engine.route(name.clone(), builder);
+            names.push(name);
         }
-        for &a in app_idxs {
-            builder = builder.filter(self.apps[a].spec.clone());
+        let engine = engine.build()?;
+        let mut entries = Vec::with_capacity(parts.len());
+        for (app_idxs, name) in parts.iter().zip(names) {
+            let mut members: BTreeSet<NodeId> =
+                app_idxs.iter().map(|&a| self.apps[a].node).collect();
+            members.insert(s.node); // the source proxy is always a member
+            let members: Vec<NodeId> = members.into_iter().collect();
+            let group = self.overlay.create_group(&name, &members)?;
+            entries.push(PartEntry::new(
+                group,
+                name,
+                app_idxs,
+                &self.apps,
+                Vec::new(),
+            ));
         }
-        // One route: one worker above parallelism 1, none (the caller
-        // thread filters) at or below it.
-        let engine = ShardedEngine::builder()
-            .parallelism(usize::from(self.config.parallelism > 1))
-            .track_step_costs(true)
-            .route(format!("src:{source_idx}:{}", s.name), builder)
-            .build()?;
-        let mut members: BTreeSet<NodeId> = app_idxs.iter().map(|&a| self.apps[a].node).collect();
-        members.insert(s.node); // the source proxy is always a member
-        let members: Vec<NodeId> = members.into_iter().collect();
-        let name = format!(
-            "src:{source_idx}:{}:g{}:p{}",
-            s.name,
-            s.generation,
-            s.parts.len()
-        );
-        let group = self.overlay.create_group(&name, &members)?;
-        let part = PartEntry::new(engine, group, name, app_idxs, &self.apps, Vec::new());
-        self.sources[source_idx].parts.push(part);
+        let s = &mut self.sources[source_idx];
+        s.engine = Some(engine);
+        s.parts = entries;
         Ok(())
     }
 
     /// Attaches a freshly subscribed app to a live source: queue the
-    /// filter on the first part's engine, join the multicast tree.
+    /// filter on the first part's route, join its multicast tree.
     fn attach_live(&mut self, source: SourceId, app_idx: usize) -> Result<(), SolarError> {
-        if self.sources[source.0].parts.is_empty() {
-            // First live subscriber of a source that deployed empty.
-            return self.spawn_part(source.0, &[app_idx]);
+        if self.sources[source.0].engine.is_none() {
+            // First live subscriber of a source without an engine.
+            return self.build_source(source.0, &[vec![app_idx]]);
         }
         let declared = self.apps[app_idx].spec.clone();
-        // Joining a source mid-shed means joining at its current rung.
-        let rung = self.sources[source.0]
-            .shedder
-            .as_ref()
-            .map_or(0, Shedder::rung);
-        let spec = declared.degraded(rung).unwrap_or(declared);
         let node = self.apps[app_idx].node;
-        let part = &mut self.sources[source.0].parts[0];
-        let id = part.engine.add_filter(0, spec)?;
+        let s = &mut self.sources[source.0];
+        // Joining a source mid-shed means joining at its current rung.
+        let rung = s.shedder.as_ref().map_or(0, Shedder::rung);
+        let spec = declared.degraded(rung).unwrap_or(declared);
+        let id = s.engine_mut()?.add_filter(0, spec)?;
+        let part = &mut s.parts[0];
         let slot = part.push_filter(app_idx, node);
         debug_assert_eq!(id, slot);
-        let group = part.group;
-        self.overlay.join_group(group, node)?;
+        self.overlay.join_group(part.group, node)?;
         Ok(())
     }
 
-    /// Finds the part and live filter id serving a subscription.
-    fn locate(&self, source: SourceId, app_idx: usize) -> Option<(usize, FilterId)> {
-        for (pi, part) in self.sources[source.0].parts.iter().enumerate() {
-            if let Some(fi) = part.filter_apps.iter().position(|&a| a == app_idx) {
-                return Some((pi, FilterId::from_index(fi)));
-            }
-        }
-        None
-    }
-
-    /// Every subscription's location in one sweep: `table[app]` is what
-    /// [`locate`](Self::locate) would return for that app (first part,
-    /// first slot — stale vacated slots lose to earlier entries exactly
-    /// as `position` would find them). Bulk paths that touch the whole
-    /// roster (ladder moves, regroup) use this instead of per-app scans.
+    /// Every subscription's location in one sweep: `table[app]` is the
+    /// part and filter id serving it (first part, first slot — a stale
+    /// vacated slot loses to an earlier entry).
     fn locate_all(&self, source: SourceId) -> Vec<Option<(usize, FilterId)>> {
         let mut table = vec![None; self.apps.len()];
         for (pi, part) in self.sources[source.0].parts.iter().enumerate() {
@@ -1754,21 +1752,12 @@ impl Middleware {
         table
     }
 
-    /// Drains a part's engine through the multicast path (in-flight
-    /// candidate sets close, pending outputs are delivered), merges its
-    /// lifetime metrics into the source's retired total, removes its
-    /// multicast group from the overlay and drops the part. A part whose
-    /// stream already finished has nothing in flight and is merged
-    /// directly.
-    ///
-    /// Returns the part's lifetime metrics — the sample regrouping
-    /// heuristics judge.
-    fn retire_part(
-        &mut self,
-        source_idx: usize,
-        part_idx: usize,
-    ) -> Result<EngineMetrics, SolarError> {
-        let drained = self.with_part_sink(None, source_idx, part_idx, |engine, sink| {
+    /// Finishes a source's engine through the multicast path, merges its
+    /// parts' lifetime metrics into the retired total and removes every
+    /// part and tree. Returns those metrics, in part order: the sample
+    /// regrouping heuristics judge.
+    fn retire_engine(&mut self, source_idx: usize) -> Result<Vec<EngineMetrics>, SolarError> {
+        let drained = self.with_source_sink(None, source_idx, |engine, sink| {
             match engine.finish_into(sink) {
                 // already finished = already drained; nothing was in flight
                 Ok(()) | Err(gasf_core::Error::Finished) => Ok(()),
@@ -1776,27 +1765,31 @@ impl Middleware {
             }
         });
         let s = &mut self.sources[source_idx];
-        let part = s.parts.remove(part_idx);
-        let lifetime = part.engine.metrics();
-        s.retired.merge(&lifetime);
-        // The tree is dead — reclaim it so churn can't grow the overlay
-        // without bound.
-        let _ = self.overlay.remove_group(part.group);
+        let lifetimes = s
+            .engine
+            .take()
+            .map_or_else(Vec::new, |e| e.route_metrics().to_vec());
+        for m in &lifetimes {
+            s.retired.merge(m);
+        }
+        // The trees are dead — reclaim them so churn can't grow the
+        // overlay without bound.
+        for part in s.parts.drain(..) {
+            let _ = self.overlay.remove_group(part.group);
+        }
         drained?;
-        Ok(lifetime)
+        Ok(lifetimes)
     }
 
-    /// The one place a part's engine meets its sink: split-borrows the
-    /// middleware into the part's engine and a [`Metered`]
-    /// [`MulticastSink`] over `wire` (the overlay when `None`), runs
-    /// `drive`, feeds the step costs it merged to the flow monitor, then
-    /// re-raises what it produced — engine errors first, then the first
-    /// network error the sink latched.
-    fn with_part_sink<R>(
+    /// The one place a source's engine meets its sink: split-borrows the
+    /// middleware into the engine and a [`Metered`] [`MulticastSink`] over
+    /// `wire` (the overlay when `None`), runs `drive`, feeds the step costs
+    /// it merged to the flow monitor, then re-raises what it produced —
+    /// engine errors first, then the first network error the sink latched.
+    fn with_source_sink<R>(
         &mut self,
         wire: Option<&mut (dyn Transport + '_)>,
         source_idx: usize,
-        part_idx: usize,
         drive: impl FnOnce(
             &mut ShardedEngine,
             &mut Metered<'_, MulticastSink<'_>>,
@@ -1807,21 +1800,22 @@ impl Middleware {
             None => &mut self.overlay,
         };
         let s = &mut self.sources[source_idx];
-        let part = &mut s.parts[part_idx];
+        let Some(engine) = s.engine.as_mut() else {
+            return Err(SolarError::NoSubscribers(s.name.clone()));
+        };
         let sink = MulticastSink {
             transport,
             apps: &mut self.apps,
-            filter_apps: &part.filter_apps,
-            node_masks: &part.node_masks,
-            group: part.group,
+            parts: &s.parts,
+            part: 0,
             src_node: s.node,
             lat_hist: &mut s.lat_hist,
             nodes: &mut self.recipient_nodes,
             error: None,
         };
         let mut sink = Metered::new(sink, &mut s.flow);
-        let out = drive(&mut part.engine, &mut sink);
-        for (arrival, cpu) in part.engine.drain_step_costs() {
+        let out = drive(engine, &mut sink);
+        for (arrival, cpu) in engine.drain_step_costs() {
             sink.monitor().observe(arrival, cpu);
         }
         let out = out?;
@@ -1829,6 +1823,31 @@ impl Middleware {
             Some(e) => Err(e),
             None => Ok(out),
         }
+    }
+
+    /// Executes a source's deferred overlay leaves: a node with no active
+    /// subscription left in a part leaves that part's tree. Until then a
+    /// stale member costs nothing: every send is pruned to its recipients.
+    fn leave_deferred(&mut self, source: usize) -> Result<(), SolarError> {
+        let s = &mut self.sources[source];
+        for part in &mut s.parts {
+            for node in std::mem::take(&mut part.deferred_leaves) {
+                let apps = &self.apps;
+                let still_needed = node == s.node
+                    || part
+                        .filter_apps
+                        .iter()
+                        .any(|&a| apps[a].active && apps[a].node == node);
+                if still_needed {
+                    continue;
+                }
+                match self.overlay.leave_group(part.group, node) {
+                    Ok(()) | Err(gasf_net::multicast::NetError::NotAMember(_)) => {}
+                    Err(e) => return Err(e.into()),
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1839,7 +1858,11 @@ impl Middleware {
 /// [`Middleware::pipeline_over`] — and per-subscription delivery
 /// statistics are updated in place.
 ///
-/// Recipient nodes are resolved by whichever walk is shorter. The part
+/// One sink serves a source: the engine hands it route `i`'s emissions
+/// through [`accept_route`](EmissionSink::accept_route), and they go down
+/// part `i`'s tree.
+///
+/// Recipient nodes are resolved by whichever walk is shorter. Each part
 /// keeps one filter mask per node its filters live on: an emission with
 /// at least as many labels as the part has nodes goes to the nodes whose
 /// mask meets its labels, one block-AND each; one with fewer labels maps
@@ -1858,9 +1881,10 @@ impl Middleware {
 pub struct MulticastSink<'a> {
     transport: &'a mut (dyn Transport + 'a),
     apps: &'a mut Vec<AppEntry>,
-    filter_apps: &'a [usize],
-    node_masks: &'a [(NodeId, FilterSet)],
-    group: GroupId,
+    /// The source's parts, in route order.
+    parts: &'a [PartEntry],
+    /// The part [`accept`](EmissionSink::accept) sends to.
+    part: usize,
     src_node: NodeId,
     /// The source's delivery-latency histogram: one sample per
     /// (emission, recipient) delivery, same quantity the per-app means
@@ -1871,29 +1895,30 @@ pub struct MulticastSink<'a> {
     error: Option<SolarError>,
 }
 
-impl MulticastSink<'_> {
+impl<'a> MulticastSink<'a> {
     /// Resolves the emission's labels to their recipient nodes, ascending
     /// and distinct, into `nodes`, and returns whether it went label by
-    /// label. The walk is the shorter one: an emission with fewer labels
-    /// than the part has nodes maps each label to its app's node
-    /// ([`resolve_nodes`](gasf_net::resolve_nodes)); any other takes one
-    /// block-AND per node mask.
-    fn resolve(&mut self, emission: &Emission) -> bool {
+    /// label, with the part it goes to. The walk is the shorter one: an
+    /// emission with fewer labels than the part has nodes maps each label
+    /// to its app's node ([`resolve_nodes`](gasf_net::resolve_nodes)); any
+    /// other takes one block-AND per node mask.
+    fn resolve(&mut self, emission: &Emission) -> (bool, &'a PartEntry) {
+        let part = &self.parts[self.part];
         let labels = &emission.recipients;
-        let per_label = labels.len() < self.node_masks.len();
+        let per_label = labels.len() < part.node_masks.len();
         if per_label {
-            let (apps, filter_apps) = (&*self.apps, self.filter_apps);
+            let (apps, filter_apps) = (&*self.apps, &part.filter_apps);
             gasf_net::resolve_nodes(self.nodes, emission, |f| apps[filter_apps[f.index()]].node);
         } else {
             self.nodes.clear();
             self.nodes.extend(
-                self.node_masks
+                part.node_masks
                     .iter()
                     .filter(|(_, mask)| mask.intersects(labels))
                     .map(|&(node, _)| node),
             );
         }
-        per_label
+        (per_label, part)
     }
 }
 
@@ -1902,11 +1927,11 @@ impl EmissionSink for MulticastSink<'_> {
         if self.error.is_some() {
             return;
         }
-        let per_label = self.resolve(emission);
-        let filter_apps = self.filter_apps;
+        let (per_label, part) = self.resolve(emission);
+        let filter_apps = &part.filter_apps;
         let apps = &*self.apps;
         let sent = self.transport.send_to_nodes(
-            self.group,
+            part.group,
             self.src_node,
             emission,
             self.nodes,
@@ -1934,7 +1959,7 @@ impl EmissionSink for MulticastSink<'_> {
             return;
         }
         let mut sent_to = self.nodes.iter().peekable();
-        for (node, mask) in self.node_masks {
+        for (node, mask) in &part.node_masks {
             if sent_to.next_if_eq(&node).is_none() {
                 continue;
             }
@@ -1946,6 +1971,11 @@ impl EmissionSink for MulticastSink<'_> {
             }
             self.lat_hist.record_n(e2e.as_micros(), n);
         }
+    }
+
+    fn accept_route(&mut self, route: usize, emissions: &[Emission]) {
+        self.part = route;
+        self.accept_batch(emissions);
     }
 
     fn flush(&mut self) {
@@ -1969,23 +1999,27 @@ impl EmissionSink for MulticastSink<'_> {
 /// (or simply don't hold) the pipeline, call
 /// `subscribe`/`unsubscribe`/`resubscribe`/`regroup`, and keep pushing.
 ///
-/// Each part's engine is a single-route [`ShardedEngine`]. At
-/// [`MiddlewareConfig::parallelism`] ≤ 1 it has no worker thread: a push
-/// filters on the caller thread and multicasts everything it released
-/// before returning. Above one, filtering runs on worker threads and this
-/// pipeline's caller thread only merges emissions and disseminates them —
-/// emissions released by a push may be multicast up to three pushes
-/// later (two runs stay in flight per worker), with
-/// [`finish`](Pipeline::finish) always draining everything. Every push
-/// is then one hand-off to each part's worker, so hand over what you
-/// have: [`push_columnar`](Pipeline::push_columnar) or
+/// The source's engine is one [`ShardedEngine`] whose routes are its
+/// parts. At [`MiddlewareConfig::parallelism`] ≤ 1 it has no worker
+/// thread: a push filters on the caller thread and multicasts everything
+/// it released before returning. Above one, filtering runs on
+/// `min(parallelism, parts)` worker threads and this pipeline's caller
+/// thread only merges emissions and disseminates them — emissions
+/// released by a push may be multicast up to three pushes later (two
+/// runs stay in flight per worker), with [`finish`](Pipeline::finish)
+/// always draining everything. Every push is then one hand-off to each
+/// worker, so hand over what you have:
+/// [`push_columnar`](Pipeline::push_columnar) or
 /// [`push_batch`](Pipeline::push_batch) rather than a loop of
 /// [`push`](Pipeline::push).
 ///
-/// An error raised inside a part's engine while it filters (such as
-/// [`MissingValue`](gasf_core::Error::MissingValue)) poisons that engine
-/// at every parallelism: later pushes, checkpoints and the finish return
-/// the same error. Ordering and width violations are rejected before the
+/// A multi-part source's emissions go out in `(row, part)` order, each
+/// down its part's tree, at every parallelism and for every run size.
+///
+/// An error raised inside the engine while it filters (such as
+/// [`MissingValue`](gasf_core::Error::MissingValue)) poisons it at every
+/// parallelism: later pushes, checkpoints and the finish return the same
+/// error. Ordering and width violations are rejected before the
 /// engine moves and leave it usable.
 #[derive(Debug)]
 pub struct Pipeline<'m> {
@@ -1997,7 +2031,7 @@ pub struct Pipeline<'m> {
 }
 
 impl Pipeline<'_> {
-    /// Pushes one tuple through every part of the source — a run of one
+    /// Pushes one tuple through the source's engine — a run of one
     /// row through the same front end and columnar engine entry a batch
     /// takes; released emissions are multicast as they stream out of the
     /// release paths.
@@ -2019,7 +2053,7 @@ impl Pipeline<'_> {
     }
 
     /// Feeds a run of row-form arrivals: through the event-time front end
-    /// when the source has one, straight to the parts otherwise.
+    /// when the source has one, straight to the engine otherwise.
     fn push_rows(&mut self, rows: Cow<'_, [Tuple]>) -> Result<(), SolarError> {
         if self.mw.sources[self.source].reorder.is_some() {
             self.reorder_run(rows.into_owned())
@@ -2030,7 +2064,7 @@ impl Pipeline<'_> {
 
     /// The event-time front end: drives the source's [`ReorderBuffer`]
     /// with a run of arrivals and feeds what the watermark releases to
-    /// the parts as one ordered run. A late arrival is settled where it
+    /// the engine as one ordered run. A late arrival is settled where it
     /// arrives: a drop is counted; a patch — stamped at the watermark
     /// frontier, so its latency is exactly how late the tuple was — goes
     /// out after what earlier arrivals released, as it would arriving
@@ -2067,7 +2101,7 @@ impl Pipeline<'_> {
     }
 
     /// Packs an ordered run of rows — at most [`MAX_RUN_ROWS`] per
-    /// dispatch unit — and feeds it to every part. Packing validates a
+    /// dispatch unit — and feeds it to the engine. Packing validates a
     /// whole run before any row is processed; the per-row cut is kept by
     /// feeding the longest prefix that packs and going round again, so a
     /// row that does not extend the stream heads its own run and the
@@ -2083,99 +2117,65 @@ impl Pipeline<'_> {
                 return Err(rejected.expect("an empty prefix names its row").into());
             }
             rows = &rows[batch.rows()..];
-            self.feed_parts(&Arc::new(batch))?;
+            self.feed_engine(&Arc::new(batch))?;
         }
         Ok(())
     }
 
-    /// Fans one stream-ordered columnar run out to every part of the
-    /// source; every part shares the same `Arc`. A push that leaves
-    /// nothing in flight has delivered every boundary drain its engine
-    /// crossed (queued ops apply, and their drain goes out, at the run's
-    /// head — a run is never split by a safe point), so stale tree
-    /// members can safely leave.
-    fn feed_parts(&mut self, batch: &Arc<TupleBatch>) -> Result<(), SolarError> {
-        let source = self.source;
-        for p in 0..self.mw.sources[source].parts.len() {
+    /// Feeds one stream-ordered columnar run to the source's engine. A
+    /// push that leaves nothing in flight has delivered every boundary
+    /// drain the engine crossed (queued ops apply, and their drain goes
+    /// out, at the run's head — a run is never split by a safe point), so
+    /// stale tree members can safely leave.
+    fn feed_engine(&mut self, batch: &Arc<TupleBatch>) -> Result<(), SolarError> {
+        let in_flight =
             self.mw
-                .with_part_sink(self.wire.as_deref_mut(), source, p, |engine, sink| {
-                    engine.push_batch_columnar(batch, sink)
+                .with_source_sink(self.wire.as_deref_mut(), self.source, |engine, sink| {
+                    engine.push_batch_columnar(batch, sink)?;
+                    Ok(engine.in_flight())
                 })?;
-            if self.mw.sources[source].parts[p].engine.in_flight() == 0 {
-                Self::process_deferred_leaves(self.mw, source, p)?;
-            }
+        if in_flight == 0 {
+            self.mw.leave_deferred(self.source)?;
         }
         Ok(())
     }
 
-    /// Disseminates one patch emission through every part's multicast
-    /// sink ([`EmissionSink::accept_patch`]), addressed to the part's
-    /// currently active subscriptions. The engines are bypassed: the
-    /// ordered stream (and all state built from it) never sees the late
-    /// tuple.
+    /// Disseminates one patch emission down every part's tree
+    /// ([`EmissionSink::accept_patch`]), addressed to the part's currently
+    /// active subscriptions. The engine is bypassed: the ordered stream
+    /// (and all state built from it) never sees the late tuple.
     fn patch_all_parts(&mut self, late: LateTuple, emitted_at: Micros) -> Result<(), SolarError> {
         let payload = Arc::new(late.tuple);
-        let n_parts = self.mw.sources[self.source].parts.len();
-        for p in 0..n_parts {
-            let mut recipients = FilterSet::new();
-            for (i, &a) in self.mw.sources[self.source].parts[p]
+        let apps = &self.mw.apps;
+        let mut patches = Vec::new();
+        for (p, part) in self.mw.sources[self.source].parts.iter().enumerate() {
+            let recipients: FilterSet = part
                 .filter_apps
                 .iter()
                 .enumerate()
-            {
-                if self.mw.apps[a].active {
-                    recipients.insert(FilterId::from_index(i));
+                .filter(|&(_, &a)| apps[a].active)
+                .map(|(i, _)| FilterId::from_index(i))
+                .collect();
+            if !recipients.is_empty() {
+                let tuple = Arc::clone(&payload);
+                patches.push((
+                    p,
+                    Emission {
+                        tuple,
+                        recipients,
+                        emitted_at,
+                    },
+                ));
+            }
+        }
+        self.mw
+            .with_source_sink(self.wire.as_deref_mut(), self.source, |_, sink| {
+                for (p, emission) in &patches {
+                    sink.inner_mut().part = *p;
+                    sink.accept_patch(emission);
                 }
-            }
-            if recipients.is_empty() {
-                continue;
-            }
-            let emission = Emission {
-                tuple: Arc::clone(&payload),
-                recipients,
-                emitted_at,
-            };
-            self.mw
-                .with_part_sink(self.wire.as_deref_mut(), self.source, p, |_, sink| {
-                    sink.accept_patch(&emission);
-                    Ok(())
-                })?;
-        }
-        Ok(())
-    }
-
-    /// Executes a part's deferred overlay leaves: nodes with no remaining
-    /// active subscription in the part are pruned from its tree. Until
-    /// this runs a stale member costs nothing — the tuple-level multicast
-    /// prunes every send to its recipient subset.
-    fn process_deferred_leaves(
-        mw: &mut Middleware,
-        source: usize,
-        p: usize,
-    ) -> Result<(), SolarError> {
-        if mw.sources[source].parts[p].deferred_leaves.is_empty() {
-            return Ok(());
-        }
-        let src_node = mw.sources[source].node;
-        let leaves = std::mem::take(&mut mw.sources[source].parts[p].deferred_leaves);
-        for node in leaves {
-            if node == src_node {
-                continue;
-            }
-            let part = &mw.sources[source].parts[p];
-            let still_needed = part
-                .filter_apps
-                .iter()
-                .any(|&a| mw.apps[a].active && mw.apps[a].node == node);
-            if still_needed {
-                continue;
-            }
-            match mw.overlay.leave_group(part.group, node) {
-                Ok(()) | Err(gasf_net::multicast::NetError::NotAMember(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
+                Ok(())
+            })
     }
 
     /// Pushes a stream of tuples, stopping at the first failure. The
@@ -2198,12 +2198,12 @@ impl Pipeline<'_> {
         }
     }
 
-    /// Pushes one columnar [`TupleBatch`] through every part of the
-    /// source — the batch-native data path. Every part shares the same
-    /// `Arc` (no per-part copy of the columns), each engine consumes it
-    /// through its columnar hot path, and the flow monitor observes the
-    /// batch as per-row samples with the batch cost amortised across
-    /// them, so flow decisions stay comparable to per-tuple feeding.
+    /// Pushes one columnar [`TupleBatch`] through the source's engine —
+    /// the batch-native data path. Every worker shares the same `Arc` (no
+    /// copy of the columns), each part's route consumes it through its
+    /// columnar hot path, and the flow monitor observes the batch as
+    /// per-row samples with the batch cost amortised across them, so flow
+    /// decisions stay comparable to per-tuple feeding.
     ///
     /// Emission bytes on the wire are identical to
     /// [`push`](Self::push)ing the rows one at a time.
@@ -2222,11 +2222,11 @@ impl Pipeline<'_> {
         if self.mw.sources[self.source].reorder.is_some() {
             self.reorder_run(batch.materialize())
         } else {
-            self.feed_parts(batch)
+            self.feed_engine(batch)
         }
     }
 
-    /// Ends the stream on every part, disseminating the tails. An
+    /// Ends the source's stream, disseminating every part's tail. An
     /// event-time front end is flushed first: everything still buffered
     /// is released in event order, as one run (end-of-stream is the final
     /// watermark).
@@ -2240,21 +2240,17 @@ impl Pipeline<'_> {
             self.feed_rows(&released)?;
         }
         let source = self.source;
-        let n_parts = self.mw.sources[source].parts.len();
-        for p in 0..n_parts {
-            self.mw
-                .with_part_sink(self.wire.as_deref_mut(), source, p, |engine, sink| {
-                    engine.finish_into(sink)
-                })?;
-            Self::process_deferred_leaves(self.mw, source, p)?;
-        }
-        Ok(())
+        self.mw
+            .with_source_sink(self.wire.as_deref_mut(), source, |engine, sink| {
+                engine.finish_into(sink)
+            })?;
+        self.mw.leave_deferred(source)
     }
 
-    /// Metrics of the engines this pipeline feeds: lifetime metrics
-    /// folded over every part and every engine retired by churn. Live at
-    /// parallelism ≤ 1; with worker threads a live part reports only its
-    /// input count until it finishes (see [`ShardedEngine::metrics`]).
+    /// Metrics of the engine this pipeline feeds: lifetime metrics folded
+    /// over every part and every engine retired by churn. Live at
+    /// parallelism ≤ 1; with worker threads a live engine reports only
+    /// its input count until it finishes (see [`ShardedEngine::metrics`]).
     pub fn metrics(&self) -> EngineMetrics {
         self.mw.sources[self.source].folded_metrics()
     }
@@ -2437,7 +2433,7 @@ mod tests {
         // checkpoint crosses its own
         let snap = mw.checkpoint().unwrap();
         assert_eq!(
-            snap.sources[0].parts[0].engine.route_snapshots()[0].epoch(),
+            snap.sources[0].engine.as_ref().unwrap().route_snapshots()[0].epoch(),
             2
         );
         mw.finish(src).unwrap();
@@ -2865,6 +2861,21 @@ mod tests {
         // reconstructed from the shards' step costs.
         assert_eq!(s.flow.samples(), 200);
         assert_eq!(mw.flow_decision(src).unwrap(), FlowDecision::Ok);
+        // A regrouped source books one sample per tuple too, at every
+        // parallelism: its parts are routes of one engine, whose step
+        // costs are drained once.
+        for parallelism in [1, 2] {
+            let (mut mw, src, schema) = setup(MiddlewareConfig {
+                parallelism,
+                ..Default::default()
+            });
+            mw.regroup(src, GroupingStrategy::MaxSize(2)).unwrap();
+            assert_eq!(mw.sources[src.0].parts.len(), 2);
+            mw.push_batch(src, stream(&schema, 3_000)).unwrap();
+            mw.finish(src).unwrap();
+            let samples = mw.sources[src.0].flow.samples();
+            assert_eq!(samples, 3_000, "parallelism {parallelism}");
+        }
     }
 
     mod fault_tolerance {
@@ -2978,7 +2989,7 @@ mod tests {
                 .sum();
             assert!(after >= before, "drain cannot lose deliveries");
             // the engines crossed exactly one epoch boundary
-            let engine = &snap.sources[0].parts[0].engine;
+            let engine = snap.sources[0].engine.as_ref().unwrap();
             assert_eq!(engine.route_snapshots()[0].epoch(), 1);
             mw.push_batch(src, tuples[100..].to_vec()).unwrap();
             mw.finish(src).unwrap();

@@ -1,4 +1,4 @@
-//! Parallel pipeline: the sharded engine and shard-aware multicast.
+//! Parallel pipeline: the sharded engine.
 //!
 //! Reproduces the paper's ten-group workload shape (Ch. 5, Table 5.2) at
 //! production scale: ten independent filter groups share one NAMOS buoy
@@ -7,21 +7,16 @@
 //! threads, fed the stream in 256-row batches (the engine's one data
 //! entry: a push is a hand-off per shard, so hand over a batch). The demo
 //! verifies the headline guarantee — merged output is **byte-identical at
-//! every parallelism** — times the sweep, and sends
-//! the merged emissions down a shard-aware multicast group
-//! (`gasf_net::ShardedGroup`: one Scribe tree per producer shard, so
-//! parallel shards don't serialise through a single rendezvous root).
+//! every parallelism** — and times the sweep.
 //!
 //! Knobs exercised: `ShardedEngineBuilder::{parallelism, route}`,
-//! `ShardedEngine::push_batch_columnar`,
-//! `Overlay::{create_sharded_group, multicast_emission_sharded}`.
+//! `ShardedEngine::push_batch_columnar`.
 //!
 //! ```text
 //! cargo run --release --example parallel_pipeline
 //! ```
 
 use gasf_core::prelude::*;
-use gasf_net::{NodeId, Overlay, Topology};
 use gasf_sources::NamosBuoy;
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,33 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             m.oi_ratio(),
         );
     }
-    println!("  merged emission streams identical across all parallelism levels\n");
-
-    // --- shard-aware dissemination ---------------------------------
-    // Ten subscriber nodes on a ring; the sharded source sends each
-    // emission down the tree owned by its tuple's shard.
-    let mut overlay = Overlay::new(Topology::ring(10).build());
-    let members: Vec<NodeId> = (0..10).map(NodeId).collect();
-    let sharded_group = overlay.create_sharded_group("buoy", &members, 4)?;
-    let roots: Vec<String> = sharded_group
-        .ids()
-        .iter()
-        .map(|&g| overlay.group_root(g).map(|r| r.to_string()))
-        .collect::<Result<_, _>>()?;
-    println!("  4 shard trees rooted at {}", roots.join(", "));
-
-    let mut bytes = 0u64;
-    for emission in reference.as_slice() {
-        let d = overlay.multicast_emission_sharded(&sharded_group, NodeId(0), emission, |f| {
-            // recipients of route r land on ring nodes by filter index
-            NodeId((f.index() as u32 % 9) + 1)
-        })?;
-        bytes += d.bytes_on_wire;
-    }
-    println!(
-        "  {} emissions multicast, {} messages, {bytes} bytes on wire",
-        reference.len(),
-        overlay.messages()
-    );
+    println!("  merged emission streams identical across all parallelism levels");
     Ok(())
 }

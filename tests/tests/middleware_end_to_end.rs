@@ -1,6 +1,7 @@
 //! End-to-end integration: sources → middleware → engines → overlay
 //! multicast → applications, across crates.
 
+use gasf_core::batch::TupleBatch;
 use gasf_core::candidate::FilterId;
 use gasf_core::cuts::TimeConstraint;
 use gasf_core::engine::{Algorithm, Emission, OutputStrategy};
@@ -12,9 +13,10 @@ use gasf_net::{
 };
 use gasf_solar::{GroupingStrategy, Middleware, MiddlewareConfig};
 use gasf_sources::{ChlorinePlume, NamosBuoy, SourceKind};
+use gasf_wire::Recorded;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 fn build(
     algorithm: Algorithm,
@@ -249,6 +251,78 @@ fn tighter_constraints_cut_more_and_lower_latency() {
         tight_latency <= loose_latency,
         "{tight_latency} vs {loose_latency}"
     );
+}
+
+/// A multi-part source's per-node streams depend on neither the run size
+/// nor the parallelism: its parts are routes of one engine, merged in
+/// `(row, part)` order. Node 4 subscribes in both parts, so its stream
+/// interleaves them. Between runs one subscription is retuned and the
+/// second part is emptied, which leaves it a dormant route.
+#[test]
+fn multi_part_streams_ignore_run_size_and_parallelism() {
+    let trace = NamosBuoy::new().tuples(3_000).seed(13).generate();
+    let step = trace.stats("tmpr4").unwrap().mean_abs_delta;
+    let spec = |k: usize| {
+        let k = k as f64;
+        FilterSpec::delta("tmpr4", step * (1.5 + 0.4 * k), step * (0.6 + 0.15 * k))
+    };
+    // Rows 1 024 and 2 048, where the churn lands, start a run at every
+    // run size.
+    let tuples = trace.tuples();
+    let segments = [&tuples[..1_024], &tuples[1_024..2_048], &tuples[2_048..]];
+    let run = |algorithm: Algorithm, rows: usize, parallelism: usize| {
+        let config = MiddlewareConfig {
+            algorithm,
+            parallelism,
+            ..Default::default()
+        };
+        let mut mw = Middleware::with_config(Overlay::new(Topology::ring(7).build()), config);
+        let src = mw
+            .register_source("buoy", NodeId(0), trace.schema().clone())
+            .unwrap();
+        let subs: Vec<_> = [2u32, 4, 2, 4, 3, 5]
+            .into_iter()
+            .enumerate()
+            .map(|(i, node)| {
+                mw.subscribe(format!("a{i}"), NodeId(node), src, spec(i))
+                    .unwrap()
+            })
+            .collect();
+        mw.deploy().unwrap();
+        let parts = mw.regroup(src, GroupingStrategy::MaxSize(3)).unwrap();
+        assert_eq!(parts, [subs[..3].to_vec(), subs[3..].to_vec()]);
+        let mut wire = Recorded::new(NullTransport::default());
+        for (k, segment) in segments.iter().enumerate() {
+            if k == 1 {
+                mw.resubscribe(subs[1], spec(6)).unwrap();
+            }
+            if k == 2 {
+                for &h in &subs[3..] {
+                    mw.unsubscribe(h).unwrap();
+                }
+            }
+            let mut pipeline = mw.pipeline_over(src, &mut wire).unwrap();
+            for chunk in segment.chunks(rows) {
+                let batch = TupleBatch::from_tuples(trace.schema(), chunk).unwrap();
+                pipeline.push_columnar(&Arc::new(batch)).unwrap();
+            }
+        }
+        mw.pipeline_over(src, &mut wire).unwrap().finish().unwrap();
+        wire.digests().clone()
+    };
+    for algorithm in [Algorithm::RegionGreedy, Algorithm::PerCandidateSet] {
+        let reference = run(algorithm, 1_024, 1);
+        assert!(reference.contains_key(&NodeId(4)), "{algorithm:?}");
+        for rows in [1, 64, 1_024] {
+            for parallelism in [1, 2, 4] {
+                assert_eq!(
+                    run(algorithm, rows, parallelism),
+                    reference,
+                    "{algorithm:?}: runs of {rows} rows at parallelism {parallelism}"
+                );
+            }
+        }
+    }
 }
 
 /// A data plane that checks every send the middleware resolves against
