@@ -247,11 +247,6 @@ impl ReorderBuffer {
         &self.watermark
     }
 
-    /// The configured late policy.
-    pub fn late_policy(&self) -> LatePolicy {
-        self.late
-    }
-
     /// Tuples currently held back waiting for the watermark.
     pub fn buffered(&self) -> usize {
         self.pending.len()
@@ -541,11 +536,6 @@ impl WindowFilter {
     /// The aggregation function.
     pub fn aggregate(&self) -> Aggregate {
         self.agg
-    }
-
-    /// Windows currently open (seen a value, not yet closed).
-    pub fn open_windows(&self) -> usize {
-        self.open.len()
     }
 
     /// Folds one released tuple into every window containing its

@@ -13,7 +13,7 @@
 use super::{ForceCloseOutcome, GroupFilter};
 use crate::candidate::{CandidateTuple, CloseCause, ClosedSet, FilterAction, FilterId, TimeCover};
 use crate::error::Error;
-use crate::quality::{Dependency, FilterKind, FilterSpec, PickSpec, Prescription};
+use crate::quality::{Dependency, FilterKind, FilterSpec, Prescription};
 use crate::schema::AttrId;
 use crate::time::Micros;
 use crate::tuple::{Tuple, TupleId};
@@ -316,11 +316,6 @@ impl DeltaCompression {
             deriver: Deriver::Single(attr),
             spec,
         })
-    }
-
-    /// The output-selection settings (always "pick any one" for DC).
-    pub fn pick_spec(&self) -> PickSpec {
-        PickSpec::one()
     }
 }
 

@@ -178,8 +178,8 @@ fn cover_of(open: &[CandidateTuple]) -> Option<TimeCover> {
     })
 }
 
-/// One shared key derivation, executed once per tuple for its whole class
-/// (the hoisted-load form of the pure [`Expr`] key).
+/// One shared key derivation, executed once per tuple for its whole class:
+/// the plan's [`Expr`] key plus the state a trend carries between tuples.
 #[derive(Debug, Clone)]
 enum KeyDeriver {
     Single(AttrId),
@@ -199,7 +199,6 @@ impl KeyDeriver {
                 prev: None,
             },
             Expr::Mean(attrs) => KeyDeriver::Mean(attrs.clone()),
-            other => unreachable!("lowering only emits Attr/Trend/Mean keys, got {other}"),
         }
     }
 

@@ -1,6 +1,5 @@
-//! The typed expression IR filters lower into, and the logical-plan
-//! optimizer that hoists loads, normalizes comparisons and shares common
-//! subexpressions across a roster.
+//! Lowering: each filter spec becomes its key derivation and its gate,
+//! and the roster's keys are shared into common-subexpression classes.
 
 use crate::candidate::FilterId;
 use crate::engine::Algorithm;
@@ -8,21 +7,12 @@ use crate::error::Error;
 use crate::quality::{Dependency, FilterKind, FilterSpec, Prescription};
 use crate::schema::{AttrId, Schema};
 use crate::time::Micros;
-use crate::tuple::Tuple;
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// A typed expression over one stream tuple plus a filter's comparison
-/// base (its last reference / last chosen output).
-///
-/// This is the lowering target of every [`FilterSpec`] kind — the grammar
-/// is exactly what the paper's filter taxonomy needs: attribute loads
-/// (plain, trend, mean), the last-emitted-value reference ([`Base`](Expr::Base)),
-/// absolute deltas compared against thresholds with slack, time-window
-/// membership, and boolean combination. Expressions exist for plan
-/// construction, CSE identity and documentation; execution uses the
-/// specialized arenas of [`CompiledRoster`](super::CompiledRoster), which
-/// are derived from the same plan.
+/// The derivation of the one scalar a filter compares with its base: the
+/// key a [`CompiledRoster`](super::CompiledRoster) class derives once per
+/// tuple for every filter that shares it. Structurally equal keys are one
+/// class ([`RosterPlan::classes`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Load of one attribute value.
@@ -32,180 +22,15 @@ pub enum Expr {
     Trend(AttrId),
     /// Mean of several attribute loads (DC3). The summation order is
     /// semantic — floating-point addition does not commute bit-exactly —
-    /// so the list is never reordered.
+    /// so the list is never reordered. Lowering never builds a
+    /// one-attribute mean: `x/1.0 ≡ x` bit-exactly, so that key is
+    /// [`Attr`](Expr::Attr) and DC1 and single-attribute DC3 share a
+    /// class.
     Mean(Vec<AttrId>),
-    /// The filter's comparison base: the last reference value (stateless)
-    /// or the last chosen output value (stateful).
-    Base,
-    /// A literal.
-    Const(f64),
-    /// `|a − b|`.
-    AbsDelta(Box<Expr>, Box<Expr>),
-    /// `a ≥ b` (1.0 / 0.0).
-    Ge(Box<Expr>, Box<Expr>),
-    /// `a ≤ b` (1.0 / 0.0).
-    Le(Box<Expr>, Box<Expr>),
-    /// Whether the tuple's timestamp falls in the filter's currently open
-    /// sampling window of the given length (window-gate membership).
-    InWindow(Micros),
-    /// Conjunction.
-    And(Vec<Expr>),
-    /// Disjunction.
-    Or(Vec<Expr>),
-}
-
-impl Expr {
-    /// Normalizes the expression into the canonical form the planner
-    /// shares subexpressions over:
-    ///
-    /// * constants fold (`|c₁ − c₂|` → literal);
-    /// * a single-attribute mean collapses to the plain load (`x/1.0 ≡ x`
-    ///   bit-exactly, so DC1 and single-attribute DC3 share one class);
-    /// * threshold comparisons are normalized with the derived value on
-    ///   the **left** and the threshold on the right (`c ≥ x` ⇒ `x ≤ c`),
-    ///   so equal checks become structurally equal;
-    /// * nested conjunctions/disjunctions flatten, duplicate branches
-    ///   drop, and single-branch combinators unwrap.
-    #[must_use]
-    pub fn normalize(self) -> Expr {
-        match self {
-            Expr::Mean(attrs) if attrs.len() == 1 => Expr::Attr(attrs[0]),
-            Expr::AbsDelta(a, b) => match (a.normalize(), b.normalize()) {
-                (Expr::Const(a), Expr::Const(b)) => Expr::Const((a - b).abs()),
-                (a, b) => Expr::AbsDelta(Box::new(a), Box::new(b)),
-            },
-            Expr::Ge(a, b) => match (a.normalize(), b.normalize()) {
-                (Expr::Const(c), x) => Expr::Le(Box::new(x), Box::new(Expr::Const(c))),
-                (a, b) => Expr::Ge(Box::new(a), Box::new(b)),
-            },
-            Expr::Le(a, b) => match (a.normalize(), b.normalize()) {
-                (Expr::Const(c), x) => Expr::Ge(Box::new(x), Box::new(Expr::Const(c))),
-                (a, b) => Expr::Le(Box::new(a), Box::new(b)),
-            },
-            Expr::And(xs) => normalize_variadic(xs, true),
-            Expr::Or(xs) => normalize_variadic(xs, false),
-            other => other,
-        }
-    }
-
-    /// Evaluates a *pure* expression against one tuple and a base value;
-    /// booleans are 1.0/0.0. Returns `None` for stateful nodes
-    /// ([`Trend`](Expr::Trend), [`InWindow`](Expr::InWindow) — those only
-    /// evaluate inside a [`CompiledRoster`](super::CompiledRoster), which
-    /// owns their state) and for missing attribute values.
-    pub fn eval_pure(&self, tuple: &Tuple, base: f64) -> Option<f64> {
-        match self {
-            Expr::Attr(a) => tuple.require(*a).ok(),
-            Expr::Trend(_) | Expr::InWindow(_) => None,
-            Expr::Mean(attrs) => {
-                let mut sum = 0.0;
-                for a in attrs {
-                    sum += tuple.require(*a).ok()?;
-                }
-                Some(sum / attrs.len() as f64)
-            }
-            Expr::Base => Some(base),
-            Expr::Const(c) => Some(*c),
-            Expr::AbsDelta(a, b) => {
-                Some((a.eval_pure(tuple, base)? - b.eval_pure(tuple, base)?).abs())
-            }
-            Expr::Ge(a, b) => Some(f64::from(
-                a.eval_pure(tuple, base)? >= b.eval_pure(tuple, base)?,
-            )),
-            Expr::Le(a, b) => Some(f64::from(
-                a.eval_pure(tuple, base)? <= b.eval_pure(tuple, base)?,
-            )),
-            Expr::And(xs) => {
-                for x in xs {
-                    if x.eval_pure(tuple, base)? == 0.0 {
-                        return Some(0.0);
-                    }
-                }
-                Some(1.0)
-            }
-            Expr::Or(xs) => {
-                for x in xs {
-                    if x.eval_pure(tuple, base)? != 0.0 {
-                        return Some(1.0);
-                    }
-                }
-                Some(0.0)
-            }
-        }
-    }
-}
-
-/// Shared normalization of `And`/`Or`: flatten, dedupe, unwrap.
-fn normalize_variadic(xs: Vec<Expr>, conjunction: bool) -> Expr {
-    let mut flat: Vec<Expr> = Vec::with_capacity(xs.len());
-    for x in xs {
-        match x.normalize() {
-            Expr::And(inner) if conjunction => flat.extend(inner),
-            Expr::Or(inner) if !conjunction => flat.extend(inner),
-            other => flat.push(other),
-        }
-    }
-    let mut dedup: Vec<Expr> = Vec::with_capacity(flat.len());
-    for x in flat {
-        if !dedup.contains(&x) {
-            dedup.push(x);
-        }
-    }
-    match dedup.len() {
-        0 => Expr::Const(if conjunction { 1.0 } else { 0.0 }),
-        1 => dedup.into_iter().next().expect("len checked"),
-        _ if conjunction => Expr::And(dedup),
-        _ => Expr::Or(dedup),
-    }
-}
-
-impl fmt::Display for Expr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn list(f: &mut fmt::Formatter<'_>, xs: &[Expr], sep: &str) -> fmt::Result {
-            for (i, x) in xs.iter().enumerate() {
-                if i > 0 {
-                    write!(f, "{sep}")?;
-                }
-                write!(f, "{x}")?;
-            }
-            Ok(())
-        }
-        match self {
-            Expr::Attr(a) => write!(f, "a{}", a.index()),
-            Expr::Trend(a) => write!(f, "trend(a{})", a.index()),
-            Expr::Mean(attrs) => {
-                write!(f, "mean(")?;
-                for (i, a) in attrs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "a{}", a.index())?;
-                }
-                write!(f, ")")
-            }
-            Expr::Base => write!(f, "base"),
-            Expr::Const(c) => write!(f, "{c}"),
-            Expr::AbsDelta(a, b) => write!(f, "|{a} - {b}|"),
-            Expr::Ge(a, b) => write!(f, "{a} >= {b}"),
-            Expr::Le(a, b) => write!(f, "{a} <= {b}"),
-            Expr::InWindow(w) => write!(f, "win({w})"),
-            Expr::And(xs) => {
-                write!(f, "(")?;
-                list(f, xs, " && ")?;
-                write!(f, ")")
-            }
-            Expr::Or(xs) => {
-                write!(f, "(")?;
-                list(f, xs, " || ")?;
-                write!(f, ")")
-            }
-        }
-    }
 }
 
 /// The executable gate parameters of one lowered filter — the part of the
-/// plan the fused evaluator specializes on (the admission [`Expr`] is the
-/// same predicate in IR form).
+/// plan the fused evaluator specializes on: what it does with the key.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Gate {
     /// A `(slack, delta)` admission automaton (DC1/DC2/DC3).
@@ -272,17 +97,14 @@ impl Gate {
     }
 }
 
-/// One filter of the roster, lowered: its key derivation, its admission
-/// predicate (both normalized IR) and the executable gate parameters.
+/// One filter of the roster, lowered: its key derivation and its gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FilterPlan {
     /// The filter's stable slot id.
     pub id: FilterId,
-    /// Normalized derivation of the scalar the filter compares (the CSE
-    /// unit: structurally equal keys share one evaluation per tuple).
+    /// Derivation of the scalar the filter compares (the CSE unit:
+    /// structurally equal keys share one evaluation per tuple).
     pub key: Expr,
-    /// Normalized admission predicate over `key` and [`Expr::Base`].
-    pub admit: Expr,
     /// The gate parameters the evaluator specializes on.
     pub gate: Gate,
 }
@@ -313,26 +135,14 @@ impl FilterPlan {
             });
         }
         spec.validate()?;
-        let delta_plan = |key: Expr, delta: f64, slack: f64, stateful: bool| {
-            // Admitted ⇔ far enough from the base to qualify for the next
-            // set (searching/tentative), or inside the slack vicinity of
-            // the current reference.
-            let dist = Expr::AbsDelta(Box::new(key.clone()), Box::new(Expr::Base));
-            let admit = Expr::Or(vec![
-                Expr::Ge(Box::new(dist.clone()), Box::new(Expr::Const(delta - slack))),
-                Expr::Le(Box::new(dist), Box::new(Expr::Const(slack))),
-            ])
-            .normalize();
-            FilterPlan {
-                id,
-                key: key.normalize(),
-                admit,
-                gate: Gate::Delta {
-                    delta,
-                    slack,
-                    stateful,
-                },
-            }
+        let delta_plan = |key: Expr, delta: f64, slack: f64, stateful: bool| FilterPlan {
+            id,
+            key,
+            gate: Gate::Delta {
+                delta,
+                slack,
+                stateful,
+            },
         };
         Ok(match &spec.kind {
             FilterKind::Delta {
@@ -353,16 +163,20 @@ impl FilterPlan {
                 delta,
                 slack,
             } => {
-                let attrs = attrs
-                    .iter()
-                    .map(|a| schema.attr(a))
-                    .collect::<Result<Vec<_>, _>>()?;
-                delta_plan(Expr::Mean(attrs), *delta, *slack, false)
+                let key = match attrs.as_slice() {
+                    [attr] => Expr::Attr(schema.attr(attr)?),
+                    _ => Expr::Mean(
+                        attrs
+                            .iter()
+                            .map(|a| schema.attr(a))
+                            .collect::<Result<_, _>>()?,
+                    ),
+                };
+                delta_plan(key, *delta, *slack, false)
             }
             FilterKind::Reservoir { attr, window, k } => FilterPlan {
                 id,
-                key: Expr::Attr(schema.attr(attr)?).normalize(),
-                admit: Expr::InWindow(*window).normalize(),
+                key: Expr::Attr(schema.attr(attr)?),
                 gate: Gate::Reservoir {
                     window: *window,
                     k: *k,
@@ -377,8 +191,7 @@ impl FilterPlan {
                 prescription,
             } => FilterPlan {
                 id,
-                key: Expr::Attr(schema.attr(attr)?).normalize(),
-                admit: Expr::InWindow(*window).normalize(),
+                key: Expr::Attr(schema.attr(attr)?),
                 gate: Gate::Stratified {
                     window: *window,
                     threshold: *threshold,
@@ -400,7 +213,7 @@ impl FilterPlan {
 pub struct RosterPlan {
     /// Lowered filters, ascending by slot id.
     pub filters: Vec<FilterPlan>,
-    /// Distinct normalized key derivations, ordered by first use.
+    /// Distinct key derivations, ordered by first use.
     pub classes: Vec<Expr>,
     /// `class_of[i]` is the index into [`classes`](Self::classes) of
     /// `filters[i]`'s key.
@@ -480,20 +293,9 @@ impl RosterPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::TupleBuilder;
 
     fn schema() -> Schema {
         Schema::new(["x", "y"])
-    }
-
-    #[test]
-    fn threshold_comparisons_normalize_to_value_on_the_left() {
-        let x = Expr::Attr(AttrId(0));
-        let e = Expr::Ge(Box::new(Expr::Const(5.0)), Box::new(x.clone()));
-        assert_eq!(
-            e.normalize(),
-            Expr::Le(Box::new(x), Box::new(Expr::Const(5.0)))
-        );
     }
 
     #[test]
@@ -510,42 +312,32 @@ mod tests {
                     FilterId::from_index(2),
                     &FilterSpec::multi_attr_delta(["x", "y"], 20.0, 2.0),
                 ),
+                // Summation order is semantic: a different class.
+                (
+                    FilterId::from_index(3),
+                    &FilterSpec::multi_attr_delta(["y", "x"], 20.0, 2.0),
+                ),
+                // A trend is not the plain load.
+                (
+                    FilterId::from_index(4),
+                    &FilterSpec::trend_delta("x", 10.0, 1.0),
+                ),
             ],
             &s,
             Algorithm::RegionGreedy,
         )
         .unwrap();
-        assert_eq!(plan.class_count(), 2, "x and mean(x,y)");
-        assert_eq!(plan.class_of, vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn and_or_flatten_dedupe_and_unwrap() {
-        let a = Expr::Attr(AttrId(0));
-        let e = Expr::And(vec![
-            Expr::And(vec![a.clone(), a.clone()]),
-            Expr::And(vec![a.clone()]),
-        ]);
-        assert_eq!(e.normalize(), a);
-        assert_eq!(Expr::Or(vec![]).normalize(), Expr::Const(0.0));
-    }
-
-    #[test]
-    fn admit_predicate_matches_the_automaton_regions() {
-        // delta 10, slack 2 over base 0: admitted iff |v| >= 8 or |v| <= 2.
-        let s = schema();
-        let plan = FilterPlan::lower(
-            &FilterSpec::delta("x", 10.0, 2.0),
-            FilterId::from_index(0),
-            &s,
-            Algorithm::RegionGreedy,
-        )
-        .unwrap();
-        let mut b = TupleBuilder::new(&s);
-        for (v, admit) in [(0.5, 1.0), (5.0, 0.0), (8.0, 1.0), (12.0, 1.0)] {
-            let t = b.at_millis(10).set("x", v).set("y", 0.0).build().unwrap();
-            assert_eq!(plan.admit.eval_pure(&t, 0.0), Some(admit), "v={v}");
-        }
+        assert_eq!(
+            plan.classes,
+            vec![
+                Expr::Attr(AttrId(0)),
+                Expr::Mean(vec![AttrId(0), AttrId(1)]),
+                Expr::Mean(vec![AttrId(1), AttrId(0)]),
+                Expr::Trend(AttrId(0)),
+            ],
+            "x, mean(x,y), mean(y,x), trend(x)"
+        );
+        assert_eq!(plan.class_of, vec![0, 0, 1, 2, 3]);
     }
 
     #[test]
@@ -576,23 +368,6 @@ mod tests {
         assert!(matches!(ps.gate, Gate::Delta { stateful: true, .. }));
         assert!(
             FilterPlan::lower(&spec, FilterId::from_index(0), &s, Algorithm::RegionGreedy).is_err()
-        );
-    }
-
-    #[test]
-    fn display_renders_the_ir_grammar() {
-        let s = schema();
-        let plan = FilterPlan::lower(
-            &FilterSpec::delta("x", 10.0, 2.0),
-            FilterId::from_index(0),
-            &s,
-            Algorithm::RegionGreedy,
-        )
-        .unwrap();
-        assert_eq!(plan.key.to_string(), "a0");
-        assert_eq!(
-            plan.admit.to_string(),
-            "(|a0 - base| >= 8 || |a0 - base| <= 2)"
         );
     }
 }

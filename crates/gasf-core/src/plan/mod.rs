@@ -1,4 +1,4 @@
-//! Roster compilation: expression plan → CSE → fused one-pass evaluators.
+//! Roster compilation: key and gate → CSE → fused one-pass evaluators.
 //!
 //! The engines' first stage (candidate admission) originally drove every
 //! filter as an opaque [`GroupFilter`](crate::filter::GroupFilter) trait
@@ -7,17 +7,18 @@
 //! group overlap *by construction* — that is the paper's whole premise —
 //! so the roster is compiled instead:
 //!
-//! 1. **Lowering** — every [`FilterSpec`](crate::quality::FilterSpec) kind
-//!    (delta, stateful delta, trend delta, multi-attr delta, sampling
-//!    window gates) lowers into a small typed expression IR over tuple
-//!    attributes ([`Expr`]): attribute loads, the last-emitted-value
-//!    reference, `|Δ|` against a threshold-with-slack, time-window
-//!    membership, and/or.
-//! 2. **Logical-plan optimization** ([`RosterPlan`]) — attribute loads are
-//!    hoisted and threshold comparisons normalized
-//!    ([`Expr::normalize`]), then structurally equal key derivations are
-//!    shared across the group's filters (CSE): same attribute ⇒ one load,
-//!    one derived value per tuple, feeding N threshold checks.
+//! 1. **Lowering** ([`FilterPlan::lower`]) — every
+//!    [`FilterSpec`](crate::quality::FilterSpec) kind (delta, stateful
+//!    delta, trend delta, multi-attr delta, sampling window gates) lowers
+//!    to the two things the first stage runs: a **key** ([`Expr`]), the
+//!    one value derived from a tuple — an attribute load, its trend, or
+//!    the mean of several loads — and a **gate** ([`Gate`]), what the
+//!    filter does with that value: a `(slack, δ)` admission automaton
+//!    against its base, or a window sampler. A one-attribute mean lowers
+//!    to the plain load, since it is the same value bit for bit.
+//! 2. **Sharing** ([`RosterPlan`]) — structurally equal keys become one
+//!    *class* across the group's filters (CSE): same attribute ⇒ one load,
+//!    one derived value per tuple, feeding N gates.
 //! 3. **Fusion** ([`CompiledRoster`]) — the admission automata of all
 //!    members run in one monomorphized pass per tuple. Per-filter state
 //!    (bases, reference values, window cursors, open candidate lists)

@@ -18,7 +18,7 @@
 //! pipeline to the engine's release path. Hard I/O failures surface as
 //! [`NetError::Transport`].
 
-use crate::codec::{canon_hash, canonical_emission, StreamDigest, WireError};
+use crate::codec::WireError;
 use crate::frame::{encode_emission_frame, read_frame, Frame, SubscriberReport, DEFAULT_MAX_FRAME};
 use crate::layout::HostLayout;
 use gasf_core::candidate::FilterId;
@@ -105,11 +105,6 @@ pub struct TcpTransport {
     scratch_frame: Vec<u8>,
     /// Scratch: the per-peer slice of the recipient list.
     scratch_frame_nodes: Vec<NodeId>,
-    /// Scratch: canonical emission bytes (digest recording).
-    scratch_canon: Vec<u8>,
-    /// Per-node digests of everything sent, for delivery reports, indexed
-    /// by `NodeId` like `node_peer` (a node never sent to reads count 0).
-    digests: Vec<StreamDigest>,
 }
 
 impl TcpTransport {
@@ -140,8 +135,7 @@ impl TcpTransport {
                 bytes: 0,
             });
         }
-        let total = layout.total_nodes();
-        let mut node_peer = vec![usize::MAX; total];
+        let mut node_peer = vec![usize::MAX; layout.total_nodes()];
         for (i, peer) in peers.iter().enumerate() {
             let spec = layout
                 .process(peer.process)
@@ -160,8 +154,6 @@ impl TcpTransport {
             scratch_nodes: Vec::new(),
             scratch_frame: Vec::new(),
             scratch_frame_nodes: Vec::new(),
-            scratch_canon: Vec::new(),
-            digests: vec![StreamDigest::default(); total],
         };
         for i in 0..transport.peers.len() {
             transport.connect_peer(i)?;
@@ -251,18 +243,6 @@ impl TcpTransport {
         }
     }
 
-    /// Per-node digests of every emission this transport sent, keyed by
-    /// every node sent to at least once — the sender-side half of the
-    /// delivery report (receiver-side digests come back in
-    /// [`SubscriberReport`]s).
-    pub fn sent_digests(&self) -> BTreeMap<NodeId, StreamDigest> {
-        (0u32..)
-            .zip(&self.digests)
-            .filter(|(_, d)| d.count > 0)
-            .map(|(node, &d)| (NodeId(node), d))
-            .collect()
-    }
-
     /// The deployment name this transport was built for.
     pub fn deployment(&self) -> &str {
         &self.deployment
@@ -292,16 +272,6 @@ impl Transport for TcpTransport {
         nodes: &[NodeId],
         _node_of: &mut dyn FnMut(FilterId) -> NodeId,
     ) -> Result<Delivery, NetError> {
-        canonical_emission(&mut self.scratch_canon, group, src, emission);
-        let hash = canon_hash(&self.scratch_canon);
-        for &node in nodes {
-            if self.digests.len() <= node.index() {
-                self.digests
-                    .resize(node.index() + 1, StreamDigest::default());
-            }
-            self.digests[node.index()].fold(hash);
-        }
-
         let mut latencies = BTreeMap::new();
         let mut bytes_on_wire = 0u64;
         let mut hops = 0usize;
@@ -490,7 +460,7 @@ nodes = [1, 2]
     }
 
     /// A resolved send puts the same frames on the wire, and books the
-    /// same bytes, messages and digests, as the per-label send.
+    /// same bytes and messages, as the per-label send.
     #[test]
     fn resolved_sends_frame_like_per_label_sends() {
         let layout = HostLayout::from_toml(LAYOUT).unwrap();
@@ -514,7 +484,6 @@ nodes = [1, 2]
         }
         Transport::flush(&mut per_label).unwrap();
         Transport::flush(&mut resolved).unwrap();
-        assert_eq!(per_label.sent_digests(), resolved.sent_digests());
         assert_eq!(
             Transport::total_bytes(&per_label),
             Transport::total_bytes(&resolved)

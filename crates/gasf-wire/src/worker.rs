@@ -551,17 +551,25 @@ pub fn run_source(
 
     // 3. Wire run: fresh middleware, emissions over TCP.
     let (mut mw3, src3, _) = build_middleware(layout)?;
-    let mut wire = TcpTransport::connect(layout, layout.source().id, config, |pid| {
-        let spec = layout
-            .process(pid)
-            .ok_or_else(|| WireError::Io(format!("no process {pid} in layout")))?;
-        resolve_addr(spec, run_dir, config.connect_timeout)
-    })?;
+    //    The wire is recorded on the way through, for the sender-side
+    //    tripwire below.
+    let mut recorded = Recorded::new(TcpTransport::connect(
+        layout,
+        layout.source().id,
+        config,
+        |pid| {
+            let spec = layout
+                .process(pid)
+                .ok_or_else(|| WireError::Io(format!("no process {pid} in layout")))?;
+            resolve_addr(spec, run_dir, config.connect_timeout)
+        },
+    )?);
     {
-        let pipeline = mw3.pipeline_over(src3, &mut wire).map_err(solar_err)?;
+        let pipeline = mw3.pipeline_over(src3, &mut recorded).map_err(solar_err)?;
         drive(pipeline, &trace)?;
     }
-    Transport::flush(&mut wire).map_err(|e| WireError::Io(e.to_string()))?;
+    Transport::flush(&mut recorded).map_err(|e| WireError::Io(e.to_string()))?;
+    let (mut wire, sent) = recorded.into_parts();
     wire.broadcast_control(&Frame::Finish)?;
 
     // 4. Collect subscriber reports, then release the workers.
@@ -593,7 +601,7 @@ pub fn run_source(
     }
     // The sender-side digests must agree with the reference too — a
     // cheap tripwire for transport-side recipient-mapping bugs.
-    for (node, d) in wire.sent_digests() {
+    for (node, d) in sent {
         let r = reference.get(&node).copied().unwrap_or_default();
         if (d.count, d.hash) != (r.count, r.hash) {
             mismatches.push(format!(

@@ -11,6 +11,7 @@ use gasf_core::batch::TupleBatch;
 use gasf_core::bitset::FilterSet;
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, GroupEngineBuilder};
+use gasf_core::plan::CompiledRoster;
 use gasf_core::quality::FilterSpec;
 use gasf_core::schema::Schema;
 use gasf_core::shard::ShardedEngine;
@@ -418,6 +419,46 @@ fn sharded_engine_adds_nothing_per_tuple() {
              {plain:.3} (allowance {EXTRA_PER_TUPLE})"
         );
     }
+}
+
+/// Compiling a roster allocates per distinct member and per class, not
+/// per filter: 512 one-attribute delta filters, 64 specs × 8 (the roster
+/// of perfbench's churn-sharded workload), which the engine recompiles at
+/// every build, restore and epoch boundary.
+///
+/// Measured: 0.20 allocations per filter (19.20 while lowering also built
+/// and normalised a boxed admission-predicate tree for every filter,
+/// which nothing executed). The ceiling is 1.5× the measurement.
+#[test]
+fn roster_compile_stays_under_its_allocation_ceiling() {
+    const CEILING_PER_FILTER: f64 = 0.30;
+    let _serial = serial();
+    let trace = NamosBuoy::new().tuples(ROWS).seed(1).generate();
+    let step = trace.stats("tmpr4").expect("namos attr").mean_abs_delta;
+    let distinct = overlapping(step, 64);
+    let roster: Vec<FilterSpec> = (0..512).map(|i| distinct[i % 64].clone()).collect();
+    let mut compiled = None;
+    let allocations = allocations_during(|| {
+        compiled = Some(
+            CompiledRoster::compile(
+                (0..).map(FilterId::from_index).zip(&roster),
+                trace.schema(),
+                Algorithm::RegionGreedy,
+            )
+            .unwrap(),
+        );
+    });
+    let compiled = compiled.unwrap();
+    assert_eq!(
+        (compiled.member_count(), compiled.distinct_members()),
+        (512, 64)
+    );
+    let per_filter = allocations as f64 / roster.len() as f64;
+    println!("roster compile: {per_filter:.2} allocations per filter");
+    assert!(
+        per_filter <= CEILING_PER_FILTER,
+        "{per_filter:.2} allocations per filter (ceiling {CEILING_PER_FILTER})"
+    );
 }
 
 /// Rows per batch of the live-bytes gate's stream.
