@@ -19,6 +19,7 @@ use gasf_core::filter::{build_filter, GroupFilter};
 use gasf_core::hitting_set::greedy_hitting_set;
 use gasf_core::quality::{Dependency, FilterKind, FilterSpec};
 use gasf_core::region::RegionTracker;
+use gasf_core::sink::VecSink;
 use gasf_core::time::Micros;
 use std::time::Instant;
 
@@ -115,9 +116,12 @@ pub fn abl_predictor(params: &Params) -> Vec<Table> {
             .filters(group.specs.clone())
             .build()
             .expect("valid");
-        let emissions = engine.run(trace.tuples().to_vec()).expect("run");
+        let mut emissions = VecSink::new();
+        engine
+            .run_into(trace.tuples().to_vec(), &mut emissions)
+            .expect("run");
         let m = engine.metrics();
-        let violations = (emissions.iter())
+        let violations = (emissions.as_slice().iter())
             .filter(|e| e.latency() > deadline)
             .count() as f64
             / emissions.len().max(1) as f64;

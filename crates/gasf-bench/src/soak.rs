@@ -334,7 +334,7 @@ fn build_rig(cfg: &SoakConfig, trace: &Trace) -> Result<SoakRig, SolarError> {
     let (w, h) = cfg.grid;
     let topology = Topology::grid(w, h).build();
     let overlay = Overlay::new(topology);
-    let header = overlay.config().header_bytes as u64;
+    let header = gasf_net::multicast::HEADER_BYTES as u64;
     let mut mw = Middleware::with_config(
         overlay,
         MiddlewareConfig {

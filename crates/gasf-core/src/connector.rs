@@ -1,25 +1,23 @@
-//! The connector seam: how external worlds feed and drain the pipeline.
+//! The connector seam: how external worlds feed the pipeline.
 //!
 //! Everything inside the middleware speaks interned tuples, columnar
-//! batches and [`EmissionSink`]s; everything outside speaks files,
-//! sockets and processes. A *connector* is the trait-shaped boundary
-//! between the two (model: renoir's `operator/{source,sink}/connectors`):
+//! batches and [`EmissionSink`](crate::sink::EmissionSink)s; everything
+//! outside speaks files, sockets and processes. A [`SourceConnector`] is
+//! the trait-shaped boundary on the way in: it pulls the next [`Chunk`]
+//! of input from somewhere external (a replayed trace file, a localhost
+//! socket, a generator). The **ingest driver owns the pacing**: it asks
+//! for at most `max_rows` rows at a time and, when the bounded ingress
+//! path answers [`Throttled`](crate::shed::PushOutcome::Throttled),
+//! simply stops asking — backpressure propagates to the external
+//! producer as "the connector is not being polled" (a file stops being
+//! read, a socket's kernel buffer fills).
 //!
-//! * [`SourceConnector`] — pulls the next [`Chunk`] of input from
-//!   somewhere external (a replayed trace file, a localhost socket, a
-//!   generator). The **ingest driver owns the pacing**: it asks for at
-//!   most `max_rows` rows at a time and, when the bounded ingress path
-//!   answers [`Throttled`](crate::shed::PushOutcome::Throttled), simply
-//!   stops asking — backpressure propagates to the external producer as
-//!   "the connector is not being polled" (a file stops being read, a
-//!   socket's kernel buffer fills).
-//! * [`SinkConnector`] — pushes delivered emissions somewhere external.
-//!   Unlike [`EmissionSink`] it is fallible (the outside world fails);
-//!   [`ConnectorSink`] adapts it to the infallible sink seam by latching
-//!   the first error, exactly like the middleware's multicast sink.
+//! The way out is the sink seam alone: emissions leave an engine through
+//! an `EmissionSink`, and the middleware's sink hands them to a
+//! `Transport` (the overlay, or a socket in `gasf-wire`).
 //!
-//! Concrete connectors live with their dependencies: file replay in
-//! `gasf-sources`, the localhost-socket pair in `gasf-wire`.
+//! Concrete source connectors live with their dependencies: file replay
+//! in `gasf-sources`, the localhost socket in `gasf-wire`.
 //!
 //! ```rust
 //! use gasf_core::connector::{Chunk, SourceConnector};
@@ -65,10 +63,8 @@
 //! ```
 
 use crate::batch::TupleBatch;
-use crate::engine::Emission;
 use crate::error::Error;
 use crate::schema::Schema;
-use crate::sink::EmissionSink;
 use crate::tuple::Tuple;
 
 /// One unit of input pulled from a [`SourceConnector`].
@@ -124,211 +120,10 @@ pub trait SourceConnector {
     fn next_chunk(&mut self, max_rows: usize) -> Result<Option<Chunk>, Error>;
 }
 
-/// An external consumer of delivered emissions.
-///
-/// The egress twin of [`SourceConnector`]: fallible, because delivery
-/// crosses a process boundary. Adapted onto the infallible
-/// [`EmissionSink`] seam by [`ConnectorSink`].
-pub trait SinkConnector {
-    /// Delivers one emission to the external destination.
-    ///
-    /// # Errors
-    /// Unrecoverable delivery failure.
-    fn deliver(&mut self, emission: &Emission) -> Result<(), Error>;
-
-    /// Delivers a late-tuple patch correction. Defaults to
-    /// [`deliver`](Self::deliver) for destinations that don't
-    /// distinguish corrections.
-    ///
-    /// # Errors
-    /// Unrecoverable delivery failure.
-    fn deliver_patch(&mut self, emission: &Emission) -> Result<(), Error> {
-        self.deliver(emission)
-    }
-
-    /// Ends the stream (flush buffers, write trailers, close frames).
-    ///
-    /// # Errors
-    /// Unrecoverable finalisation failure.
-    fn end(&mut self) -> Result<(), Error> {
-        Ok(())
-    }
-}
-
-impl<C: SinkConnector + ?Sized> SinkConnector for &mut C {
-    fn deliver(&mut self, emission: &Emission) -> Result<(), Error> {
-        (**self).deliver(emission)
-    }
-
-    fn deliver_patch(&mut self, emission: &Emission) -> Result<(), Error> {
-        (**self).deliver_patch(emission)
-    }
-
-    fn end(&mut self) -> Result<(), Error> {
-        (**self).end()
-    }
-}
-
-/// Adapts a fallible [`SinkConnector`] onto the infallible
-/// [`EmissionSink`] seam by **latching the first error**: after a
-/// failure the sink swallows further emissions and the driver surfaces
-/// the latched error once the engine hands control back (the same
-/// pattern as the middleware's multicast sink).
-#[derive(Debug)]
-pub struct ConnectorSink<C> {
-    connector: C,
-    delivered: u64,
-    error: Option<Error>,
-}
-
-impl<C: SinkConnector> ConnectorSink<C> {
-    /// Wraps a connector.
-    pub fn new(connector: C) -> Self {
-        ConnectorSink {
-            connector,
-            delivered: 0,
-            error: None,
-        }
-    }
-
-    /// Emissions successfully delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// The latched error, if any delivery failed.
-    pub fn error(&self) -> Option<&Error> {
-        self.error.as_ref()
-    }
-
-    /// Finishes the connector and returns the latched error (or the
-    /// finalisation error), consuming the adapter.
-    ///
-    /// # Errors
-    /// The first delivery error, or the [`SinkConnector::end`] failure.
-    pub fn finish(mut self) -> Result<C, Error> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        self.connector.end()?;
-        Ok(self.connector)
-    }
-}
-
-impl<C: SinkConnector> EmissionSink for ConnectorSink<C> {
-    fn accept(&mut self, emission: &Emission) {
-        if self.error.is_some() {
-            return;
-        }
-        match self.connector.deliver(emission) {
-            Ok(()) => self.delivered += 1,
-            Err(e) => self.error = Some(e),
-        }
-    }
-
-    fn accept_patch(&mut self, emission: &Emission) {
-        if self.error.is_some() {
-            return;
-        }
-        match self.connector.deliver_patch(emission) {
-            Ok(()) => self.delivered += 1,
-            Err(e) => self.error = Some(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitset::FilterSet;
-    use crate::candidate::FilterId;
-    use crate::time::Micros;
     use crate::tuple::TupleBuilder;
-    use std::sync::Arc;
-
-    fn emission(seq: u64) -> Emission {
-        let schema = Schema::new(["t"]);
-        let mut b = TupleBuilder::new(&schema);
-        let t = b
-            .at_millis(10 * (seq + 1))
-            .set("t", seq as f64)
-            .build()
-            .unwrap();
-        let mut recipients = FilterSet::new();
-        recipients.insert(FilterId::from_index(0));
-        Emission {
-            tuple: Arc::new(t),
-            recipients,
-            emitted_at: Micros::from_millis(10 * (seq + 1)),
-        }
-    }
-
-    /// Collects deliveries, failing after an optional budget.
-    struct Probe {
-        got: Vec<u64>,
-        patches: u64,
-        ended: bool,
-        fail_after: Option<usize>,
-    }
-
-    impl SinkConnector for Probe {
-        fn deliver(&mut self, emission: &Emission) -> Result<(), Error> {
-            if self.fail_after == Some(self.got.len()) {
-                return Err(Error::Connector {
-                    reason: "probe budget exhausted".into(),
-                });
-            }
-            self.got.push(emission.emitted_at.as_micros());
-            Ok(())
-        }
-
-        fn deliver_patch(&mut self, emission: &Emission) -> Result<(), Error> {
-            self.patches += 1;
-            self.deliver(emission)
-        }
-
-        fn end(&mut self) -> Result<(), Error> {
-            self.ended = true;
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn connector_sink_delivers_and_finishes() {
-        let probe = Probe {
-            got: vec![],
-            patches: 0,
-            ended: false,
-            fail_after: None,
-        };
-        let mut sink = ConnectorSink::new(probe);
-        sink.accept(&emission(0));
-        sink.accept_patch(&emission(1));
-        sink.flush();
-        assert_eq!(sink.delivered(), 2);
-        assert!(sink.error().is_none());
-        let probe = sink.finish().unwrap();
-        assert_eq!(probe.got, vec![10_000, 20_000]);
-        assert_eq!(probe.patches, 1);
-        assert!(probe.ended);
-    }
-
-    #[test]
-    fn connector_sink_latches_first_error() {
-        let probe = Probe {
-            got: vec![],
-            patches: 0,
-            ended: false,
-            fail_after: Some(1),
-        };
-        let mut sink = ConnectorSink::new(probe);
-        sink.accept(&emission(0));
-        sink.accept(&emission(1)); // fails, latches
-        sink.accept(&emission(2)); // swallowed
-        assert_eq!(sink.delivered(), 1);
-        assert!(matches!(sink.error(), Some(Error::Connector { .. })));
-        assert!(sink.finish().is_err());
-    }
 
     #[test]
     fn chunk_row_counts() {

@@ -8,14 +8,13 @@
 //! labelled with the recipient filters, ready for tuple-level multicast
 //! (Fig. 1.2).
 //!
-//! The primary output path is sink-based: [`GroupEngine::push_into`],
-//! [`GroupEngine::push_batch`] and [`GroupEngine::finish_into`] write
-//! released emissions into any [`EmissionSink`] through a reusable
-//! internal scratch buffer, so the steady-state release path performs no
-//! per-push `Vec<Emission>` allocation.
-//! [`push`](GroupEngine::push) / [`finish`](GroupEngine::finish) /
-//! [`run`](GroupEngine::run) remain as thin [`VecSink`]-backed
-//! compatibility wrappers.
+//! The only output path is an [`EmissionSink`]:
+//! [`GroupEngine::push_into`], [`GroupEngine::push_batch`],
+//! [`GroupEngine::finish_into`] and the rest of the `*_into` family write
+//! released emissions into the sink through a reusable internal scratch
+//! buffer, so the steady-state release path performs no per-push
+//! `Vec<Emission>` allocation. A caller that wants the output as a `Vec`
+//! passes a [`VecSink`](crate::sink::VecSink).
 //!
 //! ## The subscription control plane (epochs)
 //!
@@ -59,7 +58,7 @@ use crate::plan::{CompiledRoster, EvaluatorTier, FilterPlan, StepActions, TwinTa
 use crate::quality::FilterSpec;
 use crate::region::{OpenCovers, Region, RegionTracker};
 use crate::schema::Schema;
-use crate::sink::{EmissionSink, VecSink};
+use crate::sink::EmissionSink;
 use crate::snapshot::GroupSnapshot;
 use crate::time::Micros;
 use crate::tuple::{Tuple, TupleId, TuplePool};
@@ -858,20 +857,6 @@ impl GroupEngine {
         })
     }
 
-    /// Takes a safe-point snapshot, returning it together with the
-    /// boundary-drain emissions.
-    ///
-    /// Compatibility wrapper over [`snapshot_into`](Self::snapshot_into)
-    /// (the emissions are collected through a [`VecSink`]).
-    ///
-    /// # Errors
-    /// Same as [`snapshot_into`](Self::snapshot_into).
-    pub fn snapshot(&mut self) -> Result<(GroupSnapshot, Vec<Emission>), Error> {
-        let mut out = VecSink::new();
-        let snap = self.snapshot_into(&mut out)?;
-        Ok((snap, out.into_vec()))
-    }
-
     /// Rebuilds an engine from a safe-point snapshot. The restored engine
     /// is state-equivalent to the engine that took the snapshot at the
     /// moment the boundary passed: same roster (ids, vacancies and the
@@ -1213,48 +1198,6 @@ impl GroupEngine {
     ) -> Result<(), Error> {
         self.push_batch(stream, sink)?;
         self.finish_into(sink)
-    }
-
-    /// Feeds the next stream tuple; returns the emissions released by this
-    /// step (possibly empty).
-    ///
-    /// Compatibility wrapper over [`push_into`](Self::push_into) — it
-    /// clones every emission into a fresh `Vec` via [`VecSink`]. Prefer the
-    /// sink path on hot paths.
-    ///
-    /// # Errors
-    /// Same as [`push_into`](Self::push_into).
-    pub fn push(&mut self, tuple: Tuple) -> Result<Vec<Emission>, Error> {
-        let mut out = VecSink::new();
-        self.push_into(tuple, &mut out)?;
-        Ok(out.into_vec())
-    }
-
-    /// Ends the stream, returning everything still pending.
-    ///
-    /// Compatibility wrapper over [`finish_into`](Self::finish_into).
-    ///
-    /// # Errors
-    /// Returns [`Error::Finished`] if called twice.
-    pub fn finish(&mut self) -> Result<Vec<Emission>, Error> {
-        let mut out = VecSink::new();
-        self.finish_into(&mut out)?;
-        Ok(out.into_vec())
-    }
-
-    /// Runs an entire stream through the engine, returning all emissions.
-    ///
-    /// Compatibility wrapper over [`run_into`](Self::run_into).
-    ///
-    /// # Errors
-    /// Propagates any [`push`](Self::push)/[`finish`](Self::finish) error.
-    pub fn run<I: IntoIterator<Item = Tuple>>(
-        &mut self,
-        stream: I,
-    ) -> Result<Vec<Emission>, Error> {
-        let mut out = VecSink::new();
-        self.run_into(stream, &mut out)?;
-        Ok(out.into_vec())
     }
 
     // ------------------------------------------------------------------

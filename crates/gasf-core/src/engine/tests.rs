@@ -4,6 +4,7 @@
 
 use super::*;
 use crate::quality::FilterSpec;
+use crate::sink::VecSink;
 use crate::tuple::series;
 
 /// The running example stream: §2.1.1's nine tuples plus the closing 112,
@@ -43,8 +44,9 @@ fn run(
         b = b.time_constraint(c);
     }
     let mut engine = b.build().unwrap();
-    let emissions = engine.run(tuples).unwrap();
-    (engine, emissions)
+    let mut out = VecSink::new();
+    engine.run_into(tuples, &mut out).unwrap();
+    (engine, out.into_vec())
 }
 
 /// Value of the single attribute of an emission.
@@ -199,7 +201,9 @@ fn ps_with_cut_reproduces_fig_3_5() {
         .filters(abc_specs())
         .build()
         .unwrap();
-    let emissions = engine.run(tuples).unwrap();
+    let mut out = VecSink::new();
+    engine.run_into(tuples, &mut out).unwrap();
+    let emissions = out.into_vec();
     let summary: Vec<(f64, Vec<usize>)> =
         emissions.iter().map(|e| (val(e), recipients(e))).collect();
     assert_eq!(
@@ -225,8 +229,10 @@ fn batched_strategy_delays_emissions() {
         .build()
         .unwrap();
     let mut per_push: Vec<usize> = Vec::new();
+    let mut out = VecSink::new();
     for t in tuples {
-        per_push.push(engine.push(t).unwrap().len());
+        engine.push_into(t, &mut out).unwrap();
+        per_push.push(out.drain_vec().len());
     }
     // Nothing before the 10th tuple; everything decided so far at tuple 10.
     assert!(per_push[..9].iter().all(|&n| n == 0));
@@ -294,21 +300,25 @@ fn ordering_violations_rejected() {
         .filters(abc_specs())
         .build()
         .unwrap();
-    engine.push(tuples[0].clone()).unwrap();
+    let mut out = VecSink::new();
+    engine.push_into(tuples[0].clone(), &mut out).unwrap();
     // a decreasing timestamp
     let bad_ts = Tuple::from_wire(1, Micros::from_millis(5), tuples[0].values().to_vec());
-    assert!(matches!(engine.push(bad_ts), Err(Error::OutOfOrder { .. })));
+    assert!(matches!(
+        engine.push_into(bad_ts, &mut out),
+        Err(Error::OutOfOrder { .. })
+    ));
     // an equal timestamp with the next dense seq is legal (non-decreasing
     // order; the seq range is the tiebreak)
-    engine.push(tuples[0].with_seq(1)).unwrap();
+    engine.push_into(tuples[0].with_seq(1), &mut out).unwrap();
     // gap in sequence numbers
     let bad_seq = tuples[2].clone().with_seq(5);
     assert!(matches!(
-        engine.push(bad_seq),
+        engine.push_into(bad_seq, &mut out),
         Err(Error::NonContiguousSeq { .. })
     ));
     // a correct continuation still works
-    engine.push(tuples[1].with_seq(2)).unwrap();
+    engine.push_into(tuples[1].with_seq(2), &mut out).unwrap();
 }
 
 #[test]
@@ -318,12 +328,13 @@ fn push_after_finish_fails() {
         .filters(abc_specs())
         .build()
         .unwrap();
-    engine.finish().unwrap();
+    let mut out = VecSink::new();
+    engine.finish_into(&mut out).unwrap();
     assert!(matches!(
-        engine.push(tuples[0].clone()),
+        engine.push_into(tuples[0].clone(), &mut out),
         Err(Error::Finished)
     ));
-    assert!(matches!(engine.finish(), Err(Error::Finished)));
+    assert!(matches!(engine.finish_into(&mut out), Err(Error::Finished)));
 }
 
 #[test]
@@ -334,15 +345,16 @@ fn finish_flushes_open_state() {
         .filters(abc_specs())
         .build()
         .unwrap();
-    let mut emissions = Vec::new();
+    let mut emissions = VecSink::new();
     // Stop mid-stream (after tuple 97): sets are still open.
     for t in tuples.into_iter().take(8) {
-        emissions.extend(engine.push(t).unwrap());
+        engine.push_into(t, &mut emissions).unwrap();
     }
-    let tail = engine.finish().unwrap();
+    let mut tail = VecSink::new();
+    engine.finish_into(&mut tail).unwrap();
     assert!(!tail.is_empty(), "finish must flush the open region");
     // every filter's quality still satisfied: at least region-1 output 0
-    assert!(emissions.iter().any(|e| val(e) == 0.0));
+    assert!(emissions.as_slice().iter().any(|e| val(e) == 0.0));
 }
 
 #[test]
@@ -381,7 +393,9 @@ fn quality_guarantee_all_chosen_tuples_within_slack() {
         .filters(abc_specs())
         .build()
         .unwrap();
-    let emissions = engine.run(tuples).unwrap();
+    let mut out = VecSink::new();
+    engine.run_into(tuples, &mut out).unwrap();
+    let emissions = out.into_vec();
     for e in &emissions {
         for r in &e.recipients {
             let i = r.index();
@@ -413,16 +427,17 @@ fn run_convenience_equals_manual_loop() {
         .filters(abc_specs())
         .build()
         .unwrap();
-    let all = e1.run(tuples.clone()).unwrap();
+    let mut all = VecSink::new();
+    e1.run_into(tuples.clone(), &mut all).unwrap();
     let mut e2 = GroupEngine::builder(schema)
         .filters(abc_specs())
         .build()
         .unwrap();
-    let mut manual = Vec::new();
+    let mut manual = VecSink::new();
     for t in tuples {
-        manual.extend(e2.push(t).unwrap());
+        e2.push_into(t, &mut manual).unwrap();
     }
-    manual.extend(e2.finish().unwrap());
+    e2.finish_into(&mut manual).unwrap();
     assert_eq!(all, manual);
 }
 
@@ -512,7 +527,8 @@ fn cut_inputs_count_every_twin_of_a_folded_member() {
     for t in tuples {
         let views: Vec<_> = (engines.iter_mut())
             .map(|e| {
-                let released = e.push(t.clone()).unwrap();
+                let mut released = VecSink::new();
+                e.push_into(t.clone(), &mut released).unwrap();
                 (
                     e.pending_candidates(),
                     e.oldest_pending_candidate(),
@@ -552,15 +568,16 @@ fn watermark_advances_with_region_completion() {
         .unwrap();
     assert_eq!(engine.watermark(), Micros::ZERO);
     let mut tuples = tuples.into_iter();
+    let mut out = VecSink::new();
     for t in tuples.by_ref().take(3) {
-        engine.push(t).unwrap();
+        engine.push_into(t, &mut out).unwrap();
     }
     // region 1 (cover [10,10] ms) completed at slot 2
     assert_eq!(engine.watermark(), Micros::from_millis(10));
     for t in tuples {
-        engine.push(t).unwrap();
+        engine.push_into(t, &mut out).unwrap();
     }
-    engine.finish().unwrap();
+    engine.finish_into(&mut out).unwrap();
     // region 2's cover extends to tuple 100 @ 90 ms
     assert_eq!(engine.watermark(), Micros::from_millis(90));
 }
@@ -590,7 +607,7 @@ fn pcs_strategy_reports_disorder() {
             .filter(FilterSpec::reservoir("t", Micros::from_millis(170), 3))
             .build()
             .unwrap();
-        engine.run(tuples).unwrap();
+        engine.run_into(tuples, &mut VecSink::new()).unwrap();
         engine
     };
     let pcs = build(OutputStrategy::PerCandidateSet);
@@ -696,9 +713,9 @@ fn distinct_output_accounting_is_exact_and_holds_no_per_emission_state() {
 
 #[test]
 fn sink_path_matches_vec_wrappers_per_push() {
-    // Two identical engines in lockstep: per push, the sink path must
-    // release exactly what the legacy Vec wrapper returns — including the
-    // batching boundaries of every strategy.
+    // Two identical engines in lockstep: per push, one shared sink must
+    // receive exactly what a fresh per-push `VecSink` collects — including
+    // the batching boundaries of every strategy.
     for algorithm in [
         Algorithm::RegionGreedy,
         Algorithm::PerCandidateSet,
@@ -718,23 +735,29 @@ fn sink_path_matches_vec_wrappers_per_push() {
                     .build()
                     .unwrap()
             };
-            let mut legacy = build();
+            let mut reference = build();
             let mut streamed = build();
             let mut sink = VecSink::new();
             for t in tuples {
-                let expected = legacy.push(t.clone()).unwrap();
+                let mut expected = VecSink::new();
+                reference.push_into(t.clone(), &mut expected).unwrap();
                 streamed.push_into(t, &mut sink).unwrap();
-                assert_eq!(sink.drain_vec(), expected, "{algorithm:?}/{strategy:?}");
+                assert_eq!(
+                    sink.drain_vec(),
+                    expected.into_vec(),
+                    "{algorithm:?}/{strategy:?}"
+                );
             }
-            let expected_tail = legacy.finish().unwrap();
+            let mut expected_tail = VecSink::new();
+            reference.finish_into(&mut expected_tail).unwrap();
             streamed.finish_into(&mut sink).unwrap();
             assert_eq!(
                 sink.drain_vec(),
-                expected_tail,
+                expected_tail.into_vec(),
                 "{algorithm:?}/{strategy:?}"
             );
             assert_eq!(
-                legacy.metrics().output_tuples,
+                reference.metrics().output_tuples,
                 streamed.metrics().output_tuples
             );
         }
@@ -750,10 +773,17 @@ fn run_into_equals_run() {
             .build()
             .unwrap()
     };
-    let legacy = build().run(tuples.clone()).unwrap();
+    // One run over the whole stream equals the stream fed in two pushes
+    // and a finish: where the input is split does not matter.
+    let mut whole = VecSink::new();
+    build().run_into(tuples.clone(), &mut whole).unwrap();
+    let (head, tail) = tuples.split_at(4);
+    let mut split = build();
     let mut sink = VecSink::new();
-    build().run_into(tuples, &mut sink).unwrap();
-    assert_eq!(sink.into_vec(), legacy);
+    split.push_batch(head.to_vec(), &mut sink).unwrap();
+    split.push_batch(tail.to_vec(), &mut sink).unwrap();
+    split.finish_into(&mut sink).unwrap();
+    assert_eq!(sink, whole);
 }
 
 #[test]
@@ -1182,7 +1212,7 @@ mod control_plane {
         let mut sink = VecSink::new();
         e.push_batch(tuples[..20].to_vec(), &mut sink).unwrap();
         e.remove_filter(FilterId::from_index(0)).unwrap();
-        let (snap, _) = e.snapshot().unwrap();
+        let snap = e.snapshot_into(&mut sink).unwrap();
         assert_eq!(snap.group_size(), 0);
         let mut restored = GroupEngine::restore(&snap).unwrap();
         let mut out = VecSink::new();

@@ -195,7 +195,7 @@ pub struct ReorderSnapshot {
 /// `(timestamp, seq)`-ordered map and releases a prefix every time the
 /// watermark advances past it; released tuples are re-sequenced densely
 /// in release order, so downstream consumers see exactly the ordered
-/// stream contract (`GroupEngine::push` / `push_batch_columnar`) they
+/// stream contract (`GroupEngine::push_into` / `push_batch_columnar`) they
 /// always had.
 ///
 /// ```rust

@@ -301,7 +301,7 @@ mod tests {
             .filter(FilterSpec::delta("t", 12.0, 6.0))
             .build()
             .unwrap();
-        engine.run(tuples).unwrap();
+        engine.run_into(tuples, &mut VecSink::new()).unwrap();
         let report = BenefitMonitor::new().assess(engine.metrics());
         assert_eq!(report.samples, 500);
         assert!(report.actual_outputs > 0);

@@ -7,7 +7,7 @@
 pub use crate::batch::TupleBatch;
 pub use crate::bitset::{BitSet, FilterSet};
 pub use crate::candidate::{CandidateTuple, CloseCause, ClosedSet, FilterId, TimeCover};
-pub use crate::connector::{Chunk, ConnectorSink, SinkConnector, SourceConnector};
+pub use crate::connector::{Chunk, SourceConnector};
 pub use crate::cuts::{RuntimePredictor, TimeConstraint};
 pub use crate::engine::{Algorithm, Emission, GroupEngine, GroupEngineBuilder, OutputStrategy};
 pub use crate::error::Error;

@@ -10,10 +10,10 @@
 //!   ([`VecSink`]), discard ([`NullSink`]), or — in `gasf-solar` — meter
 //!   and multicast over the overlay.
 //!
-//! The engine's hot path writes into the sink through a reusable internal
-//! scratch buffer, so a steady-state `push_into` performs **no**
-//! `Vec<Emission>` allocation; the legacy `push → Vec<Emission>` methods
-//! remain as thin [`VecSink`]-backed compatibility wrappers.
+//! The sink is the only way emissions leave an engine. The engine's hot
+//! path writes into it through a reusable internal scratch buffer, so a
+//! steady-state `push_into` performs **no** `Vec<Emission>` allocation; a
+//! caller that wants the output materialised passes a [`VecSink`].
 //!
 //! # Writing a custom sink
 //!
@@ -94,18 +94,6 @@ pub trait EmissionSink {
         self.accept_batch(emissions);
     }
 
-    /// Consumes a **patch** emission: a late-tuple correction produced
-    /// under [`LatePolicy::EmitPatch`](crate::event_time::LatePolicy)
-    /// after the watermark already passed the tuple's timestamp.
-    ///
-    /// The flag travels out-of-band of the [`Emission`] payload (the
-    /// ordered stream's wire format is untouched): sinks that
-    /// distinguish corrections override this, sinks that don't inherit
-    /// the default and treat a patch like any other emission.
-    fn accept_patch(&mut self, emission: &Emission) {
-        self.accept(emission);
-    }
-
     /// Flushes any internally buffered state.
     ///
     /// Called by [`GroupEngine::finish_into`](crate::engine::GroupEngine::finish_into)
@@ -131,10 +119,6 @@ impl<S: EmissionSink + ?Sized> EmissionSink for &mut S {
         (**self).accept_route(route, emissions);
     }
 
-    fn accept_patch(&mut self, emission: &Emission) {
-        (**self).accept_patch(emission);
-    }
-
     fn flush(&mut self) {
         (**self).flush();
     }
@@ -143,9 +127,10 @@ impl<S: EmissionSink + ?Sized> EmissionSink for &mut S {
 /// A sink that collects cloned emissions into a `Vec`.
 ///
 /// This is the bridge between the streaming path and code that wants the
-/// whole output materialised — the legacy
-/// [`GroupEngine::push`](crate::engine::GroupEngine::push)/`finish`
-/// wrappers are implemented with it.
+/// whole output materialised: pass it to
+/// [`GroupEngine::push_into`](crate::engine::GroupEngine::push_into),
+/// [`run_into`](crate::engine::GroupEngine::run_into) or any other
+/// `*_into` method and read the emissions back in release order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VecSink {
     emissions: Vec<Emission>,

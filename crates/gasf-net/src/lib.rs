@@ -40,6 +40,6 @@ pub mod multicast;
 pub mod topology;
 pub mod transport;
 
-pub use multicast::{Delivery, GroupId, NetError, Overlay, OverlayConfig, RepairReport};
+pub use multicast::{Delivery, GroupId, NetError, Overlay, RepairReport};
 pub use topology::{LinkSpec, NodeId, Topology, TopologyBuilder};
 pub use transport::{resolve_nodes, LinkLoad, NullTransport, Transport};

@@ -17,7 +17,7 @@
 //! A send does no graph search and builds no container but the returned
 //! [`Delivery::latencies`]. What it walks is laid out ahead of it:
 //!
-//! * the underlay never changes after [`Overlay::with_config`], so every
+//! * the underlay never changes after [`Overlay::new`], so every
 //!   overlay hop `(from, to)` is resolved to its underlay links **once**,
 //!   on first use, and kept for the overlay's lifetime (`Underlay`);
 //!   per-link byte counters are indexed by a dense link id;
@@ -65,27 +65,15 @@ impl fmt::Display for GroupId {
     }
 }
 
-/// Overlay tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverlayConfig {
-    /// Software cost of receiving + forwarding a message at one overlay
-    /// node (serialisation, group lookup, socket push). The paper measured
-    /// ~130 ms end-to-end for Solar's overlay multicast on a 7-node ring
-    /// and >50 ms for invoking application-level multicast at all — this
-    /// constant dominates the latency (§3.2, §4.1.2).
-    pub software_delay: Micros,
-    /// Per-message header overhead in bytes (overlay + transport headers).
-    pub header_bytes: usize,
-}
+/// Software cost of receiving + forwarding a message at one overlay node
+/// (serialisation, group lookup, socket push). The paper measured ~130 ms
+/// end-to-end for Solar's overlay multicast on a 7-node ring and >50 ms
+/// for invoking application-level multicast at all — this constant
+/// dominates the latency (§3.2, §4.1.2).
+pub const SOFTWARE_DELAY: Micros = Micros::from_millis(25);
 
-impl Default for OverlayConfig {
-    fn default() -> Self {
-        OverlayConfig {
-            software_delay: Micros::from_millis(25),
-            header_bytes: 48,
-        }
-    }
-}
+/// Per-message header overhead in bytes (overlay + transport headers).
+pub const HEADER_BYTES: usize = 48;
 
 /// Errors from overlay operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -316,13 +304,12 @@ impl Underlay {
     /// underlay shortest path, accounting bytes per link.
     fn transmit(
         &mut self,
-        software_delay: Micros,
         from: NodeId,
         to: NodeId,
         bytes: usize,
     ) -> Result<(Micros, u64), NetError> {
         let (start, end) = self.hop(from, to)?;
-        let mut latency = software_delay;
+        let mut latency = SOFTWARE_DELAY;
         for hl in &self.hop_links[start as usize..end as usize] {
             latency += hl.spec.transfer_time(bytes);
             let counter = &mut self.link_bytes[hl.link as usize];
@@ -369,7 +356,6 @@ pub struct RepairReport {
 #[derive(Debug)]
 pub struct Overlay {
     net: Underlay,
-    config: OverlayConfig,
     groups: HashMap<GroupId, Group>,
     messages: u64,
     /// Reusable recipient-node buffer for the borrow-based
@@ -408,22 +394,18 @@ fn hash_str(s: &str) -> u64 {
 }
 
 impl Overlay {
-    /// Builds an overlay over `topology` with default configuration.
-    pub fn new(topology: Topology) -> Self {
-        Self::with_config(topology, OverlayConfig::default())
-    }
-
-    /// Builds an overlay with explicit configuration.
+    /// Builds an overlay over `topology`. Every hop costs
+    /// [`SOFTWARE_DELAY`] and every message [`HEADER_BYTES`] on top of
+    /// its payload.
     ///
     /// The ring order follows node ids: Pastry's proximity-aware routing
     /// keeps overlay neighbours physically close, which we model by
     /// aligning the DHT ring with the deployment order (nodes are
     /// typically numbered along the mesh).
-    pub fn with_config(topology: Topology, config: OverlayConfig) -> Self {
+    pub fn new(topology: Topology) -> Self {
         Overlay {
             reached: vec![(0, Micros::ZERO); topology.len()],
             net: Underlay::new(topology),
-            config,
             groups: HashMap::new(),
             messages: 0,
             scratch_nodes: Vec::new(),
@@ -438,11 +420,6 @@ impl Overlay {
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.net.topology
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> OverlayConfig {
-        self.config
     }
 
     /// The live node owning a key: the ring slot the key hashes into, or
@@ -789,7 +766,7 @@ impl Overlay {
         for pair in route.windows(2).take(new) {
             let (child, parent) = (pair[0], pair[1]);
             g.repaired.insert((parent.0, child.0));
-            if let Ok((_, bytes)) = self.transmit(child, parent, self.config.header_bytes) {
+            if let Ok((_, bytes)) = self.net.transmit(child, parent, HEADER_BYTES) {
                 report.control_hops += 1;
                 report.control_bytes += bytes;
             }
@@ -822,8 +799,7 @@ impl Overlay {
         if let Some(&r) = recipients.iter().find(|r| !g.members.contains(r)) {
             return Err(NetError::NotAMember(r));
         }
-        let msg_bytes = payload_bytes + self.config.header_bytes;
-        let delay = self.config.software_delay;
+        let msg_bytes = payload_bytes + HEADER_BYTES;
         let mut delivery = Delivery {
             latencies: BTreeMap::new(),
             bytes_on_wire: 0,
@@ -836,7 +812,7 @@ impl Overlay {
         let mut clock = Micros::ZERO;
         while at != g.root {
             let next = next_live(&self.failed, g.parent.len(), at, g.root);
-            let (lat, bytes) = self.net.transmit(delay, at, next, msg_bytes)?;
+            let (lat, bytes) = self.net.transmit(at, next, msg_bytes)?;
             clock += lat;
             delivery.bytes_on_wire += bytes;
             delivery.overlay_hops += 1;
@@ -860,7 +836,7 @@ impl Overlay {
             }
             let mut clock = self.reached[cur.index()].1;
             while let Some(child) = self.chain.pop() {
-                let (lat, bytes) = self.net.transmit(delay, cur, child, msg_bytes)?;
+                let (lat, bytes) = self.net.transmit(cur, child, msg_bytes)?;
                 delivery.bytes_on_wire += bytes;
                 delivery.overlay_hops += 1;
                 if !g.repaired.is_empty() && g.repaired.contains(&(cur.0, child.0)) {
@@ -920,7 +896,7 @@ impl Overlay {
         if self.failed.contains(&to) {
             return Err(NetError::NodeFailed(to));
         }
-        let (lat, bytes) = self.transmit(from, to, payload_bytes + self.config.header_bytes)?;
+        let (lat, bytes) = self.net.transmit(from, to, payload_bytes + HEADER_BYTES)?;
         self.messages += 1;
         Ok(Delivery {
             latencies: BTreeMap::from([(to, lat)]),
@@ -928,16 +904,6 @@ impl Overlay {
             overlay_hops: 1,
             repair_bytes: 0,
         })
-    }
-
-    fn transmit(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        bytes: usize,
-    ) -> Result<(Micros, u64), NetError> {
-        self.net
-            .transmit(self.config.software_delay, from, to, bytes)
     }
 
     /// Total bytes transmitted across all links since construction (or the

@@ -37,6 +37,11 @@ pub enum FlowDecision {
 }
 
 /// EWMA-based congestion monitor for a filtering stage.
+///
+/// Besides the utilisation EWMAs it keeps the stage's output-side counts
+/// (fed by [`Metered`]) and its shedding counts. Event-time counts — late
+/// drops and patches — are not kept here: the source's
+/// [`ReorderBuffer`](gasf_core::event_time::ReorderBuffer) owns them.
 #[derive(Debug, Clone)]
 pub struct FlowMonitor {
     /// Smoothed per-tuple CPU cost (microseconds).
@@ -50,10 +55,6 @@ pub struct FlowMonitor {
     emitted: u64,
     /// Recipient labels across those emissions (the multicast fan-out).
     emitted_labels: u64,
-    /// Late tuples dropped ahead of this stage (event-time accounting).
-    late_dropped: u64,
-    /// Patch emissions (late-tuple corrections) that flowed through.
-    patches: u64,
     /// Credit-gated pushes refused with `PushOutcome::Throttled`.
     throttled: u64,
     /// Tuples dropped by the shedder after the degradation ladder was
@@ -81,8 +82,6 @@ impl FlowMonitor {
             samples: 0,
             emitted: 0,
             emitted_labels: 0,
-            late_dropped: 0,
-            patches: 0,
             throttled: 0,
             shed_dropped: 0,
             degrade_ops: 0,
@@ -134,7 +133,8 @@ impl FlowMonitor {
         self.emitted_labels += emission.recipients.len() as u64;
     }
 
-    /// Emissions observed on the output side.
+    /// Emissions observed on the output side. A late-tuple patch is one
+    /// more emission on that side and counts here once.
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
@@ -143,38 +143,6 @@ impl FlowMonitor {
     /// emitted` is the mean multicast fan-out.
     pub fn emitted_labels(&self) -> u64 {
         self.emitted_labels
-    }
-
-    /// Records one late tuple dropped by the reorder stage under
-    /// [`LatePolicy::Drop`](gasf_core::event_time::LatePolicy).
-    pub fn observe_late_drop(&mut self) {
-        self.late_dropped += 1;
-    }
-
-    /// Records one **patch** emission (a late-tuple correction released
-    /// under [`LatePolicy::EmitPatch`](gasf_core::event_time::LatePolicy));
-    /// fed by [`Metered::accept_patch`]. A patch also counts as an
-    /// emission in [`emitted`](Self::emitted).
-    pub fn observe_patch(&mut self, emission: &Emission) {
-        self.patches += 1;
-        self.observe_emission(emission);
-    }
-
-    /// Late tuples dropped ahead of this stage.
-    pub fn late_dropped(&self) -> u64 {
-        self.late_dropped
-    }
-
-    /// Patch emissions observed on the output side.
-    pub fn patches(&self) -> u64 {
-        self.patches
-    }
-
-    /// Restores the event-time counters (used when recovering a part from
-    /// a checkpoint so late/patch accounting survives the hop).
-    pub fn restore_event_time_counts(&mut self, late_dropped: u64, patches: u64) {
-        self.late_dropped = late_dropped;
-        self.patches = patches;
     }
 
     /// Records one credit-gated push refused with
@@ -247,6 +215,9 @@ impl Default for FlowMonitor {
 
 /// An [`EmissionSink`] adapter that tees output-side accounting into a
 /// [`FlowMonitor`] while forwarding every emission to the inner sink.
+/// Every way in (`accept`, `accept_batch`, `accept_route`) counts each
+/// emission once, whether the engine released it or it is a late-tuple
+/// patch the middleware sends past the engine.
 ///
 /// This is how the pipeline composes flow control into the dataflow: the
 /// monitor sits *next to* the dissemination sink instead of requiring the
@@ -297,11 +268,6 @@ impl<S: EmissionSink> EmissionSink for Metered<'_, S> {
             self.monitor.observe_emission(e);
         }
         self.inner.accept_route(route, emissions);
-    }
-
-    fn accept_patch(&mut self, emission: &Emission) {
-        self.monitor.observe_patch(emission);
-        self.inner.accept_patch(emission);
     }
 
     fn flush(&mut self) {
@@ -397,41 +363,6 @@ mod tests {
         assert_eq!(metered.into_inner().len(), 2);
         assert_eq!(monitor.emitted(), 2);
         assert_eq!(monitor.emitted_labels(), 4);
-    }
-
-    #[test]
-    fn metered_accounts_patches_separately() {
-        use gasf_core::bitset::FilterSet;
-        use gasf_core::candidate::FilterId;
-        use gasf_core::schema::Schema;
-        use gasf_core::sink::VecSink;
-        use gasf_core::tuple::TupleBuilder;
-        use std::sync::Arc;
-
-        let schema = Schema::new(["t"]);
-        let mut b = TupleBuilder::new(&schema);
-        let tuple = Arc::new(b.at_millis(10).set("t", 1.0).build().unwrap());
-        let mut recipients = FilterSet::new();
-        recipients.insert(FilterId::from_index(1));
-        let e = Emission {
-            tuple,
-            recipients,
-            emitted_at: Micros::from_millis(10),
-        };
-
-        let mut monitor = FlowMonitor::default();
-        let mut metered = Metered::new(VecSink::new(), &mut monitor);
-        metered.accept(&e);
-        metered.accept_patch(&e);
-        // The patch reached the inner sink like any emission…
-        assert_eq!(metered.into_inner().len(), 2);
-        // …and the monitor kept both the aggregate and the patch count.
-        assert_eq!(monitor.emitted(), 2);
-        assert_eq!(monitor.patches(), 1);
-        monitor.observe_late_drop();
-        assert_eq!(monitor.late_dropped(), 1);
-        monitor.restore_event_time_counts(7, 3);
-        assert_eq!((monitor.late_dropped(), monitor.patches()), (7, 3));
     }
 
     #[test]

@@ -2077,20 +2077,15 @@ impl Pipeline<'_> {
         let mut released = Vec::new();
         let feed = || {
             for arrival in arrivals {
-                match buf.push_into(arrival, &mut released) {
-                    None => {}
-                    Some(LateOutcome::Dropped) => {
-                        self.mw.sources[self.source].flow.observe_late_drop();
-                    }
-                    Some(LateOutcome::Patch(late)) => {
-                        self.feed_rows(&released)?;
-                        released.clear();
-                        let emitted_at = buf
-                            .watermark()
-                            .max_seen()
-                            .unwrap_or_else(|| late.tuple.timestamp());
-                        self.patch_all_parts(late, emitted_at)?;
-                    }
+                // a dropped arrival is counted by the buffer itself
+                if let Some(LateOutcome::Patch(late)) = buf.push_into(arrival, &mut released) {
+                    self.feed_rows(&released)?;
+                    released.clear();
+                    let emitted_at = buf
+                        .watermark()
+                        .max_seen()
+                        .unwrap_or_else(|| late.tuple.timestamp());
+                    self.patch_all_parts(late, emitted_at)?;
                 }
             }
             self.feed_rows(&released)
@@ -2140,10 +2135,11 @@ impl Pipeline<'_> {
         Ok(())
     }
 
-    /// Disseminates one patch emission down every part's tree
-    /// ([`EmissionSink::accept_patch`]), addressed to the part's currently
-    /// active subscriptions. The engine is bypassed: the ordered stream
-    /// (and all state built from it) never sees the late tuple.
+    /// Disseminates one patch emission down every part's tree, addressed
+    /// to the part's currently active subscriptions: each goes out as the
+    /// emission it is, through [`EmissionSink::accept_route`]. The engine
+    /// is bypassed: the ordered stream (and all state built from it) never
+    /// sees the late tuple.
     fn patch_all_parts(&mut self, late: LateTuple, emitted_at: Micros) -> Result<(), SolarError> {
         let payload = Arc::new(late.tuple);
         let apps = &self.mw.apps;
@@ -2171,8 +2167,7 @@ impl Pipeline<'_> {
         self.mw
             .with_source_sink(self.wire.as_deref_mut(), self.source, |_, sink| {
                 for (p, emission) in &patches {
-                    sink.inner_mut().part = *p;
-                    sink.accept_patch(emission);
+                    sink.accept_route(*p, std::slice::from_ref(emission));
                 }
                 Ok(())
             })
@@ -3129,18 +3124,28 @@ mod tests {
             mw.run_trace(src, arrivals).unwrap();
             let stats = mw.event_time_stats(src).unwrap();
             let report = mw.report(src).unwrap();
-            (stats, report)
+            let emitted = mw.flow_monitor(src).unwrap().emitted();
+            let live_parts = mw.sources[src.0]
+                .parts
+                .iter()
+                .filter(|p| p.filter_apps.iter().any(|&a| mw.apps[a].active))
+                .count() as u64;
+            (stats, report, emitted, live_parts)
         };
 
-        let (drop_stats, drop_report) = run(LatePolicy::Drop);
+        let (drop_stats, drop_report, drop_emitted, _) = run(LatePolicy::Drop);
         assert_eq!(drop_stats.late_dropped, 1, "the straggler is dropped");
         assert_eq!(drop_stats.patches, 0);
         assert_eq!(drop_report.engine.input_tuples, 199, "engines never see it");
 
-        let (patch_stats, patch_report) = run(LatePolicy::EmitPatch);
+        let (patch_stats, patch_report, patch_emitted, live_parts) = run(LatePolicy::EmitPatch);
         assert_eq!(patch_stats.late_dropped, 0);
         assert_eq!(patch_stats.patches, 1, "the straggler becomes a patch");
         assert_eq!(patch_report.engine.input_tuples, 199);
+        // The metered sink counts each patch emission once: one per part
+        // with an active subscription, on top of the engine's output.
+        assert!(live_parts > 0);
+        assert_eq!(patch_emitted, drop_emitted + live_parts);
         // The patch was delivered to subscribers beyond the engine output.
         let drop_delivered: u64 = drop_report.per_app.iter().map(|a| a.tuples).sum();
         let patch_delivered: u64 = patch_report.per_app.iter().map(|a| a.tuples).sum();

@@ -48,7 +48,7 @@ pub use csv::{from_csv, to_csv, CsvError};
 pub use disorder::Disorder;
 pub use fire::FireHrr;
 pub use namos::NamosBuoy;
-pub use replay::{ArrivalReplay, CsvSink, TraceReplay};
+pub use replay::{ArrivalReplay, TraceReplay};
 pub use stats::SourceStats;
 pub use trace::Trace;
 pub use volcano::VolcanoSeismic;

@@ -13,10 +13,7 @@
 //!   file-replay connector: a CSV trace on disk becomes the stream,
 //! * [`ArrivalReplay`] — replays a *disordered arrival sequence* (see
 //!   [`Disorder`](crate::Disorder)) as row-form [`Chunk::Rows`], which
-//!   the ingest driver routes through the event-time front end,
-//! * [`CsvSink`] — the egress twin: a
-//!   [`SinkConnector`](gasf_core::connector::SinkConnector) appending
-//!   delivered emissions to any [`io::Write`] as self-describing CSV.
+//!   the ingest driver routes through the event-time front end.
 //!
 //! Replay is deterministic: the same trace and the same chunk pattern
 //! produce the same chunk sequence, which is what lets
@@ -27,13 +24,10 @@
 
 use crate::trace::Trace;
 use gasf_core::batch::TupleBatch;
-use gasf_core::connector::{Chunk, SinkConnector, SourceConnector};
-use gasf_core::engine::Emission;
+use gasf_core::connector::{Chunk, SourceConnector};
 use gasf_core::error::Error;
 use gasf_core::schema::Schema;
 use gasf_core::tuple::Tuple;
-use std::fmt::Write as _;
-use std::io;
 use std::path::Path;
 
 /// Replays an ordered trace as columnar batches.
@@ -186,109 +180,11 @@ impl SourceConnector for ArrivalReplay {
     }
 }
 
-/// Appends delivered emissions to a writer as self-describing CSV:
-///
-/// ```text
-/// kind,emitted_at_us,seq,timestamp_us,recipients,<attr…>
-/// emit,40000,3,40000,0;2,12.5,19.1
-/// patch,45000,2,30000,1,12.4,19.0
-/// ```
-///
-/// `recipients` is the emission's filter-id set joined with `;`. The
-/// writer is only flushed by [`end`](SinkConnector::end) (or
-/// explicitly), so a file sink batches naturally.
-#[derive(Debug)]
-pub struct CsvSink<W> {
-    out: W,
-    wrote_header: bool,
-    schema: Schema,
-    line: String,
-}
-
-impl<W: io::Write> CsvSink<W> {
-    /// A sink writing emissions of `schema` to `out`.
-    pub fn new(schema: Schema, out: W) -> Self {
-        CsvSink {
-            out,
-            wrote_header: false,
-            schema,
-            line: String::new(),
-        }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-
-    fn write_row(&mut self, kind: &str, emission: &Emission) -> Result<(), Error> {
-        let io_err = |e: io::Error| Error::Connector {
-            reason: format!("csv sink write: {e}"),
-        };
-        if !self.wrote_header {
-            self.line.clear();
-            self.line
-                .push_str("kind,emitted_at_us,seq,timestamp_us,recipients");
-            for (_, name) in self.schema.iter() {
-                self.line.push(',');
-                self.line.push_str(name);
-            }
-            self.line.push('\n');
-            self.out.write_all(self.line.as_bytes()).map_err(io_err)?;
-            self.wrote_header = true;
-        }
-        self.line.clear();
-        let t = &emission.tuple;
-        let _ = write!(
-            self.line,
-            "{kind},{},{},{},",
-            emission.emitted_at.as_micros(),
-            t.seq(),
-            t.timestamp().as_micros()
-        );
-        let mut first = true;
-        for f in emission.recipients.iter() {
-            if !first {
-                self.line.push(';');
-            }
-            let _ = write!(self.line, "{}", f.index());
-            first = false;
-        }
-        for v in t.values() {
-            self.line.push(',');
-            if !v.is_nan() {
-                let _ = write!(self.line, "{v}");
-            }
-        }
-        self.line.push('\n');
-        self.out.write_all(self.line.as_bytes()).map_err(io_err)
-    }
-}
-
-impl<W: io::Write> SinkConnector for CsvSink<W> {
-    fn deliver(&mut self, emission: &Emission) -> Result<(), Error> {
-        self.write_row("emit", emission)
-    }
-
-    fn deliver_patch(&mut self, emission: &Emission) -> Result<(), Error> {
-        self.write_row("patch", emission)
-    }
-
-    fn end(&mut self) -> Result<(), Error> {
-        self.out.flush().map_err(|e| Error::Connector {
-            reason: format!("csv sink flush: {e}"),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Disorder, NamosBuoy};
-    use gasf_core::bitset::FilterSet;
-    use gasf_core::candidate::FilterId;
     use gasf_core::time::Micros;
-    use std::sync::Arc;
 
     #[test]
     fn trace_replay_is_lossless_and_ordered() {
@@ -344,32 +240,5 @@ mod tests {
             }
         }
         assert_eq!(rebuilt, arrivals);
-    }
-
-    #[test]
-    fn csv_sink_writes_header_rows_and_patches() {
-        let schema = Schema::new(["a", "b"]);
-        let mut b = gasf_core::tuple::TupleBuilder::new(&schema);
-        let t = b.at_millis(10).set("a", 1.5).set("b", 2.0).build().unwrap();
-        let mut recipients = FilterSet::new();
-        recipients.insert(FilterId::from_index(0));
-        recipients.insert(FilterId::from_index(2));
-        let emission = Emission {
-            tuple: Arc::new(t),
-            recipients,
-            emitted_at: Micros::from_millis(11),
-        };
-        let mut sink = CsvSink::new(schema, Vec::new());
-        sink.deliver(&emission).unwrap();
-        sink.deliver_patch(&emission).unwrap();
-        sink.end().unwrap();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            lines[0],
-            "kind,emitted_at_us,seq,timestamp_us,recipients,a,b"
-        );
-        assert_eq!(lines[1], "emit,11000,0,10000,0;2,1.5,2");
-        assert_eq!(lines[2], "patch,11000,0,10000,0;2,1.5,2");
     }
 }

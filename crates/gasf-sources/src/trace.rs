@@ -30,7 +30,8 @@ use gasf_core::tuple::Tuple;
 ///
 /// Invariants (enforced at construction): timestamps are non-decreasing
 /// and sequence numbers dense (strictly increasing by one), matching what
-/// [`GroupEngine::push`](gasf_core::engine::GroupEngine::push) requires.
+/// [`GroupEngine::push_into`](gasf_core::engine::GroupEngine::push_into)
+/// requires.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     schema: Schema,

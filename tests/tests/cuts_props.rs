@@ -16,6 +16,7 @@ use gasf_core::engine::{Algorithm, GroupEngine};
 use gasf_core::plan::EvaluatorTier;
 use gasf_core::quality::FilterSpec;
 use gasf_core::schema::Schema;
+use gasf_core::sink::VecSink;
 use gasf_core::time::Micros;
 use gasf_core::tuple::TupleBuilder;
 use proptest::prelude::*;
@@ -130,8 +131,9 @@ proptest! {
                 .filters(specs.clone())
                 .build()
                 .unwrap();
-            let emissions = engine.run(tuples.clone()).unwrap();
-            (emissions, engine.into_metrics())
+            let mut emissions = VecSink::new();
+            engine.run_into(tuples.clone(), &mut emissions).unwrap();
+            (emissions.into_vec(), engine.into_metrics())
         };
         let (folded, fm) = run(EvaluatorTier::Compiled);
         let (unfolded, um) = run(EvaluatorTier::Interpreted);

@@ -40,6 +40,14 @@ fn engine(schema: &Schema, specs: &[FilterSpec], algorithm: Algorithm) -> GroupE
         .expect("valid test config")
 }
 
+/// Runs the whole stream through `e` into a [`VecSink`] and returns what
+/// it collected.
+fn run_all(e: &mut GroupEngine, tuples: &[Tuple]) -> Vec<Emission> {
+    let mut out = VecSink::new();
+    e.run_into(tuples.to_vec(), &mut out).expect("run");
+    out.into_vec()
+}
+
 fn spec_strategy() -> impl Strategy<Value = Vec<FilterSpec>> {
     // 2..5 DC filters with deltas 8..40 and slack 10..50% of delta.
     proptest::collection::vec((8.0f64..40.0, 0.1f64..0.5), 2..5).prop_map(|params| {
@@ -61,9 +69,9 @@ proptest! {
         let (schema, tuples) = stream_from_steps(&steps);
         for algorithm in [Algorithm::RegionGreedy, Algorithm::PerCandidateSet] {
             let mut ga = engine(&schema, &specs, algorithm);
-            ga.run(tuples.clone()).expect("run");
+            run_all(&mut ga, &tuples);
             let mut si = engine(&schema, &specs, Algorithm::SelfInterested);
-            si.run(tuples.clone()).expect("run");
+            run_all(&mut si, &tuples);
             prop_assert!(
                 ga.metrics().output_tuples <= si.metrics().output_tuples,
                 "{algorithm:?}: GA {} > SI {}",
@@ -81,7 +89,7 @@ proptest! {
         let (schema, tuples) = stream_from_steps(&steps);
         for algorithm in [Algorithm::RegionGreedy, Algorithm::PerCandidateSet] {
             let mut e = engine(&schema, &specs, algorithm);
-            let emissions = e.run(tuples.clone()).expect("run");
+            let emissions = run_all(&mut e, &tuples);
             let m = e.metrics();
             for (i, f) in m.per_filter.iter().enumerate() {
                 let delivered = emissions
@@ -106,7 +114,7 @@ proptest! {
         let (schema, tuples) = stream_from_steps(&steps);
         // Reference values per filter come from the SI run.
         let mut si = engine(&schema, &specs, Algorithm::SelfInterested);
-        let si_emissions = si.run(tuples.clone()).expect("run");
+        let si_emissions = run_all(&mut si, &tuples);
         let mut refs: Vec<Vec<f64>> = vec![Vec::new(); specs.len()];
         for em in &si_emissions {
             for r in &em.recipients {
@@ -118,7 +126,7 @@ proptest! {
             _ => unreachable!("test uses DC specs only"),
         };
         let mut ga = engine(&schema, &specs, Algorithm::RegionGreedy);
-        for em in ga.run(tuples.clone()).expect("run") {
+        for em in run_all(&mut ga, &tuples) {
             for r in &em.recipients {
                 let i = r.index();
                 let v = em.tuple.values()[0];
@@ -142,7 +150,7 @@ proptest! {
         let (schema, tuples) = stream_from_steps(&steps);
         let run = |algorithm| {
             let mut e = engine(&schema, &specs, algorithm);
-            e.run(tuples.clone()).expect("run")
+            run_all(&mut e, &tuples)
         };
         for algorithm in [Algorithm::RegionGreedy, Algorithm::PerCandidateSet, Algorithm::SelfInterested] {
             prop_assert_eq!(run(algorithm), run(algorithm));
@@ -162,9 +170,9 @@ proptest! {
             .filters(specs.clone())
             .build()
             .expect("valid");
-        let emissions = cut.run(tuples.clone()).expect("run");
+        let emissions = run_all(&mut cut, &tuples);
         let mut si = engine(&schema, &specs, Algorithm::SelfInterested);
-        si.run(tuples.clone()).expect("run");
+        run_all(&mut si, &tuples);
         prop_assert!(cut.metrics().output_tuples <= si.metrics().output_tuples);
         // every closed set still delivered under cuts
         for (i, f) in cut.metrics().per_filter.iter().enumerate() {
@@ -190,7 +198,7 @@ proptest! {
             .filters(specs.clone())
             .build()
             .expect("valid");
-        let emissions = e.run(tuples.clone()).expect("run");
+        let emissions = run_all(&mut e, &tuples);
         let mut seqs: Vec<u64> = emissions.iter().map(|em| em.tuple.seq()).collect();
         seqs.sort_unstable();
         seqs.dedup();

@@ -19,11 +19,13 @@ fn engine_memory_stays_bounded_on_long_streams() {
         .build()
         .unwrap();
     let mut peak = 0usize;
+    let mut out = VecSink::new();
     for t in trace.into_tuples() {
-        engine.push(t).unwrap();
+        engine.push_into(t, &mut out).unwrap();
         peak = peak.max(engine.buffered_tuples());
+        out.clear();
     }
-    engine.finish().unwrap();
+    engine.finish_into(&mut out).unwrap();
     assert!(
         peak < 2_000,
         "engine buffered {peak} tuples of 20k — region cleanup is broken"
@@ -50,7 +52,10 @@ fn mixed_group_with_samplers_under_region_greedy() {
         .filter(FilterSpec::reservoir("seis", Micros::from_millis(800), 2))
         .build()
         .unwrap();
-    let emissions = engine.run(trace.into_tuples()).unwrap();
+    let mut emissions = VecSink::new();
+    engine
+        .run_into(trace.into_tuples(), &mut emissions)
+        .unwrap();
     let m = engine.metrics();
     // every filter got at least one delivery
     for (i, f) in m.per_filter.iter().enumerate() {
@@ -83,7 +88,9 @@ fn monitor_feeds_regrouping() {
         .filter(FilterSpec::delta("tmpr4", s * 0.4, s * 0.05))
         .build()
         .unwrap();
-    engine.run(trace.into_tuples()).unwrap();
+    engine
+        .run_into(trace.into_tuples(), &mut VecSink::new())
+        .unwrap();
     let report = BenefitMonitor::new().assess(engine.metrics());
     let Recommendation::IsolateFilters { filters } = &report.recommendation else {
         panic!("expected isolation advice, got {:?}", report.recommendation);
@@ -125,9 +132,10 @@ fn watermark_is_monotone_and_bounded_by_stream_time() {
         .build()
         .unwrap();
     let mut last_watermark = Micros::ZERO;
+    let mut out = VecSink::new();
     for t in trace.into_tuples() {
         let now = t.timestamp();
-        engine.push(t).unwrap();
+        engine.push_into(t, &mut out).unwrap();
         let w = engine.watermark();
         assert!(w >= last_watermark, "watermark regressed");
         assert!(w <= now, "watermark ahead of stream time");
@@ -144,7 +152,10 @@ fn reservoir_bounds_subscriber_bandwidth() {
         .filter(FilterSpec::reservoir("tmpr4", Micros::from_secs(1), 3))
         .build()
         .unwrap();
-    let emissions = engine.run(trace.into_tuples()).unwrap();
+    let mut emissions = VecSink::new();
+    engine
+        .run_into(trace.into_tuples(), &mut emissions)
+        .unwrap();
     // Timestamps run 10 ms..=50 s, so the stream touches 51 one-second
     // windows (the last contains a single tuple).
     let delivered: u64 = engine.metrics().per_filter[0].chosen;

@@ -471,7 +471,7 @@ proptest! {
         }
         // punch a vacancy hole into the roster at the same boundary
         live.remove_filter(FilterId::from_index(hole)).unwrap();
-        let (snap, _boundary) = live.snapshot().unwrap();
+        let snap = live.snapshot_into(&mut sink).unwrap();
 
         let restored = GroupEngine::restore(&snap).unwrap();
         // state round-trip: roster (with the hole), epoch, metrics

@@ -1,11 +1,12 @@
-//! Pins the sink-based streaming path byte-for-byte against the legacy
-//! `push → Vec<Emission>` wrappers, across every `Algorithm` ×
-//! `OutputStrategy` combination, on a deterministic `gasf-sources` trace.
+//! Pins the sink seam byte-for-byte across every `Algorithm` ×
+//! `OutputStrategy` combination, on a deterministic `gasf-sources` trace:
+//! how an engine's emissions are cut into sink calls — a fresh sink per
+//! push, one shared sink, one `run_into` — never changes what comes out,
+//! and the sharded engine at any parallelism equals the plain engine.
 //!
-//! The wrappers are implemented *via* the sink path (a `VecSink`), so this
-//! is the equivalence proof for the whole redesign: if the scratch-buffer
-//! release, the batching boundaries, or the metrics accounting ever
-//! diverge between the two paths, one of these assertions trips.
+//! If the scratch-buffer release, the batching boundaries, or the metrics
+//! accounting ever depend on the sink calls, one of these assertions
+//! trips.
 
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, OutputStrategy};
 use gasf_core::metrics::Histogram;
@@ -77,21 +78,26 @@ fn metric_fingerprint(e: &GroupEngine) -> (u64, u64, u64, u64, u64, Histogram) {
 }
 
 #[test]
-fn sink_path_equals_legacy_wrappers_for_every_combination() {
+fn sink_call_boundaries_do_not_change_output_for_every_combination() {
     let trace = trace();
     for algorithm in ALGORITHMS {
         for strategy in STRATEGIES {
             let label = format!("{algorithm:?}/{strategy:?}");
 
-            // Legacy path: per-push Vec wrappers.
-            let mut legacy = engine(&trace, algorithm, strategy);
-            let mut legacy_out: Vec<Emission> = Vec::new();
+            // Reference: a fresh sink per push_into, concatenated, then one
+            // finish_into.
+            let mut reference = engine(&trace, algorithm, strategy);
+            let mut reference_out: Vec<Emission> = Vec::new();
             for t in trace.tuples() {
-                legacy_out.extend(legacy.push(t.clone()).unwrap());
+                let mut step = VecSink::new();
+                reference.push_into(t.clone(), &mut step).unwrap();
+                reference_out.extend(step.into_vec());
             }
-            legacy_out.extend(legacy.finish().unwrap());
+            let mut tail = VecSink::new();
+            reference.finish_into(&mut tail).unwrap();
+            reference_out.extend(tail.into_vec());
 
-            // Sink path: per-push push_into + finish_into.
+            // One shared sink across every push_into and the finish_into.
             let mut streamed = engine(&trace, algorithm, strategy);
             let mut sink = VecSink::new();
             for t in trace.tuples() {
@@ -99,10 +105,10 @@ fn sink_path_equals_legacy_wrappers_for_every_combination() {
             }
             streamed.finish_into(&mut sink).unwrap();
 
-            assert_eq!(sink.as_slice(), &legacy_out[..], "{label}: emissions");
+            assert_eq!(sink.as_slice(), &reference_out[..], "{label}: emissions");
             assert_eq!(
                 metric_fingerprint(&streamed),
-                metric_fingerprint(&legacy),
+                metric_fingerprint(&reference),
                 "{label}: metrics"
             );
 
@@ -114,16 +120,16 @@ fn sink_path_equals_legacy_wrappers_for_every_combination() {
                 .unwrap();
             assert_eq!(
                 batch_sink.as_slice(),
-                &legacy_out[..],
+                &reference_out[..],
                 "{label}: run_into emissions"
             );
             assert_eq!(
                 metric_fingerprint(&batched),
-                metric_fingerprint(&legacy),
+                metric_fingerprint(&reference),
                 "{label}: run_into metrics"
             );
 
-            assert!(!legacy_out.is_empty(), "{label}: trace must emit");
+            assert!(!reference_out.is_empty(), "{label}: trace must emit");
         }
     }
 }
