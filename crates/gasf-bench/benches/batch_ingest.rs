@@ -2,7 +2,7 @@
 //!
 //! `batch_ingest/<feed>/<n>shards` replays the shared 2 000-tuple NAMOS
 //! trace through one group of 256 overlapping delta filters (the
-//! `wide_roster` roster, compiled tier) — `single` pushes one row at a
+//! `wide_roster` roster) — `single` pushes one row at a
 //! time (a `Tuple` through `push_into` inline; a one-row batch through
 //! the sharded engine, whose only entry is columnar — so at 4 shards it
 //! prices a thread hand-off per row), `batch64`/`batch1024` feed

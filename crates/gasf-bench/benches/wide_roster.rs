@@ -1,23 +1,20 @@
 //! Wide-roster sweep: per-tuple CPU of the fused `CompiledRoster`
-//! evaluator vs. the interpreted trait-object path at 16/64/256 filters
-//! per group.
+//! evaluator at 16/64/256 filters per group.
 //!
 //! The rosters are overlapping delta filters on one attribute (the
-//! paper's group premise), so the compiled tier collapses them into one
+//! paper's group premise), so the compiled roster collapses them into one
 //! key class whose cohort cascade decides most members with a single
-//! `|Δ|` plus a binary search; the interpreted path pays one virtual call
-//! and one distance per filter regardless.
+//! `|Δ|` plus a binary search.
 //!
-//! `twin_roster/*/4x64` holds the 64-filter roster four times over: the
-//! compiled tier folds the copies into the 64 members (identical
-//! subscriptions cost one filter), the interpreted tier runs all 256 —
-//! so the pair shows what folding is worth on every run.
+//! `twin_roster/compiled/4x64` holds the 64-filter roster four times
+//! over: the compiled roster folds the copies into the 64 members
+//! (identical subscriptions cost one filter), so it should read close to
+//! `twin_roster/compiled/64`, the same 64 filters once.
 
 mod common;
 
 use criterion::{criterion_main, BenchmarkId, Criterion};
 use gasf_core::engine::{Algorithm, GroupEngine};
-use gasf_core::plan::EvaluatorTier;
 use gasf_core::quality::FilterSpec;
 use gasf_core::sink::NullSink;
 use gasf_sources::Trace;
@@ -29,7 +26,7 @@ const WIDTHS: [usize; 3] = [16, 64, 256];
 /// from tight to loose with a fixed small slack, so a handful of filters
 /// track every swing while the long tail sits searching far below its
 /// qualification threshold — the regime the cohort cascade prunes
-/// wholesale and the virtual-call loop pays for one filter at a time.
+/// wholesale.
 fn roster(trace: &Trace, n: usize) -> Vec<FilterSpec> {
     let s = trace.stats("tmpr4").unwrap().mean_abs_delta;
     (0..n)
@@ -37,10 +34,9 @@ fn roster(trace: &Trace, n: usize) -> Vec<FilterSpec> {
         .collect()
 }
 
-fn run(trace: &Trace, specs: &[FilterSpec], tier: EvaluatorTier) -> u64 {
+fn run(trace: &Trace, specs: &[FilterSpec]) -> u64 {
     let mut engine = GroupEngine::builder(trace.schema().clone())
         .algorithm(Algorithm::RegionGreedy)
-        .evaluator(tier)
         .filters(specs.iter().cloned())
         .build()
         .expect("bench roster builds");
@@ -56,26 +52,18 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("wide_roster");
     for width in WIDTHS {
         let specs = roster(&trace, width);
-        for (label, tier) in [
-            ("compiled", EvaluatorTier::Compiled),
-            ("interpreted", EvaluatorTier::Interpreted),
-        ] {
-            g.bench_with_input(BenchmarkId::new(label, width), &tier, |b, &tier| {
-                b.iter(|| black_box(run(&trace, &specs, tier)))
-            });
-        }
+        g.bench_with_input(BenchmarkId::new("compiled", width), &specs, |b, specs| {
+            b.iter(|| black_box(run(&trace, specs)))
+        });
     }
     g.finish();
 
     let mut g = c.benchmark_group("twin_roster");
     let distinct = roster(&trace, 64);
-    let specs: Vec<FilterSpec> = (0..256).map(|i| distinct[i % 64].clone()).collect();
-    for (label, tier) in [
-        ("compiled", EvaluatorTier::Compiled),
-        ("interpreted", EvaluatorTier::Interpreted),
-    ] {
-        g.bench_with_input(BenchmarkId::new(label, "4x64"), &tier, |b, &tier| {
-            b.iter(|| black_box(run(&trace, &specs, tier)))
+    let copies: Vec<FilterSpec> = (0..256).map(|i| distinct[i % 64].clone()).collect();
+    for (label, specs) in [("64", &distinct), ("4x64", &copies)] {
+        g.bench_with_input(BenchmarkId::new("compiled", label), specs, |b, specs| {
+            b.iter(|| black_box(run(&trace, specs)))
         });
     }
     g.finish();

@@ -1,7 +1,7 @@
 //! One runner per table/figure of the paper's evaluation.
 //!
-//! Every runner returns [`Table`]s whose rows mirror the paper's artefact;
-//! EXPERIMENTS.md records the paper-vs-measured comparison.
+//! Every runner returns [`Table`]s whose rows mirror the paper's artefact,
+//! with the paper's claim noted (`paper: …`) next to the measured rows.
 
 mod ablations;
 mod ch4_basic;

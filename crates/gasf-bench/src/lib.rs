@@ -2,8 +2,8 @@
 //!
 //! One runner per table/figure of the dissertation's evaluation (Ch. 4 and
 //! Ch. 5), regenerating the paper's rows/series on the synthetic
-//! substrates. See DESIGN.md's per-experiment index and EXPERIMENTS.md for
-//! paper-vs-measured records.
+//! substrates; each table notes the paper's claim next to the measured
+//! rows, and `experiments -- --list` lists the runners.
 //!
 //! Run everything:
 //!

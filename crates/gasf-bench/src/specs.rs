@@ -21,8 +21,8 @@ use rand::{Rng, SeedableRng};
 /// typical steps. Our synthetic traces are continuous (every delta is
 /// non-zero), which would make the same multipliers produce single-tuple
 /// candidate sets. Scaling the multipliers by 2 restores the paper's
-/// effective delta-to-typical-step ratio; with it, the GA/SI output ratios
-/// land in the paper's 0.6–0.8 band (see DESIGN.md, "Substitutions").
+/// effective delta-to-typical-step ratio, aiming the GA/SI output ratios
+/// at the paper's 0.6–0.8 band.
 pub const DELTA_SCALE: f64 = 2.0;
 
 /// A named group of filters (one row block of Table 4.1 / 5.2).

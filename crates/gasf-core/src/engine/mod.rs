@@ -1,12 +1,12 @@
 //! The group-aware filtering engines (two-stage process, Fig. 2.4).
 //!
 //! [`GroupEngine`] hosts a group of filters sharing one source. Tuples are
-//! pushed in stream order; the engine drives the filters through the first
-//! stage (candidate admission), maintains the shared global state (group
-//! utilities, regions, decided outputs), runs the configured second-stage
-//! algorithm, enforces timely cuts, and emits [`Emission`]s — tuples
-//! labelled with the recipient filters, ready for tuple-level multicast
-//! (Fig. 1.2).
+//! pushed in stream order; the engine runs the first stage (candidate
+//! admission) as one fused pass of its [`CompiledRoster`] per tuple,
+//! maintains the shared global state (group utilities, regions, decided
+//! outputs), runs the configured second-stage algorithm, enforces timely
+//! cuts, and emits [`Emission`]s — tuples labelled with the recipient
+//! filters, ready for tuple-level multicast (Fig. 1.2).
 //!
 //! The only output path is an [`EmissionSink`]:
 //! [`GroupEngine::push_into`], [`GroupEngine::push_batch`],
@@ -48,15 +48,14 @@ mod tests;
 
 use crate::batch::TupleBatch;
 use crate::bitset::FilterSet;
-use crate::candidate::{CloseCause, FilterAction, FilterId, TimeCover};
+use crate::candidate::{CloseCause, ClosedSet, FilterId};
 use crate::cuts::{RuntimePredictor, TimeConstraint};
 use crate::error::Error;
-use crate::filter::{build_filter, ForceCloseOutcome, GroupFilter};
 use crate::hitting_set::{collect_distinct_ids, GreedySolver};
 use crate::metrics::{EngineMetrics, FilterMetrics};
-use crate::plan::{CompiledRoster, EvaluatorTier, FilterPlan, StepActions, TwinTable};
+use crate::plan::{CompiledRoster, FilterPlan, StepActions, TwinTable};
 use crate::quality::FilterSpec;
-use crate::region::{OpenCovers, Region, RegionTracker};
+use crate::region::{Region, RegionTracker};
 use crate::schema::Schema;
 use crate::sink::EmissionSink;
 use crate::snapshot::GroupSnapshot;
@@ -129,7 +128,6 @@ pub struct GroupEngineBuilder {
     constraint: Option<TimeConstraint>,
     predictor_window: usize,
     overestimate_us: f64,
-    tier: EvaluatorTier,
 }
 
 impl GroupEngineBuilder {
@@ -187,20 +185,6 @@ impl GroupEngineBuilder {
         self.predictor_window = window;
         self.overestimate_us = overestimate_us;
         self
-    }
-
-    /// Selects the first-stage evaluator tier (default
-    /// [`EvaluatorTier::Compiled`]). Both tiers produce byte-identical
-    /// output; the interpreted trait-object path is the oracle the
-    /// compiled roster is checked against.
-    pub fn evaluator(mut self, tier: EvaluatorTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// The configured evaluator tier (see [`evaluator`](Self::evaluator)).
-    pub fn configured_evaluator(&self) -> EvaluatorTier {
-        self.tier
     }
 
     /// The stream schema this builder targets.
@@ -270,48 +254,19 @@ impl GroupEngineBuilder {
     /// * [`Error::InvalidConfig`] if the group is empty, a slot is pinned
     ///   twice, or stateful filters are combined with the region-based
     ///   algorithm.
-    /// * [`Error::InvalidSpec`] / [`Error::UnknownAttribute`] from filter
-    ///   instantiation.
+    /// * [`Error::InvalidSpec`] / [`Error::UnknownAttribute`] from lowering
+    ///   a spec.
     pub fn build(self) -> Result<GroupEngine, Error> {
-        let tier = self.tier;
-        GroupEngine::restore_owned(self.initial_snapshot()?, tier)
+        GroupEngine::restore_owned(self.initial_snapshot()?)
     }
 }
 
-/// Instantiates one filter, enforcing the algorithm/statefulness rules the
-/// whole control plane shares (build time, live adds and live updates).
-pub(crate) fn instantiate_filter(
-    spec: &FilterSpec,
-    id: FilterId,
-    schema: &Schema,
-    algorithm: Algorithm,
-) -> Result<Box<dyn GroupFilter>, Error> {
-    if spec.is_stateful() && algorithm == Algorithm::RegionGreedy {
-        return Err(Error::InvalidConfig {
-            reason: format!(
-                "filter {id} is stateful; stateful candidate sets require \
-                 Algorithm::PerCandidateSet"
-            ),
-        });
-    }
-    // Under the self-interested baseline the chosen output *is* the
-    // reference, so stateful and stateless bases coincide: build a
-    // stateless twin.
-    if spec.is_stateful() && algorithm == Algorithm::SelfInterested {
-        let mut s = spec.clone();
-        if let crate::quality::FilterKind::Delta { dependency, .. } = &mut s.kind {
-            *dependency = crate::quality::Dependency::Stateless;
-        }
-        build_filter(&s, id, schema)
-    } else {
-        build_filter(spec, id, schema)
-    }
-}
-
-/// Validates one filter spec against the control-plane rules without
-/// instantiating anything: exactly [`instantiate_filter`]'s checks (same
-/// errors, same order), shared by the queue-time validation of live adds
-/// and updates on both tiers.
+/// Validates one filter spec against the rules the whole control plane
+/// shares (build time, live adds and live updates): the spec lowers
+/// against `schema`, and a stateful spec needs
+/// [`Algorithm::PerCandidateSet`] (under the self-interested baseline it
+/// lowers stateless). This is the lowering the compiler runs, so a
+/// queued op is rejected with exactly the error a rebuild would return.
 pub(crate) fn validate_filter(
     spec: &FilterSpec,
     id: FilterId,
@@ -323,7 +278,7 @@ pub(crate) fn validate_filter(
 
 /// Compiles the occupied slots of a roster into a fused evaluator.
 fn compile_slots(
-    slots: &[Option<FilterSlot>],
+    slots: &[Option<FilterSpec>],
     schema: &Schema,
     algorithm: Algorithm,
 ) -> Result<CompiledRoster, Error> {
@@ -331,43 +286,26 @@ fn compile_slots(
         slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (FilterId::from_index(i), &s.spec))),
+            .filter_map(|(i, s)| s.as_ref().map(|s| (FilterId::from_index(i), s))),
         schema,
         algorithm,
     )
-}
-
-/// Which slots each first-stage member of a `width`-slot roster stands
-/// for: the compiled roster's twin classes, or — on the interpreted tier,
-/// which runs every filter itself — each slot alone.
-fn twin_table(compiled: Option<&CompiledRoster>, width: usize) -> TwinTable {
-    compiled.map_or_else(|| TwinTable::solo(width), CompiledRoster::twin_table)
 }
 
 /// The group time constraint in effect for a roster: the explicit one, or
 /// the minimum of the occupied filters' latency tolerances.
 fn effective_constraint(
     explicit: Option<TimeConstraint>,
-    slots: &[Option<FilterSlot>],
+    slots: &[Option<FilterSpec>],
 ) -> Option<TimeConstraint> {
     explicit.or_else(|| {
         slots
             .iter()
             .flatten()
-            .filter_map(|s| s.spec.latency_tolerance)
+            .filter_map(|s| s.latency_tolerance)
             .min()
             .map(TimeConstraint::max_delay)
     })
-}
-
-/// One occupied filter slot: the spec it was built from (kept so epochs
-/// can rebuild retained filters from scratch) plus — on the interpreted
-/// tier only — the live trait object. On the compiled tier the filter's
-/// state lives in the engine's [`CompiledRoster`] arenas instead.
-#[derive(Debug)]
-struct FilterSlot {
-    spec: FilterSpec,
-    filter: Option<Box<dyn GroupFilter>>,
 }
 
 /// A queued roster change, applied at the next safe point.
@@ -388,15 +326,14 @@ pub(crate) enum ControlOp {
 #[derive(Debug)]
 pub struct GroupEngine {
     schema: Schema,
-    /// Filter slots indexed by [`FilterId`]; `None` marks a vacancy left
-    /// by a removed filter (ids are never reused or renumbered).
-    slots: Vec<Option<FilterSlot>>,
-    /// Which first-stage evaluator drives the roster.
-    tier: EvaluatorTier,
-    /// The fused evaluator (compiled tier only); recompiled from the
-    /// roster at every epoch boundary.
-    compiled: Option<CompiledRoster>,
-    /// Reusable per-tuple action buffer for the compiled path.
+    /// Filter specs indexed by [`FilterId`], kept so each epoch can
+    /// recompile the roster from scratch; `None` marks a vacancy left by
+    /// a removed filter (ids are never reused or renumbered).
+    slots: Vec<Option<FilterSpec>>,
+    /// The first stage: the fused evaluator that holds every filter's
+    /// state, recompiled from the roster at every epoch boundary.
+    compiled: CompiledRoster,
+    /// Reusable per-tuple action buffer of the fused pass.
     step: StepActions,
     /// Which filters each first-stage member stands for: the compiled
     /// roster evaluates one leader per class of identical filters, and
@@ -415,11 +352,9 @@ pub struct GroupEngine {
     predictor: RuntimePredictor,
     utility: GroupUtility,
     tracker: RegionTracker,
-    /// Reusable buffers of the per-row region drain and solve: the
-    /// interpreted tier's open covers (the compiled roster keeps its
-    /// own), ready regions, a region's distinct ids and its sets'
-    /// weights, and the hitting-set solver's working storage.
-    cover_buf: OpenCovers,
+    /// Reusable buffers of the per-row region drain and solve: ready
+    /// regions, a region's distinct ids and its sets' weights, and the
+    /// hitting-set solver's working storage.
     ready_buf: Vec<Region>,
     ids_buf: Vec<TupleId>,
     weights_buf: Vec<u32>,
@@ -516,7 +451,6 @@ impl GroupEngine {
             constraint: None,
             predictor_window: RuntimePredictor::DEFAULT_WINDOW,
             overestimate_us: 0.0,
-            tier: EvaluatorTier::default(),
         }
     }
 
@@ -529,11 +463,7 @@ impl GroupEngine {
     /// (vacated slots are skipped; see [`roster`](Self::roster) for the
     /// ids).
     pub fn specs(&self) -> Vec<FilterSpec> {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|s| s.spec.clone())
-            .collect()
+        self.slots.iter().flatten().cloned().collect()
     }
 
     /// The live roster: `(id, spec)` for every occupied slot, ascending by
@@ -542,10 +472,7 @@ impl GroupEngine {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| {
-                s.as_ref()
-                    .map(|s| (FilterId::from_index(i), s.spec.clone()))
-            })
+            .filter_map(|(i, s)| s.as_ref().map(|s| (FilterId::from_index(i), s.clone())))
             .collect()
     }
 
@@ -557,11 +484,6 @@ impl GroupEngine {
     /// The configured second-stage algorithm.
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
-    }
-
-    /// The first-stage evaluator tier driving this engine.
-    pub fn evaluator_tier(&self) -> EvaluatorTier {
-        self.tier
     }
 
     /// The effective group time constraint, if cuts are enabled.
@@ -736,57 +658,24 @@ impl GroupEngine {
     /// count. Must only run with the engine fully drained.
     fn advance_epoch(&mut self) {
         debug_assert!(self.pending.is_empty() && self.releasable.is_empty());
-        // The retained specs are moved, not cloned: the old slots are dead
-        // (the boundary drained every filter) and the specs come right
-        // back in the rebuilt slots.
-        let mut specs: Vec<Option<FilterSpec>> = std::mem::take(&mut self.slots)
-            .into_iter()
-            .map(|s| s.map(|s| s.spec))
-            .collect();
         self.queued_structural = 0;
         for op in std::mem::take(&mut self.control_queue) {
             match op {
                 ControlOp::Add(id, spec) => {
-                    if id.index() >= specs.len() {
-                        specs.resize(id.index() + 1, None);
+                    if id.index() >= self.slots.len() {
+                        self.slots.resize(id.index() + 1, None);
                     }
-                    specs[id.index()] = Some(spec);
+                    self.slots[id.index()] = Some(spec);
                 }
-                ControlOp::Remove(id) => specs[id.index()] = None,
-                ControlOp::Update(id, spec) => specs[id.index()] = Some(spec),
+                ControlOp::Remove(id) => self.slots[id.index()] = None,
+                ControlOp::Update(id, spec) => self.slots[id.index()] = Some(spec),
             }
         }
-        self.slots = specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                spec.map(|spec| {
-                    let filter = match self.tier {
-                        EvaluatorTier::Interpreted => Some(
-                            instantiate_filter(
-                                &spec,
-                                FilterId::from_index(i),
-                                &self.schema,
-                                self.algorithm,
-                            )
-                            .expect("control ops are validated when queued"),
-                        ),
-                        EvaluatorTier::Compiled => None,
-                    };
-                    FilterSlot { spec, filter }
-                })
-            })
-            .collect();
         // Safe-point recompile: compilation is a pure function of the
         // post-churn roster (vacancy holes preserved).
-        self.compiled = match self.tier {
-            EvaluatorTier::Compiled => Some(
-                compile_slots(&self.slots, &self.schema, self.algorithm)
-                    .expect("control ops are validated when queued"),
-            ),
-            EvaluatorTier::Interpreted => None,
-        };
-        self.twins = twin_table(self.compiled.as_ref(), self.slots.len());
+        self.compiled = compile_slots(&self.slots, &self.schema, self.algorithm)
+            .expect("control ops are validated when queued");
+        self.twins = self.compiled.twin_table();
         self.constraint = effective_constraint(self.explicit_constraint, &self.slots);
         // Per-epoch state restarts exactly like a freshly built engine
         // (the determinism contract depends on it). The pool is already
@@ -843,11 +732,7 @@ impl GroupEngine {
             constraint: self.explicit_constraint,
             predictor_window: self.predictor_window,
             overestimate_us: self.overestimate_us,
-            roster: self
-                .slots
-                .iter()
-                .map(|s| s.as_ref().map(|s| s.spec.clone()))
-                .collect(),
+            roster: self.slots.clone(),
             next_filter_id: self.next_filter_id,
             epoch: self.epoch,
             metrics: self.metrics.clone(),
@@ -868,69 +753,26 @@ impl GroupEngine {
     /// engine with an empty roster.
     ///
     /// # Errors
-    /// Any filter-instantiation error ([`GroupEngineBuilder::build`]'s
-    /// rules).
+    /// Any spec validation error ([`GroupEngineBuilder::build`]'s rules).
     pub fn restore(snap: &GroupSnapshot) -> Result<GroupEngine, Error> {
-        GroupEngine::restore_with_tier(snap, EvaluatorTier::default())
+        GroupEngine::restore_owned(snap.clone())
     }
 
-    /// [`restore`](Self::restore) with an explicit evaluator tier.
-    ///
-    /// Snapshots carry no evaluator state at all (the safe-point boundary
-    /// drains everything, and compilation is a pure function of the
-    /// roster), so any snapshot restores onto either tier — the tier is a
-    /// property of the replica, not of the checkpoint.
-    ///
-    /// # Errors
-    /// Same as [`restore`](Self::restore).
-    pub fn restore_with_tier(
-        snap: &GroupSnapshot,
-        tier: EvaluatorTier,
-    ) -> Result<GroupEngine, Error> {
-        GroupEngine::restore_owned(snap.clone(), tier)
-    }
-
-    /// [`restore_with_tier`](Self::restore_with_tier) from a snapshot the
-    /// caller gives up: its roster and metrics move into the engine
-    /// instead of being copied.
-    pub(crate) fn restore_owned(
-        snap: GroupSnapshot,
-        tier: EvaluatorTier,
-    ) -> Result<GroupEngine, Error> {
+    /// [`restore`](Self::restore) from a snapshot the caller gives up: its
+    /// roster and metrics move into the engine instead of being copied.
+    /// Snapshots carry no evaluator state (the safe-point boundary drains
+    /// everything), so the roster is simply compiled again.
+    pub(crate) fn restore_owned(snap: GroupSnapshot) -> Result<GroupEngine, Error> {
         let width = snap.roster.len();
-        let mut slots: Vec<Option<FilterSlot>> = Vec::with_capacity(width);
-        for (i, spec) in snap.roster.into_iter().enumerate() {
-            slots.push(match spec {
-                Some(spec) => {
-                    let filter = match tier {
-                        EvaluatorTier::Interpreted => Some(instantiate_filter(
-                            &spec,
-                            FilterId::from_index(i),
-                            &snap.schema,
-                            snap.algorithm,
-                        )?),
-                        // Compilation below validates every spec with
-                        // the same errors in the same (ascending-slot)
-                        // order.
-                        EvaluatorTier::Compiled => None,
-                    };
-                    Some(FilterSlot { spec, filter })
-                }
-                None => None,
-            });
-        }
-        let compiled = match tier {
-            EvaluatorTier::Compiled => Some(compile_slots(&slots, &snap.schema, snap.algorithm)?),
-            EvaluatorTier::Interpreted => None,
-        };
+        let slots = snap.roster;
+        let compiled = compile_slots(&slots, &snap.schema, snap.algorithm)?;
         let constraint = effective_constraint(snap.constraint, &slots);
         let mut metrics = snap.metrics;
         metrics.per_filter.resize(width, FilterMetrics::default());
         Ok(GroupEngine {
             schema: snap.schema,
             slots,
-            tier,
-            twins: twin_table(compiled.as_ref(), width),
+            twins: compiled.twin_table(),
             compiled,
             step: StepActions::default(),
             algorithm: snap.algorithm,
@@ -942,7 +784,6 @@ impl GroupEngine {
             predictor: RuntimePredictor::with_window(snap.predictor_window, snap.overestimate_us),
             utility: GroupUtility::new(),
             tracker: RegionTracker::new(),
-            cover_buf: OpenCovers::default(),
             ready_buf: Vec::new(),
             ids_buf: Vec::new(),
             weights_buf: Vec::new(),
@@ -1008,27 +849,11 @@ impl GroupEngine {
         let (id, tuple) = self.pool.intern(tuple);
         self.begin_row(id, now);
 
-        // First stage: candidate admission (vacant slots are skipped).
-        // The compiled tier runs the whole roster in one fused pass and
-        // replays the recorded step; the interpreted tier — the reference
-        // the compiled one is tested against — makes one virtual call per
-        // filter. Both produce byte-identical state.
-        if let Some(compiled) = self.compiled.as_mut() {
-            compiled.process_tuple(&tuple, &mut self.step)?;
-            self.replay_step(id, now);
-        } else {
-            for i in 0..self.slots.len() {
-                let Some(slot) = self.slots[i].as_mut() else {
-                    continue;
-                };
-                let action = slot
-                    .filter
-                    .as_mut()
-                    .expect("interpreted tier holds filter objects")
-                    .process(&tuple)?;
-                self.apply_action(i, id, now, action);
-            }
-        }
+        // First stage: candidate admission — the compiled roster runs
+        // every member in one fused pass, then the recorded step is
+        // replayed into the engine's bookkeeping.
+        self.compiled.process_tuple(&tuple, &mut self.step)?;
+        self.replay_step(id);
         self.finish_row(id, now);
         self.metrics.cpu += start.elapsed();
         Ok(())
@@ -1090,10 +915,9 @@ impl GroupEngine {
     /// one bulk utility probe. Queued control ops apply at the boundary
     /// before the batch — a batch is never split by a safe point.
     ///
-    /// On the interpreted tier the batch is simply replayed row by row
-    /// through the reference path. A row whose key derivation fails (a
-    /// missing value) is also delegated to the reference path, which
-    /// reproduces the exact per-tuple error and partial state.
+    /// A row whose key derivation fails (a missing value) goes through
+    /// the row-form step instead, which reproduces the exact per-tuple
+    /// error and partial state.
     ///
     /// # Errors
     /// Same contract as [`push_into`](Self::push_into), plus
@@ -1135,30 +959,23 @@ impl GroupEngine {
         if !self.control_queue.is_empty() {
             self.apply_control_ops();
         }
-        // Compiled tier: derive key columns for the derivable prefix,
-        // bulk-intern those rows, then run the per-row step over the
-        // pre-derived columns.
+        // Derive key columns for the derivable prefix, bulk-intern those
+        // rows, then run the per-row step over the pre-derived columns.
         let start = Instant::now();
-        let ok = self
-            .compiled
-            .as_mut()
-            .map_or(0, |compiled| compiled.derive_batch(batch));
+        let ok = self.compiled.derive_batch(batch);
         self.pool.intern_rows(batch, ok);
         for r in 0..ok {
             let now = batch.timestamp(r);
             let id = TupleId::from_seq(batch.seq(r));
             self.begin_row(id, now);
-            self.compiled
-                .as_mut()
-                .expect("only the compiled tier derives rows")
-                .evaluate_row(r, id, now, &mut self.step);
-            self.replay_step(id, now);
+            self.compiled.evaluate_row(r, id, now, &mut self.step);
+            self.replay_step(id);
             self.finish_row(id, now);
             per_row(&mut self.scratch);
         }
         self.metrics.cpu += start.elapsed();
-        // Interpreted tier, and any row whose key derivation fails: the
-        // row-form step, which reproduces the exact per-tuple error.
+        // A row whose key derivation fails: the row-form step, which
+        // reproduces the exact per-tuple error.
         for r in ok..batch.rows() {
             self.stage_row(batch.materialize_row(r))?;
             per_row(&mut self.scratch);
@@ -1210,55 +1027,52 @@ impl GroupEngine {
     /// the epoch boundary.
     fn drain_open_state(&mut self, now: Micros) {
         for i in 0..self.slots.len() {
-            if self.slots[i].is_none() {
-                continue;
+            if self.slots[i].is_some() {
+                self.force_close(i, CloseCause::EndOfStream);
             }
-            let outcome = self.force_close_slot(i, CloseCause::EndOfStream);
-            self.handle_force_outcome(i, now, outcome);
         }
         for region in self.tracker.drain_all() {
-            self.complete_region(region, now);
+            self.complete_region(region);
         }
         self.release_to_scratch(now, Release::All);
     }
 
     fn per_filter_cuts(&mut self, now: Micros) {
         for i in 0..self.slots.len() {
-            let Some(slot) = self.slots[i].as_ref() else {
+            let Some(spec) = self.slots[i].as_ref() else {
                 continue;
             };
-            let budget = slot
-                .spec
+            let budget = spec
                 .latency_tolerance
                 .or(self.constraint.map(|c| c.max_delay));
-            let (Some(budget), Some(cover)) = (budget, self.open_cover_of(i)) else {
+            let (Some(budget), Some(cover)) = (budget, self.compiled.open_cover(i)) else {
                 continue;
             };
             if now.saturating_sub(cover.min) >= budget {
-                let outcome = self.force_close_slot(i, CloseCause::Cut);
-                self.handle_force_outcome(i, now, outcome);
+                self.force_close(i, CloseCause::Cut);
             }
         }
     }
 
-    fn cut_all(&mut self, now: Micros) {
+    fn cut_all(&mut self) {
         for i in 0..self.slots.len() {
-            if self.slots[i].is_none() {
-                continue;
+            if self.slots[i].is_some() {
+                self.force_close(i, CloseCause::Cut);
             }
-            let outcome = self.force_close_slot(i, CloseCause::Cut);
-            self.handle_force_outcome(i, now, outcome);
         }
     }
 
-    fn handle_force_outcome(&mut self, i: usize, now: Micros, outcome: ForceCloseOutcome) {
+    /// Force-closes the open set of the member in slot `i` (a no-op for a
+    /// follower, whose leader closes for it) and books the outcome.
+    fn force_close(&mut self, i: usize, cause: CloseCause) {
+        let outcome = self.compiled.force_close(i, cause);
         self.handle_dismissed(i, &outcome.dismissed);
         if let Some(set) = outcome.closed {
-            self.handle_closed_set(i, now, set);
+            self.handle_closed_set(i, set);
         }
     }
 
-    /// Opens the per-row step, shared by every tier and ingest shape:
+    /// Opens the per-row step, shared by every ingest shape:
     /// advances the stream frontier and runs the per-filter timely cuts
     /// (PS+C), which are checked *before* admitting the new tuple —
     /// "admitting a new tuple will likely violate the time constraint"
@@ -1289,16 +1103,17 @@ impl GroupEngine {
     /// bookkeeping: the admission mask's weight (one bit per twin class)
     /// lands on the new tuple as one bulk utility probe, references
     /// follow as a block scan, and only the (rare) events walk slot by
-    /// slot, each booked for the leader's whole class. Byte-identical to the
-    /// interpreted tier's per-slot [`apply_action`](Self::apply_action)
-    /// loop because a step's closed sets and dismissals never involve the
+    /// slot, each booked for the leader's whole class. The result equals
+    /// booking each filter's action slot by slot, the way the per-filter
+    /// reference ([`GroupFilter`](crate::filter::GroupFilter)) reports it,
+    /// because a step's closed sets and dismissals never involve the
     /// current tuple (window seal precedes push, the delta vicinity seal
     /// excludes the current tuple, and dismissals prune previously
-    /// admitted ids), so hoisting its admissions and references commutes
-    /// with the events — which keep their ascending slot order,
-    /// preserving the dismissal-before-decision interleaving that group
-    /// utilities see.
-    fn replay_step(&mut self, id: TupleId, now: Micros) {
+    /// admitted ids; `plan::compiled`'s lockstep tests assert it), so
+    /// hoisting its admissions and references commutes with the events —
+    /// which keep their ascending slot order, preserving the
+    /// dismissal-before-decision interleaving that group utilities see.
+    fn replay_step(&mut self, id: TupleId) {
         let mut step = std::mem::take(&mut self.step);
         let mut admissions = 0u32;
         for leader in step.admitted.iter() {
@@ -1311,8 +1126,8 @@ impl GroupEngine {
         self.utility.increment_by(id, admissions);
         for leader in step.references.iter() {
             let i = leader.index();
-            let emits =
-                self.algorithm == Algorithm::SelfInterested && self.si_emits_at_reference(i);
+            let emits = self.algorithm == Algorithm::SelfInterested
+                && self.compiled.si_emits_at_reference(i);
             for &f in self.twins.class(i) {
                 let booked = &mut self.metrics.per_filter[f as usize];
                 booked.references += 1;
@@ -1326,32 +1141,10 @@ impl GroupEngine {
             let i = slot as usize;
             self.handle_dismissed(i, &step.dismissed[ev.dismissed]);
             if let Some(set) = ev.closed {
-                self.handle_closed_set(i, now, set);
+                self.handle_closed_set(i, set);
             }
         }
         self.step = step; // hand the allocations back for reuse
-    }
-
-    fn apply_action(&mut self, i: usize, id: TupleId, now: Micros, action: FilterAction) {
-        if action.reference {
-            self.metrics.per_filter[i].references += 1;
-            if self.algorithm == Algorithm::SelfInterested && self.si_emits_at_reference(i) {
-                self.enqueue(id, FilterId::from_index(i));
-                self.metrics.per_filter[i].chosen += 1;
-            }
-        }
-        for d in action.dismissed {
-            self.metrics.per_filter[i].dismissed += 1;
-            self.utility.decrement(d);
-            self.maybe_drop(d);
-        }
-        if action.admitted {
-            self.metrics.per_filter[i].admitted += 1;
-            self.utility.increment(id);
-        }
-        if let Some(set) = action.closed {
-            self.handle_closed_set(i, now, set);
-        }
     }
 
     /// Books the ids the member in slot `i` dismissed from its open set,
@@ -1369,12 +1162,12 @@ impl GroupEngine {
 
     /// Takes a set the member in slot `i` closed — the set of every
     /// filter of its class — into the second stage.
-    fn handle_closed_set(&mut self, i: usize, now: Micros, set: crate::candidate::ClosedSet) {
+    fn handle_closed_set(&mut self, i: usize, set: ClosedSet) {
         let weight = self.twins.weight(i);
         // What a self-interested filter that did not already emit at its
         // reference (a sampler) outputs for this set.
         let si_choice: &[TupleId] = match self.algorithm {
-            Algorithm::SelfInterested if !self.si_emits_at_reference(i) => &set.si_choice,
+            Algorithm::SelfInterested if !self.compiled.si_emits_at_reference(i) => &set.si_choice,
             _ => &[],
         };
         for &f in self.twins.class(i) {
@@ -1398,7 +1191,7 @@ impl GroupEngine {
             Algorithm::PerCandidateSet => {
                 let chosen = decide::decide_outputs(&set, &self.utility, &self.recently_decided);
                 self.metrics.per_filter[i].chosen += chosen.len() as u64;
-                if self.slot_is_stateful(i) {
+                if self.compiled.is_stateful(i) {
                     if let Some(&first) = chosen.first() {
                         let key = set
                             .candidates
@@ -1406,7 +1199,7 @@ impl GroupEngine {
                             .find(|c| c.id == first)
                             .map(|c| c.key)
                             .unwrap_or_default();
-                        self.notify_output_chosen(i, first, key);
+                        self.compiled.output_chosen(i, key);
                     }
                 }
                 for &id in &chosen {
@@ -1416,95 +1209,11 @@ impl GroupEngine {
                 for c in &set.candidates {
                     self.utility.decrement(c.id);
                 }
-                let _ = now;
                 self.tracker.add(set);
             }
             Algorithm::RegionGreedy => {
                 self.tracker.add_weighted(set, weight as usize);
             }
-        }
-    }
-
-    /// The live trait object in slot `i` (interpreted tier only; panics
-    /// on vacancies — callers only reach here for ids that produced an
-    /// event this epoch).
-    fn slot_filter(&self, i: usize) -> &dyn GroupFilter {
-        self.slots[i]
-            .as_ref()
-            .expect("events only come from occupied slots")
-            .filter
-            .as_ref()
-            .expect("interpreted tier holds filter objects")
-            .as_ref()
-    }
-
-    // ------------------------------------------------------------------
-    // tier dispatch: each per-slot query/command goes to the compiled
-    // arenas or to the slot's trait object, whichever tier is live
-    // ------------------------------------------------------------------
-
-    fn si_emits_at_reference(&self, i: usize) -> bool {
-        match &self.compiled {
-            Some(c) => c.si_emits_at_reference(i),
-            None => self.slot_filter(i).si_emits_at_reference(),
-        }
-    }
-
-    fn slot_is_stateful(&self, i: usize) -> bool {
-        match &self.compiled {
-            Some(c) => c.is_stateful(i),
-            None => self.slot_filter(i).is_stateful(),
-        }
-    }
-
-    fn notify_output_chosen(&mut self, i: usize, first: TupleId, key: f64) {
-        match &mut self.compiled {
-            Some(c) => c.output_chosen(i, key),
-            None => self.slots[i]
-                .as_mut()
-                .expect("closed sets come from occupied slots")
-                .filter
-                .as_mut()
-                .expect("interpreted tier holds filter objects")
-                .output_chosen(first, key),
-        }
-    }
-
-    fn force_close_slot(&mut self, i: usize, cause: CloseCause) -> ForceCloseOutcome {
-        match &mut self.compiled {
-            Some(c) => c.force_close(i, cause),
-            None => match self.slots[i].as_mut() {
-                Some(slot) => slot
-                    .filter
-                    .as_mut()
-                    .expect("interpreted tier holds filter objects")
-                    .force_close(cause),
-                None => ForceCloseOutcome::default(),
-            },
-        }
-    }
-
-    fn open_cover_of(&self, i: usize) -> Option<TimeCover> {
-        match &self.compiled {
-            Some(c) => c.open_cover(i),
-            None => self.slots[i]
-                .as_ref()?
-                .filter
-                .as_ref()
-                .expect("interpreted tier holds filter objects")
-                .open_cover(),
-        }
-    }
-
-    fn open_len_of(&self, i: usize) -> usize {
-        match &self.compiled {
-            Some(c) => c.open_len(i),
-            None => self.slots[i].as_ref().map_or(0, |s| {
-                s.filter
-                    .as_ref()
-                    .expect("interpreted tier holds filter objects")
-                    .open_len()
-            }),
         }
     }
 
@@ -1517,42 +1226,28 @@ impl GroupEngine {
                 let predicted = self.predictor.predict(self.pending_candidates() + 1);
                 let span = now.saturating_sub(oldest);
                 if span.checked_add(predicted).is_none_or(|t| t >= c.max_delay) {
-                    self.cut_all(now);
+                    self.cut_all();
                 }
             }
         }
     }
 
-    /// Second stage: solves/completes the regions that became ready.
-    /// The one tier-dependent line is where the open covers come from:
-    /// the index the compiled roster maintains as it goes, or one filled
-    /// here from a scan of the interpreted tier's slots — the same covers
-    /// by the same slots either way.
+    /// Second stage: solves/completes the regions that became ready,
+    /// checked against the open covers the compiled roster keeps by slot.
     fn drain_regions(&mut self, now: Micros) {
         if !self.tracker.any_time_ready(now) {
             return;
         }
-        let open = match &self.compiled {
-            Some(compiled) => compiled.open_covers(),
-            None => {
-                self.cover_buf.reset(self.slots.len());
-                for (i, slot) in self.slots.iter().enumerate() {
-                    let filter = slot.as_ref().and_then(|s| s.filter.as_ref());
-                    self.cover_buf
-                        .update(i, filter.and_then(|f| f.open_cover()));
-                }
-                &self.cover_buf
-            }
-        };
         let mut ready = std::mem::take(&mut self.ready_buf);
-        self.tracker.drain_ready_into(open, now, &mut ready);
+        self.tracker
+            .drain_ready_into(self.compiled.open_covers(), now, &mut ready);
         for region in ready.drain(..) {
-            self.complete_region(region, now);
+            self.complete_region(region);
         }
         self.ready_buf = ready;
     }
 
-    fn complete_region(&mut self, region: Region, _now: Micros) {
+    fn complete_region(&mut self, region: Region) {
         self.watermark = self.watermark.max(region.cover().max);
         self.metrics.regions += 1;
         self.metrics.region_size.record(region.size() as u64);
@@ -1602,10 +1297,8 @@ impl GroupEngine {
         self.ids_buf = ids;
         // The region's lists go back to where they came from.
         let mut sets = region.into_sets();
-        if let Some(compiled) = self.compiled.as_mut() {
-            for set in sets.drain(..) {
-                compiled.recycle(set);
-            }
+        for set in sets.drain(..) {
+            self.compiled.recycle(set);
         }
         self.tracker.recycle(sets);
     }
@@ -1715,7 +1408,7 @@ impl GroupEngine {
     fn oldest_pending_candidate(&self) -> Option<Micros> {
         let open_min = (0..self.slots.len())
             .filter(|&i| self.slots[i].is_some())
-            .filter_map(|i| self.open_cover_of(i))
+            .filter_map(|i| self.compiled.open_cover(i))
             .map(|c| c.min)
             .min();
         match (self.tracker.earliest_pending(), open_min) {
@@ -1728,7 +1421,7 @@ impl GroupEngine {
         self.tracker.pending_candidates()
             + (0..self.slots.len())
                 .filter(|&i| self.slots[i].is_some())
-                .map(|i| self.open_len_of(i) * self.twins.weight(i) as usize)
+                .map(|i| self.compiled.open_len(i) * self.twins.weight(i) as usize)
                 .sum::<usize>()
     }
 }

@@ -504,46 +504,58 @@ fn aggressive_cuts_degrade_towards_si_but_never_worse() {
 #[test]
 fn cut_inputs_count_every_twin_of_a_folded_member() {
     // What the group cut reads — the oldest pending candidate and the
-    // candidate count the run-time predictor is asked about — must not
-    // change when identical filters are folded into one member: the
-    // compiled engine (A, B and C each three times: three members) and
-    // the interpreted one (nine filters) agree after every tuple, over
-    // open sets and pending regions alike.
+    // candidate count the run-time predictor is asked about — must count
+    // every filter a folded member stands for: A, B and C three times
+    // over (nine filters, three members) read, after every tuple, three
+    // times the candidates of the plain A, B, C engine and the same
+    // oldest one, and release its tuples to all three copies of each
+    // label — over open sets and pending regions alike.
     let (schema, tuples) = paper_stream();
-    let mut engines: Vec<GroupEngine> = [EvaluatorTier::Compiled, EvaluatorTier::Interpreted]
-        .into_iter()
-        .map(|tier| {
-            GroupEngine::builder(schema.clone())
-                .evaluator(tier)
-                .time_constraint(TimeConstraint::max_delay(Micros::from_millis(45)))
-                .filters((0..9).map(|i| abc_specs()[i % 3].clone()))
-                .build()
-                .unwrap()
-        })
-        .collect();
-    let folded = engines[0].compiled.as_ref().unwrap();
-    assert_eq!((folded.distinct_members(), folded.member_count()), (3, 9));
+    let engine = |copies: usize| {
+        GroupEngine::builder(schema.clone())
+            .time_constraint(TimeConstraint::max_delay(Micros::from_millis(45)))
+            .filters((0..3 * copies).map(|i| abc_specs()[i % 3].clone()))
+            .build()
+            .unwrap()
+    };
+    let (mut folded, mut one) = (engine(3), engine(1));
+    assert_eq!(
+        (
+            folded.compiled.distinct_members(),
+            folded.compiled.member_count()
+        ),
+        (3, 9)
+    );
     let mut seen = 0;
     for t in tuples {
-        let views: Vec<_> = (engines.iter_mut())
-            .map(|e| {
-                let mut released = VecSink::new();
-                e.push_into(t.clone(), &mut released).unwrap();
-                (
-                    e.pending_candidates(),
-                    e.oldest_pending_candidate(),
-                    released,
-                )
+        let (mut got, mut want) = (VecSink::new(), VecSink::new());
+        folded.push_into(t.clone(), &mut got).unwrap();
+        one.push_into(t.clone(), &mut want).unwrap();
+        let ctx = format!("after tuple {}", t.seq());
+        assert_eq!(
+            folded.pending_candidates(),
+            3 * one.pending_candidates(),
+            "{ctx}"
+        );
+        assert_eq!(
+            folded.oldest_pending_candidate(),
+            one.oldest_pending_candidate(),
+            "{ctx}"
+        );
+        let expanded: Vec<Emission> = (want.as_slice().iter())
+            .map(|e| Emission {
+                recipients: (e.recipients.iter())
+                    .flat_map(|f| (0..3).map(move |copy| f.index() + 3 * copy))
+                    .map(FilterId::from_index)
+                    .collect(),
+                ..e.clone()
             })
             .collect();
-        assert_eq!(views[0], views[1], "after tuple {}", t.seq());
-        seen = seen.max(views[0].0);
+        assert_eq!(got.as_slice(), &expanded[..], "{ctx}");
+        seen = seen.max(folded.pending_candidates());
     }
     assert!(seen >= 9, "never more than {seen} candidates pending");
-    assert!(
-        engines[0].metrics().regions_cut > 0,
-        "the deadline never cut"
-    );
+    assert!(folded.metrics().regions_cut > 0, "the deadline never cut");
 }
 
 #[test]

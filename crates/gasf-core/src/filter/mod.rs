@@ -9,14 +9,16 @@
 //! * can be asked to finish an output early (timely cuts), and
 //! * computes candidates online.
 //!
-//! The engines drive filters through [`GroupFilter`]; this module provides
-//! the paper's four concrete filter types ([`DeltaCompression`] /
-//! [`TrendDelta`] / [`MultiAttrDelta`] / [`StratifiedSampler`]) and the
-//! [`build_filter`] factory that instantiates them from a
-//! [`crate::quality::FilterSpec`] values. Downstream crates can
-//! implement [`GroupFilter`] for domain-specific selection rules — the
-//! framework dimensions (candidate computation, output selection,
-//! candidate-set dependency) are all expressed in the trait surface.
+//! [`GroupFilter`] expresses these properties one filter at a time; this
+//! module provides the paper's four concrete filter types
+//! ([`DeltaCompression`] / [`TrendDelta`] / [`MultiAttrDelta`] /
+//! [`StratifiedSampler`]) and the [`build_filter`] factory that
+//! instantiates them from a [`crate::quality::FilterSpec`]. They are the
+//! readable per-filter reference: the engines run the same specs compiled
+//! into one fused evaluator ([`crate::plan::CompiledRoster`]), whose arena
+//! automata mirror these types statement for statement, and `plan`'s
+//! lockstep tests drive both side by side, checking every answer the
+//! engine asks of its first stage after every tuple.
 
 mod delta;
 mod sampling;

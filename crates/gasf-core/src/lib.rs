@@ -30,7 +30,9 @@
 //! The filter taxonomy of Ch. 5 is covered by [`filter::DeltaCompression`]
 //! (DC1), [`filter::TrendDelta`] (DC2), [`filter::MultiAttrDelta`] (DC3) and
 //! [`filter::StratifiedSampler`] (SS), all implementing [`filter::GroupFilter`]
-//! so downstream users can add their own.
+//! — the per-filter reference. The engines run a roster compiled from the
+//! same specs ([`plan::CompiledRoster`]), which the reference checks slot
+//! by slot in `plan`'s lockstep tests.
 //!
 //! ## Data path
 //!

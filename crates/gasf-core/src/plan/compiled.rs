@@ -69,8 +69,7 @@ pub(crate) struct StepActions {
 
 /// Which slots stand behind each compiled member: the engine's key for
 /// expanding a leader's first-stage actions to every filter of its twin
-/// class. The interpreted tier runs every filter itself and uses the
-/// table of singletons ([`solo`](Self::solo)).
+/// class (a filter without a twin is a class of one).
 #[derive(Debug, Default)]
 pub(crate) struct TwinTable {
     /// Slots grouped by twin class, ascending within a class (so each
@@ -82,14 +81,6 @@ pub(crate) struct TwinTable {
 }
 
 impl TwinTable {
-    /// Every slot of `0..width` a class of its own.
-    pub(crate) fn solo(width: usize) -> TwinTable {
-        TwinTable {
-            members: (0..width as u32).collect(),
-            span: (0..width as u32).map(|i| i..i + 1).collect(),
-        }
-    }
-
     /// The slots of the class led by `slot`, ascending, `slot` first.
     #[inline]
     pub(crate) fn class(&self, slot: usize) -> &[u32] {
@@ -654,8 +645,7 @@ impl CohortTable {
 /// compiled state holds nothing a snapshot would need to persist, which is
 /// what keeps [`GroupSnapshot`](crate::snapshot::GroupSnapshot) format-
 /// stable: restore simply recompiles. The engine recompiles at every epoch
-/// safe point (vacancy holes preserved), exactly when the trait-object
-/// tier would rebuild its filters.
+/// safe point (vacancy holes preserved).
 #[derive(Debug)]
 pub struct CompiledRoster {
     plan: RosterPlan,
@@ -1186,25 +1176,30 @@ mod tests {
     /// same stream and asserts, at every tuple, that each slot's oracle did
     /// what the member standing for it — its twin class's leader — did
     /// (closed sets equal but for the owning filter, which is the
-    /// leader's); and the cohort invariants after each. A stateful member
-    /// whose set closes is told an output (a different candidate each
-    /// time) on both sides, like the engine would; closed sets go back to
-    /// the roster's pool. `after_tuple` sees the roster after every tuple.
+    /// leader's), and answers every question the engine asks its first
+    /// stage alike: open cover, open length, statefulness, and whether
+    /// it emits at a reference under the self-interested baseline. A
+    /// follower holds no open set of its own. A step never closes or
+    /// dismisses the current tuple, which the engine's replay relies on
+    /// (`GroupEngine::replay_step`); and the cohort invariants hold after
+    /// each tuple. A stateful member whose set closes is told an
+    /// output (a different candidate each time) on both sides, like the
+    /// engine would; closed sets go back to the roster's pool.
+    /// `after_tuple` sees the roster after every tuple.
     fn assert_lockstep_with(
         specs: Vec<FilterSpec>,
         algorithm: Algorithm,
-        points: &[(u64, f64)],
+        schema: &Schema,
+        tuples: &[Tuple],
         mut after_tuple: impl FnMut(&CompiledRoster),
     ) {
-        let schema = Schema::new(["t"]);
-        let tuples = series(&schema, "t", points);
         let roster: Vec<(FilterId, FilterSpec)> = specs
             .into_iter()
             .enumerate()
             .map(|(i, s)| (FilterId::from_index(i), s))
             .collect();
         let mut compiled =
-            CompiledRoster::compile(roster.iter().map(|(id, s)| (*id, s)), &schema, algorithm)
+            CompiledRoster::compile(roster.iter().map(|(id, s)| (*id, s)), schema, algorithm)
                 .unwrap();
         // Slots are dense here, so plan indices are slots.
         let leader_of = compiled.plan().twin_of.clone();
@@ -1227,11 +1222,11 @@ mod tests {
                 } else {
                     s.clone()
                 };
-                build_filter(&effective, *id, &schema).unwrap()
+                build_filter(&effective, *id, schema).unwrap()
             })
             .collect();
         let mut step = StepActions::default();
-        for t in &tuples {
+        for t in tuples {
             compiled.process_tuple(t, &mut step).unwrap();
             let events: std::collections::BTreeMap<usize, StepEvent> =
                 (step.events.drain(..).map(|(slot, ev)| (slot as usize, ev))).collect();
@@ -1239,6 +1234,15 @@ mod tests {
                 events.keys().all(|&slot| leader_of[slot] == slot),
                 "event for a follower"
             );
+            for (slot, ev) in &events {
+                let closed = ev.closed.iter().flat_map(|set| &set.candidates);
+                assert!(
+                    !step.dismissed[ev.dismissed.clone()].contains(&t.id())
+                        && closed.map(|c| c.id).all(|id| id != t.id()),
+                    "slot {slot} closed or dismissed tuple {} in its own step",
+                    t.seq()
+                );
+            }
             for (slot, oracle) in oracles.iter_mut().enumerate() {
                 let want = oracle.process(t).unwrap();
                 let leader = FilterId::from_index(leader_of[slot]);
@@ -1274,6 +1278,21 @@ mod tests {
                     }
                 }
             }
+            for (slot, oracle) in oracles.iter().enumerate() {
+                let leader = leader_of[slot];
+                let ctx = format!("slot {slot} after tuple {}", t.seq());
+                assert_eq!(compiled.open_cover(leader), oracle.open_cover(), "{ctx}");
+                assert_eq!(compiled.open_len(leader), oracle.open_len(), "{ctx}");
+                assert_eq!(
+                    compiled.si_emits_at_reference(leader),
+                    oracle.si_emits_at_reference(),
+                    "{ctx}"
+                );
+                if leader != slot {
+                    assert_eq!(compiled.open_cover(slot), None, "follower {ctx}");
+                    assert_eq!(compiled.open_len(slot), 0, "follower {ctx}");
+                }
+            }
             for set in events.into_values().filter_map(|ev| ev.closed) {
                 compiled.recycle(set);
             }
@@ -1298,7 +1317,15 @@ mod tests {
     }
 
     fn assert_lockstep(specs: Vec<FilterSpec>, algorithm: Algorithm, points: &[(u64, f64)]) {
-        assert_lockstep_with(specs, algorithm, points, |_| {});
+        let (schema, tuples) = one_attribute(points);
+        assert_lockstep_with(specs, algorithm, &schema, &tuples, |_| {});
+    }
+
+    /// `points` as a stream over the one attribute `t`.
+    fn one_attribute(points: &[(u64, f64)]) -> (Schema, Vec<Tuple>) {
+        let schema = Schema::new(["t"]);
+        let tuples = series(&schema, "t", points);
+        (schema, tuples)
     }
 
     /// A seeded random walk in steps of a quarter unit (so values — and
@@ -1369,6 +1396,93 @@ mod tests {
         );
     }
 
+    /// Two independent random walks `t` and `u` in quarter-unit steps of
+    /// at most 2 (mean |Δ| ≈ 1), one tuple every 10 ms.
+    fn two_attribute_walk(seed: u64, tuples: u64) -> (Schema, Vec<Tuple>) {
+        let schema = Schema::new(["t", "u"]);
+        let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut step = || ((rng.next_f64() - 0.5) * 16.0).round() / 4.0;
+        let (mut t, mut u) = (50.0, 20.0);
+        let mut b = crate::tuple::TupleBuilder::new(&schema);
+        let rows = (0..tuples)
+            .map(|i| {
+                t += step();
+                u += step();
+                b.at_millis(10 * (i + 1)).set("t", t).set("u", u);
+                b.build().unwrap()
+            })
+            .collect();
+        (schema, rows)
+    }
+
+    /// Every gate kind over `t` and `u` — overlapping deltas sharing a
+    /// key, a second attribute, a trend, a multi-attribute mean, both
+    /// samplers and, off region-greedy, a stateful delta — three times
+    /// over at interleaved slots, with a singleton after each round.
+    fn twin_roster(algorithm: Algorithm) -> Vec<FilterSpec> {
+        let window = Micros::from_millis;
+        let mut specs = Vec::new();
+        for round in 0..3 {
+            specs.extend([
+                FilterSpec::delta("t", 2.0, 1.0),
+                FilterSpec::delta("t", 3.0, 1.4),
+                FilterSpec::delta("t", 2.5, 1.2),
+                FilterSpec::delta("u", 2.2, 0.9),
+                FilterSpec::trend_delta("t", 90.0, 40.0),
+                FilterSpec::multi_attr_delta(["u", "t"], 2.4, 1.1),
+                FilterSpec::reservoir("u", window(70), 3),
+                FilterSpec::stratified_sample("t", window(110), 1.5, 60.0, 20.0),
+            ]);
+            if algorithm != Algorithm::RegionGreedy {
+                specs.push(FilterSpec::stateful_delta("t", 2.8, 1.3));
+            }
+            specs.push(FilterSpec::delta("t", 3.3 + f64::from(round), 0.8));
+        }
+        specs
+    }
+
+    fn assert_twin_roster_lockstep(algorithm: Algorithm) {
+        let (schema, tuples) = two_attribute_walk(5, 600);
+        let specs = twin_roster(algorithm);
+        let roster = (specs.iter().enumerate()).map(|(i, s)| (FilterId::from_index(i), s));
+        let mut probe = CompiledRoster::compile(roster, &schema, algorithm).unwrap();
+        let folds = algorithm != Algorithm::PerCandidateSet;
+        let folded = probe.distinct_members() < probe.member_count();
+        assert_eq!(folded, folds, "{algorithm:?}");
+        // The walk must exercise the automata: admissions and closures.
+        let (mut admitted, mut closed) = (0, 0);
+        let mut step = StepActions::default();
+        for t in &tuples {
+            probe.process_tuple(t, &mut step).unwrap();
+            admitted += step.admitted.len();
+            closed += step
+                .events
+                .iter()
+                .filter(|(_, e)| e.closed.is_some())
+                .count();
+        }
+        assert!(
+            admitted > 0 && closed > 0,
+            "{algorithm:?}: {admitted} / {closed}"
+        );
+        assert_lockstep_with(specs, algorithm, &schema, &tuples, |_| {});
+    }
+
+    #[test]
+    fn lockstep_on_a_twin_roster_under_region_greedy() {
+        assert_twin_roster_lockstep(Algorithm::RegionGreedy);
+    }
+
+    #[test]
+    fn lockstep_on_a_twin_roster_under_per_candidate_set() {
+        assert_twin_roster_lockstep(Algorithm::PerCandidateSet);
+    }
+
+    #[test]
+    fn lockstep_on_a_twin_roster_under_self_interested() {
+        assert_twin_roster_lockstep(Algorithm::SelfInterested);
+    }
+
     fn compile_dense(specs: &[FilterSpec], algorithm: Algorithm) -> CompiledRoster {
         CompiledRoster::compile(
             (specs.iter().enumerate()).map(|(i, s)| (FilterId::from_index(i), s)),
@@ -1382,7 +1496,7 @@ mod tests {
     fn identical_specs_share_one_cohort_per_base() {
         // 8 specs × 64 copies at interleaved slots, then 8 specs of their
         // own: 520 filters compile to 16 members, and every one of the
-        // 520 interpreted filters does, tuple by tuple, what the member
+        // 520 reference filters does, tuple by tuple, what the member
         // standing for it does. With 16 members there are at most 16
         // distinct bases, and the table holds exactly one cohort per
         // base in use.
@@ -1399,10 +1513,12 @@ mod tests {
         assert_eq!(twins.class(515), [515]);
 
         let mut most = 0;
+        let (schema, tuples) = one_attribute(&random_walk(7, 400, 6.0));
         assert_lockstep_with(
             specs,
             Algorithm::RegionGreedy,
-            &random_walk(7, 400, 6.0),
+            &schema,
+            &tuples,
             |compiled| {
                 let bases: std::collections::BTreeSet<u64> = (0..compiled.delta.slot.len())
                     .filter(|&m| {
@@ -1544,10 +1660,12 @@ mod tests {
             specs.push(FilterSpec::delta("t", delta, slack));
         }
         let mut most = 0;
+        let (schema, tuples) = one_attribute(&random_walk(11, 2_500, 3.0));
         assert_lockstep_with(
             specs,
             Algorithm::PerCandidateSet,
-            &random_walk(11, 2_500, 3.0),
+            &schema,
+            &tuples,
             |compiled| most = most.max(compiled.cohort_count()),
         );
         assert!(most > 6, "only {most} cohorts at once");
@@ -1736,7 +1854,7 @@ mod tests {
                     }
                 }
                 if ok < chunk.len() {
-                    // The failing row errors identically on both tiers;
+                    // The failing row errors identically on both paths;
                     // the engine stops a stream there, and so do we.
                     let row = batch.materialize_row(ok);
                     let e1 = by_tuple.process_tuple(&row, &mut step_t).unwrap_err();

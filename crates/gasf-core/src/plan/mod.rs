@@ -1,11 +1,12 @@
 //! Roster compilation: key and gate → CSE → fused one-pass evaluators.
 //!
-//! The engines' first stage (candidate admission) originally drove every
-//! filter as an opaque [`GroupFilter`](crate::filter::GroupFilter) trait
-//! object, one virtual call per filter per tuple, each re-reading the same
-//! attributes and re-computing the same `|Δ|` distances. Filters in a
-//! group overlap *by construction* — that is the paper's whole premise —
-//! so the roster is compiled instead:
+//! The engines' first stage (candidate admission) runs one automaton per
+//! filter. The readable form of each automaton is a
+//! [`GroupFilter`](crate::filter::GroupFilter) trait object, one virtual
+//! call per filter per tuple, each re-reading the same attributes and
+//! re-computing the same `|Δ|` distances. Filters in a group overlap *by
+//! construction* — that is the paper's whole premise — so the engine
+//! runs a compiled roster instead:
 //!
 //! 1. **Lowering** ([`FilterPlan::lower`]) — every
 //!    [`FilterSpec`](crate::quality::FilterSpec) kind (delta, stateful
@@ -37,11 +38,14 @@
 //! algorithm): it holds no durable state of its own, so snapshots stay
 //! format-stable — a restored engine simply recompiles — and the control
 //! plane recompiles at every epoch safe point (vacancy holes preserved).
-//! The trait-object path is kept as the *oracle*: build with
-//! [`EvaluatorTier::Interpreted`] to run it, and
-//! `tests/tests/compile_equivalence.rs` pins the two tiers byte-identical
-//! across every algorithm, output strategy and parallelism, including
-//! under churn and recovery.
+//!
+//! The compiled roster is the only first stage the engines run. The
+//! trait objects stay as the per-filter reference: the lockstep tests in
+//! `plan::compiled` drive each slot's trait object next to the compiled
+//! member that stands for it and compare every answer after every tuple,
+//! and `tests/tests/twin_equivalence.rs` checks folding at the engine
+//! level (k copies of a roster emit what one copy emits with every label
+//! expanded to its k twins).
 
 mod compiled;
 mod expr;
@@ -49,19 +53,3 @@ mod expr;
 pub use compiled::CompiledRoster;
 pub(crate) use compiled::{StepActions, TwinTable};
 pub use expr::{Expr, FilterPlan, Gate, RosterPlan};
-
-/// Which first-stage evaluator a [`GroupEngine`](crate::engine::GroupEngine)
-/// drives.
-///
-/// Both tiers are byte-for-byte equivalent on every input (the contract
-/// `tests/tests/compile_equivalence.rs` pins); they differ only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EvaluatorTier {
-    /// The fused [`CompiledRoster`] evaluator (the default): one pass per
-    /// tuple over shared key derivations and cohort cascades.
-    #[default]
-    Compiled,
-    /// The original per-filter trait-object path — the reference
-    /// implementation the compiled tier is checked against.
-    Interpreted,
-}

@@ -21,7 +21,7 @@ pub use crate::filter::{
 };
 pub use crate::metrics::{BoxPlot, EngineMetrics, Histogram};
 pub use crate::monitor::{BenefitMonitor, BenefitReport, Recommendation};
-pub use crate::plan::{CompiledRoster, EvaluatorTier, RosterPlan};
+pub use crate::plan::{CompiledRoster, RosterPlan};
 pub use crate::quality::{Dependency, FilterKind, FilterSpec, PickDegree, PickSpec, Prescription};
 pub use crate::region::{Region, RegionTracker};
 pub use crate::schema::{AttrId, Schema};

@@ -5,8 +5,10 @@
 //! (§2.2.2: "an application needs to choose a filter function and specify its
 //! parameters, along with a latency-tolerance parameter"). The middleware
 //! propagates these specs toward the sources (Fig. 2.2/3.1) and the engine
-//! instantiates concrete [`GroupFilter`](crate::filter::GroupFilter)s from
-//! them.
+//! compiles them into its first stage
+//! ([`CompiledRoster`](crate::plan::CompiledRoster)); the per-filter
+//! reference ([`build_filter`](crate::filter::build_filter)) instantiates
+//! one [`GroupFilter`](crate::filter::GroupFilter) from a spec.
 
 use crate::error::Error;
 use crate::shed::ShedHeadroom;

@@ -28,7 +28,7 @@ use crate::tuple::TupleId;
 /// slot's entry whenever that set changes, so the per-row region drain
 /// reads one dense array — O(1) for "is slot `i` still in the way?",
 /// O(open slots), ascending, for a full scan.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct OpenCovers {
     words: Vec<u64>,
     /// Valid only where the slot's bit is set.
@@ -36,17 +36,12 @@ pub(crate) struct OpenCovers {
 }
 
 impl OpenCovers {
+    /// An empty index for `n` slots.
     pub(crate) fn with_slots(n: usize) -> OpenCovers {
-        let mut open = OpenCovers::default();
-        open.reset(n);
-        open
-    }
-
-    /// Empties the index and sizes it for `n` slots.
-    pub(crate) fn reset(&mut self, n: usize) {
-        self.words.clear();
-        self.words.resize(n.div_ceil(64), 0);
-        self.covers.resize(n, TimeCover::point(Micros::ZERO));
+        OpenCovers {
+            words: vec![0; n.div_ceil(64)],
+            covers: vec![TimeCover::point(Micros::ZERO); n],
+        }
     }
 
     #[inline]

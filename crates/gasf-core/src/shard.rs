@@ -119,7 +119,6 @@ use crate::candidate::FilterId;
 use crate::engine::{ControlOp, Emission, GroupEngine, GroupEngineBuilder};
 use crate::error::Error;
 use crate::metrics::EngineMetrics;
-use crate::plan::EvaluatorTier;
 use crate::quality::FilterSpec;
 use crate::schema::Schema;
 use crate::sink::{EmissionSink, VecSink};
@@ -223,9 +222,6 @@ enum FromShard {
 struct RouteControl {
     schema: Schema,
     algorithm: crate::engine::Algorithm,
-    /// The evaluator tier this route's engine runs (worker rebuilds after
-    /// a crash keep the tier the route was configured with).
-    tier: EvaluatorTier,
     /// Live filter ids (as the worker's engine will see them once every
     /// queued op applies).
     live: BTreeSet<u32>,
@@ -327,10 +323,8 @@ impl ShardedEngineBuilder {
         // "fresh build" and "recovery rebuild" are one code path that
         // cannot drift apart.
         let mut snaps = Vec::with_capacity(self.routes.len());
-        let mut tiers = Vec::with_capacity(self.routes.len());
         let mut route_keys = Vec::with_capacity(self.routes.len());
         for (key, builder) in self.routes {
-            tiers.push(builder.configured_evaluator());
             snaps.push(builder.initial_snapshot()?);
             route_keys.push(key);
         }
@@ -343,7 +337,7 @@ impl ShardedEngineBuilder {
             last_seq: None,
             input_tuples: 0,
         };
-        ShardedEngine::start(snap, tiers)
+        ShardedEngine::start(snap)
     }
 }
 
@@ -702,16 +696,13 @@ impl ShardedEngine {
                 reason: "engine snapshot holds no routes".into(),
             });
         }
-        // Snapshots carry no tier (compilation is a pure function of the
-        // roster); restored processes run the default.
-        let tiers = vec![EvaluatorTier::default(); snap.snaps.len()];
-        ShardedEngine::start(snap.clone(), tiers)
+        ShardedEngine::start(snap.clone())
     }
 
-    /// Restores every route of `snap` onto its tier and spawns the
-    /// workers — what [`ShardedEngineBuilder::build`] and
-    /// [`restore`](Self::restore) both are.
-    fn start(snap: EngineSnapshot, tiers: Vec<EvaluatorTier>) -> Result<ShardedEngine, Error> {
+    /// Restores every route of `snap` and spawns the workers — what
+    /// [`ShardedEngineBuilder::build`] and [`restore`](Self::restore) both
+    /// are.
+    fn start(snap: EngineSnapshot) -> Result<ShardedEngine, Error> {
         // Workers keep the snapshots to rebuild a dead one from; an inline
         // engine, which never rebuilds, moves them into its engines.
         let parallelism = snap.parallelism;
@@ -722,15 +713,14 @@ impl ShardedEngine {
         };
         let mut controls = Vec::with_capacity(owned.len());
         let mut engines = Vec::with_capacity(owned.len());
-        for (g, tier) in owned.into_iter().zip(tiers) {
+        for g in owned {
             controls.push(RouteControl {
                 schema: g.schema().clone(),
                 algorithm: g.algorithm(),
-                tier,
                 live: g.roster_iter().map(|(id, _)| id.index() as u32).collect(),
                 next_id: g.next_filter_id,
             });
-            engines.push(GroupEngine::restore_owned(g, tier)?);
+            engines.push(GroupEngine::restore_owned(g)?);
         }
         let (shards, route_shard) = spawn_shards(parallelism, engines)?;
         Ok(ShardedEngine {
@@ -906,13 +896,7 @@ impl ShardedEngine {
         let routes = self.shards[si].routes.clone();
         let mut engines = Vec::with_capacity(routes.len());
         for &r in &routes {
-            engines.push((
-                r,
-                GroupEngine::restore_with_tier(
-                    &self.last_checkpoint[r as usize],
-                    self.controls[r as usize].tier,
-                )?,
-            ));
+            engines.push((r, GroupEngine::restore(&self.last_checkpoint[r as usize])?));
         }
         let (tx, rx, join) = spawn_worker(shard_no, engines)?;
         let dead = || Error::InvalidConfig {

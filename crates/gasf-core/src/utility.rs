@@ -34,11 +34,7 @@ impl GroupUtility {
     /// a no-op — admissions always target the newest tuple, so this only
     /// guards against stale events.
     pub fn increment(&mut self, id: TupleId) {
-        if let Some(c) = self.counts.get_mut(id.seq()) {
-            *c += 1;
-        } else {
-            self.counts.set(id.seq(), 1);
-        }
+        self.increment_by(id, 1);
     }
 
     /// Increments the utility of `id` by `n` in one ring probe — the

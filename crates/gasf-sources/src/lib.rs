@@ -19,7 +19,7 @@
 //! results depend on (update magnitudes and burstiness), plus
 //! [`Trace`]/[`SourceStats`] utilities used to derive filter parameters
 //! exactly the way the paper does (delta ∈ \[1,3\]·srcStatistics, slack ≈
-//! 50 % of delta). See DESIGN.md for the substitution rationale.
+//! 50 % of delta).
 //!
 //! ```rust
 //! use gasf_sources::{NamosBuoy, SourceStats};

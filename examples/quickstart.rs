@@ -25,9 +25,8 @@ fn run(algorithm: Algorithm, tuples: &[Tuple], schema: &Schema) -> Result<(), Er
         .filter(FilterSpec::delta("temperature", 80.0, 25.0).with_label("C (25,80)"))
         .build()?;
 
-    // The roster is compiled into a fused evaluator by default; the
-    // interpreted per-filter path stays available via `.evaluator(...)`.
-    println!("--- {algorithm:?} ({:?} tier) ---", engine.evaluator_tier());
+    // The engine compiles the roster into one fused evaluator.
+    println!("--- {algorithm:?} ---");
     // Emissions stream into a sink; VecSink materialises them for printing.
     let mut out = VecSink::new();
     engine.run_into(tuples.iter().cloned(), &mut out)?;

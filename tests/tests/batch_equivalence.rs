@@ -10,16 +10,17 @@
 //! to one batch size (CI shards the matrix with it); unset, the suite
 //! covers 1, 7, 64 and 1024.
 
+mod common;
+
+use common::{twin_specs, wide_specs};
 use gasf_core::batch::TupleBatch;
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, GroupEngineBuilder, OutputStrategy};
 use gasf_core::metrics::{EngineMetrics, Histogram};
-use gasf_core::plan::EvaluatorTier;
 use gasf_core::quality::FilterSpec;
 use gasf_core::schema::Schema;
 use gasf_core::shard::ShardedEngine;
 use gasf_core::sink::VecSink;
-use gasf_core::time::Micros;
 use gasf_core::tuple::TupleBuilder;
 use gasf_sources::{NamosBuoy, Trace};
 use proptest::prelude::*;
@@ -52,37 +53,10 @@ fn trace(tuples: usize, seed: u64) -> Trace {
     NamosBuoy::new().tuples(tuples).seed(seed).generate()
 }
 
-/// The compile-equivalence wide roster: overlapping deltas sharing a key
-/// class, a second attribute, a trend, a multi-attr mean, both samplers,
-/// and (off region-greedy) a stateful delta — every columnar gate.
-fn wide_specs(trace: &Trace, algorithm: Algorithm) -> Vec<FilterSpec> {
-    let s = trace.stats("tmpr4").unwrap().mean_abs_delta;
-    let mut specs = vec![
-        FilterSpec::delta("tmpr4", s * 2.0, s),
-        FilterSpec::delta("tmpr4", s * 3.0, s * 1.4),
-        FilterSpec::delta("tmpr4", s * 2.5, s * 1.2),
-        FilterSpec::delta("tmpr2", s * 2.2, s * 0.9),
-        FilterSpec::trend_delta("tmpr4", s * 90.0, s * 40.0),
-        FilterSpec::multi_attr_delta(["tmpr2", "tmpr4"], s * 2.4, s * 1.1),
-        FilterSpec::reservoir("fluoro", Micros::from_millis(70), 3),
-        FilterSpec::stratified_sample("tmpr4", Micros::from_millis(110), s * 1.5, 60.0, 20.0),
-    ];
-    if algorithm != Algorithm::RegionGreedy {
-        specs.push(FilterSpec::stateful_delta("tmpr4", s * 2.8, s * 1.3));
-    }
-    specs
-}
-
-fn builder(
-    trace: &Trace,
-    algorithm: Algorithm,
-    strategy: OutputStrategy,
-    tier: EvaluatorTier,
-) -> GroupEngineBuilder {
+fn builder(trace: &Trace, algorithm: Algorithm, strategy: OutputStrategy) -> GroupEngineBuilder {
     GroupEngine::builder(trace.schema().clone())
         .algorithm(algorithm)
         .output_strategy(strategy)
-        .evaluator(tier)
 }
 
 /// Deterministic subset of the metrics (everything but wall-clock CPU).
@@ -96,15 +70,15 @@ fn fingerprint(m: &EngineMetrics) -> (u64, u64, u64, u64, Histogram) {
     )
 }
 
-/// The single-tuple reference path.
+/// The single-tuple reference path over `specs`.
 fn run_single(
     trace: &Trace,
+    specs: Vec<FilterSpec>,
     algorithm: Algorithm,
     strategy: OutputStrategy,
-    tier: EvaluatorTier,
 ) -> (Vec<Emission>, GroupEngine) {
-    let mut engine = builder(trace, algorithm, strategy, tier)
-        .filters(wide_specs(trace, algorithm))
+    let mut engine = builder(trace, algorithm, strategy)
+        .filters(specs)
         .build()
         .unwrap();
     let mut sink = VecSink::new();
@@ -114,15 +88,14 @@ fn run_single(
     (sink.into_vec(), engine)
 }
 
-/// The columnar path at one batch size.
+/// The columnar path at one batch size over the wide roster.
 fn run_columnar(
     trace: &Trace,
     algorithm: Algorithm,
     strategy: OutputStrategy,
-    tier: EvaluatorTier,
     size: usize,
 ) -> (Vec<Emission>, GroupEngine) {
-    let mut engine = builder(trace, algorithm, strategy, tier)
+    let mut engine = builder(trace, algorithm, strategy)
         .filters(wide_specs(trace, algorithm))
         .build()
         .unwrap();
@@ -141,12 +114,12 @@ fn columnar_batches_equal_single_tuple_for_every_combination() {
     let trace = trace(700, 11);
     for algorithm in ALGORITHMS {
         for strategy in STRATEGIES {
-            let (expected, se) = run_single(&trace, algorithm, strategy, EvaluatorTier::Compiled);
+            let specs = wide_specs(&trace, algorithm);
+            let (expected, se) = run_single(&trace, specs, algorithm, strategy);
             assert!(!expected.is_empty(), "{algorithm:?}/{strategy:?} must emit");
             for size in batch_sizes() {
                 let label = format!("{algorithm:?}/{strategy:?}/batch={size}");
-                let (got, be) =
-                    run_columnar(&trace, algorithm, strategy, EvaluatorTier::Compiled, size);
+                let (got, be) = run_columnar(&trace, algorithm, strategy, size);
                 assert_eq!(got, expected, "{label}: emission stream");
                 assert_eq!(
                     fingerprint(be.metrics()),
@@ -158,54 +131,27 @@ fn columnar_batches_equal_single_tuple_for_every_combination() {
     }
 }
 
-#[test]
-fn interpreted_tier_consumes_batches_through_the_reference_path() {
-    // On the interpreted tier `push_batch_columnar` must fall back to the
-    // row-by-row reference path, still byte-identical.
-    let trace = trace(400, 5);
-    for algorithm in ALGORITHMS {
-        let strategy = OutputStrategy::Earliest;
-        let (expected, se) = run_single(&trace, algorithm, strategy, EvaluatorTier::Interpreted);
-        for size in batch_sizes() {
-            let label = format!("{algorithm:?}/interpreted/batch={size}");
-            let (got, be) = run_columnar(
-                &trace,
-                algorithm,
-                strategy,
-                EvaluatorTier::Interpreted,
-                size,
-            );
-            assert_eq!(got, expected, "{label}: emission stream");
-            assert_eq!(
-                fingerprint(be.metrics()),
-                fingerprint(se.metrics()),
-                "{label}: metrics"
-            );
-        }
-    }
-}
+type Roster = fn(&Trace, Algorithm) -> Vec<FilterSpec>;
 
-#[test]
-fn sharded_columnar_matches_inline_at_every_parallelism() {
+/// Runs `roster` through a one-route `ShardedEngine` at every parallelism
+/// and batch size, against the inline single-tuple run of the same roster.
+fn assert_sharded_matches_inline(name: &str, roster: Roster) {
     let trace = trace(700, 11);
     for algorithm in ALGORITHMS {
         for strategy in STRATEGIES {
-            let (expected, _) = run_single(&trace, algorithm, strategy, EvaluatorTier::Compiled);
+            let specs = roster(&trace, algorithm);
+            let (expected, _) = run_single(&trace, specs.clone(), algorithm, strategy);
             for n in [0usize, 1, 2, 4] {
-                let sharded = || {
-                    ShardedEngine::builder()
+                for size in batch_sizes() {
+                    let label = format!("{name}/{algorithm:?}/{strategy:?}/n={n}/batch={size}");
+                    let mut engine = ShardedEngine::builder()
                         .parallelism(n)
                         .route(
                             "group",
-                            builder(&trace, algorithm, strategy, EvaluatorTier::Compiled)
-                                .filters(wide_specs(&trace, algorithm)),
+                            builder(&trace, algorithm, strategy).filters(specs.clone()),
                         )
                         .build()
-                        .unwrap()
-                };
-                for size in batch_sizes() {
-                    let label = format!("{algorithm:?}/{strategy:?}/n={n}/batch={size}");
-                    let mut engine = sharded();
+                        .unwrap();
                     let mut out = VecSink::new();
                     for batch in trace.batches(size) {
                         engine
@@ -221,14 +167,26 @@ fn sharded_columnar_matches_inline_at_every_parallelism() {
 }
 
 #[test]
+fn sharded_columnar_matches_inline_at_every_parallelism() {
+    assert_sharded_matches_inline("wide", wide_specs);
+}
+
+#[test]
+fn sharded_twin_roster_matches_inline_at_every_parallelism() {
+    // The twin roster's copies are folded by the compiled roster under
+    // region-greedy and self-interested; sharding must not show it.
+    assert_sharded_matches_inline("twins", twin_specs);
+}
+
+#[test]
 fn columnar_batches_interleave_with_single_tuples() {
     // Mixed feeding — some rows as batches, some as plain pushes — is one
     // stream; the representation seam must not show.
     let trace = trace(500, 3);
     let algorithm = Algorithm::RegionGreedy;
     let strategy = OutputStrategy::Earliest;
-    let (expected, _) = run_single(&trace, algorithm, strategy, EvaluatorTier::Compiled);
-    let mut engine = builder(&trace, algorithm, strategy, EvaluatorTier::Compiled)
+    let (expected, _) = run_single(&trace, wide_specs(&trace, algorithm), algorithm, strategy);
+    let mut engine = builder(&trace, algorithm, strategy)
         .filters(wide_specs(&trace, algorithm))
         .build()
         .unwrap();
@@ -265,13 +223,13 @@ fn columnar_ingestion_materializes_only_emitted_payloads() {
     let trace = trace(700, 11);
     let algorithm = Algorithm::RegionGreedy;
     let strategy = OutputStrategy::Earliest;
-    let (_, single) = run_single(&trace, algorithm, strategy, EvaluatorTier::Compiled);
+    let (_, single) = run_single(&trace, wide_specs(&trace, algorithm), algorithm, strategy);
     assert_eq!(
         single.tuple_materializations(),
         0,
         "single-tuple interning never rematerializes"
     );
-    let (_, batched) = run_columnar(&trace, algorithm, strategy, EvaluatorTier::Compiled, 64);
+    let (_, batched) = run_columnar(&trace, algorithm, strategy, 64);
     let m = batched.metrics().clone();
     assert!(m.output_tuples > 0, "trace must emit");
     assert_eq!(
@@ -417,7 +375,6 @@ proptest! {
     ) {
         let algorithm = ALGORITHMS[algo_idx];
         let strategy = STRATEGIES[strat_idx];
-        let tier = EvaluatorTier::Compiled;
         let trace = trace(340, seed);
         let s = trace.stats("tmpr4").unwrap().mean_abs_delta;
 
@@ -459,7 +416,7 @@ proptest! {
 
         let mut streams = Vec::new();
         for columnar in [false, true] {
-            let mut engine = builder(&trace, algorithm, strategy, tier)
+            let mut engine = builder(&trace, algorithm, strategy)
                 .filters(wide_specs(&trace, algorithm))
                 .build()
                 .unwrap();
@@ -478,7 +435,7 @@ proptest! {
                 if boundary_row(cut_at) == Some(row) {
                     // Checkpoint → restore hop at the batch boundary.
                     let snap = engine.snapshot_into(out).unwrap();
-                    *engine = GroupEngine::restore_with_tier(&snap, tier).unwrap();
+                    *engine = GroupEngine::restore(&snap).unwrap();
                 }
             };
             if columnar {

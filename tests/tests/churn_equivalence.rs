@@ -8,13 +8,15 @@
 //! Covered exhaustively for every `Algorithm` × `OutputStrategy` and for
 //! parallelism ∈ {1, 2, 4} (the sharded engine ships control ops
 //! interleaved with the data batches), plus a property-based sweep over
-//! random churn schedules. The lifetime metrics are pinned against the
-//! per-segment static engines' metrics added up by filter id, and a
+//! random churn schedules — over random rosters of every compiled gate
+//! kind too, with a checkpoint → restore hop, since the engine recompiles
+//! its roster at every boundary. The lifetime metrics are pinned against
+//! the per-segment static engines' metrics added up by filter id, and a
 //! removed filter's stats must survive in its vacant slot.
 
 mod common;
 
-use common::fold_by_id;
+use common::{fold_by_id, wide_specs};
 use gasf_core::batch::TupleBatch;
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, GroupEngineBuilder, OutputStrategy};
@@ -44,6 +46,9 @@ enum ChurnOp {
     Add(FilterSpec),
     Remove(FilterId),
     Update(FilterId, FilterSpec),
+    /// A safe point with no roster change: the dynamic engine takes a
+    /// snapshot and continues on an engine restored from it.
+    Checkpoint,
 }
 
 #[derive(Debug, Clone)]
@@ -87,19 +92,22 @@ fn apply_to_roster(roster: &mut Vec<(FilterId, FilterSpec)>, next_id: &mut usize
                 }
             }
         }
+        ChurnOp::Checkpoint => {}
     }
 }
 
-/// Runs the dynamic engine: push the stream, queuing each event's op just
-/// before the tuple it is scheduled at. Returns emissions + the engine.
+/// Runs the dynamic engine over the `initial` roster: push the stream,
+/// queuing each event's op just before the tuple it is scheduled at.
+/// Returns emissions + the engine.
 fn run_dynamic(
     trace: &Trace,
+    initial: &[FilterSpec],
     algorithm: Algorithm,
     strategy: OutputStrategy,
     events: &[ChurnEvent],
 ) -> (Vec<Emission>, GroupEngine) {
     let mut engine = builder(trace, algorithm, strategy)
-        .filters(base_specs(trace))
+        .filters(initial.iter().cloned())
         .build()
         .unwrap();
     let mut sink = VecSink::new();
@@ -111,6 +119,10 @@ fn run_dynamic(
                 }
                 ChurnOp::Remove(id) => engine.remove_filter(*id).unwrap(),
                 ChurnOp::Update(id, spec) => engine.update_filter(*id, spec.clone()).unwrap(),
+                ChurnOp::Checkpoint => {
+                    let snap = engine.snapshot_into(&mut sink).unwrap();
+                    engine = GroupEngine::restore(&snap).unwrap();
+                }
             }
         }
         engine.push_into(t.clone(), &mut sink).unwrap();
@@ -120,10 +132,12 @@ fn run_dynamic(
 }
 
 /// Runs the equivalent static composite: one freshly built engine per
-/// epoch segment (roster ids pinned), each fed its segment and finished.
-/// Returns the concatenated emissions and each segment engine.
+/// epoch segment (roster ids pinned, starting from `initial`), each fed
+/// its segment and finished. Returns the concatenated emissions and each
+/// segment engine.
 fn run_static_segments(
     trace: &Trace,
+    initial: &[FilterSpec],
     algorithm: Algorithm,
     strategy: OutputStrategy,
     events: &[ChurnEvent],
@@ -132,8 +146,7 @@ fn run_static_segments(
     boundaries.sort_unstable();
     boundaries.dedup();
     let mut segments = Vec::new(); // (start, end, roster)
-    let mut roster: Vec<(FilterId, FilterSpec)> = base_specs(trace)
-        .into_iter()
+    let mut roster: Vec<(FilterId, FilterSpec)> = (initial.iter().cloned())
         .enumerate()
         .map(|(i, s)| (FilterId::from_index(i), s))
         .collect();
@@ -217,13 +230,14 @@ fn standard_events(trace: &Trace) -> Vec<ChurnEvent> {
 #[test]
 fn dynamic_churn_equals_static_rebuilds_for_every_combination() {
     let trace = trace(600, 42);
+    let base = base_specs(&trace);
     let events = standard_events(&trace);
     for algorithm in ALGORITHMS {
         for strategy in STRATEGIES {
             let label = format!("{algorithm:?}/{strategy:?}");
-            let (dynamic, engine) = run_dynamic(&trace, algorithm, strategy, &events);
+            let (dynamic, engine) = run_dynamic(&trace, &base, algorithm, strategy, &events);
             let (statics, segment_engines) =
-                run_static_segments(&trace, algorithm, strategy, &events);
+                run_static_segments(&trace, &base, algorithm, strategy, &events);
             assert_eq!(dynamic, statics, "{label}: emission stream");
             assert!(!dynamic.is_empty(), "{label}: churn trace must emit");
 
@@ -274,13 +288,14 @@ fn twin_events(trace: &Trace) -> Vec<ChurnEvent> {
 #[test]
 fn twin_classes_split_join_and_lose_their_leader_like_static_rebuilds() {
     let trace = trace(600, 42);
+    let base = base_specs(&trace);
     let events = twin_events(&trace);
     for algorithm in ALGORITHMS {
         for strategy in STRATEGIES {
             let label = format!("{algorithm:?}/{strategy:?}");
-            let (dynamic, engine) = run_dynamic(&trace, algorithm, strategy, &events);
+            let (dynamic, engine) = run_dynamic(&trace, &base, algorithm, strategy, &events);
             let (statics, segment_engines) =
-                run_static_segments(&trace, algorithm, strategy, &events);
+                run_static_segments(&trace, &base, algorithm, strategy, &events);
             assert_eq!(dynamic, statics, "{label}: emission stream");
             assert_eq!(engine.epoch(), 5, "{label}");
             assert_eq!(segment_engines.len(), 6, "{label}");
@@ -291,17 +306,18 @@ fn twin_classes_split_join_and_lose_their_leader_like_static_rebuilds() {
             for twin in [3, 4] {
                 assert_eq!(together[twin], together[0], "{label}: twin {twin}");
             }
-            let sharded = run_sharded(&trace, algorithm, strategy, &events, 2, 23);
+            let sharded = run_sharded(&trace, &base, algorithm, strategy, &events, 2, 23);
             assert_eq!(sharded, dynamic, "{label}: sharded");
         }
     }
 }
 
-/// Runs the schedule through a one-route sharded engine, slicing the
-/// trace into batches of `chunk` rows — and at every event, since a
-/// control op lands between batches.
+/// Runs the schedule through a one-route sharded engine over the `initial`
+/// roster, slicing the trace into batches of `chunk` rows — and at every
+/// event, since a control op lands between batches.
 fn run_sharded(
     trace: &Trace,
+    initial: &[FilterSpec],
     algorithm: Algorithm,
     strategy: OutputStrategy,
     events: &[ChurnEvent],
@@ -312,7 +328,7 @@ fn run_sharded(
         .parallelism(parallelism)
         .route(
             "group",
-            builder(trace, algorithm, strategy).filters(base_specs(trace)),
+            builder(trace, algorithm, strategy).filters(initial.iter().cloned()),
         )
         .build()
         .unwrap();
@@ -329,6 +345,10 @@ fn run_sharded(
                 }
                 ChurnOp::Remove(id) => sharded.remove_filter(0, *id).unwrap(),
                 ChurnOp::Update(id, spec) => sharded.update_filter(0, *id, spec.clone()).unwrap(),
+                ChurnOp::Checkpoint => {
+                    let snap = sharded.checkpoint(&mut out).unwrap();
+                    sharded = ShardedEngine::restore(&snap).unwrap();
+                }
             }
         }
         for rows in trace.tuples()[segment[0]..segment[1]].chunks(chunk) {
@@ -348,15 +368,16 @@ fn sharded_churn_matches_inline_for_every_combination() {
     // messages interleaved with the data channel) must reproduce the
     // inline dynamic run byte for byte at every parallelism.
     let trace = trace(600, 42);
+    let base = base_specs(&trace);
     let events = standard_events(&trace);
     for algorithm in ALGORITHMS {
         for strategy in STRATEGIES {
             let label = format!("{algorithm:?}/{strategy:?}");
-            let (expected, _) = run_dynamic(&trace, algorithm, strategy, &events);
+            let (expected, _) = run_dynamic(&trace, &base, algorithm, strategy, &events);
             for n in [0usize, 1, 2, 4] {
                 // 23 rows: off the boundary indices, so control ops split
                 // what a steady chunking would have kept together
-                let out = run_sharded(&trace, algorithm, strategy, &events, n, 23);
+                let out = run_sharded(&trace, &base, algorithm, strategy, &events, n, 23);
                 assert_eq!(out, expected, "{label}: n={n}");
             }
         }
@@ -388,8 +409,8 @@ proptest! {
         let s = trace.stats("tmpr4").unwrap().mean_abs_delta;
 
         // Build a valid schedule against a roster mirror.
-        let mut roster: Vec<(FilterId, FilterSpec)> = base_specs(&trace)
-            .into_iter()
+        let base = base_specs(&trace);
+        let mut roster: Vec<(FilterId, FilterSpec)> = (base.iter().cloned())
             .enumerate()
             .map(|(i, sp)| (FilterId::from_index(i), sp))
             .collect();
@@ -408,11 +429,60 @@ proptest! {
             events.push(ChurnEvent { at, op });
         }
 
-        let (dynamic, _) = run_dynamic(&trace, algorithm, strategy, &events);
-        let (statics, _) = run_static_segments(&trace, algorithm, strategy, &events);
+        let (dynamic, _) = run_dynamic(&trace, &base, algorithm, strategy, &events);
+        let (statics, _) = run_static_segments(&trace, &base, algorithm, strategy, &events);
         prop_assert_eq!(&dynamic, &statics);
 
-        let out = run_sharded(&trace, algorithm, strategy, &events, 2, batch);
+        let out = run_sharded(&trace, &base, algorithm, strategy, &events, 2, batch);
         prop_assert_eq!(out, dynamic);
+    }
+
+    /// Random rosters of every compiled gate kind under interleaved
+    /// add/remove/update churn, with a mid-stream checkpoint → restore
+    /// hop at `cut`: the engine recompiles at every boundary and on
+    /// restore, and must equal the static composite, lifetime metrics
+    /// included, and the sharded path at parallelism 2.
+    #[test]
+    fn random_churn_rosters_recompile_identically(
+        seed in 0u64..500,
+        algo_idx in 0usize..3,
+        strat_idx in 0usize..3,
+        b1 in 40usize..120,
+        b2 in 130usize..240,
+        cut in 250usize..300,
+        kind1 in 0u8..3,
+        kind2 in 0u8..3,
+        attr_idx in 0usize..3,
+    ) {
+        let extra_attr = ["tmpr2", "tmpr4", "fluoro"][attr_idx];
+        let algorithm = ALGORITHMS[algo_idx];
+        let strategy = STRATEGIES[strat_idx];
+        let trace = trace(340, seed);
+        let s = trace.stats("tmpr4").unwrap().mean_abs_delta;
+        let wide = wide_specs(&trace, algorithm);
+
+        let mut roster: Vec<(FilterId, FilterSpec)> = (wide.iter().cloned())
+            .enumerate()
+            .map(|(i, sp)| (FilterId::from_index(i), sp))
+            .collect();
+        let mut next_id = roster.len();
+        let mut events = Vec::new();
+        for (at, kind) in [(b1, kind1), (b2, kind2)] {
+            let op = match kind {
+                0 => ChurnOp::Add(FilterSpec::delta(extra_attr, s * 1.7, s * 0.7)),
+                1 if roster.len() > 1 => ChurnOp::Remove(roster[roster.len() / 2].0),
+                _ => ChurnOp::Update(roster[0].0, FilterSpec::delta("tmpr4", s * 3.5, s * 1.6)),
+            };
+            apply_to_roster(&mut roster, &mut next_id, &op);
+            events.push(ChurnEvent { at, op });
+        }
+        events.push(ChurnEvent { at: cut, op: ChurnOp::Checkpoint });
+
+        let (dynamic, engine) = run_dynamic(&trace, &wide, algorithm, strategy, &events);
+        let (statics, segments) = run_static_segments(&trace, &wide, algorithm, strategy, &events);
+        prop_assert_eq!(&dynamic, &statics);
+        assert_lifetime_is_the_segments(&engine, &segments, "random roster");
+        let sharded = run_sharded(&trace, &wide, algorithm, strategy, &events, 2, 23);
+        prop_assert_eq!(sharded, dynamic);
     }
 }

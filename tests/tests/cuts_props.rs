@@ -7,13 +7,16 @@
 //! silently disables the cut heuristic in the sharded engine.
 //!
 //! Plus the group timely cut itself (RG+C) over a roster of identical
-//! filters, which the compiled tier folds into one member per distinct
+//! filters, which the compiled roster folds into one member per distinct
 //! spec: `cut_all` must close, book and solve for every filter the
-//! member stands for, exactly as the unfolded interpreted tier does.
+//! member stands for, exactly as one copy of the roster does for its
+//! filters.
 
+mod common;
+
+use common::{expand_labels, TwinMetrics};
 use gasf_core::cuts::{RuntimePredictor, TimeConstraint};
 use gasf_core::engine::{Algorithm, GroupEngine};
-use gasf_core::plan::EvaluatorTier;
 use gasf_core::quality::FilterSpec;
 use gasf_core::schema::Schema;
 use gasf_core::sink::VecSink;
@@ -95,11 +98,13 @@ proptest! {
     }
 
     /// RG+C over a twin roster: 2–4 copies of each spec at interleaved
-    /// slots under a group deadline tight enough to cut. Both tiers must
-    /// release the same emissions, cut the same regions and book every
-    /// copy's counters alike. (The deadline sits 5 ms off the 10 ms
-    /// tuple spacing, so the microseconds the run-time predictor adds
-    /// cannot decide a cut.)
+    /// slots under a group deadline tight enough to cut. The copies must
+    /// run like one copy with every label expanded to its twins: the
+    /// same emissions, the same regions cut, every copy's counters equal
+    /// to the one copy's, and regions `copies` times as large. (The
+    /// deadline sits 5 ms off the 10 ms tuple spacing, so the
+    /// microseconds the run-time predictor adds — and the larger regions
+    /// it observes — cannot decide a cut.)
     #[test]
     fn group_cuts_treat_every_twin_alike(
         steps in proptest::collection::vec(-12i32..12, 40..160),
@@ -117,36 +122,24 @@ proptest! {
             })
             .collect();
         let distinct = params.len();
-        let specs: Vec<FilterSpec> = (0..copies * distinct)
-            .map(|i| {
+        let run = |copies: usize| {
+            let specs = (0..copies * distinct).map(|i| {
                 let (delta, frac) = params[i % distinct];
                 FilterSpec::delta("v", delta, delta * frac)
-            })
-            .collect();
-        let run = |tier| {
+            });
             let mut engine = GroupEngine::builder(schema.clone())
                 .algorithm(Algorithm::RegionGreedy)
                 .time_constraint(TimeConstraint::max_delay(Micros::from_millis(10 * deadline + 5)))
-                .evaluator(tier)
-                .filters(specs.clone())
+                .filters(specs)
                 .build()
                 .unwrap();
             let mut emissions = VecSink::new();
             engine.run_into(tuples.clone(), &mut emissions).unwrap();
             (emissions.into_vec(), engine.into_metrics())
         };
-        let (folded, fm) = run(EvaluatorTier::Compiled);
-        let (unfolded, um) = run(EvaluatorTier::Interpreted);
-        prop_assert_eq!(&folded, &unfolded);
-        prop_assert_eq!((fm.regions, fm.regions_cut), (um.regions, um.regions_cut));
-        prop_assert_eq!(&fm.region_size, &um.region_size);
-        prop_assert_eq!(&fm.per_filter, &um.per_filter);
-        // Copies of a spec receive the same tuples.
-        for e in &folded {
-            for f in e.recipients.iter() {
-                let twin = gasf_core::candidate::FilterId::from_index((f.index() + distinct) % specs.len());
-                prop_assert!(e.recipients.contains(twin), "{f} without its twin {twin}");
-            }
-        }
+        let (one, om) = run(1);
+        let (folded, fm) = run(copies);
+        prop_assert_eq!(folded, expand_labels(&one, distinct, copies));
+        prop_assert_eq!(TwinMetrics::of(&fm), TwinMetrics::expanded(&om, copies));
     }
 }

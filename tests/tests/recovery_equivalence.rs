@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::fold_by_id;
+use common::{fold_by_id, twin_specs};
 use gasf_core::batch::TupleBatch;
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, GroupEngineBuilder, OutputStrategy};
@@ -74,17 +74,18 @@ fn fingerprint(m: &EngineMetrics) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-/// Fault-free inline reference with a checkpoint at `ckpt`: returns the
-/// pre-boundary emissions (including the boundary drain), the snapshot,
-/// and the post-boundary emissions.
+/// Fault-free inline reference over `specs` with a checkpoint at `ckpt`:
+/// returns the pre-boundary emissions (including the boundary drain), the
+/// snapshot, and the post-boundary emissions.
 fn reference_inline(
     trace: &Trace,
+    specs: &[FilterSpec],
     algorithm: Algorithm,
     strategy: OutputStrategy,
     ckpt: usize,
 ) -> (Vec<Emission>, GroupSnapshot, Vec<Emission>, GroupEngine) {
     let mut engine = builder(trace, algorithm, strategy)
-        .filters(base_specs(trace))
+        .filters(specs.iter().cloned())
         .build()
         .unwrap();
     let mut pre = VecSink::new();
@@ -105,57 +106,68 @@ fn inline_crash_restore_replay_equals_fault_free_for_every_combination() {
     let trace = trace(600, 42);
     const CKPT: usize = 211;
     const CRASH: usize = 387;
+    // The base roster, and a twin roster whose copies the compiled roster
+    // folds under region-greedy and self-interested.
+    let rosters = |algorithm| {
+        [
+            ("base", base_specs(&trace)),
+            ("twins", twin_specs(&trace, algorithm)),
+        ]
+    };
     for algorithm in ALGORITHMS {
         for strategy in STRATEGIES {
-            let label = format!("{algorithm:?}/{strategy:?}");
-            let (pre, snap, post, live) = reference_inline(&trace, algorithm, strategy, CKPT);
-            assert!(!pre.is_empty(), "{label}: boundary must drain something");
+            for (name, specs) in rosters(algorithm) {
+                let label = format!("{name}/{algorithm:?}/{strategy:?}");
+                let (pre, snap, post, live) =
+                    reference_inline(&trace, &specs, algorithm, strategy, CKPT);
+                assert!(!pre.is_empty(), "{label}: boundary must drain something");
 
-            // Crash at step CRASH: the outputs delivered between the
-            // checkpoint and the crash are recomputed by the replay —
-            // byte-identically, so downstream consumers can dedup by
-            // (tuple id, recipients) or simply re-consume the suffix.
-            let mut crashed = GroupEngine::restore(&snap).unwrap();
-            let mut lost = VecSink::new();
-            for t in &trace.tuples()[CKPT..CRASH] {
-                crashed.push_into(t.clone(), &mut lost).unwrap();
+                // Crash at step CRASH: the outputs delivered between the
+                // checkpoint and the crash are recomputed by the replay —
+                // byte-identically, so downstream consumers can dedup by
+                // (tuple id, recipients) or simply re-consume the suffix.
+                let mut crashed = GroupEngine::restore(&snap).unwrap();
+                let mut lost = VecSink::new();
+                for t in &trace.tuples()[CKPT..CRASH] {
+                    crashed.push_into(t.clone(), &mut lost).unwrap();
+                }
+                drop(crashed); // the crash: in-memory state is gone
+
+                let mut restored = GroupEngine::restore(&snap).unwrap();
+                // the restored engine refuses anything but the exact suffix
+                assert!(restored
+                    .push_into(trace.tuples()[0].clone(), &mut VecSink::new())
+                    .is_err());
+                let mut replayed = VecSink::new();
+                for t in &trace.tuples()[CKPT..] {
+                    restored.push_into(t.clone(), &mut replayed).unwrap();
+                }
+                restored.finish_into(&mut replayed).unwrap();
+                assert_eq!(replayed.into_vec(), post, "{label}: suffix bytes");
+
+                // the lifetime metrics continue identically (modulo wall
+                // clock), and are the two segments' static engines added up
+                assert_eq!(restored.epoch(), live.epoch(), "{label}");
+                assert_eq!(
+                    fingerprint(restored.metrics()),
+                    fingerprint(live.metrics()),
+                    "{label}: lifetime metrics"
+                );
+                let segments = [0..CKPT, CKPT..trace.tuples().len()].map(|rows| {
+                    let mut engine = builder(&trace, algorithm, strategy)
+                        .filters(specs.iter().cloned())
+                        .build()
+                        .unwrap();
+                    let rows = trace.tuples()[rows].iter().cloned();
+                    engine.run_into(rows, &mut VecSink::new()).unwrap();
+                    engine
+                });
+                assert_eq!(
+                    fingerprint(live.metrics()),
+                    fingerprint(&fold_by_id(&[segments[0].metrics(), segments[1].metrics()])),
+                    "{label}: the segments added up"
+                );
             }
-            drop(crashed); // the crash: in-memory state is gone
-
-            let mut restored = GroupEngine::restore(&snap).unwrap();
-            // the restored engine refuses anything but the exact suffix
-            assert!(restored
-                .push_into(trace.tuples()[0].clone(), &mut VecSink::new())
-                .is_err());
-            let mut replayed = VecSink::new();
-            for t in &trace.tuples()[CKPT..] {
-                restored.push_into(t.clone(), &mut replayed).unwrap();
-            }
-            restored.finish_into(&mut replayed).unwrap();
-            assert_eq!(replayed.into_vec(), post, "{label}: suffix bytes");
-
-            // the lifetime metrics continue identically (modulo wall
-            // clock), and are the two segments' static engines added up
-            assert_eq!(restored.epoch(), live.epoch(), "{label}");
-            assert_eq!(
-                fingerprint(restored.metrics()),
-                fingerprint(live.metrics()),
-                "{label}: lifetime metrics"
-            );
-            let segments = [0..CKPT, CKPT..trace.tuples().len()].map(|rows| {
-                let mut engine = builder(&trace, algorithm, strategy)
-                    .filters(base_specs(&trace))
-                    .build()
-                    .unwrap();
-                let rows = trace.tuples()[rows].iter().cloned();
-                engine.run_into(rows, &mut VecSink::new()).unwrap();
-                engine
-            });
-            assert_eq!(
-                fingerprint(live.metrics()),
-                fingerprint(&fold_by_id(&[segments[0].metrics(), segments[1].metrics()])),
-                "{label}: the segments added up"
-            );
         }
     }
 }
@@ -489,7 +501,6 @@ proptest! {
         // and the continuation is byte-identical
         let mut a = VecSink::new();
         let mut b = VecSink::new();
-        let mut live = live;
         let mut restored = restored;
         for t in &tr.tuples()[cut..] {
             live.push_into(t.clone(), &mut a).unwrap();
