@@ -1,4 +1,4 @@
-//! Fault-tolerance cost: checkpoint barriers and crash-replay
+//! Fault-tolerance cost: checkpoint barriers and crash-restore
 //! throughput, at 1 and 4 worker shards.
 //!
 //! `recovery/checkpoint/<n>shards` replays the shared NAMOS trace
@@ -7,10 +7,11 @@
 //! run (build + stream + 4
 //! barriers + finish), so the mean against `scaling/...`'s
 //! checkpoint-free shape is the end-to-end price of durability.
-//! `recovery/replay/<n>shards` checkpoints once at mid-stream, kills
-//! every worker shard at the three-quarter mark and lets the transparent
-//! respawn replay the logged suffix — the mean tracks crash-recovery
-//! throughput (restore + replay of ~500 tuples + the remaining stream).
+//! `recovery/restore/<n>shards` checkpoints once at mid-stream, crashes
+//! (drops the engine) at the three-quarter mark, restores a new engine
+//! from the checkpoint and replays the suffix from there — the mean
+//! tracks crash-recovery throughput (restore + replay of ~500 tuples +
+//! the remaining stream).
 //! Byte-identical output is asserted in `tests/`; here only the cost is
 //! measured.
 
@@ -55,22 +56,21 @@ fn checkpointed_run(trace: &gasf_sources::Trace, s: f64, shards: usize, every: u
     checkpoints + out.len() as u64
 }
 
-/// Full run with one mid-stream checkpoint and a crash of every worker
-/// shard at the three-quarter mark (recovered transparently).
+/// Full run with one mid-stream checkpoint and a crash at the
+/// three-quarter mark, recovered by a restore from the checkpoint and a
+/// replay of the suffix.
 fn failover_run(trace: &gasf_sources::Trace, s: f64, shards: usize) -> u64 {
     let tuples = trace.tuples();
     let (half, three_q) = (tuples.len() / 2, tuples.len() * 3 / 4);
     let mut e = engine(trace, s, shards);
     let mut out = VecSink::new();
     feed(&mut e, trace.schema(), &tuples[..half], &mut out);
-    e.checkpoint(&mut out).unwrap();
+    let snap = e.checkpoint(&mut out).unwrap();
     feed(&mut e, trace.schema(), &tuples[half..three_q], &mut out);
-    for shard in 0..e.shards() {
-        e.kill_shard(shard).unwrap();
-    }
-    feed(&mut e, trace.schema(), &tuples[three_q..], &mut out);
+    drop(e); // the crash
+    let mut e = ShardedEngine::restore(&snap).unwrap();
+    feed(&mut e, trace.schema(), &tuples[half..], &mut out);
     e.finish_into(&mut out).unwrap();
-    assert!(e.respawns() >= 1, "the crash must actually be recovered");
     out.len() as u64
 }
 
@@ -86,7 +86,7 @@ fn bench(c: &mut Criterion) {
         });
     }
     for shards in [1usize, 4] {
-        let id = BenchmarkId::new("replay", format!("{shards}shards"));
+        let id = BenchmarkId::new("restore", format!("{shards}shards"));
         g.bench_with_input(id, &shards, |b, &shards| {
             b.iter(|| black_box(failover_run(&trace, s, shards)))
         });

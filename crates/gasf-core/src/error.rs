@@ -67,6 +67,15 @@ pub enum Error {
         /// Human-readable description of the failure.
         reason: String,
     },
+    /// A [`ShardedEngine`](crate::shard::ShardedEngine) worker thread died.
+    /// The engine is poisoned with this error; recovery is a restore
+    /// from the last checkpoint.
+    ShardFailed {
+        /// Index of the dead worker's shard.
+        shard: usize,
+        /// The worker's panic message.
+        reason: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -96,6 +105,9 @@ impl fmt::Display for Error {
                 write!(f, "tuple {seq} has no value for attribute #{attr}")
             }
             Error::Connector { reason } => write!(f, "connector failure: {reason}"),
+            Error::ShardFailed { shard, reason } => {
+                write!(f, "shard worker {shard} failed: {reason}")
+            }
         }
     }
 }

@@ -63,9 +63,9 @@
 //! The same safe point powers **fault tolerance** ([`snapshot`]):
 //! `GroupEngine::snapshot_into`/`restore` capture and rebuild the full
 //! boundary state, `ShardedEngine::checkpoint` collects per-route
-//! snapshots behind a barrier, and a crashed worker shard is respawned
-//! from the last checkpoint with a bounded replay log — crash + restore
-//! + replay reproduces the fault-free run byte for byte.
+//! snapshots behind a barrier, and a dead worker shard stops its engine
+//! with [`Error::ShardFailed`] — crash + restore from the last checkpoint
+//! + replay of the suffix reproduces the fault-free run byte for byte.
 //!
 //! ## Quickstart
 //!

@@ -81,26 +81,25 @@
 //! shard's reply, and nothing merged after it is delivered — exactly
 //! where feeding the routes one tuple at a time would have stopped.
 //!
-//! ## Checkpoint barriers and worker respawn
+//! ## Checkpoint barriers and fail-stop workers
 //!
 //! [`checkpoint`](ShardedEngine::checkpoint) and
 //! [`finish_into`](ShardedEngine::finish_into) are one barrier: merge
 //! everything in flight, send every shard one barrier message, collect
-//! every shard's reply, deliver the tails in route order. Between
-//! checkpoints the engine logs every batch and control op it ships, up to
-//! [`REPLAY_CAPACITY`] tuple-equivalents. A worker found dead — a panic,
-//! or [`kill_shard`](ShardedEngine::kill_shard) — is rebuilt from the last
-//! checkpoint, the log is replayed into it and the replies the caller
-//! already merged are discarded, at most [`MAX_RESPAWNS`] times per engine.
-//! Whatever the caller was waiting on when it found the death reaches the
-//! new worker one of two ways:
+//! every shard's reply, deliver the tails in route order. A checkpoint
+//! hands the caller the only copy of the routes' snapshots; the engine
+//! keeps none and logs no input.
 //!
-//! | outstanding request | after a respawn |
-//! |---|---|
-//! | data batch (`push_batch_columnar`) | carried by the replay: logged before it is sent |
-//! | control op (`add_filter`, `remove_filter`, `update_filter`) | carried by the replay: logged before it is sent |
-//! | barrier (`checkpoint`, `finish_into`) | re-issued: never logged |
-//! | any, at parallelism 0 | none: no worker can die, so nothing is logged and `kill_shard` has no shard to kill |
+//! Workers are fail-stop. Before the stream ends a worker thread ends
+//! only by a panic, and the engine is deterministic, so running the same input again would panic
+//! again. The first send or receive that finds a worker's channel
+//! disconnected joins the worker and poisons the engine with
+//! [`Error::ShardFailed`], which carries the panic message. Nothing merged
+//! from then on reaches a sink, and every later push, control op,
+//! checkpoint and finish returns that error; finish and drop still join
+//! every worker. Recovery is [`restore`](ShardedEngine::restore) from the
+//! last checkpoint plus a replay of the caller's own log of the suffix,
+//! which reproduces the fault-free run byte for byte.
 //!
 //! ## Errors
 //!
@@ -187,7 +186,7 @@ fn in_route_order<T>(mut tagged: Vec<(u32, T)>) -> Vec<T> {
     tagged.into_iter().map(|(_, t)| t).collect()
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum ToShard {
     /// The one data message: a columnar tuple batch, shared across shards
     /// as one `Arc` (the broadcast clones the pointer, never the
@@ -204,10 +203,9 @@ enum ToShard {
     /// engine's boundary (`GroupEngine::snapshot_into` or
     /// `GroupEngine::finish_into`) and replies with one [`BarrierReply`].
     Barrier(Barrier),
-    /// Fault injection: the worker exits immediately without replying —
-    /// indistinguishable, from the caller's side, from a panicked worker
-    /// thread (both disconnect the channels).
-    Die,
+    /// Test-only fault: the shard panics with this payload.
+    #[cfg(test)]
+    Panic(Box<dyn std::any::Any + Send>),
 }
 
 #[derive(Debug)]
@@ -237,28 +235,16 @@ pub struct ShardedEngineBuilder {
     routes: Vec<(String, GroupEngineBuilder)>,
 }
 
-/// Bound of the post-checkpoint replay log, in tuple-equivalents (one per
-/// tuple, one per control op). The engine logs every batch and control op
-/// it ships since the last [`checkpoint`](ShardedEngine::checkpoint) so a
-/// crashed worker can be respawned and replayed; once the log would
-/// exceed this bound it is dropped — memory stays bounded, but a death is
-/// an error until the next checkpoint resets the log. Checkpoint at least
-/// every `REPLAY_CAPACITY` tuples to keep the recovery guarantee live.
-pub const REPLAY_CAPACITY: usize = 65_536;
-
-/// How many times crashed shard workers may be rebuilt from the last
-/// checkpoint over an engine's lifetime (a restored engine starts afresh)
-/// before a death is reported as an error instead. The budget guards
-/// against crash loops: a worker that dies deterministically on replay
-/// would otherwise respawn forever.
-pub const MAX_RESPAWNS: u32 = 4;
-
 /// Batches kept in flight per worker before a push blocks and merges:
 /// one being filtered, one queued behind it, so a worker never idles
 /// while the caller merges. This bounds the engine's buffering to
 /// `QUEUE_DEPTH + 1` of the caller's batches per worker. An inline
 /// engine keeps none: its shard has already run a batch when it merges.
 const QUEUE_DEPTH: usize = 2;
+
+/// [`Error::ShardFailed`]'s reason when the dead worker's panic payload is
+/// neither a `&str` nor a `String`.
+const NO_PANIC_MESSAGE: &str = "the worker panicked without a message";
 
 impl ShardedEngineBuilder {
     /// Adds a filter group as a route. The key names the route in
@@ -317,11 +303,8 @@ impl ShardedEngineBuilder {
                 });
             }
         }
-        // The recovery baseline: a worker that dies before the first
-        // checkpoint is rebuilt from the routes' never-fed snapshots —
-        // and a fresh engine is itself a restore of those snapshots, so
-        // "fresh build" and "recovery rebuild" are one code path that
-        // cannot drift apart.
+        // A fresh engine is a restore of the routes' never-fed
+        // snapshots, so build and restore are one code path.
         let mut snaps = Vec::with_capacity(self.routes.len());
         let mut route_keys = Vec::with_capacity(self.routes.len());
         for (key, builder) in self.routes {
@@ -345,14 +328,13 @@ impl ShardedEngineBuilder {
 /// shard `i mod parallelism`, whatever its key — and spawns one worker
 /// thread per non-empty shard, so `min(parallelism, routes)` workers run;
 /// parallelism 0 keeps every route on one inline shard instead.
-/// Returns the shard handles plus the route-index → shard map. Build and
-/// restore both come through here with the routes in snapshot order, and
-/// the worker-respawn path rebuilds one shard's own routes through
-/// [`spawn_worker`], so placement is the same rule everywhere.
+/// Returns the shard links plus the route-index → shard map. Build and
+/// restore both come through here with the routes in snapshot order, so
+/// shard `s`'s lowest route is route `s`.
 fn spawn_shards(
     parallelism: usize,
     engines: Vec<GroupEngine>,
-) -> Result<(Vec<ShardHandle>, Vec<usize>), Error> {
+) -> Result<(Vec<Link>, Vec<usize>), Error> {
     let n = parallelism.clamp(1, engines.len());
     let mut assignment: Vec<Vec<(u32, GroupEngine)>> = Vec::new();
     assignment.resize_with(n, Vec::new);
@@ -362,43 +344,26 @@ fn spawn_shards(
     }
     let mut shards = Vec::with_capacity(n);
     for (shard_no, slots) in assignment.into_iter().enumerate() {
-        let routes: Vec<u32> = slots.iter().map(|(idx, _)| *idx).collect();
-        let link = if parallelism == 0 {
+        shards.push(if parallelism == 0 {
             Link::Inline {
                 shard: Shard::new(slots),
                 replies: VecDeque::new(),
             }
         } else {
-            let (tx, rx, join) = spawn_worker(shard_no, slots)?;
-            Link::Worker {
-                tx: Some(tx),
-                rx,
-                join: Some(join),
-            }
-        };
-        shards.push(ShardHandle {
-            link,
-            routes,
-            shard_no,
+            spawn_worker(shard_no, slots)?
         });
     }
     Ok((shards, route_shard))
 }
 
-/// Spawns one shard worker thread over `engines`, returning its channel
-/// endpoints and join handle.
+/// Spawns one shard worker thread over `engines`.
 ///
 /// Capacities are chosen so a worker can always park one more reply than
 /// the caller keeps in flight: the worker never blocks on its reply
 /// channel, therefore always drains its input channel, therefore the
-/// caller's send never deadlocks. The same margin is what lets the
-/// respawn path replay a full in-flight window into a fresh worker
-/// without draining the live merges first.
-#[allow(clippy::type_complexity)]
-fn spawn_worker(
-    shard_no: usize,
-    engines: Vec<(u32, GroupEngine)>,
-) -> Result<(SyncSender<ToShard>, Receiver<FromShard>, JoinHandle<()>), Error> {
+/// caller's send never deadlocks, and neither does the join of a worker
+/// whose input channel the caller has closed.
+fn spawn_worker(shard_no: usize, engines: Vec<(u32, GroupEngine)>) -> Result<Link, Error> {
     let (tx, rx) = sync_channel::<ToShard>(QUEUE_DEPTH + 1);
     let (reply_tx, reply_rx) = sync_channel::<FromShard>(QUEUE_DEPTH + 2);
     let shard = Shard::new(engines);
@@ -408,16 +373,11 @@ fn spawn_worker(
         .map_err(|e| Error::InvalidConfig {
             reason: format!("failed to spawn shard worker: {e}"),
         })?;
-    Ok((tx, reply_rx, join))
-}
-
-#[derive(Debug)]
-struct ShardHandle {
-    link: Link,
-    /// Route indices this shard owns, ascending (what a respawn rebuilds).
-    routes: Vec<u32>,
-    /// The stable shard number (names the worker thread across respawns).
-    shard_no: usize,
+    Ok(Link::Worker {
+        tx: Some(tx),
+        rx: reply_rx,
+        join: Some(join),
+    })
 }
 
 /// How the caller reaches a shard's engines.
@@ -425,10 +385,11 @@ struct ShardHandle {
 enum Link {
     /// A worker thread behind bounded channels.
     Worker {
-        /// `None` once the engine shuts down (dropping it closes the
-        /// worker).
+        /// `None` once the engine shuts down or finds the worker dead
+        /// (dropping it closes the worker).
         tx: Option<SyncSender<ToShard>>,
         rx: Receiver<FromShard>,
+        /// `None` once the worker is joined.
         join: Option<JoinHandle<()>>,
     },
     /// No thread (parallelism 0): [`ShardedEngine::send`] steps the shard
@@ -481,7 +442,7 @@ enum Link {
 /// ```
 #[derive(Debug)]
 pub struct ShardedEngine {
-    shards: Vec<ShardHandle>,
+    shards: Vec<Link>,
     n_routes: usize,
     track_step_costs: bool,
     /// Each dispatched-but-unmerged batch (its timestamps are the step
@@ -492,19 +453,21 @@ pub struct ShardedEngine {
     last_ts: Option<Micros>,
     last_seq: Option<u64>,
     finished: bool,
-    /// First shard-side error observed; once set the engine refuses
-    /// further input (only [`finish_into`](ShardedEngine::finish_into)
-    /// remains, to drain and join the workers).
+    /// First shard-side error observed (a route error or a dead worker);
+    /// once set the engine refuses further input (only
+    /// [`finish_into`](ShardedEngine::finish_into) remains, to drain and
+    /// join the workers).
     poisoned: Option<Error>,
-    /// A route error has been merged. The output stops where feeding the
-    /// routes one tuple at a time would have stopped, so nothing merged
-    /// after it — a later batch from a healthy shard, a barrier tail — is
-    /// delivered.
+    /// A route error has been merged, or a worker found dead. The output
+    /// stops where feeding the routes one tuple at a time would have
+    /// stopped, or before the batch the dead worker owed a reply for, so
+    /// nothing merged after it — a later batch from a healthy shard, a
+    /// barrier tail — is delivered.
     halted: bool,
     /// Caller-side roster mirror per route (control-op validation and
     /// [`FilterId`] assignment).
     controls: Vec<RouteControl>,
-    /// Which spawned shard handle owns each route.
+    /// Which shard owns each route.
     route_shard: Vec<usize>,
     /// Per-route final metrics, in route order (populated at finish).
     route_metrics: Vec<EngineMetrics>,
@@ -520,28 +483,6 @@ pub struct ShardedEngine {
     /// The configured worker-shard count (`shards` holds
     /// `min(parallelism, routes)` workers, or one inline shard at 0).
     parallelism: usize,
-    /// Per-route safe-point snapshots from the last checkpoint barrier
-    /// (never-fed initial snapshots until the first checkpoint) — what a
-    /// crashed worker is rebuilt from. Empty on an inline engine.
-    last_checkpoint: Vec<GroupSnapshot>,
-    /// The bounded post-checkpoint replay log: every data batch (each
-    /// shard received it; the log holds the same shared `Arc`) and control
-    /// op (only the owning shard did) shipped since the last checkpoint,
-    /// in channel order, so a respawned shard can be brought back to the
-    /// live stream position deterministically. Never written on an inline
-    /// engine.
-    replay_log: Vec<ToShard>,
-    /// Cost of the replay log in tuple-equivalents (one per tuple, one
-    /// per control op), so churn-heavy streams stay bounded too.
-    replay_cost: usize,
-    /// The log exceeded [`REPLAY_CAPACITY`] and was dropped: respawn is
-    /// refused until the next checkpoint.
-    replay_overflowed: bool,
-    /// Batches merged (delivered to a sink) since the last checkpoint —
-    /// how many replayed replies a respawned worker must discard.
-    merged_since_ckpt: usize,
-    /// Worker respawns performed so far (at most [`MAX_RESPAWNS`]).
-    respawns: u32,
 }
 
 impl ShardedEngine {
@@ -591,11 +532,7 @@ impl ShardedEngine {
             for m in &self.route_metrics {
                 total.merge(m);
             }
-        } else if let [ShardHandle {
-            link: Link::Inline { shard, .. },
-            ..
-        }] = &self.shards[..]
-        {
+        } else if let [Link::Inline { shard, .. }] = &self.shards[..] {
             for (_, engine) in &shard.engines {
                 total.merge(engine.metrics());
             }
@@ -622,7 +559,7 @@ impl ShardedEngine {
     }
 
     // ------------------------------------------------------------------
-    // fault tolerance: checkpoint barriers, worker respawn, restore
+    // fault tolerance: checkpoint barriers, fail-stop workers, restore
     // ------------------------------------------------------------------
 
     /// Takes a checkpoint: a barrier that merges every in-flight batch
@@ -631,25 +568,16 @@ impl ShardedEngine {
     /// `sink`, in route order) and collects the per-route
     /// [`GroupSnapshot`]s into one [`EngineSnapshot`].
     ///
-    /// The checkpoint serves two recovery paths:
-    ///
-    /// * **worker respawn** (internal, transparent): a shard whose worker
-    ///   thread dies — a panic, or [`kill_shard`](Self::kill_shard) fault
-    ///   injection — is rebuilt from these snapshots and the bounded
-    ///   replay log re-feeds the post-checkpoint suffix, with output
-    ///   byte-identical to a fault-free run;
-    /// * **full restore** (external): persist the returned snapshot, and
-    ///   after a process crash rebuild the whole engine with
-    ///   [`restore`](Self::restore), replaying the suffix from the
-    ///   caller's own log.
-    ///
-    /// Checkpointing also resets the replay log, so its memory is bounded
-    /// by the checkpoint interval.
+    /// The returned snapshot is the only copy: the engine keeps none. It
+    /// is the recovery point for every fault, a dead worker included:
+    /// keep it, and after the crash rebuild the whole engine with
+    /// [`restore`](Self::restore), replaying the suffix from the caller's
+    /// own log.
     ///
     /// # Errors
     /// [`Error::Finished`] after the stream ended, or the first pending
-    /// shard error (a failed checkpoint poisons the engine like any other
-    /// shard error).
+    /// shard error, [`Error::ShardFailed`] included (a failed checkpoint
+    /// poisons the engine like any other shard error).
     pub fn checkpoint<S: EmissionSink>(&mut self, sink: &mut S) -> Result<EngineSnapshot, Error> {
         self.ensure_open()?;
         let (snaps, _, err) = self.barrier(Barrier::Checkpoint, sink);
@@ -657,13 +585,6 @@ impl ShardedEngine {
             self.poisoned = Some(e.clone());
             return Err(e);
         }
-        if !self.inline() {
-            self.last_checkpoint = snaps.clone();
-        }
-        self.replay_log.clear();
-        self.replay_cost = 0;
-        self.replay_overflowed = false;
-        self.merged_since_ckpt = 0;
         Ok(EngineSnapshot {
             snaps,
             route_keys: self.route_keys.clone(),
@@ -675,17 +596,14 @@ impl ShardedEngine {
         })
     }
 
-    /// Rebuilds a whole sharded engine from a checkpoint — the
-    /// full-process recovery path. Every route engine is restored at its
-    /// snapshot boundary ([`GroupEngine::restore`]), the worker topology
-    /// is respawned with the same route placement, and the caller-side
-    /// stream position resumes at the checkpoint, so the only input the
-    /// restored engine accepts is the post-checkpoint suffix — which
-    /// reproduces the fault-free run byte for byte
-    /// (`tests/tests/recovery_equivalence.rs`).
-    ///
-    /// The restored engine starts with a fresh replay log and a fresh
-    /// budget of [`MAX_RESPAWNS`].
+    /// Rebuilds a whole sharded engine from a checkpoint — the one
+    /// recovery path, after a process crash or a dead worker alike. Every
+    /// route engine is restored at its snapshot boundary
+    /// ([`GroupEngine::restore`]), the workers are spawned with the same
+    /// route placement, and the caller-side stream position resumes at
+    /// the checkpoint, so the only input the restored engine accepts is
+    /// the post-checkpoint suffix — which reproduces the fault-free run
+    /// byte for byte (`tests/tests/recovery_equivalence.rs`).
     ///
     /// # Errors
     /// [`Error::InvalidConfig`] for a snapshot without routes, or any
@@ -703,17 +621,9 @@ impl ShardedEngine {
     /// [`ShardedEngineBuilder::build`] and [`restore`](Self::restore) both
     /// are.
     fn start(snap: EngineSnapshot) -> Result<ShardedEngine, Error> {
-        // Workers keep the snapshots to rebuild a dead one from; an inline
-        // engine, which never rebuilds, moves them into its engines.
-        let parallelism = snap.parallelism;
-        let mut last_checkpoint = snap.snaps;
-        let owned = match parallelism {
-            0 => std::mem::take(&mut last_checkpoint),
-            _ => last_checkpoint.clone(),
-        };
-        let mut controls = Vec::with_capacity(owned.len());
-        let mut engines = Vec::with_capacity(owned.len());
-        for g in owned {
+        let mut controls = Vec::with_capacity(snap.snaps.len());
+        let mut engines = Vec::with_capacity(snap.snaps.len());
+        for g in snap.snaps {
             controls.push(RouteControl {
                 schema: g.schema().clone(),
                 algorithm: g.algorithm(),
@@ -722,12 +632,12 @@ impl ShardedEngine {
             });
             engines.push(GroupEngine::restore_owned(g)?);
         }
-        let (shards, route_shard) = spawn_shards(parallelism, engines)?;
+        let (shards, route_shard) = spawn_shards(snap.parallelism, engines)?;
         Ok(ShardedEngine {
             shards,
             n_routes: controls.len(),
             route_keys: snap.route_keys,
-            parallelism,
+            parallelism: snap.parallelism,
             track_step_costs: snap.track_step_costs,
             in_flight: VecDeque::new(),
             input_tuples: snap.input_tuples,
@@ -742,47 +652,7 @@ impl ShardedEngine {
             step_costs: Vec::new(),
             merge_replies: Vec::new(),
             merge_runs: Vec::new(),
-            last_checkpoint,
-            replay_log: Vec::new(),
-            replay_cost: 0,
-            replay_overflowed: false,
-            merged_since_ckpt: 0,
-            respawns: 0,
         })
-    }
-
-    /// Fault injection: simulates a hard crash of one worker shard (for
-    /// tests, chaos drills and the `failover` example). The worker exits
-    /// without replying, exactly as if its thread had panicked; the
-    /// engine detects the death on the next send or merge that touches
-    /// the shard and respawns it transparently from the last checkpoint
-    /// (see [`checkpoint`](Self::checkpoint)). Output remains
-    /// byte-identical to a fault-free run as long as the respawn budget
-    /// and the replay log hold out.
-    ///
-    /// # Errors
-    /// [`Error::Finished`] after the stream ended, or
-    /// [`Error::InvalidConfig`] for an unknown shard index — every index
-    /// on an inline engine, which has no worker.
-    pub fn kill_shard(&mut self, shard: usize) -> Result<(), Error> {
-        if self.finished {
-            return Err(Error::Finished);
-        }
-        if shard >= self.shards() {
-            return Err(Error::InvalidConfig {
-                reason: format!("unknown shard index {shard} (have {})", self.shards()),
-            });
-        }
-        // An already-dead worker ignores the message either way.
-        if let Link::Worker { tx: Some(tx), .. } = &self.shards[shard].link {
-            let _ = tx.send(ToShard::Die);
-        }
-        Ok(())
-    }
-
-    /// Worker respawns performed so far (0 in a fault-free run).
-    pub fn respawns(&self) -> u32 {
-        self.respawns
     }
 
     /// Whether the routes run on the caller thread (parallelism 0).
@@ -790,139 +660,68 @@ impl ShardedEngine {
         self.parallelism == 0
     }
 
-    /// Reserves `cost` tuple-equivalents in the bounded replay log,
-    /// reporting whether the entry may be appended. Past the bound the
-    /// log is useless, so it is dropped — memory stays bounded and
-    /// respawn is refused until the next checkpoint resets it. An inline
-    /// engine has nothing to respawn and logs nothing.
-    fn try_log_replay(&mut self, cost: usize) -> bool {
-        if self.replay_overflowed || self.inline() {
-            return false;
-        }
-        if self.replay_cost.saturating_add(cost) > REPLAY_CAPACITY {
-            self.replay_log.clear();
-            self.replay_log.shrink_to_fit();
-            self.replay_cost = 0;
-            self.replay_overflowed = true;
-            return false;
-        }
-        self.replay_cost += cost;
-        true
-    }
-
     /// Sends `msg` to shard `si`; an inline shard runs it on the spot and
     /// queues its reply. One of the two places a dead worker is found (the
-    /// other is [`recv`](Self::recv)): it is respawned, and a data batch
-    /// or control op — logged before it is sent — reaches it through the
-    /// replay, while a barrier, which is never logged, is sent again.
-    fn send(&mut self, si: usize, mut msg: ToShard) -> Result<(), Error> {
-        loop {
-            match &mut self.shards[si].link {
-                Link::Inline { shard, replies } => {
-                    replies.extend(shard.step(msg));
-                    return Ok(());
-                }
-                Link::Worker { tx: Some(tx), .. } => match tx.send(msg) {
-                    Ok(()) => return Ok(()),
-                    Err(unsent) => msg = unsent.0,
-                },
-                Link::Worker { tx: None, .. } => {}
-            }
-            self.recover_shard(si)?;
-            if !matches!(msg, ToShard::Barrier(_)) {
+    /// other is [`recv`](Self::recv)).
+    fn send(&mut self, si: usize, msg: ToShard) -> Result<(), Error> {
+        match &mut self.shards[si] {
+            Link::Inline { shard, replies } => {
+                replies.extend(shard.step(msg));
                 return Ok(());
             }
+            Link::Worker { tx: Some(tx), .. } => {
+                if tx.send(msg).is_ok() {
+                    return Ok(());
+                }
+            }
+            Link::Worker { tx: None, .. } => {}
         }
+        Err(self.fail(si))
     }
 
-    /// Receives shard `si`'s next reply, respawning a dead worker. The
-    /// replay re-feeds every logged batch and discards the replies already
-    /// merged, so an awaited batch reply arrives on the fresh channel; an
-    /// awaited barrier reply needs its barrier (`awaited`) sent again.
-    fn recv(&mut self, si: usize, awaited: Option<Barrier>) -> Result<FromShard, Error> {
-        loop {
-            match &mut self.shards[si].link {
-                Link::Inline { replies, .. } => {
-                    let reply = replies.pop_front();
-                    return Ok(reply.expect("the send a reply answers queued it"));
-                }
-                Link::Worker { rx, .. } => {
-                    if let Ok(reply) = rx.recv() {
-                        return Ok(reply);
-                    }
-                }
+    /// Receives shard `si`'s next reply; a disconnected channel is a dead
+    /// worker.
+    fn recv(&mut self, si: usize) -> Result<FromShard, Error> {
+        match &mut self.shards[si] {
+            Link::Inline { replies, .. } => {
+                let reply = replies.pop_front();
+                return Ok(reply.expect("the send a reply answers queued it"));
             }
-            self.recover_shard(si)?;
-            if let Some(kind) = awaited {
-                self.send(si, ToShard::Barrier(kind))?;
+            Link::Worker { rx, .. } => {
+                if let Ok(reply) = rx.recv() {
+                    return Ok(reply);
+                }
             }
         }
+        Err(self.fail(si))
     }
 
-    /// Rebuilds a dead shard worker from the last checkpoint and replays
-    /// the post-checkpoint suffix into it. Replies for batches the caller
-    /// already merged are discarded as they stream back (their emissions
-    /// were delivered before the crash, byte-identically — the engines
-    /// are deterministic); replies for the still-unmerged window stay
-    /// queued for the live merge path. Only [`send`](Self::send) and
-    /// [`recv`](Self::recv) call this.
-    fn recover_shard(&mut self, si: usize) -> Result<(), Error> {
-        let shard_no = self.shards[si].shard_no;
-        if self.replay_overflowed {
-            return Err(Error::InvalidConfig {
-                reason: format!(
-                    "shard worker {shard_no} died after the replay log overflowed its \
-                     {REPLAY_CAPACITY}-tuple bound; checkpoint more often"
-                ),
-            });
-        }
-        if self.respawns == MAX_RESPAWNS {
-            return Err(Error::InvalidConfig {
-                reason: format!(
-                    "shard worker {shard_no} died and the respawn budget is exhausted \
-                     ({MAX_RESPAWNS} respawns used)"
-                ),
-            });
-        }
-        self.respawns += 1;
-        // Reap the dead worker (only a worker can die).
-        if let Link::Worker { tx, join, .. } = &mut self.shards[si].link {
-            *tx = None;
-            if let Some(join) = join.take() {
-                let _ = join.join();
+    /// Shard `si`'s worker is gone: joins it, poisons the engine with
+    /// [`Error::ShardFailed`] carrying the worker's panic message, and
+    /// halts the output. Returns the engine's poison — the first error it
+    /// met, which is the same error however often the dead worker is found
+    /// again.
+    fn fail(&mut self, si: usize) -> Error {
+        self.halted = true;
+        let joined = match &mut self.shards[si] {
+            Link::Worker { tx, join, .. } => {
+                *tx = None;
+                join.take().map(JoinHandle::join)
             }
-        }
-        // Rebuild this shard's engines at the last checkpoint boundary.
-        let routes = self.shards[si].routes.clone();
-        let mut engines = Vec::with_capacity(routes.len());
-        for &r in &routes {
-            engines.push((r, GroupEngine::restore(&self.last_checkpoint[r as usize])?));
-        }
-        let (tx, rx, join) = spawn_worker(shard_no, engines)?;
-        let dead = || Error::InvalidConfig {
-            reason: "respawned shard worker died during replay".into(),
+            Link::Inline { .. } => unreachable!("an inline shard has no worker to lose"),
         };
-        let mut to_discard = self.merged_since_ckpt;
-        for msg in &self.replay_log {
-            if matches!(msg, ToShard::Control(route, _) if !routes.contains(route)) {
-                continue; // another shard's op
-            }
-            tx.send(msg.clone()).map_err(|_| dead())?;
-            // Consume already-merged replies eagerly so the replay of a
-            // long suffix never fills the bounded channels.
-            if matches!(msg, ToShard::Columnar(_)) && to_discard > 0 {
-                match rx.recv() {
-                    Ok(FromShard::Batch(_)) => to_discard -= 1,
-                    _ => return Err(dead()),
-                }
-            }
-        }
-        self.shards[si].link = Link::Worker {
-            tx: Some(tx),
-            rx,
-            join: Some(join),
+        let reason = match joined {
+            Some(Err(payload)) => match payload.downcast::<String>() {
+                Ok(text) => *text,
+                Err(payload) => match payload.downcast::<&str>() {
+                    Ok(text) => text.to_string(),
+                    Err(_) => NO_PANIC_MESSAGE.into(),
+                },
+            },
+            _ => NO_PANIC_MESSAGE.into(),
         };
-        Ok(())
+        let failed = Error::ShardFailed { shard: si, reason };
+        self.poisoned.get_or_insert(failed).clone()
     }
 
     // ------------------------------------------------------------------
@@ -931,7 +730,7 @@ impl ShardedEngine {
 
     /// Queues a new filter on route `route`, returning its stable
     /// [`FilterId`] immediately (ids are assigned on the caller thread
-    /// from a mirror of the route's roster, and replayed to the worker as
+    /// from a mirror of the route's roster, and sent to the worker as
     /// a control message interleaved with the data batches). The filter
     /// joins at the route engine's next safe point — the stream position
     /// at which this call was made — exactly like
@@ -1019,9 +818,6 @@ impl ShardedEngine {
     fn send_control(&mut self, route: usize, op: ControlOp) -> Result<(), Error> {
         debug_assert!(self.in_flight.len() <= if self.inline() { 0 } else { QUEUE_DEPTH });
         let msg = ToShard::Control(route as u32, op);
-        if self.try_log_replay(1) {
-            self.replay_log.push(msg.clone());
-        }
         self.send(self.route_shard[route], msg)
             .inspect_err(|e| self.poisoned = Some((*e).clone()))
     }
@@ -1125,7 +921,8 @@ impl ShardedEngine {
     /// request) and delivers the tails in route order. Returns the routes'
     /// snapshots and metrics, in route order, and the first error — an
     /// in-flight batch's before any barrier's, and among barrier errors
-    /// the lowest route's (a dead shard counts as its first route).
+    /// the lowest route's (a dead shard `s` counts as its first route,
+    /// route `s`).
     fn barrier<S: EmissionSink>(
         &mut self,
         kind: Barrier,
@@ -1149,12 +946,12 @@ impl ShardedEngine {
         for si in 0..self.shards.len() {
             match self.send(si, ToShard::Barrier(kind)) {
                 Ok(()) => awaiting.push(si),
-                Err(e) => note(self.shards[si].routes[0], e),
+                Err(e) => note(si as u32, e),
             }
         }
         let (mut tails, mut snaps, mut metrics) = (Vec::new(), Vec::new(), Vec::new());
         for si in awaiting {
-            match self.recv(si, Some(kind)) {
+            match self.recv(si) {
                 Ok(FromShard::Barrier(reply)) => {
                     tails.extend(reply.tail);
                     snaps.extend(reply.snaps);
@@ -1166,7 +963,7 @@ impl ShardedEngine {
                 Ok(FromShard::Batch(_)) => {
                     unreachable!("every batch in flight was merged before the barrier was sent")
                 }
-                Err(e) => note(self.shards[si].routes[0], e),
+                Err(e) => note(si as u32, e),
             }
         }
         tails.sort_unstable_by_key(|&(route, _)| route);
@@ -1189,21 +986,14 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Broadcasts one batch to every shard (an `Arc` bump each). The
-    /// batch is appended to the bounded replay log first, so a send that
-    /// finds a dead worker recovers it — and the replay, which includes
-    /// this batch, *is* the delivery. Every shard is offered the batch
-    /// even past a failed one, so each live worker still owes one reply
-    /// per batch in flight.
+    /// Broadcasts one batch to every shard (an `Arc` bump each). Every
+    /// shard is offered the batch even past a dead one, so each live
+    /// worker still owes one reply per batch in flight.
     fn ship(&mut self, batch: &Arc<TupleBatch>) -> Result<(), Error> {
-        let msg = ToShard::Columnar(Arc::clone(batch));
-        if self.try_log_replay(batch.rows()) {
-            self.replay_log.push(msg.clone());
-        }
         self.in_flight.push_back(Arc::clone(batch));
         let mut first_err = None;
         for si in 0..self.shards.len() {
-            if let Err(e) = self.send(si, msg.clone()) {
+            if let Err(e) = self.send(si, ToShard::Columnar(Arc::clone(batch))) {
                 first_err.get_or_insert(e);
             }
         }
@@ -1212,10 +1002,10 @@ impl ShardedEngine {
 
     /// Receives the oldest in-flight batch's reply from every shard and
     /// feeds the merged emissions to the sink in `(step, route)` order,
-    /// one `accept_route` per contiguous run of one route in one reply. A worker found
-    /// dead here is respawned by [`recv`](Self::recv), and its reply for
-    /// this batch is taken from the fresh channel, so the merged output is
-    /// byte-identical to a fault-free run.
+    /// one `accept_route` per contiguous run of one route in one reply. A
+    /// worker found dead here halts the output before this batch, but
+    /// every other shard's reply is still received, so no live worker is
+    /// left owing one.
     fn merge_oldest<S: EmissionSink>(&mut self, sink: &mut S) -> Result<(), Error> {
         let batch = self
             .in_flight
@@ -1225,7 +1015,7 @@ impl ShardedEngine {
         let mut first_err: Option<(usize, u32, Error)> = None;
         let mut dead_err: Option<Error> = None;
         for si in 0..self.shards.len() {
-            match self.recv(si, None) {
+            match self.recv(si) {
                 Ok(FromShard::Batch(reply)) => {
                     if let Some(e) = &reply.error {
                         if first_err.as_ref().is_none_or(|f| (e.0, e.1) < (f.0, f.1)) {
@@ -1242,10 +1032,8 @@ impl ShardedEngine {
                 }
             }
         }
-        // Merge whatever arrived before reporting a dead shard, so healthy
-        // routes' emissions for this batch are still delivered. A route
-        // error voids the runs at or past its `(row, route)` on every
-        // shard, and everything after this batch.
+        // A route error voids the runs at or past its `(row, route)` on
+        // every shard, and everything after this batch.
         let cut = first_err.as_ref().map(|&(row, route, _)| (row, route));
         let runs = &mut self.merge_runs;
         runs.clear();
@@ -1281,7 +1069,6 @@ impl ShardedEngine {
         }
         replies.clear();
         self.merge_replies = replies;
-        self.merged_since_ckpt += 1;
         match first_err {
             Some((_, _, e)) => Err(e),
             None => match dead_err {
@@ -1294,12 +1081,12 @@ impl ShardedEngine {
     /// Closes the input channels and joins the workers.
     fn shutdown(&mut self) {
         for shard in &mut self.shards {
-            if let Link::Worker { tx, .. } = &mut shard.link {
+            if let Link::Worker { tx, .. } = shard {
                 *tx = None; // dropping the sender ends the worker loop
             }
         }
         for shard in &mut self.shards {
-            if let Link::Worker { join, .. } = &mut shard.link {
+            if let Link::Worker { join, .. } = shard {
                 if let Some(join) = join.take() {
                     let _ = join.join();
                 }
@@ -1315,14 +1102,12 @@ impl Drop for ShardedEngine {
 }
 
 /// The shard thread: steps its [`Shard`] through every message and sends
-/// each reply back, until the stream ends, a kill arrives or the caller
-/// goes away.
+/// each reply back, until the stream ends or the caller goes away. A
+/// panic ends it too, and the disconnected channels are what the caller
+/// finds.
 fn shard_worker(mut shard: Shard, rx: Receiver<ToShard>, tx: SyncSender<FromShard>) {
     while let Ok(msg) = rx.recv() {
-        // Fault injection exits without replying, exactly like a panicked
-        // worker — the disconnected channels are what the caller's failure
-        // detection keys on. The stream's end exits after its reply.
-        let last = matches!(msg, ToShard::Die | ToShard::Barrier(Barrier::Finish));
+        let last = matches!(msg, ToShard::Barrier(Barrier::Finish));
         let sent = shard.step(msg).map_or(Ok(()), |reply| tx.send(reply));
         if sent.is_err() || last {
             return; // the caller went away, or this was the last message
@@ -1361,7 +1146,7 @@ impl Shard {
     /// Runs one message through the engines (in ascending route order)
     /// and returns the reply it owes: a batch's emissions appended to one
     /// vector and cut into per-row, per-route runs, or a barrier's tails.
-    /// A control op and a kill owe none.
+    /// A control op owes none.
     fn step(&mut self, msg: ToShard) -> Option<FromShard> {
         match msg {
             ToShard::Columnar(batch) => Some(FromShard::Batch(self.run_batch(&batch))),
@@ -1387,7 +1172,8 @@ impl Shard {
                 None
             }
             ToShard::Barrier(kind) => Some(FromShard::Barrier(self.cross(kind))),
-            ToShard::Die => None,
+            #[cfg(test)]
+            ToShard::Panic(payload) => std::panic::resume_unwind(payload),
         }
     }
 
@@ -1918,61 +1704,219 @@ mod tests {
     mod fault_tolerance {
         use super::*;
         use crate::sink::NullSink;
+        use std::any::Any;
+        use std::ops::Range;
+
+        /// Queues a panic with `payload` on shard `si`'s worker, behind
+        /// everything already sent to it.
+        fn kill(e: &ShardedEngine, si: usize, payload: Box<dyn Any + Send>) {
+            match &e.shards[si] {
+                Link::Worker { tx: Some(tx), .. } => tx.send(ToShard::Panic(payload)).unwrap(),
+                _ => panic!("shard {si} has no live worker"),
+            }
+        }
+
+        /// Shard 0 dies with a `&str`, every other shard with a `String`.
+        fn payload(shard: usize) -> (Box<dyn Any + Send>, String) {
+            match shard {
+                0 => (Box::new("boom"), "boom".into()),
+                _ => (Box::new(format!("boom {shard}")), format!("boom {shard}")),
+            }
+        }
+
+        /// One call of a run, as the caller's own log records it.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Feed(Range<usize>),
+            Checkpoint,
+            Add(usize, FilterSpec),
+            Update(usize, FilterId, FilterSpec),
+            Finish,
+        }
+
+        fn apply(
+            e: &mut ShardedEngine,
+            tuples: &[Tuple],
+            op: &Op,
+            out: &mut VecSink,
+        ) -> Result<Option<EngineSnapshot>, Error> {
+            match op {
+                Op::Feed(rows) => feed(e, &tuples[rows.clone()], 17, out).map(|()| None),
+                Op::Checkpoint => e.checkpoint(out).map(Some),
+                Op::Add(route, spec) => e.add_filter(*route, spec.clone()).map(|_| None),
+                Op::Update(route, id, spec) => {
+                    e.update_filter(*route, *id, spec.clone()).map(|()| None)
+                }
+                Op::Finish => e.finish_into(out).map(|()| None),
+            }
+        }
+
+        /// Checkpoint at row 150, rows up to 200, then `next`, then the
+        /// rest of the stream: the kill lands right before `next`, the
+        /// log's fourth op.
+        fn log(next: Op) -> Vec<Op> {
+            let mut ops = vec![Op::Feed(0..150), Op::Checkpoint, Op::Feed(150..200)];
+            let rest = match next {
+                Op::Finish => vec![],
+                Op::Feed(_) => vec![Op::Finish],
+                _ => vec![Op::Feed(200..400), Op::Finish],
+            };
+            ops.push(next);
+            ops.extend(rest);
+            ops
+        }
+
+        /// Runs `ops` over four routes at `parallelism`, once fault-free
+        /// and once with the workers of `victims` (every shard when
+        /// `None`) killed right before `ops[kill_before]`, under a
+        /// one-minute watchdog: a death the engine fails to notice hangs
+        /// more often than it diverges. Checks the fail-stop contract:
+        /// * the first call that finds the death returns
+        ///   [`Error::ShardFailed`] with the victim's panic text, and so
+        ///   does every call after it;
+        /// * nothing merged after the death reaches the sink, so the
+        ///   output is a prefix of the fault-free one;
+        /// * a restore from the last checkpoint (a fresh build before the
+        ///   first one) plus the logged suffix is the fault-free run.
+        fn check_fail_stop(
+            parallelism: usize,
+            ops: Vec<Op>,
+            kill_before: usize,
+            victims: Option<usize>,
+        ) {
+            let label = format!("x{parallelism} ops {ops:?}, kill before op {kill_before}");
+            let (alive, watchdog) = std::sync::mpsc::channel::<()>();
+            let run_label = label.clone();
+            let worker = std::thread::spawn(move || {
+                let _alive = alive; // dropped when the run returns or panics
+                let label = run_label;
+                let s = schema();
+                let tuples = stream(&s, 400);
+                let build = || {
+                    ShardedEngine::builder()
+                        .parallelism(parallelism)
+                        .route("a", group(&s, 1.0))
+                        .route("b", group(&s, 0.5))
+                        .route("c", group(&s, 2.0))
+                        .route("d", group(&s, 1.5))
+                        .build()
+                        .unwrap()
+                };
+                let fingerprint = |e: &ShardedEngine| {
+                    let m = e.metrics();
+                    (m.input_tuples, m.output_tuples, m.emissions)
+                };
+                let mut e = build();
+                let mut expected = VecSink::new();
+                for op in &ops {
+                    apply(&mut e, &tuples, op, &mut expected).unwrap();
+                }
+                let expected_metrics = fingerprint(&e);
+
+                let mut e = build();
+                let victims = victims.map_or(0..e.shards(), |v| v..v + 1);
+                let mut out = VecSink::new();
+                let mut resume = (0, None, 0); // op, snapshot, output length
+                let mut failed: Option<(Error, usize)> = None;
+                for (i, op) in ops.iter().enumerate() {
+                    if i == kill_before {
+                        for v in victims.clone() {
+                            kill(&e, v, payload(v).0);
+                        }
+                    }
+                    match (apply(&mut e, &tuples, op, &mut out), &failed) {
+                        (Ok(snap), None) => {
+                            if let Some(snap) = snap {
+                                resume = (i + 1, Some(snap), out.len());
+                            }
+                        }
+                        (Err(err), None) => {
+                            let Error::ShardFailed { shard, reason } = &err else {
+                                panic!("{label}: op {i} failed with {err:?}");
+                            };
+                            assert!(victims.contains(shard), "{label}: {err}");
+                            assert_eq!(*reason, payload(*shard).1, "{label}");
+                            assert!(err.to_string().contains("boom"), "{label}: {err}");
+                            failed = Some((err, out.len()));
+                        }
+                        (result, Some((first, delivered))) => {
+                            assert_eq!(result.err().as_ref(), Some(first), "{label}: op {i}");
+                            assert_eq!(out.len(), *delivered, "{label}: op {i} delivered");
+                        }
+                    }
+                }
+                assert!(failed.is_some(), "{label}: the finish finds the death");
+                assert!(out.len() <= expected.len(), "{label}");
+                assert_eq!(out.as_slice(), &expected.as_slice()[..out.len()], "{label}");
+
+                let (at, snap, delivered) = resume;
+                let mut restored = match snap {
+                    Some(snap) => ShardedEngine::restore(&snap).unwrap(),
+                    None => build(),
+                };
+                let mut replayed = VecSink::new();
+                replayed.accept_batch(&out.as_slice()[..delivered]);
+                for op in &ops[at..] {
+                    apply(&mut restored, &tuples, op, &mut replayed).unwrap();
+                }
+                assert_eq!(replayed.as_slice(), expected.as_slice(), "{label}");
+                assert_eq!(fingerprint(&restored), expected_metrics, "{label}");
+            });
+            let waited = watchdog.recv_timeout(Duration::from_secs(60));
+            if waited == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+                panic!("{label} did not finish within a minute");
+            }
+            worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }
 
         #[test]
-        fn kill_without_checkpoint_replays_from_the_start() {
-            let s = schema();
-            let tuples = stream(&s, 400);
-            let mut reference = group(&s, 1.0).build().unwrap();
-            let mut expected = VecSink::new();
-            reference.run_into(tuples.clone(), &mut expected).unwrap();
+        fn kill_right_before_a_barrier_or_a_control_op_is_recovered() {
+            for parallelism in [1usize, 2, 4] {
+                for next in [
+                    Op::Feed(200..400),
+                    Op::Add(1, FilterSpec::delta("t", 1.0, 0.4)),
+                    Op::Update(0, FilterId::from_index(1), FilterSpec::delta("t", 2.5, 1.1)),
+                    Op::Checkpoint,
+                    Op::Finish,
+                ] {
+                    check_fail_stop(parallelism, log(next), 3, Some(0));
+                }
+            }
+        }
 
+        /// Killing every worker reports one of them, by its own message.
+        #[test]
+        fn checkpoint_then_kill_replays_only_the_suffix() {
+            for parallelism in [2usize, 4] {
+                check_fail_stop(parallelism, log(Op::Feed(200..400)), 3, None);
+            }
+        }
+
+        /// Before the first checkpoint the recovery point is the build, and
+        /// the caller's log replays from the start.
+        #[test]
+        fn kill_without_checkpoint_replays_from_the_start() {
+            for parallelism in [1usize, 2, 4] {
+                let ops = vec![Op::Feed(0..150), Op::Feed(150..400), Op::Finish];
+                check_fail_stop(parallelism, ops, 1, Some(0));
+            }
+        }
+
+        #[test]
+        fn a_panic_without_a_message_is_reported_with_a_fixed_reason() {
+            let s = schema();
             let mut e = ShardedEngine::builder()
                 .route("only", group(&s, 1.0))
                 .build()
                 .unwrap();
-            let mut out = VecSink::new();
-            feed(&mut e, &tuples[..150], 13, &mut out).unwrap();
-            e.kill_shard(0).unwrap();
-            run(&mut e, &tuples[150..], 13, &mut out).unwrap();
-            assert_eq!(out.as_slice(), expected.as_slice());
-            assert_eq!(e.respawns(), 1);
-        }
-
-        #[test]
-        fn checkpoint_then_kill_replays_only_the_suffix() {
-            let s = schema();
-            let tuples = stream(&s, 500);
-            // The fault-free reference takes the same checkpoint (the
-            // boundary drain is part of the contract).
-            let run_with = |kill: bool| {
-                let mut e = ShardedEngine::builder()
-                    .parallelism(2)
-                    .route("a", group(&s, 1.0))
-                    .route("b", group(&s, 0.5))
-                    .build()
-                    .unwrap();
-                let mut out = VecSink::new();
-                feed(&mut e, &tuples[..200], 17, &mut out).unwrap();
-                let snap = e.checkpoint(&mut out).unwrap();
-                assert_eq!(snap.routes(), 2);
-                assert_eq!(snap.input_tuples(), 200);
-                feed(&mut e, &tuples[200..350], 17, &mut out).unwrap();
-                if kill {
-                    for shard in 0..e.shards() {
-                        e.kill_shard(shard).unwrap();
-                    }
-                }
-                run(&mut e, &tuples[350..], 17, &mut out).unwrap();
-                (out.into_vec(), e.respawns(), e.metrics())
+            kill(&e, 0, Box::new(7u32));
+            let failed = Error::ShardFailed {
+                shard: 0,
+                reason: NO_PANIC_MESSAGE.into(),
             };
-            let (expected, zero, m1) = run_with(false);
-            let (killed, respawns, m2) = run_with(true);
-            assert_eq!(zero, 0);
-            assert!(respawns >= 1, "every spawned shard was killed");
-            assert_eq!(killed, expected, "respawned output must be byte-identical");
-            assert_eq!(m1.output_tuples, m2.output_tuples);
-            assert_eq!(m1.input_tuples, m2.input_tuples);
+            assert_eq!(e.finish_into(&mut NullSink), Err(failed));
         }
 
         #[test]
@@ -2001,112 +1945,7 @@ mod tests {
             assert_eq!(restored.metrics().input_tuples, 500, "lifetime continues");
         }
 
-        /// Kills shard 0, then feeds `rows` in batches of ten: a death is
-        /// found by the third push at the latest (the merge of the first
-        /// batch sent after the kill), so 30 rows or more see it inside
-        /// the call.
-        fn kill_then_feed(
-            e: &mut ShardedEngine,
-            rows: &[Tuple],
-            out: &mut VecSink,
-        ) -> Result<(), Error> {
-            e.kill_shard(0)?;
-            feed(e, rows, 10, out)
-        }
-
-        fn one_route(s: &Schema) -> ShardedEngine {
-            ShardedEngine::builder()
-                .route("only", group(s, 1.0))
-                .build()
-                .unwrap()
-        }
-
-        #[test]
-        fn respawn_budget_and_replay_bound_are_enforced() {
-            let s = schema();
-            // The budget: MAX_RESPAWNS deaths are recovered, the next is
-            // fatal.
-            let tuples = stream(&s, 50 * (MAX_RESPAWNS as usize + 1));
-            let mut chunks = tuples.chunks(50);
-            let mut e = one_route(&s);
-            let mut out = VecSink::new();
-            for rows in chunks.by_ref().take(MAX_RESPAWNS as usize) {
-                kill_then_feed(&mut e, rows, &mut out).unwrap();
-            }
-            assert_eq!(e.respawns(), MAX_RESPAWNS);
-            let err = kill_then_feed(&mut e, chunks.next().unwrap(), &mut out).unwrap_err();
-            assert!(err.to_string().contains("respawn budget"), "{err}");
-
-            // The replay bound: one tuple past REPLAY_CAPACITY drops the
-            // log, so the next death is an error…
-            let tuples = stream(&s, REPLAY_CAPACITY + 1 + 50);
-            let (head, tail) = tuples.split_at(REPLAY_CAPACITY + 1);
-            let mut e = one_route(&s);
-            let mut out = VecSink::new();
-            feed(&mut e, head, 1024, &mut out).unwrap();
-            let err = kill_then_feed(&mut e, tail, &mut out).unwrap_err();
-            assert!(err.to_string().contains("replay log overflowed"), "{err}");
-
-            // …until a checkpoint resets the log, making respawn live again.
-            let mut e = one_route(&s);
-            let mut out = VecSink::new();
-            feed(&mut e, head, 1024, &mut out).unwrap();
-            e.checkpoint(&mut out).unwrap();
-            kill_then_feed(&mut e, tail, &mut out).unwrap();
-            e.finish_into(&mut out).unwrap();
-            assert_eq!(e.respawns(), 1);
-        }
-
-        #[test]
-        fn control_ops_count_toward_the_replay_bound() {
-            // A churn-heavy stream must not grow the replay log without
-            // bound: an op costs one tuple-equivalent, so at exactly
-            // REPLAY_CAPACITY tuples the log still replays a death, and one
-            // op more drops it.
-            let s = schema();
-            let tuples = stream(&s, REPLAY_CAPACITY);
-            let kill_at_the_bound = |op: bool| {
-                let mut e = one_route(&s);
-                let mut out = VecSink::new();
-                feed(&mut e, &tuples, 1024, &mut out).unwrap();
-                if op {
-                    let spec = FilterSpec::delta("t", 2.0, 0.9);
-                    e.update_filter(0, FilterId::from_index(0), spec).unwrap();
-                }
-                e.kill_shard(0).unwrap();
-                e.finish_into(&mut out).map(|()| e.respawns())
-            };
-            assert_eq!(kill_at_the_bound(false), Ok(1));
-            let err = kill_at_the_bound(true).unwrap_err();
-            assert!(err.to_string().contains("replay log overflowed"), "{err}");
-        }
-
-        #[test]
-        fn restore_keeps_the_fault_tolerance_envelope() {
-            // A restored engine has a fresh budget of MAX_RESPAWNS, however
-            // much of its own the checkpointed engine spent: the budget-th
-            // kill is respawned and the next one is an error.
-            let s = schema();
-            let budget = MAX_RESPAWNS as usize;
-            let tuples = stream(&s, 50 * (2 * budget + 1));
-            let mut chunks = tuples.chunks(50);
-            let mut e = one_route(&s);
-            let mut out = VecSink::new();
-            for rows in chunks.by_ref().take(budget) {
-                kill_then_feed(&mut e, rows, &mut out).unwrap();
-            }
-            assert_eq!(e.respawns(), MAX_RESPAWNS);
-            let snap = e.checkpoint(&mut out).unwrap();
-            let mut restored = ShardedEngine::restore(&snap).unwrap();
-            for rows in chunks.by_ref().take(budget) {
-                kill_then_feed(&mut restored, rows, &mut out).unwrap();
-            }
-            assert_eq!(restored.respawns(), MAX_RESPAWNS);
-            let err = kill_then_feed(&mut restored, chunks.next().unwrap(), &mut out).unwrap_err();
-            assert!(err.to_string().contains("respawn budget"), "{err}");
-        }
-
-        /// Parallelism 0 spawns no worker: there is no shard to kill, the
+        /// Parallelism 0 spawns no worker, before or after a restore: the
         /// output is the one a worker produces, every push has merged by
         /// the time it returns, and a checkpoint restores inline.
         #[test]
@@ -2127,10 +1966,11 @@ mod tests {
             worker.checkpoint(&mut expected).unwrap();
             run(&mut worker, &tuples[120..], 16, &mut expected).unwrap();
 
+            let threadless = |e: &ShardedEngine| {
+                e.shards() == 0 && matches!(e.shards[..], [Link::Inline { .. }])
+            };
             let mut inline = build(0);
-            assert_eq!(inline.shards(), 0);
-            let err = inline.kill_shard(0).unwrap_err();
-            assert!(matches!(err, Error::InvalidConfig { .. }), "{err:?}");
+            assert!(threadless(&inline));
             let mut out = VecSink::new();
             feed(&mut inline, &tuples[..120], 16, &mut out).unwrap();
             assert_eq!(inline.in_flight(), 0, "an inline push merges at once");
@@ -2138,23 +1978,9 @@ mod tests {
             let snap = inline.checkpoint(&mut out).unwrap();
             assert_eq!(snap.parallelism(), 0);
             let mut restored = ShardedEngine::restore(&snap).unwrap();
-            assert_eq!(restored.shards(), 0, "an inline snapshot restores inline");
-            assert!(restored.kill_shard(0).is_err());
+            assert!(threadless(&restored), "an inline snapshot restores inline");
             run(&mut restored, &tuples[120..], 16, &mut out).unwrap();
             assert_eq!(out.as_slice(), expected.as_slice());
-            assert_eq!(restored.respawns(), 0);
-        }
-
-        #[test]
-        fn kill_shard_validates_input() {
-            let s = schema();
-            let mut e = ShardedEngine::builder()
-                .route("only", group(&s, 1.0))
-                .build()
-                .unwrap();
-            assert!(matches!(e.kill_shard(7), Err(Error::InvalidConfig { .. })));
-            e.finish_into(&mut NullSink).unwrap();
-            assert!(matches!(e.kill_shard(0), Err(Error::Finished)));
         }
 
         #[test]
@@ -2173,86 +1999,6 @@ mod tests {
             assert!(roster.iter().any(|(id, _)| *id == added));
             assert_eq!(snap.route_snapshots()[0].epoch(), 1);
             run(&mut e, &tuples[90..], 11, &mut out).unwrap();
-        }
-
-        /// What a kill-at-the-barrier run calls right after the kill.
-        #[derive(Debug, Clone, Copy)]
-        enum Next {
-            Checkpoint,
-            Finish,
-            Add,
-            Update,
-        }
-
-        /// Two routes, a checkpoint at row 150, rows up to 200, then
-        /// (when `kill`) every shard killed, then `next`, then the rest of
-        /// the stream. Runs under a one-minute watchdog: a broken respawn
-        /// policy deadlocks — a barrier nobody sends again, a reply channel
-        /// full of replies nobody discarded — more often than it diverges.
-        fn kill_then(
-            parallelism: usize,
-            next: Next,
-            kill: bool,
-        ) -> (Vec<crate::engine::Emission>, u32) {
-            let (alive, watchdog) = std::sync::mpsc::channel::<()>();
-            let worker = std::thread::spawn(move || {
-                let _alive = alive; // dropped when the run returns or panics
-                let s = schema();
-                let tuples = stream(&s, 400);
-                let mut e = ShardedEngine::builder()
-                    .parallelism(parallelism)
-                    .route("a", group(&s, 1.0))
-                    .route("b", group(&s, 0.5))
-                    .build()
-                    .unwrap();
-                let mut out = VecSink::new();
-                feed(&mut e, &tuples[..150], 17, &mut out).unwrap();
-                e.checkpoint(&mut out).unwrap();
-                feed(&mut e, &tuples[150..200], 17, &mut out).unwrap();
-                if kill {
-                    for shard in 0..e.shards() {
-                        e.kill_shard(shard).unwrap();
-                    }
-                }
-                match next {
-                    Next::Checkpoint => {
-                        e.checkpoint(&mut out).unwrap();
-                    }
-                    Next::Finish => {}
-                    Next::Add => {
-                        e.add_filter(1, FilterSpec::delta("t", 1.0, 0.4)).unwrap();
-                    }
-                    Next::Update => {
-                        let spec = FilterSpec::delta("t", 2.5, 1.1);
-                        e.update_filter(0, FilterId::from_index(1), spec).unwrap();
-                    }
-                }
-                if !matches!(next, Next::Finish) {
-                    feed(&mut e, &tuples[200..], 17, &mut out).unwrap();
-                }
-                e.finish_into(&mut out).unwrap();
-                (out.into_vec(), e.respawns())
-            });
-            let waited = watchdog.recv_timeout(Duration::from_secs(60));
-            if waited == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
-                panic!("{next:?} x{parallelism} (kill: {kill}) did not finish within a minute");
-            }
-            worker
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-        }
-
-        #[test]
-        fn kill_right_before_a_barrier_or_a_control_op_is_recovered() {
-            for parallelism in [1usize, 2] {
-                for next in [Next::Checkpoint, Next::Finish, Next::Add, Next::Update] {
-                    let (expected, zero) = kill_then(parallelism, next, false);
-                    let (killed, respawns) = kill_then(parallelism, next, true);
-                    assert_eq!(zero, 0);
-                    assert!(respawns >= 1, "{next:?} x{parallelism}");
-                    assert_eq!(killed, expected, "{next:?} x{parallelism}");
-                }
-            }
         }
 
         #[test]

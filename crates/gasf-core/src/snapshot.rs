@@ -196,13 +196,13 @@ impl GroupSnapshot {
 /// [`ShardedEngine`](crate::shard::ShardedEngine): one [`GroupSnapshot`]
 /// per route (collected by the checkpoint barrier at every route's safe
 /// point) plus the caller-side stream position and enough configuration
-/// to respawn the worker topology.
+/// to rebuild the worker topology.
 ///
 /// Produced by [`ShardedEngine::checkpoint`](crate::shard::ShardedEngine::checkpoint),
-/// consumed by [`ShardedEngine::restore`](crate::shard::ShardedEngine::restore)
-/// (full-process recovery). The same per-route snapshots also feed the
-/// engine's *internal* worker respawn, which rebuilds a crashed shard and
-/// replays the post-checkpoint suffix transparently.
+/// which keeps no copy of it, and consumed by
+/// [`ShardedEngine::restore`](crate::shard::ShardedEngine::restore): the
+/// one recovery path, after a process crash or a dead worker
+/// ([`Error::ShardFailed`](crate::Error::ShardFailed)) alike.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineSnapshot {
     /// Per-route safe-point snapshots, in route-index order.

@@ -295,8 +295,7 @@ pub struct IngestReport {
     pub throttled: u64,
 }
 
-/// Most rows the middleware packs into one dispatch unit — far below the
-/// sharded engines' 65 536-row replay log.
+/// Most rows the middleware packs into one dispatch unit.
 const MAX_RUN_ROWS: usize = 1024;
 
 /// What an admission is offered: a run of rows, in the shape its caller

@@ -4,18 +4,18 @@
 //! Scribe-style overlay where brokers crash, subscriber hosts die and
 //! filter workers get recycled — Solar's deployments measured in months,
 //! not trace replays. This demo drives all three recovery layers without
-//! losing determinism: (1) a sharded engine streams a NAMOS buoy trace,
-//! takes a safe-point **checkpoint barrier**, then has every worker shard
-//! **killed** mid-stream — the respawn + bounded replay log reproduces
-//! the fault-free output byte for byte; (2) the same snapshot restores a
+//! losing determinism: (1) a sharded engine streams a NAMOS buoy trace and
+//! takes a safe-point **checkpoint barrier**, whose snapshot restores a
 //! **whole new engine** after a simulated process crash, which replays
-//! the suffix to the identical tail; (3) a live middleware deployment
-//! survives a **failed interior overlay node** (Scribe re-graft; every
-//! subscriber keeps receiving) and a middleware **crash + recover** that
-//! continues per-app delivery reports under the same stable handles.
+//! the suffix to the identical tail — the same recovery a dead worker
+//! shard gets, since workers are fail-stop; (2) a live middleware
+//! deployment survives a **failed interior overlay node** (Scribe
+//! re-graft; every subscriber keeps receiving) and (3) a middleware
+//! **crash + recover** that continues per-app delivery reports under the
+//! same stable handles.
 //!
 //! **Knobs exercised:** `ShardedEngine::{push_batch_columnar, checkpoint,
-//! kill_shard, restore, respawns}`, `GroupEngine::{snapshot_into, restore}`,
+//! restore}`, `GroupEngine::{snapshot_into, restore}`,
 //! `Overlay::{fail_node, recover_node}` + `Delivery::repair_bytes`,
 //! `Middleware::{checkpoint, recover, fail_node}`.
 //!
@@ -49,40 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // ------------------------------------------------------------------
-    // 1. kill every worker shard mid-stream; output stays byte-identical
+    // 1. whole-process crash: persist the checkpoint, restore, replay
     // ------------------------------------------------------------------
-    println!("1. worker crash + transparent respawn (2 shards, checkpoint @1000)");
-    let run = |kill: bool| -> Result<(Vec<Emission>, u32), gasf_core::Error> {
-        let mut engine = ShardedEngine::builder()
-            .parallelism(2)
-            .route("buoy", group())
-            .build()?;
-        let mut out = VecSink::new();
-        feed(&mut engine, &tuples[..1_000], &mut out)?;
-        engine.checkpoint(&mut out)?;
-        feed(&mut engine, &tuples[1_000..2_000], &mut out)?;
-        if kill {
-            for shard in 0..engine.shards() {
-                engine.kill_shard(shard)?;
-            }
-        }
-        feed(&mut engine, &tuples[2_000..], &mut out)?;
-        engine.finish_into(&mut out)?;
-        Ok((out.into_vec(), engine.respawns()))
-    };
-    let (fault_free, zero_respawns) = run(false)?;
-    let (survived, respawns) = run(true)?;
-    assert_eq!(zero_respawns, 0);
-    assert_eq!(survived, fault_free, "respawned output must be identical");
-    println!(
-        "   killed every shard @2000 → {respawns} respawn(s), {} emissions, byte-identical ✔\n",
-        survived.len()
-    );
-
-    // ------------------------------------------------------------------
-    // 2. whole-process crash: persist the checkpoint, restore, replay
-    // ------------------------------------------------------------------
-    println!("2. process crash + EngineSnapshot restore (checkpoint @1500)");
+    println!("1. process crash + EngineSnapshot restore (checkpoint @1500)");
     let mut engine = ShardedEngine::builder()
         .parallelism(2)
         .route("buoy", group())
@@ -109,9 +78,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ------------------------------------------------------------------
-    // 3. overlay node failure + middleware crash/recover
+    // 2. overlay node failure + middleware crash/recover
     // ------------------------------------------------------------------
-    println!("3. overlay self-repair + middleware recover (ring of 9)");
+    println!("2. overlay self-repair + middleware recover (ring of 9)");
     let mut mw = Middleware::with_config(
         Overlay::new(Topology::ring(9).build()),
         MiddlewareConfig::default(),

@@ -2,10 +2,11 @@
 //! from the last safe-point checkpoint + replay of the suffix is
 //! **byte-identical** to the fault-free run with the same checkpoint
 //! schedule — for the inline `GroupEngine` (snapshot/restore), for the
-//! `ShardedEngine` at every parallelism (both the transparent worker
-//! respawn after `kill_shard` and the full `EngineSnapshot` restore), and
-//! for the middleware (`checkpoint`/`recover` continuing per-app reports
-//! under stable handles).
+//! `ShardedEngine` at every parallelism (the full `EngineSnapshot` restore,
+//! from any checkpoint the caller kept, which is also how a dead worker is
+//! recovered: workers are fail-stop), and for the middleware
+//! (`checkpoint`/`recover` continuing per-app reports under stable
+//! handles).
 //!
 //! Covered exhaustively for every `Algorithm` × `OutputStrategy` and for
 //! parallelism ∈ {1, 2, 4}, plus property-based random crash schedules
@@ -23,7 +24,7 @@ use gasf_core::metrics::EngineMetrics;
 use gasf_core::quality::FilterSpec;
 use gasf_core::shard::ShardedEngine;
 use gasf_core::sink::VecSink;
-use gasf_core::snapshot::GroupSnapshot;
+use gasf_core::snapshot::{EngineSnapshot, GroupSnapshot};
 use gasf_core::tuple::Tuple;
 use gasf_net::{NodeId, Overlay, Topology};
 use gasf_solar::{Middleware, MiddlewareConfig, RunReport};
@@ -187,19 +188,27 @@ fn feed(
     }
 }
 
-/// One sharded run with a checkpoint at `ckpt`; optionally kills every
-/// worker shard at step `kill_at`. Returns the emission bytes, respawn
-/// count and final metrics.
+/// A sharded run's emission bytes, each checkpoint with the output length
+/// at it, and the final metrics (a crashed run has none).
+type ShardedRun = (
+    Vec<Emission>,
+    Vec<(EngineSnapshot, usize)>,
+    Option<EngineMetrics>,
+);
+
+/// One sharded run over the single base route that checkpoints before
+/// each row of `ckpts` (ascending) and either finishes or, given a crash
+/// row, stops there: the crash drops the engine.
 fn sharded_run(
     trace: &Trace,
     algorithm: Algorithm,
     strategy: OutputStrategy,
     parallelism: usize,
     batch: usize,
-    ckpt: usize,
-    kill_at: Option<usize>,
-) -> (Vec<Emission>, u32, EngineMetrics) {
-    let mut engine = ShardedEngine::builder()
+    ckpts: &[usize],
+    crash: Option<usize>,
+) -> ShardedRun {
+    let engine = ShardedEngine::builder()
         .parallelism(parallelism)
         .route(
             "group",
@@ -207,50 +216,94 @@ fn sharded_run(
         )
         .build()
         .unwrap();
-    let mut out = VecSink::new();
+    let end = crash.unwrap_or(trace.tuples().len());
+    resume(engine, trace, 0, ckpts, batch, end)
+}
+
+/// Feeds `engine` the trace from row `from` up to row `end`, in batches
+/// of `batch` rows cut at each checkpoint row of `ckpts` past `from`, and
+/// finishes when `end` is the trace's end — the caller's own log of the
+/// stream, replayed the same way by a fault-free run and a restored one.
+fn resume(
+    mut engine: ShardedEngine,
+    trace: &Trace,
+    from: usize,
+    ckpts: &[usize],
+    batch: usize,
+    end: usize,
+) -> ShardedRun {
     let tuples = trace.tuples();
-    // The checkpoint and the kill land between batches, so they cut the
-    // trace wherever they fall.
-    let mut cuts = vec![0, ckpt, kill_at.unwrap_or(ckpt), tuples.len()];
-    cuts.sort_unstable();
-    cuts.dedup();
-    for segment in cuts.windows(2) {
-        if segment[0] == ckpt {
-            engine.checkpoint(&mut out).unwrap();
-        }
-        if kill_at == Some(segment[0]) {
-            for shard in 0..engine.shards() {
-                engine.kill_shard(shard).unwrap();
-            }
-        }
-        feed(
-            &mut engine,
-            trace,
-            &tuples[segment[0]..segment[1]],
-            batch,
-            &mut out,
-        );
+    let mut out = VecSink::new();
+    let mut snaps = Vec::new();
+    let mut at = from;
+    for &ckpt in ckpts.iter().filter(|&&c| c > from && c <= end) {
+        feed(&mut engine, trace, &tuples[at..ckpt], batch, &mut out);
+        let snap = engine.checkpoint(&mut out).unwrap();
+        assert_eq!(snap.input_tuples(), ckpt as u64);
+        snaps.push((snap, out.len()));
+        at = ckpt;
+    }
+    feed(&mut engine, trace, &tuples[at..end], batch, &mut out);
+    if end < tuples.len() {
+        return (out.into_vec(), snaps, None); // the crash
     }
     engine.finish_into(&mut out).unwrap();
     let metrics = engine.metrics();
-    (out.into_vec(), engine.respawns(), metrics)
+    (out.into_vec(), snaps, Some(metrics))
+}
+
+/// Restores `snap`, taken at row `from` with `delivered` emissions out,
+/// replays the rest of the trace with the same checkpoint schedule, and
+/// checks the delivered prefix plus the replay against the fault-free
+/// run's bytes and metrics.
+fn assert_restore_matches(
+    trace: &Trace,
+    snap: &EngineSnapshot,
+    delivered: &[Emission],
+    ckpts: &[usize],
+    batch: usize,
+    (expected, expected_metrics): (&[Emission], &EngineMetrics),
+    label: &str,
+) {
+    let from = snap.input_tuples() as usize;
+    let restored = ShardedEngine::restore(snap).unwrap();
+    let (replayed, _, metrics) = resume(restored, trace, from, ckpts, batch, trace.tuples().len());
+    let mut run = delivered.to_vec();
+    run.extend(replayed);
+    assert_eq!(run, expected, "{label}: emission stream");
+    assert_eq!(
+        fingerprint(&metrics.unwrap()),
+        fingerprint(expected_metrics),
+        "{label}: metrics"
+    );
 }
 
 #[test]
-fn killed_shards_respawn_byte_identically_for_every_combination() {
+fn restores_from_either_checkpoint_byte_identically_for_every_combination() {
     let trace = trace(600, 42);
+    // The engine keeps no copy of a checkpoint: restoring from the first
+    // after the second was taken shows the snapshot alone carries it.
+    let ckpts = [200, 377];
     for algorithm in ALGORITHMS {
         for strategy in STRATEGIES {
-            let label = format!("{algorithm:?}/{strategy:?}");
             for n in [1usize, 2, 4] {
-                let (expected, zero, m_ref) =
-                    sharded_run(&trace, algorithm, strategy, n, 23, 200, None);
-                assert_eq!(zero, 0, "{label}: fault-free run respawns nothing");
-                let (killed, respawns, m_killed) =
-                    sharded_run(&trace, algorithm, strategy, n, 23, 200, Some(377));
-                assert!(respawns >= 1, "{label} n={n}: the kill must be detected");
-                assert_eq!(killed, expected, "{label} n={n}: emission stream");
-                assert_eq!(fingerprint(&m_killed), fingerprint(&m_ref), "{label} n={n}");
+                let label = format!("{algorithm:?}/{strategy:?} n={n}");
+                let (expected, snaps, metrics) =
+                    sharded_run(&trace, algorithm, strategy, n, 23, &ckpts, None);
+                let metrics = metrics.unwrap();
+                assert_eq!(snaps.len(), 2, "{label}");
+                for (i, (snap, delivered)) in snaps.iter().enumerate() {
+                    let label = format!("{label} from checkpoint {i}");
+                    assert_restore_matches(
+                        &trace,
+                        snap,
+                        &expected[..*delivered],
+                        &ckpts,
+                        23,
+                        (&expected, &metrics),
+                        &label,
+                    );
+                }
             }
         }
     }
@@ -428,10 +481,11 @@ fn middleware_crash_recover_matches_fault_free_reports() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random crash schedules: random checkpoint position, random kill
+    /// Random crash schedules: random checkpoint position, random crash
     /// step, random `Algorithm` × `OutputStrategy` × parallelism draw —
-    /// the killed-and-respawned run must equal the fault-free run with
-    /// the same checkpoint schedule, byte for byte.
+    /// the crashed run's output up to its checkpoint plus a restore from
+    /// that checkpoint and a replay of the suffix must equal the
+    /// fault-free run with the same checkpoint schedule, byte for byte.
     #[test]
     fn random_crash_schedules_recover_byte_identically(
         seed in 0u64..400,
@@ -446,14 +500,23 @@ proptest! {
         let strategy = STRATEGIES[strat_idx];
         let parallelism = [1usize, 2, 4][n_idx];
         let tr = trace(320, seed);
-        let kill_at = ckpt + gap;
-        let (expected, zero, _) =
-            sharded_run(&tr, algorithm, strategy, parallelism, batch, ckpt, None);
-        prop_assert_eq!(zero, 0);
-        let (killed, respawns, _) =
-            sharded_run(&tr, algorithm, strategy, parallelism, batch, ckpt, Some(kill_at));
-        prop_assert!(respawns >= 1);
-        prop_assert_eq!(killed, expected);
+        let crash_at = ckpt + gap;
+        let ckpts = [ckpt];
+        let (expected, _, metrics) =
+            sharded_run(&tr, algorithm, strategy, parallelism, batch, &ckpts, None);
+        let (crashed, snaps, _) =
+            sharded_run(&tr, algorithm, strategy, parallelism, batch, &ckpts, Some(crash_at));
+        prop_assert!(expected.starts_with(&crashed));
+        let (snap, delivered) = &snaps[0];
+        assert_restore_matches(
+            &tr,
+            snap,
+            &crashed[..*delivered],
+            &ckpts,
+            batch,
+            (&expected, &metrics.unwrap()),
+            "random crash",
+        );
     }
 
     /// The satellite oracle: `snapshot()` → `restore()` at a random safe
