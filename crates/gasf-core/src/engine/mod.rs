@@ -48,12 +48,12 @@ mod tests;
 
 use crate::batch::TupleBatch;
 use crate::bitset::FilterSet;
-use crate::candidate::{CloseCause, ClosedSet, FilterId};
+use crate::candidate::{CloseCause, FilterId};
 use crate::cuts::{RuntimePredictor, TimeConstraint};
 use crate::error::Error;
 use crate::hitting_set::{collect_distinct_ids, GreedySolver};
 use crate::metrics::{EngineMetrics, FilterMetrics};
-use crate::plan::{CompiledRoster, FilterPlan, StepActions, TwinTable};
+use crate::plan::{CompiledRoster, FilterPlan, OwnedSet, StepActions, TwinTable};
 use crate::quality::FilterSpec;
 use crate::region::{Region, RegionTracker};
 use crate::schema::Schema;
@@ -338,7 +338,8 @@ pub struct GroupEngine {
     /// Which filters each first-stage member stands for: the compiled
     /// roster evaluates one leader per class of identical filters, and
     /// every place below that books a filter, moves a utility, sizes a
-    /// region or labels an output does it for the leader's whole class.
+    /// region or labels an output does it for the leader's whole class —
+    /// for a sealed set, for every owner's class (owners × twin classes).
     /// Rebuilt with the roster at every epoch boundary.
     twins: TwinTable,
     algorithm: Algorithm,
@@ -1063,12 +1064,14 @@ impl GroupEngine {
     }
 
     /// Force-closes the open set of the member in slot `i` (a no-op for a
-    /// follower, whose leader closes for it) and books the outcome.
+    /// twin follower, whose leader closes for it, and for a vicinity
+    /// group's slots once one of them has closed the group's set) and
+    /// books the outcome.
     fn force_close(&mut self, i: usize, cause: CloseCause) {
         let outcome = self.compiled.force_close(i, cause);
         self.handle_dismissed(i, &outcome.dismissed);
-        if let Some(set) = outcome.closed {
-            self.handle_closed_set(i, set);
+        if let Some(sealed) = outcome.closed {
+            self.handle_closed_set(sealed);
         }
     }
 
@@ -1103,16 +1106,20 @@ impl GroupEngine {
     /// bookkeeping: the admission mask's weight (one bit per twin class)
     /// lands on the new tuple as one bulk utility probe, references
     /// follow as a block scan, and only the (rare) events walk slot by
-    /// slot, each booked for the leader's whole class. The result equals
-    /// booking each filter's action slot by slot, the way the per-filter
-    /// reference ([`GroupFilter`](crate::filter::GroupFilter)) reports it,
-    /// because a step's closed sets and dismissals never involve the
-    /// current tuple (window seal precedes push, the delta vicinity seal
-    /// excludes the current tuple, and dismissals prune previously
-    /// admitted ids; `plan::compiled`'s lockstep tests assert it), so
-    /// hoisting its admissions and references commutes with the events —
-    /// which keep their ascending slot order, preserving the
+    /// slot, each booked for the leader's whole class — a sealed set for
+    /// its owners × twin classes. The result equals booking each filter's
+    /// action slot by slot, the way the per-filter reference
+    /// ([`GroupFilter`](crate::filter::GroupFilter)) reports it, because a
+    /// step's closed sets and dismissals never involve the current tuple
+    /// (window seal precedes push, the delta vicinity seal excludes the
+    /// current tuple, and dismissals prune previously admitted ids;
+    /// `plan::compiled`'s lockstep tests assert it), so hoisting its
+    /// admissions and references commutes with the events — which keep
+    /// their ascending slot order, preserving the
     /// dismissal-before-decision interleaving that group utilities see.
+    /// (A vicinity group's set is booked once, at its leader's slot,
+    /// rather than at each owner's: only under the region-greedy and
+    /// self-interested algorithms, whose bookings of a closure commute.)
     fn replay_step(&mut self, id: TupleId) {
         let mut step = std::mem::take(&mut self.step);
         let mut admissions = 0u32;
@@ -1134,14 +1141,13 @@ impl GroupEngine {
                 booked.chosen += u64::from(emits);
             }
             if emits {
-                self.enqueue(id, leader);
+                self.enqueue(id, &[i as u32]);
             }
         }
         for (slot, ev) in step.events.drain(..) {
-            let i = slot as usize;
-            self.handle_dismissed(i, &step.dismissed[ev.dismissed]);
-            if let Some(set) = ev.closed {
-                self.handle_closed_set(i, set);
+            self.handle_dismissed(slot as usize, &step.dismissed[ev.dismissed]);
+            if let Some(sealed) = ev.closed {
+                self.handle_closed_set(sealed);
             }
         }
         self.step = step; // hand the allocations back for reuse
@@ -1160,26 +1166,37 @@ impl GroupEngine {
         }
     }
 
-    /// Takes a set the member in slot `i` closed — the set of every
-    /// filter of its class — into the second stage.
-    fn handle_closed_set(&mut self, i: usize, set: ClosedSet) {
-        let weight = self.twins.weight(i);
+    /// How many filters the slots in `owners` stand for.
+    fn weight_of(&self, owners: &[u32]) -> u32 {
+        owners.iter().map(|&o| self.twins.weight(o as usize)).sum()
+    }
+
+    /// Takes a sealed set — the set of every filter of its owners' twin
+    /// classes — into the second stage.
+    fn handle_closed_set(&mut self, sealed: OwnedSet) {
+        let OwnedSet { set, owners } = sealed;
+        let i = set.filter.index();
         // What a self-interested filter that did not already emit at its
         // reference (a sampler) outputs for this set.
         let si_choice: &[TupleId] = match self.algorithm {
             Algorithm::SelfInterested if !self.compiled.si_emits_at_reference(i) => &set.si_choice,
             _ => &[],
         };
-        for &f in self.twins.class(i) {
-            let booked = &mut self.metrics.per_filter[f as usize];
-            booked.sets_closed += 1;
-            booked.sets_cut += u64::from(set.cause == CloseCause::Cut);
-            booked.chosen += si_choice.len() as u64;
+        let mut weight = 0;
+        for &o in &owners {
+            let class = self.twins.class(o as usize);
+            weight += class.len() as u32;
+            for &f in class {
+                let booked = &mut self.metrics.per_filter[f as usize];
+                booked.sets_closed += 1;
+                booked.sets_cut += u64::from(set.cause == CloseCause::Cut);
+                booked.chosen += si_choice.len() as u64;
+            }
         }
         match self.algorithm {
             Algorithm::SelfInterested => {
                 for &id in si_choice {
-                    self.enqueue(id, set.filter);
+                    self.enqueue(id, &owners);
                 }
                 for c in &set.candidates {
                     self.utility.decrement_by(c.id, weight);
@@ -1187,8 +1204,10 @@ impl GroupEngine {
                 for c in &set.candidates {
                     self.maybe_drop(c.id);
                 }
+                self.compiled.recycle(OwnedSet { set, owners });
             }
             Algorithm::PerCandidateSet => {
+                // (Nothing is folded or grouped here: `owners` is `[i]`.)
                 let chosen = decide::decide_outputs(&set, &self.utility, &self.recently_decided);
                 self.metrics.per_filter[i].chosen += chosen.len() as u64;
                 if self.compiled.is_stateful(i) {
@@ -1203,16 +1222,16 @@ impl GroupEngine {
                     }
                 }
                 for &id in &chosen {
-                    self.enqueue(id, set.filter);
+                    self.enqueue(id, &owners);
                     self.recently_decided.insert(id);
                 }
                 for c in &set.candidates {
                     self.utility.decrement(c.id);
                 }
-                self.tracker.add(set);
+                self.tracker.add_owned(set, owners, weight as usize);
             }
             Algorithm::RegionGreedy => {
-                self.tracker.add_weighted(set, weight as usize);
+                self.tracker.add_owned(set, owners, weight as usize);
             }
         }
     }
@@ -1247,6 +1266,10 @@ impl GroupEngine {
         self.ready_buf = ready;
     }
 
+    /// Decides a complete region and cleans its ids up. Each of its sets
+    /// stands for its owners × twin classes: that many filters weigh on
+    /// the greedy solver through it, and a pick that covers it labels,
+    /// and books `chosen` to, every one of them.
     fn complete_region(&mut self, region: Region) {
         self.watermark = self.watermark.max(region.cover().max);
         self.metrics.regions += 1;
@@ -1262,7 +1285,7 @@ impl GroupEngine {
             let mut solver = std::mem::take(&mut self.solver);
             let mut weights = std::mem::take(&mut self.weights_buf);
             weights.clear();
-            weights.extend((region.sets().iter()).map(|s| self.twins.weight(s.filter.index())));
+            weights.extend(region.owners().iter().map(|o| self.weight_of(o)));
             let t0 = Instant::now();
             solver.solve(region.sets(), &weights, &ids);
             let elapsed = t0.elapsed();
@@ -1272,9 +1295,11 @@ impl GroupEngine {
             for (id, covers) in solver.choices() {
                 let recipients = self.pending.entry(id).or_default();
                 for &si in covers {
-                    for &f in self.twins.class(region.sets()[si].filter.index()) {
-                        recipients.insert(FilterId(f));
-                        self.metrics.per_filter[f as usize].chosen += 1;
+                    for &o in &region.owners()[si] {
+                        for &f in self.twins.class(o as usize) {
+                            recipients.insert(FilterId(f));
+                            self.metrics.per_filter[f as usize].chosen += 1;
+                        }
                     }
                 }
             }
@@ -1296,19 +1321,21 @@ impl GroupEngine {
         }
         self.ids_buf = ids;
         // The region's lists go back to where they came from.
-        let mut sets = region.into_sets();
-        for set in sets.drain(..) {
-            self.compiled.recycle(set);
+        let (mut sets, mut owners) = region.into_parts();
+        for (set, owners) in sets.drain(..).zip(owners.drain(..)) {
+            self.compiled.recycle(OwnedSet { set, owners });
         }
-        self.tracker.recycle(sets);
+        self.tracker.recycle((sets, owners));
     }
 
-    /// Labels the pending output `id` for every filter of the class
-    /// `leader` leads.
-    fn enqueue(&mut self, id: TupleId, leader: FilterId) {
+    /// Labels the pending output `id` for every filter of the owners'
+    /// twin classes.
+    fn enqueue(&mut self, id: TupleId, owners: &[u32]) {
         let recipients = self.pending.entry(id).or_default();
-        for &f in self.twins.class(leader.index()) {
-            recipients.insert(FilterId(f));
+        for &o in owners {
+            for &f in self.twins.class(o as usize) {
+                recipients.insert(FilterId(f));
+            }
         }
     }
 

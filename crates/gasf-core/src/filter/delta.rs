@@ -269,6 +269,10 @@ macro_rules! delegate_group_filter {
             fn open_len(&self) -> usize {
                 self.core.open.len()
             }
+            #[cfg(test)]
+            fn open_candidates(&self) -> &[CandidateTuple] {
+                &self.core.open
+            }
         }
     };
 }

@@ -96,6 +96,11 @@ pub trait GroupFilter: fmt::Debug + Send {
     fn open_len(&self) -> usize {
         usize::from(self.open_cover().is_some())
     }
+
+    /// The currently open candidate set, in arrival order (what the
+    /// compiled roster's lockstep tests compare a shared set with).
+    #[cfg(test)]
+    fn open_candidates(&self) -> &[crate::candidate::CandidateTuple];
 }
 
 /// Instantiates a concrete filter from a specification.

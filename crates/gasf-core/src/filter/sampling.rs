@@ -165,6 +165,11 @@ impl GroupFilter for StratifiedSampler {
         false
     }
 
+    #[cfg(test)]
+    fn open_candidates(&self) -> &[CandidateTuple] {
+        &self.open
+    }
+
     fn open_cover(&self) -> Option<TimeCover> {
         let first = self.open.first()?;
         let last = self.open.last()?;
@@ -423,6 +428,11 @@ impl GroupFilter for ReservoirSampler {
 
     fn si_emits_at_reference(&self) -> bool {
         false
+    }
+
+    #[cfg(test)]
+    fn open_candidates(&self) -> &[CandidateTuple] {
+        &self.open
     }
 
     fn open_cover(&self) -> Option<TimeCover> {

@@ -35,6 +35,38 @@
 //! both; a stateful twin's base then follows its own decision
 //! (`output_chosen`), and the timely cut runs per filter on its own
 //! tolerance.
+//!
+//! ## Shared vicinity sets
+//!
+//! Twin folding merges filters that are equal as a whole. Filters that
+//! differ only in `δ` still hold the *same* open set whenever they took
+//! the same reference tuple with bit-equal slack and kept the same run of
+//! tentative candidates before it (what [`DeltaArena::on_reference`]
+//! keeps, almost always nothing): from then on every tuple passes or
+//! fails their slack test alike, so they admit the same vicinity and
+//! close it on the same tuple. Such members form one **vicinity group**:
+//! the first by rank leads it, and its open list, reference and slack are
+//! the group's; the others follow it ([`DeltaArena::followers`]) and keep
+//! no open list of their own. The slack test, the candidate push, the
+//! open-cover update and the seal run once per group. On exit the members measure one distance
+//! from their shared base, like a cohort's; each one it reaches runs its
+//! own `search_step` with its own `δ`, and those that keep searching enter
+//! their base's cohort as one sorted run.
+//!
+//! A group's sealed set leaves the first stage once, as an [`OwnedSet`]:
+//! the set, owned by the group's leader, plus every member's slot.
+//! The engine expands it over *owners × twin classes* wherever it already
+//! expanded twins. Under the region-greedy algorithm that is exact for
+//! the reason folding twins is: a region's identical sets are one set of
+//! summed weight to the weighted greedy solver, and choosing a tuple
+//! covers all of them at once (paper Fig. 2.8: a region is solved as a
+//! whole, never set by set). Under the self-interested baseline a set
+//! closing only releases utility. Under `Algorithm::PerCandidateSet`
+//! nothing is grouped, for the reason nothing is folded there: every
+//! member is a group of one.
+//!
+//! Groups are per-epoch state. Every safe point drains them (each group
+//! seals once), and the next epoch's roster starts without any.
 
 use super::{Expr, Gate, RosterPlan};
 use crate::batch::TupleBatch;
@@ -42,7 +74,6 @@ use crate::bitset::FilterSet;
 use crate::candidate::{CandidateTuple, CloseCause, ClosedSet, FilterId, TimeCover};
 use crate::engine::Algorithm;
 use crate::error::Error;
-use crate::filter::ForceCloseOutcome;
 use crate::quality::{FilterSpec, PickDegree, Prescription};
 use crate::region::OpenCovers;
 use crate::schema::{AttrId, Schema};
@@ -53,7 +84,8 @@ use crate::tuple::{Tuple, TupleId};
 /// bits for the common events (admission, reference) written a block at a
 /// time, and an ordered sparse list of the rare ones (dismissals,
 /// closures). The engine replays the masks in bulk and the events slot
-/// by slot (`GroupEngine::replay_step`).
+/// by slot (`GroupEngine::replay_step`). A vicinity group's closure is
+/// one event, at its leader's slot.
 #[derive(Debug, Default)]
 pub(crate) struct StepActions {
     /// Slots whose open set admitted the tuple.
@@ -102,7 +134,26 @@ pub(crate) struct StepEvent {
     /// [`StepActions::dismissed`].
     pub(crate) dismissed: std::ops::Range<usize>,
     /// A candidate set that closed during this step.
-    pub(crate) closed: Option<ClosedSet>,
+    pub(crate) closed: Option<OwnedSet>,
+}
+
+/// A sealed candidate set and the members it closed for: the slots of
+/// every member of its vicinity group (one slot for a window or a group
+/// of one), the set's own `filter` first. Each slot stands for its whole
+/// twin class ([`TwinTable`]).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct OwnedSet {
+    pub(crate) set: ClosedSet,
+    pub(crate) owners: Vec<u32>,
+}
+
+/// What [`CompiledRoster::force_close`] closed or dropped for one slot.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct ForceClosed {
+    /// The set that closed, once for its whole vicinity group.
+    pub(crate) closed: Option<OwnedSet>,
+    /// Tentative candidates dropped without closure.
+    pub(crate) dismissed: Vec<TupleId>,
 }
 
 impl StepActions {
@@ -114,14 +165,13 @@ impl StepActions {
     }
 }
 
-/// What one delta member did with the current tuple (the compiled form
-/// of a `FilterAction`); its dismissals go straight into
-/// [`StepActions::dismissed`].
+/// What one delta member's search step did with the current tuple (the
+/// compiled form of a `FilterAction`; closures are its group's); its
+/// dismissals go straight into [`StepActions::dismissed`].
 #[derive(Debug, Default)]
 struct MemberStep {
     admitted: bool,
     reference: bool,
-    closed: Option<ClosedSet>,
 }
 
 /// Folds one member's step into the roster's; `dismissed_from` is where
@@ -135,22 +185,31 @@ fn record(step: &mut StepActions, slot: u32, dismissed_from: usize, member: Memb
         step.references.insert(id);
     }
     let dismissed = dismissed_from..step.dismissed.len();
-    if !dismissed.is_empty() || member.closed.is_some() {
+    if !dismissed.is_empty() {
         step.events.push((
             slot,
             StepEvent {
                 dismissed,
-                closed: member.closed,
+                closed: None,
             },
         ));
     }
 }
 
-/// Emptied `(candidates, si_choice)` lists of closed sets the engine is
-/// done with, waiting to back the next sealed set: every seal takes one
-/// pair and every [`CompiledRoster::recycle`] returns one, so the pool
-/// never outgrows the number of sets in flight.
-type SetPool = Vec<(Vec<CandidateTuple>, Vec<TupleId>)>;
+/// The emptied lists of one [`OwnedSet`] the engine is done with.
+#[derive(Debug, Default)]
+struct SetLists {
+    candidates: Vec<CandidateTuple>,
+    si_choice: Vec<TupleId>,
+    owners: Vec<u32>,
+}
+
+/// Lists of sealed sets the engine is done with, waiting to back the
+/// next one: a vicinity group takes one [`SetLists`] when it opens (its
+/// open set, choice and member lists) and hands them out when it seals, a
+/// window seal takes one, and every [`CompiledRoster::recycle`] returns
+/// one, so the pool never outgrows the number of sets in flight.
+type SetPool = Vec<SetLists>;
 
 fn candidate_at(id: TupleId, ts: Micros, key: f64) -> CandidateTuple {
     CandidateTuple {
@@ -291,9 +350,11 @@ enum MemberRef {
     Window(u32),
 }
 
-/// Struct-of-arrays state of every delta member, indexed by member id.
-/// The method bodies mirror `filter::delta::DeltaCore` statement for
-/// statement — only the storage layout differs.
+/// Struct-of-arrays state of every delta member, indexed by member id
+/// (ascending with the slot). The method bodies mirror
+/// `filter::delta::DeltaCore` statement for statement — only the storage
+/// layout differs, and a member that follows a vicinity group's leader
+/// shares the leader's open set.
 #[derive(Debug, Default)]
 struct DeltaArena {
     slot: Vec<u32>,
@@ -309,7 +370,15 @@ struct DeltaArena {
     reference_val: Vec<f64>,
     reference_id: Vec<Option<TupleId>>,
     set_index: Vec<u64>,
+    /// The open set: tentative candidates, or a vicinity group's set
+    /// (held by its leader; empty for a follower).
     open: Vec<Vec<CandidateTuple>>,
+    /// For a member in the vicinity phase, the leader of its group (the
+    /// member itself when it leads).
+    leader: Vec<u32>,
+    /// For a vicinity group's leader, the other members, ascending by
+    /// [`rank`](Self::rank) (empty otherwise).
+    followers: Vec<Vec<u32>>,
 }
 
 impl DeltaArena {
@@ -334,25 +403,25 @@ impl DeltaArena {
         self.reference_id.push(None);
         self.set_index.push(0);
         self.open.push(Vec::new());
+        self.leader.push(m);
+        self.followers.push(Vec::new());
         m
     }
 
-    fn seal(&mut self, m: usize, cause: CloseCause, pool: &mut SetPool) -> ClosedSet {
-        let (open, mut si_choice) = pool.pop().unwrap_or_default();
-        let candidates = std::mem::replace(&mut self.open[m], open);
-        si_choice.extend(self.reference_id[m].take());
-        let set = ClosedSet {
-            filter: FilterId::from_index(self.slot[m] as usize),
-            set_index: self.set_index[m],
-            candidates,
-            pick_degree: 1,
-            prescription: Prescription::Any,
-            si_choice,
-            cause,
-        };
-        self.set_index[m] += 1;
-        self.phase[m] = Phase::Searching;
-        set
+    /// The order of members in a cohort or a vicinity group (leader
+    /// first): by the least distance `search_step` reacts to, then by
+    /// member.
+    fn rank(&self, m: u32) -> (f64, u32) {
+        (self.qualify[m as usize], m)
+    }
+
+    /// What a member that just took a reference shares with the members
+    /// whose open lists equal its own: its slack bits and the first id of
+    /// its kept run (the run ends at the reference, and its keys are the
+    /// class's).
+    fn vicinity_key(&self, m: u32) -> (u64, TupleId) {
+        let m = m as usize;
+        (self.slack[m].to_bits(), self.open[m][0].id)
     }
 
     fn on_reference(
@@ -405,29 +474,6 @@ impl DeltaArena {
             self.open[m].push(candidate_at(id, ts, key));
             self.phase[m] = Phase::Tentative;
             step.admitted = true;
-        }
-    }
-
-    fn force_close(
-        &mut self,
-        m: usize,
-        cause: CloseCause,
-        pool: &mut SetPool,
-    ) -> ForceCloseOutcome {
-        match self.phase[m] {
-            Phase::Vicinity => ForceCloseOutcome {
-                closed: Some(self.seal(m, cause, pool)),
-                dismissed: Vec::new(),
-            },
-            Phase::Tentative => {
-                let dismissed = self.open[m].drain(..).map(|c| c.id).collect();
-                self.phase[m] = Phase::Searching;
-                ForceCloseOutcome {
-                    closed: None,
-                    dismissed,
-                }
-            }
-            Phase::Initial | Phase::Searching => ForceCloseOutcome::default(),
         }
     }
 }
@@ -484,7 +530,7 @@ impl WindowArena {
         ts: Micros,
         v: f64,
         pool: &mut SetPool,
-    ) -> Option<ClosedSet> {
+    ) -> Option<OwnedSet> {
         let w = ts.as_micros() / self.window[m].as_micros().max(1);
         let mut closed = None;
         if self.current[m] != Some(w) {
@@ -501,13 +547,15 @@ impl WindowArena {
         closed
     }
 
-    fn seal(&mut self, m: usize, cause: CloseCause, pool: &mut SetPool) -> Option<ClosedSet> {
+    fn seal(&mut self, m: usize, cause: CloseCause, pool: &mut SetPool) -> Option<OwnedSet> {
         if self.open[m].is_empty() {
             return None;
         }
         // (The pooled choice list is dropped: `si_sample` builds its own.)
-        let (open, _) = pool.pop().unwrap_or_default();
-        let candidates = std::mem::replace(&mut self.open[m], open);
+        let lists = pool.pop().unwrap_or_default();
+        let candidates = std::mem::replace(&mut self.open[m], lists.candidates);
+        let mut owners = lists.owners;
+        owners.push(self.slot[m]);
         let (pick_degree, prescription) = match self.gate[m] {
             WindowGate::Reservoir { k } => ((k as usize).min(candidates.len()), Prescription::Any),
             WindowGate::Stratified {
@@ -540,7 +588,7 @@ impl WindowArena {
             cause,
         };
         self.set_index[m] += 1;
-        Some(set)
+        Some(OwnedSet { set, owners })
     }
 }
 
@@ -553,8 +601,8 @@ struct ClassState {
     /// Delta members that have not seen a tuple yet (first tuple is always
     /// a reference).
     initial: Vec<u32>,
-    /// Delta members in the vicinity phase (compare against their own
-    /// `reference_val`).
+    /// Leaders of this class's vicinity groups (compare against their
+    /// reference value).
     vicinity: Vec<u32>,
     /// Delta members searching/tentative, grouped by comparison base.
     cohorts: CohortTable,
@@ -598,29 +646,50 @@ impl CohortTable {
             .binary_search_by_key(&bits, |c| c.base.to_bits())
     }
 
-    /// Inserts `m` into the cohort for its current base (created if this
-    /// is the first member on that base).
-    fn insert(&mut self, delta: &DeltaArena, m: u32) {
-        let base = delta.base[m as usize];
-        let q = delta.qualify[m as usize];
-        let at = match self.position(base.to_bits()) {
-            Ok(at) => at,
-            Err(at) => {
-                let cohort = Cohort {
-                    base,
-                    min_qualify: q,
-                    members: self.spare.pop().unwrap_or_default(),
+    /// Inserts the members of `run` into the cohorts of their current
+    /// bases (created for a base no member is on yet), leaving `run`
+    /// sorted. Members that left one vicinity group share a base, so they
+    /// merge into their cohort as one sorted run: one pass over the
+    /// cohort, not one shift per member.
+    fn insert_run(&mut self, delta: &DeltaArena, run: &mut [u32]) {
+        let rank = |m: u32| delta.rank(m);
+        let bits = |m: u32| delta.base[m as usize].to_bits();
+        run.sort_unstable_by(|&a, &b| {
+            (bits(a).cmp(&bits(b))).then_with(|| rank(a).partial_cmp(&rank(b)).expect("no NaN"))
+        });
+        for same_base in run.chunk_by(|&a, &b| bits(a) == bits(b)) {
+            let base = delta.base[same_base[0] as usize];
+            let at = match self.position(base.to_bits()) {
+                Ok(at) => at,
+                Err(at) => {
+                    let cohort = Cohort {
+                        base,
+                        min_qualify: 0.0,
+                        members: self.spare.pop().unwrap_or_default(),
+                    };
+                    self.cohorts.insert(at, cohort);
+                    at
+                }
+            };
+            // Merge from the back, into the room the run is given at the
+            // end.
+            let cohort = &mut self.cohorts[at];
+            let members = &mut cohort.members;
+            let (mut kept, mut added) = (members.len(), same_base.len());
+            members.extend_from_slice(same_base);
+            while added > 0 {
+                let from_run = kept == 0 || rank(members[kept - 1]) < rank(same_base[added - 1]);
+                let next = if from_run {
+                    added -= 1;
+                    same_base[added]
+                } else {
+                    kept -= 1;
+                    members[kept]
                 };
-                self.cohorts.insert(at, cohort);
-                at
+                members[kept + added] = next;
             }
-        };
-        let cohort = &mut self.cohorts[at];
-        let pos = cohort
-            .members
-            .partition_point(|&o| (delta.qualify[o as usize], o) <= (q, m));
-        cohort.members.insert(pos, m);
-        cohort.min_qualify = delta.qualify[cohort.members[0] as usize];
+            cohort.min_qualify = delta.qualify[members[0] as usize];
+        }
     }
 
     /// Removes `m` from the cohort on base `bits` (its base at insertion
@@ -652,6 +721,9 @@ pub struct CompiledRoster {
     classes: Vec<ClassState>,
     delta: DeltaArena,
     windows: WindowArena,
+    /// Whether members that can share a vicinity set do (not under
+    /// `Algorithm::PerCandidateSet`).
+    shares_vicinity: bool,
     /// Per engine slot: where that filter's state lives (`None` =
     /// vacancy).
     member_of: Vec<Option<MemberRef>>,
@@ -756,6 +828,7 @@ impl CompiledRoster {
             classes,
             delta: darena,
             windows: warena,
+            shares_vicinity: algorithm != Algorithm::PerCandidateSet,
             member_of,
             keys,
             key_cols,
@@ -923,30 +996,25 @@ impl CompiledRoster {
             }
             self.classes[ci].initial.clear();
 
-            // Vicinity members: within slack of their own reference stay
-            // open; otherwise seal and fall through to the search step.
+            // Vicinity groups: within slack of their reference stay open;
+            // otherwise seal once, and the members whose threshold the
+            // tuple reaches fall through to their own search steps.
             let mut vi = 0;
             while vi < self.classes[ci].vicinity.len() {
-                let m = self.classes[ci].vicinity[vi] as usize;
-                let mut member = MemberStep::default();
-                let dismissed_from = step.dismissed.len();
-                if (key - self.delta.reference_val[m]).abs() <= self.delta.slack[m] {
-                    self.delta.open[m].push(candidate_at(id, ts, key));
-                    member.admitted = true;
-                } else {
-                    let sealed = self.delta.seal(m, CloseCause::Natural, &mut self.set_pool);
-                    member.closed = Some(sealed);
-                    self.delta
-                        .search_step(m, id, ts, key, &mut member, &mut step.dismissed);
-                }
-                self.open_idx
-                    .update(self.delta.slot[m] as usize, cover_of(&self.delta.open[m]));
-                record(step, self.delta.slot[m], dismissed_from, member);
-                if self.delta.phase[m] == Phase::Vicinity {
+                let l = self.classes[ci].vicinity[vi] as usize;
+                if (key - self.delta.reference_val[l]).abs() <= self.delta.slack[l] {
+                    self.delta.open[l].push(candidate_at(id, ts, key));
+                    let slot = self.delta.slot[l] as usize;
+                    self.open_idx.update(slot, cover_of(&self.delta.open[l]));
+                    step.admitted.insert(FilterId::from_index(slot));
+                    for &f in &self.delta.followers[l] {
+                        let slot = self.delta.slot[f as usize] as usize;
+                        step.admitted.insert(FilterId::from_index(slot));
+                    }
                     vi += 1;
                 } else {
                     self.classes[ci].vicinity.swap_remove(vi);
-                    self.to_cohort.push(m as u32);
+                    self.exit_group(l, id, ts, key, step);
                 }
             }
 
@@ -1000,62 +1068,231 @@ impl CompiledRoster {
             }
 
             // Staged relocations (never within the same scan, so a tuple
-            // reaches each member exactly once).
-            let moved = std::mem::take(&mut self.to_vicinity);
-            self.classes[ci].vicinity.extend_from_slice(&moved);
-            self.to_vicinity = moved;
-            self.to_vicinity.clear();
-            for m in self.to_cohort.drain(..) {
-                self.classes[ci].cohorts.insert(&self.delta, m);
+            // reaches each member exactly once); most tuples stage none.
+            if !self.to_cohort.is_empty() {
+                (self.classes[ci].cohorts).insert_run(&self.delta, &mut self.to_cohort);
+                self.to_cohort.clear();
+            }
+            if !self.to_vicinity.is_empty() {
+                self.open_groups(ci);
             }
         }
         // Engine replay order is ascending slot (≤ 1 event per slot).
         step.events.sort_unstable_by_key(|(slot, _)| *slot);
     }
 
+    /// Seals the set of the group led by `l` (already out of its class's
+    /// list) for every member, and backs the leader with fresh lists. The
+    /// members now search from their unchanged, shared base; the followers
+    /// stay listed for the caller to move on.
+    fn seal_group(&mut self, l: usize, cause: CloseCause) -> OwnedSet {
+        let lists = self.set_pool.pop().unwrap_or_default();
+        let delta = &mut self.delta;
+        let mut si_choice = lists.si_choice;
+        si_choice.extend(delta.reference_id[l].take());
+        let set = ClosedSet {
+            filter: FilterId::from_index(delta.slot[l] as usize),
+            set_index: delta.set_index[l],
+            candidates: std::mem::replace(&mut delta.open[l], lists.candidates),
+            pick_degree: 1,
+            prescription: Prescription::Any,
+            si_choice,
+            cause,
+        };
+        let mut owners = lists.owners;
+        owners.push(delta.slot[l]);
+        owners.extend(delta.followers[l].iter().map(|&f| delta.slot[f as usize]));
+        for &f in &delta.followers[l] {
+            let f = f as usize;
+            delta.set_index[f] += 1;
+            delta.reference_id[f] = None;
+            delta.phase[f] = Phase::Searching;
+        }
+        delta.set_index[l] += 1;
+        delta.phase[l] = Phase::Searching;
+        self.open_idx.update(set.filter.index(), None);
+        OwnedSet { set, owners }
+    }
+
+    /// A tuple outside the slack of the group led by `l`: the group seals
+    /// once, and each member runs its own search step on the tuple. The
+    /// members share their base (the reference value; a stateful base is
+    /// only ever alone in its group), so like a cohort's they measure one
+    /// distance, and only the members whose threshold it reaches can act
+    /// (the leader first, then a prefix of the followers); the rest go
+    /// back to searching as they are. A follower's open list is empty and
+    /// the leader's was just sealed, so the steps dismiss nothing and the
+    /// closure is the only event at the leader's slot.
+    fn exit_group(&mut self, l: usize, id: TupleId, ts: Micros, key: f64, step: &mut StepActions) {
+        let sealed = self.seal_group(l, CloseCause::Natural);
+        let mut followers = std::mem::take(&mut self.delta.followers[l]);
+        let base = self.delta.base[l];
+        debug_assert!(
+            (followers.iter()).all(|&f| self.delta.base[f as usize].to_bits() == base.to_bits())
+        );
+        let dist = (key - base).abs();
+        let dismissed_from = step.dismissed.len();
+        if self.delta.qualify[l] <= dist {
+            self.search_member(l, id, ts, key, step);
+            let reached = followers.partition_point(|&f| self.delta.qualify[f as usize] <= dist);
+            for &f in &followers[..reached] {
+                self.search_member(f as usize, id, ts, key, step);
+            }
+            self.to_cohort.extend_from_slice(&followers[reached..]);
+        } else {
+            self.to_cohort.push(l as u32);
+            self.to_cohort.extend_from_slice(&followers);
+        }
+        followers.clear();
+        self.delta.followers[l] = followers;
+        debug_assert_eq!(step.dismissed.len(), dismissed_from);
+        step.events.push((
+            sealed.owners[0],
+            StepEvent {
+                dismissed: dismissed_from..dismissed_from,
+                closed: Some(sealed),
+            },
+        ));
+    }
+
+    /// Runs delta member `m`'s search step on the tuple and stages its
+    /// move: to the vicinity if it took the tuple as its reference, to a
+    /// cohort otherwise.
+    fn search_member(
+        &mut self,
+        m: usize,
+        id: TupleId,
+        ts: Micros,
+        key: f64,
+        step: &mut StepActions,
+    ) {
+        let mut member = MemberStep::default();
+        let dismissed_from = step.dismissed.len();
+        self.delta
+            .search_step(m, id, ts, key, &mut member, &mut step.dismissed);
+        let slot = self.delta.slot[m];
+        self.open_idx
+            .update(slot as usize, cover_of(&self.delta.open[m]));
+        record(step, slot, dismissed_from, member);
+        if self.delta.phase[m] == Phase::Vicinity {
+            self.to_vicinity.push(m as u32);
+        } else {
+            self.to_cohort.push(m as u32);
+        }
+    }
+
+    /// Puts the members staged in `to_vicinity` — each just took the
+    /// current tuple as its reference, its open list holding the kept run
+    /// and the reference — into vicinity groups of class `ci`, in
+    /// ascending [`rank`](DeltaArena::rank) order. A member follows a
+    /// leader that opened its group on this tuple with a bit-equal slack
+    /// and an open list that starts at the same id, and so equals its own
+    /// (unless `shares_vicinity` is off); a member that finds none leads a
+    /// group of its own.
+    fn open_groups(&mut self, ci: usize) {
+        let mut entered = std::mem::take(&mut self.to_vicinity);
+        let delta = &mut self.delta;
+        entered
+            .sort_unstable_by(|&a, &b| delta.rank(a).partial_cmp(&delta.rank(b)).expect("no NaN"));
+        let opened = self.classes[ci].vicinity.len();
+        for &m in &entered {
+            let mi = m as usize;
+            let key = delta.vicinity_key(m);
+            let leaders = &self.classes[ci].vicinity[opened..];
+            let leader = (leaders.iter().copied())
+                .find(|&l| self.shares_vicinity && delta.vicinity_key(l) == key);
+            match leader {
+                Some(l) => {
+                    debug_assert_eq!(delta.open[mi], delta.open[l as usize]);
+                    delta.followers[l as usize].push(m);
+                    delta.open[mi].clear();
+                    delta.leader[mi] = l;
+                    self.open_idx.update(delta.slot[mi] as usize, None);
+                }
+                None => {
+                    delta.leader[mi] = m;
+                    self.classes[ci].vicinity.push(m);
+                }
+            }
+        }
+        entered.clear();
+        self.to_vicinity = entered;
+    }
+
     /// Force-closes the open set of the member in `slot` (timely cut /
-    /// epoch boundary / end of stream) — once for its whole twin class.
-    /// No-op for vacancies and followers.
-    pub(crate) fn force_close(&mut self, slot: usize, cause: CloseCause) -> ForceCloseOutcome {
+    /// epoch boundary / end of stream) — once for its whole twin class,
+    /// and a vicinity set once for its whole group (the group's other
+    /// slots then have nothing left to close). No-op for vacancies and
+    /// twin followers.
+    pub(crate) fn force_close(&mut self, slot: usize, cause: CloseCause) -> ForceClosed {
         match self.member_of.get(slot).copied().flatten() {
             Some(MemberRef::Window(m)) => {
                 let closed = self.windows.seal(m as usize, cause, &mut self.set_pool);
                 self.open_idx.update(slot, None);
-                ForceCloseOutcome {
+                ForceClosed {
                     closed,
                     dismissed: Vec::new(),
                 }
             }
             Some(MemberRef::Delta(m)) => {
                 let mi = m as usize;
-                let was_vicinity = self.delta.phase[mi] == Phase::Vicinity;
-                let out = self.delta.force_close(mi, cause, &mut self.set_pool);
-                self.open_idx.update(slot, cover_of(&self.delta.open[mi]));
-                if was_vicinity {
-                    // Sealed out of the vicinity: the member now searches
-                    // from its (unchanged) base.
-                    let ci = self.delta.class[mi] as usize;
-                    self.classes[ci].vicinity.retain(|&o| o != m);
-                    self.classes[ci].cohorts.insert(&self.delta, m);
+                match self.delta.phase[mi] {
+                    Phase::Vicinity => {
+                        let l = self.delta.leader[mi];
+                        let ci = self.delta.class[mi] as usize;
+                        let vicinity = &mut self.classes[ci].vicinity;
+                        let at = (vicinity.iter().position(|&o| o == l))
+                            .expect("a group's leader is listed in its class");
+                        vicinity.swap_remove(at);
+                        let sealed = self.seal_group(l as usize, cause);
+                        // Sealed out of the vicinity: the members now
+                        // search from their (unchanged, shared) base.
+                        self.to_cohort.push(l);
+                        (self.to_cohort).append(&mut self.delta.followers[l as usize]);
+                        (self.classes[ci].cohorts).insert_run(&self.delta, &mut self.to_cohort);
+                        self.to_cohort.clear();
+                        ForceClosed {
+                            closed: Some(sealed),
+                            dismissed: Vec::new(),
+                        }
+                    }
+                    Phase::Tentative => {
+                        let dismissed = self.delta.open[mi].drain(..).map(|c| c.id).collect();
+                        self.delta.phase[mi] = Phase::Searching;
+                        self.open_idx.update(slot, None);
+                        ForceClosed {
+                            closed: None,
+                            dismissed,
+                        }
+                    }
+                    Phase::Initial | Phase::Searching => ForceClosed::default(),
                 }
-                out
             }
-            None => ForceCloseOutcome::default(),
+            None => ForceClosed::default(),
         }
     }
 
-    /// Takes back a closed set the engine is done with (its region
+    /// Takes back a sealed set the engine is done with (its region
     /// completed), so its lists back a later sealed set instead of being
     /// freed here and allocated again there.
-    pub(crate) fn recycle(&mut self, set: ClosedSet) {
-        let ClosedSet {
-            mut candidates,
-            mut si_choice,
-            ..
-        } = set;
+    pub(crate) fn recycle(&mut self, sealed: OwnedSet) {
+        let OwnedSet {
+            set:
+                ClosedSet {
+                    mut candidates,
+                    mut si_choice,
+                    ..
+                },
+            mut owners,
+        } = sealed;
         candidates.clear();
         si_choice.clear();
-        self.set_pool.push((candidates, si_choice));
+        owners.clear();
+        self.set_pool.push(SetLists {
+            candidates,
+            si_choice,
+            owners,
+        });
     }
 
     /// Informs a stateful member which value the group chose for its last
@@ -1073,15 +1310,23 @@ impl CompiledRoster {
             {
                 let cohorts = &mut self.classes[self.delta.class[mi] as usize].cohorts;
                 cohorts.remove(&self.delta, old.to_bits(), m);
-                cohorts.insert(&self.delta, m);
+                cohorts.insert_run(&self.delta, &mut [m]);
             }
+        }
+    }
+
+    /// The open set of delta member `m`: its leader's in the vicinity.
+    fn delta_open(&self, m: usize) -> &[CandidateTuple] {
+        match self.delta.phase[m] {
+            Phase::Vicinity => &self.delta.open[self.delta.leader[m] as usize],
+            _ => &self.delta.open[m],
         }
     }
 
     /// Time cover of the open set of the filter in `slot`.
     pub(crate) fn open_cover(&self, slot: usize) -> Option<TimeCover> {
         match self.member_of.get(slot).copied().flatten()? {
-            MemberRef::Delta(m) => cover_of(&self.delta.open[m as usize]),
+            MemberRef::Delta(m) => cover_of(self.delta_open(m as usize)),
             MemberRef::Window(m) => cover_of(&self.windows.open[m as usize]),
         }
     }
@@ -1095,7 +1340,7 @@ impl CompiledRoster {
     /// Number of candidates in the open set of the filter in `slot`.
     pub(crate) fn open_len(&self, slot: usize) -> usize {
         match self.member_of.get(slot).copied().flatten() {
-            Some(MemberRef::Delta(m)) => self.delta.open[m as usize].len(),
+            Some(MemberRef::Delta(m)) => self.delta_open(m as usize).len(),
             Some(MemberRef::Window(m)) => self.windows.open[m as usize].len(),
             None => 0,
         }
@@ -1170,29 +1415,116 @@ mod tests {
         fn cohort_count(&self) -> usize {
             self.classes.iter().map(|c| c.cohorts.cohorts.len()).sum()
         }
+
+        /// A vicinity group's members, leader first.
+        fn group_of(&self, l: u32) -> Vec<u32> {
+            std::iter::once(l)
+                .chain(self.delta.followers[l as usize].iter().copied())
+                .collect()
+        }
+
+        /// The vicinity groups' invariants, against the trait objects of
+        /// a roster whose slots are dense (`oracles[slot]`): every member
+        /// in the vicinity phase leads exactly one listed group of its
+        /// class or follows exactly one leader, and only they do; a
+        /// group's members (leader first) ascend by rank, and the
+        /// followers share the leader's reference id and the bits of its
+        /// reference value, slack and base; a follower keeps no open list
+        /// and no open cover of its own, and
+        /// each member's trait object holds the leader's open list, whose
+        /// cover is the leader slot's. Members that could share a group do
+        /// (no two groups of a class share a reference, slack bits and a
+        /// kept run), except under `PerCandidateSet`, where every group
+        /// has one member.
+        fn assert_vicinity_group_invariants(&self, oracles: &[Box<dyn GroupFilter>]) {
+            let delta = &self.delta;
+            let mut grouped = vec![false; delta.slot.len()];
+            for (ci, class) in self.classes.iter().enumerate() {
+                let mut keys = std::collections::BTreeSet::new();
+                for &l in &class.vicinity {
+                    let li = l as usize;
+                    let members = self.group_of(l);
+                    let ranks = members.iter().map(|&m| delta.rank(m));
+                    assert!(ranks.clone().zip(ranks.skip(1)).all(|(a, b)| a < b));
+                    assert!(self.shares_vicinity || members.len() == 1);
+                    let open = &delta.open[li];
+                    let key = (
+                        delta.reference_id[li],
+                        delta.slack[li].to_bits(),
+                        open[0].id,
+                    );
+                    let new = keys.insert(key) || !self.shares_vicinity;
+                    assert!(new, "class {ci}: two groups could share {key:?}");
+                    let leader_slot = delta.slot[li] as usize;
+                    assert_eq!(self.open_idx.get(leader_slot), cover_of(open));
+                    for &m in &members {
+                        let m = m as usize;
+                        let slot = delta.slot[m] as usize;
+                        let ctx = format!("class {ci}, group of slot {leader_slot}, slot {slot}");
+                        assert!(!std::mem::replace(&mut grouped[m], true), "{ctx}: twice");
+                        assert_eq!(delta.class[m] as usize, ci, "{ctx}");
+                        assert_eq!(delta.phase[m], Phase::Vicinity, "{ctx}");
+                        assert_eq!(delta.leader[m], l, "{ctx}");
+                        assert_eq!(delta.reference_id[m], delta.reference_id[li], "{ctx}");
+                        let bits = |v: &[f64]| v[m].to_bits() == v[li].to_bits();
+                        assert!(bits(&delta.reference_val) && bits(&delta.slack), "{ctx}");
+                        assert!(bits(&delta.base), "{ctx}: base");
+                        assert_eq!(oracles[slot].open_candidates(), &open[..], "{ctx}");
+                        if m != li {
+                            assert!(delta.open[m].is_empty(), "{ctx}: own open list");
+                            assert!(delta.followers[m].is_empty(), "{ctx}: followers");
+                            assert_eq!(self.open_idx.get(slot), None, "{ctx}: own cover");
+                        }
+                    }
+                }
+            }
+            for (m, phase) in delta.phase.iter().enumerate() {
+                let ctx = format!("member {m}");
+                assert_eq!(*phase == Phase::Vicinity, grouped[m], "{ctx}: group");
+                assert!(
+                    grouped[m] || delta.followers[m].is_empty(),
+                    "{ctx}: followers"
+                );
+            }
+        }
+
+        /// How many sets the member in `slot` has closed.
+        fn sets_closed_by(&self, slot: usize) -> u64 {
+            match self.member_of[slot] {
+                Some(MemberRef::Delta(m)) => self.delta.set_index[m as usize],
+                Some(MemberRef::Window(m)) => self.windows.set_index[m as usize],
+                None => 0,
+            }
+        }
     }
 
     /// Drives the compiled roster and one trait object per slot over the
     /// same stream and asserts, at every tuple, that each slot's oracle did
-    /// what the member standing for it — its twin class's leader — did
-    /// (closed sets equal but for the owning filter, which is the
-    /// leader's), and answers every question the engine asks its first
-    /// stage alike: open cover, open length, statefulness, and whether
-    /// it emits at a reference under the self-interested baseline. A
-    /// follower holds no open set of its own. A step never closes or
-    /// dismisses the current tuple, which the engine's replay relies on
-    /// (`GroupEngine::replay_step`); and the cohort invariants hold after
-    /// each tuple. A stateful member whose set closes is told an
-    /// output (a different candidate each time) on both sides, like the
-    /// engine would; closed sets go back to the roster's pool.
+    /// what the member standing for it — its twin class's leader — did,
+    /// and answers every question the engine asks its first stage alike:
+    /// open cover, open length, statefulness, and whether it emits at a
+    /// reference under the self-interested baseline. A set closes once
+    /// for its vicinity group, at its leader's slot, and must equal
+    /// each owner's oracle's set but for the owning filter and its set
+    /// count. A twin follower holds no open set of its own. A step never
+    /// closes or dismisses the current tuple, which the engine's replay
+    /// relies on (`GroupEngine::replay_step`); and the cohort and
+    /// vicinity-group invariants hold after each tuple. A stateful member
+    /// whose set closes is told an output (a different candidate each
+    /// time) on both sides, like the engine would; closed sets go back to
+    /// the roster's pool. With a `cut_after` budget, every slot is
+    /// force-closed as a timely cut whenever an open set has waited that
+    /// long, the way the region-greedy engine's `cut_all` closes them.
     /// `after_tuple` sees the roster after every tuple.
     fn assert_lockstep_with(
         specs: Vec<FilterSpec>,
         algorithm: Algorithm,
         schema: &Schema,
         tuples: &[Tuple],
+        cut_after: Option<Micros>,
         mut after_tuple: impl FnMut(&CompiledRoster),
-    ) {
+    ) -> Exercised {
+        let mut seen = Exercised::default();
         let roster: Vec<(FilterId, FilterSpec)> = specs
             .into_iter()
             .enumerate()
@@ -1203,13 +1535,6 @@ mod tests {
                 .unwrap();
         // Slots are dense here, so plan indices are slots.
         let leader_of = compiled.plan().twin_of.clone();
-        let owned_by = |set: &Option<ClosedSet>, slot: usize| {
-            let mut set = set.clone();
-            if let Some(set) = &mut set {
-                set.filter = FilterId::from_index(slot);
-            }
-            set
-        };
         let mut oracles: Vec<Box<dyn GroupFilter>> = roster
             .iter()
             .map(|(id, s)| {
@@ -1234,44 +1559,53 @@ mod tests {
                 events.keys().all(|&slot| leader_of[slot] == slot),
                 "event for a follower"
             );
-            for (slot, ev) in &events {
-                let closed = ev.closed.iter().flat_map(|set| &set.candidates);
+            let mut closed_for = std::collections::BTreeMap::new();
+            for (&slot, ev) in &events {
+                let closed = ev.closed.iter().flat_map(|sealed| &sealed.set.candidates);
                 assert!(
                     !step.dismissed[ev.dismissed.clone()].contains(&t.id())
                         && closed.map(|c| c.id).all(|id| id != t.id()),
                     "slot {slot} closed or dismissed tuple {} in its own step",
                     t.seq()
                 );
+                if let Some(sealed) = &ev.closed {
+                    let owners = &sealed.owners;
+                    assert_eq!(sealed.set.filter.index(), slot, "owned by its event's slot");
+                    assert_eq!(owners[0] as usize, slot, "the owner first");
+                    for &o in owners {
+                        let twice = closed_for.insert(o as usize, &sealed.set).is_some();
+                        assert!(!twice, "slot {o} closed two sets");
+                    }
+                }
             }
             for (slot, oracle) in oracles.iter_mut().enumerate() {
                 let want = oracle.process(t).unwrap();
-                let leader = FilterId::from_index(leader_of[slot]);
+                let leader = leader_of[slot];
+                let id = FilterId::from_index(leader);
                 assert_eq!(
-                    step.admitted.contains(leader),
+                    step.admitted.contains(id),
                     want.admitted,
                     "admit slot {slot}"
                 );
                 assert_eq!(
-                    step.references.contains(leader),
+                    step.references.contains(id),
                     want.reference,
                     "reference slot {slot}"
                 );
                 let none = StepEvent::default();
-                let ev = events.get(&leader.index()).unwrap_or(&none);
+                let ev = events.get(&leader).unwrap_or(&none);
                 assert_eq!(
                     step.dismissed[ev.dismissed.clone()],
                     want.dismissed,
                     "dismissed slot {slot}"
                 );
-                assert_eq!(
-                    owned_by(&ev.closed, slot),
-                    want.closed,
-                    "closed slot {slot}"
-                );
-                assert_eq!(compiled.is_stateful(leader.index()), oracle.is_stateful());
+                let got =
+                    (closed_for.get(&leader)).map(|set| as_oracle(&compiled, set, slot, leader));
+                assert_eq!(got, want.closed, "closed slot {slot}");
+                assert_eq!(compiled.is_stateful(leader), oracle.is_stateful());
                 if oracle.is_stateful() {
                     // (Stateful members are never folded.)
-                    if let Some(set) = &ev.closed {
+                    if let Some(set) = &got {
                         let pick = set.candidates[set.set_index as usize % set.len()];
                         compiled.output_chosen(slot, pick.key);
                         oracle.output_chosen(pick.id, pick.key);
@@ -1293,32 +1627,147 @@ mod tests {
                     assert_eq!(compiled.open_len(slot), 0, "follower {ctx}");
                 }
             }
-            for set in events.into_values().filter_map(|ev| ev.closed) {
-                compiled.recycle(set);
+            drop(closed_for);
+            for sealed in events.into_values().filter_map(|ev| ev.closed) {
+                compiled.recycle(sealed);
             }
             compiled.assert_cohort_invariants();
+            compiled.assert_vicinity_group_invariants(&oracles);
+            let waited = |cover: TimeCover| t.timestamp().saturating_sub(cover.min);
+            let covers = (0..oracles.len()).filter_map(|slot| compiled.open_cover(slot));
+            seen.count_groups(&compiled, tuples[0].id());
+            if cut_after.is_some_and(|budget| covers.map(waited).any(|w| w >= budget)) {
+                let cut =
+                    assert_close_all(&mut compiled, &mut oracles, &leader_of, CloseCause::Cut);
+                seen.shared_sets_cut += cut;
+                compiled.assert_cohort_invariants();
+                compiled.assert_vicinity_group_invariants(&oracles);
+            }
             after_tuple(&compiled);
         }
-        let mut closed_by = std::collections::BTreeMap::new();
-        for (slot, oracle) in oracles.iter_mut().enumerate() {
-            let want = oracle.force_close(CloseCause::EndOfStream);
-            let got = compiled.force_close(slot, CloseCause::EndOfStream);
-            if leader_of[slot] != slot {
-                assert_eq!(got, ForceCloseOutcome::default(), "follower {slot} closed");
+        assert_close_all(
+            &mut compiled,
+            &mut oracles,
+            &leader_of,
+            CloseCause::EndOfStream,
+        );
+        seen
+    }
+
+    /// What a lockstep run's vicinity groups went through.
+    #[derive(Debug, Default)]
+    struct Exercised {
+        /// The most members one group held, past the first tuple (which
+        /// every member takes as its reference).
+        widest_group: usize,
+        /// Tuples after which two groups of a class had taken the same
+        /// reference with different slack.
+        same_reference_other_slack: usize,
+        /// ... with bit-equal slack but different kept runs.
+        same_reference_other_run: usize,
+        /// Groups of several members seen holding a twin-class leader.
+        groups_with_twins: usize,
+        /// Sets of several owners that timely cuts sealed.
+        shared_sets_cut: usize,
+    }
+
+    impl Exercised {
+        fn count_groups(&mut self, compiled: &CompiledRoster, first: TupleId) {
+            let twins = compiled.twin_table();
+            let delta = &compiled.delta;
+            for class in &compiled.classes {
+                let leaders = &class.vicinity;
+                let pairs = (leaders.iter().enumerate())
+                    .flat_map(|(i, &a)| leaders[i + 1..].iter().map(move |&b| (a, b)));
+                let (mut other_slack, mut other_run) = (false, false);
+                for (a, b) in pairs.map(|(a, b)| (a as usize, b as usize)) {
+                    if delta.reference_id[a] == delta.reference_id[b] {
+                        let same_slack = delta.slack[a].to_bits() == delta.slack[b].to_bits();
+                        other_slack |= !same_slack;
+                        other_run |= same_slack;
+                    }
+                }
+                self.same_reference_other_slack += usize::from(other_slack);
+                self.same_reference_other_run += usize::from(other_run);
+                for &l in leaders {
+                    if delta.reference_id[l as usize] == Some(first) {
+                        continue;
+                    }
+                    let members = compiled.group_of(l);
+                    self.widest_group = self.widest_group.max(members.len());
+                    let slot = |&m: &u32| delta.slot[m as usize] as usize;
+                    let twinned = members.iter().any(|m| twins.weight(slot(m)) > 1);
+                    self.groups_with_twins += usize::from(members.len() > 1 && twinned);
+                }
             }
-            let led = closed_by.entry(leader_of[slot]).or_insert(got);
-            assert_eq!(led.dismissed, want.dismissed, "force_close slot {slot}");
-            assert_eq!(
-                owned_by(&led.closed, slot),
-                want.closed,
-                "force_close slot {slot}"
-            );
         }
+    }
+
+    /// A set closed for the member in slot `leader`, the way the trait
+    /// object in `slot` reports it: its own, numbered by its own count.
+    fn as_oracle(
+        compiled: &CompiledRoster,
+        set: &ClosedSet,
+        slot: usize,
+        leader: usize,
+    ) -> ClosedSet {
+        ClosedSet {
+            filter: FilterId::from_index(slot),
+            set_index: compiled.sets_closed_by(leader) - 1,
+            ..set.clone()
+        }
+    }
+
+    /// Force-closes every slot in ascending order on both sides, as the
+    /// engine's drains and `cut_all` do, and asserts that each slot's
+    /// oracle closed or dropped what the member standing for it did. A
+    /// vicinity set closes at the first of its group's slots the sweep
+    /// reaches and a twin class's at its leader, so by its own turn each
+    /// slot's set has closed. The sets go back to the roster's pool. Returns how many
+    /// had several owners.
+    fn assert_close_all(
+        compiled: &mut CompiledRoster,
+        oracles: &mut [Box<dyn GroupFilter>],
+        leader_of: &[usize],
+        cause: CloseCause,
+    ) -> usize {
+        let mut sealed: Vec<OwnedSet> = Vec::new();
+        let mut closed_for = std::collections::BTreeMap::new();
+        let mut dismissed_by = std::collections::BTreeMap::new();
+        for (slot, oracle) in oracles.iter_mut().enumerate() {
+            let want = oracle.force_close(cause);
+            let got = compiled.force_close(slot, cause);
+            let leader = leader_of[slot];
+            if leader == slot {
+                dismissed_by.insert(slot, got.dismissed);
+            } else {
+                assert_eq!(got, ForceClosed::default(), "follower {slot} closed");
+            }
+            if let Some(set) = got.closed {
+                assert!(set.owners.contains(&(slot as u32)), "closed for an owner");
+                for &o in &set.owners {
+                    closed_for.insert(o as usize, sealed.len());
+                }
+                sealed.push(set);
+            }
+            assert_eq!(
+                dismissed_by[&leader], want.dismissed,
+                "{cause:?} slot {slot}"
+            );
+            let got = (closed_for.get(&leader))
+                .map(|&at| as_oracle(compiled, &sealed[at].set, slot, leader));
+            assert_eq!(got, want.closed, "{cause:?} slot {slot}");
+        }
+        let shared = sealed.iter().filter(|s| s.owners.len() > 1).count();
+        for set in sealed {
+            compiled.recycle(set);
+        }
+        shared
     }
 
     fn assert_lockstep(specs: Vec<FilterSpec>, algorithm: Algorithm, points: &[(u64, f64)]) {
         let (schema, tuples) = one_attribute(points);
-        assert_lockstep_with(specs, algorithm, &schema, &tuples, |_| {});
+        assert_lockstep_with(specs, algorithm, &schema, &tuples, None, |_| {});
     }
 
     /// `points` as a stream over the one attribute `t`.
@@ -1465,7 +1914,7 @@ mod tests {
             admitted > 0 && closed > 0,
             "{algorithm:?}: {admitted} / {closed}"
         );
-        assert_lockstep_with(specs, algorithm, &schema, &tuples, |_| {});
+        assert_lockstep_with(specs, algorithm, &schema, &tuples, None, |_| {});
     }
 
     #[test]
@@ -1519,6 +1968,7 @@ mod tests {
             Algorithm::RegionGreedy,
             &schema,
             &tuples,
+            None,
             |compiled| {
                 let bases: std::collections::BTreeSet<u64> = (0..compiled.delta.slot.len())
                     .filter(|&m| {
@@ -1633,14 +2083,18 @@ mod tests {
         }
         for follower in [1, 2] {
             let out = compiled.force_close(follower, CloseCause::Cut);
-            assert_eq!(out, ForceCloseOutcome::default(), "follower {follower}");
+            assert_eq!(out, ForceClosed::default(), "follower {follower}");
         }
         let out = compiled.force_close(0, CloseCause::Cut);
-        let set = out.closed.expect("the class's open set");
-        assert_eq!((set.filter, set.len()), (FilterId::from_index(0), 2));
+        let sealed = out.closed.expect("the class's open set");
+        assert_eq!(
+            (sealed.set.filter, sealed.set.len()),
+            (FilterId::from_index(0), 2)
+        );
+        assert_eq!(sealed.owners, [0]);
         assert_eq!(
             compiled.force_close(0, CloseCause::Cut),
-            ForceCloseOutcome::default(),
+            ForceClosed::default(),
             "nothing left to close"
         );
     }
@@ -1666,6 +2120,7 @@ mod tests {
             Algorithm::PerCandidateSet,
             &schema,
             &tuples,
+            None,
             |compiled| most = most.max(compiled.cohort_count()),
         );
         assert!(most > 6, "only {most} cohorts at once");
@@ -1882,8 +2337,101 @@ mod tests {
         assert_eq!(compiled.open_len(0), 0);
         assert_eq!(
             compiled.force_close(0, CloseCause::Cut),
-            ForceCloseOutcome::default()
+            ForceClosed::default()
         );
         assert!(compiled.open_cover(7).is_none(), "past-width slots inert");
+    }
+
+    /// A seeded walk in quarter-unit steps of at most `step`, with a jump
+    /// of up to `spike` one tuple in twelve, one tuple every 10 ms: small
+    /// steps keep vicinities open over several tuples, and a jump makes
+    /// many members take the same reference.
+    fn spiky_walk(seed: u64, tuples: u64, step: f64, spike: f64) -> Vec<(u64, f64)> {
+        let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut value = 50.0;
+        (0..tuples)
+            .map(|i| {
+                let most = if rng.chance(1.0 / 12.0) { spike } else { step };
+                value += ((rng.next_f64() - 0.5) * 2.0 * most * 4.0).round() / 4.0;
+                (10 * (i + 1), value)
+            })
+            .collect()
+    }
+
+    /// The benchmark's wide roster in miniature: one slack, `δ` spread
+    /// from tight to loose.
+    fn wide_shape(filters: usize, slack: impl Fn(usize) -> f64) -> Vec<FilterSpec> {
+        (0..filters)
+            .map(|i| FilterSpec::delta("t", 3.0 + 0.25 * i as f64, slack(i)))
+            .collect()
+    }
+
+    const SHARING: [Algorithm; 2] = [Algorithm::RegionGreedy, Algorithm::SelfInterested];
+
+    fn assert_groups_lockstep(
+        specs: Vec<FilterSpec>,
+        algorithm: Algorithm,
+        walk: &[(u64, f64)],
+        cut_after: Option<Micros>,
+    ) -> Exercised {
+        let (schema, tuples) = one_attribute(walk);
+        assert_lockstep_with(specs, algorithm, &schema, &tuples, cut_after, |_| {})
+    }
+
+    #[test]
+    fn vicinity_groups_on_the_wide_shape() {
+        let walk = spiky_walk(3, 1_500, 0.5, 12.0);
+        for algorithm in SHARING {
+            let seen = assert_groups_lockstep(wide_shape(48, |_| 0.6), algorithm, &walk, None);
+            assert!(seen.widest_group >= 8, "{algorithm:?}: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn vicinity_groups_split_by_slack() {
+        let walk = spiky_walk(5, 1_500, 0.5, 12.0);
+        let slack = |i: usize| [0.6, 1.1][i % 2];
+        for algorithm in SHARING {
+            let seen = assert_groups_lockstep(wide_shape(48, slack), algorithm, &walk, None);
+            assert!(seen.widest_group >= 4, "{algorithm:?}: {seen:?}");
+            assert!(
+                seen.same_reference_other_slack > 0,
+                "{algorithm:?}: {seen:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn vicinity_groups_split_by_kept_run() {
+        // A wide slack against small steps: a member still in its vicinity
+        // when another admits a tuple tentatively keeps a different run
+        // when both take the same reference.
+        let walk = spiky_walk(7, 2_000, 0.5, 9.0);
+        for algorithm in SHARING {
+            let seen = assert_groups_lockstep(wide_shape(40, |_| 1.5), algorithm, &walk, None);
+            assert!(seen.widest_group >= 2, "{algorithm:?}: {seen:?}");
+            assert!(seen.same_reference_other_run > 0, "{algorithm:?}: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn vicinity_groups_hold_twin_leaders() {
+        // Every third spec twice over, at slots far apart.
+        let walk = spiky_walk(9, 1_500, 0.5, 12.0);
+        for algorithm in SHARING {
+            let mut specs = wide_shape(36, |_| 0.6);
+            specs.extend(wide_shape(36, |_| 0.6).into_iter().step_by(3));
+            let seen = assert_groups_lockstep(specs, algorithm, &walk, None);
+            assert!(seen.groups_with_twins > 0, "{algorithm:?}: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn timely_cuts_seal_each_group_once() {
+        let walk = spiky_walk(11, 1_500, 0.5, 12.0);
+        let budget = Some(Micros::from_millis(40));
+        let specs = wide_shape(48, |_| 0.6);
+        let seen = assert_groups_lockstep(specs, Algorithm::RegionGreedy, &walk, budget);
+        assert!(seen.shared_sets_cut > 10, "{seen:?}");
     }
 }

@@ -51,5 +51,5 @@ mod compiled;
 mod expr;
 
 pub use compiled::CompiledRoster;
-pub(crate) use compiled::{StepActions, TwinTable};
+pub(crate) use compiled::{OwnedSet, StepActions, TwinTable};
 pub use expr::{Expr, FilterPlan, Gate, RosterPlan};

@@ -56,7 +56,7 @@ impl OpenCovers {
         }
     }
 
-    fn get(&self, slot: usize) -> Option<TimeCover> {
+    pub(crate) fn get(&self, slot: usize) -> Option<TimeCover> {
         let open = self.words.get(slot / 64)? & (1 << (slot % 64)) != 0;
         open.then(|| self.covers[slot])
     }
@@ -81,9 +81,11 @@ const NO_BLOCKER: usize = usize::MAX;
 #[derive(Debug, Clone)]
 pub struct Region {
     sets: Vec<ClosedSet>,
+    /// Per set, the slots it closed for ([`RegionTracker::add_owned`]).
+    owners: Vec<Vec<u32>>,
     cover: TimeCover,
     /// Candidates across the member sets, each set counted once per
-    /// filter it stands for ([`RegionTracker::add_weighted`]).
+    /// filter it stands for.
     size: usize,
     /// Slot of the open set that last kept this region from completing —
     /// a hint, re-checked on every drain: an open set stays in the way
@@ -92,13 +94,16 @@ pub struct Region {
 }
 
 impl Region {
-    /// A single-set region in `sets` (an empty list, possibly recycled).
-    fn from_set(set: ClosedSet, weight: usize, mut sets: Vec<ClosedSet>) -> Self {
+    /// A single-set region in `lists` (empty, possibly recycled).
+    fn from_set(set: ClosedSet, owners: Vec<u32>, weight: usize, lists: RegionLists) -> Self {
+        let (mut sets, mut owned) = lists;
         let cover = set.cover();
         let size = set.len() * weight;
         sets.push(set);
+        owned.push(owners);
         Region {
             sets,
+            owners: owned,
             cover,
             size,
             blocker: NO_BLOCKER,
@@ -130,6 +135,16 @@ impl Region {
     /// Consumes the region, yielding its sets.
     pub fn into_sets(self) -> Vec<ClosedSet> {
         self.sets
+    }
+
+    /// Per set of [`sets`](Self::sets), the slots it closed for.
+    pub(crate) fn owners(&self) -> &[Vec<u32>] {
+        &self.owners
+    }
+
+    /// Consumes the region, yielding its sets and their owners.
+    pub(crate) fn into_parts(self) -> RegionLists {
+        (self.sets, self.owners)
     }
 
     /// The union of the member sets' time covers (Definition 5).
@@ -164,14 +179,18 @@ impl Region {
             .any(|s| s.cause == crate::candidate::CloseCause::Cut)
     }
 
-    /// Moves `other`'s sets in, handing back its emptied list.
-    fn merge_from(&mut self, mut other: Region) -> Vec<ClosedSet> {
+    /// Moves `other`'s sets in, handing back its emptied lists.
+    fn merge_from(&mut self, mut other: Region) -> RegionLists {
         self.cover = self.cover.union(&other.cover);
         self.size += other.size;
         self.sets.append(&mut other.sets);
-        other.sets
+        self.owners.append(&mut other.owners);
+        (other.sets, other.owners)
     }
 }
+
+/// A region's sets and, per set, the slots it closed for.
+pub(crate) type RegionLists = (Vec<ClosedSet>, Vec<Vec<u32>>);
 
 /// Accumulates closed candidate sets into regions and releases regions once
 /// they can no longer grow.
@@ -189,7 +208,7 @@ pub struct RegionTracker {
     pending: Vec<Region>,
     /// Emptied set lists (of merged-away regions, and of completed ones the
     /// engine hands back), reused by the next single-set region.
-    spare: Vec<Vec<ClosedSet>>,
+    spare: Vec<RegionLists>,
 }
 
 impl RegionTracker {
@@ -201,13 +220,14 @@ impl RegionTracker {
     /// Adds a freshly closed candidate set, merging any pending regions it
     /// connects (directly or transitively — Definition 3).
     pub fn add(&mut self, set: ClosedSet) {
-        self.add_weighted(set, 1);
+        self.add_owned(set, Vec::new(), 1);
     }
 
-    /// [`add`](Self::add) for a set that stands for `weight` identical
-    /// filters' sets (a folded twin class): one entry, counted `weight`
-    /// times in the region's [`size`](Region::size).
-    pub(crate) fn add_weighted(&mut self, set: ClosedSet, weight: usize) {
+    /// [`add`](Self::add) for a set that closed for the slots in `owners`
+    /// and stands for `weight` identical filters' sets (the owners' twin
+    /// classes): one entry, counted `weight` times in the region's
+    /// [`size`](Region::size).
+    pub(crate) fn add_owned(&mut self, set: ClosedSet, owners: Vec<u32>, weight: usize) {
         let cover = set.cover();
         // The run of pending regions the set intersects. (Merging them
         // cannot reach a further region: the merged cover spans exactly
@@ -220,9 +240,11 @@ impl RegionTracker {
             home.cover = home.cover.union(&cover);
             home.size += set.len() * weight;
             home.sets.push(set);
+            home.owners.push(owners);
             return;
         }
-        let mut merged = Region::from_set(set, weight, self.spare.pop().unwrap_or_default());
+        let spare = self.spare.pop().unwrap_or_default();
+        let mut merged = Region::from_set(set, owners, weight, spare);
         for mut other in self.pending.drain(lo..hi) {
             // Merge the smaller side into the larger: a long-lived
             // region accumulates thousands of sets, and moving it into
@@ -273,10 +295,11 @@ impl RegionTracker {
         }
     }
 
-    /// Takes back the (emptied) set list of a completed region for reuse.
-    pub(crate) fn recycle(&mut self, mut sets: Vec<ClosedSet>) {
+    /// Takes back the (emptied) lists of a completed region for reuse.
+    pub(crate) fn recycle(&mut self, (mut sets, mut owners): RegionLists) {
         sets.clear();
-        self.spare.push(sets);
+        owners.clear();
+        self.spare.push((sets, owners));
     }
 
     /// Drains every pending region unconditionally (end of stream).
