@@ -15,16 +15,15 @@ use crate::candidate::ClosedSet;
 use crate::quality::Prescription;
 use crate::tuple::TupleId;
 use crate::utility::GroupUtility;
-use std::collections::HashSet;
 
 /// Chooses this set's output tuples.
 ///
-/// `recently_decided` holds the ids already chosen by filters in the
+/// `recently_decided` tells the ids already chosen by filters in the
 /// still-incomplete regions (the global state's `decidedOutput`).
 pub(crate) fn decide_outputs(
     set: &ClosedSet,
     utility: &GroupUtility,
-    recently_decided: &HashSet<TupleId>,
+    recently_decided: impl Fn(TupleId) -> bool,
 ) -> Vec<TupleId> {
     let ranks = set.eligible_ranks();
     let ranked = set.prescription != Prescription::Any;
@@ -37,12 +36,7 @@ pub(crate) fn decide_outputs(
     let mut candidates: Vec<(bool, u32, TupleId, usize)> = Vec::new();
     for (rank_idx, rank) in ranks.iter().enumerate() {
         for &id in rank {
-            candidates.push((
-                recently_decided.contains(&id),
-                utility.get(id),
-                id,
-                rank_idx,
-            ));
+            candidates.push((recently_decided(id), utility.get(id), id, rank_idx));
         }
     }
     candidates.sort_by_key(|&(already, utility, id, _)| std::cmp::Reverse((already, utility, id)));
@@ -70,6 +64,11 @@ mod tests {
     use super::*;
     use crate::candidate::{CandidateTuple, CloseCause, FilterId};
     use crate::time::Micros;
+    use std::collections::HashSet;
+
+    fn none(_: TupleId) -> bool {
+        false
+    }
 
     fn id(seq: u64) -> TupleId {
         TupleId::from_seq(seq)
@@ -104,7 +103,10 @@ mod tests {
         let mut decided = HashSet::new();
         decided.insert(id(4));
         // Rule 1 beats rule 2: 4 wins despite lower utility.
-        assert_eq!(decide_outputs(&s, &u, &decided), vec![id(4)]);
+        assert_eq!(
+            decide_outputs(&s, &u, |id| decided.contains(&id)),
+            vec![id(4)]
+        );
     }
 
     #[test]
@@ -117,14 +119,14 @@ mod tests {
         }
         u.increment(id(4));
         // 3 and 5 tie on utility; 5 is fresher.
-        assert_eq!(decide_outputs(&s, &u, &HashSet::new()), vec![id(5)]);
+        assert_eq!(decide_outputs(&s, &u, none), vec![id(5)]);
     }
 
     #[test]
     fn multi_degree_picks_k_distinct() {
         let s = set(&[1, 2, 3, 4], 3, Prescription::Any);
         let u = GroupUtility::new();
-        let chosen = decide_outputs(&s, &u, &HashSet::new());
+        let chosen = decide_outputs(&s, &u, none);
         assert_eq!(chosen.len(), 3);
         let unique: HashSet<TupleId> = chosen.iter().copied().collect();
         assert_eq!(unique.len(), 3);
@@ -136,7 +138,7 @@ mod tests {
     fn ranked_sets_use_one_per_rank() {
         // keys = seq; Top with degree 2 -> ranks [4], [3]
         let s = set(&[1, 3, 4], 2, Prescription::Top);
-        let chosen = decide_outputs(&s, &GroupUtility::new(), &HashSet::new());
+        let chosen = decide_outputs(&s, &GroupUtility::new(), none);
         assert_eq!(chosen.len(), 2);
         assert!(chosen.contains(&id(4)) && chosen.contains(&id(3)));
     }
@@ -147,7 +149,7 @@ mod tests {
         for c in &mut s.candidates {
             c.key = 1.0; // single rank
         }
-        let chosen = decide_outputs(&s, &GroupUtility::new(), &HashSet::new());
+        let chosen = decide_outputs(&s, &GroupUtility::new(), none);
         assert_eq!(chosen.len(), 1);
     }
 }

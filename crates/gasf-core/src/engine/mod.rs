@@ -51,7 +51,7 @@ use crate::bitset::FilterSet;
 use crate::candidate::{CloseCause, FilterId};
 use crate::cuts::{RuntimePredictor, TimeConstraint};
 use crate::error::Error;
-use crate::hitting_set::{collect_distinct_ids, GreedySolver};
+use crate::hitting_set::GreedySolver;
 use crate::metrics::{EngineMetrics, FilterMetrics};
 use crate::plan::{CompiledRoster, FilterPlan, OwnedSet, StepActions, TwinTable};
 use crate::quality::FilterSpec;
@@ -60,9 +60,9 @@ use crate::schema::Schema;
 use crate::sink::EmissionSink;
 use crate::snapshot::GroupSnapshot;
 use crate::time::Micros;
-use crate::tuple::{Tuple, TupleId, TuplePool};
+use crate::tuple::{Decided, Tuple, TupleId, TuplePool};
 use crate::utility::GroupUtility;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -354,20 +354,21 @@ pub struct GroupEngine {
     utility: GroupUtility,
     tracker: RegionTracker,
     /// Reusable buffers of the per-row region drain and solve: ready
-    /// regions, a region's distinct ids and its sets' weights, and the
-    /// hitting-set solver's working storage.
+    /// regions, a region's sets' weights, and the hitting-set solver's
+    /// working storage (which also collects a region's distinct ids).
     ready_buf: Vec<Region>,
-    ids_buf: Vec<TupleId>,
     weights_buf: Vec<u32>,
     solver: GreedySolver,
-    /// Intern pool owning the live tuples that may still be chosen/emitted.
+    /// Intern pool owning the live tuples that may still be chosen or
+    /// emitted, and beside each its output state: pending, releasable,
+    /// recently decided.
     pool: TuplePool,
-    /// Decided but not yet emitted outputs (recipient sets by id).
-    pending: BTreeMap<TupleId, FilterSet>,
-    /// Pending ids whose region has completed (eligible under `Earliest`).
-    releasable: BTreeSet<TupleId>,
-    /// Ids chosen in still-incomplete regions (PS heuristic 1).
-    recently_decided: HashSet<TupleId>,
+    /// Decided but not yet emitted outputs with their recipients, in
+    /// decision order (sorted by id at release). A pending id's pool
+    /// state holds its index here.
+    pending: Vec<(TupleId, FilterSet)>,
+    /// How many pending ids are releasable.
+    releasable: usize,
     batch_counter: u32,
     /// Stream time up to which every region is complete (the punctuation
     /// value of §3.4).
@@ -658,7 +659,7 @@ impl GroupEngine {
     /// state; the lifetime metrics carry over, widened to the new slot
     /// count. Must only run with the engine fully drained.
     fn advance_epoch(&mut self) {
-        debug_assert!(self.pending.is_empty() && self.releasable.is_empty());
+        debug_assert!(self.pending.is_empty() && self.releasable == 0);
         self.queued_structural = 0;
         for op in std::mem::take(&mut self.control_queue) {
             match op {
@@ -685,7 +686,6 @@ impl GroupEngine {
         self.predictor = RuntimePredictor::with_window(self.predictor_window, self.overestimate_us);
         self.utility = GroupUtility::new();
         self.tracker = RegionTracker::new();
-        self.recently_decided.clear();
         self.batch_counter = 0;
         self.max_emitted_id = None;
         // Slots never shrink: ids are not reused, a removal leaves a
@@ -786,13 +786,11 @@ impl GroupEngine {
             utility: GroupUtility::new(),
             tracker: RegionTracker::new(),
             ready_buf: Vec::new(),
-            ids_buf: Vec::new(),
             weights_buf: Vec::new(),
             solver: GreedySolver::default(),
             pool: TuplePool::new(),
-            pending: BTreeMap::new(),
-            releasable: BTreeSet::new(),
-            recently_decided: HashSet::new(),
+            pending: Vec::new(),
+            releasable: 0,
             batch_counter: 0,
             watermark: snap.watermark,
             max_emitted_id: None,
@@ -1208,7 +1206,9 @@ impl GroupEngine {
             }
             Algorithm::PerCandidateSet => {
                 // (Nothing is folded or grouped here: `owners` is `[i]`.)
-                let chosen = decide::decide_outputs(&set, &self.utility, &self.recently_decided);
+                let chosen = decide::decide_outputs(&set, &self.utility, |id| {
+                    self.pool.decided(id).is_some_and(|d| d.recent)
+                });
                 self.metrics.per_filter[i].chosen += chosen.len() as u64;
                 if self.compiled.is_stateful(i) {
                     if let Some(&first) = chosen.first() {
@@ -1223,7 +1223,9 @@ impl GroupEngine {
                 }
                 for &id in &chosen {
                     self.enqueue(id, &owners);
-                    self.recently_decided.insert(id);
+                    if let Some(decided) = self.pool.decided_mut(id) {
+                        decided.recent = true;
+                    }
                 }
                 for c in &set.candidates {
                     self.utility.decrement(c.id);
@@ -1279,21 +1281,20 @@ impl GroupEngine {
         }
         // The distinct-id universe serves both the solver and the cleanup
         // below — collected once per region.
-        let mut ids = std::mem::take(&mut self.ids_buf);
-        collect_distinct_ids(region.sets(), &mut ids);
+        let mut solver = std::mem::take(&mut self.solver);
+        solver.index(region.sets());
         if self.algorithm == Algorithm::RegionGreedy {
-            let mut solver = std::mem::take(&mut self.solver);
             let mut weights = std::mem::take(&mut self.weights_buf);
             weights.clear();
             weights.extend(region.owners().iter().map(|o| self.weight_of(o)));
             let t0 = Instant::now();
-            solver.solve(region.sets(), &weights, &ids);
+            solver.solve(region.sets(), &weights);
             let elapsed = t0.elapsed();
             self.metrics.greedy_cpu += elapsed;
             self.predictor
                 .observe(region.size(), Micros(elapsed.as_micros() as u64));
             for (id, covers) in solver.choices() {
-                let recipients = self.pending.entry(id).or_default();
+                let recipients = pending_recipients(&mut self.pool, &mut self.pending, id);
                 for &si in covers {
                     for &o in &region.owners()[si] {
                         for &f in self.twins.class(o as usize) {
@@ -1303,23 +1304,25 @@ impl GroupEngine {
                     }
                 }
             }
-            self.solver = solver;
             self.weights_buf = weights;
         }
         // Cleanup: tuples of a completed region can never appear in a
         // future candidate set (their covers would intersect the region's),
         // so their ids leave every engine structure here — this is the
         // moment the id-stability window of `crate::tuple` ends.
-        for &id in &ids {
+        for &id in solver.universe() {
             self.utility.remove(id);
-            self.recently_decided.remove(&id);
-            if self.pending.contains_key(&id) {
-                self.releasable.insert(id);
-            } else {
+            let Some(decided) = self.pool.decided_mut(id) else {
+                continue;
+            };
+            decided.recent = false;
+            if !decided.is_pending() {
                 self.pool.release(id);
+            } else if !std::mem::replace(&mut decided.releasable, true) {
+                self.releasable += 1;
             }
         }
-        self.ids_buf = ids;
+        self.solver = solver;
         // The region's lists go back to where they came from.
         let (mut sets, mut owners) = region.into_parts();
         for (set, owners) in sets.drain(..).zip(owners.drain(..)) {
@@ -1331,7 +1334,7 @@ impl GroupEngine {
     /// Labels the pending output `id` for every filter of the owners'
     /// twin classes.
     fn enqueue(&mut self, id: TupleId, owners: &[u32]) {
-        let recipients = self.pending.entry(id).or_default();
+        let recipients = pending_recipients(&mut self.pool, &mut self.pending, id);
         for &o in owners {
             for &f in self.twins.class(o as usize) {
                 recipients.insert(FilterId(f));
@@ -1341,10 +1344,7 @@ impl GroupEngine {
 
     /// Drops a tuple from the pool once nothing can reference it again.
     fn maybe_drop(&mut self, id: TupleId) {
-        if self.utility.get(id) == 0
-            && !self.pending.contains_key(&id)
-            && !self.recently_decided.contains(&id)
-        {
+        if self.utility.get(id) == 0 && !self.pool.decided(id).is_some_and(Decided::held) {
             self.pool.release(id);
         }
     }
@@ -1366,26 +1366,37 @@ impl GroupEngine {
         }
     }
 
-    /// Releases pending outputs into the scratch buffer. The buffer's
-    /// allocation is reused across pushes; the recipient sets are moved out
-    /// of `pending`, so releasing performs no allocation at all.
+    /// Releases pending outputs into the scratch buffer, in id order.
+    /// The buffer's allocation is reused across pushes; the recipient sets
+    /// are moved out of `pending`, so releasing performs no allocation at
+    /// all. Outputs left pending move to the front, renumbered.
     fn release_to_scratch(&mut self, now: Micros, which: Release) {
-        match which {
-            Release::All => {
-                while let Some((id, recipients)) = self.pending.pop_first() {
-                    self.releasable.remove(&id);
-                    self.emit_to_scratch(id, recipients, now);
-                }
-            }
-            Release::Ready => {
-                while let Some(id) = self.releasable.pop_first() {
-                    let Some(recipients) = self.pending.remove(&id) else {
-                        continue;
-                    };
-                    self.emit_to_scratch(id, recipients, now);
-                }
-            }
+        if which == Release::Ready && self.releasable == 0 {
+            return;
         }
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_unstable_by_key(|&(id, _)| id);
+        let mut kept = 0;
+        for i in 0..pending.len() {
+            let id = pending[i].0;
+            let decided = self
+                .pool
+                .decided_mut(id)
+                .expect("a pending tuple is live in the pool");
+            if which == Release::Ready && !decided.releasable {
+                decided.pending = kept as u32;
+                pending.swap(kept, i);
+                kept += 1;
+                continue;
+            }
+            decided.pending = Decided::NONE;
+            decided.releasable = false;
+            let recipients = std::mem::take(&mut pending[i].1);
+            self.emit_to_scratch(id, recipients, now);
+        }
+        pending.truncate(kept);
+        self.pending = pending;
+        self.releasable = 0;
     }
 
     /// Builds one emission (with all release-side accounting) onto the
@@ -1412,9 +1423,7 @@ impl GroupEngine {
         // The tuple may still be re-chosen while its region is
         // incomplete (per-candidate-set strategy); region completion
         // releases it from the pool for good.
-        if self.utility.get(id) == 0 && !self.recently_decided.contains(&id) {
-            self.pool.release(id);
-        }
+        self.maybe_drop(id);
         self.scratch.push(Emission {
             tuple,
             recipients,
@@ -1451,4 +1460,21 @@ impl GroupEngine {
                 .map(|i| self.compiled.open_len(i) * self.twins.weight(i) as usize)
                 .sum::<usize>()
     }
+}
+
+/// The recipients of the pending output `id` — an empty set, appended to
+/// `pending`, if `id` was not pending yet.
+fn pending_recipients<'a>(
+    pool: &mut TuplePool,
+    pending: &'a mut Vec<(TupleId, FilterSet)>,
+    id: TupleId,
+) -> &'a mut FilterSet {
+    let decided = pool
+        .decided_mut(id)
+        .expect("a decided tuple is live in the pool");
+    if !decided.is_pending() {
+        decided.pending = pending.len() as u32;
+        pending.push((id, FilterSet::default()));
+    }
+    &mut pending[decided.pending as usize].1
 }

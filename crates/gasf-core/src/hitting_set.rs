@@ -12,13 +12,30 @@
 //! ## Representation
 //!
 //! The solver operates purely on interned [`TupleId`]s — no `Tuple`
-//! payloads enter the selection loop. The region's distinct ids are mapped
-//! to a dense index space once and all working state lives in the flat
-//! buffers of a `GreedySolver` that the caller keeps across regions, so
-//! a steady stream of regions is solved without touching the allocator:
-//! every `(tuple, set, rank)` incidence is one entry of a single list in
-//! set order, rank usage of every ranked set shares one flag vector, and
-//! the choices and the sets they cover are written into reused buffers.
+//! payloads enter the selection loop — and all its working state lives
+//! in the flat buffers of a `GreedySolver` that the caller keeps across
+//! regions, so a steady stream of regions is solved without touching the
+//! allocator.
+//!
+//! A region of `I` `(tuple, set, rank)` incidences over `T` distinct
+//! tuples costs `O(I + picks × T)`, where recomputing every usefulness
+//! per round cost `O(picks × (I + T))`:
+//! - one pass over the candidates maps each id to a dense index through a
+//!   small open-addressing table (a multiplicative hash of the sequence
+//!   number), which builds the distinct-id universe at the same time;
+//! - every incidence is one entry of a list in set order; each set and
+//!   each rank of a ranked set is a run of it, and each tuple's
+//!   incidences are chained in set order, so the covers of a choice come
+//!   out ascending;
+//! - each tuple's usefulness is summed once. A pick walks only the picked
+//!   tuple's chain, and weight is subtracted only from incidences that
+//!   die: every incidence of a set that reaches its degree, or of a rank
+//!   that gets used. Each incidence dies at most once;
+//! - the next pick is the maximum of `(usefulness, timestamp, id)` over
+//!   a list of the unchosen tuples, which drops each tuple the first time
+//!   it is seen useless. A region averages under six distinct tuples on
+//!   the benchmark rosters, where one short scan beats keeping a heap.
+//!
 //! Ids are stable for the lifetime of the region being solved (see
 //! [`crate::tuple`]), which is what makes the dense mapping sound.
 
@@ -61,10 +78,9 @@ pub fn greedy_hitting_set(sets: &[ClosedSet]) -> Vec<Choice> {
 /// # Panics
 /// Panics if `weights` and `sets` differ in length.
 pub fn weighted_greedy_hitting_set(sets: &[ClosedSet], weights: &[u32]) -> Vec<Choice> {
-    let mut universe = Vec::new();
-    collect_distinct_ids(sets, &mut universe);
     let mut solver = GreedySolver::default();
-    solver.solve(sets, weights, &universe);
+    solver.index(sets);
+    solver.solve(sets, weights);
     solver
         .choices()
         .map(|(id, covers)| Choice {
@@ -75,7 +91,7 @@ pub fn weighted_greedy_hitting_set(sets: &[ClosedSet], weights: &[u32]) -> Vec<C
 }
 
 /// Fills `universe` (cleared first) with the sorted distinct ids
-/// referenced by `sets` — the dense universe the solver indexes over.
+/// referenced by `sets`.
 pub(crate) fn collect_distinct_ids(sets: &[ClosedSet], universe: &mut Vec<TupleId>) {
     universe.clear();
     for set in sets {
@@ -89,32 +105,75 @@ pub(crate) fn collect_distinct_ids(sets: &[ClosedSet], universe: &mut Vec<TupleI
 /// candidates may fill any of its picks).
 const NO_RANK: u32 = u32::MAX;
 
+/// End of a tuple's incidence chain.
+const END: u32 = u32::MAX;
+
 /// A tuple that can fill one pick of one set.
 #[derive(Debug, Clone, Copy)]
 struct Incidence {
     /// Dense index of the tuple in the universe.
     tuple: u32,
     set: u32,
-    /// Index into [`GreedySolver::rank_used`], or [`NO_RANK`].
+    /// Index into [`GreedySolver::ranks`], or [`NO_RANK`].
     rank: u32,
+    /// The tuple's next incidence (in set order), or [`END`].
+    next: u32,
+}
+
+/// A set of the instance: its run of incidences, the picks it still owes
+/// and how many copies it stands for.
+#[derive(Debug, Clone, Copy)]
+struct SetRun {
+    start: u32,
+    end: u32,
+    needed: u32,
+    weight: u32,
+}
+
+/// A rank of a ranked set: its run of incidences, and whether a pick has
+/// filled it.
+#[derive(Debug, Clone, Copy)]
+struct RankRun {
+    start: u32,
+    end: u32,
+    used: bool,
+}
+
+/// One entry of the id → dense-index table, valid while `stamp` matches
+/// the solver's.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    stamp: u32,
+    dense: u32,
+    seq: u64,
 }
 
 /// The greedy solver's working storage, reused across regions by the
 /// engine's region-completion path.
 #[derive(Debug, Default)]
 pub(crate) struct GreedySolver {
-    /// Every incidence of the instance, in set order (so one tuple's
-    /// incidences appear in ascending set order).
-    incidences: Vec<Incidence>,
-    /// Per set: picks still owed (to each of the copies it stands for).
-    needed: Vec<u32>,
-    /// Per rank of every ranked set: already filled.
-    rank_used: Vec<bool>,
-    /// Per tuple: timestamp (the tie-break), chosen flag, and this
-    /// round's usefulness.
+    /// Open-addressing id → dense-index table; a power of two long, and
+    /// emptied by bumping `stamp`.
+    table: Vec<Slot>,
+    stamp: u32,
+    /// log2 of the part of `table` the current index pass uses.
+    bits: u32,
+    /// The distinct ids of the indexed sets, in first-seen order, and per
+    /// id its timestamp (the tie-break).
+    universe: Vec<TupleId>,
     ts: Vec<u64>,
-    chosen: Vec<bool>,
+    /// Per candidate of the indexed sets, in order: its dense index.
+    dense: Vec<u32>,
+    /// Every incidence of the instance, in set order.
+    incidences: Vec<Incidence>,
+    sets: Vec<SetRun>,
+    ranks: Vec<RankRun>,
+    /// Per tuple: the first incidence of its chain and its usefulness
+    /// (the weight of its live incidences).
+    head: Vec<u32>,
     useful: Vec<u32>,
+    /// The unchosen tuples that may still be useful.
+    live: Vec<u32>,
     /// The choices in pick order, each with the end of its run in
     /// `covers`.
     picks: Vec<(TupleId, usize)>,
@@ -122,110 +181,213 @@ pub(crate) struct GreedySolver {
 }
 
 impl GreedySolver {
-    /// Solves the instance in which `sets[i]` counts `weights[i]` times,
-    /// over `universe` — the sorted distinct ids of `sets`, which callers
-    /// that need them anyway (region cleanup) collect once. Read the
+    /// Maps the candidates of `sets` to dense indices, collecting their
+    /// distinct ids into [`universe`](Self::universe) — one table probe
+    /// per candidate.
+    pub(crate) fn index(&mut self, sets: &[ClosedSet]) {
+        let candidates: usize = sets.iter().map(ClosedSet::len).sum();
+        // At most half full, so probe runs stay short.
+        self.bits = (2 * candidates).max(2).next_power_of_two().trailing_zeros();
+        if self.table.len() < 1 << self.bits {
+            self.table.resize(1 << self.bits, Slot::default());
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.table.fill(Slot::default());
+            self.stamp = 1;
+        }
+        self.universe.clear();
+        self.ts.clear();
+        self.dense.clear();
+        for c in sets.iter().flat_map(|s| &s.candidates) {
+            let (dense, fresh) = self.probe(c.id);
+            if fresh {
+                self.universe.push(c.id);
+                self.ts.push(c.timestamp.as_micros());
+            } else {
+                // The last set to mention an id sets its timestamp.
+                self.ts[dense as usize] = c.timestamp.as_micros();
+            }
+            self.dense.push(dense);
+        }
+    }
+
+    /// The dense index of `id`, inserting it as the next one if absent
+    /// (`true`).
+    fn probe(&mut self, id: TupleId) -> (u32, bool) {
+        let mask = (1usize << self.bits) - 1;
+        let mut at = (id.seq().wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - self.bits)) as usize;
+        loop {
+            let slot = &mut self.table[at];
+            if slot.stamp != self.stamp {
+                let dense = self.universe.len() as u32;
+                *slot = Slot {
+                    stamp: self.stamp,
+                    dense,
+                    seq: id.seq(),
+                };
+                return (dense, true);
+            }
+            if slot.seq == id.seq() {
+                return (slot.dense, false);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The distinct ids of the last [`index`](Self::index)ed sets, in
+    /// first-seen order.
+    pub(crate) fn universe(&self) -> &[TupleId] {
+        &self.universe
+    }
+
+    /// Solves the instance in which `sets[i]` counts `weights[i]` times.
+    /// `sets` must be the ones last [`index`](Self::index)ed. Read the
     /// result with [`choices`](Self::choices).
-    pub(crate) fn solve(&mut self, sets: &[ClosedSet], weights: &[u32], universe: &[TupleId]) {
+    pub(crate) fn solve(&mut self, sets: &[ClosedSet], weights: &[u32]) {
         assert_eq!(sets.len(), weights.len(), "one weight per set");
-        let dense = |id: TupleId| {
-            universe
-                .binary_search(&id)
-                .expect("universe covers every candidate id") as u32
-        };
+        let tuples = self.universe.len();
         self.incidences.clear();
-        self.needed.clear();
-        self.rank_used.clear();
+        self.sets.clear();
+        self.ranks.clear();
         self.picks.clear();
         self.covers.clear();
-        self.ts.clear();
-        self.ts.resize(universe.len(), 0);
-        self.chosen.clear();
-        self.chosen.resize(universe.len(), false);
+        self.useful.clear();
+        self.useful.resize(tuples, 0);
 
-        for (si, set) in sets.iter().enumerate() {
+        let mut owed: u64 = 0;
+        let mut first = 0;
+        for (si, (set, &weight)) in sets.iter().zip(weights).enumerate() {
             let set_index = si as u32;
-            if set.prescription == Prescription::Any {
+            let start = self.incidences.len() as u32;
+            let needed = if set.prescription == Prescription::Any {
                 // One rank holding every candidate: no rank bookkeeping.
-                for c in &set.candidates {
-                    let tuple = dense(c.id);
-                    self.ts[tuple as usize] = c.timestamp.as_micros();
-                    self.incidences.push(Incidence {
-                        tuple,
-                        set: set_index,
-                        rank: NO_RANK,
-                    });
-                }
-                self.needed.push(set.pick_degree.min(set.len()) as u32);
+                let dense = &self.dense[first..first + set.len()];
+                self.incidences.extend(dense.iter().map(|&tuple| Incidence {
+                    tuple,
+                    set: set_index,
+                    rank: NO_RANK,
+                    next: END,
+                }));
+                set.pick_degree.min(set.len())
             } else {
-                for c in &set.candidates {
-                    self.ts[dense(c.id) as usize] = c.timestamp.as_micros();
-                }
                 let ranks = set.eligible_ranks();
-                let first_rank = self.rank_used.len();
-                self.rank_used.resize(first_rank + ranks.len(), false);
-                for (ri, rank) in ranks.iter().enumerate() {
+                for rank in &ranks {
+                    let rank_start = self.incidences.len() as u32;
                     for &id in rank {
+                        let (tuple, fresh) = self.probe(id);
+                        debug_assert!(!fresh, "a rank holds candidates of its set");
                         self.incidences.push(Incidence {
-                            tuple: dense(id),
+                            tuple,
                             set: set_index,
-                            rank: (first_rank + ri) as u32,
+                            rank: self.ranks.len() as u32,
+                            next: END,
                         });
                     }
+                    self.ranks.push(RankRun {
+                        start: rank_start,
+                        end: self.incidences.len() as u32,
+                        used: false,
+                    });
                 }
-                self.needed.push(set.pick_degree.min(ranks.len()) as u32);
+                set.pick_degree.min(ranks.len())
+            } as u32;
+            first += set.len();
+            let end = self.incidences.len() as u32;
+            if needed > 0 {
+                for inc in &self.incidences[start as usize..] {
+                    self.useful[inc.tuple as usize] += weight;
+                }
             }
+            owed += u64::from(needed) * u64::from(weight);
+            self.sets.push(SetRun {
+                start,
+                end,
+                needed,
+                weight,
+            });
         }
+        debug_assert_eq!(first, self.dense.len(), "solve the sets last indexed");
+        // Chain every tuple's incidences in set order.
+        self.head.clear();
+        self.head.resize(tuples, END);
+        for (i, inc) in self.incidences.iter_mut().enumerate().rev() {
+            inc.next = std::mem::replace(&mut self.head[inc.tuple as usize], i as u32);
+        }
+        self.live.clear();
+        self.live.extend(0..tuples as u32);
 
-        let mut owed: u64 = (self.needed.iter().zip(weights))
-            .map(|(&n, &w)| u64::from(n) * u64::from(w))
-            .sum();
         while owed > 0 {
-            // Usefulness: the incidences that could still fill a pick,
-            // each once per copy of its set.
-            self.useful.clear();
-            self.useful.resize(universe.len(), 0);
-            for inc in &self.incidences {
-                if self.needed[inc.set as usize] > 0
-                    && (inc.rank == NO_RANK || !self.rank_used[inc.rank as usize])
-                {
-                    self.useful[inc.tuple as usize] += weights[inc.set as usize];
-                }
-            }
-            // Pick the tuple with max utility; ties -> freshest timestamp,
-            // then highest id (deterministic).
-            let mut best: Option<((u32, u64, TupleId), usize)> = None;
-            for (t, &id) in universe.iter().enumerate() {
-                if self.chosen[t] || self.useful[t] == 0 {
-                    continue;
-                }
-                let key = (self.useful[t], self.ts[t], id);
-                if best.is_none_or(|(b, _)| key > b) {
-                    best = Some((key, t));
-                }
-            }
-            let Some(((_, _, id), t)) = best else {
+            let Some(t) = self.next_pick() else {
                 // No tuple can satisfy the remaining demand (can only happen
                 // for ranked sets with fewer usable ranks than degree, which
                 // the clamped degree already prevents) — defensive break.
                 debug_assert!(false, "greedy hitting set ran out of useful tuples");
                 break;
             };
-            self.chosen[t] = true;
-            for inc in self.incidences.iter().filter(|inc| inc.tuple as usize == t) {
-                let needed = &mut self.needed[inc.set as usize];
-                if *needed > 0 && (inc.rank == NO_RANK || !self.rank_used[inc.rank as usize]) {
-                    *needed -= 1;
-                    owed -= u64::from(weights[inc.set as usize]);
-                    if inc.rank != NO_RANK {
-                        self.rank_used[inc.rank as usize] = true;
-                    }
-                    self.covers.push(inc.set as usize);
+            let mut i = self.head[t];
+            while i != END {
+                let inc = self.incidences[i as usize];
+                i = inc.next;
+                let set = self.sets[inc.set as usize];
+                let ranked = inc.rank != NO_RANK;
+                if set.needed == 0 || (ranked && self.ranks[inc.rank as usize].used) {
+                    continue;
                 }
+                owed -= u64::from(set.weight);
+                self.sets[inc.set as usize].needed -= 1;
+                if set.needed == 1 {
+                    // The set is satisfied: its live incidences die.
+                    self.kill(set.start, set.end, set.weight);
+                } else if ranked {
+                    // The rank is filled: its incidences die.
+                    let rank = self.ranks[inc.rank as usize];
+                    self.kill(rank.start, rank.end, set.weight);
+                }
+                if ranked {
+                    self.ranks[inc.rank as usize].used = true;
+                }
+                self.covers.push(inc.set as usize);
             }
             debug_assert!(self.picks.last().map_or(0, |p| p.1) < self.covers.len());
-            self.picks.push((id, self.covers.len()));
+            self.picks.push((self.universe[t], self.covers.len()));
         }
+    }
+
+    /// Subtracts `weight` from the usefulness of every tuple with an
+    /// incidence in `start..end` (a run of one set, which still owes
+    /// picks), except the incidences of ranks already used: they died
+    /// with their rank.
+    fn kill(&mut self, start: u32, end: u32, weight: u32) {
+        for inc in &self.incidences[start as usize..end as usize] {
+            if inc.rank != NO_RANK && self.ranks[inc.rank as usize].used {
+                continue;
+            }
+            self.useful[inc.tuple as usize] -= weight;
+        }
+    }
+
+    /// The unchosen tuple with the greatest `(usefulness, timestamp, id)`
+    /// among those still useful.
+    fn next_pick(&mut self) -> Option<usize> {
+        let mut best = None;
+        let mut at = 0;
+        let mut i = 0;
+        while i < self.live.len() {
+            let t = self.live[i] as usize;
+            if self.useful[t] == 0 {
+                self.live.swap_remove(i);
+                continue;
+            }
+            let key = (self.useful[t], self.ts[t], self.universe[t]);
+            if best.is_none_or(|b| key > b) {
+                best = Some(key);
+                at = i;
+            }
+            i += 1;
+        }
+        best?;
+        Some(self.live.swap_remove(at) as usize)
     }
 
     /// The choices of the last [`solve`](Self::solve) in pick order, each

@@ -274,25 +274,20 @@ impl RegionTracker {
     }
 
     /// [`drain_ready`](Self::drain_ready) over slot-indexed covers,
-    /// appending to a caller-owned buffer (oldest first). The O(1) time
-    /// bound is tested first, and a region only rescans the open covers
-    /// once the open set it remembers being blocked by has closed or
-    /// moved on.
+    /// appending to a caller-owned buffer (oldest first). Pending regions
+    /// are disjoint and in time order, so `cover.max` rises along them:
+    /// the regions past their time bound are a prefix, and only those are
+    /// checked against the open sets, then taken out in one compaction
+    /// pass. A region only rescans the open covers once the open set it
+    /// remembers being blocked by has closed or moved on.
     pub(crate) fn drain_ready_into(
         &mut self,
         open: &OpenCovers,
         now: Micros,
         ready: &mut Vec<Region>,
     ) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            let region = &mut self.pending[i];
-            if now < region.cover.max || region.blocked_by(open) {
-                i += 1;
-            } else {
-                ready.push(self.pending.remove(i));
-            }
-        }
+        let due = self.pending.partition_point(|r| r.cover.max <= now);
+        ready.extend(self.pending.extract_if(..due, |r| !r.blocked_by(open)));
     }
 
     /// Takes back the (emptied) lists of a completed region for reuse.
@@ -308,13 +303,14 @@ impl RegionTracker {
     }
 
     /// Whether any pending region has passed its time bound (`now >=
-    /// cover.max`). A region still inside its cover can never be ready
+    /// cover.max`) — the oldest one, if any has, since regions are in
+    /// time order. A region still inside its cover can never be ready
     /// regardless of open sets, so a `false` here guarantees
-    /// [`drain_ready`](Self::drain_ready) would drain nothing — the batch
-    /// ingest path uses this to skip building the open-cover list on the
-    /// (common) rows where no region can complete.
+    /// [`drain_ready`](Self::drain_ready) would drain nothing — the
+    /// engine uses this to skip the drain on the (common) rows where no
+    /// region can complete.
     pub fn any_time_ready(&self, now: Micros) -> bool {
-        self.pending.iter().any(|r| now >= r.cover.max)
+        self.pending.first().is_some_and(|r| now >= r.cover.max)
     }
 
     /// Earliest timestamp across pending regions (used for cut accounting).
@@ -409,6 +405,34 @@ mod tests {
             max: Micros::from_millis(25),
         };
         assert_eq!(t.drain_ready(&[open2], Micros::from_millis(30)).len(), 1);
+    }
+
+    #[test]
+    fn a_blocked_region_stays_while_the_rest_of_the_due_prefix_drains() {
+        let mut t = RegionTracker::new();
+        for (f, ms) in [&[0, 10], &[30, 40], &[60, 70], &[90, 100]]
+            .iter()
+            .enumerate()
+        {
+            t.add(set(f, *ms));
+        }
+        // Blocks only the second region; the fourth is not yet due.
+        let open = TimeCover {
+            min: Micros::from_millis(35),
+            max: Micros::from_millis(45),
+        };
+        let ready = t.drain_ready(&[open], Micros::from_millis(80));
+        let maxes: Vec<_> = ready.iter().map(|r| r.cover().max).collect();
+        assert_eq!(maxes, [10, 70].map(Micros::from_millis));
+        let left: Vec<_> = t.pending.iter().map(|r| r.cover().max).collect();
+        assert_eq!(left, [40, 100].map(Micros::from_millis));
+        assert!(
+            t.any_time_ready(Micros::from_millis(80)),
+            "the blocked one is due"
+        );
+        let ready = t.drain_ready(&[], Micros::from_millis(80));
+        assert_eq!(ready.len(), 1);
+        assert!(!t.any_time_ready(Micros::from_millis(80)));
     }
 
     #[test]

@@ -80,6 +80,53 @@ enum PoolSlot {
     Row(Arc<TupleBatch>, u32),
 }
 
+/// The engine's output bookkeeping for one live tuple, kept in the
+/// pool's slot so that every question about it is one ring probe. Eight
+/// bytes: the recipients of a pending tuple live in the engine's list of
+/// pending outputs, at `pending`, so the slot of every other tuple in
+/// the live window stays small.
+#[derive(Debug)]
+pub(crate) struct Decided {
+    /// Decided but not yet emitted: its entry in the engine's pending
+    /// outputs, or [`Decided::NONE`].
+    pub(crate) pending: u32,
+    /// Pending, and its region has completed (eligible under the
+    /// `Earliest` output strategy).
+    pub(crate) releasable: bool,
+    /// Chosen in a still-incomplete region (the per-candidate-set
+    /// algorithm's first heuristic).
+    pub(crate) recent: bool,
+    /// Emitted at least once (see [`TuplePool::mark_emitted`]).
+    emitted: bool,
+}
+
+impl Decided {
+    /// [`pending`](Self::pending) of a tuple that is not pending.
+    pub(crate) const NONE: u32 = u32::MAX;
+
+    /// Whether the tuple is pending.
+    pub(crate) fn is_pending(&self) -> bool {
+        self.pending != Decided::NONE
+    }
+
+    /// Whether the engine still needs the tuple: pending, or chosen in a
+    /// region that may choose it again.
+    pub(crate) fn held(&self) -> bool {
+        self.is_pending() || self.recent
+    }
+}
+
+impl Default for Decided {
+    fn default() -> Self {
+        Decided {
+            pending: Decided::NONE,
+            releasable: false,
+            recent: false,
+            emitted: false,
+        }
+    }
+}
+
 /// Intern table owning the engine's live tuple window.
 ///
 /// Tuples are interned in arrival order; the pool stores each payload once
@@ -98,9 +145,8 @@ enum PoolSlot {
 ///   become `Arc<Tuple>`s at all.
 #[derive(Debug, Default)]
 pub struct TuplePool {
-    /// Each live id's payload and whether the engine has emitted it
-    /// (see [`mark_emitted`](Self::mark_emitted)).
-    ring: SeqRing<(PoolSlot, bool)>,
+    /// Each live id's payload and the engine's output state for it.
+    ring: SeqRing<(PoolSlot, Decided)>,
     materialized: u64,
 }
 
@@ -126,8 +172,10 @@ impl TuplePool {
             self.ring.end()
         );
         let arc = Arc::new(tuple);
-        self.ring
-            .set(id.seq(), (PoolSlot::Tuple(Arc::clone(&arc)), false));
+        self.ring.set(
+            id.seq(),
+            (PoolSlot::Tuple(Arc::clone(&arc)), Decided::default()),
+        );
         (id, arc)
     }
 
@@ -154,7 +202,7 @@ impl TuplePool {
         self.ring.reserve(rows);
         for r in 0..rows {
             let row = PoolSlot::Row(Arc::clone(batch), r as u32);
-            self.ring.set(batch.seq(r), (row, false));
+            self.ring.set(batch.seq(r), (row, Decided::default()));
         }
     }
 
@@ -191,9 +239,19 @@ impl TuplePool {
     /// with the slot instead of in a set that grows with the stream.
     pub(crate) fn mark_emitted(&mut self, id: TupleId) -> bool {
         match self.ring.get_mut(id.seq()) {
-            Some((_, emitted)) => !std::mem::replace(emitted, true),
+            Some((_, decided)) => !std::mem::replace(&mut decided.emitted, true),
             None => true,
         }
+    }
+
+    /// The output state of a live id.
+    pub(crate) fn decided(&self, id: TupleId) -> Option<&Decided> {
+        self.ring.get(id.seq()).map(|(_, decided)| decided)
+    }
+
+    /// Mutable access to the output state of a live id.
+    pub(crate) fn decided_mut(&mut self, id: TupleId) -> Option<&mut Decided> {
+        self.ring.get_mut(id.seq()).map(|(_, decided)| decided)
     }
 
     /// Whether the id is still live in the pool (materialised or lazy).

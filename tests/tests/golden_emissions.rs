@@ -8,16 +8,19 @@
 //! second-stage change that keeps them is byte-identical to the engine
 //! that recorded them.
 //!
-//! The inputs are a short seeded NAMOS trace and the four roster shapes
-//! of the benchmark workloads (`perfbench/src/workloads.rs`), run under
-//! every algorithm × output strategy. Time-constrained runs are left out:
-//! their cuts read the greedy solver's measured run time, so they are not
-//! a function of the input.
+//! The inputs are a short seeded NAMOS trace, the four roster shapes of
+//! the benchmark workloads (`perfbench/src/workloads.rs`) and one sampler
+//! shape, run under every algorithm × output strategy. The benchmark
+//! rosters hold only delta filters, so only the sampler shape gives the
+//! hitting-set solver sets of degree above 1 and ranked (top/bottom)
+//! sets. Time-constrained runs are left out: their cuts read the greedy
+//! solver's measured run time, so they are not a function of the input.
 
 use gasf_core::engine::{Algorithm, GroupEngine, OutputStrategy};
 use gasf_core::metrics::{EngineMetrics, Histogram};
-use gasf_core::quality::FilterSpec;
+use gasf_core::quality::{FilterSpec, Prescription};
 use gasf_core::sink::VecSink;
+use gasf_core::time::Micros;
 use gasf_net::{GroupId, NodeId};
 use gasf_sources::{NamosBuoy, Trace};
 use gasf_wire::codec::{canon_hash, canonical_emission};
@@ -72,6 +75,30 @@ fn shapes(trace: &Trace) -> [(&'static str, Vec<FilterSpec>); 4] {
             (0..512).map(|i| combos[i % combos.len()].clone()).collect(),
         ),
     ]
+}
+
+/// Samplers over two attributes next to a few delta filters: reservoir
+/// samplers of degree 2 and 3 (unranked sets), stratified samplers that
+/// keep the top or the bottom values (ranked sets, degree from the
+/// stratum's rate), and delta filters whose sets overlap theirs.
+fn samplers(trace: &Trace) -> Vec<FilterSpec> {
+    let mut specs = Vec::new();
+    for (i, attr) in ["tmpr4", "fluoro"].into_iter().enumerate() {
+        let stats = trace.stats(attr).unwrap();
+        let s = stats.mean_abs_delta;
+        let window = Micros::from_millis(60 + 40 * i as u64);
+        specs.extend([
+            FilterSpec::reservoir(attr, window, 2),
+            FilterSpec::reservoir(attr, Micros::from_millis(90), 3),
+            FilterSpec::stratified_sample(attr, window, stats.mean, 40.0, 20.0)
+                .with_prescription(Prescription::Top),
+            FilterSpec::stratified_sample(attr, Micros::from_millis(120), stats.mean, 25.0, 50.0)
+                .with_prescription(Prescription::Bottom),
+            FilterSpec::delta(attr, s * 2.5, s * 0.6),
+            FilterSpec::delta(attr, s * 4.0, s * 1.2),
+        ]);
+    }
+    specs
 }
 
 /// One run's pinned values: the emission digest's count and hash, and
@@ -182,6 +209,20 @@ const GOLDEN: [Golden; 36] = [
     (827, 0xf1724d62364e1d3f, 0xe008088eec82e79e), // churn-sharded/PerCandidateSet/Batched(8)
 ];
 
+/// Recorded on `d5d41f4`, before the incremental greedy solver, in the
+/// order algorithm × strategy of [`ALGORITHMS`] and [`STRATEGIES`].
+const GOLDEN_SAMPLERS: [Golden; 9] = [
+    (2831, 0x07038aa1b46f4e32, 0xdcd3f45cfe8234da), // samplers/RegionGreedy/Earliest
+    (2831, 0x07038aa1b46f4e32, 0xdcd3f45cfe8234da), // samplers/RegionGreedy/PerCandidateSet
+    (2831, 0x2af9a4835a2bbfb6, 0xae883cb849ca7974), // samplers/RegionGreedy/Batched(8)
+    (4593, 0x1d3aedaef106d945, 0x9e5da3cfc8de95c5), // samplers/SelfInterested/Earliest
+    (4593, 0x1d3aedaef106d945, 0x9e5da3cfc8de95c5), // samplers/SelfInterested/PerCandidateSet
+    (4593, 0x1d3aedaef106d945, 0x9e5da3cfc8de95c5), // samplers/SelfInterested/Batched(8)
+    (2854, 0x9abe21e816f03261, 0xc50c49bb7726ca68), // samplers/PerCandidateSet/Earliest
+    (5720, 0x88ae0e0bb76bacb5, 0xbb437d26d8f4f304), // samplers/PerCandidateSet/PerCandidateSet
+    (3807, 0x847f37f01054b51b, 0x2dfb61ee7783f2d1), // samplers/PerCandidateSet/Batched(8)
+];
+
 #[test]
 fn every_run_reproduces_its_recorded_digest() {
     let trace = NamosBuoy::new().tuples(3_000).seed(1).generate();
@@ -200,6 +241,27 @@ fn every_run_reproduces_its_recorded_digest() {
         .collect();
     assert_eq!(got.len(), GOLDEN.len(), "recorded table:\n{table}");
     for ((run, golden), want) in got.iter().zip(GOLDEN) {
+        assert_eq!(*golden, want, "{run} moved; this build's table:\n{table}");
+    }
+}
+
+#[test]
+fn sampler_runs_reproduce_their_recorded_digests() {
+    let trace = NamosBuoy::new().tuples(3_000).seed(1).generate();
+    let specs = samplers(&trace);
+    let mut got = Vec::new();
+    for algorithm in ALGORITHMS {
+        for strategy in STRATEGIES {
+            let golden = run(&trace, &specs, algorithm, strategy);
+            assert!(golden.0 > 0, "samplers/{algorithm:?}/{strategy:?} emits");
+            got.push((format!("samplers/{algorithm:?}/{strategy:?}"), golden));
+        }
+    }
+    let table: String = (got.iter())
+        .map(|(run, (n, h, m))| format!("    ({n}, {h:#018x}, {m:#018x}), // {run}\n"))
+        .collect();
+    assert_eq!(got.len(), GOLDEN_SAMPLERS.len(), "recorded table:\n{table}");
+    for ((run, golden), want) in got.iter().zip(GOLDEN_SAMPLERS) {
         assert_eq!(*golden, want, "{run} moved; this build's table:\n{table}");
     }
 }

@@ -2,7 +2,7 @@
 
 use gasf_core::candidate::{CandidateTuple, CloseCause, ClosedSet, FilterId};
 use gasf_core::hitting_set::{
-    brute_force_minimum, greedy_hitting_set, weighted_greedy_hitting_set,
+    brute_force_minimum, greedy_hitting_set, weighted_greedy_hitting_set, Choice,
 };
 use gasf_core::quality::Prescription;
 use gasf_core::time::Micros;
@@ -26,6 +26,77 @@ fn mk_set(filter: usize, seqs: Vec<u64>, degree: usize, p: Prescription) -> Clos
         si_choice: vec![],
         cause: CloseCause::Natural,
     }
+}
+
+/// The greedy hitting set the way the solver first computed it: every
+/// round recomputes each tuple's usefulness from all incidences, scans the
+/// universe for the maximum `(usefulness, timestamp, id)`, and walks all
+/// incidences for the picked tuple's. The property below holds the
+/// incremental solver to it.
+fn reference_greedy(sets: &[ClosedSet], weights: &[u32]) -> Vec<Choice> {
+    const NO_RANK: usize = usize::MAX;
+    let mut universe: Vec<TupleId> = sets
+        .iter()
+        .flat_map(|s| s.candidates.iter().map(|c| c.id))
+        .collect();
+    universe.sort_unstable();
+    universe.dedup();
+    let dense = |id: TupleId| universe.binary_search(&id).unwrap();
+    let mut ts = vec![0u64; universe.len()];
+    // (tuple, set, rank)
+    let mut incidences: Vec<(usize, usize, usize)> = Vec::new();
+    let mut needed: Vec<u32> = Vec::new();
+    let mut rank_used: Vec<bool> = Vec::new();
+    for (si, set) in sets.iter().enumerate() {
+        for c in &set.candidates {
+            ts[dense(c.id)] = c.timestamp.as_micros();
+        }
+        if set.prescription == Prescription::Any {
+            incidences.extend(set.candidates.iter().map(|c| (dense(c.id), si, NO_RANK)));
+            needed.push(set.pick_degree.min(set.len()) as u32);
+        } else {
+            let ranks = set.eligible_ranks();
+            for rank in &ranks {
+                incidences.extend(rank.iter().map(|&id| (dense(id), si, rank_used.len())));
+                rank_used.push(false);
+            }
+            needed.push(set.pick_degree.min(ranks.len()) as u32);
+        }
+    }
+    let mut owed: u64 = (needed.iter().zip(weights))
+        .map(|(&n, &w)| u64::from(n) * u64::from(w))
+        .sum();
+    let mut chosen = vec![false; universe.len()];
+    let mut choices = Vec::new();
+    while owed > 0 {
+        let mut useful = vec![0u32; universe.len()];
+        for &(t, s, r) in &incidences {
+            if needed[s] > 0 && (r == NO_RANK || !rank_used[r]) {
+                useful[t] += weights[s];
+            }
+        }
+        let best = (0..universe.len())
+            .filter(|&t| !chosen[t] && useful[t] > 0)
+            .max_by_key(|&t| (useful[t], ts[t], universe[t]))
+            .expect("a useful tuple remains while picks are owed");
+        chosen[best] = true;
+        let mut covers = Vec::new();
+        for &(_, s, r) in incidences.iter().filter(|inc| inc.0 == best) {
+            if needed[s] > 0 && (r == NO_RANK || !rank_used[r]) {
+                needed[s] -= 1;
+                owed -= u64::from(weights[s]);
+                if r != NO_RANK {
+                    rank_used[r] = true;
+                }
+                covers.push(s);
+            }
+        }
+        choices.push(Choice {
+            id: universe[best],
+            covers,
+        });
+    }
+    choices
 }
 
 /// 1..6 sets over a universe of 1..12 tuples, each set with 1..5 members.
@@ -152,5 +223,42 @@ proptest! {
             greedy_hitting_set(&sets),
             weighted_greedy_hitting_set(&sets, &vec![1; sets.len()])
         );
+    }
+
+    /// The incremental solver picks exactly what [`reference_greedy`]
+    /// picks, with the same covers, on instances of 1..40 sets over up to
+    /// 60 tuples: every prescription, degrees 1..3, weights 1..5, and
+    /// per-tuple timestamps drawn from a few values with no relation to
+    /// the id, so usefulness ties fall through to the timestamp and then
+    /// to the id. Rank keys take a few values too, so ranks tie.
+    #[test]
+    fn solver_equals_the_reference(
+        shapes in proptest::collection::vec(
+            (
+                proptest::collection::btree_set(0u64..60, 1..10),
+                (1usize..4, 0usize..3),
+                (1u32..6, 0u64..1_000),
+            ),
+            1..41,
+        ),
+        stamps in proptest::collection::vec(0u64..6, 60..61),
+    ) {
+        let prescriptions = [Prescription::Any, Prescription::Top, Prescription::Bottom];
+        let (sets, weights): (Vec<ClosedSet>, Vec<u32>) = (shapes.into_iter().enumerate())
+            .map(|(i, (seqs, (degree, p), (weight, salt)))| {
+                let mut set = mk_set(i, seqs.into_iter().collect(), degree, prescriptions[p]);
+                for c in &mut set.candidates {
+                    c.timestamp = Micros::from_millis(stamps[c.id.seq() as usize]);
+                    c.key = ((c.id.seq() ^ salt) % 3) as f64;
+                }
+                (set, weight)
+            })
+            .unzip();
+        prop_assert_eq!(
+            weighted_greedy_hitting_set(&sets, &weights),
+            reference_greedy(&sets, &weights)
+        );
+        let ones = vec![1; sets.len()];
+        prop_assert_eq!(greedy_hitting_set(&sets), reference_greedy(&sets, &ones));
     }
 }

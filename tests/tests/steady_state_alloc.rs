@@ -341,8 +341,11 @@ fn overlapping(step: f64, n: usize) -> Vec<FilterSpec> {
 /// path recycled its sets; 26.139 before the flat cohort table, the
 /// scratch-reusing region solve and the recycling of closed sets'
 /// lists). What is left is per emission (0.27 per tuple here): the
-/// materialised payload and the pending-output map nodes. The ceiling is
-/// 1.5× the measurement.
+/// materialised payload and the recipient set. Moving the pending
+/// outputs out of a `BTreeMap` and a `BTreeSet` into the tuple pool's
+/// slots left the figure at 1.101: a tree drained to empty keeps its
+/// root leaf, so neither had allocated in the steady state. The ceiling
+/// is 1.5× the measurement.
 #[test]
 fn columnar_engine_stays_under_its_allocation_ceiling() {
     let _serial = serial();
@@ -361,7 +364,8 @@ fn columnar_engine_stays_under_its_allocation_ceiling() {
 /// may grow with them.
 ///
 /// Measured: 1.093 allocations per tuple for both rosters at 0.272
-/// emissions per tuple (1.099 before shared vicinity sets) — 0.000 more
+/// emissions per tuple (1.099 before shared vicinity sets; unchanged by
+/// the move of the pending outputs into the tuple pool) — 0.000 more
 /// per emission (a recipient set over
 /// 256 slots is four blocks, inside the first allocation a set makes).
 /// Unfolded, the copies cost 1.128: 0.103 more per emission, from the
