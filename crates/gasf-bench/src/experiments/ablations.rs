@@ -159,8 +159,9 @@ pub fn abl_stateful(params: &Params) -> Vec<Table> {
         "ablation: stateless vs stateful candidate sets (PS algorithm)",
         ["dependency", "O/I", "output ratio vs SI", "sets per filter"],
     );
-    let si = run_variant(&trace, &group.specs, Variant::Si, Micros::MAX);
     for (name, specs) in [("stateless", &group.specs), ("stateful", &stateful_specs)] {
+        // each row against SI over its own specs
+        let si = run_variant(&trace, specs, Variant::Si, Micros::MAX);
         let out = crate::runner::run_engine(
             &trace,
             specs,

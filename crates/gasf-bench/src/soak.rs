@@ -45,8 +45,8 @@ use gasf_core::schema::Schema;
 use gasf_core::shed::ShedHeadroom;
 use gasf_net::{NodeId, Overlay, Topology};
 use gasf_solar::{
-    GrantPolicy, IngestOptions, Middleware, MiddlewareConfig, ShedConfig, SolarError, SourceId,
-    SubscriptionHandle,
+    GrantPolicy, IngestOptions, Middleware, MiddlewareConfig, Offer, ShedConfig, SolarError,
+    SourceId, SubscriptionHandle,
 };
 use gasf_sources::{ArrivalReplay, NamosBuoy, Trace};
 use std::sync::Arc;
@@ -438,7 +438,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
         while row < arc.rows() {
             let (advanced, outcome) = rig
                 .mw
-                .try_push_columnar(rig.src, &arc, row)
+                .pipeline(rig.src)
+                .and_then(|mut p| p.offer(Offer::Batch(&arc), row))
                 .expect("soak push");
             row += advanced;
             if !outcome.is_accepted() {

@@ -21,8 +21,9 @@ use rand::{Rng, SeedableRng};
 /// typical steps. Our synthetic traces are continuous (every delta is
 /// non-zero), which would make the same multipliers produce single-tuple
 /// candidate sets. Scaling the multipliers by 2 restores the paper's
-/// effective delta-to-typical-step ratio, aiming the GA/SI output ratios
-/// at the paper's 0.6–0.8 band.
+/// effective delta-to-typical-step ratio. It does not reach the paper's
+/// GA/SI output ratios of 0.6–0.8: at `Params::full()` fig4_16 reads
+/// 0.91–0.96 and fig5_2 0.81–0.96.
 pub const DELTA_SCALE: f64 = 2.0;
 
 /// A named group of filters (one row block of Table 4.1 / 5.2).

@@ -30,6 +30,7 @@ use crate::error::Error;
 use crate::schema::{AttrId, Schema};
 use crate::time::Micros;
 use crate::tuple::Tuple;
+use std::sync::Arc;
 
 /// A contiguous, stream-ordered run of tuples in columnar (SoA) form.
 ///
@@ -210,13 +211,14 @@ impl TupleBatch {
     }
 
     /// Gathers row `r` back into an ordinary row-form [`Tuple`],
-    /// bit-for-bit (NaN absent slots included).
+    /// bit-for-bit (NaN absent slots included). One allocation: the
+    /// values are collected straight into the tuple's shared slice.
     ///
     /// # Panics
     /// Panics if `r` is out of range.
     pub fn materialize_row(&self, r: usize) -> Tuple {
         assert!(r < self.rows(), "row {r} out of range ({})", self.rows());
-        let values: Vec<f64> = self.columns.iter().map(|col| col[r]).collect();
+        let values: Arc<[f64]> = self.columns.iter().map(|col| col[r]).collect();
         Tuple::from_wire(self.seq(r), self.timestamps[r], values)
     }
 

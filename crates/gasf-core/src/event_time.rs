@@ -334,7 +334,7 @@ impl ReorderBuffer {
                 .map(|r| {
                     (
                         (r.ts, r.seq),
-                        Tuple::from_wire(r.seq, r.ts, r.values.clone()),
+                        Tuple::from_wire(r.seq, r.ts, r.values.as_slice()),
                     )
                 })
                 .collect(),

@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 
 /// Admission verdict of a credit-gated push.
 ///
-/// A bounded ingress path (the middleware's `try_push` family) admits a
+/// A bounded ingress path (the middleware's `Pipeline::offer`) admits a
 /// tuple only while credits remain; otherwise the input is **not
 /// consumed** and the caller — typically a
 /// [`SourceConnector`](crate::connector::SourceConnector) driver — must

@@ -331,8 +331,10 @@ impl Tuple {
     /// layout: codecs that shipped a tuple byte-for-byte must be able to
     /// rebuild it byte-for-byte, including NaN "absent" slots a schema
     /// check could not distinguish. Encode-side callers should keep using
-    /// [`Tuple::new`] / [`TupleBuilder`].
-    pub fn from_wire(seq: u64, timestamp: Micros, values: Vec<f64>) -> Self {
+    /// [`Tuple::new`] / [`TupleBuilder`]. `values` may be anything that
+    /// becomes the tuple's shared value slice: a `Vec` is copied into it
+    /// once, an `Arc<[f64]>` is taken as is.
+    pub fn from_wire(seq: u64, timestamp: Micros, values: impl Into<Arc<[f64]>>) -> Self {
         Tuple {
             seq,
             timestamp,

@@ -44,16 +44,17 @@
 //!   paper discusses in §4.8 (large groups can congest the filter's input
 //!   buffer; the system must shed load or degrade quality),
 //! * **bounded ingress + quality-aware shedding** — §4.8 made mechanical:
-//!   a per-source [`CreditGate`] bounds the input buffer (the `try_push`
-//!   family returns [`PushOutcome`](gasf_core::shed::PushOutcome) instead
-//!   of buffering without limit — one admission behind all of it, which
-//!   takes credits only once the source is known to have a live part), a
+//!   a per-source [`CreditGate`] bounds the input buffer
+//!   ([`Pipeline::offer`], the one admission every row reaches an engine
+//!   through, returns [`PushOutcome`](gasf_core::shed::PushOutcome)
+//!   instead of buffering without limit; borrowing the pipeline fails
+//!   before a credit moves when the source has no live part), a
 //!   [`Shedder`] climbs each
 //!   subscription's declared degradation ladder under sustained pressure
 //!   (and fully restores it when pressure clears), and
-//!   [`Middleware::ingest`] drives a
+//!   [`Pipeline::ingest`] drives a
 //!   [`SourceConnector`](gasf_core::connector::SourceConnector) through
-//!   the gated path end to end.
+//!   the gated path end to end, over the overlay or any transport.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -70,8 +71,8 @@ pub use flow::{FlowDecision, FlowMonitor, Metered};
 pub use graph::{OpKind, OperatorGraph, OperatorId};
 pub use middleware::{
     AppReport, EventTimeStats, GrantPolicy, IngestOptions, IngestReport, Middleware,
-    MiddlewareConfig, MiddlewareSnapshot, MulticastSink, Pipeline, RunReport, SolarError, SourceId,
-    SubscriptionHandle,
+    MiddlewareConfig, MiddlewareSnapshot, MulticastSink, Offer, Pipeline, RunReport, SolarError,
+    SourceId, SubscriptionHandle,
 };
 pub use regroup::{is_valid_partition, partition, GroupingStrategy, Partition};
 pub use shedder::{ShedAction, ShedConfig, Shedder};

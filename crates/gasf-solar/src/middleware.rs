@@ -72,7 +72,6 @@ use gasf_core::time::Micros;
 use gasf_core::tuple::Tuple;
 use gasf_net::{GroupId, NodeId, Overlay, RepairReport, Transport};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -203,11 +202,13 @@ pub struct MiddlewareConfig {
     /// arrival-order contract: the stream must already be ordered.
     pub event_time: Option<EventTimeConfig>,
     /// Bounded ingress. `Some(capacity)` puts a [`CreditGate`] of that
-    /// capacity in front of every source: the `try_push` family and
-    /// [`ingest`](Middleware::ingest) admit rows only while credits
-    /// remain and return [`PushOutcome::Throttled`] otherwise, leaving
-    /// the input with the caller. `None` (the default) is the unbounded
-    /// contract — every offered row is admitted.
+    /// capacity in front of every source: [`Pipeline::offer`] admits
+    /// rows only while credits remain and returns
+    /// [`PushOutcome::Throttled`] otherwise, leaving the input with the
+    /// caller; [`Pipeline::ingest`], `push_columnar` and `push_batch`
+    /// spend credits through it and replenish on every throttle. `None`
+    /// (the default) is the unbounded contract — every offered row is
+    /// admitted.
     pub ingress_capacity: Option<u64>,
     /// Quality-aware load shedding. `Some(cfg)` attaches a per-source
     /// [`Shedder`]: sustained `Throttled` streaks climb the degradation
@@ -235,7 +236,7 @@ impl Default for MiddlewareConfig {
     }
 }
 
-/// How [`Middleware::ingest`] replenishes a throttled source's credit
+/// How [`Pipeline::ingest`] replenishes a throttled source's credit
 /// window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrantPolicy {
@@ -254,7 +255,7 @@ pub enum GrantPolicy {
     Adaptive,
 }
 
-/// Knobs for [`Middleware::ingest`].
+/// Knobs for [`Pipeline::ingest`].
 #[derive(Debug, Clone, Copy)]
 pub struct IngestOptions {
     /// Upper bound on rows per [`SourceConnector::next_chunk`] pull
@@ -262,7 +263,7 @@ pub struct IngestOptions {
     pub max_rows: usize,
     /// Credit replenishment under throttle.
     pub grant: GrantPolicy,
-    /// Whether to [`finish`](Middleware::finish) the source at EOF.
+    /// Whether to [`finish`](Pipeline::finish) the source at EOF.
     pub finish: bool,
 }
 
@@ -276,7 +277,7 @@ impl Default for IngestOptions {
     }
 }
 
-/// What [`Middleware::ingest`] did with a connector's stream. Always
+/// What [`Pipeline::ingest`] did with a connector's stream. Always
 /// `rows == accepted + dropped` at EOF; `throttled` counts throttle
 /// *events* (each may block many rows or one), reconciling exactly with
 /// [`FlowMonitor::throttled`] minus any throttles observed outside the
@@ -298,15 +299,27 @@ pub struct IngestReport {
 /// Most rows the middleware packs into one dispatch unit.
 const MAX_RUN_ROWS: usize = 1024;
 
-/// What an admission is offered: a run of rows, in the shape its caller
-/// holds them — arrival-order tuples (`try_push`, [`Chunk::Rows`]) or a
-/// stream-ordered batch (`try_push_columnar`, [`Chunk::Batch`]). Either
-/// crosses the middleware as one columnar run; the shape only decides
-/// what the shedder is told.
+/// What [`Pipeline::offer`] is offered: a run of rows, in the shape its
+/// caller holds them — arrival-order tuples (a [`Chunk::Rows`]) or a
+/// stream-ordered batch (a [`Chunk::Batch`]). Either crosses the
+/// middleware as one columnar run; the shape only decides what the
+/// shedder is told.
 #[derive(Debug, Clone, Copy)]
-enum Run<'a> {
+pub enum Offer<'a> {
+    /// Row-form arrivals; out of event order only within the bound of
+    /// the source's event-time front end.
     Rows(&'a [Tuple]),
+    /// A stream-ordered columnar batch.
     Batch(&'a Arc<TupleBatch>),
+}
+
+impl Offer<'_> {
+    fn len(self) -> usize {
+        match self {
+            Offer::Rows(rows) => rows.len(),
+            Offer::Batch(batch) => batch.rows(),
+        }
+    }
 }
 
 /// One filter group of a source — a route of the source's engine — with
@@ -605,9 +618,9 @@ pub(crate) struct PartState {
 ///     .map(|i| b.at_millis(10 * (i + 1)).set("t", i as f64).build().unwrap())
 ///     .collect();
 /// // subscriptions stay live after deploy: retune `ui` mid-stream…
-/// mw.push_batch(src, tuples[..10].to_vec())?;
+/// mw.pipeline(src)?.push_batch(tuples[..10].to_vec())?;
 /// mw.resubscribe(ui, FilterSpec::delta("t", 3.0, 1.2))?;
-/// mw.push_batch(src, tuples[10..].to_vec())?;
+/// mw.pipeline(src)?.push_batch(tuples[10..].to_vec())?;
 /// mw.finish(src)?;
 /// let report = mw.report(src)?;
 /// assert!(report.engine.oi_ratio() <= 1.0);
@@ -1022,24 +1035,12 @@ impl Middleware {
         Ok(p)
     }
 
-    /// Pushes a batch of tuples through a source's pipeline without
-    /// re-wiring it per tuple.
+    /// Ends a source's stream and disseminates the tail:
+    /// [`Pipeline::finish`] on a pipeline over the overlay.
     ///
     /// # Errors
-    /// [`SolarError::NotDeployed`], engine errors, network errors; stops
-    /// at the first failure.
-    pub fn push_batch(
-        &mut self,
-        source: SourceId,
-        tuples: impl IntoIterator<Item = Tuple>,
-    ) -> Result<(), SolarError> {
-        self.pipeline(source)?.push_batch(tuples)
-    }
-
-    /// Ends a source's stream and disseminates the tail.
-    ///
-    /// # Errors
-    /// Same as [`push_batch`](Self::push_batch).
+    /// Same as [`pipeline`](Self::pipeline), plus engine and network
+    /// errors.
     pub fn finish(&mut self, source: SourceId) -> Result<(), SolarError> {
         self.pipeline(source)?.finish()
     }
@@ -1082,135 +1083,6 @@ impl Middleware {
     // ------------------------------------------------------------------
     // bounded ingress: credit gate, quality-aware shedding, connectors
     // ------------------------------------------------------------------
-
-    /// Pushes one tuple through the source's bounded ingress.
-    ///
-    /// A run of one row through the source's one admission. Without
-    /// [`MiddlewareConfig::ingress_capacity`] this is exactly
-    /// [`pipeline`](Self::pipeline)`.push` and always returns
-    /// [`PushOutcome::Accepted`]. With a credit gate the tuple is
-    /// admitted only if a credit is available; otherwise the push
-    /// returns [`PushOutcome::Throttled`] **without consuming the
-    /// input** — the caller still owns the tuple and may retry after
-    /// [`grant_credits`](Self::grant_credits) (or hold it, propagating
-    /// the pressure outward).
-    ///
-    /// Each outcome is observed by the source's [`Shedder`] when one is
-    /// configured: sustained throttling climbs the degradation ladder
-    /// (headroom-declaring subscriptions are retuned to
-    /// [`degraded`](FilterSpec::degraded) specs through the epoch-based
-    /// control path), sustained acceptance restores it rung by rung.
-    ///
-    /// # Errors
-    /// [`SolarError::NotDeployed`] / [`SolarError::UnknownId`] /
-    /// [`SolarError::NoSubscribers`] — all raised before a credit moves —
-    /// plus any pipeline error while the admitted tuple is processed.
-    pub fn try_push(&mut self, source: SourceId, tuple: &Tuple) -> Result<PushOutcome, SolarError> {
-        let run = Run::Rows(std::slice::from_ref(tuple));
-        self.admit(source, run, 0).map(|(_, outcome)| outcome)
-    }
-
-    /// Pushes the suffix of a columnar batch (rows `start_row..`)
-    /// through the source's bounded ingress, returning how many rows
-    /// were admitted together with the outcome.
-    ///
-    /// The gate may admit a *prefix* of the suffix (partial take): the
-    /// admitted rows are processed, the outcome is `Throttled`, and the
-    /// batch is **resumable at the exact rejected row** — call again
-    /// with `start_row + admitted`. `Accepted` means every requested
-    /// row went through. Admitting a sub-range goes through
-    /// [`TupleBatch::slice`], so the engines observe the identical
-    /// row stream an unbounded push would have produced.
-    ///
-    /// # Errors
-    /// [`SolarError::NotDeployed`] / [`SolarError::UnknownId`] /
-    /// [`SolarError::NoSubscribers`] — all raised before a credit moves —
-    /// plus pipeline errors for the admitted slice.
-    ///
-    /// # Panics
-    /// Panics if `start_row > batch.rows()`.
-    pub fn try_push_columnar(
-        &mut self,
-        source: SourceId,
-        batch: &Arc<TupleBatch>,
-        start_row: usize,
-    ) -> Result<(usize, PushOutcome), SolarError> {
-        assert!(start_row <= batch.rows(), "start_row out of range");
-        self.admit(source, Run::Batch(batch), start_row)
-    }
-
-    /// The one admission: offers rows `start..` of `run` to the source's
-    /// bounded ingress and returns how many went through. Resolve the
-    /// pipeline, take credits, feed the admitted rows through the
-    /// event-time front end into the source engine's columnar entry, book
-    /// the outcome — in that order, so a source with no engine fails
-    /// before its credit window moves.
-    ///
-    /// `Accepted` means everything *offered* was admitted. Under a
-    /// degraded ladder a row-shaped offer stops at the row that completes
-    /// the calm streak, so the `Restore` — an `update_filter` that must
-    /// land at an exact stream position — lands where pushing the rows
-    /// one at a time puts it; callers loop while rows remain.
-    fn admit(
-        &mut self,
-        source: SourceId,
-        run: Run<'_>,
-        start: usize,
-    ) -> Result<(usize, PushOutcome), SolarError> {
-        let mut pipeline = self.pipeline(source)?;
-        let s = &mut pipeline.mw.sources[source.0];
-        let offered = match run {
-            Run::Rows(rows) => {
-                let calm = s
-                    .shedder
-                    .as_ref()
-                    .map_or(u32::MAX, Shedder::calm_until_restore);
-                (rows.len() - start).min(calm as usize)
-            }
-            Run::Batch(batch) => batch.rows() - start,
-        };
-        let admitted = match s.gate.as_mut() {
-            Some(gate) => gate.take(offered as u64) as usize,
-            None => offered,
-        };
-        match run {
-            _ if admitted == 0 => {}
-            Run::Rows(rows) => pipeline.push_rows(Cow::Borrowed(&rows[start..start + admitted]))?,
-            Run::Batch(batch) if admitted == batch.rows() => pipeline.push_columnar(batch)?,
-            Run::Batch(batch) => pipeline.push_columnar(&Arc::new(batch.slice(start, admitted)))?,
-        }
-        // What the shedder is told depends on the input's shape — an
-        // inconsistency this body inherits rather than settles: rows book
-        // one unit of calm per admitted row, then the throttle that
-        // stopped them; a batch books one unit only when admitted whole,
-        // and only the throttle when admitted in part. (An empty offer
-        // books nothing.)
-        let throttled = admitted < offered;
-        let calm = match run {
-            Run::Rows(_) => admitted as u32,
-            Run::Batch(_) => u32::from(admitted > 0 && !throttled),
-        };
-        let s = &mut self.sources[source.0];
-        if throttled {
-            s.flow.observe_throttle();
-        }
-        if let Some(shedder) = s.shedder.as_mut() {
-            let restore = shedder.on_accepted(calm);
-            let degrade = if throttled {
-                shedder.on_throttled()
-            } else {
-                ShedAction::None
-            };
-            self.apply_shed_action(source, restore)?;
-            self.apply_shed_action(source, degrade)?;
-        }
-        let outcome = if throttled {
-            PushOutcome::Throttled
-        } else {
-            PushOutcome::Accepted
-        };
-        Ok((admitted, outcome))
-    }
 
     /// Grants ingress credits back to a source's gate (saturating at
     /// its capacity), returning how many were actually added. No-op
@@ -1278,72 +1150,20 @@ impl Middleware {
             .ok_or_else(|| SolarError::UnknownId(source.to_string()))
     }
 
-    /// Drives a [`SourceConnector`] through the bounded ingress until
-    /// end-of-stream: the §4.8 escalation as a loop. Admitted rows flow
-    /// through the ordinary pipeline; a `Throttled` answer first lets
-    /// the configured [`GrantPolicy`] replenish the window, and only
-    /// when the source's degradation ladder is exhausted *and* pressure
-    /// persists is the blocked row dropped — counted in both the
-    /// returned [`IngestReport`] and the [`FlowMonitor`].
-    ///
-    /// Every chunk — an ordered [`Chunk::Batch`] or row-form, possibly
-    /// disordered [`Chunk::Rows`] — is offered as the rest of the chunk,
-    /// with row-exact resumption after a partial admission: what the gate
-    /// admits crosses the middleware as one run, never row by row.
+    /// Drives a [`SourceConnector`] through the source's admission until
+    /// end-of-stream: [`Pipeline::ingest`] on a pipeline over the overlay.
     ///
     /// # Errors
-    /// Connector failures (as [`SolarError::Core`]) and any pipeline
-    /// error; [`SolarError::NotDeployed`] / [`SolarError::UnknownId`] /
-    /// [`SolarError::NoSubscribers`] up front, before the connector is
-    /// asked for anything.
+    /// Same as [`Pipeline::ingest`]; [`SolarError::NotDeployed`] /
+    /// [`SolarError::UnknownId`] / [`SolarError::NoSubscribers`] up
+    /// front, before the connector is asked for anything.
     pub fn ingest(
         &mut self,
         source: SourceId,
         connector: &mut dyn SourceConnector,
         options: IngestOptions,
     ) -> Result<IngestReport, SolarError> {
-        self.pipeline(source)?;
-        let mut report = IngestReport::default();
-        let max_rows = options.max_rows.max(1);
-        while let Some(chunk) = connector.next_chunk(max_rows).map_err(SolarError::from)? {
-            let total = chunk.rows();
-            report.chunks += 1;
-            report.rows += total as u64;
-            let (batch, rows);
-            let run = match chunk {
-                Chunk::Batch(b) => {
-                    batch = Arc::new(b);
-                    Run::Batch(&batch)
-                }
-                Chunk::Rows(r) => {
-                    rows = r;
-                    Run::Rows(&rows)
-                }
-            };
-            let mut row = 0;
-            while row < total {
-                let (n, outcome) = self.admit(source, run, row)?;
-                row += n;
-                report.accepted += n as u64;
-                if outcome == PushOutcome::Throttled {
-                    report.throttled += 1;
-                    if self.ladder_exhausted(source) {
-                        // §4.8's last resort: quality is already at every
-                        // subscription's floor, so shed the blocked row —
-                        // counted, never silent.
-                        self.sources[source.0].flow.observe_shed_drop();
-                        report.dropped += 1;
-                        row += 1;
-                    } else {
-                        self.replenish(source, options.grant);
-                    }
-                }
-            }
-        }
-        if options.finish {
-            self.finish(source)?;
-        }
-        Ok(report)
+        self.pipeline(source)?.ingest(connector, options)
     }
 
     /// Retunes every headroom-declaring live subscription of the source
@@ -1390,39 +1210,6 @@ impl Middleware {
             }
         }
         Ok(())
-    }
-
-    /// Whether the source's ladder is exhausted (top rung, still
-    /// throttled) — the only state in which ingest may drop.
-    fn ladder_exhausted(&self, source: SourceId) -> bool {
-        self.sources[source.0]
-            .shedder
-            .as_ref()
-            .is_some_and(Shedder::should_drop)
-    }
-
-    /// Replenishes a source's credit window per the grant policy.
-    fn replenish(&mut self, source: SourceId, policy: GrantPolicy) {
-        let decision = self.sources[source.0].flow.decision();
-        let Some(gate) = self.sources[source.0].gate.as_mut() else {
-            return;
-        };
-        match policy {
-            GrantPolicy::Refill => gate.refill(),
-            GrantPolicy::Adaptive => {
-                let window = gate.capacity();
-                let credits = match decision {
-                    FlowDecision::Ok => window,
-                    FlowDecision::Shed { drop_fraction } => {
-                        ((window as f64) * (1.0 - drop_fraction)).floor() as u64
-                    }
-                    FlowDecision::DegradeQuality => 1,
-                };
-                // Always at least one credit: ingest makes progress (and
-                // the ladder keeps climbing) even under the worst verdict.
-                gate.grant(credits.max(1));
-            }
-        }
     }
 
     /// Runs a full trace through a source's pipeline and reports the
@@ -1987,12 +1774,18 @@ impl EmissionSink for MulticastSink<'_> {
     }
 }
 
-/// A wired dataflow for one source: engine(s) → [`Metered`] flow
-/// accounting → [`MulticastSink`] dissemination (Fig. 4.1 as an API).
+/// A wired dataflow for one source: admission → engine(s) → [`Metered`]
+/// flow accounting → [`MulticastSink`] dissemination (Fig. 4.1 as an
+/// API). It is the one way rows reach a source's engine.
 ///
-/// Borrow one from [`Middleware::pipeline`], feed it with
-/// [`push`](Pipeline::push)/[`push_batch`](Pipeline::push_batch), and end
-/// the stream with [`finish`](Pipeline::finish). Dropping the pipeline
+/// Borrow one from [`Middleware::pipeline`] (over the overlay) or
+/// [`Middleware::pipeline_over`] (over any [`Transport`]), feed it with
+/// [`offer`](Pipeline::offer), [`push_columnar`](Pipeline::push_columnar),
+/// [`push_batch`](Pipeline::push_batch) or [`ingest`](Pipeline::ingest),
+/// and end the stream with [`finish`](Pipeline::finish). Every feed runs
+/// [`offer`](Pipeline::offer), the source's one admission: the credit
+/// gate, the event-time front end, the engine and the shedder's booking,
+/// each present or absent by [`MiddlewareConfig`]. Dropping the pipeline
 /// without finishing leaves the source open for a later pipeline — which
 /// is also how live subscription churn interleaves with streaming: drop
 /// (or simply don't hold) the pipeline, call
@@ -2007,10 +1800,7 @@ impl EmissionSink for MulticastSink<'_> {
 /// released by a push may be multicast up to three pushes later (two
 /// runs stay in flight per worker), with [`finish`](Pipeline::finish)
 /// always draining everything. Every push is then one hand-off to each
-/// worker, so hand over what you have:
-/// [`push_columnar`](Pipeline::push_columnar) or
-/// [`push_batch`](Pipeline::push_batch) rather than a loop of
-/// [`push`](Pipeline::push).
+/// worker, so hand over what you have rather than one row at a time.
 ///
 /// A multi-part source's emissions go out in `(row, part)` order, each
 /// down its part's tree, at every parallelism and for every run size.
@@ -2030,35 +1820,221 @@ pub struct Pipeline<'m> {
 }
 
 impl Pipeline<'_> {
-    /// Pushes one tuple through the source's engine — a run of one
-    /// row through the same front end and columnar engine entry a batch
-    /// takes; released emissions are multicast as they stream out of the
-    /// release paths.
+    /// The one admission: offers rows `start..` of `run` to the source's
+    /// bounded ingress and returns how many went through, with the
+    /// outcome. Take credits, feed the admitted rows through the
+    /// event-time front end into the engine's columnar entry, book the
+    /// outcome with the [`FlowMonitor`] and the [`Shedder`] — in that
+    /// order.
     ///
-    /// With an event-time front end
-    /// ([`MiddlewareConfig::event_time`]) the tuple first enters the
-    /// source's [`ReorderBuffer`]: it may arrive out of event order
-    /// (within the bound), and only the prefix the watermark has passed
-    /// flows on to the engines — in event order, re-sequenced densely, so
-    /// everything downstream runs exactly as on the ordered path. Tuples
-    /// later than the bound never reach an engine; they are dropped (and
-    /// counted) or turned into patch emissions per the [`LatePolicy`](gasf_core::event_time::LatePolicy).
+    /// Without [`MiddlewareConfig::ingress_capacity`] every offered row
+    /// is admitted and the outcome is [`PushOutcome::Accepted`]. With a
+    /// credit gate the gate may admit a *prefix* (partial take): the
+    /// admitted rows are processed, the outcome is `Throttled`, and the
+    /// input is **resumable at the exact rejected row** — offer again
+    /// from `start + admitted` after
+    /// [`grant_credits`](Middleware::grant_credits) (or hold it,
+    /// propagating the pressure outward). A batch sub-range goes through
+    /// [`TupleBatch::slice`], so the engine observes the identical row
+    /// stream an unbounded push would have produced.
+    ///
+    /// Each outcome is observed by the source's [`Shedder`] when one is
+    /// configured: sustained throttling climbs the degradation ladder
+    /// (headroom-declaring subscriptions are retuned to
+    /// [`degraded`](FilterSpec::degraded) specs through the epoch-based
+    /// control path), sustained acceptance restores it rung by rung.
+    /// Under a degraded ladder a row-shaped offer stops at the row that
+    /// completes the calm streak, so the `Restore` — an `update_filter`
+    /// that must land at an exact stream position — lands where offering
+    /// the rows one at a time puts it; `Accepted` then means everything
+    /// *offered* was admitted, and callers loop while rows remain.
     ///
     /// # Errors
-    /// Engine errors first (ordering violations, finished streams), then
-    /// any network error raised while disseminating this step's emissions.
-    pub fn push(&mut self, tuple: Tuple) -> Result<(), SolarError> {
-        self.push_rows(Cow::Owned(vec![tuple]))
+    /// Engine errors for the admitted rows (ordering violations, finished
+    /// streams), then network errors while disseminating their emissions.
+    /// A source that is not deployed, unknown or without a live part
+    /// fails when the pipeline is borrowed, before a credit moves.
+    ///
+    /// # Panics
+    /// Panics if `start` exceeds the run's rows.
+    pub fn offer(
+        &mut self,
+        run: Offer<'_>,
+        start: usize,
+    ) -> Result<(usize, PushOutcome), SolarError> {
+        assert!(start <= run.len(), "start row out of range");
+        let s = &mut self.mw.sources[self.source];
+        let offered = match run {
+            Offer::Rows(rows) => {
+                let calm = s
+                    .shedder
+                    .as_ref()
+                    .map_or(u32::MAX, Shedder::calm_until_restore);
+                (rows.len() - start).min(calm as usize)
+            }
+            Offer::Batch(batch) => batch.rows() - start,
+        };
+        let admitted = match s.gate.as_mut() {
+            Some(gate) => gate.take(offered as u64) as usize,
+            None => offered,
+        };
+        if admitted > 0 {
+            self.front_end(run, start, admitted)?;
+        }
+        // What the shedder is told depends on the input's shape — an
+        // inconsistency this body inherits rather than settles: rows book
+        // one unit of calm per admitted row, then the throttle that
+        // stopped them; a batch books one unit only when admitted whole,
+        // and only the throttle when admitted in part. (An empty offer
+        // books nothing.)
+        let throttled = admitted < offered;
+        let calm = match run {
+            Offer::Rows(_) => admitted as u32,
+            Offer::Batch(_) => u32::from(admitted > 0 && !throttled),
+        };
+        let source = SourceId(self.source);
+        let s = &mut self.mw.sources[self.source];
+        if throttled {
+            s.flow.observe_throttle();
+        }
+        if let Some(shedder) = s.shedder.as_mut() {
+            let restore = shedder.on_accepted(calm);
+            let degrade = if throttled {
+                shedder.on_throttled()
+            } else {
+                ShedAction::None
+            };
+            self.mw.apply_shed_action(source, restore)?;
+            self.mw.apply_shed_action(source, degrade)?;
+        }
+        let outcome = if throttled {
+            PushOutcome::Throttled
+        } else {
+            PushOutcome::Accepted
+        };
+        Ok((admitted, outcome))
     }
 
-    /// Feeds a run of row-form arrivals: through the event-time front end
-    /// when the source has one, straight to the engine otherwise.
-    fn push_rows(&mut self, rows: Cow<'_, [Tuple]>) -> Result<(), SolarError> {
-        if self.mw.sources[self.source].reorder.is_some() {
-            self.reorder_run(rows.into_owned())
-        } else {
-            self.feed_rows(&rows)
+    /// Feeds `len` admitted rows of `run`, from `start`, through the
+    /// event-time front end when the source has one, straight to the
+    /// engine otherwise.
+    fn front_end(&mut self, run: Offer<'_>, start: usize, len: usize) -> Result<(), SolarError> {
+        let reorder = self.mw.sources[self.source].reorder.is_some();
+        match run {
+            Offer::Rows(rows) if reorder => {
+                self.reorder_run(rows[start..start + len].iter().cloned())
+            }
+            Offer::Rows(rows) => self.feed_rows(&rows[start..start + len]),
+            Offer::Batch(batch) if reorder => {
+                self.reorder_run((start..start + len).map(|r| batch.materialize_row(r)))
+            }
+            Offer::Batch(batch) if len == batch.rows() => self.feed_engine(batch),
+            Offer::Batch(batch) => self.feed_engine(&Arc::new(batch.slice(start, len))),
         }
+    }
+
+    /// Offers the whole of `run`, row-exact across partial admissions —
+    /// the §4.8 escalation as a loop. A `Throttled` answer first lets
+    /// `grant` replenish the window, and only when the source's
+    /// degradation ladder is exhausted *and* pressure persists is the
+    /// blocked row dropped — counted in `report` and the [`FlowMonitor`].
+    fn offer_all(
+        &mut self,
+        run: Offer<'_>,
+        grant: GrantPolicy,
+        report: &mut IngestReport,
+    ) -> Result<(), SolarError> {
+        let mut row = 0;
+        while row < run.len() {
+            let (n, outcome) = self.offer(run, row)?;
+            row += n;
+            report.accepted += n as u64;
+            if outcome == PushOutcome::Throttled {
+                report.throttled += 1;
+                if self.ladder_exhausted() {
+                    // §4.8's last resort: quality is already at every
+                    // subscription's floor, so shed the blocked row —
+                    // counted, never silent.
+                    self.mw.sources[self.source].flow.observe_shed_drop();
+                    report.dropped += 1;
+                    row += 1;
+                } else {
+                    self.replenish(grant);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether the source's ladder is exhausted (top rung, still
+    /// throttled) — the only state in which an offer loop may drop.
+    fn ladder_exhausted(&self) -> bool {
+        self.mw.sources[self.source]
+            .shedder
+            .as_ref()
+            .is_some_and(Shedder::should_drop)
+    }
+
+    /// Replenishes the source's credit window per the grant policy.
+    fn replenish(&mut self, policy: GrantPolicy) {
+        let s = &mut self.mw.sources[self.source];
+        let decision = s.flow.decision();
+        let Some(gate) = s.gate.as_mut() else {
+            return;
+        };
+        match policy {
+            GrantPolicy::Refill => gate.refill(),
+            GrantPolicy::Adaptive => {
+                let window = gate.capacity();
+                let credits = match decision {
+                    FlowDecision::Ok => window,
+                    FlowDecision::Shed { drop_fraction } => {
+                        ((window as f64) * (1.0 - drop_fraction)).floor() as u64
+                    }
+                    FlowDecision::DegradeQuality => 1,
+                };
+                // Always at least one credit: ingest makes progress (and
+                // the ladder keeps climbing) even under the worst verdict.
+                gate.grant(credits.max(1));
+            }
+        }
+    }
+
+    /// Drives a [`SourceConnector`] through the source's admission until
+    /// end-of-stream, then finishes the source if `options.finish` says
+    /// so. Every chunk — an ordered [`Chunk::Batch`] or row-form,
+    /// possibly disordered [`Chunk::Rows`] — is offered whole and resumed
+    /// row-exactly after a partial admission: what the gate admits
+    /// crosses the middleware as one run, never row by row. A `Throttled`
+    /// answer lets `options.grant` replenish the window; only an
+    /// exhausted degradation ladder lets a blocked row drop (§4.8's last
+    /// resort), counted in the returned [`IngestReport`] and the
+    /// [`FlowMonitor`].
+    ///
+    /// # Errors
+    /// Connector failures (as [`SolarError::Core`]) and any error of
+    /// [`offer`](Self::offer) or [`finish`](Self::finish).
+    pub fn ingest(
+        mut self,
+        connector: &mut dyn SourceConnector,
+        options: IngestOptions,
+    ) -> Result<IngestReport, SolarError> {
+        let mut report = IngestReport::default();
+        let max_rows = options.max_rows.max(1);
+        while let Some(chunk) = connector.next_chunk(max_rows).map_err(SolarError::from)? {
+            report.chunks += 1;
+            report.rows += chunk.rows() as u64;
+            match chunk {
+                Chunk::Batch(b) => {
+                    self.offer_all(Offer::Batch(&Arc::new(b)), options.grant, &mut report)?;
+                }
+                Chunk::Rows(r) => self.offer_all(Offer::Rows(&r), options.grant, &mut report)?,
+            }
+        }
+        if options.finish {
+            self.finish()?;
+        }
+        Ok(report)
     }
 
     /// The event-time front end: drives the source's [`ReorderBuffer`]
@@ -2068,7 +2044,7 @@ impl Pipeline<'_> {
     /// frontier, so its latency is exactly how late the tuple was — goes
     /// out after what earlier arrivals released, as it would arriving
     /// alone.
-    fn reorder_run(&mut self, arrivals: Vec<Tuple>) -> Result<(), SolarError> {
+    fn reorder_run(&mut self, arrivals: impl IntoIterator<Item = Tuple>) -> Result<(), SolarError> {
         let mut buf = self.mw.sources[self.source]
             .reorder
             .take()
@@ -2173,34 +2149,40 @@ impl Pipeline<'_> {
     }
 
     /// Pushes a stream of tuples, stopping at the first failure. The
-    /// iterator is drawn 1 024 rows at a time and each draw
-    /// crosses the middleware as one run.
+    /// iterator is drawn 1 024 rows at a time, and each draw is offered
+    /// as one row-form chunk exactly as [`ingest`](Self::ingest) offers
+    /// it under [`GrantPolicy::Refill`]: on a source with a credit gate a
+    /// push spends credits, refills on `Throttled` and reports to the
+    /// shedder (which may drop rows once its ladder is exhausted).
     ///
     /// # Errors
-    /// Same as [`push`](Self::push).
+    /// Same as [`offer`](Self::offer).
     pub fn push_batch(
         &mut self,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<(), SolarError> {
         let mut tuples = tuples.into_iter();
+        let mut report = IngestReport::default();
         loop {
             let run: Vec<Tuple> = tuples.by_ref().take(MAX_RUN_ROWS).collect();
             if run.is_empty() {
                 return Ok(());
             }
-            self.push_rows(Cow::Owned(run))?;
+            self.offer_all(Offer::Rows(&run), GrantPolicy::Refill, &mut report)?;
         }
     }
 
     /// Pushes one columnar [`TupleBatch`] through the source's engine —
-    /// the batch-native data path. Every worker shares the same `Arc` (no
-    /// copy of the columns), each part's route consumes it through its
-    /// columnar hot path, and the flow monitor observes the batch as
-    /// per-row samples with the batch cost amortised across them, so flow
-    /// decisions stay comparable to per-tuple feeding.
-    ///
-    /// Emission bytes on the wire are identical to
-    /// [`push`](Self::push)ing the rows one at a time.
+    /// the batch-native data path, offered exactly as
+    /// [`ingest`](Self::ingest) offers one batch chunk under
+    /// [`GrantPolicy::Refill`] (on a gated source: credits spent, a
+    /// refill per `Throttled`, the shedder told). Every worker shares the
+    /// same `Arc` (no copy of the columns), each part's route consumes it
+    /// through its columnar hot path, and the flow monitor observes the
+    /// batch as per-row samples with the batch cost amortised across
+    /// them, so flow decisions stay comparable to per-tuple feeding.
+    /// Emission bytes on the wire are identical to offering the rows one
+    /// at a time.
     ///
     /// With an event-time front end the batch's rows pass through the
     /// source's [`ReorderBuffer`] first (batches may arrive disordered
@@ -2208,16 +2190,13 @@ impl Pipeline<'_> {
     /// into a fresh ordered batch and fed to the engines' columnar path.
     ///
     /// # Errors
-    /// Same as [`push`](Self::push).
+    /// Same as [`offer`](Self::offer).
     pub fn push_columnar(&mut self, batch: &Arc<TupleBatch>) -> Result<(), SolarError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        if self.mw.sources[self.source].reorder.is_some() {
-            self.reorder_run(batch.materialize())
-        } else {
-            self.feed_engine(batch)
-        }
+        self.offer_all(
+            Offer::Batch(batch),
+            GrantPolicy::Refill,
+            &mut IngestReport::default(),
+        )
     }
 
     /// Ends the source's stream, disseminating every part's tail. An
@@ -2226,7 +2205,7 @@ impl Pipeline<'_> {
     /// watermark).
     ///
     /// # Errors
-    /// Same as [`push`](Self::push).
+    /// Engine errors, then network errors while disseminating the tail.
     pub fn finish(mut self) -> Result<(), SolarError> {
         if let Some(buf) = self.mw.sources[self.source].reorder.as_mut() {
             let mut released = Vec::new();
@@ -2343,7 +2322,7 @@ mod tests {
         let mut b = TupleBuilder::new(&schema);
         let t = b.at_millis(10).set("t", 0.0).build().unwrap();
         assert!(matches!(
-            mw.pipeline(src).map(|mut p| p.push(t)),
+            mw.pipeline(src).map(|mut p| p.push_batch([t])),
             Err(SolarError::NotDeployed)
         ));
     }
@@ -2352,12 +2331,18 @@ mod tests {
     fn live_subscribe_joins_mid_stream() {
         let (mut mw, src, schema) = setup(MiddlewareConfig::default());
         let tuples = stream(&schema, 200);
-        mw.push_batch(src, tuples[..100].to_vec()).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(tuples[..100].to_vec())
+            .unwrap();
         // a fourth app joins while the stream is live — no redeploy
         let late = mw
             .subscribe("late", NodeId(1), src, FilterSpec::delta("t", 1.0, 0.4))
             .unwrap();
-        mw.push_batch(src, tuples[100..].to_vec()).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(tuples[100..].to_vec())
+            .unwrap();
         mw.finish(src).unwrap();
         let report = mw.report(src).unwrap();
         assert_eq!(report.per_app.len(), 4);
@@ -2375,7 +2360,10 @@ mod tests {
         let (mut mw, src, schema) = setup(MiddlewareConfig::default());
         let handle = mw.subscriptions(src).unwrap()[1];
         let tuples = stream(&schema, 300);
-        mw.push_batch(src, tuples[..150].to_vec()).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(tuples[..150].to_vec())
+            .unwrap();
         mw.unsubscribe(handle).unwrap();
         assert!(matches!(
             mw.unsubscribe(handle),
@@ -2383,7 +2371,10 @@ mod tests {
         ));
         let frozen_at_boundary = {
             // one more push crosses the boundary and delivers the drain
-            mw.push_batch(src, tuples[150..151].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[150..151].to_vec())
+                .unwrap();
             mw.report(src).unwrap()
         };
         let frozen = frozen_at_boundary
@@ -2393,7 +2384,10 @@ mod tests {
             .unwrap()
             .tuples;
         assert!(frozen > 0, "pre-churn deliveries kept");
-        mw.push_batch(src, tuples[151..].to_vec()).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(tuples[151..].to_vec())
+            .unwrap();
         mw.finish(src).unwrap();
         let report = mw.report(src).unwrap();
         let entry = report.per_app.iter().find(|a| a.handle == handle).unwrap();
@@ -2418,11 +2412,17 @@ mod tests {
         let (mut mw, src, schema) = setup(MiddlewareConfig::default());
         let handle = mw.subscriptions(src).unwrap()[0];
         let tuples = stream(&schema, 200);
-        mw.push_batch(src, tuples[..100].to_vec()).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(tuples[..100].to_vec())
+            .unwrap();
         // retune to a much looser delta: fewer reference points
         mw.resubscribe(handle, FilterSpec::delta("t", 8.0, 3.0))
             .unwrap();
-        mw.push_batch(src, tuples[100..].to_vec()).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(tuples[100..].to_vec())
+            .unwrap();
         // the engine crossed exactly one epoch boundary before the
         // checkpoint crosses its own
         let snap = mw.checkpoint().unwrap();
@@ -2454,7 +2454,10 @@ mod tests {
             .unwrap();
         mw.deploy().unwrap();
         let tuples = stream(&schema, 400);
-        mw.push_batch(src, tuples[..200].to_vec()).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(tuples[..200].to_vec())
+            .unwrap();
         let parts = mw
             .regroup(src, GroupingStrategy::BySelectivity { isolate_above: 0.5 })
             .unwrap();
@@ -2462,7 +2465,10 @@ mod tests {
         assert!(parts.iter().any(|p| p == &vec![greedy]));
         assert_eq!(mw.sources[src.0].parts.len(), 2);
         // the stream continues through the new engines
-        mw.push_batch(src, tuples[200..].to_vec()).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(tuples[200..].to_vec())
+            .unwrap();
         mw.finish(src).unwrap();
         let report = mw.report(src).unwrap();
         // every engine generation is accounted: the retired engine (its
@@ -2499,7 +2505,10 @@ mod tests {
             .unwrap();
         mw.deploy().unwrap();
         let tuples = stream(&schema, 300);
-        mw.push_batch(src, tuples[..150].to_vec()).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(tuples[..150].to_vec())
+            .unwrap();
         let parts = mw
             .regroup(src, GroupingStrategy::BySelectivity { isolate_above: 0.5 })
             .unwrap();
@@ -2507,7 +2516,10 @@ mod tests {
             parts.iter().any(|p| p == &vec![greedy]),
             "sharded regroup must still isolate: {parts:?}"
         );
-        mw.push_batch(src, tuples[150..].to_vec()).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(tuples[150..].to_vec())
+            .unwrap();
         mw.finish(src).unwrap();
         let report = mw.report(src).unwrap();
         assert!(report.per_app.iter().all(|a| a.tuples > 0));
@@ -2540,13 +2552,22 @@ mod tests {
                 .unwrap();
             mw.deploy().unwrap();
             let tuples = stream(&schema, 600);
-            mw.push_batch(src, tuples[..200].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[..200].to_vec())
+                .unwrap();
             mw.resubscribe(greedy, calm(6.0, 2.5)).unwrap();
-            mw.push_batch(src, tuples[200..300].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[200..300].to_vec())
+                .unwrap();
             let parts = mw
                 .regroup(src, GroupingStrategy::BySelectivity { isolate_above: 0.5 })
                 .unwrap();
-            mw.push_batch(src, tuples[300..].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[300..].to_vec())
+                .unwrap();
             mw.finish(src).unwrap();
             let report = mw.report(src).unwrap();
             (parts, report.per_app, report.network_bytes)
@@ -2563,7 +2584,10 @@ mod tests {
     #[test]
     fn retired_trees_are_reclaimed_from_the_overlay() {
         let (mut mw, src, schema) = setup(MiddlewareConfig::default());
-        mw.push_batch(src, stream(&schema, 100)).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(stream(&schema, 100))
+            .unwrap();
         let old_group = mw.sources[src.0].parts[0].group;
         mw.regroup(src, GroupingStrategy::MaxSize(1)).unwrap();
         assert!(
@@ -2571,7 +2595,9 @@ mod tests {
             "retired tree must be removed from the overlay"
         );
         assert_eq!(mw.sources[src.0].parts.len(), 3);
-        mw.push_batch(src, stream(&schema, 150)[100..].to_vec())
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(stream(&schema, 150)[100..].to_vec())
             .unwrap();
         mw.finish(src).unwrap();
     }
@@ -2603,7 +2629,10 @@ mod tests {
             .subscribe("only", NodeId(1), src, FilterSpec::delta("t", 1.0, 0.4))
             .unwrap();
         mw.deploy().unwrap();
-        mw.push_batch(src, stream(&schema, 50)).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(stream(&schema, 50))
+            .unwrap();
         mw.unsubscribe(only).unwrap();
         assert!(mw.sources[src.0].parts.is_empty());
         // the drained deliveries are still accounted to the handle
@@ -2615,7 +2644,7 @@ mod tests {
             .subscribe("again", NodeId(2), src, FilterSpec::delta("t", 1.0, 0.4))
             .unwrap();
         let more: Vec<Tuple> = stream(&schema, 80)[50..].to_vec();
-        mw.push_batch(src, more).unwrap();
+        mw.pipeline(src).unwrap().push_batch(more).unwrap();
         mw.finish(src).unwrap();
         let report = mw.report(src).unwrap();
         let entry = report.per_app.iter().find(|a| a.handle == again).unwrap();
@@ -2694,7 +2723,7 @@ mod tests {
         {
             let mut p = mw2.pipeline(src2).unwrap();
             for t in stream(&schema2, 200) {
-                p.push(t).unwrap();
+                p.push_batch([t]).unwrap();
             }
             assert!(p.metrics().input_tuples == 200);
             p.finish().unwrap();
@@ -2712,7 +2741,10 @@ mod tests {
     #[test]
     fn push_batch_feeds_whole_slice() {
         let (mut mw, src, schema) = setup(MiddlewareConfig::default());
-        mw.push_batch(src, stream(&schema, 150)).unwrap();
+        mw.pipeline(src)
+            .unwrap()
+            .push_batch(stream(&schema, 150))
+            .unwrap();
         mw.finish(src).unwrap();
         let report = mw.report(src).unwrap();
         assert_eq!(report.engine.input_tuples, 150);
@@ -2756,19 +2788,17 @@ mod tests {
             .unwrap();
         empty.deploy().unwrap();
 
-        let tuples = stream(&schema, 4);
-        let batch = Arc::new(TupleBatch::from_tuples(&schema, &tuples).unwrap());
         for (mw, src) in [(&mut left, src), (&mut empty, empty_src)] {
-            // capacity + 2 pushes: a leak would turn the third into a
-            // `Throttled` that feeds the shedder
-            for t in &tuples {
-                assert!(matches!(
-                    mw.try_push(src, t),
-                    Err(SolarError::NoSubscribers(_))
-                ));
-            }
+            // the pipeline every row needs is refused, so 4 rows never
+            // meet the gate: a leak would throttle the third and feed the
+            // shedder
             assert!(matches!(
-                mw.try_push_columnar(src, &batch, 0),
+                mw.pipeline(src),
+                Err(SolarError::NoSubscribers(_))
+            ));
+            let mut replay = gasf_sources::ArrivalReplay::new(schema.clone(), stream(&schema, 4));
+            assert!(matches!(
+                mw.ingest(src, &mut replay, IngestOptions::default()),
                 Err(SolarError::NoSubscribers(_))
             ));
             assert_eq!(mw.credit_window(src).unwrap(), Some((2, 2)));
@@ -2820,16 +2850,25 @@ mod tests {
                 ..Default::default()
             });
             let tuples = stream(&schema, 300);
-            mw.push_batch(src, tuples[..120].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[..120].to_vec())
+                .unwrap();
             let late = mw
                 .subscribe("late", NodeId(1), src, FilterSpec::delta("t", 1.5, 0.6))
                 .unwrap();
             let first = mw.subscriptions(src).unwrap()[0];
-            mw.push_batch(src, tuples[120..200].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[120..200].to_vec())
+                .unwrap();
             mw.unsubscribe(first).unwrap();
             mw.resubscribe(late, FilterSpec::delta("t", 2.2, 0.8))
                 .unwrap();
-            mw.push_batch(src, tuples[200..].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[200..].to_vec())
+                .unwrap();
             mw.finish(src).unwrap();
             mw.report(src).unwrap()
         };
@@ -2865,7 +2904,10 @@ mod tests {
             });
             mw.regroup(src, GroupingStrategy::MaxSize(2)).unwrap();
             assert_eq!(mw.sources[src.0].parts.len(), 2);
-            mw.push_batch(src, stream(&schema, 3_000)).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(stream(&schema, 3_000))
+                .unwrap();
             mw.finish(src).unwrap();
             let samples = mw.sources[src.0].flow.samples();
             assert_eq!(samples, 3_000, "parallelism {parallelism}");
@@ -2900,11 +2942,17 @@ mod tests {
                 // Fault-free arm: checkpoint at 200 and keep going.
                 let expected = {
                     let (mut mw, src, _) = setup(config);
-                    mw.push_batch(src, tuples[..200].to_vec()).unwrap();
+                    mw.pipeline(src)
+                        .unwrap()
+                        .push_batch(tuples[..200].to_vec())
+                        .unwrap();
                     let snap = mw.checkpoint().unwrap();
                     assert_eq!(snap.sources(), 1);
                     assert_eq!(snap.subscriptions(), 3);
-                    mw.push_batch(src, tuples[200..].to_vec()).unwrap();
+                    mw.pipeline(src)
+                        .unwrap()
+                        .push_batch(tuples[200..].to_vec())
+                        .unwrap();
                     mw.finish(src).unwrap();
                     mw.report(src).unwrap()
                 };
@@ -2913,13 +2961,22 @@ mod tests {
                 // overlay, replay the suffix.
                 let recovered = {
                     let (mut mw, src, _) = setup(config);
-                    mw.push_batch(src, tuples[..200].to_vec()).unwrap();
+                    mw.pipeline(src)
+                        .unwrap()
+                        .push_batch(tuples[..200].to_vec())
+                        .unwrap();
                     let snap = mw.checkpoint().unwrap();
-                    mw.push_batch(src, tuples[200..260].to_vec()).unwrap();
+                    mw.pipeline(src)
+                        .unwrap()
+                        .push_batch(tuples[200..260].to_vec())
+                        .unwrap();
                     drop(mw); // the crash
                     let overlay = Overlay::new(Topology::ring(7).build());
                     let mut mw = Middleware::recover(overlay, &snap).unwrap();
-                    mw.push_batch(src, tuples[200..].to_vec()).unwrap();
+                    mw.pipeline(src)
+                        .unwrap()
+                        .push_batch(tuples[200..].to_vec())
+                        .unwrap();
                     mw.finish(src).unwrap();
                     mw.report(src).unwrap()
                 };
@@ -2940,7 +2997,10 @@ mod tests {
         fn recovered_middleware_keeps_the_live_control_plane() {
             let (mut mw, src, schema) = setup(MiddlewareConfig::default());
             let tuples = stream(&schema, 300);
-            mw.push_batch(src, tuples[..150].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[..150].to_vec())
+                .unwrap();
             let snap = mw.checkpoint().unwrap();
             let mut mw =
                 Middleware::recover(Overlay::new(Topology::ring(7).build()), &snap).unwrap();
@@ -2950,7 +3010,10 @@ mod tests {
                 .unwrap();
             let first = mw.subscriptions(src).unwrap()[0];
             mw.unsubscribe(first).unwrap();
-            mw.push_batch(src, tuples[150..].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[150..].to_vec())
+                .unwrap();
             mw.finish(src).unwrap();
             let report = mw.report(src).unwrap();
             assert_eq!(report.per_app.len(), 4);
@@ -2965,7 +3028,10 @@ mod tests {
         fn checkpoint_boundary_drain_is_disseminated_and_accounted() {
             let (mut mw, src, schema) = setup(MiddlewareConfig::default());
             let tuples = stream(&schema, 200);
-            mw.push_batch(src, tuples[..100].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[..100].to_vec())
+                .unwrap();
             let before: u64 = mw
                 .report(src)
                 .unwrap()
@@ -2985,7 +3051,10 @@ mod tests {
             // the engines crossed exactly one epoch boundary
             let engine = snap.sources[0].engine.as_ref().unwrap();
             assert_eq!(engine.route_snapshots()[0].epoch(), 1);
-            mw.push_batch(src, tuples[100..].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[100..].to_vec())
+                .unwrap();
             mw.finish(src).unwrap();
         }
 
@@ -2996,7 +3065,10 @@ mod tests {
             // Scribe re-graft under a live middleware deployment.
             let (mut mw, src, schema) = setup_ring9();
             let tuples = stream(&schema, 300);
-            mw.push_batch(src, tuples[..150].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[..150].to_vec())
+                .unwrap();
             // nodes hosting sources/subscribers are protected
             assert!(matches!(
                 mw.fail_node(NodeId(0)),
@@ -3012,7 +3084,10 @@ mod tests {
                 repaired |= report.regrafts > 0 || report.reroots > 0;
             }
             assert!(repaired, "some forwarder was load-bearing");
-            mw.push_batch(src, tuples[150..].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tuples[150..].to_vec())
+                .unwrap();
             mw.finish(src).unwrap();
             let report = mw.report(src).unwrap();
             for app in &report.per_app {
@@ -3168,7 +3243,7 @@ mod tests {
         // (the watermark trails max_seen by the bound).
         let mut pipeline = mw.pipeline(src).unwrap();
         for t in &tuples[..60] {
-            pipeline.push(t.clone()).unwrap();
+            pipeline.push_batch([t.clone()]).unwrap();
         }
         let before = mw.event_time_stats(src).unwrap();
         assert!(before.buffered > 0, "bound must hold tuples back");
@@ -3204,7 +3279,7 @@ mod flow_tests {
                 .set("t", i as f64)
                 .build()
                 .unwrap();
-            mw.pipeline(src).unwrap().push(t).unwrap();
+            mw.pipeline(src).unwrap().push_batch([t]).unwrap();
         }
         // A real engine is far faster than 10 ms per tuple.
         assert_eq!(mw.flow_decision(src).unwrap(), FlowDecision::Ok);

@@ -39,13 +39,12 @@ use crate::tcp::{TcpTransport, WireConfig};
 use gasf_core::quality::FilterSpec;
 use gasf_net::transport::LinkLoad;
 use gasf_net::{NodeId, NullTransport, Overlay, Topology, Transport};
-use gasf_solar::{Middleware, MiddlewareConfig, SourceId};
-use gasf_sources::{NamosBuoy, Trace};
+use gasf_solar::{IngestOptions, Middleware, MiddlewareConfig, SourceId};
+use gasf_sources::{NamosBuoy, Trace, TraceReplay};
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn solar_err(e: impl std::fmt::Display) -> WireError {
@@ -531,26 +530,22 @@ pub fn run_source(
     // 1. Reference run: digests recorded in-process, no sockets.
     let (mut mw, src, trace) = build_middleware(layout)?;
     let mut reference_transport = Recorded::new(NullTransport::new());
-    {
-        let pipeline = mw
-            .pipeline_over(src, &mut reference_transport)
-            .map_err(solar_err)?;
-        drive(pipeline, &trace)?;
-    }
+    mw.pipeline_over(src, &mut reference_transport)
+        .and_then(|p| p.ingest(&mut TraceReplay::new(trace), IngestOptions::default()))
+        .map_err(solar_err)?;
     let (_, reference) = reference_transport.into_parts();
 
     // 2. Overlay baseline: the same workload through the in-process
     //    overlay (the pre-seam path), for the bandwidth report.
-    let (mut mw2, src2, _) = build_middleware(layout)?;
-    {
-        let pipeline = mw2.pipeline(src2).map_err(solar_err)?;
-        drive(pipeline, &trace)?;
-    }
+    let (mut mw2, src2, trace) = build_middleware(layout)?;
+    mw2.pipeline(src2)
+        .and_then(|p| p.ingest(&mut TraceReplay::new(trace), IngestOptions::default()))
+        .map_err(solar_err)?;
     let overlay_links = Transport::link_loads(mw2.overlay());
     let overlay_bytes = mw2.overlay().total_bytes();
 
     // 3. Wire run: fresh middleware, emissions over TCP.
-    let (mut mw3, src3, _) = build_middleware(layout)?;
+    let (mut mw3, src3, trace) = build_middleware(layout)?;
     //    The wire is recorded on the way through, for the sender-side
     //    tripwire below.
     let mut recorded = Recorded::new(TcpTransport::connect(
@@ -564,10 +559,9 @@ pub fn run_source(
             resolve_addr(spec, run_dir, config.connect_timeout)
         },
     )?);
-    {
-        let pipeline = mw3.pipeline_over(src3, &mut recorded).map_err(solar_err)?;
-        drive(pipeline, &trace)?;
-    }
+    mw3.pipeline_over(src3, &mut recorded)
+        .and_then(|p| p.ingest(&mut TraceReplay::new(trace), IngestOptions::default()))
+        .map_err(solar_err)?;
     Transport::flush(&mut recorded).map_err(|e| WireError::Io(e.to_string()))?;
     let (mut wire, sent) = recorded.into_parts();
     wire.broadcast_control(&Frame::Finish)?;
@@ -623,18 +617,6 @@ pub fn run_source(
     };
     std::fs::write(run_dir.join("report.txt"), outcome.render(layout))?;
     Ok(outcome)
-}
-
-/// Pushes the whole trace through a pipeline, 1 024 rows a batch (with a
-/// layout that sets `parallelism`, every push is a hand-off to the part's
-/// worker thread), and finishes it.
-fn drive(mut pipeline: gasf_solar::Pipeline<'_>, trace: &Trace) -> Result<(), WireError> {
-    for batch in trace.batches(1024) {
-        pipeline
-            .push_columnar(&Arc::new(batch))
-            .map_err(solar_err)?;
-    }
-    pipeline.finish().map_err(solar_err)
 }
 
 #[cfg(test)]

@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
     }
     mw.deploy()?;
-    mw.push_batch(src, tuples[..1_000].to_vec())?;
+    mw.pipeline(src)?.push_batch(tuples[..1_000].to_vec())?;
 
     // an interior forwarder dies; Scribe re-grafts its children
     let mut repair = gasf_net::RepairReport::default();
@@ -109,13 +109,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "   failed forwarders n1/n3/n5 → {} re-graft(s), {} re-root(s), {} control bytes",
         repair.regrafts, repair.reroots, repair.control_bytes
     );
-    mw.push_batch(src, tuples[1_000..2_000].to_vec())?;
+    mw.pipeline(src)?
+        .push_batch(tuples[1_000..2_000].to_vec())?;
 
     // checkpoint, crash, recover on a fresh overlay, finish the stream
     let snap = mw.checkpoint()?;
     drop(mw); // middleware process dies
     let mut mw = Middleware::recover(Overlay::new(Topology::ring(9).build()), &snap)?;
-    mw.push_batch(src, tuples[2_000..].to_vec())?;
+    mw.pipeline(src)?.push_batch(tuples[2_000..].to_vec())?;
     mw.finish(src)?;
     let report = mw.report(src)?;
     println!(

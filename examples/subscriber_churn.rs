@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // --- phase 1: steady state ------------------------------------
-    mw.push_batch(src, tuples[..1_000].to_vec())?;
+    mw.pipeline(src)?.push_batch(tuples[..1_000].to_vec())?;
     phase(&mw, "phase 1: two modest dashboards", 1_000);
 
     // --- phase 2: a greedy subscriber joins live --------------------
@@ -74,7 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         src,
         FilterSpec::delta("tmpr4", s * 0.3, s * 0.05),
     )?;
-    mw.push_batch(src, tuples[1_000..2_000].to_vec())?;
+    mw.pipeline(src)?
+        .push_batch(tuples[1_000..2_000].to_vec())?;
     let before = phase(&mw, "phase 2: greedy `raw-feed` joined mid-stream", 1_000);
 
     // --- phase 3: isolate it via live regrouping --------------------
@@ -84,7 +85,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         parts.len(),
         parts.iter().any(|p| p == &vec![greedy]),
     );
-    mw.push_batch(src, tuples[2_000..3_000].to_vec())?;
+    mw.pipeline(src)?
+        .push_batch(tuples[2_000..3_000].to_vec())?;
     let isolated = phase(&mw, "phase 3: after BySelectivity regroup", 1_000);
     println!(
         "    -> regrouping recovered {:.0}% of the per-tuple bandwidth",
@@ -94,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- phase 4: retune one app, drop the greedy one ---------------
     mw.resubscribe(dash1, FilterSpec::delta("tmpr4", s * 5.0, s * 2.4))?;
     mw.unsubscribe(greedy)?;
-    mw.push_batch(src, tuples[3_000..].to_vec())?;
+    mw.pipeline(src)?.push_batch(tuples[3_000..].to_vec())?;
     mw.finish(src)?;
     let calm = phase(&mw, "phase 4: dash1 retuned, raw-feed gone", 1_000);
     println!(

@@ -14,8 +14,9 @@
 //! watermark schedules.
 //!
 //! Two pins hold the middleware's one data path in place: the *shape* a
-//! stream arrives in (one `try_push` per row, one `Pipeline::push` per
-//! row, ragged row chunks or columnar chunks through `ingest`) never
+//! stream arrives in (one `Pipeline::offer` per row, one one-row
+//! `push_batch` per row, ragged row chunks or columnar chunks through
+//! `ingest`) never
 //! shows in the run, and a run with a bad row cuts exactly where feeding
 //! its rows one at a time cuts — with and without the front end, inline
 //! and on a worker thread.
@@ -35,8 +36,8 @@ use gasf_core::tuple::{Tuple, TupleBuilder};
 use gasf_core::Error;
 use gasf_net::{NodeId, Overlay, Topology};
 use gasf_solar::{
-    AppReport, EventTimeStats, GrantPolicy, IngestOptions, Middleware, MiddlewareConfig, RunReport,
-    SolarError, SourceId,
+    AppReport, EventTimeStats, GrantPolicy, IngestOptions, Middleware, MiddlewareConfig, Offer,
+    RunReport, SolarError, SourceId,
 };
 use gasf_sources::{ArrivalReplay, Disorder, NamosBuoy, Trace, TraceReplay};
 use proptest::prelude::*;
@@ -217,7 +218,7 @@ fn checkpoint_recover_hop_carries_watermark_and_buffer_state() {
             let (mut mw, src) = setup(hop_cfg, &trace);
             let mut pipeline = mw.pipeline(src).unwrap();
             for t in &arrivals[..CUT] {
-                pipeline.push(t.clone()).unwrap();
+                pipeline.push_batch([t.clone()]).unwrap();
             }
             let snap = mw.checkpoint().unwrap();
             let before = mw.event_time_stats(src).unwrap();
@@ -238,7 +239,7 @@ fn checkpoint_recover_hop_carries_watermark_and_buffer_state() {
             );
             let mut pipeline = mw.pipeline(src).unwrap();
             for t in &arrivals[CUT..] {
-                pipeline.push(t.clone()).unwrap();
+                pipeline.push_batch([t.clone()]).unwrap();
             }
             pipeline.finish().unwrap();
             let got = fingerprint(&mw.report(src).unwrap());
@@ -248,12 +249,12 @@ fn checkpoint_recover_hop_carries_watermark_and_buffer_state() {
             let (mut mw, src) = setup(cfg, &trace);
             let mut pipeline = mw.pipeline(src).unwrap();
             for t in &trace.tuples()[..released] {
-                pipeline.push(t.clone()).unwrap();
+                pipeline.push_batch([t.clone()]).unwrap();
             }
             let _snap = mw.checkpoint().unwrap();
             let mut pipeline = mw.pipeline(src).unwrap();
             for t in &trace.tuples()[released..] {
-                pipeline.push(t.clone()).unwrap();
+                pipeline.push_batch([t.clone()]).unwrap();
             }
             pipeline.finish().unwrap();
             let expected = fingerprint(&mw.report(src).unwrap());
@@ -334,10 +335,10 @@ fn late_policies_hold_at_every_parallelism() {
 /// How a test hands a stream of arrivals to the middleware.
 #[derive(Debug, Clone, Copy)]
 enum Feed {
-    /// One `try_push` per row.
-    TryPush,
-    /// One `Pipeline::push` per row.
-    PipelinePush,
+    /// One `offer` per row, each through a freshly borrowed pipeline.
+    OfferRow,
+    /// One one-row `push_batch` per row, on one pipeline.
+    PushRow,
     /// `ingest` over ragged row chunks.
     RowChunks,
     /// `ingest` over ragged columnar chunks (ordered arrivals only).
@@ -358,15 +359,17 @@ fn feed(
         finish: false,
     };
     match how {
-        Feed::TryPush => {
+        Feed::OfferRow => {
             for t in arrivals {
-                assert!(mw.try_push(src, t)?.is_accepted(), "no gate, no throttle");
+                let run = Offer::Rows(std::slice::from_ref(t));
+                let (_, outcome) = mw.pipeline(src)?.offer(run, 0)?;
+                assert!(outcome.is_accepted(), "no gate, no throttle");
             }
         }
-        Feed::PipelinePush => {
+        Feed::PushRow => {
             let mut pipeline = mw.pipeline(src)?;
             for t in arrivals {
-                pipeline.push(t.clone())?;
+                pipeline.push_batch([t.clone()])?;
             }
         }
         Feed::RowChunks => {
@@ -403,15 +406,15 @@ fn input_shape_never_shows_in_the_run() {
                         None => (
                             trace.tuples(),
                             &[
-                                Feed::TryPush,
-                                Feed::PipelinePush,
+                                Feed::OfferRow,
+                                Feed::PushRow,
                                 Feed::RowChunks,
                                 Feed::BatchChunks,
                             ],
                         ),
                         Some(_) => (
                             &disordered,
-                            &[Feed::TryPush, Feed::PipelinePush, Feed::RowChunks],
+                            &[Feed::OfferRow, Feed::PushRow, Feed::RowChunks],
                         ),
                     };
                     let run = |how: Feed| {
@@ -524,7 +527,7 @@ fn a_run_cuts_at_its_bad_row_like_single_row_pushes() {
                         other => panic!("{label}: expected an engine error, got {other:?}"),
                     }
                 };
-                let want = run(Feed::PipelinePush);
+                let want = run(Feed::PushRow);
                 assert!(is_kind(&want.0), "{label}: {:?}", want.0);
                 if parallelism == 1 && event_time.is_none() && *kind != "missing value" {
                     // rejected before it touched an engine: rows 0..BAD went in
@@ -533,7 +536,7 @@ fn a_run_cuts_at_its_bad_row_like_single_row_pushes() {
                     assert_eq!(mw.report(src).unwrap().engine.input_tuples, BAD as u64);
                 }
                 assert!(want.1 .2 > 0, "{label}: the prefix must deliver");
-                assert_eq!(run(Feed::TryPush), want, "{label}: try_push");
+                assert_eq!(run(Feed::OfferRow), want, "{label}: offer per row");
                 assert_eq!(run(Feed::RowChunks), want, "{label}: row chunks");
             }
         }

@@ -11,8 +11,8 @@ use gasf_net::{
     resolve_nodes, Delivery, GroupId, LinkLoad, NetError, NodeId, NullTransport, Overlay, Topology,
     Transport,
 };
-use gasf_solar::{GroupingStrategy, Middleware, MiddlewareConfig};
-use gasf_sources::{ChlorinePlume, NamosBuoy, SourceKind};
+use gasf_solar::{GroupingStrategy, IngestOptions, Middleware, MiddlewareConfig};
+use gasf_sources::{ChlorinePlume, NamosBuoy, SourceKind, TraceReplay};
 use gasf_wire::Recorded;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -322,6 +322,55 @@ fn multi_part_streams_ignore_run_size_and_parallelism() {
                 );
             }
         }
+    }
+}
+
+/// `ingest` runs on a pipeline over any transport: a connector driven
+/// through `pipeline_over` delivers, node for node, the stream that
+/// pushing the same trace 1 024 rows a batch through `push_columnar`
+/// delivers, on a two-part source, inline and on worker threads.
+#[test]
+fn ingest_over_a_transport_matches_the_per_batch_drive() {
+    let trace = NamosBuoy::new().tuples(3_000).seed(17).generate();
+    let step = trace.stats("tmpr4").unwrap().mean_abs_delta;
+    let run = |parallelism: usize, by_ingest: bool| {
+        let config = MiddlewareConfig {
+            parallelism,
+            ..Default::default()
+        };
+        let mut mw = Middleware::with_config(Overlay::new(Topology::ring(7).build()), config);
+        let src = mw
+            .register_source("buoy", NodeId(0), trace.schema().clone())
+            .unwrap();
+        for (i, node) in [2u32, 4, 2, 4, 3, 5].into_iter().enumerate() {
+            let k = i as f64;
+            let spec = FilterSpec::delta("tmpr4", step * (1.5 + 0.4 * k), step * (0.6 + 0.15 * k));
+            let _ = mw
+                .subscribe(format!("a{i}"), NodeId(node), src, spec)
+                .unwrap();
+        }
+        mw.deploy().unwrap();
+        mw.regroup(src, GroupingStrategy::MaxSize(3)).unwrap();
+        let mut wire = Recorded::new(NullTransport::default());
+        let mut pipeline = mw.pipeline_over(src, &mut wire).unwrap();
+        if by_ingest {
+            let mut replay = TraceReplay::new(trace.clone());
+            let report = pipeline
+                .ingest(&mut replay, IngestOptions::default())
+                .unwrap();
+            assert_eq!(report.accepted, 3_000);
+        } else {
+            for batch in trace.batches(1_024) {
+                pipeline.push_columnar(&Arc::new(batch)).unwrap();
+            }
+            pipeline.finish().unwrap();
+        }
+        wire.digests().clone()
+    };
+    for parallelism in [1, 2] {
+        let want = run(parallelism, false);
+        assert!(want.len() > 1, "parallelism {parallelism}: nodes served");
+        assert_eq!(run(parallelism, true), want, "parallelism {parallelism}");
     }
 }
 

@@ -381,7 +381,10 @@ fn failed_interior_overlay_node_still_delivers_to_every_live_member() {
             .unwrap();
     }
     mw.deploy().unwrap();
-    mw.push_batch(src, tr.tuples()[..150].to_vec()).unwrap();
+    mw.pipeline(src)
+        .unwrap()
+        .push_batch(tr.tuples()[..150].to_vec())
+        .unwrap();
     let mid_deliveries: Vec<u64> = mw
         .report(src)
         .unwrap()
@@ -399,7 +402,10 @@ fn failed_interior_overlay_node_still_delivers_to_every_live_member() {
         regrafts > 0,
         "at least one forwarder was on a delivery path"
     );
-    mw.push_batch(src, tr.tuples()[150..].to_vec()).unwrap();
+    mw.pipeline(src)
+        .unwrap()
+        .push_batch(tr.tuples()[150..].to_vec())
+        .unwrap();
     mw.finish(src).unwrap();
     let report = mw.report(src).unwrap();
     for (app, before) in report.per_app.iter().zip(mid_deliveries) {
@@ -452,21 +458,36 @@ fn middleware_crash_recover_matches_fault_free_reports() {
     for parallelism in [1usize, 2] {
         let expected = {
             let (mut mw, src) = setup(parallelism);
-            mw.push_batch(src, tr.tuples()[..200].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tr.tuples()[..200].to_vec())
+                .unwrap();
             let _snap = mw.checkpoint().unwrap();
-            mw.push_batch(src, tr.tuples()[200..].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tr.tuples()[200..].to_vec())
+                .unwrap();
             mw.finish(src).unwrap();
             mw.report(src).unwrap()
         };
         let recovered = {
             let (mut mw, src) = setup(parallelism);
-            mw.push_batch(src, tr.tuples()[..200].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tr.tuples()[..200].to_vec())
+                .unwrap();
             let snap = mw.checkpoint().unwrap();
-            mw.push_batch(src, tr.tuples()[200..240].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tr.tuples()[200..240].to_vec())
+                .unwrap();
             drop(mw); // the crash
             let mut mw =
                 Middleware::recover(Overlay::new(Topology::ring(7).build()), &snap).unwrap();
-            mw.push_batch(src, tr.tuples()[200..].to_vec()).unwrap();
+            mw.pipeline(src)
+                .unwrap()
+                .push_batch(tr.tuples()[200..].to_vec())
+                .unwrap();
             mw.finish(src).unwrap();
             mw.report(src).unwrap()
         };

@@ -40,7 +40,9 @@ use gasf_core::shed::{PushOutcome, ShedHeadroom};
 use gasf_core::time::Micros;
 use gasf_core::tuple::Tuple;
 use gasf_net::{NodeId, Overlay, Topology};
-use gasf_solar::{GrantPolicy, IngestOptions, Middleware, MiddlewareConfig, ShedConfig, SourceId};
+use gasf_solar::{
+    GrantPolicy, IngestOptions, Middleware, MiddlewareConfig, Offer, ShedConfig, SourceId,
+};
 use gasf_sources::{ArrivalReplay, NamosBuoy, Trace, TraceReplay};
 
 const ALGORITHMS: [Algorithm; 3] = [
@@ -150,10 +152,20 @@ fn fingerprint(mw: &Middleware, src: SourceId) -> RunFingerprint {
     }
 }
 
-/// Drives every tuple through `try_push`, asserting nothing throttles.
+/// One offer through a freshly borrowed pipeline.
+fn offer(mw: &mut Middleware, src: SourceId, run: Offer<'_>, start: usize) -> (usize, PushOutcome) {
+    mw.pipeline(src).unwrap().offer(run, start).unwrap()
+}
+
+/// Offers one row.
+fn offer_row(mw: &mut Middleware, src: SourceId, t: &Tuple) -> PushOutcome {
+    offer(mw, src, Offer::Rows(std::slice::from_ref(t)), 0).1
+}
+
+/// Offers every tuple one row at a time, asserting nothing throttles.
 fn drive_calm(mw: &mut Middleware, src: SourceId, tuples: &[Tuple]) {
     for t in tuples {
-        let outcome = mw.try_push(src, t).unwrap();
+        let outcome = offer_row(mw, src, t);
         assert!(outcome.is_accepted(), "calm run must never throttle");
     }
     mw.finish(src).unwrap();
@@ -219,7 +231,7 @@ fn drive_pressured(
         }
         let mut row = 0;
         while row < batch.rows() {
-            let (n, outcome) = mw.try_push_columnar(src, batch, row).unwrap();
+            let (n, outcome) = offer(mw, src, Offer::Batch(batch), row);
             row += n;
             let rung = mw.shed_rung(src).unwrap();
             if *rungs.last().unwrap() != rung {
@@ -441,7 +453,7 @@ fn flow_counters_reconcile_with_call_site_observations() {
         }
         let mut row = 0;
         while row < batch.rows() {
-            let (n, outcome) = mw.try_push_columnar(src, batch, row).unwrap();
+            let (n, outcome) = offer(&mut mw, src, Offer::Batch(batch), row);
             row += n;
             let now = mw.shed_rung(src).unwrap();
             if now > rung {
@@ -531,8 +543,9 @@ fn ingest_report_reconciles_with_flow_monitor() {
 // ---------------------------------------------------------------------
 // The golden ladder schedule: where the ladder moves, to the row, for
 // each input shape. Captured from the implementation that booked calm
-// once per `try_push` call; any change to what the shedder is told, or
-// to where a restore's `update_filter` lands, moves these numbers.
+// once per one-row call (then `try_push`, now a one-row `offer`); any
+// change to what the shedder is told, or to where a restore's
+// `update_filter` lands, moves these numbers.
 // ---------------------------------------------------------------------
 
 const LADDER_CAPACITY: u64 = 16;
@@ -659,11 +672,11 @@ fn ingest_chunkwise(
     mw.finish(src).unwrap();
 }
 
-/// Feed (i): one `try_push` per row. The middle third is starved — a
+/// Feed (i): one one-row `offer` per row. The middle third is starved — a
 /// throttled row is retried four times before a single credit arrives,
 /// so every row costs a full trigger streak; the calm thirds refill the
 /// window on the first throttle.
-fn ladder_by_try_push(parallelism: usize) -> LadderRun {
+fn ladder_by_row_offers(parallelism: usize) -> LadderRun {
     let trace = trace(360);
     let (mut mw, src) = ladder_rig(&trace, parallelism);
     let n = trace.tuples().len();
@@ -672,7 +685,7 @@ fn ladder_by_try_push(parallelism: usize) -> LadderRun {
         let starved = (n / 3..2 * n / 3).contains(&i);
         let mut stalls = 0u32;
         loop {
-            let outcome = mw.try_push(src, t).unwrap();
+            let outcome = offer_row(&mut mw, src, t);
             note_rung(
                 &mw,
                 src,
@@ -709,7 +722,7 @@ fn ladder_by_row_chunks(parallelism: usize) -> LadderRun {
         let batch = Arc::new(head.slice(start, 8.min(half - start)));
         let mut row = 0;
         while row < batch.rows() {
-            let (n, outcome) = mw.try_push_columnar(src, &batch, row).unwrap();
+            let (n, outcome) = offer(&mut mw, src, Offer::Batch(&batch), row);
             row += n;
             note_rung(&mw, src, rows + row, &mut transitions);
             if outcome == PushOutcome::Throttled {
@@ -745,7 +758,7 @@ fn ladder_by_batch_chunks(parallelism: usize) -> LadderRun {
 
 #[test]
 fn golden_ladder_schedule_holds_for_every_input_shape() {
-    let by_try_push = LadderRun {
+    let by_row_offers = LadderRun {
         transitions: vec![
             (128, 1),
             (129, 2),
@@ -794,7 +807,7 @@ fn golden_ladder_schedule_holds_for_every_input_shape() {
         per_app: vec![172, 117, 140, 161, 281, 267],
     };
     for parallelism in [1usize, 2] {
-        assert_eq!(ladder_by_try_push(parallelism), by_try_push);
+        assert_eq!(ladder_by_row_offers(parallelism), by_row_offers);
         assert_eq!(ladder_by_row_chunks(parallelism), by_row_chunks);
         assert_eq!(ladder_by_batch_chunks(parallelism), by_batch_chunks);
     }

@@ -336,20 +336,21 @@ fn overlapping(step: f64, n: usize) -> Vec<FilterSpec> {
 /// The columnar engine path over the 256-filter overlapping roster stays
 /// under a pinned allocations-per-tuple ceiling.
 ///
-/// Measured: 1.101 allocations per tuple (1.110 before filters that take
-/// a reference together shared one vicinity set and the self-interested
-/// path recycled its sets; 26.139 before the flat cohort table, the
-/// scratch-reusing region solve and the recycling of closed sets'
-/// lists). What is left is per emission (0.27 per tuple here): the
-/// materialised payload and the recipient set. Moving the pending
-/// outputs out of a `BTreeMap` and a `BTreeSet` into the tuple pool's
-/// slots left the figure at 1.101: a tree drained to empty keeps its
-/// root leaf, so neither had allocated in the steady state. The ceiling
-/// is 1.5× the measurement.
+/// Measured: 0.828 allocations per tuple (1.101 while a materialised
+/// row collected a `Vec` that the tuple then copied into its own slice;
+/// 1.110 before filters that take a reference together shared one
+/// vicinity set and the self-interested path recycled its sets; 26.139
+/// before the flat cohort table, the scratch-reusing region solve and
+/// the recycling of closed sets' lists). What is left is per emission
+/// (0.27 per tuple here): the materialised payload and the recipient
+/// set. Moving the pending outputs out of a `BTreeMap` and a `BTreeSet`
+/// into the tuple pool's slots left the figure unchanged: a tree drained
+/// to empty keeps its root leaf, so neither had allocated in the steady
+/// state. The ceiling is 1.5× the measurement.
 #[test]
 fn columnar_engine_stays_under_its_allocation_ceiling() {
     let _serial = serial();
-    const CEILING_PER_TUPLE: f64 = 1.65;
+    const CEILING_PER_TUPLE: f64 = 1.24;
     let (per_tuple, _) = columnar_steady_state(|step| overlapping(step, 256));
     println!("columnar engine: {per_tuple:.3} allocations per tuple");
     assert!(
@@ -363,9 +364,11 @@ fn columnar_engine_stays_under_its_allocation_ceiling() {
 /// folded into the 64 members and never evaluated, so nothing per tuple
 /// may grow with them.
 ///
-/// Measured: 1.093 allocations per tuple for both rosters at 0.272
-/// emissions per tuple (1.099 before shared vicinity sets; unchanged by
-/// the move of the pending outputs into the tuple pool) — 0.000 more
+/// Measured: 0.820 allocations per tuple for both rosters at 0.272
+/// emissions per tuple (1.093 before a materialised row took one
+/// allocation instead of two; 1.099 before shared vicinity sets;
+/// unchanged by the move of the pending outputs into the tuple pool) —
+/// 0.000 more
 /// per emission (a recipient set over
 /// 256 slots is four blocks, inside the first allocation a set makes).
 /// Unfolded, the copies cost 1.128: 0.103 more per emission, from the
@@ -403,9 +406,11 @@ fn folded_twins_allocate_per_emission_only() {
 /// part at parallelism 1), it stays within 0.05 allocations per tuple of
 /// a plain `GroupEngine`, on the 256-filter roster.
 ///
-/// Measured: 1.120 allocations per tuple for the plain engine, 1.123
+/// Measured: 0.847 allocations per tuple for the plain engine, 0.850
 /// behind a worker and inline alike (+0.003: each batch's two reply
-/// vectors; 1.146 and 1.149 before shared vicinity sets).
+/// vectors; 1.120 and 1.123 before a materialised row took one
+/// allocation instead of two, 1.146 and 1.149 before shared vicinity
+/// sets).
 /// Before the flat replies a worker cost 1.562 (+0.416): every emitting
 /// row's emissions left in a `Vec` taken from the engine's release
 /// buffer, which then regrew it, and were pushed onto a per-row step
