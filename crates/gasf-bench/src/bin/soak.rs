@@ -1,5 +1,5 @@
-//! Soak-run CLI: drives the million-subscriber soak (ROADMAP item 5)
-//! and prints its outcome as one JSON object.
+//! Soak-run CLI: drives the million-subscriber soak and prints its
+//! outcome as one JSON object.
 //!
 //! ```text
 //! cargo run -q --release -p gasf-bench --bin soak          # full: 10⁶ subscriptions
@@ -9,9 +9,9 @@
 //! Every run asserts the soak invariants ([`SoakOutcome::assert_sane`]):
 //! deliveries happened, p50 ≤ p99 ≤ max, the group-aware path spent
 //! fewer bytes than naive multicast, pressure throttled and degraded
-//! headroom subscriptions, and calm restored every one of them. The
-//! full run's numbers are recorded in `BENCH_baseline.json` (single-vCPU
-//! caveat: wall-clock is one core doing a cluster's work).
+//! headroom subscriptions, and calm restored every one of them. The one
+//! full run on record is in `docs/ARCHITECTURE.md`'s "soak layer" bullet
+//! (single-vCPU caveat: wall-clock is one core doing a cluster's work).
 
 use gasf_bench::soak::{run_soak, SoakConfig, SoakOutcome};
 use std::time::Instant;

@@ -11,8 +11,9 @@
 //! cargo run -p gasf-bench --release --bin experiments -- all
 //! ```
 //!
-//! or a single experiment (`fig4_2`, `tab5_3`, …). Criterion benches for
-//! the CPU-cost figures live in `benches/`.
+//! or a single experiment (`fig4_2`, `tab5_3`, …). The CPU-cost figures
+//! are tables here too (fig4_3, fig4_10, fig4_14, fig4_18, fig4_24,
+//! tab5_3); the workspace's timings live in `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

@@ -1,11 +1,9 @@
 //! Engine-run helpers shared by all experiments.
 
-use crate::specs::Group;
 use gasf_core::cuts::TimeConstraint;
 use gasf_core::engine::{Algorithm, Emission, GroupEngine, OutputStrategy};
 use gasf_core::metrics::EngineMetrics;
 use gasf_core::quality::FilterSpec;
-use gasf_core::shard::ShardedEngine;
 use gasf_core::sink::VecSink;
 use gasf_core::time::Micros;
 use gasf_sources::Trace;
@@ -180,34 +178,6 @@ pub fn per_batch_output_ratios(ga: &RunOutcome, si: &RunOutcome, batch: u64) -> 
         lo = hi;
     }
     out
-}
-
-/// Builds a [`ShardedEngine`] hosting one route per group (keyed by the
-/// group's name, so shard placement follows the deterministic key hash)
-/// at the requested parallelism — the configuration the `scaling` bench
-/// and the parallel-pipeline example sweep.
-///
-/// # Panics
-/// Panics on construction failure — experiment configurations are static
-/// and a failure is a harness bug.
-pub fn sharded_engine(
-    trace: &Trace,
-    groups: &[Group],
-    algorithm: Algorithm,
-    strategy: OutputStrategy,
-    parallelism: usize,
-) -> ShardedEngine {
-    let mut builder = ShardedEngine::builder().parallelism(parallelism);
-    for group in groups {
-        builder = builder.route(
-            &group.name,
-            GroupEngine::builder(trace.schema().clone())
-                .algorithm(algorithm)
-                .output_strategy(strategy)
-                .filters(group.specs.clone()),
-        );
-    }
-    builder.build().expect("experiment spec must be valid")
 }
 
 /// The constant overlay-multicast latency added to reported per-tuple

@@ -1,9 +1,9 @@
-//! The million-subscriber soak harness (ROADMAP item 5).
+//! The million-subscriber soak harness (§1's millions-of-users claim).
 //!
 //! The paper's north-star is "heavy traffic from millions of users"
 //! served cheaply because applications state quality slack the system
 //! may exploit under pressure. This module proves that end-to-end
-//! instead of inferring it from micro-benches: one [`run_soak`] drives
+//! instead of inferring it from per-layer timings: one [`run_soak`] drives
 //! the **sharded + distributed path** — a [`Middleware`] over a 1024-node
 //! grid overlay with worker shards, a bounded ingress
 //! ([`CreditGate`](gasf_solar::CreditGate)) and a quality-aware
@@ -34,9 +34,10 @@
 //!    admissions restore every degraded subscription to rung 0.
 //!
 //! `GASF_BENCH_SMOKE=1` selects the 10⁴-subscription smoke sizing used
-//! by CI ([`SoakConfig::from_env`]); the full [`SoakConfig::million`]
-//! numbers are recorded in `BENCH_baseline.json` (single-vCPU caveat —
-//! wall-clock there is one core doing the work of a cluster).
+//! by CI ([`SoakConfig::from_env`]); the one full [`SoakConfig::million`]
+//! run on record is in `docs/ARCHITECTURE.md`'s "soak layer" bullet
+//! (single-vCPU caveat — wall-clock there is one core doing the work of
+//! a cluster).
 
 use gasf_core::batch::TupleBatch;
 use gasf_core::engine::{Algorithm, OutputStrategy};
@@ -261,7 +262,8 @@ impl SoakOutcome {
     }
 
     /// The outcome as one flat JSON object (hand-rolled — the workspace
-    /// serde is a shim), ready for `BENCH_baseline.json`.
+    /// serde is a shim), in the shape of the full run recorded in
+    /// `docs/ARCHITECTURE.md`'s "soak layer" bullet.
     pub fn to_json(&self) -> String {
         format!(
             concat!(

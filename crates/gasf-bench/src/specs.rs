@@ -252,31 +252,6 @@ pub fn ten_groups(trace: &Trace) -> Vec<Group> {
     vec![g1, g2, g3, g4, g5, g6, g7, g8, g9, g10]
 }
 
-/// Ten stateless DC1 groups over the NAMOS channels — the sharded-engine
-/// *scaling* workload (three filters each, deltas 1–3·srcStatistics,
-/// slack 50 %, seeded per group).
-///
-/// [`ten_groups`] mixes stateful DC2/DC3 filter types, which restricts it
-/// to the per-candidate-set algorithm; every group here is valid under
-/// all three algorithms, so the `scaling` bench can sweep
-/// shards × RG/PS/SI over one fixed workload.
-pub fn ten_groups_stateless(trace: &Trace) -> Vec<Group> {
-    let attrs = [
-        "fluoro", "tmpr1", "tmpr2", "tmpr3", "tmpr4", "tmpr5", "tmpr6",
-    ];
-    (0..10)
-        .map(|i| {
-            let attr = attrs[i % attrs.len()];
-            source_group(
-                trace,
-                attr,
-                &format!("S{} (DC1 {attr})", i + 1),
-                60 + i as u64,
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,27 +281,6 @@ mod tests {
             assert_eq!(g.specs.len(), 3, "{}", g.name);
             for s in &g.specs {
                 s.validate().unwrap_or_else(|e| panic!("{}: {e}", g.name));
-            }
-        }
-    }
-
-    #[test]
-    fn stateless_ten_groups_build_under_every_algorithm() {
-        use gasf_core::engine::{Algorithm, GroupEngine};
-        let t = trace();
-        let groups = ten_groups_stateless(&t);
-        assert_eq!(groups.len(), 10);
-        for g in &groups {
-            for algorithm in [
-                Algorithm::RegionGreedy,
-                Algorithm::PerCandidateSet,
-                Algorithm::SelfInterested,
-            ] {
-                GroupEngine::builder(t.schema().clone())
-                    .algorithm(algorithm)
-                    .filters(g.specs.clone())
-                    .build()
-                    .unwrap_or_else(|e| panic!("{} under {algorithm:?}: {e}", g.name));
             }
         }
     }

@@ -320,6 +320,13 @@ impl Offer<'_> {
             Offer::Batch(batch) => batch.rows(),
         }
     }
+
+    fn row(self, r: usize) -> Tuple {
+        match self {
+            Offer::Rows(rows) => rows[r].clone(),
+            Offer::Batch(batch) => batch.materialize_row(r),
+        }
+    }
 }
 
 /// One filter group of a source — a route of the source's engine — with
@@ -1918,26 +1925,31 @@ impl Pipeline<'_> {
     /// Feeds `len` admitted rows of `run`, from `start`, through the
     /// event-time front end when the source has one, straight to the
     /// engine otherwise.
+    ///
+    /// Rows shed by the exhausted ladder leave gaps, which the event-time
+    /// front end closes by re-sequencing; without one, the rows after
+    /// `shed` drops move down by `shed`, so the engine's stream stays dense.
     fn front_end(&mut self, run: Offer<'_>, start: usize, len: usize) -> Result<(), SolarError> {
-        let reorder = self.mw.sources[self.source].reorder.is_some();
+        let s = &self.mw.sources[self.source];
+        let shed = s.flow.shed_dropped();
+        let span = start..start + len;
         match run {
-            Offer::Rows(rows) if reorder => {
-                self.reorder_run(rows[start..start + len].iter().cloned())
+            _ if s.reorder.is_some() => self.reorder_run(span.map(|r| run.row(r))),
+            _ if shed > 0 => {
+                let moved = |t: Tuple| t.with_seq(t.seq().wrapping_sub(shed));
+                self.feed_rows(&span.map(|r| moved(run.row(r))).collect::<Vec<_>>())
             }
             Offer::Rows(rows) => self.feed_rows(&rows[start..start + len]),
-            Offer::Batch(batch) if reorder => {
-                self.reorder_run((start..start + len).map(|r| batch.materialize_row(r)))
-            }
             Offer::Batch(batch) if len == batch.rows() => self.feed_engine(batch),
             Offer::Batch(batch) => self.feed_engine(&Arc::new(batch.slice(start, len))),
         }
     }
 
     /// Offers the whole of `run`, row-exact across partial admissions —
-    /// the §4.8 escalation as a loop. A `Throttled` answer first lets
-    /// `grant` replenish the window, and only when the source's
-    /// degradation ladder is exhausted *and* pressure persists is the
-    /// blocked row dropped — counted in `report` and the [`FlowMonitor`].
+    /// the §4.8 escalation as a loop. A `Throttled` answer lets `grant`
+    /// replenish the window, after dropping the blocked row when the
+    /// source's degradation ladder is exhausted *and* pressure persists
+    /// (a drop counted in `report` and the [`FlowMonitor`]).
     fn offer_all(
         &mut self,
         run: Offer<'_>,
@@ -1958,9 +1970,8 @@ impl Pipeline<'_> {
                     self.mw.sources[self.source].flow.observe_shed_drop();
                     report.dropped += 1;
                     row += 1;
-                } else {
-                    self.replenish(grant);
                 }
+                self.replenish(grant);
             }
         }
         Ok(())

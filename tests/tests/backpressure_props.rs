@@ -28,6 +28,7 @@ use gasf_core::quality::FilterSpec;
 use gasf_core::schema::Schema;
 use gasf_core::shed::{PushOutcome, ShedHeadroom};
 use gasf_core::time::Micros;
+use gasf_core::tuple::Tuple;
 use gasf_net::{NodeId, Overlay, Topology};
 use gasf_solar::{
     GrantPolicy, IngestOptions, Middleware, MiddlewareConfig, Offer, ShedConfig, Shedder, SourceId,
@@ -311,20 +312,35 @@ struct EntryRun {
     rungs: Vec<u8>,
 }
 
-/// A loop over `offer` that refills the gate on `Throttled`, and drops
-/// the blocked row instead once a shadow of the source's shedder says
-/// the ladder is exhausted. The shadow is booked as the admission books
-/// a batch: calm only for a whole admission, then the throttle.
+/// `batch` with every row moved down by `shed` sequence numbers: what the
+/// middleware's own loop feeds after `shed` drops, so the stream the
+/// engine sees stays dense.
+fn rebase(batch: &TupleBatch, shed: u64) -> Arc<TupleBatch> {
+    let rows: Vec<Tuple> = batch
+        .materialize()
+        .iter()
+        .map(|t| t.with_seq(t.seq() - shed))
+        .collect();
+    Arc::new(TupleBatch::from_tuples(batch.schema(), &rows).unwrap())
+}
+
+/// A loop over `offer` that refills the gate on `Throttled`, and first
+/// drops the blocked row once a shadow of the source's shedder says the
+/// ladder is exhausted; `dropped` counts its drops across calls, and the
+/// rows after them are offered rebased past them. The shadow is booked
+/// as the admission books a batch: calm only for a whole admission, then
+/// the throttle.
 fn offer_loop(
     mw: &mut Middleware,
     src: SourceId,
-    batch: &Arc<TupleBatch>,
+    batch: &TupleBatch,
     mut shadow: Option<&mut Shedder>,
-) -> u64 {
-    let mut dropped = 0;
+    dropped: &mut u64,
+) {
+    let mut run = rebase(batch, *dropped);
     let mut row = 0;
-    while row < batch.rows() {
-        let (n, outcome) = offer(mw, src, Offer::Batch(batch), row);
+    while row < run.rows() {
+        let (n, outcome) = offer(mw, src, Offer::Batch(&run), row);
         row += n;
         let throttled = outcome == PushOutcome::Throttled;
         if let Some(shadow) = shadow.as_deref_mut() {
@@ -336,15 +352,14 @@ fn offer_loop(
         }
         if throttled {
             if shadow.as_deref().is_some_and(Shedder::should_drop) {
-                dropped += 1;
+                *dropped += 1;
                 row += 1;
-            } else {
-                let (_, capacity) = mw.credit_window(src).unwrap().unwrap();
-                mw.grant_credits(src, capacity).unwrap();
+                run = rebase(batch, *dropped);
             }
+            let (_, capacity) = mw.credit_window(src).unwrap().unwrap();
+            mw.grant_credits(src, capacity).unwrap();
         }
     }
-    dropped
 }
 
 /// Feeds `trace` through `entry` in chunks of the cycled `sizes`.
@@ -377,7 +392,7 @@ fn run_entry(
                 None
             }
             Entry::OfferLoop => {
-                own_drops += offer_loop(&mut mw, src, &batch, shadow.as_mut());
+                offer_loop(&mut mw, src, &batch, shadow.as_mut(), &mut own_drops);
                 None
             }
             Entry::IngestBatch => Some(Chunk::Batch((*batch).clone())),
@@ -435,4 +450,21 @@ proptest! {
         let rows = run(Entry::PushBatch);
         prop_assert_eq!(&run(Entry::IngestRows), &rows, "row-chunk ingest");
     }
+}
+
+/// An exhausted ladder sheds the blocked row and then grants what any
+/// throttle grants: the rows after a drop meet a replenished window, so
+/// a gated, shedding source admits more than it drops.
+#[test]
+fn an_exhausted_ladder_still_admits_more_than_it_drops() {
+    let trace = trace(300);
+    let run = run_entry(&trace, Some(3), true, &[12, 14], Entry::PushColumnar);
+    let admitted = run.fingerprint.input_tuples;
+    let dropped = run.flow[3];
+    assert!(dropped > 0, "the ladder must exhaust for this case to bite");
+    assert_eq!(admitted + dropped, 300);
+    assert!(
+        admitted > dropped,
+        "admitted {admitted}, dropped {dropped}: a drop must replenish the gate"
+    );
 }

@@ -325,8 +325,9 @@ fn inline_and_sharded(specs: impl Fn(f64) -> Vec<FilterSpec>, parallelism: usize
     )
 }
 
-/// The overlapping roster of the benches: `n` deltas on one attribute,
-/// granularities spread from tight to loose, fixed small slack.
+/// The overlapping roster of perfbench's wide-roster workload: `n`
+/// deltas on one attribute, granularities spread from tight to loose,
+/// fixed small slack.
 fn overlapping(step: f64, n: usize) -> Vec<FilterSpec> {
     (0..n)
         .map(|i| FilterSpec::delta("tmpr4", step * (3.0 + 0.25 * i as f64), step * 0.6))
